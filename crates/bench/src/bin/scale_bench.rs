@@ -411,7 +411,7 @@ fn pick_spread_subnets(shards: u32, k: usize) -> Vec<u8> {
             assert!(b < 256, "no subnet byte hashes pair {i} to shard {i}");
             let cand = b as u8;
             b += 1;
-            let mut core =
+            let core =
                 ControllerCore::new(ControllerConfig { shards, ..ControllerConfig::default() });
             let pairs: Vec<(MbId, MbId)> =
                 (0..k).map(|_| (core.register_mb(), core.register_mb())).collect();

@@ -50,10 +50,12 @@
 //! Chain ids live in their own [`CHAIN_OP_BASE`] namespace, far above
 //! any shard's residue-class allocation: they never appear in
 //! southbound traffic (only the per-hop ops do), so demux arithmetic
-//! is untouched, and the facade can tell "chain" from "shard op" by a
+//! is untouched, and the engine can tell "chain" from "shard op" by a
 //! single compare.
 
 use openmb_types::{Error, HeaderFieldList, MbId, OpId};
+
+use crate::shard::Completion;
 
 /// First op id of the chain namespace. Shard residue allocation counts
 /// up from 1 and could not plausibly reach this in any run; chain ids
@@ -130,7 +132,7 @@ pub(crate) enum ChainPhase {
     Rollback { undo: usize, op: Option<OpId>, retries_left: u32, paced: bool },
 }
 
-/// One live chain transaction inside the facade. `Clone` so the whole
+/// One live chain transaction inside the engine. `Clone` so the whole
 /// [`crate::controller::ControllerCore`] still journals/restores across
 /// controller crashes with chain progress intact.
 #[derive(Debug, Clone)]
@@ -145,7 +147,7 @@ pub(crate) struct ChainRun {
     /// Forward op id of every hop issued so far (index = hop).
     pub hop_ops: Vec<OpId>,
     /// Reverse (compensation) ops issued, as `(hop, op)` — kept so the
-    /// facade can re-register any still-draining op when the chain
+    /// engine can re-register any still-draining op when the chain
     /// settles.
     pub aux_ops: Vec<(usize, OpId)>,
     /// The error that triggered the rollback, reported with the
@@ -164,5 +166,19 @@ impl ChainRun {
             ChainPhase::Forward { hop, .. } => ChainStatus::Forward(hop),
             ChainPhase::Rollback { undo, .. } => ChainStatus::Rollback(undo),
         }
+    }
+
+    /// Is this chain waiting on shard operation `op` — its in-flight
+    /// forward hop or reverse move?
+    pub fn awaits(&self, op: OpId) -> bool {
+        matches!(
+            self.phase,
+            ChainPhase::Forward { op: e, .. } | ChainPhase::Rollback { op: Some(e), .. } if e == op
+        )
+    }
+
+    /// The chain's terminal `Failed` completion carrying `error`.
+    pub fn failed(&self, error: Error) -> Completion {
+        Completion::Failed { op: self.id, error, dropped_events: self.dropped_events }
     }
 }

@@ -1,11 +1,11 @@
-//! The MB controller (§5), sharded: N independent operation streams
-//! behind the single-controller API.
+//! The MB controller (§5): one engine, sharded, driven by every
+//! embedding.
 //!
-//! [`ControllerCore`] is the facade every embedding talks to. It owns
-//! `config.shards` [`ControllerShard`]s — each a complete pure state
-//! machine with its own op table, transfer ledgers, ack sets, and
-//! pending-delete ledger — plus the [`ShardRouter`] that decides, per
-//! operation, which shard runs it:
+//! [`ControllerCore`] owns `config.shards` [`ControllerShard`]s — each
+//! a complete pure state machine with its own op table, transfer
+//! ledgers, ack sets, and pending-delete ledger — the [`ShardRouter`]
+//! that decides which shard runs an operation, and the table of live
+//! chain transactions ([`crate::chain`]):
 //!
 //! * **Transfers** (`moveInternal`, `cloneSupport`, `mergeInternal`)
 //!   hash `(flowspace, MB pair)` to a shard, unless they *conflict*
@@ -13,30 +13,53 @@
 //!   can select a common flow (direction-insensitively) — in which
 //!   case they are pinned to that transfer's shard, where per-shard
 //!   FIFO ordering serializes them. A transfer whose conflict set
-//!   spans *several* shards (a bridging op between two disjoint live
-//!   transfers) cannot be serialized by any placement: it is reserved
-//!   on the earliest conflicting op's shard with no southbound
-//!   traffic, and released — its gets finally issued — once every
-//!   conflicting op on the other shards has closed. Disjoint
-//!   transfers land on different shards and share no state, no
-//!   ledgers, and (in concurrent embeddings) no locks.
+//!   spans *several* shards is reserved on the earliest conflicting
+//!   op's shard with no southbound traffic, and released once every
+//!   conflicting op on the other shards has closed.
 //! * **Southbound messages** demux by op-id residue: shard `s` of `N`
 //!   allocates ids `≡ s + 1 (mod N)`, so ownership is `(id - 1) % N` —
 //!   O(1) arithmetic, nothing shared. Op-less introspection events
 //!   route via the subscription table; anything unattributable is
 //!   broadcast (non-owners drop it).
 //!
-//! With `config.shards == 1` (the default) the facade is byte-for-byte
-//! the pre-sharding controller: same op ids, same action order, same
-//! timelines — which is what keeps the seeded conformance corpus and
-//! every existing embedding valid. The facade itself stays `Clone` so
-//! `ControllerNode`'s crash journal snapshots routing state and shard
-//! state together.
+//! **One engine, two calling conventions.** Every method takes `&self`
+//! and appends the [`Action`]s to perform to a caller-supplied `out`,
+//! so the caller executes sends and completions outside all locks. The
+//! simulator ([`crate::nodes::ControllerNode`]) calls it from its one
+//! event loop; OS threads (the TCP pump and blocking northbound
+//! callers in [`crate::tcp`], benchmark drivers through
+//! [`crate::parallel::ShardedController`]) call the *same* methods
+//! concurrently. There is no second implementation to drift.
 //!
-//! Concurrency note: this type is single-threaded by design (the sim
-//! embedding must stay deterministic). Real-thread parallelism over the
-//! same shards lives in [`crate::parallel::ShardedController`], which
-//! wraps each shard in its own lock so disjoint shards never contend.
+//! **Locks.** Each shard sits in its own mutex; the router and the
+//! chain table each have theirs. The order is always
+//! router → chains → shard, and a thread holding a shard lock never
+//! asks for another lock, so there is no cycle. While the router lock
+//! is held, shard state is only *consulted* (conflict-table pruning,
+//! deferral and chain sweeps) via `try_lock` — conservative on
+//! contention ("not closed yet", re-checked by the next sweep), never
+//! blocking admission on a busy shard. A southbound message with
+//! nothing deferred and no live chain takes the owning shard's lock
+//! once per inner message and the router lock once per call.
+//!
+//! **Determinism.** On the single-threaded simulator no lock is ever
+//! contended, so every `try_lock` succeeds and the engine is a pure
+//! function of its call sequence: same op ids, same action order, same
+//! timelines, which keeps the seeded conformance corpus byte-identical
+//! on replay. Deferral and chain sweeps run once per entry-point call;
+//! the simulator flattens `Batch` frames before they reach the core,
+//! so for it a call is one message.
+//!
+//! **Configuration** is fixed at [`ControllerCore::new`] and changed
+//! only through [`ControllerCore::update_config`] (`&mut self`: no
+//! concurrent callers), which pushes the new tunables down to every
+//! shard once. `Clone` locks and copies the whole machine — shards,
+//! router, chains — so `ControllerNode`'s crash journal snapshots a
+//! consistent cut.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use parking_lot::Mutex;
 
 use openmb_obs::{HealthSnapshot, LedgerHealth, NodeTag, Recorder, ShardHealth, SpanEvent};
 use openmb_simnet::SimTime;
@@ -49,42 +72,95 @@ pub use crate::shard::{
     Action, Completion, ControllerConfig, ControllerShard, TransferKind, TransferLedgerStats,
 };
 
-/// The sharded controller: the facade embeddings drive.
-///
-/// `Clone` so embeddings can journal a snapshot of the whole machine
-/// (shards *and* router) and restore it after a controller crash
-/// without replaying the message history.
-#[derive(Clone)]
+/// The sharded controller engine every embedding drives.
 pub struct ControllerCore {
-    shards: Vec<ControllerShard>,
-    router: ShardRouter,
+    shards: Vec<Mutex<ControllerShard>>,
+    router: Mutex<ShardRouter>,
     /// Live chain transactions ([`ControllerCore::chain_move`]);
     /// terminal chains are removed as their completion is emitted.
-    chains: Vec<ChainRun>,
+    chains: Mutex<Vec<ChainRun>>,
+    /// `chains.len()`, readable without the lock: the southbound path's
+    /// "no live chain" guard. Written under the chains lock; `SeqCst`,
+    /// since a reader that sees 0 skips the table altogether.
+    live_chains: AtomicUsize,
     /// Next chain id offset above [`CHAIN_OP_BASE`].
-    next_chain: u64,
-    /// Tunables. Mutating this after construction propagates to every
-    /// shard on the next call into the core — except `shards`, which is
-    /// structural and read once by [`ControllerCore::new`].
-    pub config: ControllerConfig,
+    next_chain: AtomicU64,
+    /// Engine-level flight recorder handle, so routing, chain and
+    /// transport events record without any shard or router lock.
+    rec: Mutex<(Recorder, NodeTag)>,
+    config: ControllerConfig,
 }
 
-/// Has `(shard, op)` fully closed, chain-aware: chain ids close when
-/// the chain transaction leaves the table; shard ops answer via
-/// [`ControllerShard::op_closed`]. Every router prune/release sweep
-/// must go through this — a shard answers `true` for *unknown* ops, so
-/// asking it about a live chain id would free a deferral early.
-fn op_or_chain_closed(
-    shards: &[ControllerShard],
-    chains: &[ChainRun],
-    shard: usize,
-    op: OpId,
-) -> bool {
-    if is_chain_op(op) {
-        !chains.iter().any(|c| c.id == op)
-    } else {
-        shards[shard].op_closed(op)
+/// Locks and copies the whole machine (router → chains → shards) so
+/// embeddings can journal a snapshot and restore it after a controller
+/// crash without replaying the message history.
+impl Clone for ControllerCore {
+    fn clone(&self) -> Self {
+        let router = self.router.lock();
+        let chains = self.chains.lock();
+        ControllerCore {
+            shards: self.shards.iter().map(|sh| Mutex::new(sh.lock().clone())).collect(),
+            router: Mutex::new(router.clone()),
+            chains: Mutex::new(chains.clone()),
+            live_chains: AtomicUsize::new(chains.len()),
+            next_chain: AtomicU64::new(self.next_chain.load(Ordering::Relaxed)),
+            rec: Mutex::new(self.rec.lock().clone()),
+            config: self.config,
+        }
     }
+}
+
+/// The hop-op outcome an action reports, if it is a completion a chain
+/// could be waiting on: `Ok(chunks_moved)` or `Err((error, dropped))`.
+type HopOutcome = Result<usize, (Error, usize)>;
+
+fn hop_outcome(a: &Action) -> Option<(OpId, HopOutcome)> {
+    match a {
+        Action::Notify(Completion::MoveComplete { op, chunks_moved }) => {
+            Some((*op, Ok(*chunks_moved)))
+        }
+        Action::Notify(Completion::Failed { op, error, dropped_events }) => {
+            Some((*op, Err((error.clone(), *dropped_events))))
+        }
+        _ => None,
+    }
+}
+
+/// Turn one core call's actions into wire frames, the way every
+/// embedding sends them: `ToMb` messages grouped by destination in
+/// first-seen order (per-destination order preserved), a run of more
+/// than one wrapped in a single [`Message::Batch`] — window refills,
+/// resume re-sends and buffered-event flushes routinely emit runs to
+/// one MB. `send` gets each frame plus, for a batch, the
+/// `BatchFlushed` span to record before sending it, keyed by the first
+/// message's sub-op so per-op timelines show the flush alongside the
+/// put it carries. Returns the completions, in order, for the
+/// embedding to deliver after the sends.
+pub(crate) fn coalesce(
+    actions: Vec<Action>,
+    mut send: impl FnMut(MbId, Message, Option<(Option<u64>, SpanEvent)>),
+) -> Vec<Completion> {
+    let mut sends: Vec<(MbId, Vec<Message>)> = Vec::new();
+    let mut completions = Vec::new();
+    for a in actions {
+        match a {
+            Action::ToMb(mb, msg) => match sends.iter_mut().find(|(m, _)| *m == mb) {
+                Some((_, v)) => v.push(msg),
+                None => sends.push((mb, vec![msg])),
+            },
+            Action::Notify(c) => completions.push(c),
+        }
+    }
+    for (mb, mut msgs) in sends {
+        if msgs.len() == 1 {
+            send(mb, msgs.pop().expect("len 1"), None);
+        } else {
+            let count = msgs.len() as u32;
+            let flushed = (msgs[0].op_id().map(|o| o.0), SpanEvent::BatchFlushed { count });
+            send(mb, Message::Batch { msgs }, Some(flushed));
+        }
+    }
+    completions
 }
 
 impl ControllerCore {
@@ -93,13 +169,15 @@ impl ControllerCore {
     pub fn new(config: ControllerConfig) -> Self {
         let n = config.shards.max(1) as usize;
         let shards = (0..n)
-            .map(|s| ControllerShard::with_op_space(config, s as u64 + 1, n as u64))
+            .map(|s| Mutex::new(ControllerShard::with_op_space(config, s as u64 + 1, n as u64)))
             .collect();
         ControllerCore {
             shards,
-            router: ShardRouter::new(n),
-            chains: Vec::new(),
-            next_chain: 0,
+            router: Mutex::new(ShardRouter::new(n)),
+            chains: Mutex::new(Vec::new()),
+            live_chains: AtomicUsize::new(0),
+            next_chain: AtomicU64::new(0),
+            rec: Mutex::new((Recorder::disabled(), NodeTag::NONE)),
             config,
         }
     }
@@ -109,14 +187,32 @@ impl ControllerCore {
         self.shards.len()
     }
 
-    /// Immutable view of one shard (metrics, tests).
-    pub fn shard(&self, s: usize) -> &ControllerShard {
-        &self.shards[s]
+    /// The current tunables.
+    pub fn config(&self) -> ControllerConfig {
+        self.config
+    }
+
+    /// Change tunables and push them down to every shard, once.
+    /// `shards` is structural — read by [`ControllerCore::new`] only;
+    /// changing it here has no effect on the running core.
+    pub fn update_config(&mut self, edit: impl FnOnce(&mut ControllerConfig)) {
+        edit(&mut self.config);
+        for sh in &self.shards {
+            sh.lock().config = self.config;
+        }
     }
 
     /// The shard that owns operation `op` (by op-id residue).
     pub fn shard_of_op(&self, op: OpId) -> usize {
-        self.router.shard_of_op(op)
+        ShardRouter::owner_of_op(self.shards.len(), op)
+    }
+
+    /// Demux one (unbatched) southbound message. Op-carrying messages —
+    /// the hot path — resolve by residue arithmetic with no lock; only
+    /// op-less introspection events take the router lock, briefly.
+    fn route(&self, from: MbId, msg: &Message) -> Route {
+        ShardRouter::route_by_op(self.shards.len(), msg)
+            .unwrap_or_else(|| self.router.lock().route_message(from, msg))
     }
 
     /// The shard an incoming southbound message will be delivered to —
@@ -124,49 +220,43 @@ impl ControllerCore {
     /// `ControllerNode` work queues) use this to pick the queue.
     /// Broadcast messages are accounted to shard 0.
     pub fn shard_of_message(&self, from: MbId, msg: &Message) -> usize {
-        match self.router.route_message(from, msg) {
+        match self.route(from, msg) {
             Route::Shard(s) => s,
             Route::Broadcast => 0,
-        }
-    }
-
-    /// Push the (possibly mutated) facade config down to every shard.
-    /// `ControllerConfig` is `Copy`, so this is a handful of word moves
-    /// per call — the price of keeping `core.config.field = x` working
-    /// exactly as it did pre-sharding.
-    fn sync_config(&mut self) {
-        for sh in &mut self.shards {
-            sh.config = self.config;
         }
     }
 
     /// Install a flight recorder. "controller" is registered once and
     /// the tag shared across shards, so a sharded run still renders as
     /// one controller column in the op timeline.
-    pub fn set_recorder(&mut self, rec: Recorder) {
+    pub fn set_recorder(&self, rec: Recorder) {
         let tag = rec.register("controller");
-        for sh in &mut self.shards {
-            sh.set_recorder_with_tag(rec.clone(), tag);
+        *self.rec.lock() = (rec.clone(), tag);
+        for sh in &self.shards {
+            sh.lock().set_recorder_with_tag(rec.clone(), tag);
         }
     }
 
     /// The installed flight recorder handle (disabled by default).
-    pub fn recorder(&self) -> &Recorder {
-        self.shards[0].recorder()
+    pub fn recorder(&self) -> Recorder {
+        self.rec.lock().0.clone()
     }
 
-    /// The node tag this core records under.
-    pub fn recorder_tag(&self) -> NodeTag {
-        self.shards[0].recorder_tag()
+    /// Record an engine-level event (routing, chain phases, an
+    /// embedding's transport resets) under the controller's node tag,
+    /// without taking any shard or router lock.
+    pub(crate) fn record(&self, t_ns: u64, op: Option<u64>, sub: Option<u64>, ev: SpanEvent) {
+        let (rec, tag) = &*self.rec.lock();
+        rec.record(t_ns, *tag, op, sub, ev);
     }
 
     /// Register a middlebox; returns its handle. Every shard learns of
     /// every MB (registration is control-plane metadata, not per-shard
     /// state).
-    pub fn register_mb(&mut self) -> MbId {
+    pub fn register_mb(&self) -> MbId {
         let mut id = None;
-        for sh in &mut self.shards {
-            let got = sh.register_mb();
+        for sh in &self.shards {
+            let got = sh.lock().register_mb();
             debug_assert!(id.is_none_or(|i| i == got));
             id = Some(got);
         }
@@ -177,79 +267,75 @@ impl ControllerCore {
     // Northbound operations
     // ------------------------------------------------------------------
 
-    /// `readConfig` — routed by MB hash; simple requests carry no
-    /// flowspace and need no conflict entry.
+    /// Simple (flowspace-free) ops route by MB hash: no conflict entry
+    /// and — placement being pure arithmetic — no router lock.
+    fn simple(&self, mb: MbId, issue: impl FnOnce(&mut ControllerShard) -> OpId) -> OpId {
+        issue(&mut self.shards[ShardRouter::place_simple(self.shards.len(), mb)].lock())
+    }
+
+    /// `readConfig`.
     pub fn read_config(
-        &mut self,
+        &self,
         src: MbId,
         key: HierarchicalKey,
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        self.sync_config();
-        let s = self.router.route_simple(src);
-        self.shards[s].read_config(src, key, now, out)
+        self.simple(src, |sh| sh.read_config(src, key, now, out))
     }
 
     /// `writeConfig`.
     pub fn write_config(
-        &mut self,
+        &self,
         dst: MbId,
         key: HierarchicalKey,
         values: Vec<ConfigValue>,
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        self.sync_config();
-        let s = self.router.route_simple(dst);
-        self.shards[s].write_config(dst, key, values, now, out)
+        self.simple(dst, |sh| sh.write_config(dst, key, values, now, out))
     }
 
     /// `delConfig`.
     pub fn del_config(
-        &mut self,
+        &self,
         dst: MbId,
         key: HierarchicalKey,
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        self.sync_config();
-        let s = self.router.route_simple(dst);
-        self.shards[s].del_config(dst, key, now, out)
+        self.simple(dst, |sh| sh.del_config(dst, key, now, out))
     }
 
     /// `stats`.
     pub fn stats(
-        &mut self,
+        &self,
         src: MbId,
         key: HeaderFieldList,
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        self.sync_config();
-        let s = self.router.route_simple(src);
-        self.shards[s].stats(src, key, now, out)
+        self.simple(src, |sh| sh.stats(src, key, now, out))
     }
 
     /// `enableEvents` — the owning shard is recorded so op-less
     /// introspection events from this MB route to the shard holding the
     /// subscription.
     pub fn enable_events(
-        &mut self,
+        &self,
         mb: MbId,
         filter: EventFilter,
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        self.sync_config();
-        let s = self.router.route_simple(mb);
-        self.router.note_subscription(mb, s);
-        self.shards[s].enable_events(mb, filter, now, out)
+        let s = ShardRouter::place_simple(self.shards.len(), mb);
+        self.router.lock().note_subscription(mb, s);
+        self.shards[s].lock().enable_events(mb, filter, now, out)
     }
 
     /// `moveInternal` — admitted through the conflict detector.
     pub fn move_internal(
-        &mut self,
+        &self,
         src: MbId,
         dst: MbId,
         key: HeaderFieldList,
@@ -261,19 +347,13 @@ impl ControllerCore {
 
     /// `cloneSupport` — transfers *all* support state, so its conflict
     /// flowspace is the wildcard pattern.
-    pub fn clone_support(
-        &mut self,
-        src: MbId,
-        dst: MbId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
+    pub fn clone_support(&self, src: MbId, dst: MbId, now: SimTime, out: &mut Vec<Action>) -> OpId {
         self.admit_transfer(TransferKind::Clone, HeaderFieldList::any(), src, dst, now, out)
     }
 
     /// `mergeInternal` — wildcard flowspace, like clone.
     pub fn merge_internal(
-        &mut self,
+        &self,
         src: MbId,
         dst: MbId,
         now: SimTime,
@@ -281,6 +361,90 @@ impl ControllerCore {
     ) -> OpId {
         self.admit_transfer(TransferKind::Merge, HeaderFieldList::any(), src, dst, now, out)
     }
+
+    /// Has shard op `op` fully closed? Consulted with `try_lock` (the
+    /// caller holds the router lock): a contended shard answers "not
+    /// yet" and is re-checked by the next sweep.
+    fn shard_op_closed(&self, shard: usize, op: OpId) -> bool {
+        self.shards[shard].try_lock().is_some_and(|sh| sh.op_closed(op))
+    }
+
+    /// Has `(shard, op)` fully closed, chain-aware: chain ids close when
+    /// the chain transaction leaves the table, shard ops when their
+    /// shard says so. Every router prune and release sweep goes through
+    /// here — a shard answers `true` for *unknown* ops, so asking it
+    /// about a live chain id would free a deferral early.
+    fn closed(&self, chains: &[ChainRun], shard: usize, op: OpId) -> bool {
+        if is_chain_op(op) {
+            !chains.iter().any(|c| c.id == op)
+        } else {
+            self.shard_op_closed(shard, op)
+        }
+    }
+
+    /// Transfer admission: the router lock is held across prune +
+    /// verdict + issue + registration, so two racing admissions with
+    /// overlapping flowspaces cannot both hash-place (the second must
+    /// observe the first's conflict entry). The op either runs on its
+    /// shard or — when the conflict set spans several shards — is
+    /// reserved there and queued behind its cross-shard blockers.
+    /// Either way the flowspace registers as live, so later admissions
+    /// serialize against the op from the moment its id exists.
+    fn admit_transfer(
+        &self,
+        kind: TransferKind,
+        pattern: HeaderFieldList,
+        src: MbId,
+        dst: MbId,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) -> OpId {
+        let start = out.len();
+        let (op, s, pinned) = {
+            let mut router = self.router.lock();
+            {
+                let chains = self.chains.lock();
+                router.prune(|shard, op| self.closed(&chains, shard, op));
+            }
+            let (s, pinned, blockers) = match router.admit(&pattern, src, dst) {
+                Admission::Run { shard, pinned } => (shard, pinned, Vec::new()),
+                Admission::Defer { shard, blockers } => (shard, true, blockers),
+            };
+            let mut sh = self.shards[s].lock();
+            let op = if blockers.is_empty() {
+                match kind {
+                    TransferKind::Move => sh.move_internal(src, dst, pattern, now, out),
+                    TransferKind::Clone => sh.clone_support(src, dst, now, out),
+                    TransferKind::Merge => sh.merge_internal(src, dst, now, out),
+                }
+            } else {
+                sh.reserve_transfer(kind, src, dst, pattern, now, out)
+            };
+            router.register_transfer(op, pattern, src, dst, s);
+            if !blockers.is_empty() && !sh.op_closed(op) {
+                // op_closed here means validation failed fast: the op is
+                // already terminal and must never sit in the release queue.
+                router.push_deferred(op, s, blockers);
+            }
+            (op, s, pinned)
+        };
+        self.record(now.0, Some(op.0), None, SpanEvent::OpRouted { shard: s as u32, pinned });
+        // Admission pruned the conflict table; that may have been the
+        // last close an earlier deferral was waiting on.
+        self.sweep(now, out, start, false);
+        op
+    }
+
+    /// `endOp`. (`now` timestamps the quiescence deletes this issues;
+    /// any deferral this unblocks is still released by the next
+    /// state-advancing entry point — tick or message.)
+    pub fn end_op(&self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
+        self.shards[self.shard_of_op(op)].lock().end_op(op, now, out);
+    }
+
+    // ------------------------------------------------------------------
+    // Chain transactions
+    // ------------------------------------------------------------------
 
     /// Run `spec` as one chain-wide atomic move (see [`crate::chain`]):
     /// ordered per-hop transfers of the flow group across every MB
@@ -296,66 +460,67 @@ impl ControllerCore {
     /// admissions — single transfers or other chains, whatever their
     /// hop order — serialize behind the entire chain rather than
     /// interleaving with it hop by hop.
-    pub fn chain_move(&mut self, spec: ChainSpec, now: SimTime, out: &mut Vec<Action>) -> OpId {
-        self.sync_config();
+    pub fn chain_move(&self, spec: ChainSpec, now: SimTime, out: &mut Vec<Action>) -> OpId {
         let start = out.len();
-        let id = OpId(CHAIN_OP_BASE + self.next_chain);
-        self.next_chain += 1;
-        if spec.hops.is_empty() {
-            out.push(Action::Notify(Completion::Failed {
-                op: id,
-                error: Error::OpFailed("chain move with no hops".into()),
-                dropped_events: 0,
-            }));
-            return id;
-        }
+        let id = OpId(CHAIN_OP_BASE + self.next_chain.fetch_add(1, Ordering::Relaxed));
         // Hops must be pairwise MB-disjoint: a chain is one position per
         // middlebox pair. Overlapping pairs would make hop k+1 pick up
         // state hop k just delivered — a pipeline, not a transaction.
         let mut mbs: Vec<MbId> = spec.hops.iter().flat_map(|h| [h.src, h.dst]).collect();
         mbs.sort_unstable();
         mbs.dedup();
-        if mbs.len() != spec.hops.len() * 2 {
+        let invalid = if spec.hops.is_empty() {
+            Some("chain move with no hops")
+        } else if mbs.len() != spec.hops.len() * 2 {
+            Some("chain hops must use disjoint middlebox pairs")
+        } else {
+            None
+        };
+        if let Some(why) = invalid {
             out.push(Action::Notify(Completion::Failed {
                 op: id,
-                error: Error::OpFailed("chain hops must use disjoint middlebox pairs".into()),
+                error: Error::OpFailed(why.into()),
                 dropped_events: 0,
             }));
             return id;
         }
         let entries = spec.router_entries();
-        let (shards, chains) = (&self.shards, &self.chains);
-        self.router.prune(|shard, op| op_or_chain_closed(shards, chains, shard, op));
-        let (shard, pinned, blockers) = match self.router.admit_chain(&entries) {
-            Admission::Run { shard, pinned } => (shard, pinned, Vec::new()),
-            Admission::Defer { shard, blockers } => (shard, true, blockers),
-        };
-        self.router.register_chain(id, &entries, shard);
-        let sh = &self.shards[shard];
-        sh.recorder().record(
-            now.0,
-            sh.recorder_tag(),
-            Some(id.0),
-            None,
-            SpanEvent::OpRouted { shard: shard as u32, pinned },
-        );
-        let deferred = !blockers.is_empty();
-        self.chains.push(ChainRun {
-            id,
-            spec,
-            shard,
-            // Placeholder phase; replaced below (Deferred) or by
-            // issue_hop (Forward).
-            phase: ChainPhase::Deferred { blockers },
-            chunks_moved: 0,
-            hop_ops: Vec::new(),
-            aux_ops: Vec::new(),
-            error: None,
-            dropped_events: 0,
-        });
-        if !deferred {
-            let ci = self.chains.len() - 1;
-            self.issue_hop(ci, 0, now, out);
+        {
+            // Router and chain table together: the chain's conflict
+            // entries and its table row must appear atomically, or a
+            // racing prune would see a chain id with no live chain
+            // behind it and drop the entries.
+            let mut router = self.router.lock();
+            let mut chains = self.chains.lock();
+            router.prune(|shard, op| self.closed(&chains, shard, op));
+            let (shard, pinned, blockers) = match router.admit_chain(&entries) {
+                Admission::Run { shard, pinned } => (shard, pinned, Vec::new()),
+                Admission::Defer { shard, blockers } => (shard, true, blockers),
+            };
+            router.register_chain(id, &entries, shard);
+            self.record(
+                now.0,
+                Some(id.0),
+                None,
+                SpanEvent::OpRouted { shard: shard as u32, pinned },
+            );
+            let deferred = !blockers.is_empty();
+            chains.push(ChainRun {
+                id,
+                spec,
+                shard,
+                // Replaced by issue_hop (Forward) unless deferred.
+                phase: ChainPhase::Deferred { blockers },
+                chunks_moved: 0,
+                hop_ops: Vec::new(),
+                aux_ops: Vec::new(),
+                error: None,
+                dropped_events: 0,
+            });
+            self.live_chains.store(chains.len(), Ordering::SeqCst);
+            if !deferred {
+                self.issue_hop(chains.last_mut().expect("just pushed"), 0, now, out);
+            }
         }
         // Hop 0 may have failed fast (dead endpoint): consume the
         // completion and settle the chain in the same call.
@@ -363,293 +528,223 @@ impl ControllerCore {
         id
     }
 
-    /// Issue the forward move of hop `hop` for chain `ci`, directly on
+    /// Issue the forward move of hop `hop` for chain `c`, directly on
     /// the chain's shard. The router is NOT consulted: the chain's own
     /// conflict entries already cover this hop's exact footprint, so
     /// anything that could conflict with the hop is either pinned to
     /// this same shard (FIFO-serialized) or parked as a reservation
     /// that emits no traffic until the chain closes.
-    fn issue_hop(&mut self, ci: usize, hop: usize, now: SimTime, out: &mut Vec<Action>) {
-        let (shard, pattern, h) =
-            (self.chains[ci].shard, self.chains[ci].spec.pattern, self.chains[ci].spec.hops[hop]);
-        let op = self.shards[shard].move_internal(h.src, h.dst, pattern, now, out);
-        let sh = &self.shards[shard];
-        sh.recorder().record(
-            now.0,
-            sh.recorder_tag(),
-            Some(op.0),
-            None,
-            SpanEvent::OpRouted { shard: shard as u32, pinned: true },
-        );
-        sh.recorder().record(
-            now.0,
-            sh.recorder_tag(),
-            Some(self.chains[ci].id.0),
-            None,
-            SpanEvent::ChainHop { hop: hop as u32 },
-        );
-        let c = &mut self.chains[ci];
+    fn issue_hop(&self, c: &mut ChainRun, hop: usize, now: SimTime, out: &mut Vec<Action>) {
+        let h = c.spec.hops[hop];
+        let op = self.shards[c.shard].lock().move_internal(h.src, h.dst, c.spec.pattern, now, out);
+        let routed = SpanEvent::OpRouted { shard: c.shard as u32, pinned: true };
+        self.record(now.0, Some(op.0), None, routed);
+        self.record(now.0, Some(c.id.0), None, SpanEvent::ChainHop { hop: hop as u32 });
         c.phase = ChainPhase::Forward { hop, op };
         c.hop_ops.push(op);
     }
 
-    /// Start undoing completed hop `undo` of chain `ci`: force-quiesce
+    /// Rollback retries left for `c`: carried in its phase once it is
+    /// rolling back, the configured budget before that.
+    fn retries_left(&self, c: &ChainRun) -> u32 {
+        match c.phase {
+            ChainPhase::Rollback { retries_left, .. } => retries_left,
+            _ => self.config.chain_rollback_retries,
+        }
+    }
+
+    /// Start undoing completed hop `undo` of chain `c`: force-quiesce
     /// its forward op (`end_op` issues the source-side deletes NOW
     /// instead of waiting out the quiescence timer) and park the phase
     /// until that op fully closes. Issuing the reverse move before the
     /// forward op's deletes are *acked* would race them: a re-sent
     /// delete landing after the reverse move's puts would destroy the
     /// state the rollback just restored.
-    fn begin_undo(&mut self, ci: usize, undo: usize, now: SimTime, out: &mut Vec<Action>) {
-        let (shard, fwd) = (self.chains[ci].shard, self.chains[ci].hop_ops[undo]);
-        self.shards[shard].end_op(fwd, now, out);
-        let retries_left = match self.chains[ci].phase {
-            ChainPhase::Rollback { retries_left, .. } => retries_left,
-            _ => self.config.chain_rollback_retries,
-        };
-        self.chains[ci].phase = ChainPhase::Rollback { undo, op: None, retries_left, paced: false };
+    fn begin_undo(&self, c: &mut ChainRun, undo: usize, now: SimTime, out: &mut Vec<Action>) {
+        self.shards[c.shard].lock().end_op(c.hop_ops[undo], now, out);
+        let retries_left = self.retries_left(c);
+        c.phase = ChainPhase::Rollback { undo, op: None, retries_left, paced: false };
     }
 
     /// Issue the compensating reverse move (`dst → src`) of completed
-    /// hop `undo` for chain `ci`. Only called once hop `undo`'s forward
+    /// hop `undo` for chain `c`. Only called once hop `undo`'s forward
     /// op has closed (see [`Self::begin_undo`]).
-    fn issue_reverse(&mut self, ci: usize, undo: usize, now: SimTime, out: &mut Vec<Action>) {
-        let (shard, pattern, h) =
-            (self.chains[ci].shard, self.chains[ci].spec.pattern, self.chains[ci].spec.hops[undo]);
-        let retries_left = match self.chains[ci].phase {
-            ChainPhase::Rollback { retries_left, .. } => retries_left,
-            _ => self.config.chain_rollback_retries,
-        };
-        let op = self.shards[shard].move_internal(h.dst, h.src, pattern, now, out);
-        let fwd = self.chains[ci].hop_ops[undo];
-        let sh = &self.shards[shard];
-        sh.recorder().record(
-            now.0,
-            sh.recorder_tag(),
-            Some(op.0),
-            None,
-            SpanEvent::OpRouted { shard: shard as u32, pinned: true },
-        );
-        sh.recorder().record(
-            now.0,
-            sh.recorder_tag(),
-            Some(self.chains[ci].id.0),
-            None,
-            SpanEvent::ChainUndo { hop: undo as u32, undoes: fwd.0 },
-        );
-        self.chains[ci].aux_ops.push((undo, op));
-        self.chains[ci].phase =
-            ChainPhase::Rollback { undo, op: Some(op), retries_left, paced: false };
+    fn issue_reverse(&self, c: &mut ChainRun, undo: usize, now: SimTime, out: &mut Vec<Action>) {
+        let h = c.spec.hops[undo];
+        let op = self.shards[c.shard].lock().move_internal(h.dst, h.src, c.spec.pattern, now, out);
+        let routed = SpanEvent::OpRouted { shard: c.shard as u32, pinned: true };
+        self.record(now.0, Some(op.0), None, routed);
+        let undone = SpanEvent::ChainUndo { hop: undo as u32, undoes: c.hop_ops[undo].0 };
+        self.record(now.0, Some(c.id.0), None, undone);
+        c.aux_ops.push((undo, op));
+        let retries_left = self.retries_left(c);
+        c.phase = ChainPhase::Rollback { undo, op: Some(op), retries_left, paced: false };
     }
 
-    /// Remove a terminal chain and emit its completion. Hop ops (and
-    /// reverse ops) that can still emit southbound traffic — pending
-    /// quiescence or compensating deletes — are re-registered in the
-    /// conflict table under their own ids, so later admissions on the
-    /// chain's flowspace keep serializing behind the drain exactly as
-    /// they would behind a single transfer's close-out.
+    /// Emit the completion of terminal chain `c` (already removed from
+    /// the table). Hop ops (and reverse ops) that can still emit
+    /// southbound traffic — pending quiescence or compensating deletes
+    /// — are re-registered in the conflict table under their own ids,
+    /// so later admissions on the chain's flowspace keep serializing
+    /// behind the drain exactly as they would behind a single
+    /// transfer's close-out.
     fn settle_chain(
-        &mut self,
-        ci: usize,
+        &self,
+        router: &mut ShardRouter,
+        c: ChainRun,
         completion: Completion,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        let c = self.chains.remove(ci);
         let hop_iter = c.hop_ops.iter().enumerate().map(|(hop, op)| (hop, *op));
         for (hop, op) in hop_iter.chain(c.aux_ops.iter().copied()) {
-            if !self.shards[c.shard].op_closed(op) {
+            if !self.shard_op_closed(c.shard, op) {
                 let h = c.spec.hops[hop];
-                self.router.register_transfer(op, c.spec.pattern, h.src, h.dst, c.shard);
+                router.register_transfer(op, c.spec.pattern, h.src, h.dst, c.shard);
             }
         }
-        let sh = &self.shards[c.shard];
-        match &completion {
-            Completion::Failed { error, .. } => {
-                let msg = error.to_string();
-                sh.recorder().record_with(now.0, sh.recorder_tag(), Some(c.id.0), None, || {
-                    SpanEvent::Aborted { error: msg.clone() }
-                });
-            }
-            _ => {
-                sh.recorder().record(
-                    now.0,
-                    sh.recorder_tag(),
-                    Some(c.id.0),
-                    None,
-                    SpanEvent::Completed,
-                );
-            }
-        }
+        let ended = match &completion {
+            Completion::Failed { error, .. } => SpanEvent::Aborted { error: error.to_string() },
+            _ => SpanEvent::Completed,
+        };
+        self.record(now.0, Some(c.id.0), None, ended);
         out.push(Action::Notify(completion));
     }
 
     /// Advance every live chain against the completions appended to
     /// `out` since `start`, to a fixpoint. Runs at the tail of every
-    /// state-advancing entry point. `reissue` (true from the paced
-    /// entry points: tick, reachability changes) re-attempts a
-    /// rollback's reverse move that failed earlier — failures usually
-    /// mean the target endpoint is down, so back-to-back retries
-    /// inside one call would only burn the retry budget.
+    /// state-advancing entry point; one atomic load when no chain is
+    /// live. `reissue` (true from the paced entry points: tick,
+    /// reachability changes) re-attempts a rollback's reverse move
+    /// that failed earlier — failures usually mean the target endpoint
+    /// is down, so back-to-back retries inside one call would only burn
+    /// the retry budget.
     ///
     /// Consuming completions from `out` is race-free: hop moves never
     /// complete synchronously (a move always awaits MB replies), so a
     /// completion for a chain's expected op can only appear in the
-    /// region this very call appended — and once consumed, the phase's
-    /// expected op changes, making the scan idempotent.
-    fn advance_chains(&mut self, now: SimTime, out: &mut Vec<Action>, start: usize, reissue: bool) {
-        if self.chains.is_empty() {
+    /// region this very call appended — whichever thread made the call
+    /// — and once consumed, the phase's expected op changes, making the
+    /// scan idempotent.
+    fn advance_chains(&self, now: SimTime, out: &mut Vec<Action>, start: usize, reissue: bool) {
+        if self.live_chains.load(Ordering::SeqCst) == 0 {
             return;
         }
-        if reissue {
-            // Un-park paced rollback retries; the fixpoint below
-            // re-issues them (and anything else whose wait is over).
-            for c in &mut self.chains {
-                if let ChainPhase::Rollback { paced: paced @ true, op: None, .. } = &mut c.phase {
-                    *paced = false;
+        let mut closed_any = false;
+        {
+            // The router lock too: settling re-registers draining hop
+            // ops, and the order is router → chains.
+            let mut router = self.router.lock();
+            let mut chains = self.chains.lock();
+            if reissue {
+                // Un-park paced rollback retries; the fixpoint below
+                // re-issues them (and anything else whose wait is over).
+                for c in chains.iter_mut() {
+                    if let ChainPhase::Rollback { paced: paced @ true, op: None, .. } = &mut c.phase
+                    {
+                        *paced = false;
+                    }
                 }
             }
-        }
-        let mut closed_any = false;
-        'fixpoint: loop {
-            // Deferred chains whose blockers have all closed start hop 0.
-            for ci in 0..self.chains.len() {
-                let ready = match &self.chains[ci].phase {
-                    ChainPhase::Deferred { blockers } => {
-                        let (shards, chains) = (&self.shards, &self.chains);
-                        blockers.iter().all(|&(s, op)| op_or_chain_closed(shards, chains, s, op))
+            'fixpoint: loop {
+                // Deferred chains whose blockers have all closed start
+                // hop 0.
+                for ci in 0..chains.len() {
+                    if let ChainPhase::Deferred { blockers } = &chains[ci].phase {
+                        if blockers.iter().all(|&(s, op)| self.closed(&chains, s, op)) {
+                            self.issue_hop(&mut chains[ci], 0, now, out);
+                            continue 'fixpoint;
+                        }
                     }
-                    _ => false,
-                };
-                if ready {
-                    self.issue_hop(ci, 0, now, out);
+                }
+                // Rollbacks waiting on their hop's forward op to close
+                // issue the reverse move the moment the deletes are
+                // acked.
+                for c in chains.iter_mut() {
+                    if let ChainPhase::Rollback { undo, op: None, paced: false, .. } = c.phase {
+                        if self.shard_op_closed(c.shard, c.hop_ops[undo]) {
+                            self.issue_reverse(c, undo, now, out);
+                            continue 'fixpoint;
+                        }
+                    }
+                }
+                // One phase transition per pass: find the first
+                // completion in the scan region that concludes some
+                // chain's in-flight op, apply it, and rescan (the
+                // transition may append new actions — a fail-fast hop,
+                // a commit notification).
+                for i in start..out.len() {
+                    let Some((op, outcome)) = hop_outcome(&out[i]) else { continue };
+                    let Some(ci) = chains.iter().position(|c| c.awaits(op)) else { continue };
+                    let c = &mut chains[ci];
+                    let terminal = match (c.phase.clone(), outcome) {
+                        (ChainPhase::Forward { hop, .. }, Ok(chunks)) => {
+                            c.chunks_moved += chunks;
+                            if hop + 1 < c.spec.hops.len() {
+                                self.issue_hop(c, hop + 1, now, out);
+                                None
+                            } else {
+                                Some(Completion::ChainComplete {
+                                    op: c.id,
+                                    hops: c.spec.hops.len(),
+                                    chunks_moved: c.chunks_moved,
+                                })
+                            }
+                        }
+                        (ChainPhase::Forward { hop, .. }, Err((error, dropped))) => {
+                            c.dropped_events += dropped;
+                            c.error = Some(error.clone());
+                            if hop == 0 {
+                                // Nothing completed: abort clean.
+                                Some(c.failed(error))
+                            } else {
+                                // Force-quiesce the completed hop; its
+                                // close gates the reverse move.
+                                self.begin_undo(c, hop - 1, now, out);
+                                None
+                            }
+                        }
+                        (ChainPhase::Rollback { undo, .. }, Ok(_)) => {
+                            if undo == 0 {
+                                let error = c.error.clone();
+                                Some(c.failed(
+                                    error.unwrap_or_else(|| {
+                                        Error::OpFailed("chain hop failed".into())
+                                    }),
+                                ))
+                            } else {
+                                self.begin_undo(c, undo - 1, now, out);
+                                None
+                            }
+                        }
+                        (ChainPhase::Rollback { undo, retries_left, .. }, Err((_, dropped))) => {
+                            c.dropped_events += dropped;
+                            if retries_left == 0 {
+                                Some(c.failed(Error::OpFailed("chain rollback incomplete".into())))
+                            } else {
+                                // Park; a paced entry point (tick /
+                                // reachability) retries.
+                                c.phase = ChainPhase::Rollback {
+                                    undo,
+                                    op: None,
+                                    retries_left: retries_left - 1,
+                                    paced: true,
+                                };
+                                None
+                            }
+                        }
+                        (ChainPhase::Deferred { .. }, _) => unreachable!("deferred awaits no op"),
+                    };
+                    if let Some(completion) = terminal {
+                        let c = chains.remove(ci);
+                        self.live_chains.store(chains.len(), Ordering::SeqCst);
+                        self.settle_chain(&mut router, c, completion, now, out);
+                        closed_any = true;
+                    }
                     continue 'fixpoint;
                 }
+                break;
             }
-            // Rollbacks waiting on their hop's forward op to close
-            // issue the reverse move the moment the deletes are acked.
-            for ci in 0..self.chains.len() {
-                if let ChainPhase::Rollback { undo, op: None, paced: false, .. } =
-                    self.chains[ci].phase
-                {
-                    let (shard, fwd) = (self.chains[ci].shard, self.chains[ci].hop_ops[undo]);
-                    if self.shards[shard].op_closed(fwd) {
-                        self.issue_reverse(ci, undo, now, out);
-                        continue 'fixpoint;
-                    }
-                }
-            }
-            // One phase transition per pass: find the first completion
-            // in the scan region that concludes some chain's in-flight
-            // op, apply it, and rescan (the transition may append new
-            // actions — a fail-fast hop, a commit notification).
-            for i in start..out.len() {
-                let Action::Notify(c) = &out[i] else { continue };
-                let (done, failed) = match c {
-                    Completion::MoveComplete { op, chunks_moved } => {
-                        (Some((*op, *chunks_moved)), None)
-                    }
-                    Completion::Failed { op, error, dropped_events } => {
-                        (None, Some((*op, error.clone(), *dropped_events)))
-                    }
-                    _ => continue,
-                };
-                if let Some((op, chunks)) = done {
-                    for ci in 0..self.chains.len() {
-                        match self.chains[ci].phase {
-                            ChainPhase::Forward { hop, op: expect } if expect == op => {
-                                self.chains[ci].chunks_moved += chunks;
-                                if hop + 1 < self.chains[ci].spec.hops.len() {
-                                    self.issue_hop(ci, hop + 1, now, out);
-                                } else {
-                                    let completion = Completion::ChainComplete {
-                                        op: self.chains[ci].id,
-                                        hops: self.chains[ci].spec.hops.len(),
-                                        chunks_moved: self.chains[ci].chunks_moved,
-                                    };
-                                    self.settle_chain(ci, completion, now, out);
-                                    closed_any = true;
-                                }
-                                continue 'fixpoint;
-                            }
-                            ChainPhase::Rollback { undo, op: Some(expect), .. } if expect == op => {
-                                if undo == 0 {
-                                    let completion = Completion::Failed {
-                                        op: self.chains[ci].id,
-                                        error: self.chains[ci].error.clone().unwrap_or_else(|| {
-                                            Error::OpFailed("chain hop failed".into())
-                                        }),
-                                        dropped_events: self.chains[ci].dropped_events,
-                                    };
-                                    self.settle_chain(ci, completion, now, out);
-                                    closed_any = true;
-                                } else {
-                                    self.begin_undo(ci, undo - 1, now, out);
-                                }
-                                continue 'fixpoint;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                if let Some((op, error, dropped)) = failed {
-                    for ci in 0..self.chains.len() {
-                        match self.chains[ci].phase {
-                            ChainPhase::Forward { hop, op: expect } if expect == op => {
-                                self.chains[ci].error = Some(error);
-                                self.chains[ci].dropped_events += dropped;
-                                if hop == 0 {
-                                    // Nothing completed: abort clean.
-                                    let completion = Completion::Failed {
-                                        op: self.chains[ci].id,
-                                        error: self.chains[ci].error.clone().expect("just set"),
-                                        dropped_events: self.chains[ci].dropped_events,
-                                    };
-                                    self.settle_chain(ci, completion, now, out);
-                                    closed_any = true;
-                                } else {
-                                    self.chains[ci].phase = ChainPhase::Rollback {
-                                        undo: hop - 1,
-                                        op: None,
-                                        retries_left: self.config.chain_rollback_retries,
-                                        paced: false,
-                                    };
-                                    // Force-quiesce the completed hop;
-                                    // its close gates the reverse move.
-                                    self.begin_undo(ci, hop - 1, now, out);
-                                }
-                                continue 'fixpoint;
-                            }
-                            ChainPhase::Rollback {
-                                undo, op: Some(expect), retries_left, ..
-                            } if expect == op => {
-                                self.chains[ci].dropped_events += dropped;
-                                if retries_left == 0 {
-                                    let completion = Completion::Failed {
-                                        op: self.chains[ci].id,
-                                        error: Error::OpFailed("chain rollback incomplete".into()),
-                                        dropped_events: self.chains[ci].dropped_events,
-                                    };
-                                    self.settle_chain(ci, completion, now, out);
-                                    closed_any = true;
-                                } else {
-                                    // Park; a paced entry point
-                                    // (tick / reachability) retries.
-                                    self.chains[ci].phase = ChainPhase::Rollback {
-                                        undo,
-                                        op: None,
-                                        retries_left: retries_left - 1,
-                                        paced: true,
-                                    };
-                                }
-                                continue 'fixpoint;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            break;
         }
         if closed_any {
             // A closed chain may have been the last blocker of a
@@ -658,168 +753,97 @@ impl ControllerCore {
         }
     }
 
-    /// Shared transfer-admission path: prune the conflict table, ask
-    /// the router for a verdict, then either run the op on its shard or
-    /// — when the conflict set spans several shards — reserve it there
-    /// and queue it behind its cross-shard blockers. Either way the
-    /// flowspace registers as live, so later admissions serialize
-    /// against the op from the moment its id exists.
-    fn admit_transfer(
-        &mut self,
-        kind: TransferKind,
-        pattern: HeaderFieldList,
-        src: MbId,
-        dst: MbId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.sync_config();
-        let start = out.len();
-        let (shards, chains) = (&self.shards, &self.chains);
-        self.router.prune(|shard, op| op_or_chain_closed(shards, chains, shard, op));
-        let (s, pinned, blockers) = match self.router.admit(&pattern, src, dst) {
-            Admission::Run { shard, pinned } => (shard, pinned, Vec::new()),
-            Admission::Defer { shard, blockers } => (shard, true, blockers),
-        };
-        let op = if blockers.is_empty() {
-            match kind {
-                TransferKind::Move => self.shards[s].move_internal(src, dst, pattern, now, out),
-                TransferKind::Clone => self.shards[s].clone_support(src, dst, now, out),
-                TransferKind::Merge => self.shards[s].merge_internal(src, dst, now, out),
-            }
-        } else {
-            self.shards[s].reserve_transfer(kind, src, dst, pattern, now, out)
-        };
-        let sh = &self.shards[s];
-        sh.recorder().record(
-            now.0,
-            sh.recorder_tag(),
-            Some(op.0),
-            None,
-            SpanEvent::OpRouted { shard: s as u32, pinned },
-        );
-        self.router.register_transfer(op, pattern, src, dst, s);
-        if !blockers.is_empty() && !self.shards[s].op_closed(op) {
-            // op_closed here means validation failed fast: the op is
-            // already terminal and must never sit in the release queue.
-            self.router.push_deferred(op, s, blockers);
-        }
-        // Admission pruned the conflict table; that may have been the
-        // last close an earlier deferral was waiting on.
-        self.release_deferred(now, out);
-        self.advance_chains(now, out, start, false);
-        op
-    }
-
     /// Release reserved transfers whose cross-shard blockers have all
-    /// closed. Runs after every state-advancing entry point; one
-    /// branch when nothing is deferred (the overwhelmingly common
-    /// case), a sweep over the queue otherwise.
-    fn release_deferred(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if !self.router.has_deferred() {
-            return;
-        }
-        let (shards, chains) = (&self.shards, &self.chains);
-        let ready =
-            self.router.drain_releasable(|shard, op| op_or_chain_closed(shards, chains, shard, op));
+    /// closed: one router-lock round trip when nothing is deferred (the
+    /// overwhelmingly common case), a sweep over the queue otherwise.
+    /// The releases themselves run after the router lock is dropped,
+    /// locking only each released op's own shard.
+    fn release_deferred(&self, now: SimTime, out: &mut Vec<Action>) {
+        let ready = {
+            let mut router = self.router.lock();
+            if !router.has_deferred() {
+                return;
+            }
+            let chains = self.chains.lock();
+            router.drain_releasable(|shard, op| self.closed(&chains, shard, op))
+        };
         for (shard, op) in ready {
-            self.shards[shard].release_transfer(op, now, out);
+            self.shards[shard].lock().release_transfer(op, now, out);
         }
     }
 
-    /// `endOp`. (`now` timestamps the quiescence deletes this issues;
-    /// any deferral this unblocks is still released by the next
-    /// state-advancing entry point — tick or message.)
-    pub fn end_op(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
-        self.sync_config();
-        let s = self.router.shard_of_op(op);
-        self.shards[s].end_op(op, now, out);
+    /// The tail of every state-advancing entry point: whatever the call
+    /// did may have closed the last blocker of a deferral, or completed
+    /// or failed the in-flight hop of a chain (its completion sits in
+    /// `out[start..]`).
+    fn sweep(&self, now: SimTime, out: &mut Vec<Action>, start: usize, reissue: bool) {
+        self.release_deferred(now, out);
+        self.advance_chains(now, out, start, reissue);
     }
 
     // ------------------------------------------------------------------
     // Southbound
     // ------------------------------------------------------------------
 
-    /// Process one message arriving from middlebox `from`, delivering
-    /// it to the owning shard (or all shards, for the rare
-    /// unattributable message). Batch frames are unpacked here so each
-    /// inner message routes independently.
-    pub fn handle_mb_message(
-        &mut self,
-        from: MbId,
-        msg: Message,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        self.sync_config();
-        if matches!(msg, Message::Batch { .. }) {
-            msg.for_each_unbatched(|m| self.handle_mb_message(from, m, now, out));
-            return;
-        }
+    /// Process one frame arriving from middlebox `from`: each inner
+    /// message of a `Batch` routes independently to its owning shard
+    /// (or to all shards, for the rare unattributable message), locking
+    /// only that shard; the deferral and chain sweeps then run once for
+    /// the whole frame.
+    pub fn handle_mb_message(&self, from: MbId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
-        match self.router.route_message(from, &msg) {
-            Route::Shard(s) => self.shards[s].handle_mb_message(from, msg, now, out),
+        msg.for_each_unbatched(|m| match self.route(from, &m) {
+            Route::Shard(s) => self.shards[s].lock().handle_mb_message(from, m, now, out),
             Route::Broadcast => {
-                for sh in &mut self.shards {
-                    sh.handle_mb_message(from, msg.clone(), now, out);
+                for sh in &self.shards {
+                    sh.lock().handle_mb_message(from, m.clone(), now, out);
                 }
             }
-        }
-        // The message may have closed the last blocker of a deferral
-        // (final delete ack, terminal op ack).
-        self.release_deferred(now, out);
-        // ...or completed/failed the in-flight hop of a chain.
-        self.advance_chains(now, out, start, false);
+        });
+        self.sweep(now, out, start, false);
     }
 
     /// An MB became unreachable: every shard may hold ops touching it,
     /// so all of them must park/abort — correctness over hot-path cost
-    /// (reachability changes are rare).
-    pub fn mark_unreachable(&mut self, mb: MbId, now: SimTime, out: &mut Vec<Action>) {
-        self.sync_config();
+    /// (reachability changes are rare). Aborted blockers count as
+    /// closed; an aborted hop op sends its chain into rollback.
+    pub fn mark_unreachable(&self, mb: MbId, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
-        for sh in &mut self.shards {
-            sh.mark_unreachable(mb, now, out);
+        for sh in &self.shards {
+            sh.lock().mark_unreachable(mb, now, out);
         }
-        // Aborted blockers count as closed; swept/released here.
-        self.release_deferred(now, out);
-        // An aborted hop op sends its chain into rollback.
-        self.advance_chains(now, out, start, false);
+        self.sweep(now, out, start, false);
     }
 
-    /// An MB came back: broadcast, mirroring `mark_unreachable`.
-    pub fn mark_reachable(&mut self, mb: MbId, now: SimTime, out: &mut Vec<Action>) {
-        self.sync_config();
+    /// An MB came back: broadcast, mirroring `mark_unreachable`. The
+    /// endpoint a parked reverse move was waiting for may be back, so
+    /// rollbacks are re-attempted now.
+    pub fn mark_reachable(&self, mb: MbId, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
-        for sh in &mut self.shards {
-            sh.mark_reachable(mb, now, out);
+        for sh in &self.shards {
+            sh.lock().mark_reachable(mb, now, out);
         }
-        self.release_deferred(now, out);
-        // The endpoint a parked reverse move was waiting for may be
-        // back: re-attempt rollbacks now.
-        self.advance_chains(now, out, start, true);
+        self.sweep(now, out, start, true);
     }
 
     /// Is `mb` currently marked unreachable? (The set is broadcast, so
     /// any shard can answer.)
     pub fn is_unreachable(&self, mb: MbId) -> bool {
-        self.shards[0].is_unreachable(mb)
+        self.shards[0].lock().is_unreachable(mb)
     }
 
     /// Periodic maintenance, shard by shard in index order — the order
     /// is fixed so a seeded sim run replays byte-identically.
-    pub fn tick(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.sync_config();
+    /// Quiescence and deadline aborts close ops: this is the sweep that
+    /// eventually releases any deferral, whatever else happens, starts
+    /// rollbacks for deadline-aborted hops, and gives parked reverse
+    /// moves their paced re-attempt.
+    pub fn tick(&self, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
-        for sh in &mut self.shards {
-            sh.tick(now, out);
+        for sh in &self.shards {
+            sh.lock().tick(now, out);
         }
-        // Quiescence and deadline aborts close ops: the sweep that
-        // eventually releases any deferral, whatever else happens.
-        self.release_deferred(now, out);
-        // Deadline-aborted hops start rollbacks; parked reverse moves
-        // get their paced re-attempt.
-        self.advance_chains(now, out, start, true);
+        self.sweep(now, out, start, true);
     }
 
     // ------------------------------------------------------------------
@@ -831,61 +855,62 @@ impl ControllerCore {
     /// keep the maintenance timer armed while a chain is between hops
     /// or pacing a rollback retry.
     pub fn open_ops(&self) -> usize {
-        self.shards.iter().map(|s| s.open_ops()).sum::<usize>() + self.chains.len()
+        self.shards.iter().map(|s| s.lock().open_ops()).sum::<usize>() + self.open_chains()
     }
 
     /// Chain transactions still running (any phase).
     pub fn open_chains(&self) -> usize {
-        self.chains.len()
+        self.live_chains.load(Ordering::SeqCst)
     }
 
     /// Current phase of chain `id`; `None` once terminal (its
     /// [`Completion::ChainComplete`] / [`Completion::Failed`] has been
     /// emitted) or for ids that are not chains.
     pub fn chain_status(&self, id: OpId) -> Option<ChainStatus> {
-        self.chains.iter().find(|c| c.id == id).map(|c| c.status())
+        self.chains.lock().iter().find(|c| c.id == id).map(|c| c.status())
     }
 
     /// Forward hop ops issued so far by live chain `id`, in hop order
     /// (diagnostics, tests). Empty once the chain is terminal.
     pub fn chain_hop_ops(&self, id: OpId) -> Vec<OpId> {
-        self.chains.iter().find(|c| c.id == id).map(|c| c.hop_ops.clone()).unwrap_or_default()
+        let chains = self.chains.lock();
+        chains.iter().find(|c| c.id == id).map(|c| c.hop_ops.clone()).unwrap_or_default()
     }
 
     /// Southbound messages brokered, across all shards.
     pub fn messages_handled(&self) -> u64 {
-        self.shards.iter().map(|s| s.messages_handled).sum()
+        self.shards.iter().map(|s| s.lock().messages_handled).sum()
     }
 
     /// Peak reprocess-event buffer depth observed on any one shard.
     pub fn events_buffered_peak(&self) -> usize {
-        self.shards.iter().map(|s| s.events_buffered_peak).max().unwrap_or(0)
+        self.shards.iter().map(|s| s.lock().events_buffered_peak).max().unwrap_or(0)
     }
 
     /// Events forwarded under an operation (experiments).
     pub fn events_forwarded(&self, op: OpId) -> u64 {
-        self.shards[self.router.shard_of_op(op)].events_forwarded(op)
+        self.shards[self.shard_of_op(op)].lock().events_forwarded(op)
     }
 
     /// Total chunks transferred under an operation (experiments).
     pub fn chunks_moved(&self, op: OpId) -> usize {
-        self.shards[self.router.shard_of_op(op)].chunks_moved(op)
+        self.shards[self.shard_of_op(op)].lock().chunks_moved(op)
     }
 
-    /// Transfer-ledger snapshot for `op`: per-op fields from the owning
-    /// shard; cache counters summed across shards; `in_flight_peak` is
-    /// the largest any single shard saw (each shard's ledger is
-    /// independently window-bounded, which is the invariant the
-    /// conformance suite asserts).
+    /// Transfer-ledger snapshot for `op`: per-op fields come from the
+    /// owning shard (every other shard reports zero for an op it does
+    /// not know); cache counters are summed across shards;
+    /// `in_flight_peak` is the largest any single shard saw (each
+    /// shard's ledger is independently window-bounded, which is the
+    /// invariant the conformance suite asserts).
     pub fn transfer_ledger_stats(&self, op: OpId) -> TransferLedgerStats {
-        let mut merged = self.shards[self.router.shard_of_op(op)].transfer_ledger_stats(op);
-        merged.in_flight_peak = 0;
-        merged.cache_hits = 0;
-        merged.cache_misses = 0;
-        merged.bodies_sent = 0;
-        merged.bytes_saved = 0;
+        let mut merged = TransferLedgerStats::default();
         for sh in &self.shards {
-            let s = sh.transfer_ledger_stats(op);
+            let s = sh.lock().transfer_ledger_stats(op);
+            merged.puts_in_flight += s.puts_in_flight;
+            merged.puts_queued += s.puts_queued;
+            merged.ack_set_size += s.ack_set_size;
+            merged.bodies_in_flight += s.bodies_in_flight;
             merged.in_flight_peak = merged.in_flight_peak.max(s.in_flight_peak);
             merged.cache_hits += s.cache_hits;
             merged.cache_misses += s.cache_misses;
@@ -905,6 +930,7 @@ impl ControllerCore {
         let mut ledger = LedgerHealth::default();
         let mut shards = Vec::with_capacity(self.shards.len());
         for (i, sh) in self.shards.iter().enumerate() {
+            let sh = sh.lock();
             let a = sh.aggregate_ledger_stats();
             ledger.puts_in_flight += a.puts_in_flight as u64;
             ledger.puts_queued += a.puts_queued as u64;
@@ -924,19 +950,19 @@ impl ControllerCore {
                 busy: false,
             });
         }
-        HealthSnapshot { t_ns, shards, open_chains: self.chains.len() as u64, ledger, violations }
+        HealthSnapshot { t_ns, shards, open_chains: self.open_chains() as u64, ledger, violations }
     }
 
     /// Live transfers currently pinned in the router's conflict table
     /// (diagnostics; shrinks lazily on the next admission).
     pub fn active_transfers(&self) -> usize {
-        self.router.active_transfers()
+        self.router.lock().active_transfers()
     }
 
     /// Transfers reserved under a cross-shard conflict and still
     /// awaiting release (diagnostics, tests).
     pub fn deferred_transfers(&self) -> usize {
-        self.router.deferred_transfers()
+        self.router.lock().deferred_transfers()
     }
 }
 
@@ -955,7 +981,7 @@ mod tests {
     }
 
     fn sharded(n: u32) -> (ControllerCore, MbId, MbId, MbId, MbId) {
-        let mut core =
+        let core =
             ControllerCore::new(ControllerConfig { shards: n, ..ControllerConfig::default() });
         let a = core.register_mb();
         let b = core.register_mb();
@@ -966,7 +992,7 @@ mod tests {
 
     #[test]
     fn single_shard_alloc_matches_legacy_sequence() {
-        let (mut core, a, b, _, _) = sharded(1);
+        let (core, a, b, _, _) = sharded(1);
         let mut out = Vec::new();
         let op1 = core.move_internal(a, b, subnet(0), SimTime(0), &mut out);
         assert_eq!(core.shard_of_op(op1), 0);
@@ -977,7 +1003,7 @@ mod tests {
 
     #[test]
     fn disjoint_moves_get_disjoint_op_residues() {
-        let mut core =
+        let core =
             ControllerCore::new(ControllerConfig { shards: 4, ..ControllerConfig::default() });
         let mbs: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
         let mut out = Vec::new();
@@ -1003,7 +1029,7 @@ mod tests {
 
     #[test]
     fn overlapping_move_is_pinned_to_the_live_ops_shard() {
-        let (mut core, a, b, c, _) = sharded(4);
+        let (core, a, b, c, _) = sharded(4);
         let mut out = Vec::new();
         let op1 = core.move_internal(a, b, subnet(0), SimTime(0), &mut out);
         // Same flowspace on a pair sharing MB `b`: must serialize on
@@ -1015,7 +1041,7 @@ mod tests {
 
     #[test]
     fn bridging_clone_defers_then_releases_when_its_blocker_closes() {
-        let mut core =
+        let core =
             ControllerCore::new(ControllerConfig { shards: 4, ..ControllerConfig::default() });
         let mbs: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
         // Two disjoint moves whose hash placements differ (such a pair
@@ -1115,7 +1141,7 @@ mod tests {
 
     /// Complete a move whose two gets are in `out[at..]` by answering
     /// both with empty streams; returns the remainder of the actions.
-    fn ack_gets(core: &mut ControllerCore, gets: &[(OpId, MbId)], t: SimTime) -> Vec<Action> {
+    fn ack_gets(core: &ControllerCore, gets: &[(OpId, MbId)], t: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
         for (sub, mb) in gets {
             core.handle_mb_message(*mb, Message::GetAck { op: *sub, count: 0 }, t, &mut out);
@@ -1126,7 +1152,7 @@ mod tests {
     #[test]
     fn chain_runs_hops_in_order_and_commits_once() {
         use crate::chain::{ChainHop, ChainSpec, ChainStatus};
-        let (mut core, a, b, c, d) = sharded(4);
+        let (core, a, b, c, d) = sharded(4);
         let mut out = Vec::new();
         let chain = core.chain_move(
             ChainSpec::new(
@@ -1145,7 +1171,7 @@ mod tests {
         // Every hop entry occupies the conflict table under the chain id.
         assert_eq!(core.active_transfers(), 2);
         // Completing hop 0 issues hop 1 in the same southbound call.
-        let out1 = ack_gets(&mut core, &gets0, SimTime(1_000_000));
+        let out1 = ack_gets(&core, &gets0, SimTime(1_000_000));
         assert_eq!(core.chain_status(chain), Some(ChainStatus::Forward(1)));
         let gets1 = move_gets(&out1);
         assert_eq!(gets1.len(), 2);
@@ -1159,7 +1185,7 @@ mod tests {
         assert_eq!(hops.len(), 2);
         assert_eq!(core.shard_of_op(hops[0]), core.shard_of_op(hops[1]));
         // Completing hop 1 commits the chain.
-        let out2 = ack_gets(&mut core, &gets1, SimTime(2_000_000));
+        let out2 = ack_gets(&core, &gets1, SimTime(2_000_000));
         assert!(
             out2.iter().any(|x| matches!(
                 x,
@@ -1174,7 +1200,7 @@ mod tests {
     #[test]
     fn chain_hop_failure_compensates_completed_hops_in_reverse() {
         use crate::chain::{ChainHop, ChainSpec, ChainStatus};
-        let (mut core, a, b, c, d) = sharded(4);
+        let (core, a, b, c, d) = sharded(4);
         let mut out = Vec::new();
         let chain = core.chain_move(
             ChainSpec::new(
@@ -1185,7 +1211,7 @@ mod tests {
             &mut out,
         );
         let gets0 = move_gets(&out);
-        let out1 = ack_gets(&mut core, &gets0, SimTime(1_000_000));
+        let out1 = ack_gets(&core, &gets0, SimTime(1_000_000));
         assert_eq!(core.chain_status(chain), Some(ChainStatus::Forward(1)));
         // Hop 1's destination dies: the hop aborts and the chain starts
         // compensating hop 0 — but FIRST it force-quiesces hop 0's
@@ -1218,7 +1244,7 @@ mod tests {
         assert!(rev.iter().all(|&(_, mb)| mb == b), "reverse move streams from {b}: {out3:?}");
         // Completing the reverse move settles the chain as Failed with
         // the hop's original error.
-        let out3 = ack_gets(&mut core, &rev, SimTime(3_000_000));
+        let out3 = ack_gets(&core, &rev, SimTime(3_000_000));
         let failed = out3.iter().find_map(|x| match x {
             Action::Notify(Completion::Failed { op, error, .. }) if *op == chain => Some(error),
             _ => None,
@@ -1233,7 +1259,7 @@ mod tests {
     #[test]
     fn chain_with_dead_first_hop_aborts_without_compensation() {
         use crate::chain::{ChainHop, ChainSpec};
-        let (mut core, a, b, c, d) = sharded(4);
+        let (core, a, b, c, d) = sharded(4);
         let mut out = Vec::new();
         core.mark_unreachable(a, SimTime(0), &mut out);
         out.clear();
@@ -1258,7 +1284,7 @@ mod tests {
     #[test]
     fn chain_rejects_overlapping_hop_pairs() {
         use crate::chain::{ChainHop, ChainSpec};
-        let (mut core, a, b, c, _) = sharded(2);
+        let (core, a, b, c, _) = sharded(2);
         let mut out = Vec::new();
         let chain = core.chain_move(
             ChainSpec::new(
@@ -1278,7 +1304,7 @@ mod tests {
     #[test]
     fn transfers_overlapping_a_chain_serialize_behind_the_whole_chain() {
         use crate::chain::{ChainHop, ChainSpec};
-        let (mut core, a, b, c, d) = sharded(4);
+        let (core, a, b, c, d) = sharded(4);
         let mut out = Vec::new();
         let chain = core.chain_move(
             ChainSpec::new(
@@ -1298,7 +1324,7 @@ mod tests {
 
     #[test]
     fn deferred_transfer_is_released_when_its_blocker_aborts_on_deadline() {
-        let mut core =
+        let core =
             ControllerCore::new(ControllerConfig { shards: 4, ..ControllerConfig::default() });
         let mbs: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
         let place =
@@ -1319,7 +1345,7 @@ mod tests {
         let t5 = SimTime(5_000_000_000);
         let op_c = core.clone_support(mbs[2 * i + 1], mbs[2 * j], t5, &mut out);
         assert_eq!(core.deferred_transfers(), 1);
-        assert!(core.shard(core.shard_of_op(op_c)).op_deferred(op_c));
+        assert!(core.shards[core.shard_of_op(op_c)].lock().op_deferred(op_c));
         out.clear();
         // At t=11s both moves blow their 10s deadline and abort. The
         // aborted blocker counts as closed, so the SAME tick must
@@ -1342,17 +1368,16 @@ mod tests {
             ),
             "released clone issues its shared get in the deadline tick: {out:?}"
         );
-        assert!(!core.shard(core.shard_of_op(op_c)).op_deferred(op_c));
+        assert!(!core.shards[core.shard_of_op(op_c)].lock().op_deferred(op_c));
     }
 
     #[test]
-    fn config_mutations_reach_shards_on_next_call() {
-        let (mut core, a, b, _, _) = sharded(2);
-        core.config.transfer_window = 7;
-        let mut out = Vec::new();
-        core.move_internal(a, b, subnet(0), SimTime(0), &mut out);
-        for s in 0..core.num_shards() {
-            assert_eq!(core.shard(s).config.transfer_window, 7);
+    fn update_config_reaches_every_shard_at_once() {
+        let (mut core, ..) = sharded(2);
+        core.update_config(|c| c.transfer_window = 7);
+        assert_eq!(core.config().transfer_window, 7);
+        for sh in &core.shards {
+            assert_eq!(sh.lock().config.transfer_window, 7);
         }
     }
 }

@@ -2,23 +2,27 @@
 //!
 //! The OpenMB MB controller (§5 of the paper) and its embeddings.
 //!
-//! * [`controller::ControllerCore`] — the sharded controller facade:
-//!   northbound operations (`readConfig`, `writeConfig`, `stats`,
-//!   `moveInternal`, `cloneSupport`, `mergeInternal`) admitted onto
-//!   flowspace shards by the [`router::ShardRouter`] conflict detector.
+//! * [`controller::ControllerCore`] — the controller engine, and the
+//!   only one: northbound operations (`readConfig`, `writeConfig`,
+//!   `stats`, `moveInternal`, `cloneSupport`, `mergeInternal`, chain
+//!   moves) admitted onto flowspace shards by the
+//!   [`router::ShardRouter`] conflict detector. Shards, router and
+//!   chain table sit behind their own locks and every method is
+//!   `&self`, so the simulator's single event loop and real OS threads
+//!   drive the same code.
 //! * [`shard::ControllerShard`] — one shard's pure state machine:
 //!   Figure 5 choreography, per-key reprocess-event buffering,
 //!   quiescence-driven deletes, per-shard transfer/delete ledgers.
-//! * [`parallel::ShardedController`] — the same facade behind per-shard
-//!   locks, so OS threads drive disjoint shards concurrently.
+//! * [`parallel::ShardedController`] — a newtype over the engine for
+//!   thread drivers that want each call's actions returned as a `Vec`.
 //! * [`app`] — the control-application trait and the [`app::Api`] that
 //!   unifies MB-state control with SDN routing updates and timers.
 //! * [`nodes`] — discrete-event-simulation embeddings: [`nodes::MbNode`]
 //!   (a middlebox with its processing-cost queue), [`nodes::ControllerNode`]
 //!   (controller + SDN routing + control app), [`nodes::Host`].
-//! * [`tcp`] — the same controller core served over real loopback TCP
-//!   with the binary wire protocol, proving the protocol is transport-
-//!   independent.
+//! * [`tcp`] — the same engine served over real loopback TCP with the
+//!   binary wire protocol and blocking northbound calls, proving the
+//!   protocol is transport-independent.
 
 pub mod app;
 pub mod chain;

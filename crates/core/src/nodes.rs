@@ -24,7 +24,7 @@ use openmb_types::wire::Message;
 use openmb_types::{MbId, NodeId, OpId, Packet, StateChunk};
 
 use crate::app::{Api, ApiCtx, ControlApp};
-use crate::controller::{Action, ControllerConfig, ControllerCore};
+use crate::controller::{coalesce, Action, ControllerConfig, ControllerCore};
 
 const TIMER_WORK: u64 = 1;
 /// Timer tokens >= this deliver a completed background shared-state
@@ -924,47 +924,19 @@ impl ControllerNode {
         id
     }
 
-    fn node_of(&self, mb: MbId) -> NodeId {
-        self.mb_nodes[mb.0 as usize]
-    }
-
     fn mb_of(&self, node: NodeId) -> Option<MbId> {
         self.mb_nodes.iter().position(|n| *n == node).map(|i| MbId(i as u32))
     }
 
     fn dispatch_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<Action>) {
-        let mut pending_completions = Vec::new();
-        // Coalesce same-destination sends from this action batch into
-        // one wire frame each (first-occurrence destination order;
-        // per-MB message order preserved). Window refills, resume
-        // re-sends, and buffered-event flushes routinely emit runs of
-        // messages to one MB — batching turns each run into a single
-        // scheduler event.
-        let mut sends: Vec<(MbId, Vec<Message>)> = Vec::new();
-        for a in actions {
-            match a {
-                Action::ToMb(mb, msg) => match sends.iter_mut().find(|(m, _)| *m == mb) {
-                    Some((_, v)) => v.push(msg),
-                    None => sends.push((mb, vec![msg])),
-                },
-                Action::Notify(c) => pending_completions.push(c),
+        // One wire frame — one scheduler event — per destination MB.
+        let mb_nodes = &self.mb_nodes;
+        let pending_completions = coalesce(actions, |mb, frame, flushed| {
+            if let Some((sub, ev)) = flushed {
+                ctx.record(None, sub, ev);
             }
-        }
-        for (mb, mut msgs) in sends {
-            let node = self.node_of(mb);
-            if msgs.len() == 1 {
-                ctx.send(node, Frame::Control(msgs.pop().expect("len 1")));
-            } else {
-                // Attributed to the first message's sub-op so per-op
-                // timelines show the flush alongside the put it carries.
-                ctx.record(
-                    None,
-                    msgs[0].op_id().map(|o| o.0),
-                    SpanEvent::BatchFlushed { count: msgs.len() as u32 },
-                );
-                ctx.send(node, Frame::Control(Message::Batch { msgs }));
-            }
-        }
+            ctx.send(mb_nodes[mb.0 as usize], Frame::Control(frame));
+        });
         for c in pending_completions {
             self.completions.push((ctx.now(), c.clone()));
             let mut actions = Vec::new();
@@ -995,7 +967,7 @@ impl ControllerNode {
     fn arm_quiesce(&mut self, ctx: &mut Ctx<'_>) {
         if !self.quiesce_timer_set && self.core.open_ops() > 0 {
             self.quiesce_timer_set = true;
-            let d = SimDuration(self.core.config.quiesce_after.0 / 4 + 1);
+            let d = SimDuration(self.core.config().quiesce_after.0 / 4 + 1);
             ctx.set_timer(d, TIMER_QUIESCE);
         }
     }
@@ -1158,16 +1130,16 @@ impl Node for ControllerNode {
                 // to the queue fan-out sized at construction — a
                 // post-construction `config.shards` mutation must not
                 // desynchronize the two.
-                let mut config = self.core.config;
+                let mut config = self.core.config();
                 config.shards = self.queues.len() as u32;
-                let mut fresh = ControllerCore::new(config);
+                let fresh = ControllerCore::new(config);
                 for _ in 0..self.mb_nodes.len() {
                     fresh.register_mb();
                 }
                 // The flight recorder outlives the amnesia: its buffer
                 // is shared with the simulation, not part of op state.
                 if self.core.recorder().is_enabled() {
-                    fresh.set_recorder(self.core.recorder().clone());
+                    fresh.set_recorder(self.core.recorder());
                 }
                 self.core = fresh;
             }

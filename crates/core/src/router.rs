@@ -37,10 +37,15 @@
 //!    events carry no op id; those route via the subscription table
 //!    written at `enableEvents` time.
 //!
-//! The conflict table holds one entry per *live* transfer and is pruned
-//! against [`crate::shard::ControllerShard::op_closed`], so a flowspace
-//! stays pinned while its op can still emit southbound traffic
-//! (including post-quiescence deletes) and not a tick longer.
+//! The conflict table holds one entry per *live* transfer (or chain
+//! hop, under the chain's id) and is pruned against the engine's
+//! chain-aware "has it closed?" predicate — a shard's
+//! [`crate::shard::ControllerShard::op_closed`] for shard ops, the
+//! chain table for chain ids — so a flowspace stays pinned while its op
+//! can still emit southbound traffic (including post-quiescence
+//! deletes) and not a tick longer. The router itself holds no lock and
+//! knows no threads: [`crate::controller::ControllerCore`] keeps it
+//! behind one mutex and is its only caller.
 
 use openmb_types::wire::{Event, Message};
 use openmb_types::{HeaderFieldList, MbId, OpId};
@@ -103,7 +108,7 @@ impl ActiveOp {
 
 /// Deterministic shard assignment with flowspace conflict detection.
 ///
-/// `Clone` so the facade (which journals itself wholesale) can snapshot
+/// `Clone` so the engine (which journals itself wholesale) can snapshot
 /// and restore routing state together with the shards it describes.
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
@@ -303,9 +308,9 @@ impl ShardRouter {
         self.active.push(ActiveOp { op, pattern, src, dst, shard });
     }
 
-    /// Drop conflict entries whose op has fully closed.
-    /// `closed(shard, op)` is answered by the owning shard
-    /// ([`crate::shard::ControllerShard::op_closed`]).
+    /// Drop conflict entries whose op has fully closed, as answered by
+    /// `closed(shard, op)` — which may be conservative (`false` when it
+    /// cannot tell): the entry is simply retained until a later prune.
     pub fn prune(&mut self, mut closed: impl FnMut(usize, OpId) -> bool) {
         self.active.retain(|a| !closed(a.shard, a.op));
     }
@@ -330,7 +335,7 @@ impl ShardRouter {
     /// Sweep the deferred queue in admission order: entries whose own
     /// op closed while held (deadline abort, endpoint loss) are
     /// dropped; entries whose blockers have all closed are removed and
-    /// returned as `(shard, op)` for the facade to release, in FIFO
+    /// returned as `(shard, op)` for the engine to release, in FIFO
     /// order. `closed` may answer conservatively (`false` when it
     /// cannot tell) — a blocker is then simply re-checked on the next
     /// sweep.
@@ -408,7 +413,7 @@ impl ShardRouter {
                 .find(|(m, _)| *m == from)
                 .map(|&(_, s)| Route::Shard(s))
                 .unwrap_or(Route::Broadcast),
-            // A Batch is unpacked by the facade before routing; seeing
+            // A Batch is unpacked by the engine before routing; seeing
             // one here means an embedding skipped the unbatch helper.
             // Broadcast stays correct — a shard silently drops messages
             // whose sub-op it does not own — it just costs N deliveries.

@@ -15,9 +15,9 @@
 //! A shard owns *all* state for the operations routed to it — the op
 //! table, sub-op map, transfer ledgers, ack sets, and the pending-delete
 //! ledger — so shards share nothing and never need a lock between them.
-//! The facade ([`crate::controller::ControllerCore`]) owns N shards plus
+//! The engine ([`crate::controller::ControllerCore`]) owns N shards plus
 //! the [`crate::router::ShardRouter`] that keeps overlapping flowspaces
-//! on one shard; a single-shard facade is byte-for-byte the pre-sharding
+//! on one shard; a single-shard engine is byte-for-byte the pre-sharding
 //! controller. Each shard allocates op ids from its own residue class
 //! (`first + k·stride`), which both keeps ids globally unique and makes
 //! southbound demux a mod operation rather than a table lookup.
@@ -522,7 +522,7 @@ impl ControllerShard {
     }
 
     /// A shard allocating op ids from its own residue class: `first`,
-    /// `first + stride`, `first + 2·stride`, … The facade constructs
+    /// `first + stride`, `first + 2·stride`, … The engine constructs
     /// shard `s` of `N` with `(s + 1, N)`.
     ///
     /// # Panics
@@ -563,7 +563,7 @@ impl ControllerShard {
     }
 
     /// Install a recorder under an already-registered node tag. The
-    /// facade registers "controller" once and shares the tag across all
+    /// engine registers "controller" once and shares the tag across all
     /// shards, so a sharded controller's events merge into one timeline
     /// column instead of N duplicate nodes.
     pub fn set_recorder_with_tag(&mut self, rec: Recorder, tag: NodeTag) {
@@ -907,7 +907,7 @@ impl ControllerShard {
     /// ([`crate::router::Admission::Defer`]): allocate the op id and
     /// state — so the conflict entry registered against it pins later
     /// overlapping admissions — but issue no southbound traffic. The
-    /// op parks as [`ParkReason::CrossShardConflict`] until the facade
+    /// op parks as [`ParkReason::CrossShardConflict`] until the engine
     /// calls [`ControllerShard::release_transfer`]; the op deadline
     /// (running from *now*) backstops blockers that never close.
     /// Endpoint validation runs here exactly as on the direct path, so

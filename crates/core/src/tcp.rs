@@ -8,37 +8,42 @@
 //!
 //! * [`serve_middlebox`] — serves any [`Middlebox`]'s southbound
 //!   protocol over a [`Transport`] (one thread per MB, like the paper).
-//! * [`TcpController`] — hosts a [`ShardedController`] (the sharded
-//!   core behind per-shard locks), pumps all MB transports, and
-//!   exposes *blocking* northbound calls
-//!   ([`TcpController::move_internal`], ...) that wait for the matching
-//!   completion.
+//! * [`TcpController`] — hosts the one controller engine
+//!   ([`ControllerCore`], thread-safe behind per-shard locks), pumps
+//!   all MB transports into it, and exposes *blocking* northbound calls
+//!   ([`TcpController::move_internal`], [`TcpController::chain_move`],
+//!   ...) that wait for the matching completion. Callers on different
+//!   threads each get their own completion: every blocking call parks
+//!   on a per-op slot, not on a shared queue.
+//!
+//! Nothing here re-implements controller logic: admission, deferral
+//! release, chain transactions and batch unpacking are the engine's;
+//! this file owns sockets, the pump thread, and the waiter table.
 //!
 //! The discrete-event simulator remains the measurement substrate; this
 //! embedding exists to demonstrate the protocol and controller logic are
 //! genuinely transport-independent (and is exercised by integration
 //! tests and the `tcp_protocol` example over loopback).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use openmb_mb::{Middlebox, SharedPutLog};
 use openmb_obs::{Recorder, SpanEvent};
 use openmb_simnet::SimTime;
 use openmb_types::transport::Transport;
-use openmb_types::wire::Message;
-use openmb_types::{Error, MbId, OpId, Result};
+use openmb_types::wire::{EventFilter, Message};
+use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, OpId, Result};
 
-use crate::controller::{Action, Completion, ControllerConfig};
-use crate::parallel::ShardedController;
+use crate::chain::ChainSpec;
+use crate::controller::{coalesce, Action, Completion, ControllerConfig, ControllerCore};
 
 /// Serve a middlebox's southbound protocol over `transport` until the
-/// peer disconnects or `stop` is raised. `now()` supplies timestamps for
-/// packet replay.
+/// peer disconnects or `stop` is raised.
 pub fn serve_middlebox<M: Middlebox>(
     mb: &mut M,
     transport: &dyn Transport,
@@ -58,6 +63,25 @@ pub fn serve_middlebox_logged<M: Middlebox>(
     transport: &dyn Transport,
     stop: &AtomicBool,
 ) -> Result<()> {
+    serve_middlebox_recorded(mb, log, transport, stop, &Recorder::disabled(), "")
+}
+
+/// The serve loop. With an enabled `rec` every request handled is
+/// recorded as a [`SpanEvent::Handled`] under the node name `name` —
+/// the MB half of an end-to-end op timeline — and timestamps (also the
+/// `now` packet replay sees) are nanoseconds since the recorder's
+/// epoch, so when the controller shares the same recorder (loopback
+/// tests) both sides' events interleave on one clock. With a disabled
+/// recorder recording costs one branch and the clock is the loop's own.
+pub fn serve_middlebox_recorded<M: Middlebox>(
+    mb: &mut M,
+    log: &mut SharedPutLog,
+    transport: &dyn Transport,
+    stop: &AtomicBool,
+    rec: &Recorder,
+    name: &str,
+) -> Result<()> {
+    let tag = rec.register(name);
     let start = Instant::now();
     loop {
         if stop.load(Ordering::Relaxed) {
@@ -68,44 +92,14 @@ pub fn serve_middlebox_logged<M: Middlebox>(
             Ok(None) => continue,
             Err(_) => return Ok(()), // peer closed
         };
-        let now = SimTime(start.elapsed().as_nanos() as u64);
-        let mut replies = handle_southbound_logged(mb, log, msg, now);
+        let now = SimTime(if rec.is_enabled() {
+            rec.now_ns()
+        } else {
+            start.elapsed().as_nanos() as u64
+        });
+        let mut replies = handle_southbound_recorded(mb, log, msg, now, rec, tag);
         // A request with several replies (a get streaming chunks, a
         // batched request) answers with one coalesced frame.
-        match replies.len() {
-            0 => {}
-            1 => transport.send(replies.pop().expect("len 1"))?,
-            _ => transport.send(Message::Batch { msgs: replies })?,
-        }
-    }
-}
-
-/// [`serve_middlebox_logged`] that also records every request it
-/// handles into `rec` as a [`SpanEvent::Handled`] under the node name
-/// `name` — the MB half of an end-to-end op timeline. Timestamps are
-/// nanoseconds since the recorder's epoch, so when the controller
-/// shares the same recorder (loopback tests) both sides' events
-/// interleave on one clock.
-pub fn serve_middlebox_recorded<M: Middlebox>(
-    mb: &mut M,
-    log: &mut SharedPutLog,
-    transport: &dyn Transport,
-    stop: &AtomicBool,
-    rec: &Recorder,
-    name: &str,
-) -> Result<()> {
-    let tag = rec.register(name);
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let msg = match transport.recv_timeout(Duration::from_millis(20)) {
-            Ok(Some(m)) => m,
-            Ok(None) => continue,
-            Err(_) => return Ok(()), // peer closed
-        };
-        let now = SimTime(rec.now_ns());
-        let mut replies = handle_southbound_recorded(mb, log, msg, now, rec, tag);
         match replies.len() {
             0 => {}
             1 => transport.send(replies.pop().expect("len 1"))?,
@@ -135,19 +129,27 @@ pub struct TcpController {
     pump: Option<std::thread::JoinHandle<()>>,
 }
 
+/// Blocked northbound calls by op: `None` until the completion lands.
+type Waiters = HashMap<OpId, Option<Completion>>;
+
+const WAITERS_POISONED: &str = "a northbound caller panicked inside the controller core";
+
 struct Inner {
-    /// The sharded core behind per-shard locks: the pump thread and
-    /// blocking northbound callers contend only when they touch the
-    /// same shard.
-    core: ShardedController,
+    /// The engine: the pump thread and blocking northbound callers
+    /// contend only when they touch the same shard.
+    core: ControllerCore,
     transports: Mutex<Vec<Arc<dyn Transport + Sync>>>,
     /// Per-MB "connection lost" flags, parallel to `transports`. Set by
     /// the pump loop on a reset/EOF; cleared by
     /// [`TcpController::reattach_mb`] when a fresh transport replaces
     /// the dead one.
     dead: Mutex<Vec<bool>>,
-    completions_tx: Sender<Completion>,
-    completions_rx: Receiver<Completion>,
+    /// One slot per blocked northbound call, filled by whichever thread
+    /// executes the op's completion. Completions for ops with no slot —
+    /// chain hop sub-results, MB events, calls that already timed out —
+    /// are dropped on delivery, so the table holds live callers only.
+    waiters: std::sync::Mutex<Waiters>,
+    completed: Condvar,
     stop: AtomicBool,
     start: Instant,
 }
@@ -157,14 +159,13 @@ impl TcpController {
     /// [`register_mb`](TcpController::register_mb) then
     /// [`start`](TcpController::start).
     pub fn new(config: ControllerConfig) -> Self {
-        let (tx, rx) = unbounded();
         TcpController {
             inner: Arc::new(Inner {
-                core: ShardedController::new(config),
+                core: ControllerCore::new(config),
                 transports: Mutex::new(Vec::new()),
                 dead: Mutex::new(Vec::new()),
-                completions_tx: tx,
-                completions_rx: rx,
+                waiters: std::sync::Mutex::new(HashMap::new()),
+                completed: Condvar::new(),
                 stop: AtomicBool::new(false),
                 start: Instant::now(),
             }),
@@ -200,9 +201,10 @@ impl TcpController {
                 dead[idx] = false;
             }
         }
-        self.inner.core.record(self.now().0, None, None, SpanEvent::TransportReattached);
-        let actions = self.inner.core.mark_reachable(mb, self.now());
-        self.inner.execute(actions);
+        self.inner.drive(|core, now, out| {
+            core.record(now.0, None, None, SpanEvent::TransportReattached);
+            core.mark_reachable(mb, now, out);
+        });
     }
 
     /// Install a flight recorder on the hosted core: op lifecycle
@@ -225,13 +227,33 @@ impl TcpController {
         self.pump = Some(std::thread::spawn(move || inner.pump_loop()));
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.inner.start.elapsed().as_nanos() as u64)
-    }
-
-    fn issue(&self, (op, actions): (OpId, Vec<Action>)) -> OpId {
-        self.inner.execute(actions);
-        op
+    /// Issue one northbound operation and block until its completion
+    /// (or `timeout`).
+    fn call(
+        &self,
+        timeout: Duration,
+        issue: impl FnOnce(&ControllerCore, SimTime, &mut Vec<Action>) -> OpId,
+    ) -> Result<Completion> {
+        let inner = &*self.inner;
+        let mut out = Vec::new();
+        let op = {
+            // Deliveries take this lock, so holding it from before the
+            // op id exists until its slot does means no completion —
+            // not even a racing transport reset's abort — can arrive
+            // unobserved.
+            let mut waiters = inner.waiters();
+            let op = issue(&inner.core, inner.now(), &mut out);
+            waiters.insert(op, None);
+            op
+        };
+        inner.execute(out);
+        let pending = |w: &mut Waiters| matches!(w.get(&op), Some(None));
+        let (mut waiters, _) = inner
+            .completed
+            .wait_timeout_while(inner.waiters(), timeout, pending)
+            .expect(WAITERS_POISONED);
+        let done = waiters.remove(&op).flatten();
+        done.ok_or_else(|| Error::OpFailed(format!("timeout waiting for {op}")))
     }
 
     /// Blocking `moveInternal`: returns once every put is ACKed.
@@ -239,30 +261,33 @@ impl TcpController {
         &self,
         src: MbId,
         dst: MbId,
-        key: openmb_types::HeaderFieldList,
+        key: HeaderFieldList,
         timeout: Duration,
     ) -> Result<Completion> {
-        let op = self.issue(self.inner.core.move_internal(src, dst, key, self.now()));
-        self.wait_for(op, timeout)
+        self.call(timeout, |core, now, out| core.move_internal(src, dst, key, now, out))
     }
 
     /// Blocking `cloneSupport`.
     pub fn clone_support(&self, src: MbId, dst: MbId, timeout: Duration) -> Result<Completion> {
-        let op = self.issue(self.inner.core.clone_support(src, dst, self.now()));
-        self.wait_for(op, timeout)
+        self.call(timeout, |core, now, out| core.clone_support(src, dst, now, out))
     }
 
     /// Blocking `mergeInternal`.
     pub fn merge_internal(&self, src: MbId, dst: MbId, timeout: Duration) -> Result<Completion> {
-        let op = self.issue(self.inner.core.merge_internal(src, dst, self.now()));
-        self.wait_for(op, timeout)
+        self.call(timeout, |core, now, out| core.merge_internal(src, dst, now, out))
+    }
+
+    /// Blocking chain-wide atomic move: returns
+    /// [`Completion::ChainComplete`] once every hop committed, or
+    /// [`Completion::Failed`] once every completed hop is rolled back.
+    pub fn chain_move(&self, spec: ChainSpec, timeout: Duration) -> Result<Completion> {
+        self.call(timeout, |core, now, out| core.chain_move(spec, now, out))
     }
 
     /// Blocking `readConfig`.
     pub fn read_config(&self, src: MbId, key: &str, timeout: Duration) -> Result<Completion> {
-        let key = openmb_types::HierarchicalKey::parse(key);
-        let op = self.issue(self.inner.core.read_config(src, key, self.now()));
-        self.wait_for(op, timeout)
+        let key = HierarchicalKey::parse(key);
+        self.call(timeout, |core, now, out| core.read_config(src, key, now, out))
     }
 
     /// Blocking `writeConfig`.
@@ -270,39 +295,33 @@ impl TcpController {
         &self,
         dst: MbId,
         key: &str,
-        values: Vec<openmb_types::ConfigValue>,
+        values: Vec<ConfigValue>,
         timeout: Duration,
     ) -> Result<Completion> {
-        let key = openmb_types::HierarchicalKey::parse(key);
-        let op = self.issue(self.inner.core.write_config(dst, key, values, self.now()));
-        self.wait_for(op, timeout)
+        let key = HierarchicalKey::parse(key);
+        self.call(timeout, |core, now, out| core.write_config(dst, key, values, now, out))
+    }
+
+    /// Blocking `delConfig`.
+    pub fn del_config(&self, dst: MbId, key: &str, timeout: Duration) -> Result<Completion> {
+        let key = HierarchicalKey::parse(key);
+        self.call(timeout, |core, now, out| core.del_config(dst, key, now, out))
     }
 
     /// Blocking `stats`.
-    pub fn stats(
-        &self,
-        src: MbId,
-        key: openmb_types::HeaderFieldList,
-        timeout: Duration,
-    ) -> Result<Completion> {
-        let op = self.issue(self.inner.core.stats(src, key, self.now()));
-        self.wait_for(op, timeout)
+    pub fn stats(&self, src: MbId, key: HeaderFieldList, timeout: Duration) -> Result<Completion> {
+        self.call(timeout, |core, now, out| core.stats(src, key, now, out))
     }
 
-    fn wait_for(&self, op: OpId, timeout: Duration) -> Result<Completion> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remain = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| Error::OpFailed(format!("timeout waiting for {op}")))?;
-            match self.inner.completions_rx.recv_timeout(remain) {
-                Ok(c) if c.op() == Some(op) => return Ok(c),
-                Ok(_other) => continue, // completion for another op
-                Err(_) => {
-                    return Err(Error::OpFailed(format!("timeout waiting for {op}")));
-                }
-            }
-        }
+    /// Blocking `enableEvents`: returns once the MB acknowledged the
+    /// subscription.
+    pub fn enable_events(
+        &self,
+        mb: MbId,
+        filter: EventFilter,
+        timeout: Duration,
+    ) -> Result<Completion> {
+        self.call(timeout, |core, now, out| core.enable_events(mb, filter, now, out))
     }
 
     /// Stop the pump thread.
@@ -321,41 +340,43 @@ impl Drop for TcpController {
 }
 
 impl Inner {
+    fn waiters(&self) -> std::sync::MutexGuard<'_, Waiters> {
+        self.waiters.lock().expect(WAITERS_POISONED)
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime(self.start.elapsed().as_nanos() as u64)
+    }
+
+    /// Run one call into the core and execute what it asks for.
+    fn drive(&self, f: impl FnOnce(&ControllerCore, SimTime, &mut Vec<Action>)) {
+        let mut out = Vec::new();
+        f(&self.core, self.now(), &mut out);
+        self.execute(out);
+    }
+
+    /// Send one core call's frames, then hand each completion to the
+    /// caller blocked on its op, if any.
     fn execute(&self, actions: Vec<Action>) {
-        // Coalesce same-destination southbound messages emitted by one
-        // core call into a single Batch frame (first-occurrence
-        // destination order, per-destination message order preserved).
-        let mut sends: Vec<(MbId, Vec<Message>)> = Vec::new();
-        let mut completions = Vec::new();
-        for a in actions {
-            match a {
-                Action::ToMb(mb, msg) => match sends.iter_mut().find(|(m, _)| *m == mb) {
-                    Some((_, v)) => v.push(msg),
-                    None => sends.push((mb, vec![msg])),
-                },
-                Action::Notify(c) => completions.push(c),
+        let completions = coalesce(actions, |mb, frame, flushed| {
+            if let Some((sub, ev)) = flushed {
+                self.core.record(self.now().0, None, sub, ev);
             }
-        }
-        for (mb, mut msgs) in sends {
-            let msg = if msgs.len() == 1 {
-                msgs.pop().expect("len 1")
-            } else {
-                self.core.record(
-                    self.start.elapsed().as_nanos() as u64,
-                    None,
-                    msgs[0].op_id().map(|o| o.0),
-                    SpanEvent::BatchFlushed { count: msgs.len() as u32 },
-                );
-                Message::Batch { msgs }
-            };
-            let transports = self.transports.lock();
-            if let Some(t) = transports.get(mb.0 as usize) {
-                let _ = t.send(msg);
+            let transport = self.transports.lock().get(mb.0 as usize).cloned();
+            if let Some(t) = transport {
+                let _ = t.send(frame);
             }
+        });
+        if completions.is_empty() {
+            return;
         }
+        let mut waiters = self.waiters();
         for c in completions {
-            let _ = self.completions_tx.send(c);
+            if let Some(slot) = c.op().and_then(|op| waiters.get_mut(&op)) {
+                *slot = Some(c);
+            }
         }
+        self.completed.notify_all();
     }
 
     fn pump_loop(&self) {
@@ -376,17 +397,13 @@ impl Inner {
                 if self.dead.lock()[i] {
                     continue;
                 }
-                let t = {
-                    let ts = self.transports.lock();
-                    Arc::clone(&ts[i])
-                };
+                let t = Arc::clone(&self.transports.lock()[i]);
+                let mb = MbId(i as u32);
                 loop {
                     match t.try_recv() {
                         Ok(Some(msg)) => {
                             idle = false;
-                            let now = SimTime(self.start.elapsed().as_nanos() as u64);
-                            let actions = self.core.handle_mb_message(MbId(i as u32), msg, now);
-                            self.execute(actions);
+                            self.drive(|core, now, out| core.handle_mb_message(mb, msg, now, out));
                         }
                         Ok(None) => break,
                         Err(_) => {
@@ -395,10 +412,10 @@ impl Inner {
                             // (or parks, given resume budget), exactly as
                             // the sim harness reports link failures.
                             self.dead.lock()[i] = true;
-                            let now = SimTime(self.start.elapsed().as_nanos() as u64);
-                            self.core.record(now.0, None, None, SpanEvent::TransportReset);
-                            let actions = self.core.mark_unreachable(MbId(i as u32), now);
-                            self.execute(actions);
+                            self.drive(|core, now, out| {
+                                core.record(now.0, None, None, SpanEvent::TransportReset);
+                                core.mark_unreachable(mb, now, out);
+                            });
                             break;
                         }
                     }
@@ -406,9 +423,7 @@ impl Inner {
             }
             if last_tick.elapsed() > Duration::from_millis(25) {
                 last_tick = Instant::now();
-                let now = SimTime(self.start.elapsed().as_nanos() as u64);
-                let actions = self.core.tick(now);
-                self.execute(actions);
+                self.drive(|core, now, out| core.tick(now, out));
             }
             if idle {
                 std::thread::sleep(Duration::from_millis(1));

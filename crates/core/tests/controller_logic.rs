@@ -25,7 +25,7 @@ struct World<A: Middlebox, B: Middlebox> {
 
 impl<A: Middlebox, B: Middlebox> World<A, B> {
     fn new(a: A, b: B) -> Self {
-        let mut core = ControllerCore::new(ControllerConfig {
+        let core = ControllerCore::new(ControllerConfig {
             quiesce_after: SimDuration::from_millis(10),
             compress_transfers: false,
             buffer_events: true,
@@ -304,7 +304,7 @@ fn transfer_ledger_stays_bounded_by_window() {
     use std::collections::VecDeque;
     const W: u32 = 4;
     let mut w = World::new(Monitor::new(), Monitor::new());
-    w.core.config.transfer_window = W;
+    w.core.update_config(|c| c.transfer_window = W);
     seed_monitor(&mut w.a, 120);
     let mut out = Vec::new();
     let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);

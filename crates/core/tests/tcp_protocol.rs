@@ -390,3 +390,180 @@ fn dropped_connection_aborts_with_mb_unreachable() {
 
     controller.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// One engine behind the sockets: concurrent callers, chains over TCP.
+// ---------------------------------------------------------------------
+
+/// MB server threads of one test: joined (after raising `stop`) by
+/// [`Servers::shutdown`], so a panic in any of them fails the test.
+struct Servers {
+    stop: Arc<AtomicBool>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Servers {
+    fn new() -> Self {
+        Servers { stop: Arc::new(AtomicBool::new(false)), threads: Vec::new() }
+    }
+
+    fn shutdown(self) {
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for t in self.threads {
+            t.join().unwrap();
+        }
+    }
+}
+
+/// A monitor preloaded with `flows` observed flows, served over loopback
+/// TCP until the servers shut down; returns the address to connect to.
+fn served_monitor(flows: u8, servers: &mut Servers) -> std::net::SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::clone(&servers.stop);
+    servers.threads.push(std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let transport = TcpTransport::new(stream).unwrap();
+        let mut monitor = Monitor::new();
+        let mut fx = Effects::normal();
+        for f in 1..=flows {
+            monitor.process_packet(SimTime(u64::from(f)), &http_pkt(u64::from(f), f), &mut fx);
+        }
+        serve_middlebox(&mut monitor, &transport, &stop).unwrap();
+    }));
+    addr
+}
+
+fn quick_controller() -> TcpController {
+    TcpController::new(ControllerConfig {
+        quiesce_after: SimDuration::from_millis(50),
+        shards: 2,
+        ..ControllerConfig::default()
+    })
+}
+
+fn connect(controller: &TcpController, addr: std::net::SocketAddr) -> openmb_types::MbId {
+    controller.register_mb(Arc::new(TcpTransport::connect(addr).unwrap()))
+}
+
+fn report_chunks(controller: &TcpController, mb: openmb_types::MbId) -> usize {
+    match controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap() {
+        Completion::Stats { stats, .. } => stats.perflow_report_chunks,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Blocking callers on different threads each receive their own
+/// completion. (With one shared completion queue, a caller that dequeued
+/// another op's completion dropped it, and both timed out.)
+#[test]
+fn concurrent_blocking_callers_each_get_their_own_completion() {
+    let mut servers = Servers::new();
+    let mut controller = quick_controller();
+    let mbs: Vec<_> = [30, 0, 30, 0]
+        .into_iter()
+        .map(|n| connect(&controller, served_monitor(n, &mut servers)))
+        .collect();
+    controller.start();
+    let ctrl = &controller;
+    std::thread::scope(|s| {
+        for pair in mbs.chunks(2) {
+            s.spawn(move || {
+                let c = ctrl
+                    .move_internal(pair[0], pair[1], HeaderFieldList::any(), Duration::from_secs(3))
+                    .unwrap();
+                assert!(matches!(c, Completion::MoveComplete { chunks_moved: 30, .. }), "{c:?}");
+                // Keep both threads blocking concurrently for a while.
+                for _ in 0..8 {
+                    assert_eq!(report_chunks(ctrl, pair[1]), 30);
+                }
+            });
+        }
+    });
+    controller.shutdown();
+    servers.shutdown();
+}
+
+/// A 2-hop chain commits over loopback TCP: one `ChainComplete`, every
+/// hop's state conserved at its destination and gone from its source.
+#[test]
+fn chain_move_commits_over_loopback_tcp() {
+    use openmb_core::{ChainHop, ChainSpec};
+    let mut servers = Servers::new();
+    let mut controller = quick_controller();
+    let mbs: Vec<_> = [30, 0, 20, 0]
+        .into_iter()
+        .map(|n| connect(&controller, served_monitor(n, &mut servers)))
+        .collect();
+    controller.start();
+    let spec = ChainSpec::new(
+        HeaderFieldList::any(),
+        vec![ChainHop { src: mbs[0], dst: mbs[1] }, ChainHop { src: mbs[2], dst: mbs[3] }],
+    );
+    let c = controller.chain_move(spec, Duration::from_secs(10)).unwrap();
+    assert!(matches!(c, Completion::ChainComplete { hops: 2, chunks_moved: 50, .. }), "{c:?}");
+    // Allow the quiescence tick to fire the source-side deletes.
+    std::thread::sleep(Duration::from_millis(300));
+    let held: Vec<usize> = mbs.iter().map(|&mb| report_chunks(&controller, mb)).collect();
+    assert_eq!(held, [0, 30, 0, 20]);
+    controller.shutdown();
+    servers.shutdown();
+}
+
+/// Hop 1's destination drops its connection mid-transfer: the chain ends
+/// `Failed`, hop 0 — which had completed — is rolled back, and every
+/// source holds exactly its pre-move state.
+#[test]
+fn chain_move_rolls_back_over_loopback_tcp_when_a_hop_destination_drops() {
+    use openmb_core::tcp::handle_southbound;
+    use openmb_core::{ChainHop, ChainSpec};
+    use openmb_types::transport::Transport;
+    use openmb_types::wire::Message;
+    use openmb_types::Error;
+
+    let mut servers = Servers::new();
+    // A small window, so hop 1's puts arrive in several frames and the
+    // drop really lands mid-transfer.
+    let mut controller = TcpController::new(ControllerConfig {
+        quiesce_after: SimDuration::from_millis(50),
+        transfer_window: 5,
+        shards: 2,
+        ..ControllerConfig::default()
+    });
+    // Hop 1's destination: applies 8 puts, then hangs up.
+    let flaky = TcpListener::bind("127.0.0.1:0").unwrap();
+    let flaky_addr = flaky.local_addr().unwrap();
+    servers.threads.push(std::thread::spawn(move || {
+        let (stream, _) = flaky.accept().unwrap();
+        let transport = TcpTransport::new(stream).unwrap();
+        let mut monitor = Monitor::new();
+        let mut puts = 0;
+        while puts < 8 {
+            let Ok(Some(msg)) = transport.recv_timeout(Duration::from_secs(10)) else { return };
+            for reply in handle_southbound(&mut monitor, msg, SimTime(0)) {
+                puts += usize::from(matches!(reply, Message::PutAck { .. }));
+                transport.send(reply).unwrap();
+            }
+        }
+    }));
+    let a = connect(&controller, served_monitor(30, &mut servers));
+    let b = connect(&controller, served_monitor(0, &mut servers));
+    let c = connect(&controller, served_monitor(20, &mut servers));
+    let d = connect(&controller, flaky_addr);
+    controller.start();
+    let spec = ChainSpec::new(
+        HeaderFieldList::any(),
+        vec![ChainHop { src: a, dst: b }, ChainHop { src: c, dst: d }],
+    );
+    match controller.chain_move(spec, Duration::from_secs(10)).unwrap() {
+        Completion::Failed { error: Error::MbUnreachable(mb), .. } => assert_eq!(mb, d),
+        other => panic!("expected the chain to fail on hop 1's destination, got {other:?}"),
+    }
+    // Let the reverse move's own quiescence deletes land at `b`.
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(report_chunks(&controller, a), 30, "hop 0 source restored");
+    assert_eq!(report_chunks(&controller, b), 0, "hop 0 destination emptied");
+    assert_eq!(report_chunks(&controller, c), 20, "hop 1 source untouched");
+    controller.shutdown();
+    servers.shutdown();
+}

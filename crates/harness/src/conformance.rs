@@ -330,21 +330,24 @@ fn drive<M: Middlebox + 'static>(
     setup.sim.set_recorder(rec);
     {
         let ctrl = setup.sim.node_as_mut::<ControllerNode>(CONTROLLER);
-        ctrl.core.config.op_deadline = SimDuration::from_secs(4);
-        ctrl.core.config.max_transfer_resumes = 8;
-        ctrl.core.config.resume_after = SimDuration::from_millis(150);
-        // An ample rollback re-delivery budget: the suite must fail on
-        // protocol bugs, not on a hostile schedule out-dropping a small
-        // retry allowance.
-        ctrl.core.config.max_retries = 50;
-        // A deliberately tight transfer window so every conformance run
-        // exercises the queue/refill machinery; the post-run assertion
-        // below holds the controller to it even across faults.
-        ctrl.core.config.transfer_window = CONF_WINDOW;
-        // Every seed runs in both transfer modes: content-addressed
-        // (references negotiate against the destination's store) and
-        // plain streaming.
-        ctrl.core.config.content_cache = content_cache;
+        ctrl.core.update_config(|c| {
+            c.op_deadline = SimDuration::from_secs(4);
+            c.max_transfer_resumes = 8;
+            c.resume_after = SimDuration::from_millis(150);
+            // An ample rollback re-delivery budget: the suite must fail
+            // on protocol bugs, not on a hostile schedule out-dropping
+            // a small retry allowance.
+            c.max_retries = 50;
+            // A deliberately tight transfer window so every conformance
+            // run exercises the queue/refill machinery; the post-run
+            // assertion below holds the controller to it even across
+            // faults.
+            c.transfer_window = CONF_WINDOW;
+            // Every seed runs in both transfer modes: content-addressed
+            // (references negotiate against the destination's store)
+            // and plain streaming.
+            c.content_cache = content_cache;
+        });
         ctrl.enable_journal();
     }
 
@@ -803,9 +806,11 @@ mod tests {
         let mut setup =
             two_mb_scenario(src, Monitor::new(), Box::new(app), ScenarioParams::default());
         let ctrl = setup.sim.node_as_mut::<ControllerNode>(CONTROLLER);
-        ctrl.core.config.op_deadline = SimDuration::from_secs(4);
-        ctrl.core.config.transfer_window = CONF_WINDOW;
-        ctrl.core.config.content_cache = true;
+        ctrl.core.update_config(|c| {
+            c.op_deadline = SimDuration::from_secs(4);
+            c.transfer_window = CONF_WINDOW;
+            c.content_cache = true;
+        });
         setup
     }
 

@@ -137,8 +137,11 @@ pub fn run(fault: Option<Detection>, traffic_until: SimDuration) -> FaultOutcome
     // A 2 s deadline keeps the backstop run short while staying far
     // above any healthy move duration. Set before the first event so
     // every op is stamped with it.
-    setup.sim.node_as_mut::<ControllerNode>(CONTROLLER).core.config.op_deadline =
-        SimDuration::from_secs(2);
+    setup
+        .sim
+        .node_as_mut::<ControllerNode>(CONTROLLER)
+        .core
+        .update_config(|c| c.op_deadline = SimDuration::from_secs(2));
     if fault.is_some() {
         setup.sim.set_fault_plan(FaultPlan::seeded(SEED).crash(MB_A, crash_at));
     }

@@ -150,7 +150,7 @@ fn lb_migration_preserves_affinity_through_sim() {
 fn lb_rejects_fine_grained_get_through_controller() {
     use openmb::core::controller::{Action, ControllerConfig, ControllerCore};
     use openmb::core::tcp::handle_southbound;
-    let mut core = ControllerCore::new(ControllerConfig::default());
+    let core = ControllerCore::new(ControllerConfig::default());
     let mb = core.register_mb();
     let mut lb = LoadBalancer::new(Ipv4Addr::new(1, 2, 3, 4), &[Ipv4Addr::new(10, 0, 0, 1)]);
     let mut actions = Vec::new();

@@ -372,7 +372,7 @@ mod controller_robustness {
             msgs in proptest::collection::vec(arb_message(), 0..60),
             issue_ops in proptest::collection::vec(any::<bool>(), 0..6),
         ) {
-            let mut core = ControllerCore::new(ControllerConfig::default());
+            let core = ControllerCore::new(ControllerConfig::default());
             let a = core.register_mb();
             let b = core.register_mb();
             let mut out = Vec::new();
@@ -403,7 +403,7 @@ mod controller_robustness {
 
     #[test]
     fn unknown_mb_messages_are_ignored() {
-        let mut core = ControllerCore::new(ControllerConfig::default());
+        let core = ControllerCore::new(ControllerConfig::default());
         let _ = core.register_mb();
         let mut out = Vec::new();
         core.handle_mb_message(MbId(99), Message::OpAck { op: OpId(12345) }, SimTime(0), &mut out);
