@@ -293,7 +293,7 @@ fn mb_batch_bench<M: openmb_mb::Middlebox>(
 }
 
 fn mb_batch_benches() -> Vec<Bench> {
-    use openmb_middleboxes::{Firewall, Ips, Monitor, Nat, ReEncoder};
+    use openmb_middleboxes::{Firewall, Monitor, Nat, ReEncoder};
     let k = key(1);
     let ext = Ipv4Addr::new(198, 51, 100, 1);
     vec![
@@ -357,7 +357,6 @@ fn mb_batch_benches() -> Vec<Bench> {
             train(k, 256),
         ),
         mb_batch_bench("nat_batch32", false, None, Nat::new(ext), Nat::new(ext), train(k, 32)),
-        mb_batch_bench("ips_batch32", false, None, Ips::new(), Ips::new(), train(k, 32)),
         mb_batch_bench(
             "re_encode_batch32",
             false,
