@@ -8,6 +8,10 @@
 //! batches that *interleave* with packet processing — which is why the
 //! paper sees only a ≤2 % packet-latency impact during a get (§8.2)
 //! instead of a stall, while the get itself scales linearly (Fig 9).
+//! Only that timing lives here (streamed gets, background shared
+//! exports, queued replays); what a request *does* to the middlebox is
+//! [`openmb_mb::southbound::handle_southbound_logged`], the dispatch
+//! the TCP embedding runs too.
 //!
 //! [`ControllerNode`] embeds the [`ControllerCore`] plus the SDN
 //! topology/routing module and one control application, mirroring the
@@ -159,7 +163,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
             current_service: SimDuration::ZERO,
             busy_put_ns: 0,
             busy_packet_ns: 0,
-            shared_log: SharedPutLog::new(0),
+            shared_log: SharedPutLog::new(),
             batch_max: 1,
             pending_batch: 0,
             batch_buf: Vec::new(),
@@ -392,169 +396,17 @@ impl<M: Middlebox + 'static> MbNode<M> {
         }
     }
 
+    /// Everything `on_frame` did not schedule itself goes through the
+    /// one MB-side dispatch every embedding shares.
     fn execute_msg(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        let now = ctx.now();
-        match msg {
-            Message::PutSupportPerflow { op, chunk } => {
-                let key = chunk.key;
-                match self.logic.put_support_perflow(chunk) {
-                    Ok(()) => self.reply(ctx, Message::PutAck { op, key: Some(key) }),
-                    Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                }
-            }
-            Message::PutReportPerflow { op, chunk } => {
-                let key = chunk.key;
-                match self.logic.put_report_perflow(chunk) {
-                    Ok(()) => self.reply(ctx, Message::PutAck { op, key: Some(key) }),
-                    Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                }
-            }
-            Message::DelSupportPerflow { op, key } => match self.logic.del_support_perflow(&key) {
-                Ok(_) => self.reply(ctx, Message::OpAck { op }),
-                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-            },
-            Message::DelReportPerflow { op, key } => match self.logic.del_report_perflow(&key) {
-                Ok(_) => self.reply(ctx, Message::OpAck { op }),
-                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-            },
-            Message::PutSupportShared { op, chunk } => {
-                // Shared puts MERGE, so a re-sent copy (transfer resume)
-                // must be re-acked without re-applying.
-                if self.shared_log.already_applied(op) {
-                    self.reply(ctx, Message::PutAck { op, key: None });
-                    return;
-                }
-                let snap = self.logic.snapshot_shared();
-                match snap.and_then(|s| self.logic.put_support_shared(chunk).map(|()| s)) {
-                    Ok(s) => {
-                        self.shared_log.record(op, s);
-                        self.reply(ctx, Message::PutAck { op, key: None });
-                    }
-                    Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                }
-            }
-            Message::PutReportShared { op, chunk } => {
-                if self.shared_log.already_applied(op) {
-                    self.reply(ctx, Message::PutAck { op, key: None });
-                    return;
-                }
-                let snap = self.logic.snapshot_shared();
-                match snap.and_then(|s| self.logic.put_report_shared(chunk).map(|()| s)) {
-                    Ok(s) => {
-                        self.shared_log.record(op, s);
-                        self.reply(ctx, Message::PutAck { op, key: None });
-                    }
-                    Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                }
-            }
-            Message::DeleteState { op, puts } => {
-                // Compensating rollback for an aborted clone/merge:
-                // restore the pre-put image and revoke any listed put
-                // still in flight.
-                let (snap, restored) = self.shared_log.rollback(&puts);
-                let result = match snap {
-                    Some(s) => self.logic.restore_shared(s).map(|()| restored),
-                    None => Ok(0),
-                };
-                match result {
-                    Ok(restored) => self.reply(ctx, Message::DeleteAck { op, restored }),
-                    Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                }
-            }
-            Message::GetConfig { op, key } => match self.logic.get_config(&key) {
-                Ok(pairs) => self.reply(ctx, Message::ConfigValues { op, pairs }),
-                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-            },
-            Message::SetConfig { op, key, values } => match self.logic.set_config(&key, values) {
-                Ok(()) => self.reply(ctx, Message::OpAck { op }),
-                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-            },
-            Message::DelConfig { op, key } => match self.logic.del_config(&key) {
-                Ok(()) => self.reply(ctx, Message::OpAck { op }),
-                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-            },
-            Message::GetStats { op, key } => {
-                let stats = self.logic.stats(&key);
-                self.reply(ctx, Message::Stats { op, stats });
-            }
-            Message::EnableEvents { op, filter } => {
-                self.logic.set_introspection(Some(filter));
-                self.reply(ctx, Message::OpAck { op });
-            }
-            Message::DisableEvents { op } => {
-                self.logic.set_introspection(None);
-                self.reply(ctx, Message::OpAck { op });
-            }
-            Message::EndSync { op } => {
-                self.logic.end_sync(op);
-            }
-            Message::ChunkRef { op, class, key, hash } => {
-                // Negotiate-then-reference, destination side: apply from
-                // the content store on a hit, request the body on a miss.
-                // Stored bytes are re-hashed before use so a poisoned or
-                // corrupted entry degrades to a miss instead of importing
-                // wrong state.
-                match self.shared_log.store().get(&hash) {
-                    Some(data) if openmb_store::content_hash(&data) == hash => {
-                        let chunk = openmb_types::StateChunk::new(
-                            key,
-                            openmb_types::EncryptedChunk::from_wire(data),
-                        );
-                        let reply = self.apply_classed_put(op, class, chunk);
-                        self.reply(ctx, reply);
-                    }
-                    _ => self.reply(ctx, Message::ChunkNeed { op, hash }),
-                }
-            }
-            Message::ChunkBody { op, class, key, hash, data } => {
-                // A streamed body answering a ChunkNeed: verify before
-                // caching or applying so a corrupt body surfaces as an
-                // error rather than poisoning the store.
-                if openmb_store::content_hash(data.as_wire()) != hash {
-                    self.reply(
-                        ctx,
-                        Message::ErrorMsg {
-                            op,
-                            error: openmb_types::Error::MalformedChunk(
-                                "chunk body does not match its content hash".into(),
-                            ),
-                        },
-                    );
-                } else {
-                    self.shared_log.store().put(data.as_wire());
-                    let chunk = openmb_types::StateChunk::new(key, data);
-                    let reply = self.apply_classed_put(op, class, chunk);
-                    self.reply(ctx, reply);
-                }
-            }
-            other => {
-                panic!("MB {} received unexpected message {other:?}", self.label);
-            }
-        }
-        let _ = now;
-    }
-
-    /// Apply a content-addressed put under its state class, producing
-    /// the same `PutAck { key: Some(..) }` a streamed `Put*Perflow`
-    /// earns — the controller's ledger cannot tell (and must not care)
-    /// whether a chunk arrived by reference or by body.
-    fn apply_classed_put(
-        &mut self,
-        op: openmb_types::OpId,
-        class: openmb_types::wire::ChunkClass,
-        chunk: openmb_types::StateChunk,
-    ) -> Message {
-        let key = chunk.key;
-        let result = match class {
-            openmb_types::wire::ChunkClass::Support => self.logic.put_support_perflow(chunk),
-            openmb_types::wire::ChunkClass::Report => self.logic.put_report_perflow(chunk),
-            // `ChunkClass` is non-exhaustive: a class this build does
-            // not know cannot be applied correctly, so refuse it.
-            other => Err(openmb_types::Error::UnsupportedStateClass(format!("{other:?}"))),
-        };
-        match result {
-            Ok(()) => Message::PutAck { op, key: Some(key) },
-            Err(e) => Message::ErrorMsg { op, error: e },
+        let replies = openmb_mb::southbound::handle_southbound_logged(
+            &mut self.logic,
+            &mut self.shared_log,
+            msg,
+            ctx.now(),
+        );
+        for r in replies {
+            self.reply(ctx, r);
         }
     }
 

@@ -497,7 +497,7 @@ pub struct ControllerShard {
     pub events_buffered_peak: usize,
     /// Largest in-flight put ledger observed across all ops — with a
     /// `transfer_window` set this must never exceed the window, which
-    /// the conformance suite and `scale_bench` both assert (via
+    /// the conformance suites assert (via
     /// [`ControllerShard::transfer_ledger_stats`]).
     in_flight_peak: usize,
     /// Content-cache counters, core-wide (they outlive op cleanup);

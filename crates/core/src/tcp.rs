@@ -49,7 +49,7 @@ pub fn serve_middlebox<M: Middlebox>(
     transport: &dyn Transport,
     stop: &AtomicBool,
 ) -> Result<()> {
-    let mut log = SharedPutLog::new(0);
+    let mut log = SharedPutLog::new();
     serve_middlebox_logged(mb, &mut log, transport, stop)
 }
 

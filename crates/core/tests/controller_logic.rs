@@ -3,13 +3,42 @@
 //! southbound dispatcher, no simulator in between.
 
 use openmb_core::controller::{Action, Completion, ControllerConfig, ControllerCore};
-use openmb_core::tcp::handle_southbound;
-use openmb_mb::{Effects, Middlebox};
-use openmb_middleboxes::{Ips, Monitor, Proxy};
+use openmb_core::tcp::{handle_southbound, handle_southbound_logged};
+use openmb_core::{ChainHop, ChainSpec, ShardRouter};
+use openmb_mb::{Effects, Middlebox, SharedPutLog};
+use openmb_middleboxes::{DummyMb, Ips, Monitor, Proxy};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::wire::Message;
-use openmb_types::{FlowKey, HeaderFieldList, MbId, OpId, Packet};
+use openmb_store::{ContentStore, MemoryContentStore};
+use openmb_types::crypto::VendorKey;
+use openmb_types::wire::{self, Message};
+use openmb_types::{
+    EncryptedChunk, FlowKey, HeaderFieldList, IpPrefix, MbId, OpId, Packet, StateChunk,
+};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+/// Run `actions` until the queue drains: every southbound request goes
+/// to `mb_handle(to, request)`, whose replies feed back into the
+/// controller; completions are collected.
+fn drive(
+    core: &ControllerCore,
+    mut actions: Vec<Action>,
+    now: SimTime,
+    completions: &mut Vec<Completion>,
+    mut mb_handle: impl FnMut(MbId, Message) -> Vec<Message>,
+) {
+    while let Some(act) = actions.pop() {
+        match act {
+            Action::Notify(c) => completions.push(c),
+            Action::ToMb(mb, msg) => {
+                for r in mb_handle(mb, msg) {
+                    core.handle_mb_message(mb, r, now, &mut actions);
+                }
+            }
+            other => panic!("unexpected action {other:?}"),
+        }
+    }
+}
 
 /// A two-MB world: actions fan out to the logic, replies feed back, until
 /// the queue drains. Returns all completions.
@@ -36,25 +65,14 @@ impl<A: Middlebox, B: Middlebox> World<A, B> {
         World { core, a, b, a_id, b_id, now: SimTime(0), completions: Vec::new() }
     }
 
-    fn pump(&mut self, mut actions: Vec<Action>) {
-        while let Some(act) = actions.pop() {
-            match act {
-                Action::Notify(c) => self.completions.push(c),
-                Action::ToMb(mb, msg) => {
-                    let replies = if mb == self.a_id {
-                        handle_southbound(&mut self.a, msg, self.now)
-                    } else {
-                        handle_southbound(&mut self.b, msg, self.now)
-                    };
-                    for r in replies {
-                        let mut out = Vec::new();
-                        self.core.handle_mb_message(mb, r, self.now, &mut out);
-                        actions.extend(out);
-                    }
-                }
-                other => panic!("unexpected action {other:?}"),
+    fn pump(&mut self, actions: Vec<Action>) {
+        drive(&self.core, actions, self.now, &mut self.completions, |mb, msg| {
+            if mb == self.a_id {
+                handle_southbound(&mut self.a, msg, self.now)
+            } else {
+                handle_southbound(&mut self.b, msg, self.now)
             }
-        }
+        });
     }
 
     fn quiesce(&mut self) {
@@ -245,31 +263,18 @@ fn duplicate_put_ack_after_completion_is_ignored() {
     seed_monitor(&mut w.a, 8);
     let mut out = Vec::new();
     let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
-    // Hand-rolled pump that keeps a copy of every PutAck the destination
-    // sends, so one can be replayed after the op completes.
+    // Keep a copy of every PutAck the destination sends, so one can be
+    // replayed after the op completes.
     let mut acks: Vec<Message> = Vec::new();
-    let mut actions = out;
-    while let Some(act) = actions.pop() {
-        match act {
-            Action::Notify(c) => w.completions.push(c),
-            Action::ToMb(mb, msg) => {
-                let replies = if mb == w.a_id {
-                    handle_southbound(&mut w.a, msg, w.now)
-                } else {
-                    handle_southbound(&mut w.b, msg, w.now)
-                };
-                for r in replies {
-                    if matches!(r, Message::PutAck { .. }) {
-                        acks.push(r.clone());
-                    }
-                    let mut o = Vec::new();
-                    w.core.handle_mb_message(mb, r, w.now, &mut o);
-                    actions.extend(o);
-                }
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
-    }
+    drive(&w.core, out, w.now, &mut w.completions, |mb, msg| {
+        let replies = if mb == w.a_id {
+            handle_southbound(&mut w.a, msg, w.now)
+        } else {
+            handle_southbound(&mut w.b, msg, w.now)
+        };
+        acks.extend(replies.iter().filter(|r| matches!(r, Message::PutAck { .. })).cloned());
+        replies
+    });
     assert!(w
         .completions
         .iter()
@@ -353,6 +358,166 @@ fn transfer_ledger_stays_bounded_by_window() {
         120,
         "every reference resolved as a hit or a miss"
     );
+}
+
+/// A repeated move against one destination content store answers every
+/// reference from the cache: over 1 KiB chunk bodies, the bytes the
+/// controller puts on the destination's wire fall to under a tenth of
+/// the cold pass's.
+#[test]
+fn warm_move_puts_under_a_tenth_of_the_cold_bytes_on_the_destination_wire() {
+    const FLOWS: usize = 64;
+    let vendor = VendorKey::derive("dummy");
+    let store: Arc<dyn ContentStore> = Arc::new(MemoryContentStore::new());
+    let pass = || {
+        // A fresh source seals the same state to the same bytes, the
+        // way a repeated or resumed move re-offers chunks the
+        // destination already holds.
+        let mut src = DummyMb::new();
+        for i in 0..FLOWS {
+            let key = HeaderFieldList::exact(DummyMb::flow_for(i));
+            let body = EncryptedChunk::seal(&vendor, 0, &[i as u8; 1024]);
+            src.put_report_perflow(StateChunk::new(key, body)).unwrap();
+        }
+        let mut w = World::new(src, DummyMb::new());
+        let mut dst_log = SharedPutLog::with_store(Arc::clone(&store));
+        let mut out = Vec::new();
+        let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+        let mut bytes_to_dst = 0;
+        drive(&w.core, out, w.now, &mut w.completions, |mb, msg| {
+            if mb == w.a_id {
+                handle_southbound(&mut w.a, msg, w.now)
+            } else {
+                bytes_to_dst += wire::encoded_len(&msg);
+                handle_southbound_logged(&mut w.b, &mut dst_log, msg, w.now)
+            }
+        });
+        assert!(w.completions.iter().any(
+            |c| matches!(c, Completion::MoveComplete { op: o, chunks_moved: FLOWS } if *o == op)
+        ));
+        assert_eq!(w.b.perflow_entries(), FLOWS);
+        bytes_to_dst
+    };
+    let cold = pass();
+    let warm = pass();
+    assert!(cold > FLOWS * 1024, "the cold pass streams every body: {cold} bytes");
+    assert!(warm * 10 <= cold, "warm pass sent {warm} bytes, over 10% of the cold pass's {cold}");
+}
+
+/// Flows inside `10.b.0.0/16` on both sides: disjoint `b`s are disjoint
+/// flowspaces even direction-insensitively.
+fn subnet(b: u8) -> HeaderFieldList {
+    let p = IpPrefix::new(Ipv4Addr::new(10, b, 0, 0), 16);
+    HeaderFieldList { nw_src: p, nw_dst: p, ..HeaderFieldList::any() }
+}
+
+const PAIR_FLOWS: usize = 40;
+
+/// A (source, destination) monitor pair: the source holds
+/// [`PAIR_FLOWS`] flows inside `subnet(b)`, the destination none.
+fn monitor_pair(b: u8) -> [Monitor; 2] {
+    let mut src = Monitor::new();
+    let mut fx = Effects::normal();
+    for j in 0..PAIR_FLOWS as u16 {
+        let key = FlowKey::tcp(
+            Ipv4Addr::new(10, b, 0, j as u8 + 1),
+            1000 + j,
+            Ipv4Addr::new(10, b, 255, 1),
+            80,
+        );
+        src.process_packet(SimTime(0), &Packet::new(u64::from(j), key, vec![0u8; 64]), &mut fx);
+    }
+    [src, Monitor::new()]
+}
+
+/// Model check (the message count `ControllerCosts` prices into a
+/// per-shard makespan): four disjoint moves — disjoint MB pairs,
+/// disjoint subnets — spread their southbound messages over four
+/// shards instead of queueing on one, and the total is the same
+/// workload at either shard count.
+#[test]
+fn four_disjoint_moves_spread_their_messages_over_four_shards() {
+    let handled_per_shard = |shards: u32| {
+        let core = ControllerCore::new(ControllerConfig { shards, ..ControllerConfig::default() });
+        let ids: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
+        // Pair i moves the first subnet that hash-places it on shard i
+        // of 4, so the spread is pinned rather than left to hash luck.
+        let subnets: Vec<u8> = (0..4)
+            .map(|i| {
+                (0..=255u8)
+                    .find(|&b| {
+                        ShardRouter::hash_placement(4, &subnet(b), ids[2 * i], ids[2 * i + 1]) == i
+                    })
+                    .expect("some subnet places on every shard")
+            })
+            .collect();
+        let mut mbs: Vec<Monitor> = subnets.iter().flat_map(|&b| monitor_pair(b)).collect();
+        let mut out = Vec::new();
+        for (pair, &b) in ids.chunks(2).zip(&subnets) {
+            core.move_internal(pair[0], pair[1], subnet(b), SimTime(0), &mut out);
+        }
+        let mut per_shard = vec![0u64; shards as usize];
+        let mut completions = Vec::new();
+        drive(&core, out, SimTime(0), &mut completions, |mb, msg| {
+            let at = ids.iter().position(|&id| id == mb).expect("a registered MB");
+            let replies = handle_southbound(&mut mbs[at], msg, SimTime(0));
+            for r in &replies {
+                per_shard[core.shard_of_message(mb, r)] += 1;
+            }
+            replies
+        });
+        let moved = |c: &&Completion| {
+            matches!(c, Completion::MoveComplete { chunks_moved: PAIR_FLOWS, .. })
+        };
+        assert_eq!(completions.iter().filter(moved).count(), 4, "{completions:?}");
+        assert_eq!(per_shard.iter().sum::<u64>(), core.messages_handled());
+        per_shard
+    };
+    let one = handled_per_shard(1);
+    let four = handled_per_shard(4);
+    let total: u64 = four.iter().sum();
+    assert_eq!(one, [total], "both shard counts broker the identical workload");
+    let busiest = four.iter().copied().max().unwrap();
+    assert!(busiest <= total / 3, "busiest of 4 shards handled {busiest} of {total}: {four:?}");
+}
+
+/// Model check (the old "orchestration tax"): a 4-hop chain brokers
+/// four single hops' worth of southbound messages — the chain layer
+/// re-streams nothing and its commit adds at most 5%.
+#[test]
+fn four_hop_chain_brokers_four_single_hops_of_messages() {
+    let brokered = |hops: usize| {
+        let core =
+            ControllerCore::new(ControllerConfig { shards: 4, ..ControllerConfig::default() });
+        let ids: Vec<MbId> = (0..2 * hops).map(|_| core.register_mb()).collect();
+        let mut mbs: Vec<Monitor> = (0..hops).flat_map(|_| monitor_pair(0)).collect();
+        let spec = ChainSpec::new(
+            HeaderFieldList::any(),
+            ids.chunks(2).map(|p| ChainHop { src: p[0], dst: p[1] }).collect(),
+        );
+        let mut out = Vec::new();
+        let chain = core.chain_move(spec, SimTime(0), &mut out);
+        let mut completions = Vec::new();
+        drive(&core, out, SimTime(0), &mut completions, |mb, msg| {
+            let at = ids.iter().position(|&id| id == mb).expect("a registered MB");
+            handle_southbound(&mut mbs[at], msg, SimTime(0))
+        });
+        let moved = hops * PAIR_FLOWS;
+        assert!(
+            completions.iter().any(|c| matches!(
+                c,
+                Completion::ChainComplete { op, hops: h, chunks_moved }
+                    if *op == chain && *h == hops && *chunks_moved == moved
+            )),
+            "{hops}-hop chain must commit every hop's chunks once: {completions:?}"
+        );
+        assert_eq!(core.open_chains(), 0, "chain must settle");
+        core.messages_handled()
+    };
+    let one = brokered(1);
+    let four = brokered(4);
+    assert!(four >= 4 * one, "4 hops brokered {four} messages, one hop {one}");
+    assert!((four - 4 * one) * 20 <= 4 * one, "4 hops brokered {four} messages, one hop {one}");
 }
 
 #[test]

@@ -184,7 +184,7 @@ fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
         // Destination, phase 1: apply the first PUTS_BEFORE_CRASH puts by
         // hand, acking each, then drop the transport mid-transfer.
         let mut dst = Monitor::new();
-        let mut log = SharedPutLog::new(0);
+        let mut log = SharedPutLog::new();
         let mut puts = 0usize;
         while puts < PUTS_BEFORE_CRASH {
             let msg = match dst_mb.recv_timeout(Duration::from_millis(200)) {
@@ -282,7 +282,7 @@ fn span_ids_propagate_across_the_wire() {
                     );
                 }
             }
-            let mut log = SharedPutLog::new(0);
+            let mut log = SharedPutLog::new();
             serve_middlebox_recorded(&mut monitor, &mut log, &transport, &stop, &rec, name)
                 .unwrap();
         }));

@@ -65,7 +65,6 @@ pub struct SharedPutLog {
     /// `(put sub-op id, shared state image taken just before it was
     /// applied)`, oldest first; rotated once over capacity.
     log: std::collections::VecDeque<(OpId, SharedSnapshot)>,
-    cap: usize,
     /// Destination-side cache of chunk bodies keyed by content hash.
     /// In-memory by default; embeddings pass a
     /// [`openmb_store::FileContentStore`] to survive restarts.
@@ -74,30 +73,29 @@ pub struct SharedPutLog {
 
 impl Default for SharedPutLog {
     fn default() -> Self {
-        Self::new(0)
+        Self::new()
     }
 }
 
 impl SharedPutLog {
-    /// Default snapshot-log capacity. A transfer issues at most two
-    /// shared puts, so 32 keeps several aborted ops' worth of undo
-    /// images while bounding memory.
-    pub const DEFAULT_CAP: usize = 32;
+    /// Snapshot-log capacity. A transfer issues at most two shared
+    /// puts, so 32 keeps several aborted ops' worth of undo images
+    /// while bounding memory.
+    pub const CAP: usize = 32;
 
-    /// A log holding at most `cap` snapshots (0 means [`Self::DEFAULT_CAP`])
-    /// with a fresh in-memory content store.
-    pub fn new(cap: usize) -> Self {
-        Self::with_store(cap, std::sync::Arc::new(openmb_store::MemoryContentStore::new()))
+    /// A log holding at most [`Self::CAP`] snapshots, with a fresh
+    /// in-memory content store.
+    pub fn new() -> Self {
+        Self::with_store(std::sync::Arc::new(openmb_store::MemoryContentStore::new()))
     }
 
     /// Like [`Self::new`], but with a caller-provided content store —
     /// e.g. a file-backed one whose entries survive MB restarts, or a
     /// pre-warmed store shared with an earlier incarnation.
-    pub fn with_store(cap: usize, store: std::sync::Arc<dyn openmb_store::ContentStore>) -> Self {
+    pub fn with_store(store: std::sync::Arc<dyn openmb_store::ContentStore>) -> Self {
         SharedPutLog {
             seen: std::collections::HashSet::new(),
             log: std::collections::VecDeque::new(),
-            cap: if cap == 0 { Self::DEFAULT_CAP } else { cap },
             store,
         }
     }
@@ -119,7 +117,7 @@ impl SharedPutLog {
     pub fn record(&mut self, op: OpId, snap: SharedSnapshot) {
         self.seen.insert(op);
         self.log.push_back((op, snap));
-        while self.log.len() > self.cap {
+        while self.log.len() > Self::CAP {
             self.log.pop_front();
         }
     }

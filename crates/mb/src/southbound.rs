@@ -8,6 +8,15 @@
 //! so embeddings depend on the *behaviour* without pulling in the
 //! controller crate.
 //!
+//! `MbNode` schedules three kinds of request itself, because their
+//! timing is the simulator's cost model rather than protocol
+//! behaviour: per-flow gets stream out in service-time batches that
+//! interleave with packets, shared gets are delivered by a timer after
+//! the background serialization delay, and `ReprocessPacket` is queued
+//! as replay work behind the packets already waiting. Every other
+//! request — and every request under the other embeddings — takes the
+//! arms below.
+//!
 //! [`handle_southbound_recorded`] additionally records a
 //! [`SpanEvent::Handled`] into a flight recorder per request, keyed by
 //! the wire message's sub-op id — the controller records the same id as
@@ -28,7 +37,7 @@ use crate::{Middlebox, SharedPutLog};
 /// can ignore the log; resumable embeddings use
 /// [`handle_southbound_logged`].
 pub fn handle_southbound<M: Middlebox>(mb: &mut M, msg: Message, now: SimTime) -> Vec<Message> {
-    let mut log = SharedPutLog::new(0);
+    let mut log = SharedPutLog::new();
     handle_southbound_logged(mb, &mut log, msg, now)
 }
 

@@ -643,53 +643,6 @@ impl Middlebox for ReEncoder {
         fx.forward(out);
     }
 
-    /// Batch specialization: the `CacheFlows` prefix list is parsed once
-    /// per batch instead of once per packet, and the replay branch is
-    /// taken once. The per-packet encode → append interleave is kept:
-    /// the decoder appends each reconstruction before seeing the next
-    /// shim, so deferring appends to a per-batch flush would let later
-    /// packets in a batch match cache content the decoder does not hold
-    /// yet (see DESIGN.md §17).
-    fn process_batch(&mut self, _now: SimTime, pkts: &[Packet], fx: &mut Effects) {
-        if pkts.len() < 2 {
-            if let Some(pkt) = pkts.first() {
-                self.process_packet(_now, pkt, fx);
-            }
-            return;
-        }
-        let flows = self.cache_flows();
-        let live = !fx.is_replay();
-        for pkt in pkts {
-            if pkt.payload.len() < MIN_ENCODE {
-                if live {
-                    fx.forward_live(pkt.clone());
-                } else {
-                    fx.suppress(1);
-                }
-                continue;
-            }
-            let mut idx = 0;
-            for (i, p) in flows.iter().enumerate() {
-                if p.contains(pkt.key.dst_ip) && i < self.caches.len() {
-                    idx = i;
-                    break;
-                }
-            }
-            let (encoded, saved) = self.caches[idx].encode(&pkt.payload);
-            self.caches[idx].append_and_index(&pkt.payload);
-            self.bytes_saved += saved as u64;
-            self.packets_encoded += 1;
-            self.sync.on_shared_update(pkt, fx);
-            let mut out = pkt.clone();
-            out.payload = Bytes::from(encoded);
-            if live {
-                fx.forward_live(out);
-            } else {
-                fx.suppress(1);
-            }
-        }
-    }
-
     fn end_sync(&mut self, op: OpId) {
         self.sync.end_sync(op);
     }

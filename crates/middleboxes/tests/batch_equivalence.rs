@@ -8,8 +8,8 @@
 //! and diff everything observable after every chunk: forwarded packets,
 //! log lines, raised events, the replay-suppression counter, per-flow
 //! entry counts, stats, and the sealed state exports. Both the default
-//! trait implementation (DummyMb, LoadBalancer, Proxy, ReDecoder) and
-//! the specialized overrides (Firewall, Monitor, Nat, Ips, ReEncoder)
+//! trait implementation (DummyMb, Ips, LoadBalancer, Proxy, ReDecoder,
+//! ReEncoder) and the specialized overrides (Firewall, Monitor, Nat)
 //! are covered, in live and replay mode, with and without moved marks
 //! (the sync-window raise path and the quiet fast-skip path).
 
