@@ -1222,19 +1222,10 @@ impl ControllerShard {
                     if let Some(k) = key {
                         st.pending_keys.remove(&k);
                         st.acked_keys.push(k);
-                        // Release any buffered events this put unblocks.
+                        // Release any buffered events this put unblocks,
+                        // in arrival order; the rest stay where they are.
                         let dst = st.dst;
-                        let mut released = Vec::new();
-                        let mut kept = Vec::new();
-                        for ev in st.buffered.drain(..) {
-                            if k.matches_bidi(&ev.key) {
-                                released.push(ev);
-                            } else {
-                                kept.push(ev);
-                            }
-                        }
-                        st.buffered = kept;
-                        for ev in released {
+                        for ev in st.buffered.extract_if(.., |ev| k.matches_bidi(&ev.key)) {
                             st.events_forwarded += 1;
                             out.push(Action::ToMb(
                                 dst,

@@ -236,7 +236,8 @@ pub fn handle_southbound_logged<M: Middlebox>(
             // A streamed body answering a ChunkNeed. Verify the hash
             // before caching or applying: a mismatch means corruption
             // (or a confused source) and must surface as an error, not
-            // poison the store.
+            // poison the store. The body is walked once: it is cached
+            // under the hash just verified, not re-hashed by `put`.
             if openmb_store::content_hash(data.as_wire()) != hash {
                 out.push(Message::ErrorMsg {
                     op,
@@ -245,7 +246,7 @@ pub fn handle_southbound_logged<M: Middlebox>(
                     ),
                 });
             } else {
-                log.store().put(data.as_wire());
+                log.store().insert_unchecked(hash, data.as_wire().to_vec());
                 let chunk = openmb_types::StateChunk::new(key, data);
                 out.extend(apply_classed_put(mb, op, class, chunk));
             }

@@ -12,6 +12,12 @@
 //! and the per-batch expire sweep collects nothing when nothing
 //! expires.)
 //!
+//! The same counter audits the control path's import side: opening a
+//! sealed 1 520-byte chunk (the size `move_live_1400B` moves) allocates
+//! exactly once — the plaintext it returns — and an
+//! `Ips::put_support_perflow` of that chunk allocates no second buffer
+//! of the body's size.
+//!
 //! One `#[test]` only: the counter is process-global, and a single test
 //! keeps other harness threads from muddying the deltas.
 
@@ -20,24 +26,40 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use openmb_mb::{Effects, Middlebox};
+use openmb_middleboxes::ips::{ConnRecord, ConnState, HttpAnalyzer};
 use openmb_middleboxes::{Firewall, Ips, Nat};
 use openmb_simnet::SimTime;
-use openmb_types::{FlowKey, Packet};
+use openmb_types::crypto::VendorKey;
+use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, Packet, StateChunk};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Allocations of at least [`BODY`] bytes: buffers that can hold a
+/// whole chunk body.
+static BODY_SIZED: AtomicU64 = AtomicU64::new(0);
+
+/// Plaintext bytes in a 1 520-byte sealed chunk (nonce and checksum
+/// take 16).
+const BODY: usize = 1504;
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if size >= BODY {
+        BODY_SIZED.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,10 +67,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+fn counted_during(counter: &AtomicU64, f: impl FnOnce()) -> u64 {
+    let before = counter.load(Ordering::Relaxed);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    counter.load(Ordering::Relaxed) - before
+}
+
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    counted_during(&ALLOCS, f)
 }
 
 fn train(key: FlowKey, n: usize) -> Vec<Packet> {
@@ -124,4 +150,56 @@ fn steady_state_batch_path_allocates_nothing_per_packet() {
         "ips data-packet path allocates per packet ({ips_32} at 32 vs {ips_256} at 256)"
     );
     assert_eq!(ips_32, 0, "ips data-packet path should be allocation-free");
+
+    chunk_import_copies_the_body_once();
+}
+
+/// The control path's import side, on a record shaped like the ones
+/// `move_live_1400B` moves: many short request lines, no single field
+/// anywhere near the body's size, 1 504 bytes serialized.
+fn chunk_import_copies_the_body_once() {
+    let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 4), 6004, Ipv4Addr::new(93, 184, 216, 4), 80);
+    let mut rec = ConnRecord {
+        key,
+        start_ns: 1,
+        last_ns: 2,
+        state: ConnState::S1,
+        history: String::new(),
+        orig_pkts: 40,
+        resp_pkts: 0,
+        orig_bytes: 56_000,
+        resp_bytes: 0,
+        http: Some(HttpAnalyzer::default()),
+        sig_tail: vec![b'e'; 15],
+        fired: Default::default(),
+    };
+    // As many request lines as fit, then a few history letters to land
+    // on the exact size.
+    let request = "GET /a/rather/long/path/to/some/object/0123456789abcdef".to_string();
+    let mut requests = 0;
+    while rec.serialize().len() <= BODY {
+        requests += 1;
+        rec.http.as_mut().unwrap().requests.resize(requests, request.clone());
+    }
+    rec.http.as_mut().unwrap().requests.pop();
+    rec.history = "d".repeat(BODY - rec.serialize().len());
+    let plain = rec.serialize();
+    assert_eq!(plain.len(), BODY);
+
+    let vendor = VendorKey::derive("bro");
+    let sealed = EncryptedChunk::seal(&vendor, 7, &plain);
+    assert_eq!(sealed.len(), 1520);
+
+    let mut opened = None;
+    let open_allocs = allocs_during(|| opened = Some(sealed.open(&vendor)));
+    assert_eq!(opened.unwrap().unwrap(), plain);
+    assert_eq!(open_allocs, 1, "open allocates the plaintext it returns and nothing else");
+
+    let mut ips = Ips::new();
+    let chunk = StateChunk::new(HeaderFieldList::exact(key), sealed);
+    let mut put = None;
+    let body_sized = counted_during(&BODY_SIZED, || put = Some(ips.put_support_perflow(chunk)));
+    put.unwrap().unwrap();
+    assert_eq!(ips.conns_sorted(), vec![rec]);
+    assert_eq!(body_sized, 1, "put_support_perflow holds the body in one buffer: open's plaintext");
 }

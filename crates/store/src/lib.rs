@@ -29,43 +29,76 @@ pub const HASH_LEN: usize = 32;
 /// A content hash: the address of a chunk body in a [`ContentStore`].
 pub type ContentHash = [u8; HASH_LEN];
 
-/// Digest chunk bytes into a 32-byte content address.
+/// The one integrity kernel behind [`content_hash`] and the sealed-chunk
+/// checksum of `openmb-types::crypto`: four finalized 64-bit words
+/// digesting `data`.
 ///
-/// **This is NOT a cryptographic hash.** It is four FNV-1a lanes with
-/// distinct offset bases, finalized through splitmix64 with the input
-/// length mixed in — standing in for BLAKE3 (unavailable here; no
-/// external dependencies). The design point being reproduced is
-/// *architectural*: identical bodies collapse to one wire transfer and
-/// the destination re-verifies the digest before trusting a cached
-/// entry. Collision resistance against an adversary is out of scope,
-/// as with the stand-in cipher in `openmb-types::crypto`.
-pub fn content_hash(data: &[u8]) -> ContentHash {
-    // Distinct offset bases decorrelate the four lanes; all walk the
-    // full input with the standard FNV-1a prime.
+/// **This is NOT a cryptographic hash.** The input is walked a word at
+/// a time: each 32-byte block feeds four independent 64-bit lanes (word
+/// `j` of a block goes to lane `j`, loaded little-endian so the value is
+/// the same on every platform), and a trailing partial block is padded
+/// with zeros. A lane step — xor the word in, rotate, multiply by an odd
+/// constant — is a bijection of the lane for a fixed word and of the
+/// word for a fixed lane, so changing any single word always changes
+/// its lane. The rotate is there because a multiply only ever carries
+/// a bit's influence upward: without it a flipped top bit of a word
+/// would flip the lane's top bit and nothing else, and the same flip
+/// one block later would cancel it. Each lane is then finalized through
+/// splitmix64 with the input length and the lane index mixed in, so an
+/// input and the same input plus trailing zero bytes never digest
+/// alike.
+///
+/// The values are a persistent format: [`FileContentStore`] names its
+/// files by them. Known-answer tests pin them.
+pub fn mix_words(data: &[u8]) -> [u64; 4] {
     const BASES: [u64; 4] = [
         0xcbf2_9ce4_8422_2325,
         0x8422_2325_cbf2_9ce4,
         0x6c62_272e_07bb_0142,
         0x07bb_0142_6c62_272e,
     ];
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut lanes = BASES;
-    for (i, &b) in data.iter().enumerate() {
-        let lane = &mut lanes[i & 3];
-        *lane ^= u64::from(b);
-        *lane = lane.wrapping_mul(PRIME);
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    fn absorb(lanes: &mut [u64; 4], block: &[u8; 32]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            *lane = (*lane ^ w).rotate_left(29).wrapping_mul(MUL);
+        }
     }
-    let mut out = [0u8; HASH_LEN];
-    for (i, chunk) in out.chunks_mut(8).enumerate() {
-        // splitmix64 finalization, mixing the length so prefixes of a
-        // buffer never share its hash.
-        let mut z = lanes[i]
+    let mut lanes = BASES;
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        absorb(&mut lanes, block.try_into().expect("32-byte block"));
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut block = [0u8; 32];
+        block[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &block);
+    }
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let mut z = lane
             .wrapping_add((data.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_add((i as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9));
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        chunk.copy_from_slice(&z.to_le_bytes());
+        *lane = z ^ (z >> 31);
+    }
+    lanes
+}
+
+/// Digest chunk bytes into a 32-byte content address: the four words of
+/// [`mix_words`], little-endian.
+///
+/// **This is NOT a cryptographic hash** — it stands in for BLAKE3
+/// (unavailable here; no external dependencies). The design point being
+/// reproduced is *architectural*: identical bodies collapse to one wire
+/// transfer and the destination re-verifies the digest before trusting
+/// a cached entry. Collision resistance against an adversary is out of
+/// scope, as with the stand-in cipher in `openmb-types::crypto`.
+pub fn content_hash(data: &[u8]) -> ContentHash {
+    let mut out = [0u8; HASH_LEN];
+    for (chunk, word) in out.chunks_exact_mut(8).zip(mix_words(data)) {
+        chunk.copy_from_slice(&word.to_le_bytes());
     }
     out
 }
@@ -89,7 +122,11 @@ pub trait ContentStore: Send + Sync + Debug {
     fn get(&self, hash: &ContentHash) -> Option<Vec<u8>>;
 
     /// Store `data` under its own content hash; returns that hash.
-    fn put(&self, data: &[u8]) -> ContentHash;
+    fn put(&self, data: &[u8]) -> ContentHash {
+        let hash = content_hash(data);
+        self.insert_unchecked(hash, data.to_vec());
+        hash
+    }
 
     /// True when a body is stored under `hash`.
     fn contains(&self, hash: &ContentHash) -> bool;
@@ -97,11 +134,15 @@ pub trait ContentStore: Send + Sync + Debug {
     /// Remove the entry under `hash`; returns true when one existed.
     fn evict(&self, hash: &ContentHash) -> bool;
 
-    /// Store `data` under an arbitrary `hash` WITHOUT verifying that the
-    /// hash matches. Exists for fault injection (cache-poisoning tests);
-    /// readers must re-verify with [`content_hash`] before trusting an
-    /// entry, which is what makes poisoning degrade to a cache miss
-    /// rather than corrupt state.
+    /// Store `data` under `hash` WITHOUT deriving or checking the hash
+    /// here. Two callers: one that has just verified
+    /// `content_hash(&data) == hash` itself and should not pay for a
+    /// second walk of the body (the destination's `ChunkBody` arm), and
+    /// fault injection filing a body under a hash it does not have
+    /// (cache-poisoning tests). Readers must re-verify with
+    /// [`content_hash`] before trusting an entry either way, which is
+    /// what makes poisoning degrade to a cache miss rather than corrupt
+    /// state.
     fn insert_unchecked(&self, hash: ContentHash, data: Vec<u8>);
 
     /// Number of entries currently stored.
@@ -129,12 +170,6 @@ impl MemoryContentStore {
 impl ContentStore for MemoryContentStore {
     fn get(&self, hash: &ContentHash) -> Option<Vec<u8>> {
         self.entries.read().unwrap().get(hash).cloned()
-    }
-
-    fn put(&self, data: &[u8]) -> ContentHash {
-        let hash = content_hash(data);
-        self.entries.write().unwrap().insert(hash, data.to_vec());
-        hash
     }
 
     fn contains(&self, hash: &ContentHash) -> bool {
@@ -181,12 +216,6 @@ impl ContentStore for FileContentStore {
         fs::read(self.path_for(hash)).ok()
     }
 
-    fn put(&self, data: &[u8]) -> ContentHash {
-        let hash = content_hash(data);
-        self.insert_unchecked(hash, data.to_vec());
-        hash
-    }
-
     fn contains(&self, hash: &ContentHash) -> bool {
         self.path_for(hash).exists()
     }
@@ -222,6 +251,96 @@ mod tests {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("openmb-store-{tag}-{}-{n}", std::process::id()))
+    }
+
+    /// The test body: byte `i` is `131 i + 89 (mod 256)`.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 89) as u8).collect()
+    }
+
+    /// Known answers for [`mix_words`] over `pattern(len)`, computed by
+    /// an independent implementation of the doc comment. The digest is
+    /// a persistent format (`FileContentStore` file names, sealed-chunk
+    /// checksums), so an edit to the kernel that moves any of these is
+    /// a format change, not a refactor.
+    #[rustfmt::skip]
+    const KNOWN_ANSWERS: [(usize, [u64; 4]); 8] = [
+        (0, [0x02c6_ee23_576d_f8ff, 0x26ab_8d77_fdd9_aca9, 0xc29a_09fd_bfb7_074e, 0x2879_d2cb_21ce_4d09]),
+        (1, [0xcb60_c3ec_12d6_640b, 0x5af2_9b4f_5c88_3a73, 0x8558_4ed5_d2b6_4621, 0xdf85_3c17_b0bb_50c6]),
+        (7, [0x1957_7e83_74fd_9a48, 0xed4e_d7da_222d_06d8, 0xd554_a48c_1333_834e, 0xcf5d_48d3_ac81_6ae9]),
+        (8, [0xc324_ff16_5896_3741, 0x22a8_2ddb_5399_4f22, 0x6515_6504_b279_7468, 0x8fa1_acc0_ab56_e1e8]),
+        (31, [0x7fb6_d06f_aaaf_4097, 0xb558_d1aa_43d5_79b6, 0xda76_2754_e28b_29e3, 0x4192_2319_c807_bbe0]),
+        (32, [0x144c_0026_7022_627f, 0x6da7_b08e_1132_57d2, 0xda2f_11fe_db41_11b5, 0x94c8_61bd_bc0c_d0c3]),
+        (33, [0xc980_f3c5_e50a_1afe, 0xfd00_20af_578f_d00f, 0xbbe2_3e8b_b13b_c9c6, 0xd8de_86f9_ca1a_b436]),
+        (1520, [0x53d9_8b5b_ab53_ce1d, 0xc0f7_3bbd_5ca2_24e9, 0xe9fe_a671_c446_a9c7, 0x823a_db89_c9f8_ee76]),
+    ];
+
+    #[test]
+    fn mix_words_known_answers() {
+        for (len, want) in KNOWN_ANSWERS {
+            assert_eq!(mix_words(&pattern(len)), want, "length {len}");
+        }
+        let bytes: Vec<u8> = KNOWN_ANSWERS[7].1.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(content_hash(&pattern(1520))[..], bytes, "the words, little-endian");
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_hash() {
+        let mut body = pattern(1520);
+        let clean = content_hash(&body);
+        for bit in 0..body.len() * 8 {
+            body[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(content_hash(&body), clean, "bit {bit}");
+            body[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn a_trailing_zero_byte_changes_the_hash() {
+        // The tail is zero-padded, so within a block only the length in
+        // the finalizer tells `x` from `x ‖ 0x00`.
+        for len in 0..=64 {
+            for mut x in [pattern(len), vec![0u8; len]] {
+                let short = content_hash(&x);
+                x.push(0);
+                assert_ne!(content_hash(&x), short, "length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_and_block_order_change_the_hash() {
+        let body = pattern(1520);
+        let clean = content_hash(&body);
+        // Words 1 and 2 of block 3 go to different lanes.
+        let mut swapped = body.clone();
+        let (a, b) = (3 * 32 + 8, 3 * 32 + 16);
+        for i in 0..8 {
+            swapped.swap(a + i, b + i);
+        }
+        assert_ne!(content_hash(&swapped), clean, "two words of one block swapped");
+        // Blocks 3 and 4 feed the same lanes in the other order.
+        let mut swapped = body.clone();
+        for i in 0..32 {
+            swapped.swap(3 * 32 + i, 4 * 32 + i);
+        }
+        assert_ne!(content_hash(&swapped), clean, "two blocks swapped");
+    }
+
+    #[test]
+    fn top_bit_flips_one_block_apart_do_not_cancel() {
+        // What the rotate in the lane step is for: under a bare
+        // xor-multiply these two flips leave every lane unchanged.
+        let mut body = pattern(1520);
+        let clean = content_hash(&body);
+        for word in 0..4 {
+            let (first, second) = (3 * 32 + word * 8 + 7, 4 * 32 + word * 8 + 7);
+            body[first] ^= 0x80;
+            body[second] ^= 0x80;
+            assert_ne!(content_hash(&body), clean, "lane {word}");
+            body[first] ^= 0x80;
+            body[second] ^= 0x80;
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! encryption. The design point being reproduced is *architectural*:
 //! exported state is opaque to the controller and control applications,
 //! and only a middlebox holding the same vendor key can interpret it.
-//! The cipher also carries a checksum so corrupted or wrong-key chunks
+//! The cipher also carries a checksum (the word-at-a-time kernel of
+//! `openmb-store`, folded to 64 bits) so corrupted or wrong-key chunks
 //! are detected on import (surfacing as `Error::MalformedChunk`).
 
 /// A symmetric "vendor key" shared by all instances of one middlebox type.
@@ -21,11 +22,7 @@ impl VendorKey {
     /// opaque to everything else.
     pub fn derive(mb_type: &str) -> Self {
         let mut k = [0u8; 32];
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in mb_type.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = checksum(mb_type.as_bytes());
         for (i, chunk) in k.chunks_mut(8).enumerate() {
             let mut x = h.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             x = splitmix64(&mut x);
@@ -90,14 +87,13 @@ impl Keystream {
     }
 }
 
-/// Plain FNV-1a checksum used to detect wrong-key decryption.
+/// Checksum used to detect wrong-key decryption and corruption: the
+/// four words of [`openmb_store::mix_words`] folded to 64 bits. NOT
+/// cryptographic — a stand-in for an authentication tag. Each word is
+/// a bijection of its own lane, so the xor changes whenever exactly one
+/// word of the body does (any single flipped bit).
 fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    openmb_store::mix_words(data).into_iter().fold(0, |acc, w| acc ^ w)
 }
 
 /// Encrypt plaintext under `key` with a caller-chosen nonce, producing a
@@ -124,11 +120,14 @@ pub fn open(key: &VendorKey, ciphertext: &[u8]) -> Option<Vec<u8>> {
         return None;
     }
     let nonce = u64::from_le_bytes(ciphertext[0..8].try_into().unwrap());
-    let mut sealed = ciphertext[8..].to_vec();
-    Keystream::new(key, nonce).xor_in_place(&mut sealed);
-    let want = u64::from_le_bytes(sealed[0..8].try_into().unwrap());
-    let body = sealed[8..].to_vec();
-    if checksum(&body) != want {
+    // The checksum is one keystream word (the first), so it is
+    // decrypted on its own and the body in the buffer that is returned.
+    let mut ks = Keystream::new(key, nonce);
+    let mut want: [u8; 8] = ciphertext[8..16].try_into().unwrap();
+    ks.xor_in_place(&mut want);
+    let mut body = ciphertext[16..].to_vec();
+    ks.xor_in_place(&mut body);
+    if checksum(&body) != u64::from_le_bytes(want) {
         return None;
     }
     Some(body)
@@ -181,6 +180,20 @@ mod tests {
         let key = VendorKey::derive("x");
         let ct = seal(&key, 0, b"");
         assert_eq!(open(&key, &ct).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn sealed_bytes_known_answer() {
+        // Pins key derivation, keystream and the checksum fold together:
+        // sealed chunks persist in a `FileContentStore`, so a change
+        // here strands every chunk an earlier build sealed.
+        let ct = seal(&VendorKey::derive("bro"), 7, b"per-flow supporting state");
+        let want: [u8; 41] = [
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0f, 0xe6, 0x2f, 0x50, 0x92, 0x36,
+            0x34, 0xba, 0x2c, 0x81, 0x99, 0x9d, 0x05, 0x5e, 0x91, 0xe3, 0x00, 0x9e, 0x98, 0xf0,
+            0x05, 0x06, 0x81, 0x79, 0x87, 0x4f, 0x3c, 0xcd, 0xb5, 0x46, 0xeb, 0x6a, 0x6f,
+        ];
+        assert_eq!(ct, want);
     }
 
     #[test]

@@ -1481,13 +1481,24 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &Message) -> Result<()> {
 }
 
 /// Read a length-prefixed frame from an `io::Read`. Returns `Ok(None)` at
-/// a clean EOF (no partial frame).
+/// a clean EOF (no partial frame): the stream ended before the first
+/// byte of a length prefix. A stream cut anywhere later — inside the
+/// prefix or the body — is an [`Error::Transport`].
 pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Option<Message>> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
+    let mut got = 0;
+    while got < len_buf.len() {
+        match r.read(&mut len_buf[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(Error::Transport(format!(
+                    "stream ended {got} bytes into a frame's length prefix"
+                )))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_MESSAGE {
@@ -1762,6 +1773,26 @@ mod tests {
             out.push(m);
         }
         assert_eq!(msgs, out);
+    }
+
+    #[test]
+    fn read_frame_reports_a_partial_length_prefix() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Message::OpAck { op: OpId(1) }).unwrap();
+        // Each stream carries one whole frame, then `extra` bytes of a
+        // second frame's prefix, then EOF.
+        for extra in [0usize, 1, 3] {
+            let mut stream = frame.clone();
+            stream.extend_from_slice(&frame[..extra]);
+            let mut cursor = std::io::Cursor::new(stream);
+            assert!(matches!(read_frame(&mut cursor), Ok(Some(Message::OpAck { .. }))));
+            let end = read_frame(&mut cursor);
+            if extra == 0 {
+                assert_eq!(end, Ok(None), "zero bytes then EOF is a clean close");
+            } else {
+                assert!(matches!(end, Err(Error::Transport(_))), "{extra} prefix bytes: {end:?}");
+            }
+        }
     }
 
     /// Generator for `encoded_len_matches_encode_for_every_variant`:

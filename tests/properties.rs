@@ -94,6 +94,30 @@ proptest! {
         prop_assert!(crypto::open(&k2, &ct).is_none());
     }
 
+    /// The integrity kernel behind both checks: one flipped bit
+    /// anywhere changes a body's content hash and makes the sealed
+    /// chunk fail to open, and a trailing zero byte changes the hash.
+    #[test]
+    fn integrity_checks_catch_a_flipped_bit_and_a_trailing_zero(
+        data in proptest::collection::vec(any::<u8>(), 1..2048),
+        nonce in any::<u64>(),
+        pick in any::<u64>(),
+    ) {
+        let key = VendorKey::derive("alpha");
+        let clean = openmb_store::content_hash(&data);
+        let mut sealed = crypto::seal(&key, nonce, &data);
+        let mut data = data;
+        let bit = (pick % (data.len() as u64 * 8)) as usize;
+        data[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_ne!(openmb_store::content_hash(&data), clean);
+        data[bit / 8] ^= 1 << (bit % 8);
+        data.push(0);
+        prop_assert_ne!(openmb_store::content_hash(&data), clean);
+        let bit = (pick % (sealed.len() as u64 * 8)) as usize;
+        sealed[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(crypto::open(&key, &sealed).is_none());
+    }
+
     /// Granularity is a partial order: coarser-than is transitive through
     /// `covers`, and `matches` respects it.
     #[test]
@@ -408,5 +432,81 @@ mod controller_robustness {
         let mut out = Vec::new();
         core.handle_mb_message(MbId(99), Message::OpAck { op: OpId(12345) }, SimTime(0), &mut out);
         assert!(out.is_empty());
+    }
+}
+
+/// The chunk integrity path end to end: `seal`/`open`'s checksum and
+/// the destination's content-hash re-verification.
+mod chunk_integrity {
+    use std::sync::Arc;
+
+    use openmb::mb::{handle_southbound_logged, Middlebox, SharedPutLog};
+    use openmb::middleboxes::DummyMb;
+    use openmb::simnet::SimTime;
+    use openmb::types::crypto::{self, VendorKey};
+    use openmb::types::wire::{ChunkClass, Message};
+    use openmb::types::{HeaderFieldList, OpId};
+    use openmb_store::{content_hash, ContentStore, FileContentStore};
+
+    /// Exhaustive over a sealed chunk of the size `move_live_1400B`
+    /// moves: a flip in the nonce garbles the whole keystream, one in
+    /// the checksum or the body is caught by the kernel's guarantee that
+    /// a single changed word changes the digest. A truncated chunk is
+    /// rejected too.
+    #[test]
+    fn every_single_bit_flip_of_a_sealed_chunk_fails_to_open() {
+        let key = VendorKey::derive("bro");
+        let plain: Vec<u8> = (0..1504usize).map(|i| (i * 131 + 89) as u8).collect();
+        let mut sealed = crypto::seal(&key, 7, &plain);
+        assert_eq!(sealed.len(), 1520);
+        assert_eq!(crypto::open(&key, &sealed).as_deref(), Some(&plain[..]));
+        for bit in 0..sealed.len() * 8 {
+            sealed[bit / 8] ^= 1 << (bit % 8);
+            assert!(crypto::open(&key, &sealed).is_none(), "bit {bit}");
+            sealed[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(crypto::open(&key, &sealed[..sealed.len() - 1]).is_none());
+    }
+
+    /// A `FileContentStore` outlives the build that wrote it. An entry
+    /// filed under a hash the current kernel does not derive from its
+    /// bytes — what a build with a different `content_hash` left on
+    /// disk — must read as a miss: the reference is answered with
+    /// `ChunkNeed`, the re-streamed body is verified, applied and filed
+    /// under the current hash, and no state is ever imported on the
+    /// stale name's say-so.
+    #[test]
+    fn file_store_entry_under_a_stale_hash_degrades_to_need_and_restream() {
+        let dir = std::env::temp_dir()
+            .join(format!("openmb-properties-stale-hash-{}", std::process::id()));
+        let store: Arc<dyn ContentStore> = Arc::new(FileContentStore::open(&dir).unwrap());
+        let chunk = DummyMb::preloaded(1)
+            .get_report_perflow(OpId(1), &HeaderFieldList::any())
+            .unwrap()
+            .remove(0);
+        let current = content_hash(chunk.data.as_wire());
+        let stale = [0x5a; 32];
+        store.insert_unchecked(stale, chunk.data.as_wire().to_vec());
+
+        let mut dst = DummyMb::new();
+        let mut log = SharedPutLog::with_store(Arc::clone(&store));
+        let now = SimTime(0);
+        let (class, key) = (ChunkClass::Report, chunk.key);
+        let mut send = |dst: &mut DummyMb, msg| handle_southbound_logged(dst, &mut log, msg, now);
+
+        // An old controller still refers to the body by the stale name:
+        // the entry is there, fails re-verification, and is not applied.
+        let reply = send(&mut dst, Message::ChunkRef { op: OpId(2), class, key, hash: stale });
+        assert_eq!(reply, vec![Message::ChunkNeed { op: OpId(2), hash: stale }]);
+        // This build's controller refers to it by the current hash: a
+        // plain miss, then the streamed body.
+        let reply = send(&mut dst, Message::ChunkRef { op: OpId(3), class, key, hash: current });
+        assert_eq!(reply, vec![Message::ChunkNeed { op: OpId(3), hash: current }]);
+        assert_eq!(dst.perflow_entries(), 0, "nothing imported before a verified body arrives");
+        let body = Message::ChunkBody { op: OpId(3), class, key, hash: current, data: chunk.data };
+        assert_eq!(send(&mut dst, body), vec![Message::PutAck { op: OpId(3), key: Some(key) }]);
+        assert_eq!(dst.perflow_entries(), 1);
+        assert_eq!(store.get(&current).map(|b| content_hash(&b)), Some(current));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
