@@ -40,8 +40,8 @@
 //!   Reverse moves are full moves — DeleteState rollback, acked-delete
 //!   ledger, resume — so when the rollback finishes, every hop's
 //!   middleboxes hold state byte-identical to the pre-move image (the
-//!   invariant the `conformance_chain` suite replays under fault
-//!   schedules).
+//!   invariant the harness's `conformance_chain` suite replays under
+//!   fault schedules and at every controller crash point).
 //!   A reverse move can itself fail (its target may be the endpoint
 //!   that just crashed); it is retried, paced by the maintenance tick
 //!   and reachability events, up to

@@ -1,0 +1,316 @@
+use openmb_apps::scenarios::layout::{MB_A, MB_B, MB_B_ID};
+use openmb_middleboxes::Monitor;
+
+use super::single::{build, WINDOW_END_MS};
+use super::*;
+use crate::conformance_chain::{check_chain_seed, generate_chain};
+use crate::conformance_concurrent::{check_concurrent_seed, generate_concurrent};
+
+/// Everything a generator drew, rendered: the replay hook prints it and
+/// the digest test folds it.
+fn describe<S: std::fmt::Debug>(s: &Schedule<S>) -> String {
+    format!("{:?}", (s.seed, &s.shape, s.mb, s.harsh, &s.plan, &s.mb_crashes))
+}
+
+/// Seed 0's schedule recast as a Monitor move, for the crafted-plan
+/// tests to overwrite the faults of.
+fn monitor_move() -> Schedule<ConfOp> {
+    let mut s = generate(0);
+    s.shape = ConfOp::Move;
+    s.mb = ConfMb::Monitor;
+    s
+}
+
+/// Fast tier-1 sweep over the first block of seeds.
+#[test]
+fn random_schedules_fast_range() {
+    for seed in 0..32 {
+        check_seed(seed);
+    }
+}
+
+/// Every (mb type, op kind) pair is exercised at least once: the
+/// generator is seed-driven, so scan seeds until the matrix fills.
+#[test]
+fn every_mb_and_op_pair_is_covered() {
+    let mut uncovered: Vec<(ConfMb, ConfOp)> =
+        ALL_MBS.iter().flat_map(|&m| ALL_OPS.iter().map(move |&o| (m, o))).collect();
+    let mut seed = 1000;
+    while !uncovered.is_empty() {
+        let s = generate(seed);
+        if let Some(pos) = uncovered.iter().position(|&(m, o)| m == s.mb && o == s.shape) {
+            uncovered.swap_remove(pos);
+            check_seed(seed);
+        }
+        seed += 1;
+        assert!(seed < 3000, "generator failed to cover: {uncovered:?}");
+    }
+}
+
+/// Every seed of every suite's fast range still expands to the schedule
+/// it always did. A generator edit that reorders, adds or drops one
+/// `rng` draw re-rolls every seed after it silently — the sweeps would
+/// still pass, on different schedules — so the expansions are pinned
+/// here and such an edit must change these constants on purpose.
+#[test]
+fn generator_digests_are_pinned() {
+    fn digest<S: std::fmt::Debug>(generate: fn(u64) -> Schedule<S>, seeds: u64) -> u64 {
+        let text: String = (0..seeds).map(|seed| describe(&generate(seed)) + "\n").collect();
+        openmb_store::mix_words(text.as_bytes()).iter().fold(0, |a, w| a ^ w)
+    }
+    assert_eq!(digest(generate, 32), 0x3a0a_00a6_9c39_eb12, "single-op generator drifted");
+    assert_eq!(digest(generate_concurrent, 16), 0x3f67_19dd_88e9_b40c, "concurrent drifted");
+    assert_eq!(digest(generate_chain, 16), 0xa4b0_dbc7_8fad_eeef, "chain generator drifted");
+}
+
+/// Same seed, byte-identical fault log and outcome — the replay
+/// contract.
+#[test]
+fn fault_logs_replay_byte_identically() {
+    for seed in [3, 7] {
+        let s = generate(seed);
+        let a = run_schedule(&s, true, true);
+        let b = run_schedule(&s, true, true);
+        assert_eq!(a.fault_log, b.fault_log, "seed {seed} replay diverged");
+        assert_eq!(a, b, "seed {seed} full outcome diverged");
+    }
+}
+
+/// Satellite regression: duplicating every control frame (including
+/// every chunk ack, reference, and body request) must not double-count
+/// in the transfer ledgers — the move completes with exactly the
+/// reference state. The schedule is deterministic (p = 1.0 rules), so
+/// both transfer modes see the same faults and must land the same
+/// per-op outcome and byte-identical state.
+#[test]
+fn duplicated_chunk_acks_are_deduplicated() {
+    let mut s = monitor_move();
+    s.harsh = false;
+    s.mb_crashes.clear();
+    s.plan = FaultPlan::seeded(0xD0D0);
+    for (a, b) in ctl_links(MB_A, MB_B) {
+        s.plan.rules.push(
+            FaultRule::on_link(a, b, FaultAction::Duplicate)
+                .between(ms(OP_AT_MS), ms(WINDOW_END_MS)),
+        );
+    }
+    let reference = run_schedule(&s, false, true);
+    let faulted = run_schedule(&s, true, true);
+    assert_eq!(faulted.outcome(0), (true, false), "dup-everything move must complete");
+    let (f, r) = (&faulted.pairs[0], &reference.pairs[0]);
+    assert_eq!(f.dst_entries, r.dst_entries);
+    assert_eq!(f.dst_stats, r.dst_stats);
+    assert_eq!(f.src_stats, r.src_stats);
+    assert_eq!(faulted.open_ops, 0);
+
+    let streaming = run_schedule(&s, true, false);
+    assert_eq!(streaming.outcome(0), faulted.outcome(0), "per-op outcome diverged across modes");
+    let st = &streaming.pairs[0];
+    assert_eq!(st.dst_entries, f.dst_entries);
+    assert_eq!(st.dst_stats, f.dst_stats);
+    assert_eq!(st.dst_shared, f.dst_shared);
+    assert_eq!(st.src_stats, f.src_stats);
+    assert_eq!(st.src_shared, f.src_shared);
+}
+
+/// Predict the content hashes a Monitor move will put in its manifest:
+/// a probe instance with the identical preload and export call
+/// sequence seals byte-identical chunks (exports are key-sorted and the
+/// nonce counter starts equal), so the hashes match the real run's.
+fn monitor_transfer_hashes() -> Vec<(openmb_store::ContentHash, Vec<u8>)> {
+    let mut probe = Monitor::new();
+    preload(&mut probe, PRELOAD);
+    let _ = probe.get_support_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
+    let chunks = probe.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
+    assert!(!chunks.is_empty(), "probe must export the preloaded flows");
+    chunks
+        .into_iter()
+        .map(|c| {
+            let bytes = c.data.as_wire().to_vec();
+            (openmb_store::content_hash(&bytes), bytes)
+        })
+        .collect()
+}
+
+/// The driver's own content-addressed Monitor move, handed to `tamper`
+/// between build and run; returns the run with the scenario for
+/// post-run inspection of the ledger and the destination store.
+fn tampered_monitor_move(tamper: impl FnOnce(&mut MbNode<Monitor>)) -> (Run, Scenario) {
+    let mut sc = build(&mut Monitor::new, ConfOp::Move, true);
+    tamper(sc.sim.node_as_mut::<MbNode<Monitor>>(MB_B));
+    let run = drive(Monitor::new, &mut sc, None);
+    (run, sc)
+}
+
+/// Satellite acceptance: a destination cache poisoned under exactly
+/// the hashes the manifest will reference must fall back to streaming
+/// — every reference fails re-verification, every body flows, and the
+/// final state is byte-identical to an unpoisoned run's. Without the
+/// destination-side re-hash this test would import garbage as flow
+/// state.
+#[test]
+fn poisoned_destination_cache_falls_back_to_streaming() {
+    let reference = run_schedule(&monitor_move(), false, true);
+    let hashes = monitor_transfer_hashes();
+    let (run, sc) = tampered_monitor_move(|dst| {
+        for (h, _) in &hashes {
+            dst.shared_log().store().insert_unchecked(*h, vec![0xAB; 7]);
+        }
+    });
+    assert_eq!(
+        run.outcome(0),
+        (true, false),
+        "poisoned cache must degrade to streaming, not break the move"
+    );
+    let ctrl: &ControllerNode = sc.sim.node_as(CONTROLLER);
+    let stats = ctrl.core.transfer_ledger_stats(OpId(0));
+    assert_eq!(stats.cache_hits, 0, "every poisoned entry must fail re-verification");
+    assert_eq!(stats.cache_misses as usize, hashes.len(), "every reference must miss");
+    assert!(stats.bodies_sent >= stats.cache_misses, "every miss must stream its body");
+
+    assert_eq!(run.pairs[0].dst_entries, reference.pairs[0].dst_entries);
+    assert_eq!(run.pairs[0].dst_stats, reference.pairs[0].dst_stats);
+    // The streamed bodies repaired the store: every referenced hash
+    // now re-verifies. This also pins the probe's hash prediction to
+    // the real transfer — a drifted probe would leave these entries
+    // poisoned and unfetchable.
+    let dst: &MbNode<Monitor> = sc.sim.node_as(MB_B);
+    for (h, _) in &hashes {
+        let data = dst.shared_log().store().get(h).expect("streamed body must be cached");
+        assert_eq!(openmb_store::content_hash(&data), *h, "store entry must re-verify");
+    }
+}
+
+/// The warm path: a destination store already holding every chunk body
+/// (a repeated or resumed move) answers the whole manifest from cache —
+/// zero bodies cross the wire and the state still lands byte-identical
+/// to a cold run's.
+#[test]
+fn warm_destination_cache_answers_references_without_bodies() {
+    let reference = run_schedule(&monitor_move(), false, true);
+    let hashes = monitor_transfer_hashes();
+    let (run, sc) = tampered_monitor_move(|dst| {
+        for (h, bytes) in &hashes {
+            assert_eq!(&dst.shared_log().store().put(bytes), h);
+        }
+    });
+    assert_eq!(run.outcome(0), (true, false), "warm move must complete");
+    let ctrl: &ControllerNode = sc.sim.node_as(CONTROLLER);
+    let stats = ctrl.core.transfer_ledger_stats(OpId(0));
+    assert_eq!(stats.cache_hits as usize, hashes.len(), "every reference must hit");
+    assert_eq!(stats.cache_misses, 0);
+    assert_eq!(stats.bodies_sent, 0, "a warm move must stream no bodies");
+    assert!(stats.bytes_saved > 0);
+
+    assert_eq!(run.pairs[0].dst_entries, reference.pairs[0].dst_entries);
+    assert_eq!(run.pairs[0].dst_stats, reference.pairs[0].dst_stats);
+}
+
+/// Observability acceptance: a crafted crash/restart of the destination
+/// MB mid-transfer leaves a flight-recorder timeline showing the park →
+/// resume transition, with events from the controller, the MB node, and
+/// the fault injector interleaved on one clock.
+#[test]
+fn timeline_shows_park_and_resume_across_nodes() {
+    let mut s = monitor_move();
+    s.harsh = false;
+    // Slow the puts (40 ms controller→dst delay) so the transfer is
+    // still in flight when the destination crashes at 150 ms; it
+    // restarts at 400 ms and the parked move resumes.
+    s.plan = FaultPlan::seeded(0xBEEF)
+        .rule(
+            FaultRule::on_link(CONTROLLER, MB_B, FaultAction::Delay(SimDuration::from_millis(40)))
+                .between(ms(OP_AT_MS), ms(300)),
+        )
+        .crash_restart(MB_B, ms(150), ms(400));
+    s.mb_crashes = vec![(MB_B_ID, ms(150), ms(400))];
+
+    let o = run_schedule(&s, true, true);
+    let t = &o.timeline;
+    assert_eq!(o.outcome(0), (true, false), "parked move must resume and complete\n{t}");
+    assert!(t.contains("issued(moveInternal)"), "{t}");
+    assert!(t.contains("parked(mb1-unreachable)"), "{t}");
+    assert!(t.contains("resumed(from_seq="), "{t}");
+    // Cross-node: controller spans, MB-side handler events, and the
+    // injected faults all land in the same dump.
+    assert!(t.contains("controller"), "{t}");
+    assert!(t.contains("mb:mb_b"), "{t}");
+    assert!(t.contains("handled("), "{t}");
+    assert!(t.contains("fault("), "{t}");
+    // The park precedes the resume in the rendered order.
+    let park = t.find("parked(mb1-unreachable)").unwrap();
+    let resume = t.find("resumed(from_seq=").unwrap();
+    assert!(park < resume, "park must precede resume\n{t}");
+}
+
+/// Observability acceptance, abort path: a total drop storm outlasting
+/// the 4 s deadline forces the op to abort, and the timeline records
+/// the `aborted(...)` transition.
+#[test]
+fn timeline_shows_abort_under_drop_storm() {
+    let mut s = monitor_move();
+    s.harsh = true;
+    s.mb_crashes.clear();
+    s.plan = FaultPlan::seeded(0xABCD);
+    for (a, b) in ctl_links(MB_A, MB_B) {
+        s.plan
+            .rules
+            .push(FaultRule::on_link(a, b, FaultAction::Drop).between(ms(OP_AT_MS), ms(6000)));
+    }
+
+    let o = run_schedule(&s, true, true);
+    let t = &o.timeline;
+    assert_eq!(o.outcome(0), (false, true), "total storm must abort\n{t}");
+    assert!(t.contains("issued(moveInternal)"), "{t}");
+    assert!(t.contains("aborted("), "{t}");
+    assert!(t.contains("fault(drop)"), "{t}");
+}
+
+/// The long randomized sweep (CI nightly / `--include-ignored`): 200+
+/// seeds beyond the fast range.
+#[test]
+#[ignore = "long randomized sweep; run with --include-ignored"]
+fn random_schedules_long_range() {
+    for seed in 32..240 {
+        check_seed(seed);
+    }
+}
+
+/// The one replay hook: `CONFORMANCE_SEED=<suite>:<n> cargo test -p
+/// openmb-harness --lib conformance::tests::replay_env_seed --
+/// --nocapture --include-ignored` re-runs one failing seed of
+/// `single`, `concurrent` or `chain` with its schedule printed.
+#[test]
+#[ignore = "replay hook; set CONFORMANCE_SEED=<suite>:<n> to use"]
+fn replay_env_seed() {
+    let Ok(v) = std::env::var("CONFORMANCE_SEED") else {
+        eprintln!("CONFORMANCE_SEED not set; nothing to replay");
+        return;
+    };
+    let (suite, seed) = v.split_once(':').expect("CONFORMANCE_SEED must be <suite>:<n>");
+    let seed: u64 = seed.parse().expect("CONFORMANCE_SEED must be <suite>:<n>, n an integer");
+    let outcome = match suite {
+        "single" => {
+            eprintln!("replaying {v}: {}", describe(&generate(seed)));
+            format!("completed={}", check_seed(seed).completed)
+        }
+        "concurrent" => {
+            eprintln!("replaying {v}: {}", describe(&generate_concurrent(seed)));
+            let o = check_concurrent_seed(seed);
+            format!("{} completed, {} failed, {} shards", o.completed, o.failed, o.shards_used)
+        }
+        "chain" => {
+            eprintln!("replaying {v}: {}", describe(&generate_chain(seed)));
+            let o = check_chain_seed(seed);
+            format!("{} hops, {}", o.hops, if o.committed { "committed" } else { "rolled back" })
+        }
+        _ => panic!("unknown suite {suite:?}: expected single, concurrent or chain"),
+    };
+    eprintln!("{v} passed ({outcome})");
+}
+
+#[test]
+fn conformance_table_regenerates() {
+    let t = conformance_table();
+    assert_eq!(t.rows.len(), 1);
+}

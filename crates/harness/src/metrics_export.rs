@@ -9,21 +9,19 @@
 //! directory; CI runs it and validates that the JSON parses and
 //! carries the expected counter keys.
 
-use std::sync::Arc;
-
 use openmb_apps::migration::RouteSpec;
 use openmb_apps::scaling::ScaleUpApp;
 use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
 use openmb_core::nodes::ControllerNode;
 use openmb_middleboxes::Monitor;
 use openmb_simnet::obs::{
-    export_chain_phases, export_op_phases, percentile, HealthSnapshot, Monitor as InvariantMonitor,
-    MonitorConfig, Recorder, Registry, SpanEvent,
+    export_chain_phases, export_op_phases, percentile, HealthSnapshot, Registry, SpanEvent,
 };
 use openmb_simnet::{Frame, SimDuration, SimTime};
 use openmb_types::{HeaderFieldList, Packet};
 
 use crate::common::preload_flow;
+use crate::conformance::attach_oracle;
 use crate::report::op_timeline;
 
 /// The artifacts one exported run produces.
@@ -71,14 +69,7 @@ pub fn export_scale_up() -> ExportedRun {
     // The monitor rides the span stream as a sink: it sees every event
     // (including ones later evicted from the ring) live, so its
     // verdicts and phase attribution are wraparound-proof.
-    let monitor = Arc::new(InvariantMonitor::new(MonitorConfig {
-        shards: 1,
-        transfer_window: window,
-        ..MonitorConfig::default()
-    }));
-    let rec = Recorder::enabled(8192);
-    rec.add_sink(monitor.clone());
-    setup.sim.set_recorder(rec);
+    let monitor = attach_oracle(&mut setup.sim, 1, window, 8192);
 
     // Steady HTTP traffic at ~800 pkt/s over 400 flows for 2.5 s: the
     // handover lands mid-window, so both MBs process packets.

@@ -1336,7 +1336,7 @@ fn decode_with(mut r: Reader<'_>) -> Result<Message> {
                 if n > 65536 {
                     return Err(Error::Codec("too many event codes".into()));
                 }
-                let mut cs = Vec::with_capacity(n);
+                let mut cs = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     cs.push(r.u32()?);
                 }
@@ -1398,7 +1398,7 @@ fn decode_with(mut r: Reader<'_>) -> Result<Message> {
             if n > 65536 {
                 return Err(Error::Codec("too many event values".into()));
             }
-            let mut values = Vec::with_capacity(n);
+            let mut values = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 let k = r.str()?;
                 let v = r.str()?;
@@ -2016,6 +2016,67 @@ mod tests {
                 // encoding (guards against encode/decode drift too).
                 assert_eq!(decode(&enc).unwrap(), m);
             }
+        }
+    }
+
+    /// Structure-aware decoder fuzz: start from a valid encoding of
+    /// every variant and damage it the ways a hostile or cut-off peer
+    /// would — truncation at every byte, and every 4-byte window
+    /// (lengths, counts, tags, hashes alike) overwritten with boundary
+    /// values. The decoder may only ever answer `Err`; the unstructured
+    /// `wire_decode_never_panics` almost never gets past the tag byte.
+    #[test]
+    fn damaged_encodings_of_every_variant_error_and_never_panic() {
+        let mut rng = proptest::test_runner::TestRng::from_name(
+            "damaged_encodings_of_every_variant_error_and_never_panic",
+        );
+        let both = |buf: &[u8]| (decode(buf), decode_bytes(&Bytes::from(buf.to_vec())));
+        for variant in 0..gen::VARIANTS {
+            for case in 0..8 {
+                let enc = encode(&gen::message(&mut rng, variant));
+                for cut in 0..enc.len() {
+                    let (a, b) = both(&enc[..cut]);
+                    assert!(
+                        a.is_err() && b.is_err(),
+                        "variant {variant} case {case}: prefix {cut}/{} decoded",
+                        enc.len()
+                    );
+                }
+                for at in 0..enc.len().saturating_sub(3) {
+                    for v in [0, u32::MAX, 65_537, MAX_MESSAGE as u32 + 1] {
+                        let mut bad = enc.clone();
+                        bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                        let _ = both(&bad);
+                    }
+                }
+            }
+        }
+
+        // Nesting stays rejected even when the inner batch is well-formed.
+        let mut nested = vec![tag::BATCH];
+        let inner = encode(&Message::Batch { msgs: vec![Message::OpAck { op: OpId(1) }] });
+        nested.extend_from_slice(&1u32.to_le_bytes());
+        nested.extend_from_slice(&(inner.len() as u32).to_le_bytes());
+        nested.extend_from_slice(&inner);
+        let (a, b) = both(&nested);
+        assert!(matches!(a, Err(Error::Codec(ref m)) if m.contains("nested")), "{a:?}");
+        assert!(matches!(b, Err(Error::Codec(ref m)) if m.contains("nested")), "{b:?}");
+
+        // The two count-prefixed arms whose reservation was bounded only
+        // by the 65 536 limit: a count at the limit over an empty body is
+        // a short frame, not a multi-megabyte reservation.
+        let codes = EventFilter { codes: Some(Vec::new()), key: None };
+        let mut events = encode(&Message::EnableEvents { op: OpId(1), filter: codes });
+        events.truncate(1 + 8 + 1 + 4);
+        let mut introspection = encode(&Message::EventMsg {
+            event: Event::Introspection { code: 7, key: fk(), values: Vec::new() },
+        });
+        for frame in [&mut events, &mut introspection] {
+            let count = frame.len() - 4;
+            assert_eq!(frame[count..], 0u32.to_le_bytes(), "the count is the frame's last field");
+            frame[count..].copy_from_slice(&65_536u32.to_le_bytes());
+            let (a, b) = both(frame);
+            assert!(a.is_err() && b.is_err(), "count 65 536 over an empty body decoded");
         }
     }
 
