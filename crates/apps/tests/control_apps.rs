@@ -200,7 +200,7 @@ fn re_migration_zero_undecodable() {
             .map(|(i, e)| {
                 let mut p = e.packet.clone();
                 p.id = i as u64 + 1;
-                openmb_traffic::TraceEvent { time: e.time, packet: p }
+                openmb_traffic::TimedPacket { time: e.time, packet: p }
             })
             .collect(),
     );

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use openmb_mb::{Effects, Middlebox, SharedPutLog};
 use openmb_obs::SpanEvent;
 use openmb_openflow::Topology;
-use openmb_simnet::{Ctx, Frame, Node, SimDuration, SimTime, TraceKind};
+use openmb_simnet::{Ctx, Frame, Node, SimDuration, SimTime};
 use openmb_types::sdn::SdnMessage;
 use openmb_types::wire::Message;
 use openmb_types::{MbId, NodeId, OpId, Packet, StateChunk};
@@ -282,7 +282,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
         }
         self.logs.extend(fx.take_logs());
         for ev in fx.take_events() {
-            ctx.trace(TraceKind::EventRaised);
+            ctx.record(None, None, SpanEvent::EventRaised);
             ctx.metrics.incr(&self.metric_names.events_raised, 1);
             if let Some(c) = self.controller {
                 ctx.send(c, Frame::Control(Message::EventMsg { event: ev }));
@@ -297,11 +297,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 let mut fx = Effects::normal();
                 self.logic.process_packet(now, &pkt, &mut fx);
                 self.packets_processed += 1;
-                ctx.trace(TraceKind::PacketProcessed {
-                    pkt_id: pkt.id,
-                    http: pkt.key.dst_port == 80 || pkt.key.src_port == 80,
-                });
-                ctx.metrics.sample(&self.metric_names.pkt_latency, now.since(arrived));
+                self.packet_done(ctx, pkt.id, now.since(arrived));
                 ctx.metrics.incr(&self.metric_names.packets, 1);
                 self.emit_effects(ctx, &mut fx);
             }
@@ -309,7 +305,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 let mut fx = Effects::replay();
                 self.logic.process_packet(now, &pkt, &mut fx);
                 self.events_replayed += 1;
-                ctx.trace(TraceKind::EventProcessed);
+                ctx.record(None, None, SpanEvent::EventReplayed);
                 ctx.metrics.incr(&self.metric_names.events_replayed, 1);
                 self.emit_effects(ctx, &mut fx);
             }
@@ -325,7 +321,8 @@ impl<M: Middlebox + 'static> MbNode<M> {
                     .iter()
                     .map(|chunk| Message::Chunk { op: sub, chunk: chunk.clone() })
                     .collect();
-                if end < chunks.len() {
+                let last = end == chunks.len();
+                if !last {
                     // Re-queue at the back so packets interleave.
                     self.queue.push_back(Work::GetBatch {
                         sub,
@@ -338,8 +335,6 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 } else {
                     let count = chunks.len() as u32;
                     msgs.push(Message::GetAck { op: sub, count });
-                    let op_name = if report { "getReportPerflow" } else { "getSupportPerflow" };
-                    ctx.trace(TraceKind::OpEnd { op: op_name });
                 }
                 match msgs.len() {
                     0 => {}
@@ -349,13 +344,17 @@ impl<M: Middlebox + 'static> MbNode<M> {
                         ctx.send(controller, Frame::Control(Message::Batch { msgs }));
                     }
                 }
+                if last {
+                    let msg = if report { "getReportPerflow" } else { "getSupportPerflow" };
+                    ctx.record(None, Some(sub.0), SpanEvent::Served { msg });
+                }
             }
             Work::Msg(msg) => self.execute_msg(ctx, msg),
         }
     }
 
     /// Deliver the `n` packets pump claimed as one `process_batch`
-    /// call. Per-packet accounting (traces, latency samples, counters)
+    /// call. Per-packet accounting (spans, latency samples, counters)
     /// is unchanged; only the middlebox sees the train at once. All
     /// buffers are reused so the steady state allocates nothing.
     fn execute_packet_batch(&mut self, ctx: &mut Ctx<'_>, n: usize) {
@@ -379,15 +378,22 @@ impl<M: Middlebox + 'static> MbNode<M> {
         self.batch_buf = pkts;
         self.packets_processed += n as u64;
         for (pkt, arrived) in self.batch_buf.iter().zip(&self.batch_arrivals) {
-            ctx.trace(TraceKind::PacketProcessed {
-                pkt_id: pkt.id,
-                http: pkt.key.dst_port == 80 || pkt.key.src_port == 80,
-            });
-            ctx.metrics.sample(&self.metric_names.pkt_latency, now.since(*arrived));
+            self.packet_done(ctx, pkt.id, now.since(*arrived));
         }
         ctx.metrics.incr(&self.metric_names.packets, n as u64);
         self.emit_effects(ctx, &mut fx);
         self.fx_scratch = fx;
+    }
+
+    /// One packet's completion: the span (exact latency, for the
+    /// timeline readers) and the `<label>.pkt_latency` histogram.
+    fn packet_done(&self, ctx: &mut Ctx<'_>, pkt_id: u64, latency: SimDuration) {
+        ctx.record(
+            None,
+            None,
+            SpanEvent::PacketProcessed { pkt_id, latency_ns: latency.as_nanos() },
+        );
+        ctx.metrics.sample(&self.metric_names.pkt_latency, latency);
     }
 
     fn reply(&self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -441,7 +447,6 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                     );
                     match msg {
                         Message::GetSupportPerflow { op, key } => {
-                            ctx.trace(TraceKind::OpStart { op: "getSupportPerflow" });
                             let entries = self.logic.perflow_entries();
                             match self.logic.get_support_perflow(op, &key) {
                                 Ok(chunks) => self.queue.push_back(Work::GetBatch {
@@ -456,7 +461,6 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                             }
                         }
                         Message::GetReportPerflow { op, key } => {
-                            ctx.trace(TraceKind::OpStart { op: "getReportPerflow" });
                             let entries = self.logic.perflow_entries();
                             match self.logic.get_report_perflow(op, &key) {
                                 Ok(chunks) => self.queue.push_back(Work::GetBatch {
@@ -476,7 +480,6 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                             // delay without occupying the packet path (the §8.2
                             // RE result: exporting a 500 MB cache leaves
                             // per-packet latency essentially unchanged).
-                            ctx.trace(TraceKind::OpStart { op: "getSupportShared" });
                             match self.logic.get_support_shared(op) {
                                 Ok(chunk) => {
                                     let cost = self
@@ -490,36 +493,22 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                                 Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
                             }
                         }
-                        Message::GetReportShared { op } => {
-                            ctx.trace(TraceKind::OpStart { op: "getReportShared" });
-                            match self.logic.get_report_shared() {
-                                Ok(chunk) => {
-                                    let cost = self
-                                        .costs()
-                                        .shared_cost(chunk.as_ref().map(|c| c.len()).unwrap_or(0));
-                                    let token = self.next_shared_token;
-                                    self.next_shared_token += 1;
-                                    self.pending_shared.insert(token, (op, chunk, true));
-                                    ctx.set_timer(cost, token);
-                                }
-                                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
+                        Message::GetReportShared { op } => match self.logic.get_report_shared() {
+                            Ok(chunk) => {
+                                let cost = self
+                                    .costs()
+                                    .shared_cost(chunk.as_ref().map(|c| c.len()).unwrap_or(0));
+                                let token = self.next_shared_token;
+                                self.next_shared_token += 1;
+                                self.pending_shared.insert(token, (op, chunk, true));
+                                ctx.set_timer(cost, token);
                             }
-                        }
+                            Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
+                        },
                         Message::ReprocessPacket { op: _, key: _, packet } => {
                             self.queue.push_back(Work::Replay { pkt: packet });
                         }
-                        other => {
-                            if matches!(
-                                other,
-                                Message::PutSupportPerflow { .. }
-                                    | Message::PutReportPerflow { .. }
-                                    | Message::ChunkRef { .. }
-                                    | Message::ChunkBody { .. }
-                            ) {
-                                ctx.trace(TraceKind::OpStart { op: "put" });
-                            }
-                            self.queue.push_back(Work::Msg(other));
-                        }
+                        other => self.queue.push_back(Work::Msg(other)),
                     }
                 });
             }
@@ -531,12 +520,12 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token >= TIMER_SHARED_BASE {
             if let Some((op, chunk, report)) = self.pending_shared.remove(&token) {
-                let op_name = if report { "getReportShared" } else { "getSupportShared" };
-                ctx.trace(TraceKind::OpEnd { op: op_name });
                 match chunk {
                     Some(chunk) => self.reply(ctx, Message::SharedChunk { op, chunk }),
                     None => self.reply(ctx, Message::OpAck { op }),
                 }
+                let msg = if report { "getReportShared" } else { "getSupportShared" };
+                ctx.record(None, Some(op.0), SpanEvent::Served { msg });
             }
             return;
         }
@@ -926,7 +915,7 @@ impl Node for ControllerNode {
                 // Barriers are currently fire-and-forget confirmations.
             }
             Frame::Sdn(SdnMessage::PacketIn { packet }) => {
-                ctx.trace(TraceKind::PacketDropped { pkt_id: packet.id });
+                ctx.record(None, None, SpanEvent::PacketDropped { pkt_id: packet.id });
                 ctx.metrics.incr("controller.packet_in", 1);
             }
             Frame::Sdn(_) => {}

@@ -5,7 +5,8 @@
 use openmb_core::nodes::{Host, MbNode};
 use openmb_mb::Middlebox;
 use openmb_middleboxes::{Monitor, ReDecoder};
-use openmb_simnet::{Ctx, Frame, Node, Sim, SimDuration, SimTime, TraceKind};
+use openmb_simnet::obs::{Recorder, SpanEvent};
+use openmb_simnet::{Ctx, Frame, Node, Sim, SimDuration, SimTime};
 use openmb_types::wire::Message;
 use openmb_types::{FlowKey, HeaderFieldList, NodeId, OpId, Packet};
 use std::net::Ipv4Addr;
@@ -46,9 +47,23 @@ fn key(i: u16) -> FlowKey {
     )
 }
 
+/// Per-packet processing latencies (ns) the run recorded, in order.
+fn latencies(sim: &Sim) -> Vec<u64> {
+    let dump = sim.recorder().dump();
+    assert_eq!(dump.evicted, 0);
+    dump.events
+        .iter()
+        .filter_map(|e| match e.event {
+            SpanEvent::PacketProcessed { latency_ns, .. } => Some(latency_ns),
+            _ => None,
+        })
+        .collect()
+}
+
 /// ctrl(0) — mb(1) — sink(2)
 fn world<M: Middlebox + 'static>(logic: M) -> (Sim, NodeId, NodeId, NodeId) {
     let mut sim = Sim::new();
+    sim.set_recorder(Recorder::enabled(4096));
     let ctrl = sim.add_node(Box::new(CtrlProbe::default()));
     let mb = sim
         .add_node(Box::new(MbNode::new("mb", logic).with_controller(ctrl).with_egress(NodeId(2))));
@@ -77,9 +92,33 @@ fn packets_are_serviced_fifo_with_service_time() {
     assert_eq!(times.len(), 3);
     assert_eq!(times[1] - times[0], 90_000, "one service time apart");
     assert_eq!(times[2] - times[1], 90_000);
-    let lats = sim.metrics.samples("mb.pkt_latency");
-    assert_eq!(lats[0].as_nanos(), 90_000);
-    assert_eq!(lats[1].as_nanos(), 180_000, "queueing included in latency");
+    let lats = latencies(&sim);
+    assert_eq!(lats[0], 90_000);
+    assert_eq!(lats[1], 180_000, "queueing included in latency");
+}
+
+#[test]
+fn unrecorded_run_keeps_no_per_packet_table() {
+    // With the recorder off (the default), what a run leaves behind is
+    // the registry, keyed by metric name: ten times the packets bump
+    // the same keys and nothing else grows.
+    let keys = |n: u64| {
+        let (mut sim, _ctrl, mb, sink) = world(Monitor::new());
+        // `world` records for the latency tests; back to `Sim::new()`'s default.
+        sim.set_recorder(Recorder::disabled());
+        for i in 0..n {
+            let pkt = Packet::new(i + 1, key((i % 50) as u16), vec![0u8; 10]);
+            sim.inject_frame(SimTime(i * 100_000), NodeId(0), mb, Frame::Data(pkt));
+        }
+        sim.run(1_000_000);
+        assert_eq!(sim.node_as::<Host>(sink).received.len() as u64, n);
+        assert!(sim.recorder().is_empty());
+        let reg = sim.metrics.registry();
+        assert_eq!(reg.counter("mb.packets"), n);
+        assert_eq!(reg.histogram("mb.pkt_latency").unwrap().count(), n);
+        reg.counters().count() + reg.gauges().count() + reg.histograms().count()
+    };
+    assert_eq!(keys(100), keys(1000));
 }
 
 #[test]
@@ -140,8 +179,8 @@ fn replay_suppresses_external_side_effects() {
     assert_eq!(node.events_replayed, 1);
     assert_eq!(node.logic.perflow_entries(), 1, "state still updated");
     assert_eq!(node.logic.stat().total_packets, 0, "shared counters untouched by replay");
-    // Replay appears in the trace as EventProcessed.
-    assert!(sim.metrics.trace.iter().any(|e| matches!(e.kind, TraceKind::EventProcessed)));
+    // Replay appears in the timeline as EventReplayed.
+    assert!(sim.recorder().dump().events.iter().any(|e| e.event == SpanEvent::EventReplayed));
 }
 
 #[test]
@@ -189,14 +228,14 @@ fn shared_export_runs_off_the_packet_path() {
     );
     let s: &Host = sim.node_as(sink);
     assert_eq!(s.received.len(), 50, "packets flowed during the export");
-    let lats = sim.metrics.samples("mb.pkt_latency");
-    let max = lats.iter().map(|d| d.as_millis_f64()).fold(0.0f64, f64::max);
+    let max = latencies(&sim).iter().map(|&ns| ns as f64 / 1e6).fold(0.0f64, f64::max);
     assert!(max < 2.0, "export must not block packets (max latency {max} ms)");
 }
 
 /// ctrl(0) — mb(1, batch_max=n) — sink(2)
 fn world_batched<M: Middlebox + 'static>(logic: M, batch_max: usize) -> (Sim, NodeId, NodeId) {
     let mut sim = Sim::new();
+    sim.set_recorder(Recorder::enabled(4096));
     let ctrl = sim.add_node(Box::new(CtrlProbe::default()));
     let mb = sim.add_node(Box::new(
         MbNode::new("mb", logic)
@@ -236,7 +275,7 @@ fn batched_delivery_matches_serial() {
         let processed = node.packets_processed;
         let entries = node.logic.perflow_entries();
         let stats = node.logic.stats(&HeaderFieldList::any());
-        let latency_samples = sim.metrics.samples("mb.pkt_latency").len();
+        let latency_samples = latencies(&sim).len();
         (delivered, logs, processed, entries, stats, latency_samples)
     };
     let serial = run(1);
@@ -270,7 +309,7 @@ fn batch_run_occupies_one_service_slot() {
     }
     let node: &MbNode<Monitor> = sim.node_as(mb);
     assert_eq!(node.packets_processed, 8);
-    assert_eq!(sim.metrics.samples("mb.pkt_latency").len(), 8, "latency stays per-packet");
+    assert_eq!(latencies(&sim).len(), 8, "latency stays per-packet");
 }
 
 #[test]

@@ -25,7 +25,7 @@ use openmb_middleboxes::Monitor;
 use openmb_simnet::{Frame, SimDuration, SimTime};
 use openmb_types::{HeaderFieldList, Packet};
 
-use crate::common::{preload_flow, preloaded_monitor};
+use crate::common::{preload_flow, preloaded_monitor, record_timeline, timeline};
 use crate::report::{f, Table};
 
 /// Outcome of one ablation run over monitors.
@@ -69,6 +69,7 @@ fn run(
         ScenarioParams { buffer_events, quiesce_after: quiesce, ..ScenarioParams::default() };
     let mut setup =
         two_mb_scenario(preloaded_monitor(chunks), Monitor::new(), Box::new(app), params);
+    record_timeline(&mut setup.sim);
     if let Some(batch) = get_batch {
         let mut c = openmb_mb::CostModel::prads_like();
         c.get_batch = batch;
@@ -101,7 +102,8 @@ fn run(
         .map(|r| r.packets)
         .sum::<u64>()
         .saturating_sub(chunks as u64);
-    let latency = crate::latency::split_latency_public(&setup.sim, setup.mb_a, "mb_a");
+    let latency =
+        crate::latency::split_latency(&timeline(&setup.sim), "mb:mb_a").map_or(0.0, |l| l.1);
     let ctrl: &openmb_core::nodes::ControllerNode = setup.sim.node_as(setup.controller);
     let move_ms = ctrl
         .completions

@@ -4,9 +4,10 @@ use std::net::Ipv4Addr;
 
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::{Ips, Monitor};
-use openmb_simnet::{SimTime, TraceEvent, TraceKind};
+use openmb_simnet::obs::{Recorder, RecorderDump, SpanEvent};
+use openmb_simnet::{Sim, SimTime};
 use openmb_types::packet::tcp_flags;
-use openmb_types::{FlowKey, NodeId, Packet};
+use openmb_types::{FlowKey, Packet};
 
 /// The synthetic flow key used for preloaded state piece `i`
 /// (same scheme across monitors and IPSes so traffic generators can
@@ -58,38 +59,54 @@ pub fn preloaded_ips(n: usize) -> Ips {
     ips
 }
 
-/// Duration between the first `OpStart{op}` and the last `OpEnd{op}` for
-/// `node` in the trace, in milliseconds.
-pub fn op_duration_ms(trace: &[TraceEvent], node: NodeId, op: &str) -> Option<f64> {
+/// Ring size for experiment runs that cut a figure from the flight
+/// recorder: an order of magnitude above the largest of them (Fig 7,
+/// ≈10 k events); [`timeline`] asserts nothing was evicted.
+const TIMELINE_RING: usize = 1 << 17;
+
+/// Turn the flight recorder on for a run whose timeline will be read.
+pub fn record_timeline(sim: &mut Sim) {
+    sim.set_recorder(Recorder::enabled(TIMELINE_RING));
+}
+
+/// The complete recorded timeline of a run started under
+/// [`record_timeline`].
+pub fn timeline(sim: &Sim) -> RecorderDump {
+    let dump = sim.recorder().dump();
+    assert!(dump.capacity > 0, "the run was not recorded");
+    assert_eq!(dump.evicted, 0, "the ring must retain the whole run");
+    dump
+}
+
+/// The four gets an MB answers asynchronously, closing each with a
+/// `Served` (config and stats reads are `get*` too, but atomic).
+pub fn is_state_get(msg: &str) -> bool {
+    matches!(msg, "getSupportPerflow" | "getReportPerflow" | "getSupportShared" | "getReportShared")
+}
+
+/// The window in which `node` served the gets `is_op` selects: from
+/// the first matching `Handled` to the last matching `Served`. `None`
+/// unless both were recorded.
+pub fn get_window(
+    dump: &RecorderDump,
+    node: &str,
+    is_op: impl Fn(&str) -> bool,
+) -> Option<(SimTime, SimTime)> {
     let mut start = None;
     let mut end = None;
-    for e in trace {
-        if e.node != node {
-            continue;
-        }
-        match &e.kind {
-            TraceKind::OpStart { op: o } if *o == op && start.is_none() => start = Some(e.time),
-            TraceKind::OpEnd { op: o } if *o == op => end = Some(e.time),
+    for e in dump.events.iter().filter(|e| e.node == node) {
+        match e.event {
+            SpanEvent::Handled { msg } if is_op(msg) && start.is_none() => start = Some(e.t_ns),
+            SpanEvent::Served { msg } if is_op(msg) => end = Some(e.t_ns),
             _ => {}
         }
     }
-    match (start, end) {
-        (Some(s), Some(e)) => Some(e.since(s).as_millis_f64()),
-        _ => None,
-    }
+    Some((SimTime(start?), SimTime(end?)))
 }
 
-/// Span (first..last) of `OpStart{op}` occurrences at `node`, in ms.
-pub fn op_span_ms(trace: &[TraceEvent], node: NodeId, op: &str) -> Option<f64> {
-    let times: Vec<SimTime> = trace
-        .iter()
-        .filter(|e| e.node == node && matches!(&e.kind, TraceKind::OpStart { op: o } if *o == op))
-        .map(|e| e.time)
-        .collect();
-    match (times.first(), times.last()) {
-        (Some(f), Some(l)) => Some(l.since(*f).as_millis_f64()),
-        _ => None,
-    }
+/// Milliseconds `node` spent serving `op` (see [`get_window`]).
+pub fn op_duration_ms(dump: &RecorderDump, node: &str, op: &str) -> Option<f64> {
+    get_window(dump, node, |m| m == op).map(|(s, e)| e.since(s).as_millis_f64())
 }
 
 #[cfg(test)]
@@ -109,43 +126,24 @@ mod tests {
     }
 
     #[test]
-    fn op_span_over_multiple_starts() {
-        let trace = vec![
-            TraceEvent {
-                time: SimTime(1_000_000),
-                node: NodeId(1),
-                kind: TraceKind::OpStart { op: "put" },
-            },
-            TraceEvent {
-                time: SimTime(3_000_000),
-                node: NodeId(1),
-                kind: TraceKind::OpStart { op: "put" },
-            },
-            TraceEvent {
-                time: SimTime(9_000_000),
-                node: NodeId(1),
-                kind: TraceKind::OpStart { op: "put" },
-            },
-        ];
-        assert_eq!(op_span_ms(&trace, NodeId(1), "put"), Some(8.0));
-        assert_eq!(op_span_ms(&trace, NodeId(1), "get"), None);
-    }
-
-    #[test]
     fn op_duration_from_trace() {
-        let trace = vec![
-            TraceEvent {
-                time: SimTime(1_000_000),
-                node: NodeId(1),
-                kind: TraceKind::OpStart { op: "get" },
-            },
-            TraceEvent {
-                time: SimTime(5_000_000),
-                node: NodeId(1),
-                kind: TraceKind::OpEnd { op: "get" },
-            },
-        ];
-        assert_eq!(op_duration_ms(&trace, NodeId(1), "get"), Some(4.0));
-        assert_eq!(op_duration_ms(&trace, NodeId(2), "get"), None);
+        use openmb_simnet::obs::TimelineEvent;
+        let ev = |t_ns, event| TimelineEvent {
+            t_ns,
+            node: "mb:1".to_owned(),
+            op: None,
+            sub: Some(5),
+            event,
+        };
+        let dump = RecorderDump {
+            events: vec![
+                ev(1_000_000, SpanEvent::Handled { msg: "get" }),
+                ev(5_000_000, SpanEvent::Served { msg: "get" }),
+            ],
+            evicted: 0,
+            capacity: 16,
+        };
+        assert_eq!(op_duration_ms(&dump, "mb:1", "get"), Some(4.0));
+        assert_eq!(op_duration_ms(&dump, "mb:2", "get"), None);
     }
 }

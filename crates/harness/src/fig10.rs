@@ -94,7 +94,7 @@ impl ControlApp for MultiMoveApp {
 /// average move duration in ms.
 pub fn concurrent_moves_avg_ms(n_moves: usize, chunks: usize) -> f64 {
     let trigger = SimDuration::from_millis(10);
-    let mut sim = Sim::new_counters_only();
+    let mut sim = Sim::new();
     let controller_id = NodeId(0);
 
     let pairs: Vec<(MbId, MbId)> =

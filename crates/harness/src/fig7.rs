@@ -12,12 +12,13 @@
 
 use openmb_apps::migration::RouteSpec;
 use openmb_apps::scaling::ScaleUpApp;
-use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
+use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams, TwoMbSetup};
 use openmb_middleboxes::Monitor;
-use openmb_simnet::{Frame, SimDuration, SimTime, TraceKind};
-use openmb_types::{HeaderFieldList, NodeId, Packet};
+use openmb_simnet::obs::{RecorderDump, SpanEvent};
+use openmb_simnet::{Frame, SimDuration, SimTime};
+use openmb_types::{HeaderFieldList, Packet};
 
-use crate::common::preload_flow;
+use crate::common::{get_window, is_state_get, preload_flow, record_timeline, timeline};
 use crate::report::Table;
 
 /// The per-bucket activity counts of the Figure 7 timeline.
@@ -27,8 +28,6 @@ pub struct Bucket {
     pub old_events_raised: u64,
     pub new_pkts: u64,
     pub new_events_processed: u64,
-    pub old_ops: Vec<&'static str>,
-    pub new_ops: Vec<&'static str>,
 }
 
 /// The regenerated timeline plus the op landmarks the paper annotates.
@@ -40,8 +39,12 @@ pub struct Fig7 {
     pub last_put_s: Option<f64>,
 }
 
-/// Run the §6.2 scale-up scenario and extract the timeline.
-pub fn run(window_start_ms: u64, window_ms: u64, bucket_ms: u64) -> Fig7 {
+/// Packets the scale-up run injects at the switch.
+const PACKETS: usize = 2800;
+
+/// Run the §6.2 scale-up scenario to quiescence, with the flight
+/// recorder on when `record`.
+fn scale_up(record: bool) -> TwoMbSetup {
     use layout::*;
     let subset = HeaderFieldList::any();
     let app = ScaleUpApp::new(
@@ -53,9 +56,12 @@ pub fn run(window_start_ms: u64, window_ms: u64, bucket_ms: u64) -> Fig7 {
     );
     let mut setup =
         two_mb_scenario(Monitor::new(), Monitor::new(), Box::new(app), ScenarioParams::default());
+    if record {
+        record_timeline(&mut setup.sim);
+    }
     // Steady HTTP traffic at ~800 pkt/s over 400 flows for 3.5 s.
     let gap = 1_250_000u64; // 1.25 ms
-    for i in 0..2800usize {
+    for i in 0..PACKETS {
         let key = preload_flow(i % 400);
         let mut pkt = Packet::new(i as u64 + 1, key, vec![0u8; 200]);
         pkt.meta.http_request = true;
@@ -63,14 +69,19 @@ pub fn run(window_start_ms: u64, window_ms: u64, bucket_ms: u64) -> Fig7 {
     }
     setup.sim.run(200_000_000);
     assert!(setup.sim.is_idle());
+    setup
+}
 
-    extract(&setup.sim, setup.mb_a, setup.mb_b, window_start_ms, window_ms, bucket_ms)
+/// Run the scale-up scenario and extract the timeline.
+pub fn run(window_start_ms: u64, window_ms: u64, bucket_ms: u64) -> Fig7 {
+    let dump = timeline(&scale_up(true).sim);
+    extract(&dump, "mb:mb_a", "mb:mb_b", window_start_ms, window_ms, bucket_ms)
 }
 
 fn extract(
-    sim: &openmb_simnet::Sim,
-    old: NodeId,
-    new: NodeId,
+    dump: &RecorderDump,
+    old: &str,
+    new: &str,
     window_start_ms: u64,
     window_ms: u64,
     bucket_ms: u64,
@@ -79,53 +90,47 @@ fn extract(
     let end = start.after(SimDuration::from_millis(window_ms));
     let n_buckets = (window_ms / bucket_ms) as usize;
     let mut buckets = vec![Bucket::default(); n_buckets];
-    let mut get_start = None;
-    let mut get_end = None;
-    let mut first_put = None;
-    let mut last_put = None;
-    for e in &sim.metrics.trace {
-        // Landmarks are recorded regardless of window.
-        match &e.kind {
-            TraceKind::OpStart { op } if e.node == old && op.starts_with("get") => {
-                get_start.get_or_insert(e.time.as_secs_f64());
-            }
-            TraceKind::OpEnd { op } if e.node == old && op.starts_with("get") => {
-                get_end = Some(e.time.as_secs_f64());
-            }
-            TraceKind::OpStart { op } if e.node == new && *op == "put" => {
-                if first_put.is_none() {
-                    first_put = Some(e.time.as_secs_f64());
-                }
-                last_put = Some(e.time.as_secs_f64());
-            }
-            _ => {}
-        }
-        if e.time < start || e.time >= end {
+    for e in &dump.events {
+        let (time, at_old, at_new) = (SimTime(e.t_ns), e.node == old, e.node == new);
+        if time < start || time >= end {
             continue;
         }
-        let idx = ((e.time.since(start).as_millis_f64()) / bucket_ms as f64) as usize;
-        let idx = idx.min(n_buckets - 1);
-        let b = &mut buckets[idx];
-        match &e.kind {
-            TraceKind::PacketProcessed { .. } if e.node == old => b.old_pkts += 1,
-            TraceKind::PacketProcessed { .. } if e.node == new => b.new_pkts += 1,
-            TraceKind::EventRaised if e.node == old => b.old_events_raised += 1,
-            TraceKind::EventProcessed if e.node == new => b.new_events_processed += 1,
-            TraceKind::OpStart { op } if e.node == old => b.old_ops.push(op),
-            TraceKind::OpStart { op } if e.node == new => b.new_ops.push(op),
+        let idx = ((time.since(start).as_millis_f64()) / bucket_ms as f64) as usize;
+        let b = &mut buckets[idx.min(n_buckets - 1)];
+        match e.event {
+            SpanEvent::PacketProcessed { .. } if at_old => b.old_pkts += 1,
+            SpanEvent::PacketProcessed { .. } if at_new => b.new_pkts += 1,
+            SpanEvent::EventRaised if at_old => b.old_events_raised += 1,
+            SpanEvent::EventReplayed if at_new => b.new_events_processed += 1,
             _ => {}
         }
     }
+    // Landmarks are read regardless of window.
+    let get = get_window(dump, old, is_state_get);
+    let mut puts = dump
+        .events
+        .iter()
+        .filter(|e| {
+            e.node == new
+                && matches!(
+                    e.event,
+                    SpanEvent::Handled {
+                        msg: "putSupportPerflow" | "putReportPerflow" | "chunkRef" | "chunkBody"
+                    }
+                )
+        })
+        .map(|e| SimTime(e.t_ns).as_secs_f64());
+    let first_put = puts.next();
     Fig7 {
         buckets: buckets
             .into_iter()
             .enumerate()
             .map(|(i, b)| ((window_start_ms + i as u64 * bucket_ms) as f64 / 1000.0, b))
             .collect(),
-        get_start_s: get_start,
-        get_end_s: get_end,
+        get_start_s: get.map(|(s, _)| s.as_secs_f64()),
+        get_end_s: get.map(|(_, e)| e.as_secs_f64()),
         first_put_s: first_put,
-        last_put_s: last_put,
+        last_put_s: puts.next_back().or(first_put),
     }
 }
 
@@ -180,5 +185,65 @@ mod tests {
         let processed_total: u64 = r.buckets.iter().map(|(_, b)| b.new_events_processed).sum();
         assert!(events_total > 0, "events raised during the move");
         assert!(processed_total > 0, "events processed at the new MB");
+    }
+
+    /// Observation does not perturb, and the stream adds up: the same
+    /// run with the recorder off and on ends in the same place, and
+    /// the recorded events account for every counter and every packet.
+    #[test]
+    fn recording_does_not_perturb_and_the_stream_adds_up() {
+        use openmb_core::nodes::{Host, MbNode};
+        use openmb_simnet::obs::TimelineEvent;
+        let (off, on) = (scale_up(false), scale_up(true));
+        assert!(off.sim.recorder().dump().events.is_empty());
+        let received = |s: &TwoMbSetup| s.sim.node_as::<Host>(s.dst).received.clone();
+        assert_eq!(received(&off), received(&on));
+        for mb in [off.mb_a, off.mb_b] {
+            let logs = |s: &TwoMbSetup| s.sim.node_as::<MbNode<Monitor>>(mb).logs.clone();
+            assert_eq!(logs(&off), logs(&on));
+        }
+        let counters = |s: &TwoMbSetup| -> Vec<(String, u64)> {
+            s.sim.metrics.registry().counters().map(|(k, v)| (k.to_owned(), v)).collect()
+        };
+        assert_eq!(counters(&off), counters(&on));
+
+        let dump = timeline(&on.sim);
+        let reg = on.sim.metrics.registry();
+        let count = |node: Option<&str>, is: fn(&SpanEvent) -> bool| {
+            let at = |e: &&TimelineEvent| node.is_none_or(|n| e.node == n) && is(&e.event);
+            dump.events.iter().filter(at).count() as u64
+        };
+        let is_packet = |e: &SpanEvent| matches!(e, SpanEvent::PacketProcessed { .. });
+        for label in ["mb_a", "mb_b"] {
+            let node = format!("mb:{label}");
+            let counter = |name: &str| reg.counter(&format!("{label}.{name}"));
+            assert_eq!(count(Some(&node), is_packet), counter("packets"));
+            assert_eq!(
+                count(Some(&node), |e| *e == SpanEvent::EventRaised),
+                counter("events_raised")
+            );
+            assert_eq!(
+                count(Some(&node), |e| *e == SpanEvent::EventReplayed),
+                counter("events_replayed")
+            );
+            let latency_ms: f64 = dump
+                .events
+                .iter()
+                .filter(|e| e.node == node)
+                .filter_map(|e| match e.event {
+                    SpanEvent::PacketProcessed { latency_ns, .. } => {
+                        Some(SimDuration(latency_ns).as_millis_f64())
+                    }
+                    _ => None,
+                })
+                .sum();
+            let h = reg.histogram(&format!("{label}.pkt_latency")).expect("packets sampled");
+            assert_eq!(h.count(), counter("packets"));
+            assert!((h.sum() - latency_ms).abs() < 1e-9, "{} vs {latency_ms}", h.sum());
+        }
+        // Every injected packet is processed by exactly one MB or
+        // dropped by exactly one node.
+        let dropped = count(None, |e| matches!(e, SpanEvent::PacketDropped { .. }));
+        assert_eq!(count(None, is_packet) + dropped, PACKETS as u64, "{dropped} dropped");
     }
 }

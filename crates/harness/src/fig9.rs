@@ -16,7 +16,9 @@ use openmb_middleboxes::{Ips, Monitor};
 use openmb_simnet::{Frame, SimDuration, SimTime};
 use openmb_types::{HeaderFieldList, Packet};
 
-use crate::common::{op_duration_ms, preload_flow, preloaded_ips, preloaded_monitor};
+use crate::common::{
+    op_duration_ms, preload_flow, preloaded_ips, preloaded_monitor, record_timeline, timeline,
+};
 use crate::report::{f, Table};
 
 /// Which middlebox a measurement ran on.
@@ -75,6 +77,7 @@ fn run_move<M: Middlebox + Clone + 'static>(
         },
     );
     let mut setup = two_mb_scenario(logic.clone(), logic, Box::new(app), ScenarioParams::default());
+    record_timeline(&mut setup.sim);
     if let Some(c) = costs {
         // Event-generation runs must keep the MB below saturation at the
         // tested packet rates; the override trims only the per-packet
@@ -108,7 +111,7 @@ pub fn measure_get_put(mb: MbKind, chunks: usize) -> GetPutSample {
         MbKind::Bro => run_move(preloaded_ips(chunks), 0, chunks, SimDuration::ZERO, None),
     };
     let get_ms =
-        op_duration_ms(&sim.metrics.trace, layout::MB_A, mb.get_op()).expect("get must have run");
+        op_duration_ms(&timeline(&sim), "mb:mb_a", mb.get_op()).expect("get must have run");
     // All puts: the destination's busy time executing them. (Wall-clock
     // span would just mirror the get, which paces chunk arrivals.)
     let dst: &MbNode<Monitor> = match mb {

@@ -11,10 +11,13 @@ use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
 use openmb_core::app::{Api, ControlApp};
 use openmb_core::controller::Completion;
 use openmb_middleboxes::ReDecoder;
-use openmb_simnet::{Frame, SimDuration, SimTime, TraceKind};
-use openmb_types::{HeaderFieldList, MbId, NodeId, Packet};
+use openmb_simnet::obs::{RecorderDump, SpanEvent};
+use openmb_simnet::{Frame, SimDuration, SimTime};
+use openmb_types::{HeaderFieldList, MbId, Packet};
 
-use crate::common::{preload_flow, preloaded_ips};
+use crate::common::{
+    get_window, is_state_get, preload_flow, preloaded_ips, record_timeline, timeline,
+};
 use crate::report::{f, Table};
 
 /// Latency summary for one MB kind.
@@ -30,41 +33,27 @@ impl LatencyResult {
     }
 }
 
-/// Mean processing latency of packets processed at `node` inside /
-/// outside the window `[from, to]`.
-fn split_latency(
-    sim: &openmb_simnet::Sim,
-    node: NodeId,
-    label: &str,
-    from: SimTime,
-    to: SimTime,
-) -> (f64, f64) {
-    // The MbNode samples latencies in arrival order; pair them with the
-    // PacketProcessed trace events (same order) to classify by time.
-    let samples = sim.metrics.samples(&format!("{label}.pkt_latency"));
-    let times: Vec<SimTime> = sim
-        .metrics
-        .trace
-        .iter()
-        .filter(|e| e.node == node && matches!(e.kind, TraceKind::PacketProcessed { .. }))
-        .map(|e| e.time)
-        .collect();
-    assert_eq!(samples.len(), times.len(), "sample/trace pairing");
+/// Mean processing latency of packets that arrived at `node` outside /
+/// inside its get window; `None` when it served no get.
+pub fn split_latency(dump: &RecorderDump, node: &str) -> Option<(f64, f64)> {
+    let (from, to) = get_window(dump, node, is_state_get)?;
     let mut inside = Vec::new();
     let mut outside = Vec::new();
-    for (d, t) in samples.iter().zip(times) {
+    for e in dump.events.iter().filter(|e| e.node == node) {
+        let SpanEvent::PacketProcessed { latency_ns, .. } = e.event else { continue };
         // Classify by *arrival* time (processing-completion minus the
-        // sampled latency): a packet that arrives during the get but is
+        // latency): a packet that arrives during the get but is
         // delayed past its end still belongs to the get window.
-        let arrived = SimTime(t.0.saturating_sub(d.as_nanos()));
+        let arrived = SimTime(e.t_ns.saturating_sub(latency_ns));
+        let ms = SimDuration(latency_ns).as_millis_f64();
         if arrived >= from && arrived <= to {
-            inside.push(d.as_millis_f64());
+            inside.push(ms);
         } else {
-            outside.push(d.as_millis_f64());
+            outside.push(ms);
         }
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    (mean(&outside), mean(&inside))
+    Some((mean(&outside), mean(&inside)))
 }
 
 /// Measure the Bro-like IPS: steady traffic, one `getSupportPerflow` of
@@ -91,6 +80,7 @@ pub fn bro_latency(chunks: usize) -> LatencyResult {
         Box::new(app),
         ScenarioParams::default(),
     );
+    record_timeline(&mut setup.sim);
     // Sparse traffic (Bro's 6.93 ms service time saturates at ~144 pps;
     // the paper replays a trace, so the MB is not overloaded).
     let gap = 25_000_000u64; // 40 pkt/s
@@ -108,28 +98,8 @@ pub fn bro_latency(chunks: usize) -> LatencyResult {
     }
     setup.sim.run(500_000_000);
     assert!(setup.sim.is_idle());
-    // The get window, from the trace.
-    let (start, end) = get_window(&setup.sim, setup.mb_a);
-    let (normal, during) = split_latency(&setup.sim, setup.mb_a, "mb_a", start, end);
+    let (normal, during) = split_latency(&timeline(&setup.sim), "mb:mb_a").expect("get ran");
     LatencyResult { normal_ms: normal, during_get_ms: during }
-}
-
-fn get_window(sim: &openmb_simnet::Sim, node: NodeId) -> (SimTime, SimTime) {
-    let mut start = None;
-    let mut end = None;
-    for e in &sim.metrics.trace {
-        if e.node != node {
-            continue;
-        }
-        match &e.kind {
-            TraceKind::OpStart { op } if op.starts_with("get") && start.is_none() => {
-                start = Some(e.time)
-            }
-            TraceKind::OpEnd { op } if op.starts_with("get") => end = Some(e.time),
-            _ => {}
-        }
-    }
-    (start.expect("get ran"), end.expect("get finished"))
 }
 
 /// Driver that clones the decoder's cache mid-run (RE latency probe).
@@ -165,6 +135,7 @@ pub fn re_latency(cache_size: usize) -> LatencyResult {
         Box::new(app),
         ScenarioParams::default(),
     );
+    record_timeline(&mut setup.sim);
     // An encoder feeding the decoder realistic encoded traffic would
     // need the full RE topology; for the latency probe, raw (unencoded)
     // packets exercise the same decode-and-append path.
@@ -179,30 +150,8 @@ pub fn re_latency(cache_size: usize) -> LatencyResult {
     }
     setup.sim.run(500_000_000);
     assert!(setup.sim.is_idle());
-    let (start, end) = get_window(&setup.sim, setup.mb_a);
-    let (normal, during) = split_latency(&setup.sim, setup.mb_a, "mb_a", start, end);
+    let (normal, during) = split_latency(&timeline(&setup.sim), "mb:mb_a").expect("get ran");
     LatencyResult { normal_ms: normal, during_get_ms: during }
-}
-
-/// Mean per-packet latency at `node` during its get window (public
-/// helper for the ablations module). Returns 0 when no get ran.
-pub fn split_latency_public(sim: &openmb_simnet::Sim, node: NodeId, label: &str) -> f64 {
-    let mut start = None;
-    let mut end = None;
-    for e in &sim.metrics.trace {
-        if e.node != node {
-            continue;
-        }
-        match &e.kind {
-            TraceKind::OpStart { op } if op.starts_with("get") && start.is_none() => {
-                start = Some(e.time)
-            }
-            TraceKind::OpEnd { op } if op.starts_with("get") => end = Some(e.time),
-            _ => {}
-        }
-    }
-    let (Some(s), Some(e)) = (start, end) else { return 0.0 };
-    split_latency(sim, node, label, s, e).1
 }
 
 /// Regenerate the §8.2 latency comparison.

@@ -49,8 +49,8 @@ pub struct ExportedRun {
 const HEALTH_EVERY: SimDuration = SimDuration::from_millis(250);
 
 /// Run a short scale-up (move Monitor state mb_a → mb_b under steady
-/// HTTP traffic) with recorder, invariant monitor, and trace enabled,
-/// and export it.
+/// HTTP traffic) with the recorder and invariant monitor attached, and
+/// export it.
 pub fn export_scale_up() -> ExportedRun {
     use layout::*;
     let subset = HeaderFieldList::any();
@@ -68,7 +68,10 @@ pub fn export_scale_up() -> ExportedRun {
         two_mb_scenario(Monitor::new(), Monitor::new(), Box::new(app), ScenarioParams::default());
     // The monitor rides the span stream as a sink: it sees every event
     // (including ones later evicted from the ring) live, so its
-    // verdicts and phase attribution are wraparound-proof.
+    // verdicts and phase attribution are wraparound-proof. The ring
+    // holds the whole run (≈4.4 k events: 2 000 packets, the events
+    // they raise, and the move's ≈2 k control-plane spans), so the
+    // exported packet count can be held to the MBs' counters.
     let monitor = attach_oracle(&mut setup.sim, 1, window, 8192);
 
     // Steady HTTP traffic at ~800 pkt/s over 400 flows for 2.5 s: the
@@ -132,6 +135,12 @@ pub fn export_scale_up() -> ExportedRun {
         reg.set_gauge("sim.end_ms", end_ms);
         reg.set_gauge("recorder.events_retained", dump.events.len() as f64);
         reg.set_gauge("recorder.events_evicted", dump.evicted as f64);
+        let packets = dump
+            .events
+            .iter()
+            .filter(|e| matches!(e.event, SpanEvent::PacketProcessed { .. }))
+            .count();
+        reg.set_gauge("recorder.packets_processed", packets as f64);
         reg.set_gauge("monitor.violations", monitor.violation_count() as f64);
     }
 
@@ -258,6 +267,10 @@ mod tests {
         for key in ["recorder.events_retained", "sim.end_ms"] {
             assert!(r.json.contains(&format!("\"{key}\"")), "missing gauge {key}");
         }
+        // Nothing fell out of the ring, and each of the 2 000 injected
+        // packets is in it as one packet-processed event.
+        assert!(r.json.contains("\"recorder.events_evicted\":0"), "{}", r.json);
+        assert!(r.json.contains("\"recorder.packets_processed\":2000"), "{}", r.json);
         assert!(r.json.contains("\"mb_a.pkt_latency\""), "latency histogram exported");
 
         // Prometheus text carries the sanitized equivalents.

@@ -127,7 +127,7 @@ fn traffic(total_phase: usize, post_start_ns: u64) -> Trace {
             .map(|(i, e)| {
                 let mut p = e.packet.clone();
                 p.id = i as u64 + 1;
-                openmb_traffic::TraceEvent { time: e.time, packet: p }
+                openmb_traffic::TimedPacket { time: e.time, packet: p }
             })
             .collect(),
     )

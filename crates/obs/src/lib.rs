@@ -4,8 +4,10 @@
 //! This crate is deliberately dependency-free (std only) so it can sit
 //! at the bottom of the workspace graph: `openmb-simnet` backs its
 //! counters with [`Registry`], `openmb-core` records span events from
-//! `ControllerCore`/`TcpController`, and `openmb-mb` records them from
-//! the MB-side southbound handlers. Identifiers are therefore carried
+//! `ControllerCore`/`TcpController` and — for the data plane: packets
+//! processed, events raised and replayed, gets served — from `MbNode`,
+//! and `openmb-mb` records them from the MB-side southbound handlers.
+//! It is the workspace's only event vocabulary. Identifiers are carried
 //! as raw integers (`OpId.0`, sub-op ids) rather than the typed ids
 //! from `openmb-types`, and time is raw nanoseconds: the simulator
 //! passes `SimTime.0`, the TCP embedding passes

@@ -37,9 +37,11 @@ impl fmt::Display for ParkReason {
 /// One typed lifecycle event within an operation's span.
 ///
 /// The first seven variants are the controller-side lifecycle from the
-/// resumable-transfer choreography; the rest attribute the same op id
-/// to the other layers (MB handlers, transports, fault injection) so a
-/// dump reads as one causally-ordered cross-node timeline.
+/// resumable-transfer choreography; the next group attributes the same
+/// op id to the other layers (MB handlers, transports, fault injection)
+/// so a dump reads as one causally-ordered cross-node timeline; the
+/// last five are the data plane's (Figure 7's packet and event
+/// activity), recorded with neither op nor sub-op id except `Served`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpanEvent {
     /// The operation (or one of its sub-ops) was issued.
@@ -87,6 +89,21 @@ pub enum SpanEvent {
     /// Chain hop `hop`'s compensating reverse move was issued;
     /// `undoes` is the forward op id being compensated.
     ChainUndo { hop: u32, undoes: u64 },
+    /// A middlebox finished processing a data packet, `latency_ns`
+    /// after it arrived (queueing included).
+    PacketProcessed { pkt_id: u64, latency_ns: u64 },
+    /// A switch or the controller discarded a data packet (drop rule,
+    /// table miss with no controller, unroutable packet-in).
+    PacketDropped { pkt_id: u64 },
+    /// A middlebox raised a reprocess event.
+    EventRaised,
+    /// A middlebox replayed a reprocess event.
+    EventReplayed,
+    /// A middlebox finished serving a get it had answered
+    /// asynchronously (streamed per-flow chunks, background shared
+    /// export): the last reply left. Keyed by the get's sub-op id,
+    /// like the `Handled { msg }` that opened it.
+    Served { msg: &'static str },
 }
 
 impl fmt::Display for SpanEvent {
@@ -114,6 +131,13 @@ impl fmt::Display for SpanEvent {
             SpanEvent::ChainUndo { hop, undoes } => {
                 write!(f, "chain-undo(hop={hop},undoes={undoes})")
             }
+            SpanEvent::PacketProcessed { pkt_id, latency_ns } => {
+                write!(f, "packet(id={pkt_id},latency_ns={latency_ns})")
+            }
+            SpanEvent::PacketDropped { pkt_id } => write!(f, "packet-dropped(id={pkt_id})"),
+            SpanEvent::EventRaised => write!(f, "event-raised"),
+            SpanEvent::EventReplayed => write!(f, "event-replayed"),
+            SpanEvent::Served { msg } => write!(f, "served({msg})"),
         }
     }
 }

@@ -1,6 +1,9 @@
 //! The simulated OpenFlow switch.
 
-use openmb_simnet::{Ctx, Frame, Node, SimDuration, TraceKind};
+use std::collections::VecDeque;
+
+use openmb_simnet::obs::SpanEvent;
+use openmb_simnet::{Ctx, Frame, Node, SimDuration};
 use openmb_types::sdn::{SdnAction, SdnMessage};
 use openmb_types::NodeId;
 
@@ -25,7 +28,7 @@ pub struct Switch {
     pub dropped: u64,
     /// Packets that finished table lookup and are waiting out the
     /// pipeline delay before egress.
-    pending_out: Vec<(NodeId, openmb_types::Packet)>,
+    pending_out: VecDeque<(NodeId, openmb_types::Packet)>,
     label: String,
 }
 
@@ -37,7 +40,7 @@ impl Switch {
             forwarding_delay: SimDuration::from_micros(5),
             table: FlowTable::new(),
             dropped: 0,
-            pending_out: Vec::new(),
+            pending_out: VecDeque::new(),
             label: label.into(),
         }
     }
@@ -79,19 +82,19 @@ impl Switch {
                     // Simpler and equivalent under FIFO links: add the
                     // delay by scheduling the send from now+delay.
                     let delay = self.forwarding_delay;
-                    self.pending_out.push((next, pkt));
+                    self.pending_out.push_back((next, pkt));
                     ctx.set_timer(delay, TIMER_FLUSH);
                 }
             }
             Some(SdnAction::Drop) => {
-                ctx.trace(TraceKind::PacketDropped { pkt_id: pkt.id });
+                ctx.record(None, None, SpanEvent::PacketDropped { pkt_id: pkt.id });
                 ctx.metrics.incr("switch.dropped_by_rule", 1);
             }
             None => match self.controller {
                 Some(c) => ctx.send(c, Frame::Sdn(SdnMessage::PacketIn { packet: pkt })),
                 None => {
                     self.dropped += 1;
-                    ctx.trace(TraceKind::PacketDropped { pkt_id: pkt.id });
+                    ctx.record(None, None, SpanEvent::PacketDropped { pkt_id: pkt.id });
                     ctx.metrics.incr("switch.miss_dropped", 1);
                 }
             },
@@ -105,8 +108,7 @@ const TIMER_FLUSH: u64 = 1;
 impl Switch {
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
         // Timers fire in order, one per queued packet: emit the oldest.
-        if !self.pending_out.is_empty() {
-            let (next, pkt) = self.pending_out.remove(0);
+        if let Some((next, pkt)) = self.pending_out.pop_front() {
             ctx.send(next, Frame::Data(pkt));
         }
     }

@@ -19,7 +19,7 @@ use openmb_obs::{NodeTag, Recorder, SpanEvent};
 use openmb_types::{wire, NodeId, Packet};
 
 use crate::fault::{FaultAction, FaultPlan, FaultRecord, FaultRule, RuleRng};
-use crate::metrics::{Metrics, TraceKind};
+use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 
 /// What travels over links.
@@ -179,11 +179,6 @@ impl Ctx<'_> {
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let t = self.now.after(delay);
         self.world.schedule(t, self.self_id, Payload::Timer { token });
-    }
-
-    /// Record a trace event attributed to this node at the current time.
-    pub fn trace(&mut self, kind: TraceKind) {
-        self.metrics.trace(self.now, self.self_id, kind);
     }
 
     /// Does a link from this node to `to` exist?
@@ -391,7 +386,8 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// An empty simulation with trace recording enabled.
+    /// An empty simulation. The flight recorder is off (see
+    /// [`Sim::set_recorder`]), so nothing grows per packet or per event.
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
@@ -431,12 +427,11 @@ impl Sim {
         &self.recorder
     }
 
-    /// An empty simulation that records only counters/samples (cheaper
-    /// for large parameter sweeps).
+    /// Identical to [`Sim::new`]. Kept only because `perfbench/`
+    /// (frozen while a PR touches this crate) calls it by this name; a
+    /// benchmark-only follow-up drops it.
     pub fn new_counters_only() -> Self {
-        let mut s = Self::new();
-        s.metrics = Metrics::counters_only();
-        s
+        Self::new()
     }
 
     /// Add a node; returns its id.

@@ -1,80 +1,35 @@
-//! Measurement infrastructure: trace events (the raw material for
-//! Figure 7's timeline), latency samples, and named counters.
+//! Measurement infrastructure: named counters, gauges and latency
+//! histograms, plus the ECDF the figures are summarized with.
 //!
-//! Counters and duration samples are backed by an [`openmb_obs::Registry`]
-//! (counters live there outright; each sample is additionally mirrored
-//! into a latency histogram), so a run's metrics export through the
-//! registry's Prometheus/JSON serializers without a translation step.
-
-use std::collections::BTreeMap;
+//! [`Metrics`] is a thin wrapper over an [`openmb_obs::Registry`], so a
+//! run's metrics export through the registry's Prometheus/JSON
+//! serializers without a translation step. It keeps no per-packet
+//! table: what happened *when* (packets processed, events raised and
+//! replayed, gets served — the raw material for Figure 7's timeline)
+//! is recorded as [`openmb_obs::SpanEvent`]s into the simulation's
+//! flight recorder (see [`crate::Sim::set_recorder`]), which is bounded
+//! and off by default.
 
 use openmb_obs::Registry;
-use openmb_types::NodeId;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
-/// What happened — the action categories plotted in Figure 7 of the
-/// paper ("packet processing, event raising/processing, and operation
-/// handling") plus generic counters for everything else we track.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A middlebox processed a data packet.
-    PacketProcessed { pkt_id: u64, http: bool },
-    /// A middlebox raised a reprocess event.
-    EventRaised,
-    /// A middlebox consumed (replayed) a reprocess event.
-    EventProcessed,
-    /// A get/put/del/config southbound operation started at an MB.
-    OpStart { op: &'static str },
-    /// A southbound operation finished at an MB.
-    OpEnd { op: &'static str },
-    /// A packet was dropped (no route, suspended link, ...).
-    PacketDropped { pkt_id: u64 },
-    /// Free-form annotation.
-    Note(String),
-}
-
-/// A single timestamped trace record.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    pub time: SimTime,
-    pub node: NodeId,
-    pub kind: TraceKind,
-}
-
-/// Collects everything the experiments measure. One per simulation run.
+/// Collects everything the experiments count. One per simulation run.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Chronological activity log (append-only; the engine appends in
-    /// event order so this is sorted by time).
-    pub trace: Vec<TraceEvent>,
-    /// Counters (and mirrored sample histograms), exportable as
-    /// Prometheus text or JSON via [`Metrics::registry`].
     registry: Registry,
-    /// Named duration samples (e.g. per-packet processing latency).
-    /// Kept as exact values for the experiment tables; the registry
-    /// holds the same data bucketed as a histogram in milliseconds.
-    samples: BTreeMap<String, Vec<SimDuration>>,
-    /// Whether the (possibly large) trace log should be recorded.
-    pub record_trace: bool,
 }
 
 impl Metrics {
     pub fn new() -> Self {
-        Metrics { record_trace: true, ..Default::default() }
+        Self::default()
     }
 
-    /// A metrics sink that skips the per-event trace (for large runs
-    /// where only counters/samples matter).
+    /// Identical to [`Metrics::new`]. Kept only because `perfbench/`
+    /// (frozen while a PR touches this crate) calls it by this name; a
+    /// benchmark-only follow-up drops it.
     pub fn counters_only() -> Self {
-        Metrics { record_trace: false, ..Default::default() }
-    }
-
-    /// Append a trace record.
-    pub fn trace(&mut self, time: SimTime, node: NodeId, kind: TraceKind) {
-        if self.record_trace {
-            self.trace.push(TraceEvent { time, node, kind });
-        }
+        Self::default()
     }
 
     /// Bump a named counter. Allocates the key only on the counter's
@@ -100,64 +55,11 @@ impl Metrics {
         &mut self.registry
     }
 
-    /// Record a duration sample under a name. Like [`Metrics::incr`],
-    /// only the first sample for a name allocates the key. The sample
-    /// is also mirrored into the registry as a `<name>` histogram
-    /// observation in milliseconds.
+    /// Observe a duration under a name, as a `<name>` histogram
+    /// observation in milliseconds. Like [`Metrics::incr`], only the
+    /// first sample for a name allocates.
     pub fn sample(&mut self, name: &str, d: SimDuration) {
         self.registry.observe(name, d.as_millis_f64());
-        if let Some(v) = self.samples.get_mut(name) {
-            v.push(d);
-        } else {
-            self.samples.insert(name.to_owned(), vec![d]);
-        }
-    }
-
-    /// All samples recorded under a name.
-    pub fn samples(&self, name: &str) -> &[SimDuration] {
-        self.samples.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Mean of a sample series in milliseconds, `None` if empty.
-    pub fn mean_ms(&self, name: &str) -> Option<f64> {
-        let s = self.samples(name);
-        if s.is_empty() {
-            return None;
-        }
-        Some(s.iter().map(|d| d.as_millis_f64()).sum::<f64>() / s.len() as f64)
-    }
-
-    /// Maximum of a sample series in milliseconds, `None` if empty.
-    pub fn max_ms(&self, name: &str) -> Option<f64> {
-        self.samples(name).iter().map(|d| d.as_millis_f64()).fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) if v > a => v,
-                Some(a) => a,
-            })
-        })
-    }
-
-    /// All counter names and values, for reports.
-    pub fn all_counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.registry.counters()
-    }
-
-    /// Trace events of one node within a time window (for Fig 7).
-    ///
-    /// The trace is appended in event order, so it is sorted by time:
-    /// the window bounds are found by binary search
-    /// (`partition_point`) and only the `[from, to]` slice is scanned
-    /// for the node filter, rather than the whole trace.
-    pub fn trace_window(
-        &self,
-        node: NodeId,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &TraceEvent> {
-        let lo = self.trace.partition_point(|e| e.time < from);
-        let hi = lo + self.trace[lo..].partition_point(|e| e.time <= to);
-        self.trace[lo..hi].iter().filter(move |e| e.node == node)
     }
 }
 
@@ -241,56 +143,10 @@ mod tests {
         assert_eq!(m.counter("absent"), 0);
         m.sample("lat", SimDuration::from_millis(2));
         m.sample("lat", SimDuration::from_millis(4));
-        assert!((m.mean_ms("lat").unwrap() - 3.0).abs() < 1e-9);
-        assert!((m.max_ms("lat").unwrap() - 4.0).abs() < 1e-9);
-        assert!(m.mean_ms("none").is_none());
-    }
-
-    #[test]
-    fn trace_window_filters() {
-        let mut m = Metrics::new();
-        let n = NodeId(1);
-        m.trace(SimTime(10), n, TraceKind::EventRaised);
-        m.trace(SimTime(20), NodeId(2), TraceKind::EventRaised);
-        m.trace(SimTime(30), n, TraceKind::EventRaised);
-        let in_window: Vec<_> = m.trace_window(n, SimTime(5), SimTime(25)).collect();
-        assert_eq!(in_window.len(), 1);
-    }
-
-    #[test]
-    fn trace_disabled_skips_recording() {
-        let mut m = Metrics::counters_only();
-        m.trace(SimTime(1), NodeId(0), TraceKind::EventRaised);
-        assert!(m.trace.is_empty());
-    }
-
-    #[test]
-    fn trace_window_binary_search_matches_linear_scan_on_large_trace() {
-        let mut m = Metrics::new();
-        // 10_000 events over two nodes with duplicate timestamps, so
-        // the window bounds land inside runs of equal times.
-        for i in 0..10_000u64 {
-            let node = NodeId((i % 2) as u32);
-            m.trace(SimTime((i / 4) * 10), node, TraceKind::EventRaised);
-        }
-        let node = NodeId(1);
-        for (from, to) in [
-            (SimTime(0), SimTime(0)),
-            (SimTime(5), SimTime(95)),
-            (SimTime(100), SimTime(100)),
-            (SimTime(0), SimTime(u64::MAX)),
-            (SimTime(24_990), SimTime(30_000)),
-            (SimTime(30_001), SimTime(30_002)), // empty window
-        ] {
-            let fast: Vec<SimTime> = m.trace_window(node, from, to).map(|e| e.time).collect();
-            let slow: Vec<SimTime> = m
-                .trace
-                .iter()
-                .filter(|e| e.node == node && e.time >= from && e.time <= to)
-                .map(|e| e.time)
-                .collect();
-            assert_eq!(fast, slow, "window [{from:?}, {to:?}]");
-        }
+        let h = m.registry().histogram("lat").unwrap();
+        assert!((h.sum() / h.count() as f64 - 3.0).abs() < 1e-9);
+        assert!((h.max().unwrap() - 4.0).abs() < 1e-9);
+        assert!(m.registry().histogram("none").is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use openmb_types::{FlowKey, Packet, Proto};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{TimedPacket, Trace};
 
 /// Parameters for the cloud-trace generator.
 #[derive(Debug, Clone)]
@@ -82,13 +82,13 @@ impl CloudTraceConfig {
 
             if key.proto == Proto::Tcp {
                 // Handshake.
-                events.push(TraceEvent {
+                events.push(TimedPacket {
                     time: t,
                     packet: Packet::tcp(pkt_id, key, tcp_flags::SYN, Bytes::new()),
                 });
                 pkt_id += 1;
                 t = t.after(SimDuration(rng.random_range(gap / 4..gap)));
-                events.push(TraceEvent {
+                events.push(TimedPacket {
                     time: t,
                     packet: Packet::tcp(
                         pkt_id,
@@ -122,13 +122,13 @@ impl CloudTraceConfig {
                     Packet::new(pkt_id, pkey, payload)
                 };
                 pkt.meta.http_request = is_http && orig;
-                events.push(TraceEvent { time: t, packet: pkt });
+                events.push(TimedPacket { time: t, packet: pkt });
                 pkt_id += 1;
             }
 
             if key.proto == Proto::Tcp {
                 t = t.after(SimDuration(rng.random_range(gap / 2..gap)));
-                events.push(TraceEvent {
+                events.push(TimedPacket {
                     time: t,
                     packet: Packet::tcp(pkt_id, key, tcp_flags::FIN | tcp_flags::ACK, Bytes::new()),
                 });

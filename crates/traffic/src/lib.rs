@@ -17,4 +17,4 @@ pub mod trace;
 pub use cloud::CloudTraceConfig;
 pub use datacenter::DatacenterWorkload;
 pub use redundant::RedundantPayloads;
-pub use trace::{Trace, TraceEvent};
+pub use trace::{TimedPacket, Trace};

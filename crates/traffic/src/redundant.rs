@@ -14,7 +14,7 @@ use openmb_types::{FlowKey, Packet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{TimedPacket, Trace};
 
 /// Generator of redundancy-laden payload streams.
 #[derive(Debug, Clone)]
@@ -79,7 +79,7 @@ impl RedundantPayloads {
                 Ipv4Addr::from(o)
             };
             let key = FlowKey::tcp(src, 40_000 + (i % 1000) as u16, dst, 80);
-            events.push(TraceEvent { time: t, packet: Packet::new(i as u64 + 1, key, payload) });
+            events.push(TimedPacket { time: t, packet: Packet::new(i as u64 + 1, key, payload) });
             t = t.after(gap);
         }
         Trace::new(events)

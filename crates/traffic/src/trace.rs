@@ -6,7 +6,7 @@ use openmb_types::{Error, NodeId, Packet, PacketMeta, Proto, Result};
 
 /// One timestamped packet.
 #[derive(Debug, Clone)]
-pub struct TraceEvent {
+pub struct TimedPacket {
     pub time: SimTime,
     pub packet: Packet,
 }
@@ -14,18 +14,18 @@ pub struct TraceEvent {
 /// A replayable packet trace, sorted by time.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    events: Vec<TimedPacket>,
 }
 
 impl Trace {
     /// Build from unsorted events.
-    pub fn new(mut events: Vec<TraceEvent>) -> Self {
+    pub fn new(mut events: Vec<TimedPacket>) -> Self {
         events.sort_by_key(|e| e.time);
         Trace { events }
     }
 
     /// The events, in time order.
-    pub fn events(&self) -> &[TraceEvent] {
+    pub fn events(&self) -> &[TimedPacket] {
         &self.events
     }
 
@@ -148,7 +148,7 @@ impl Trace {
             let seq = r.u32()?;
             let http_request = r.bool()?;
             let payload = r.bytes()?;
-            events.push(TraceEvent {
+            events.push(TimedPacket {
                 time,
                 packet: Packet {
                     id,
@@ -182,9 +182,9 @@ mod tests {
     use openmb_types::FlowKey;
     use std::net::Ipv4Addr;
 
-    fn ev(t: u64, id: u64) -> TraceEvent {
+    fn ev(t: u64, id: u64) -> TimedPacket {
         let key = FlowKey::tcp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 80);
-        TraceEvent { time: SimTime(t), packet: Packet::new(id, key, vec![0u8; 10]) }
+        TimedPacket { time: SimTime(t), packet: Packet::new(id, key, vec![0u8; 10]) }
     }
 
     #[test]

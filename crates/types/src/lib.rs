@@ -13,6 +13,11 @@
 //! over UNIX sockets; we keep the identical message vocabulary but encode
 //! it with a compact length-prefixed binary codec (see [`wire`]).
 
+// Lets `tests/wire_corpus`, which the wire unit tests also include,
+// name this crate the way an integration test does.
+#[cfg(test)]
+extern crate self as openmb_types;
+
 pub mod compress;
 pub mod config;
 pub mod crypto;

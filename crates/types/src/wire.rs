@@ -1511,6 +1511,12 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Option<Message>> {
     decode_bytes(&Bytes::from(body)).map(Some)
 }
 
+/// Randomized instances of every variant and their damaged encodings,
+/// shared with `tests/decode_alloc.rs`.
+#[cfg(test)]
+#[path = "../tests/wire_corpus/mod.rs"]
+mod gen;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1795,209 +1801,6 @@ mod tests {
         }
     }
 
-    /// Generator for `encoded_len_matches_encode_for_every_variant`:
-    /// builds a randomized instance of the variant at `idx`, exercising
-    /// every size-dependent field (strings, blobs, options, vectors).
-    mod gen {
-        use super::*;
-        use crate::flow::IpPrefix;
-        use proptest::test_runner::TestRng;
-
-        pub fn string(rng: &mut TestRng) -> String {
-            let len = rng.below(24) as usize;
-            (0..len).map(|_| char::from(b'a' + rng.below(26) as u8)).collect()
-        }
-
-        pub fn flow_key(rng: &mut TestRng) -> FlowKey {
-            let ip = |rng: &mut TestRng| Ipv4Addr::from(rng.next_u64() as u32);
-            let key = FlowKey::tcp(ip(rng), rng.next_u64() as u16, ip(rng), rng.next_u64() as u16);
-            match rng.below(3) {
-                0 => key,
-                1 => FlowKey { proto: crate::flow::Proto::Udp, ..key },
-                _ => FlowKey { proto: crate::flow::Proto::Icmp, ..key },
-            }
-        }
-
-        pub fn hfl(rng: &mut TestRng) -> HeaderFieldList {
-            HeaderFieldList {
-                nw_src: IpPrefix::new(Ipv4Addr::from(rng.next_u64() as u32), rng.below(33) as u8),
-                nw_dst: IpPrefix::new(Ipv4Addr::from(rng.next_u64() as u32), rng.below(33) as u8),
-                tp_src: (rng.below(2) == 0).then(|| rng.next_u64() as u16),
-                tp_dst: (rng.below(2) == 0).then(|| rng.next_u64() as u16),
-                proto: match rng.below(4) {
-                    0 => None,
-                    1 => Some(crate::flow::Proto::Tcp),
-                    2 => Some(crate::flow::Proto::Udp),
-                    _ => Some(crate::flow::Proto::Icmp),
-                },
-            }
-        }
-
-        pub fn shared_chunk(rng: &mut TestRng) -> EncryptedChunk {
-            let key = crate::crypto::VendorKey::derive("gen");
-            let n = rng.below(64) as usize;
-            let plain: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
-            EncryptedChunk::seal(&key, rng.next_u64(), &plain)
-        }
-
-        pub fn chunk(rng: &mut TestRng) -> StateChunk {
-            StateChunk::new(hfl(rng), shared_chunk(rng))
-        }
-
-        pub fn hkey(rng: &mut TestRng) -> HierarchicalKey {
-            let depth = rng.below(4);
-            let path: Vec<String> = (0..depth).map(|_| string(rng)).collect();
-            HierarchicalKey::parse(&path.join("/"))
-        }
-
-        pub fn values(rng: &mut TestRng) -> Vec<ConfigValue> {
-            (0..rng.below(5))
-                .map(|_| match rng.below(3) {
-                    0 => ConfigValue::Str(string(rng)),
-                    1 => ConfigValue::Int(rng.next_u64() as i64),
-                    _ => ConfigValue::Bool(rng.below(2) == 0),
-                })
-                .collect()
-        }
-
-        pub fn packet(rng: &mut TestRng) -> Packet {
-            let n = rng.below(256) as usize;
-            let payload: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
-            Packet::new(rng.next_u64(), flow_key(rng), payload)
-        }
-
-        pub fn error(rng: &mut TestRng) -> Error {
-            match rng.below(12) {
-                0 => Error::GranularityTooFine { requested: hfl(rng), native: string(rng) },
-                1 => Error::NoSuchConfigKey(string(rng)),
-                2 => Error::InvalidConfigValue { key: string(rng), reason: string(rng) },
-                3 => Error::UnknownMb(MbId(rng.next_u64() as u32)),
-                4 => Error::UnsupportedStateClass(string(rng)),
-                5 => Error::MalformedChunk(string(rng)),
-                6 => Error::MergeNotPermitted(string(rng)),
-                7 => Error::Codec(string(rng)),
-                8 => Error::Transport(string(rng)),
-                9 => Error::Timeout { op: OpId(rng.next_u64()) },
-                10 => Error::MbUnreachable(MbId(rng.next_u64() as u32)),
-                _ => Error::OpFailed(string(rng)),
-            }
-        }
-
-        pub fn filter(rng: &mut TestRng) -> EventFilter {
-            EventFilter {
-                codes: (rng.below(2) == 0)
-                    .then(|| (0..rng.below(5)).map(|_| rng.next_u64() as u32).collect()),
-                key: (rng.below(2) == 0).then(|| hfl(rng)),
-            }
-        }
-
-        /// Content hashes are never all-zero on the wire (decode rejects
-        /// the null hash), so the generator forces one nonzero byte.
-        pub fn hash(rng: &mut TestRng) -> [u8; 32] {
-            let mut h = [0u8; 32];
-            for chunk in h.chunks_mut(8) {
-                chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-            }
-            h[0] |= 1;
-            h
-        }
-
-        pub fn chunk_class(rng: &mut TestRng) -> ChunkClass {
-            if rng.below(2) == 0 {
-                ChunkClass::Support
-            } else {
-                ChunkClass::Report
-            }
-        }
-
-        /// One randomized message of the variant at `idx` (0..=33 covers
-        /// the whole enum; keep in sync with `Message`).
-        pub const VARIANTS: u64 = 34;
-        pub fn message(rng: &mut TestRng, idx: u64) -> Message {
-            let op = OpId(rng.next_u64());
-            match idx {
-                0 => Message::GetConfig { op, key: hkey(rng) },
-                1 => Message::SetConfig { op, key: hkey(rng), values: values(rng) },
-                2 => Message::DelConfig { op, key: hkey(rng) },
-                3 => Message::GetSupportPerflow { op, key: hfl(rng) },
-                4 => Message::PutSupportPerflow { op, chunk: chunk(rng) },
-                5 => Message::DelSupportPerflow { op, key: hfl(rng) },
-                6 => Message::GetReportPerflow { op, key: hfl(rng) },
-                7 => Message::PutReportPerflow { op, chunk: chunk(rng) },
-                8 => Message::DelReportPerflow { op, key: hfl(rng) },
-                9 => Message::GetSupportShared { op },
-                10 => Message::PutSupportShared { op, chunk: shared_chunk(rng) },
-                11 => Message::GetReportShared { op },
-                12 => Message::PutReportShared { op, chunk: shared_chunk(rng) },
-                13 => Message::GetStats { op, key: hfl(rng) },
-                14 => Message::EnableEvents { op, filter: filter(rng) },
-                15 => Message::DisableEvents { op },
-                16 => Message::ReprocessPacket { op, key: flow_key(rng), packet: packet(rng) },
-                17 => Message::EndSync { op },
-                18 => Message::Chunk { op, chunk: chunk(rng) },
-                19 => Message::GetAck { op, count: rng.next_u64() as u32 },
-                20 => Message::SharedChunk { op, chunk: shared_chunk(rng) },
-                21 => Message::PutAck { op, key: (rng.below(2) == 0).then(|| hfl(rng)) },
-                22 => Message::OpAck { op },
-                23 => Message::ConfigValues {
-                    op,
-                    pairs: (0..rng.below(4)).map(|_| (hkey(rng), values(rng))).collect(),
-                },
-                24 => Message::Stats {
-                    op,
-                    stats: StateStats {
-                        perflow_support_chunks: rng.below(100) as usize,
-                        perflow_support_bytes: rng.below(10_000) as usize,
-                        perflow_report_chunks: rng.below(100) as usize,
-                        perflow_report_bytes: rng.below(10_000) as usize,
-                        shared_support_bytes: rng.below(10_000) as usize,
-                        shared_report_bytes: rng.below(10_000) as usize,
-                    },
-                },
-                25 => Message::EventMsg {
-                    event: Event::Reprocess { op, key: flow_key(rng), packet: packet(rng) },
-                },
-                26 => Message::EventMsg {
-                    event: Event::Introspection {
-                        code: rng.next_u64() as u32,
-                        key: flow_key(rng),
-                        values: (0..rng.below(4)).map(|_| (string(rng), string(rng))).collect(),
-                    },
-                },
-                27 => Message::ErrorMsg { op, error: error(rng) },
-                28 => Message::DeleteState {
-                    op,
-                    puts: (0..rng.below(6)).map(|_| OpId(rng.next_u64())).collect(),
-                },
-                29 => Message::DeleteAck { op, restored: rng.next_u64() as u32 },
-                30 => Message::ChunkRef {
-                    op,
-                    class: chunk_class(rng),
-                    key: hfl(rng),
-                    hash: hash(rng),
-                },
-                31 => Message::ChunkNeed { op, hash: hash(rng) },
-                32 => Message::ChunkBody {
-                    op,
-                    class: chunk_class(rng),
-                    key: hfl(rng),
-                    hash: hash(rng),
-                    data: shared_chunk(rng),
-                },
-                // Batch: 0..=3 inner messages drawn from the non-batch
-                // variants (nesting is rejected by the codec).
-                _ => Message::Batch {
-                    msgs: (0..rng.below(4))
-                        .map(|_| {
-                            let inner = rng.below(33);
-                            message(rng, inner)
-                        })
-                        .collect(),
-                },
-            }
-        }
-    }
-
     /// The tentpole property: the arithmetic [`encoded_len`] agrees with
     /// the serializer for *every* message variant under randomized field
     /// contents — so `Frame::wire_len` can price a frame without
@@ -2031,26 +1834,14 @@ mod tests {
             "damaged_encodings_of_every_variant_error_and_never_panic",
         );
         let both = |buf: &[u8]| (decode(buf), decode_bytes(&Bytes::from(buf.to_vec())));
-        for variant in 0..gen::VARIANTS {
-            for case in 0..8 {
-                let enc = encode(&gen::message(&mut rng, variant));
-                for cut in 0..enc.len() {
-                    let (a, b) = both(&enc[..cut]);
-                    assert!(
-                        a.is_err() && b.is_err(),
-                        "variant {variant} case {case}: prefix {cut}/{} decoded",
-                        enc.len()
-                    );
-                }
-                for at in 0..enc.len().saturating_sub(3) {
-                    for v in [0, u32::MAX, 65_537, MAX_MESSAGE as u32 + 1] {
-                        let mut bad = enc.clone();
-                        bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
-                        let _ = both(&bad);
-                    }
-                }
-            }
-        }
+        gen::for_each_damaged(&mut rng, 8, |frame, truncated| {
+            let (a, b) = both(frame);
+            assert!(
+                !truncated || (a.is_err() && b.is_err()),
+                "a {}-byte prefix of a valid encoding decoded",
+                frame.len()
+            );
+        });
 
         // Nesting stays rejected even when the inner batch is well-formed.
         let mut nested = vec![tag::BATCH];

@@ -15,7 +15,7 @@ use openmb::apps::scenarios::{re_layout, re_scenario, ScenarioParams};
 use openmb::core::nodes::MbNode;
 use openmb::middleboxes::{ReDecoder, ReEncoder};
 use openmb::simnet::{SimDuration, SimTime};
-use openmb::traffic::{RedundantPayloads, Trace, TraceEvent};
+use openmb::traffic::{RedundantPayloads, TimedPacket, Trace};
 use openmb::types::{HeaderFieldList, IpPrefix};
 use std::net::Ipv4Addr;
 
@@ -74,7 +74,7 @@ fn main() {
             .map(|(i, e)| {
                 let mut p = e.packet.clone();
                 p.id = i as u64 + 1;
-                TraceEvent { time: e.time, packet: p }
+                TimedPacket { time: e.time, packet: p }
             })
             .collect(),
     );
