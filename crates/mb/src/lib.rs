@@ -14,24 +14,33 @@
 //!   (which state is currently moved or cloned, and under which
 //!   operation) factored into the reusable [`SyncTracker`].
 //!
+//! The part of the state operations that is the same for every
+//! middlebox — sealing and nonces, export order, moved marks, `stats`
+//! accounting, counter blocks — is the [`state`] kit; the trait provides
+//! the ten per-class operations for a class an MB does not keep.
+//!
 //! The division of responsibility of §3.2 is visible in the trait shape:
 //! the middlebox alone creates and mutates supporting/reporting state
 //! (inside `process_packet`), while the controller — through these
 //! methods — only *places* opaque chunks and owns configuration state.
+//!
+#![doc = include_str!("../MIDDLEBOX.md")]
 
 pub mod cost;
 pub mod effects;
 pub mod southbound;
+pub mod state;
 pub mod sync;
 
 pub use cost::CostModel;
 pub use effects::{Effects, LogEntry};
 pub use southbound::{handle_southbound, handle_southbound_logged, handle_southbound_recorded};
+pub use state::{Record, Sealer};
 pub use sync::SyncTracker;
 
 use openmb_simnet::SimTime;
 use openmb_types::{
-    ConfigValue, EncryptedChunk, HeaderFieldList, HierarchicalKey, OpId, Packet, Result,
+    ConfigValue, EncryptedChunk, Error, HeaderFieldList, HierarchicalKey, OpId, Packet, Result,
     StateChunk, StateStats,
 };
 
@@ -160,6 +169,12 @@ impl SharedPutLog {
 /// exported state is marked *moved* under that operation, and packets
 /// that subsequently update moved state raise `Event::Reprocess` tagged
 /// with it (§4.2.1).
+///
+/// The ten per-class operations are provided for a class the MB does
+/// not keep — a get finds nothing, a delete removes nothing, a put is
+/// [`UnsupportedStateClass`](openmb_types::Error::UnsupportedStateClass)
+/// naming the class — so an implementation spells only the classes it
+/// has, on top of the [`state`] kit.
 pub trait Middlebox {
     /// A short type name ("bro", "prads", "re-decoder", ...). Instances
     /// of the same type share a vendor key, so state chunks move between
@@ -187,14 +202,24 @@ pub trait Middlebox {
     /// as moved under `op`. Coarser-than-native keys return all matching
     /// chunks at native granularity; finer-than-native keys are an
     /// error.
-    fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>>;
+    fn get_support_perflow(
+        &mut self,
+        _op: OpId,
+        _key: &HeaderFieldList,
+    ) -> Result<Vec<StateChunk>> {
+        Ok(Vec::new())
+    }
 
     /// Import one chunk of per-flow supporting state.
-    fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()>;
+    fn put_support_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
+        Err(Error::UnsupportedStateClass("per-flow supporting".into()))
+    }
 
     /// Remove per-flow supporting state matching `key` (clearing any
     /// moved marks). Returns how many chunks were removed.
-    fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize>;
+    fn del_support_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
+        Ok(0)
+    }
 
     // ---- shared supporting state (§4.1.2) ----
 
@@ -202,35 +227,49 @@ pub trait Middlebox {
     /// `None` when the MB maintains none. `op` marks the state as
     /// cloned: until [`end_sync`](Middlebox::end_sync), packets that
     /// update shared state raise reprocess events.
-    fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>>;
+    fn get_support_shared(&mut self, _op: OpId) -> Result<Option<EncryptedChunk>> {
+        Ok(None)
+    }
 
     /// Import shared supporting state. If this MB already holds shared
     /// state, the MB's own merge logic combines them (§4.1.2: "the MB
     /// must implement the needed logic for merging").
-    fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()>;
+    fn put_support_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
+        Err(Error::UnsupportedStateClass("shared supporting".into()))
+    }
 
     // ---- per-flow reporting state (§4.1.3) ----
 
     /// Export per-flow reporting state matching `key`, marked moved
     /// under `op`.
-    fn get_report_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>>;
+    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
+        Ok(Vec::new())
+    }
 
     /// Import one chunk of per-flow reporting state.
-    fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()>;
+    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
+        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
+    }
 
     /// Remove per-flow reporting state matching `key`.
-    fn del_report_perflow(&mut self, key: &HeaderFieldList) -> Result<usize>;
+    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
+        Ok(0)
+    }
 
     // ---- shared reporting state (§4.1.3) ----
 
     /// Export shared reporting state (never marked — shared reporting
     /// state is moved/merged, not cloned, so no sync window exists).
-    fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>>;
+    fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
+        Ok(None)
+    }
 
     /// Import shared reporting state: merge when semantics permit
     /// (e.g. additive counters), otherwise keep the resident state and
     /// report [`MergeNotPermitted`](openmb_types::Error::MergeNotPermitted).
-    fn put_report_shared(&mut self, chunk: EncryptedChunk) -> Result<()>;
+    fn put_report_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
+        Err(Error::UnsupportedStateClass("shared reporting".into()))
+    }
 
     // ---- shared-state rollback (compensation for aborted clone/merge) ----
 

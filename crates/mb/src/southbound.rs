@@ -25,7 +25,8 @@
 
 use openmb_obs::{NodeTag, Recorder, SpanEvent};
 use openmb_simnet::SimTime;
-use openmb_types::wire::Message;
+use openmb_types::wire::{ChunkClass, Message};
+use openmb_types::{EncryptedChunk, OpId, Result, StateChunk};
 
 use crate::effects::Effects;
 use crate::{Middlebox, SharedPutLog};
@@ -90,95 +91,33 @@ pub fn handle_southbound_logged<M: Middlebox>(
             Ok(pairs) => out.push(Message::ConfigValues { op, pairs }),
             Err(e) => out.push(Message::ErrorMsg { op, error: e }),
         },
-        Message::SetConfig { op, key, values } => match mb.set_config(&key, values) {
-            Ok(()) => out.push(Message::OpAck { op }),
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
-        Message::DelConfig { op, key } => match mb.del_config(&key) {
-            Ok(()) => out.push(Message::OpAck { op }),
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
-        Message::GetSupportPerflow { op, key } => match mb.get_support_perflow(op, &key) {
-            Ok(chunks) => {
-                let count = chunks.len() as u32;
-                for chunk in chunks {
-                    out.push(Message::Chunk { op, chunk });
-                }
-                out.push(Message::GetAck { op, count });
-            }
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
-        Message::GetReportPerflow { op, key } => match mb.get_report_perflow(op, &key) {
-            Ok(chunks) => {
-                let count = chunks.len() as u32;
-                for chunk in chunks {
-                    out.push(Message::Chunk { op, chunk });
-                }
-                out.push(Message::GetAck { op, count });
-            }
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
+        Message::SetConfig { op, key, values } => out.push(ack(op, mb.set_config(&key, values))),
+        Message::DelConfig { op, key } => out.push(ack(op, mb.del_config(&key))),
+        Message::GetSupportPerflow { op, key } => {
+            stream_chunks(&mut out, op, mb.get_support_perflow(op, &key));
+        }
+        Message::GetReportPerflow { op, key } => {
+            stream_chunks(&mut out, op, mb.get_report_perflow(op, &key));
+        }
         Message::PutSupportPerflow { op, chunk } => {
-            let key = chunk.key;
-            match mb.put_support_perflow(chunk) {
-                Ok(()) => out.push(Message::PutAck { op, key: Some(key) }),
-                Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-            }
+            out.push(apply_classed_put(mb, op, ChunkClass::Support, chunk));
         }
         Message::PutReportPerflow { op, chunk } => {
-            let key = chunk.key;
-            match mb.put_report_perflow(chunk) {
-                Ok(()) => out.push(Message::PutAck { op, key: Some(key) }),
-                Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-            }
+            out.push(apply_classed_put(mb, op, ChunkClass::Report, chunk));
         }
-        Message::DelSupportPerflow { op, key } => match mb.del_support_perflow(&key) {
-            Ok(_) => out.push(Message::OpAck { op }),
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
-        Message::DelReportPerflow { op, key } => match mb.del_report_perflow(&key) {
-            Ok(_) => out.push(Message::OpAck { op }),
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
-        Message::GetSupportShared { op } => match mb.get_support_shared(op) {
-            Ok(Some(chunk)) => out.push(Message::SharedChunk { op, chunk }),
-            Ok(None) => out.push(Message::OpAck { op }),
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
+        Message::DelSupportPerflow { op, key } => {
+            out.push(ack(op, mb.del_support_perflow(&key).map(drop)));
+        }
+        Message::DelReportPerflow { op, key } => {
+            out.push(ack(op, mb.del_report_perflow(&key).map(drop)));
+        }
+        Message::GetSupportShared { op } => out.push(shared_reply(op, mb.get_support_shared(op))),
+        Message::GetReportShared { op } => out.push(shared_reply(op, mb.get_report_shared())),
         Message::PutSupportShared { op, chunk } => {
-            // Shared puts MERGE, so a re-sent copy (transfer resume)
-            // must be re-acked without re-applying.
-            if log.already_applied(op) {
-                out.push(Message::PutAck { op, key: None });
-            } else {
-                let snap = mb.snapshot_shared();
-                match snap.and_then(|s| mb.put_support_shared(chunk).map(|()| s)) {
-                    Ok(s) => {
-                        log.record(op, s);
-                        out.push(Message::PutAck { op, key: None });
-                    }
-                    Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-                }
-            }
+            out.push(put_shared(mb, log, op, |mb| mb.put_support_shared(chunk)));
         }
-        Message::GetReportShared { op } => match mb.get_report_shared() {
-            Ok(Some(chunk)) => out.push(Message::SharedChunk { op, chunk }),
-            Ok(None) => out.push(Message::OpAck { op }),
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-        },
         Message::PutReportShared { op, chunk } => {
-            if log.already_applied(op) {
-                out.push(Message::PutAck { op, key: None });
-            } else {
-                let snap = mb.snapshot_shared();
-                match snap.and_then(|s| mb.put_report_shared(chunk).map(|()| s)) {
-                    Ok(s) => {
-                        log.record(op, s);
-                        out.push(Message::PutAck { op, key: None });
-                    }
-                    Err(e) => out.push(Message::ErrorMsg { op, error: e }),
-                }
-            }
+            out.push(put_shared(mb, log, op, |mb| mb.put_report_shared(chunk)));
         }
         Message::DeleteState { op, puts } => {
             // Compensating rollback for an aborted clone/merge: restore
@@ -223,11 +162,8 @@ pub fn handle_southbound_logged<M: Middlebox>(
             // importing wrong state.
             match log.store().get(&hash) {
                 Some(data) if openmb_store::content_hash(&data) == hash => {
-                    let chunk = openmb_types::StateChunk::new(
-                        key,
-                        openmb_types::EncryptedChunk::from_wire(data),
-                    );
-                    out.extend(apply_classed_put(mb, op, class, chunk));
+                    let chunk = StateChunk::new(key, EncryptedChunk::from_wire(data));
+                    out.push(apply_classed_put(mb, op, class, chunk));
                 }
                 _ => out.push(Message::ChunkNeed { op, hash }),
             }
@@ -247,8 +183,8 @@ pub fn handle_southbound_logged<M: Middlebox>(
                 });
             } else {
                 log.store().insert_unchecked(hash, data.as_wire().to_vec());
-                let chunk = openmb_types::StateChunk::new(key, data);
-                out.extend(apply_classed_put(mb, op, class, chunk));
+                let chunk = StateChunk::new(key, data);
+                out.push(apply_classed_put(mb, op, class, chunk));
             }
         }
         batch @ Message::Batch { .. } => {
@@ -265,26 +201,80 @@ pub fn handle_southbound_logged<M: Middlebox>(
     out
 }
 
-/// Apply a content-addressed put under its state class, answering with
-/// the same `PutAck { key: Some(..) }` a streamed `Put*Perflow` earns —
-/// the controller's ledger cannot tell (and must not care) whether a
-/// chunk arrived by reference or by body.
+/// `OpAck` on success, the error otherwise: the reply to a request that
+/// returns nothing (config writes, per-flow deletes).
+fn ack(op: OpId, result: Result<()>) -> Message {
+    match result {
+        Ok(()) => Message::OpAck { op },
+        Err(e) => Message::ErrorMsg { op, error: e },
+    }
+}
+
+/// The reply to a per-flow get of either class: the chunks, then a
+/// `GetAck` carrying their number.
+fn stream_chunks(out: &mut Vec<Message>, op: OpId, result: Result<Vec<StateChunk>>) {
+    match result {
+        Ok(chunks) => {
+            let count = chunks.len() as u32;
+            out.extend(chunks.into_iter().map(|chunk| Message::Chunk { op, chunk }));
+            out.push(Message::GetAck { op, count });
+        }
+        Err(e) => out.push(Message::ErrorMsg { op, error: e }),
+    }
+}
+
+/// The reply to a shared get of either class (`OpAck` when the MB keeps
+/// none).
+fn shared_reply(op: OpId, result: Result<Option<EncryptedChunk>>) -> Message {
+    match result {
+        Ok(Some(chunk)) => Message::SharedChunk { op, chunk },
+        Ok(None) => Message::OpAck { op },
+        Err(e) => Message::ErrorMsg { op, error: e },
+    }
+}
+
+/// A shared put of either class. Shared puts MERGE, so a re-sent copy
+/// (transfer resume) is re-acked without re-applying; a first copy is
+/// applied over a snapshot the log keeps for `DeleteState`.
+fn put_shared<M: Middlebox>(
+    mb: &mut M,
+    log: &mut SharedPutLog,
+    op: OpId,
+    put: impl FnOnce(&mut M) -> Result<()>,
+) -> Message {
+    if log.already_applied(op) {
+        return Message::PutAck { op, key: None };
+    }
+    let snap = mb.snapshot_shared();
+    match snap.and_then(|s| put(mb).map(|()| s)) {
+        Ok(s) => {
+            log.record(op, s);
+            Message::PutAck { op, key: None }
+        }
+        Err(e) => Message::ErrorMsg { op, error: e },
+    }
+}
+
+/// Apply a per-flow put under its state class. Streamed
+/// (`Put*Perflow`) and content-addressed (`ChunkRef`/`ChunkBody`) puts
+/// earn the same `PutAck { key: Some(..) }` — the controller's ledger
+/// cannot tell (and must not care) how a chunk arrived.
 fn apply_classed_put<M: Middlebox>(
     mb: &mut M,
-    op: openmb_types::OpId,
-    class: openmb_types::wire::ChunkClass,
-    chunk: openmb_types::StateChunk,
-) -> Vec<Message> {
+    op: OpId,
+    class: ChunkClass,
+    chunk: StateChunk,
+) -> Message {
     let key = chunk.key;
     let result = match class {
-        openmb_types::wire::ChunkClass::Support => mb.put_support_perflow(chunk),
-        openmb_types::wire::ChunkClass::Report => mb.put_report_perflow(chunk),
+        ChunkClass::Support => mb.put_support_perflow(chunk),
+        ChunkClass::Report => mb.put_report_perflow(chunk),
         // `ChunkClass` is non-exhaustive: a class this build does not
         // know cannot be applied correctly, so refuse it.
         other => Err(openmb_types::Error::UnsupportedStateClass(format!("{other:?}"))),
     };
     match result {
-        Ok(()) => vec![Message::PutAck { op, key: Some(key) }],
-        Err(e) => vec![Message::ErrorMsg { op, error: e }],
+        Ok(()) => Message::PutAck { op, key: Some(key) },
+        Err(e) => Message::ErrorMsg { op, error: e },
     }
 }

@@ -1,0 +1,351 @@
+//! The MB-side state-export kit: the half of the southbound state
+//! operations that is the same for every middlebox, written once.
+//!
+//! §7's claim is that OpenMB-enabling a middlebox takes modest changes
+//! because the API is uniform. What is *not* uniform is small: how a
+//! record is laid out in bytes, which patterns select it, and how two
+//! pieces of shared state merge. A middlebox supplies those — a
+//! [`Record`] impl per per-flow table, a codec and a merge rule per
+//! shared structure — and this module decides everything else:
+//!
+//! * **order** — per-flow exports leave in table-key order, so map
+//!   iteration order never reaches the wire;
+//! * **nonces** — one [`Sealer`] per middlebox, one nonce per sealed
+//!   chunk, consecutive, in the order chunks are produced;
+//! * **marks** — every exported flow is marked moved and the pattern
+//!   recorded once ([`export`]); an import or a delete clears the
+//!   flow's mark ([`import`], [`delete`]); a snapshot marks nothing;
+//! * **accounting** — a chunk weighs its serialized length plus
+//!   [`SEAL_OVERHEAD`] ([`count`]);
+//! * **counters** — additive `u64` blocks are encoded, merged (`+=`) and
+//!   restored (replace, or reset to zero) by one codec.
+//!
+//! The tables stay the middlebox's own `HashMap`s: the packet path
+//! touches them directly and never comes through here. What an MB does
+//! for a state class it does not keep is decided once more, by the
+//! provided methods of [`Middlebox`](crate::Middlebox).
+
+use std::collections::HashMap;
+
+use openmb_types::crypto::VendorKey;
+use openmb_types::wire::{Reader, Writer};
+use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, OpId, Result, StateChunk};
+
+use crate::{SharedSnapshot, SyncTracker};
+
+/// Bytes sealing adds to a serialized piece of state (nonce and
+/// checksum): what `stats` adds per chunk.
+pub const SEAL_OVERHEAD: usize = 16;
+
+/// A middlebox's vendor key and its nonce counter. Every chunk the MB
+/// exports — per-flow, shared, snapshot — is sealed here, so nonces are
+/// unique per instance and follow export order.
+#[derive(Debug, Clone)]
+pub struct Sealer {
+    vendor: VendorKey,
+    nonce: u64,
+}
+
+impl Sealer {
+    /// A sealer under the key derived from `vendor` (instances of one
+    /// type share it), whose first chunk carries `first_nonce`.
+    pub fn new(vendor: &str, first_nonce: u64) -> Self {
+        Sealer { vendor: VendorKey::derive(vendor), nonce: first_nonce }
+    }
+
+    /// Seal one serialized piece of state under the next nonce.
+    pub fn seal(&mut self, plain: &[u8]) -> EncryptedChunk {
+        let n = self.nonce;
+        self.nonce += 1;
+        EncryptedChunk::seal(&self.vendor, n, plain)
+    }
+
+    /// Open a chunk sealed by an instance of the same type.
+    pub fn open(&self, chunk: &EncryptedChunk) -> Result<Vec<u8>> {
+        chunk.open(&self.vendor)
+    }
+
+    /// [`open`](Sealer::open) for one half of a [`SharedSnapshot`].
+    pub fn open_opt(&self, chunk: Option<EncryptedChunk>) -> Result<Option<Vec<u8>>> {
+        chunk.map(|c| self.open(&c)).transpose()
+    }
+
+    /// `snapshot_shared`: the two shared gets without a sync window —
+    /// supporting state sealed before reporting state, nothing marked.
+    /// `None` for a class the MB does not keep.
+    pub fn snapshot(
+        &mut self,
+        support: Option<Vec<u8>>,
+        report: Option<Vec<u8>>,
+    ) -> SharedSnapshot {
+        SharedSnapshot {
+            support: support.map(|p| self.seal(&p)),
+            report: report.map(|p| self.seal(&p)),
+        }
+    }
+}
+
+/// What is specific to one per-flow table: its records' byte layout and
+/// which patterns select them.
+pub trait Record {
+    /// Serialize the record stored under `key`.
+    fn encode(&self, key: &FlowKey) -> Vec<u8>;
+
+    /// Does `pattern` select the record stored under `key`? Tables keyed
+    /// by [`FlowKey::canonical`] match either direction (the default); a
+    /// table keyed by one direction overrides this.
+    fn selected(pattern: &HeaderFieldList, key: &FlowKey) -> bool {
+        pattern.matches_bidi(key)
+    }
+}
+
+/// State that is already bytes (the trace-replay dummy's).
+impl Record for Vec<u8> {
+    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
+        self.clone()
+    }
+}
+
+/// `get*Perflow`: seal every record `pattern` selects, in key order,
+/// marking each flow moved under `op` and the pattern in flight.
+pub fn export<R: Record>(
+    table: &HashMap<FlowKey, R>,
+    sealer: &mut Sealer,
+    sync: &mut SyncTracker,
+    op: OpId,
+    pattern: &HeaderFieldList,
+) -> Vec<StateChunk> {
+    export_with(table, sealer, sync, op, pattern, R::encode)
+}
+
+/// [`export`] with the serialization supplied by the caller, for an MB
+/// that transforms records on the way out (compress-then-seal).
+pub fn export_with<R: Record>(
+    table: &HashMap<FlowKey, R>,
+    sealer: &mut Sealer,
+    sync: &mut SyncTracker,
+    op: OpId,
+    pattern: &HeaderFieldList,
+    encode: impl Fn(&R, &FlowKey) -> Vec<u8>,
+) -> Vec<StateChunk> {
+    let mut hits: Vec<(&FlowKey, &R)> =
+        table.iter().filter(|(k, _)| R::selected(pattern, k)).collect();
+    hits.sort_unstable_by_key(|(k, _)| **k);
+    let chunks = hits
+        .into_iter()
+        .map(|(k, rec)| {
+            sync.mark_moved(*k, op);
+            StateChunk::new(HeaderFieldList::exact(*k), sealer.seal(&encode(rec, k)))
+        })
+        .collect();
+    sync.mark_move_pattern(op, *pattern);
+    chunks
+}
+
+/// `put*Perflow`, after the MB has opened and decoded the chunk: the
+/// record is live here again, so a stale moved mark (a move back after
+/// a failed scale-down) goes before the record lands.
+pub fn import<R>(table: &mut HashMap<FlowKey, R>, sync: &mut SyncTracker, key: FlowKey, rec: R) {
+    sync.clear_flow(&key);
+    table.insert(key, rec);
+}
+
+/// `del*Perflow`: remove every record `pattern` selects and clear its
+/// moved mark. Returns the removed records (their number is the reply;
+/// an MB with a secondary index unhooks them).
+pub fn delete<R: Record>(
+    table: &mut HashMap<FlowKey, R>,
+    sync: &mut SyncTracker,
+    pattern: &HeaderFieldList,
+) -> Vec<R> {
+    let removed = table.extract_if(|k, _| R::selected(pattern, k));
+    removed
+        .map(|(k, rec)| {
+            sync.clear_flow(&k);
+            rec
+        })
+        .collect()
+}
+
+/// `stats`: `(chunks, bytes)` an [`export`] of `pattern` would produce.
+pub fn count<R: Record>(table: &HashMap<FlowKey, R>, pattern: &HeaderFieldList) -> (usize, usize) {
+    table
+        .iter()
+        .filter(|(k, _)| R::selected(pattern, k))
+        .fold((0, 0), |(n, bytes), (k, rec)| (n + 1, bytes + rec.encode(k).len() + SEAL_OVERHEAD))
+}
+
+/// Serialize a block of additive counters. All three counter functions
+/// take the same `[&mut u64; N]` view, so an MB lists its counters once.
+pub fn encode_counters<const N: usize>(counters: [&mut u64; N]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for c in counters {
+        w.u64(*c);
+    }
+    w.into_bytes()
+}
+
+fn decode_counters<const N: usize>(plain: &[u8]) -> Result<[u64; N]> {
+    let mut r = Reader::new(plain);
+    let mut vals = [0; N];
+    for v in &mut vals {
+        *v = r.u64()?;
+    }
+    Ok(vals)
+}
+
+/// `putReportShared` for additive counters: add the block in `plain`.
+pub fn merge_counters<const N: usize>(counters: [&mut u64; N], plain: &[u8]) -> Result<()> {
+    for (c, v) in counters.into_iter().zip(decode_counters::<N>(plain)?) {
+        *c += v;
+    }
+    Ok(())
+}
+
+/// `restore_shared` for counters: replace them with the block in
+/// `plain`, or reset them to zero when the snapshot held none.
+pub fn replace_counters<const N: usize>(
+    counters: [&mut u64; N],
+    plain: Option<&[u8]>,
+) -> Result<()> {
+    let vals = plain.map_or(Ok([0; N]), decode_counters::<N>)?;
+    for (c, v) in counters.into_iter().zip(vals) {
+        *c = v;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Ipv4Addr;
+
+    fn flow(i: u8) -> FlowKey {
+        FlowKey::tcp(Ipv4Addr::new(10, 0, 0, i), 1000, Ipv4Addr::new(192, 168, 0, 1), 80)
+    }
+
+    fn table(n: u8) -> HashMap<FlowKey, Vec<u8>> {
+        (1..=n).map(|i| (flow(i), vec![i; usize::from(i)])).collect()
+    }
+
+    fn kit() -> (Sealer, SyncTracker) {
+        (Sealer::new("kit-test", 1), SyncTracker::new())
+    }
+
+    #[test]
+    fn export_seals_in_key_order_with_consecutive_nonces() {
+        let (mut sealer, mut sync) = kit();
+        let t = table(9);
+        let chunks = export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any());
+        let keys: Vec<FlowKey> = chunks.iter().map(|c| c.key.as_exact().unwrap()).collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(keys, sorted);
+        for (i, c) in chunks.iter().enumerate() {
+            let nonce = u64::from_le_bytes(c.data.as_wire()[..8].try_into().unwrap());
+            assert_eq!(nonce, i as u64 + 1);
+            assert_eq!(sealer.open(&c.data).unwrap(), t[&keys[i]]);
+        }
+        // The next chunk of any kind continues the sequence.
+        let next = sealer.snapshot(None, Some(vec![0])).report.unwrap();
+        assert_eq!(next.as_wire()[..8], 10u64.to_le_bytes());
+    }
+
+    #[test]
+    fn export_reads_the_table_and_marks_flows_and_pattern() {
+        let (mut sealer, mut sync) = kit();
+        let t = table(4);
+        let before = t.clone();
+        let only = HeaderFieldList::from_src_subnet(openmb_types::IpPrefix::host(flow(2).src_ip));
+        let chunks = export(&t, &mut sealer, &mut sync, OpId(7), &only);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(t, before);
+        assert!(sync.is_moved(&flow(2)) && !sync.is_moved(&flow(3)));
+        // The pattern is in flight: a flow it selects is not quiet even
+        // though it was never exported.
+        assert!(!sync.perflow_quiet(&flow(9)));
+        sync.end_sync(OpId(7));
+        assert!(sync.perflow_quiet(&flow(2)));
+    }
+
+    #[test]
+    fn export_with_applies_the_callers_encoding() {
+        let (mut sealer, mut sync) = kit();
+        let chunks = export_with(
+            &table(2),
+            &mut sealer,
+            &mut sync,
+            OpId(1),
+            &HeaderFieldList::any(),
+            |rec, _| rec.iter().rev().chain(&[0xff]).copied().collect(),
+        );
+        assert_eq!(sealer.open(&chunks[1].data).unwrap(), vec![2, 2, 0xff]);
+    }
+
+    #[test]
+    fn import_clears_a_stale_moved_mark() {
+        let (mut sealer, mut sync) = kit();
+        let mut t = table(2);
+        export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any());
+        assert!(sync.is_moved(&flow(1)));
+        import(&mut t, &mut sync, flow(1), vec![42]);
+        assert!(!sync.is_moved(&flow(1)) && sync.is_moved(&flow(2)));
+        assert_eq!(t[&flow(1)], vec![42]);
+    }
+
+    #[test]
+    fn delete_clears_marks_and_returns_what_it_removed() {
+        let (mut sealer, mut sync) = kit();
+        let mut t = table(3);
+        export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any());
+        // Either direction selects a canonically-keyed record.
+        let reply_side = HeaderFieldList::exact(flow(2).reversed());
+        assert_eq!(delete(&mut t, &mut sync, &reply_side), vec![vec![2, 2]]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(sync.moved_count(), 2);
+        assert_eq!(delete(&mut t, &mut sync, &HeaderFieldList::any()).len(), 2);
+        assert_eq!((t.len(), sync.moved_count()), (0, 0));
+    }
+
+    #[test]
+    fn count_is_chunks_and_sealed_bytes() {
+        let t = table(3);
+        assert_eq!(count(&t, &HeaderFieldList::any()), (3, 1 + 2 + 3 + 3 * SEAL_OVERHEAD));
+        assert_eq!(count(&t, &HeaderFieldList::exact(flow(3))), (1, 3 + SEAL_OVERHEAD));
+        let (mut sealer, mut sync) = kit();
+        let sealed: usize = export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any())
+            .iter()
+            .map(|c| c.data.len())
+            .sum();
+        assert_eq!(sealed, count(&t, &HeaderFieldList::any()).1);
+    }
+
+    #[test]
+    fn counter_block_merges_by_adding_and_restores_by_replacing() {
+        let (mut a, mut b) = (3u64, 5u64);
+        let plain = encode_counters([&mut a, &mut b]);
+        assert_eq!(plain.len(), 16);
+        merge_counters([&mut a, &mut b], &plain).unwrap();
+        assert_eq!((a, b), (6, 10));
+        replace_counters([&mut a, &mut b], Some(&plain)).unwrap();
+        assert_eq!((a, b), (3, 5));
+        replace_counters([&mut a, &mut b], None).unwrap();
+        assert_eq!((a, b), (0, 0));
+        // A short block is refused whole.
+        (a, b) = (1, 2);
+        assert!(merge_counters([&mut a, &mut b], &plain[..12]).is_err());
+        assert!(replace_counters([&mut a, &mut b], Some(&plain[..12])).is_err());
+        assert_eq!((a, b), (1, 2));
+    }
+
+    #[test]
+    fn snapshot_seals_support_before_report() {
+        let (mut sealer, _) = kit();
+        let snap = sealer.snapshot(Some(vec![1]), Some(vec![2]));
+        assert_eq!(snap.support.as_ref().unwrap().as_wire()[..8], 1u64.to_le_bytes());
+        assert_eq!(snap.report.as_ref().unwrap().as_wire()[..8], 2u64.to_le_bytes());
+        assert_eq!(sealer.open_opt(snap.report).unwrap(), Some(vec![2]));
+        assert_eq!(sealer.open_opt(None).unwrap(), None);
+        assert_eq!(sealer.snapshot(None, None), SharedSnapshot::default());
+    }
+}

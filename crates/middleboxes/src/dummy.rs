@@ -16,12 +16,11 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use openmb_mb::{CostModel, Effects, Middlebox, SyncTracker};
+use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SyncTracker};
 use openmb_simnet::SimTime;
-use openmb_types::crypto::VendorKey;
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    OpId, Packet, Result, StateChunk, StateStats,
+    ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, OpId, Packet,
+    Result, StateChunk, StateStats,
 };
 
 /// Plaintext bytes per piece of dummy state (§8.3: 202 bytes).
@@ -33,8 +32,7 @@ pub struct DummyMb {
     config: ConfigTree,
     state: HashMap<FlowKey, Vec<u8>>,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Compress state before sealing on export (the §8.3 optimization:
     /// compress-then-encrypt at the MB, transparent to the controller).
     pub compress_exports: bool,
@@ -57,8 +55,7 @@ impl DummyMb {
             config: ConfigTree::new(),
             state: HashMap::new(),
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("dummy"),
-            nonce: 1,
+            sealer: Sealer::new("dummy", 1),
             compress_exports: false,
             packets: 0,
             puts: 0,
@@ -117,13 +114,7 @@ impl Middlebox for DummyMb {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -132,104 +123,45 @@ impl Middlebox for DummyMb {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        self.config.del(key);
-        Ok(())
-    }
-
-    fn get_support_perflow(
-        &mut self,
-        _op: OpId,
-        _key: &HeaderFieldList,
-    ) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_support_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow supporting".into()))
-    }
-
-    fn del_support_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
-    }
-
-    fn get_support_shared(&mut self, _op: OpId) -> Result<Option<EncryptedChunk>> {
-        Ok(None)
-    }
-
-    fn put_support_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("shared supporting".into()))
+        self.config.remove(key)
     }
 
     fn get_report_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        let mut matching: Vec<FlowKey> =
-            self.state.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        // Export in key order so map iteration order never leaks into
-        // the wire.
-        matching.sort_unstable();
-        let mut out = Vec::with_capacity(matching.len());
-        for fk in matching {
-            let bytes = if self.compress_exports {
-                openmb_types::compress::compress(&self.state[&fk])
-            } else {
-                self.state[&fk].clone()
-            };
-            let n = self.nonce;
-            self.nonce += 1;
-            let sealed = EncryptedChunk::seal(&self.vendor, n, &bytes);
-            self.sync.mark_moved(fk, op);
-            out.push(StateChunk::new(HeaderFieldList::exact(fk), sealed));
-        }
-        self.sync.mark_move_pattern(op, *key);
-        Ok(out)
+        let compress = self.compress_exports;
+        let encode = |bytes: &Vec<u8>, _: &FlowKey| match compress {
+            true => openmb_types::compress::compress(bytes),
+            false => bytes.clone(),
+        };
+        Ok(state::export_with(&self.state, &mut self.sealer, &mut self.sync, op, key, encode))
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let mut plain = chunk.data.open(&self.vendor)?;
+        let mut plain = self.sealer.open(&chunk.data)?;
         if self.compress_exports {
             plain = openmb_types::compress::decompress(&plain)
                 .ok_or_else(|| Error::MalformedChunk("bad compressed state".into()))?;
         }
-        // Recover the flow key from the chunk's (exact) pattern.
-        let key = FlowKey {
-            src_ip: chunk.key.nw_src.addr(),
-            dst_ip: chunk.key.nw_dst.addr(),
-            src_port: chunk.key.tp_src.unwrap_or(0),
-            dst_port: chunk.key.tp_dst.unwrap_or(0),
-            proto: chunk.key.proto.unwrap_or(openmb_types::Proto::Tcp),
-        };
-        self.sync.clear_flow(&key);
-        self.state.insert(key, plain);
+        // Dummy state does not carry its flow: the chunk's pattern does,
+        // so it must name exactly one.
+        let key = chunk.key.as_exact().ok_or_else(|| {
+            Error::MalformedChunk(format!("dummy state needs an exact flow key, got {}", chunk.key))
+        })?;
+        state::import(&mut self.state, &mut self.sync, key, plain);
         self.puts += 1;
         Ok(())
     }
 
     fn del_report_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        let victims: Vec<FlowKey> =
-            self.state.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        for k in &victims {
-            self.state.remove(k);
-            self.sync.clear_flow(k);
-        }
-        Ok(victims.len())
-    }
-
-    fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        Ok(None)
-    }
-
-    fn put_report_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("shared reporting".into()))
+        Ok(state::delete(&mut self.state, &mut self.sync, key).len())
     }
 
     fn stats(&self, key: &HeaderFieldList) -> StateStats {
-        let mut s = StateStats::default();
-        for k in self.state.keys() {
-            if key.matches_bidi(k) {
-                s.perflow_report_chunks += 1;
-                s.perflow_report_bytes += STATE_BYTES + 16;
-            }
+        let chunks = self.state.keys().filter(|k| key.matches_bidi(k)).count();
+        StateStats {
+            perflow_report_chunks: chunks,
+            perflow_report_bytes: chunks * (STATE_BYTES + state::SEAL_OVERHEAD),
+            ..StateStats::default()
         }
-        s
     }
 
     fn process_packet(&mut self, _now: SimTime, pkt: &Packet, fx: &mut Effects) {
@@ -291,5 +223,32 @@ mod tests {
         assert_eq!(b.perflow_entries(), 20);
         assert_eq!(b.puts, 20);
         assert_eq!(a.del_report_perflow(&HeaderFieldList::any()).unwrap(), 20);
+    }
+
+    #[test]
+    fn del_config_reports_a_missing_key() {
+        let mut mb = DummyMb::new();
+        let key = HierarchicalKey::parse("no/such");
+        assert_eq!(mb.del_config(&key), Err(Error::NoSuchConfigKey("no/such".into())));
+        mb.set_config(&key, vec![1i64.into()]).unwrap();
+        assert_eq!(mb.del_config(&key), Ok(()));
+    }
+
+    #[test]
+    fn put_rejects_a_key_that_names_no_single_flow() {
+        let mut a = DummyMb::preloaded(1);
+        let mut b = DummyMb::new();
+        let chunk = a.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap().remove(0);
+        for key in [
+            HeaderFieldList::any(),
+            HeaderFieldList { tp_src: None, ..chunk.key },
+            HeaderFieldList { proto: None, ..chunk.key },
+        ] {
+            let put = b.put_report_perflow(StateChunk::new(key, chunk.data.clone()));
+            assert!(matches!(put, Err(Error::MalformedChunk(_))), "{key}: {put:?}");
+        }
+        assert_eq!((b.perflow_entries(), b.puts), (0, 0), "nothing filed under a made-up flow");
+        b.put_report_perflow(chunk).unwrap();
+        assert_eq!(b.perflow_entries(), 1);
     }
 }

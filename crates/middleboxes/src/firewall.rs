@@ -11,9 +11,10 @@
 
 use std::collections::HashMap;
 
-use openmb_mb::{CostModel, Effects, Middlebox, SharedSnapshot, SyncTracker};
+use openmb_mb::{
+    state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
+};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
@@ -67,32 +68,20 @@ pub struct ConnTrack {
     pub last_ns: u64,
 }
 
-impl ConnTrack {
-    fn serialize(&self) -> Vec<u8> {
+impl Record for ConnTrack {
+    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
         let mut w = Writer::new();
-        w.ip(self.key.src_ip);
-        w.ip(self.key.dst_ip);
-        w.u16(self.key.src_port);
-        w.u16(self.key.dst_port);
-        w.u8(self.key.proto.number());
+        w.flow_key(&self.key);
         w.u64(self.packets);
         w.u64(self.last_ns);
         w.into_bytes()
     }
+}
 
+impl ConnTrack {
     fn deserialize(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf);
-        let src_ip = r.ip()?;
-        let dst_ip = r.ip()?;
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let proto = Proto::from_number(r.u8()?)
-            .ok_or_else(|| Error::MalformedChunk("bad proto in conntrack".into()))?;
-        Ok(ConnTrack {
-            key: FlowKey { src_ip, dst_ip, src_port, dst_port, proto },
-            packets: r.u64()?,
-            last_ns: r.u64()?,
-        })
+        Ok(ConnTrack { key: r.flow_key()?, packets: r.u64()?, last_ns: r.u64()? })
     }
 }
 
@@ -102,8 +91,7 @@ pub struct Firewall {
     config: ConfigTree,
     conntrack: HashMap<FlowKey, ConnTrack>,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Packets allowed / denied (shared reporting counters).
     pub allowed: u64,
     pub denied: u64,
@@ -135,8 +123,7 @@ impl Firewall {
             config,
             conntrack: HashMap::new(),
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("firewall"),
-            nonce: 1,
+            sealer: Sealer::new("firewall", 1),
             allowed: 0,
             denied: 0,
         }
@@ -166,6 +153,11 @@ impl Firewall {
         self.default_allow()
     }
 
+    /// The shared reporting counters, in wire order.
+    fn counters(&mut self) -> [&mut u64; 2] {
+        [&mut self.allowed, &mut self.denied]
+    }
+
     /// Conntrack entries sorted by key (tests/experiments).
     pub fn conntrack_sorted(&self) -> Vec<ConnTrack> {
         let mut v: Vec<ConnTrack> = self.conntrack.values().cloned().collect();
@@ -183,13 +175,7 @@ impl Middlebox for Firewall {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -211,127 +197,51 @@ impl Middlebox for Firewall {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
+        self.config.remove(key)
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        let mut matching: Vec<FlowKey> =
-            self.conntrack.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        // Export in key order so map iteration order never leaks into
-        // the wire.
-        matching.sort_unstable();
-        let mut out = Vec::with_capacity(matching.len());
-        for fk in matching {
-            let c = self.conntrack[&fk].clone();
-            let n = self.nonce;
-            self.nonce += 1;
-            let sealed = EncryptedChunk::seal(&self.vendor, n, &c.serialize());
-            self.sync.mark_moved(fk, op);
-            out.push(StateChunk::new(HeaderFieldList::exact(fk), sealed));
-        }
-        self.sync.mark_move_pattern(op, *key);
-        Ok(out)
+        Ok(state::export(&self.conntrack, &mut self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let plain = chunk.data.open(&self.vendor)?;
-        let c = ConnTrack::deserialize(&plain)?;
-        let key = c.key.canonical();
-        self.sync.clear_flow(&key);
-        self.conntrack.insert(key, c);
+        let c = ConnTrack::deserialize(&self.sealer.open(&chunk.data)?)?;
+        state::import(&mut self.conntrack, &mut self.sync, c.key.canonical(), c);
         Ok(())
     }
 
     fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        let victims: Vec<FlowKey> =
-            self.conntrack.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        for k in &victims {
-            self.conntrack.remove(k);
-            self.sync.clear_flow(k);
-        }
-        Ok(victims.len())
-    }
-
-    fn get_support_shared(&mut self, _op: OpId) -> Result<Option<EncryptedChunk>> {
-        Ok(None)
-    }
-
-    fn put_support_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("shared supporting".into()))
-    }
-
-    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
-    }
-
-    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
+        Ok(state::delete(&mut self.conntrack, &mut self.sync, key).len())
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        let mut w = Writer::new();
-        w.u64(self.allowed);
-        w.u64(self.denied);
-        let bytes = w.into_bytes();
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        let counters = state::encode_counters(self.counters());
+        Ok(Some(self.sealer.seal(&counters)))
     }
 
     fn put_report_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let mut r = Reader::new(&plain);
-        self.allowed += r.u64()?;
-        self.denied += r.u64()?;
-        Ok(())
+        let plain = self.sealer.open(&chunk)?;
+        state::merge_counters(self.counters(), &plain)
     }
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        let mut w = Writer::new();
-        w.u64(self.allowed);
-        w.u64(self.denied);
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(SharedSnapshot {
-            support: None,
-            report: Some(EncryptedChunk::seal(&self.vendor, n, &w.into_bytes())),
-        })
+        let counters = state::encode_counters(self.counters());
+        Ok(self.sealer.snapshot(None, Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        match snap.report {
-            Some(chunk) => {
-                let plain = chunk.open(&self.vendor)?;
-                let mut r = Reader::new(&plain);
-                self.allowed = r.u64()?;
-                self.denied = r.u64()?;
-            }
-            None => {
-                self.allowed = 0;
-                self.denied = 0;
-            }
-        }
-        Ok(())
+        let plain = self.sealer.open_opt(snap.report)?;
+        state::replace_counters(self.counters(), plain.as_deref())
     }
 
     fn stats(&self, key: &HeaderFieldList) -> StateStats {
-        let mut s = StateStats::default();
-        for (k, c) in &self.conntrack {
-            if key.matches_bidi(k) {
-                s.perflow_support_chunks += 1;
-                s.perflow_support_bytes += c.serialize().len() + 16;
-            }
+        let (chunks, bytes) = state::count(&self.conntrack, key);
+        StateStats {
+            perflow_support_chunks: chunks,
+            perflow_support_bytes: bytes,
+            shared_report_bytes: 2 * 8 + state::SEAL_OVERHEAD,
+            ..StateStats::default()
         }
-        s.shared_report_bytes = 16 + 16;
-        s
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {

@@ -54,9 +54,10 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use openmb_mb::{CostModel, Effects, Middlebox, SharedSnapshot, SyncTracker};
+use openmb_mb::{
+    state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
+};
 use openmb_simnet::SimTime;
-use openmb_types::crypto::VendorKey;
 use openmb_types::packet::tcp_flags;
 use openmb_types::wire::{Reader, Writer};
 use openmb_types::{
@@ -179,11 +180,7 @@ impl ConnRecord {
     /// signature engine state).
     pub fn serialize(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.ip(self.key.src_ip);
-        w.ip(self.key.dst_ip);
-        w.u16(self.key.src_port);
-        w.u16(self.key.dst_port);
-        w.u8(self.key.proto.number());
+        w.flow_key(&self.key);
         w.u64(self.start_ns);
         w.u64(self.last_ns);
         w.u8(self.state.to_byte());
@@ -215,13 +212,7 @@ impl ConnRecord {
     /// Reverse of [`serialize`](ConnRecord::serialize).
     pub fn deserialize(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf);
-        let src_ip = r.ip()?;
-        let dst_ip = r.ip()?;
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let proto =
-            Proto::from_number(r.u8()?).ok_or_else(|| Error::MalformedChunk("bad proto".into()))?;
-        let key = FlowKey { src_ip, dst_ip, src_port, dst_port, proto };
+        let key = r.flow_key()?;
         let start_ns = r.u64()?;
         let last_ns = r.u64()?;
         let state = ConnState::from_code(r.u8()?)?;
@@ -288,6 +279,19 @@ pub struct IpsStat {
     pub alerts: u64,
     pub conns_logged: u64,
     pub http_requests_logged: u64,
+}
+
+impl IpsStat {
+    /// The counters in wire order.
+    fn counters(&mut self) -> [&mut u64; 3] {
+        [&mut self.alerts, &mut self.conns_logged, &mut self.http_requests_logged]
+    }
+}
+
+impl Record for ConnRecord {
+    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
+        self.serialize()
+    }
 }
 
 /// Table entry / automaton state: the next state's row offset
@@ -425,8 +429,7 @@ pub struct Ips {
     scan_table: HashMap<Ipv4Addr, ScanEntry>,
     stat: IpsStat,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Signature hits of the packet in hand; kept for its capacity.
     hits: Vec<u32>,
 }
@@ -455,8 +458,7 @@ impl Ips {
             scan_table: HashMap::new(),
             stat: IpsStat::default(),
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("bro"),
-            nonce: 1,
+            sealer: Sealer::new("bro", 1),
             hits: Vec::new(),
         }
     }
@@ -474,12 +476,6 @@ impl Ips {
             .and_then(|v| v.first().and_then(ConfigValue::as_int))
             .unwrap_or(20) as u64;
         (SigMatcher::compile(sigs), threshold)
-    }
-
-    fn seal(&mut self, bytes: &[u8]) -> EncryptedChunk {
-        let n = self.nonce;
-        self.nonce += 1;
-        EncryptedChunk::seal(&self.vendor, n, bytes)
     }
 
     fn log_conn(rec: &ConnRecord, now: SimTime, stat: &mut IpsStat, fx: &mut Effects) {
@@ -575,13 +571,7 @@ impl Middlebox for Ips {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -614,37 +604,18 @@ impl Middlebox for Ips {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            (self.matcher, self.scan_threshold) = Self::compile_config(&self.config);
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
+        self.config.remove(key)?;
+        (self.matcher, self.scan_threshold) = Self::compile_config(&self.config);
+        Ok(())
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        let mut matching: Vec<FlowKey> =
-            self.conns.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        // Export in key order so map iteration order never leaks into
-        // the wire.
-        matching.sort_unstable();
-        let mut out = Vec::with_capacity(matching.len());
-        for fk in matching {
-            let bytes = self.conns[&fk].serialize();
-            let sealed = self.seal(&bytes);
-            self.sync.mark_moved(fk, op);
-            out.push(StateChunk::new(HeaderFieldList::exact(fk), sealed));
-        }
-        self.sync.mark_move_pattern(op, *key);
-        Ok(out)
+        Ok(state::export(&self.conns, &mut self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let plain = chunk.data.open(&self.vendor)?;
-        let rec = ConnRecord::deserialize(&plain)?;
-        let key = rec.key.canonical();
-        self.sync.clear_flow(&key);
-        self.conns.insert(key, rec);
+        let rec = ConnRecord::deserialize(&self.sealer.open(&chunk.data)?)?;
+        state::import(&mut self.conns, &mut self.sync, rec.key.canonical(), rec);
         Ok(())
     }
 
@@ -652,99 +623,51 @@ impl Middlebox for Ips {
         // The paper added a `moved` flag so Bro does not log errors when
         // state for a moved flow is deleted: our del simply removes the
         // records without conn.log output.
-        let victims: Vec<FlowKey> =
-            self.conns.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        for k in &victims {
-            self.conns.remove(k);
-            self.sync.clear_flow(k);
-        }
-        Ok(victims.len())
+        Ok(state::delete(&mut self.conns, &mut self.sync, key).len())
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
-        let bytes = self.serialize_scan_table();
         self.sync.mark_shared(op);
-        Ok(Some(self.seal(&bytes)))
+        Ok(Some(self.sealer.seal(&self.serialize_scan_table())))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
         // Merge logic is MB-side (§4.1.2): union ports, sum attempts.
-        self.merge_scan_table(&plain)
-    }
-
-    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
-    }
-
-    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
+        self.merge_scan_table(&self.sealer.open(&chunk)?)
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        let mut w = Writer::new();
-        w.u64(self.stat.alerts);
-        w.u64(self.stat.conns_logged);
-        w.u64(self.stat.http_requests_logged);
-        let bytes = w.into_bytes();
-        Ok(Some(self.seal(&bytes)))
+        Ok(Some(self.sealer.seal(&state::encode_counters(self.stat.counters()))))
     }
 
     fn put_report_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let mut r = Reader::new(&plain);
-        self.stat.alerts += r.u64()?;
-        self.stat.conns_logged += r.u64()?;
-        self.stat.http_requests_logged += r.u64()?;
-        Ok(())
+        state::merge_counters(self.stat.counters(), &self.sealer.open(&chunk)?)
     }
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        let support = self.serialize_scan_table();
-        let support = self.seal(&support);
-        let mut w = Writer::new();
-        w.u64(self.stat.alerts);
-        w.u64(self.stat.conns_logged);
-        w.u64(self.stat.http_requests_logged);
-        let report = w.into_bytes();
-        Ok(SharedSnapshot { support: Some(support), report: Some(self.seal(&report)) })
+        let counters = state::encode_counters(self.stat.counters());
+        Ok(self.sealer.snapshot(Some(self.serialize_scan_table()), Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
         self.scan_table.clear();
-        if let Some(chunk) = snap.support {
-            let plain = chunk.open(&self.vendor)?;
+        if let Some(plain) = self.sealer.open_opt(snap.support)? {
             // Merging into an empty table reproduces it exactly.
             self.merge_scan_table(&plain)?;
         }
-        self.stat = IpsStat::default();
-        if let Some(chunk) = snap.report {
-            let plain = chunk.open(&self.vendor)?;
-            let mut r = Reader::new(&plain);
-            self.stat = IpsStat {
-                alerts: r.u64()?,
-                conns_logged: r.u64()?,
-                http_requests_logged: r.u64()?,
-            };
-        }
-        Ok(())
+        let plain = self.sealer.open_opt(snap.report)?;
+        state::replace_counters(self.stat.counters(), plain.as_deref())
     }
 
     fn stats(&self, key: &HeaderFieldList) -> StateStats {
-        let mut s = StateStats::default();
-        for (k, rec) in &self.conns {
-            if key.matches_bidi(k) {
-                s.perflow_support_chunks += 1;
-                s.perflow_support_bytes += rec.serialize().len() + 16;
-            }
+        let (chunks, bytes) = state::count(&self.conns, key);
+        StateStats {
+            perflow_support_chunks: chunks,
+            perflow_support_bytes: bytes,
+            shared_support_bytes: self.serialize_scan_table().len() + state::SEAL_OVERHEAD,
+            shared_report_bytes: 3 * 8 + state::SEAL_OVERHEAD,
+            ..StateStats::default()
         }
-        s.shared_support_bytes = self.serialize_scan_table().len() + 16;
-        s.shared_report_bytes = 24 + 16;
-        s
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {

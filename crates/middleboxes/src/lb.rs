@@ -16,13 +16,12 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use openmb_mb::{CostModel, Effects, Middlebox, SyncTracker};
+use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SyncTracker};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{Event, Reader, Writer};
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    IpPrefix, OpId, Packet, Result, StateChunk, StateStats,
+    ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix, OpId,
+    Packet, Result, StateChunk, StateStats,
 };
 
 /// Introspection event: a source was assigned to a backend.
@@ -72,8 +71,7 @@ pub struct LoadBalancer {
     /// Round-robin cursor over the backend list.
     rr: usize,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     pub introspection: Option<openmb_types::wire::EventFilter>,
 }
 
@@ -92,8 +90,7 @@ impl LoadBalancer {
             assignments: HashMap::new(),
             rr: 0,
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("balance"),
-            nonce: 1,
+            sealer: Sealer::new("balance", 1),
             introspection: None,
         }
     }
@@ -107,8 +104,18 @@ impl LoadBalancer {
 
     /// The finest granularity this MB supports is "all traffic from one
     /// source IP". A pattern is *finer* when it constrains anything else.
-    fn pattern_is_too_fine(key: &HeaderFieldList) -> bool {
-        key.tp_src.is_some() || key.tp_dst.is_some() || key.proto.is_some() || !key.nw_dst.is_any()
+    fn check_granularity(key: &HeaderFieldList) -> Result<()> {
+        if key.tp_src.is_some()
+            || key.tp_dst.is_some()
+            || key.proto.is_some()
+            || !key.nw_dst.is_any()
+        {
+            return Err(Error::GranularityTooFine {
+                requested: *key,
+                native: "source IP only (Balance keys state by client address)".into(),
+            });
+        }
+        Ok(())
     }
 
     /// Assignments sorted by source (tests/experiments).
@@ -137,13 +144,7 @@ impl Middlebox for LoadBalancer {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -167,96 +168,48 @@ impl Middlebox for LoadBalancer {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
+        self.config.remove(key)
     }
 
+    // The table is keyed by source address, not by flow, and its chunks
+    // carry source-prefix keys tracked as patterns rather than moved
+    // marks: none of the kit's per-flow decisions apply, so the export
+    // and delete loops are this MB's own and only sealing is shared.
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        if Self::pattern_is_too_fine(key) {
-            return Err(Error::GranularityTooFine {
-                requested: *key,
-                native: "source IP only (Balance keys state by client address)".into(),
-            });
-        }
-        let mut matching: Vec<Ipv4Addr> =
-            self.assignments.keys().filter(|ip| key.nw_src.contains(**ip)).copied().collect();
+        Self::check_granularity(key)?;
+        let mut matching: Vec<&Assignment> =
+            self.assignments.values().filter(|a| key.nw_src.contains(a.source)).collect();
         // Export in key order so map iteration order never leaks into
         // the wire.
-        matching.sort_unstable();
+        matching.sort_unstable_by_key(|a| a.source);
         let mut out = Vec::with_capacity(matching.len());
-        for ip in matching {
-            let a = self.assignments[&ip].clone();
-            let n = self.nonce;
-            self.nonce += 1;
-            let sealed = EncryptedChunk::seal(&self.vendor, n, &a.serialize());
+        for a in matching {
             let native = a.native_key();
             self.sync.mark_move_pattern(op, native);
-            out.push(StateChunk::new(native, sealed));
+            out.push(StateChunk::new(native, self.sealer.seal(&a.serialize())));
         }
         self.sync.mark_move_pattern(op, *key);
         Ok(out)
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let plain = chunk.data.open(&self.vendor)?;
-        let a = Assignment::deserialize(&plain)?;
+        let a = Assignment::deserialize(&self.sealer.open(&chunk.data)?)?;
         self.assignments.insert(a.source, a);
         Ok(())
     }
 
     fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        if Self::pattern_is_too_fine(key) {
-            return Err(Error::GranularityTooFine {
-                requested: *key,
-                native: "source IP only (Balance keys state by client address)".into(),
-            });
-        }
-        let victims: Vec<Ipv4Addr> =
-            self.assignments.keys().filter(|ip| key.nw_src.contains(**ip)).copied().collect();
-        for ip in &victims {
-            self.assignments.remove(ip);
-        }
-        Ok(victims.len())
-    }
-
-    fn get_support_shared(&mut self, _op: OpId) -> Result<Option<EncryptedChunk>> {
-        Ok(None)
-    }
-
-    fn put_support_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("shared supporting".into()))
-    }
-
-    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
-    }
-
-    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
-    }
-
-    fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        Ok(None)
-    }
-
-    fn put_report_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("shared reporting".into()))
+        Self::check_granularity(key)?;
+        let before = self.assignments.len();
+        self.assignments.retain(|ip, _| !key.nw_src.contains(*ip));
+        Ok(before - self.assignments.len())
     }
 
     fn stats(&self, key: &HeaderFieldList) -> StateStats {
         let mut s = StateStats::default();
-        for (ip, a) in &self.assignments {
-            if key.nw_src.contains(*ip) {
-                s.perflow_support_chunks += 1;
-                s.perflow_support_bytes += a.serialize().len() + 16;
-            }
+        for a in self.assignments.values().filter(|a| key.nw_src.contains(a.source)) {
+            s.perflow_support_chunks += 1;
+            s.perflow_support_bytes += a.serialize().len() + state::SEAL_OVERHEAD;
         }
         s
     }

@@ -22,6 +22,16 @@
 //! * [`firewall::Firewall`] — configuration-heavy stateful firewall.
 //! * [`dummy::DummyMb`] — trace-replay MB for the §8.3 controller
 //!   scalability experiments.
+//!
+//! Each file holds what is specific to its middlebox: the packet logic,
+//! a record codec per per-flow table ([`openmb_mb::Record`]), a codec
+//! and merge rule per shared structure, configuration validation. The
+//! uniform half of the state operations — export order, sealing and
+//! nonces, moved marks, `stats` accounting, additive counter blocks,
+//! the answers for state classes a type does not keep — is
+//! [`openmb_mb::state`] and the provided methods of
+//! [`openmb_mb::Middlebox`]; only the load balancer, whose table is not
+//! keyed by flow, keeps its own export loop.
 
 pub mod dummy;
 pub mod firewall;

@@ -16,9 +16,10 @@
 
 use std::collections::HashMap;
 
-use openmb_mb::{CostModel, Effects, Middlebox, SharedSnapshot, SyncTracker};
+use openmb_mb::{
+    state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
+};
 use openmb_simnet::SimTime;
-use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{Event, Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
@@ -46,14 +47,10 @@ pub struct AssetRecord {
     pub http_requests: u64,
 }
 
-impl AssetRecord {
-    fn serialize(&self) -> Vec<u8> {
+impl Record for AssetRecord {
+    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
         let mut w = Writer::new();
-        w.ip(self.key.src_ip);
-        w.ip(self.key.dst_ip);
-        w.u16(self.key.src_port);
-        w.u16(self.key.dst_port);
-        w.u8(self.key.proto.number());
+        w.flow_key(&self.key);
         w.u64(self.first_seen_ns);
         w.u64(self.last_seen_ns);
         w.u64(self.packets);
@@ -63,17 +60,13 @@ impl AssetRecord {
         w.u64(self.http_requests);
         w.into_bytes()
     }
+}
 
+impl AssetRecord {
     fn deserialize(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf);
-        let src_ip = r.ip()?;
-        let dst_ip = r.ip()?;
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let proto = Proto::from_number(r.u8()?)
-            .ok_or_else(|| Error::MalformedChunk("bad proto in asset record".into()))?;
         Ok(AssetRecord {
-            key: FlowKey { src_ip, dst_ip, src_port, dst_port, proto },
+            key: r.flow_key()?,
             first_seen_ns: r.u64()?,
             last_seen_ns: r.u64()?,
             packets: r.u64()?,
@@ -98,44 +91,17 @@ pub struct MonitorStat {
 }
 
 impl MonitorStat {
-    /// Additive merge (§7: counters are summed on consolidation).
-    pub fn merge(&mut self, other: &MonitorStat) {
-        self.total_packets += other.total_packets;
-        self.total_bytes += other.total_bytes;
-        self.tcp_packets += other.tcp_packets;
-        self.udp_packets += other.udp_packets;
-        self.icmp_packets += other.icmp_packets;
-        self.http_requests += other.http_requests;
-        self.flows_seen += other.flows_seen;
-    }
-
-    fn serialize(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        for v in [
-            self.total_packets,
-            self.total_bytes,
-            self.tcp_packets,
-            self.udp_packets,
-            self.icmp_packets,
-            self.http_requests,
-            self.flows_seen,
-        ] {
-            w.u64(v);
-        }
-        w.into_bytes()
-    }
-
-    fn deserialize(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Ok(MonitorStat {
-            total_packets: r.u64()?,
-            total_bytes: r.u64()?,
-            tcp_packets: r.u64()?,
-            udp_packets: r.u64()?,
-            icmp_packets: r.u64()?,
-            http_requests: r.u64()?,
-            flows_seen: r.u64()?,
-        })
+    /// The counters in wire order.
+    fn counters(&mut self) -> [&mut u64; 7] {
+        [
+            &mut self.total_packets,
+            &mut self.total_bytes,
+            &mut self.tcp_packets,
+            &mut self.udp_packets,
+            &mut self.icmp_packets,
+            &mut self.http_requests,
+            &mut self.flows_seen,
+        ]
     }
 }
 
@@ -147,8 +113,7 @@ pub struct Monitor {
     assets: HashMap<FlowKey, AssetRecord>,
     stat: MonitorStat,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Introspection-event generation gate (None = disabled).
     pub introspection: Option<openmb_types::wire::EventFilter>,
 }
@@ -179,8 +144,7 @@ impl Monitor {
             assets: HashMap::new(),
             stat: MonitorStat::default(),
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("prads"),
-            nonce: 1,
+            sealer: Sealer::new("prads", 1),
             introspection: None,
         }
     }
@@ -244,32 +208,6 @@ impl Monitor {
         Self::os_guess_for(pkt)
     }
 
-    fn seal(&mut self, bytes: &[u8]) -> EncryptedChunk {
-        let n = self.nonce;
-        self.nonce += 1;
-        EncryptedChunk::seal(&self.vendor, n, bytes)
-    }
-
-    fn export_matching(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        // Native granularity is the full (canonical) 5-tuple, so any
-        // pattern is valid (coarser or equal).
-        let mut matching: Vec<FlowKey> =
-            self.assets.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        // Export in key order: chunk sizes differ per record, so map
-        // iteration order would otherwise leak into wire timing and
-        // break run-to-run determinism.
-        matching.sort_unstable();
-        let mut out = Vec::with_capacity(matching.len());
-        for fk in matching {
-            let rec = self.assets[&fk].clone();
-            let sealed = self.seal(&rec.serialize());
-            self.sync.mark_moved(fk, op);
-            out.push(StateChunk::new(HeaderFieldList::exact(fk), sealed));
-        }
-        self.sync.mark_move_pattern(op, *key);
-        Ok(out)
-    }
-
     /// Read the shared counters (experiments compare these across runs).
     pub fn stat(&self) -> &MonitorStat {
         &self.stat
@@ -297,13 +235,7 @@ impl Middlebox for Monitor {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -318,99 +250,53 @@ impl Middlebox for Monitor {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
+        self.config.remove(key)
     }
 
     // The monitor keeps no supporting state: its records exist purely to
-    // report observations (§3.1's Reporting role).
-    fn get_support_perflow(
-        &mut self,
-        _op: OpId,
-        _key: &HeaderFieldList,
-    ) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_support_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow supporting".into()))
-    }
-
-    fn del_support_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
-    }
-
-    fn get_support_shared(&mut self, _op: OpId) -> Result<Option<EncryptedChunk>> {
-        Ok(None)
-    }
-
-    fn put_support_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("shared supporting".into()))
-    }
-
+    // report observations (§3.1's Reporting role). Native granularity is
+    // the full (canonical) 5-tuple, so any pattern is valid.
     fn get_report_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        self.export_matching(op, key)
+        Ok(state::export(&self.assets, &mut self.sealer, &mut self.sync, op, key))
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let plain = chunk.data.open(&self.vendor)?;
-        let rec = AssetRecord::deserialize(&plain)?;
-        let key = rec.key.canonical();
-        // Re-imported state is live again at this MB: clear any stale
-        // moved mark (a move back after a failed scale-down).
-        self.sync.clear_flow(&key);
-        self.assets.insert(key, rec);
+        let rec = AssetRecord::deserialize(&self.sealer.open(&chunk.data)?)?;
+        state::import(&mut self.assets, &mut self.sync, rec.key.canonical(), rec);
         Ok(())
     }
 
     fn del_report_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        let victims: Vec<FlowKey> =
-            self.assets.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        for k in &victims {
-            self.assets.remove(k);
-            self.sync.clear_flow(k);
-        }
-        Ok(victims.len())
+        Ok(state::delete(&mut self.assets, &mut self.sync, key).len())
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        let bytes = self.stat.serialize();
-        Ok(Some(self.seal(&bytes)))
+        Ok(Some(self.sealer.seal(&state::encode_counters(self.stat.counters()))))
     }
 
+    // §7: counters are summed on consolidation.
     fn put_report_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let other = MonitorStat::deserialize(&plain)?;
-        self.stat.merge(&other);
-        Ok(())
+        state::merge_counters(self.stat.counters(), &self.sealer.open(&chunk)?)
     }
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        let bytes = self.stat.serialize();
-        Ok(SharedSnapshot { support: None, report: Some(self.seal(&bytes)) })
+        let counters = state::encode_counters(self.stat.counters());
+        Ok(self.sealer.snapshot(None, Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.stat = match snap.report {
-            Some(chunk) => MonitorStat::deserialize(&chunk.open(&self.vendor)?)?,
-            None => MonitorStat::default(),
-        };
-        Ok(())
+        let plain = self.sealer.open_opt(snap.report)?;
+        state::replace_counters(self.stat.counters(), plain.as_deref())
     }
 
     fn stats(&self, key: &HeaderFieldList) -> StateStats {
-        let mut s = StateStats::default();
-        for (k, rec) in &self.assets {
-            if key.matches_bidi(k) {
-                s.perflow_report_chunks += 1;
-                s.perflow_report_bytes += rec.serialize().len() + 16;
-            }
+        let (chunks, bytes) = state::count(&self.assets, key);
+        StateStats {
+            perflow_report_chunks: chunks,
+            perflow_report_bytes: bytes,
+            shared_report_bytes: 7 * 8 + state::SEAL_OVERHEAD,
+            ..StateStats::default()
         }
-        s.shared_report_bytes = self.stat.serialize().len() + 16;
-        s
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {
@@ -727,12 +613,9 @@ mod tests {
     #[test]
     fn foreign_chunks_rejected() {
         let mut m = Monitor::new();
-        let other = VendorKey::derive("bro");
         let key = FlowKey::tcp(ip(1, 1, 1, 1), 1, ip(2, 2, 2, 2), 80);
-        let chunk = StateChunk::new(
-            HeaderFieldList::exact(key),
-            EncryptedChunk::seal(&other, 0, b"not ours"),
-        );
+        let chunk =
+            StateChunk::new(HeaderFieldList::exact(key), Sealer::new("bro", 0).seal(b"not ours"));
         assert!(matches!(m.put_report_perflow(chunk), Err(Error::MalformedChunk(_))));
     }
 

@@ -17,13 +17,14 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use openmb_mb::{CostModel, Effects, Middlebox, SharedSnapshot, SyncTracker};
+use openmb_mb::{
+    state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
+};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{Event, Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    OpId, Packet, Proto, Result, StateChunk, StateStats,
+    OpId, Packet, Result, StateChunk, StateStats,
 };
 
 /// Introspection event: a new mapping was created. Values carry the
@@ -45,30 +46,28 @@ pub struct NatMapping {
     pub packets: u64,
 }
 
-impl NatMapping {
-    fn serialize(&self) -> Vec<u8> {
+impl Record for NatMapping {
+    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
         let mut w = Writer::new();
-        w.ip(self.internal.src_ip);
-        w.ip(self.internal.dst_ip);
-        w.u16(self.internal.src_port);
-        w.u16(self.internal.dst_port);
-        w.u8(self.internal.proto.number());
+        w.flow_key(&self.internal);
         w.u16(self.external_port);
         w.u64(self.last_used_ns);
         w.u64(self.packets);
         w.into_bytes()
     }
 
+    /// Mappings are keyed by the internal flow as it was first seen, so
+    /// patterns select them directionally.
+    fn selected(pattern: &HeaderFieldList, key: &FlowKey) -> bool {
+        pattern.matches(key)
+    }
+}
+
+impl NatMapping {
     fn deserialize(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf);
-        let src_ip = r.ip()?;
-        let dst_ip = r.ip()?;
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let proto = Proto::from_number(r.u8()?)
-            .ok_or_else(|| Error::MalformedChunk("bad proto in mapping".into()))?;
         Ok(NatMapping {
-            internal: FlowKey { src_ip, dst_ip, src_port, dst_port, proto },
+            internal: r.flow_key()?,
             external_port: r.u16()?,
             last_used_ns: r.u64()?,
             packets: r.u64()?,
@@ -100,8 +99,7 @@ pub struct Nat {
     /// Shared supporting state: the port allocator cursor.
     next_port: u16,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Introspection-event generation gate (None = disabled).
     pub introspection: Option<openmb_types::wire::EventFilter>,
     /// Packets dropped for lack of a reverse mapping.
@@ -125,8 +123,7 @@ impl Nat {
             by_port: HashMap::new(),
             next_port: 20000,
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("nat"),
-            nonce: 1,
+            sealer: Sealer::new("nat", 1),
             introspection: None,
             dropped_unknown: 0,
         }
@@ -168,6 +165,13 @@ impl Nat {
             }
         }
         panic!("NAT port pool exhausted");
+    }
+
+    /// The shared supporting state on the wire: the allocator cursor.
+    fn serialize_cursor(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u16(self.next_port);
+        w.into_bytes()
     }
 
     /// Expire idle mappings (called per packet, like a real NAT's timer
@@ -224,13 +228,7 @@ impl Middlebox for Nat {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -288,67 +286,35 @@ impl Middlebox for Nat {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
+        self.config.remove(key)
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        let mut matching: Vec<FlowKey> =
-            self.mappings.keys().filter(|k| key.matches(k)).copied().collect();
-        // Export in key order so map iteration order never leaks into
-        // the wire (chunk sizes differ, which would perturb timing).
-        matching.sort_unstable();
-        let mut out = Vec::with_capacity(matching.len());
-        for fk in matching {
-            let m = self.mappings[&fk].clone();
-            let n = self.nonce;
-            self.nonce += 1;
-            let sealed = EncryptedChunk::seal(&self.vendor, n, &m.serialize());
-            self.sync.mark_moved(fk, op);
-            out.push(StateChunk::new(HeaderFieldList::exact(fk), sealed));
-        }
-        self.sync.mark_move_pattern(op, *key);
-        Ok(out)
+        Ok(state::export(&self.mappings, &mut self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let plain = chunk.data.open(&self.vendor)?;
-        let m = NatMapping::deserialize(&plain)?;
+        let m = NatMapping::deserialize(&self.sealer.open(&chunk.data)?)?;
         self.by_port.insert(m.external_port, m.internal);
-        self.sync.clear_flow(&m.internal);
-        self.mappings.insert(m.internal, m);
+        state::import(&mut self.mappings, &mut self.sync, m.internal, m);
         Ok(())
     }
 
     fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        let victims: Vec<FlowKey> =
-            self.mappings.keys().filter(|k| key.matches(k)).copied().collect();
-        for k in &victims {
-            if let Some(m) = self.mappings.remove(k) {
-                self.by_port.remove(&m.external_port);
-            }
-            self.sync.clear_flow(k);
+        let removed = state::delete(&mut self.mappings, &mut self.sync, key);
+        for m in &removed {
+            self.by_port.remove(&m.external_port);
         }
-        Ok(victims.len())
+        Ok(removed.len())
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
-        let mut w = Writer::new();
-        w.u16(self.next_port);
-        let bytes = w.into_bytes();
         self.sync.mark_shared(op);
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        Ok(Some(self.sealer.seal(&self.serialize_cursor())))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let mut r = Reader::new(&plain);
-        let other = r.u16()?;
+        let other = Reader::new(&self.sealer.open(&chunk)?).u16()?;
         // Merge: take the further-advanced allocator cursor to avoid
         // collisions after consolidation.
         self.next_port = self.next_port.max(other);
@@ -356,63 +322,29 @@ impl Middlebox for Nat {
     }
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        let mut w = Writer::new();
-        w.u16(self.next_port);
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(SharedSnapshot {
-            support: Some(EncryptedChunk::seal(&self.vendor, n, &w.into_bytes())),
-            report: None,
-        })
+        Ok(self.sealer.snapshot(Some(self.serialize_cursor()), None))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        match snap.support {
-            Some(chunk) => {
-                let plain = chunk.open(&self.vendor)?;
-                self.next_port = Reader::new(&plain).u16()?;
-            }
-            None => {
-                self.next_port = self
-                    .config
-                    .get_leaf(&HierarchicalKey::parse("port_range/start"))
-                    .and_then(|v| v.first().and_then(ConfigValue::as_int))
-                    .unwrap_or(20000) as u16;
-            }
-        }
+        self.next_port = match self.sealer.open_opt(snap.support)? {
+            Some(plain) => Reader::new(&plain).u16()?,
+            None => self
+                .config
+                .get_leaf(&HierarchicalKey::parse("port_range/start"))
+                .and_then(|v| v.first().and_then(ConfigValue::as_int))
+                .unwrap_or(20000) as u16,
+        };
         Ok(())
     }
 
-    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
-    }
-
-    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
-    }
-
-    fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        Ok(None)
-    }
-
-    fn put_report_shared(&mut self, _chunk: EncryptedChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("shared reporting".into()))
-    }
-
     fn stats(&self, key: &HeaderFieldList) -> StateStats {
-        let mut s = StateStats::default();
-        for (k, m) in &self.mappings {
-            if key.matches(k) {
-                s.perflow_support_chunks += 1;
-                s.perflow_support_bytes += m.serialize().len() + 16;
-            }
+        let (chunks, bytes) = state::count(&self.mappings, key);
+        StateStats {
+            perflow_support_chunks: chunks,
+            perflow_support_bytes: bytes,
+            shared_support_bytes: 2 + state::SEAL_OVERHEAD,
+            ..StateStats::default()
         }
-        s.shared_support_bytes = 2 + 16;
-        s
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {

@@ -17,9 +17,10 @@
 
 use std::collections::HashMap;
 
-use openmb_mb::{CostModel, Effects, Middlebox, SharedSnapshot, SyncTracker};
+use openmb_mb::{
+    state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
+};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
@@ -43,29 +44,20 @@ pub struct ConnState {
     pub requests: u64,
 }
 
-impl ConnState {
-    fn serialize(&self, key: &FlowKey) -> Vec<u8> {
+impl Record for ConnState {
+    fn encode(&self, key: &FlowKey) -> Vec<u8> {
         let mut w = Writer::new();
-        w.ip(key.src_ip);
-        w.ip(key.dst_ip);
-        w.u16(key.src_port);
-        w.u16(key.dst_port);
-        w.u8(key.proto.number());
+        w.flow_key(key);
         w.bytes(&self.partial);
         w.u64(self.requests);
         w.into_bytes()
     }
+}
 
+impl ConnState {
     fn deserialize(buf: &[u8]) -> Result<(FlowKey, Self)> {
         let mut r = Reader::new(buf);
-        let src_ip = r.ip()?;
-        let dst_ip = r.ip()?;
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let proto = openmb_types::Proto::from_number(r.u8()?)
-            .ok_or_else(|| Error::MalformedChunk("bad proto in proxy state".into()))?;
-        let key = FlowKey { src_ip, dst_ip, src_port, dst_port, proto };
-        Ok((key, ConnState { partial: r.bytes()?, requests: r.u64()? }))
+        Ok((r.flow_key()?, ConnState { partial: r.bytes()?, requests: r.u64()? }))
     }
 }
 
@@ -76,8 +68,7 @@ pub struct Proxy {
     conns: HashMap<FlowKey, ConnState>,
     cache: HashMap<String, CacheObject>,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Shared reporting counters.
     pub requests: u64,
     pub hits: u64,
@@ -103,12 +94,16 @@ impl Proxy {
             conns: HashMap::new(),
             cache: HashMap::new(),
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("squid"),
-            nonce: 1,
+            sealer: Sealer::new("squid", 1),
             requests: 0,
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// The shared reporting counters, in wire order.
+    fn counters(&mut self) -> [&mut u64; 3] {
+        [&mut self.requests, &mut self.hits, &mut self.misses]
     }
 
     fn capacity(&self) -> usize {
@@ -198,13 +193,7 @@ impl Middlebox for Proxy {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -223,146 +212,66 @@ impl Middlebox for Proxy {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
+        self.config.remove(key)
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        let mut matching: Vec<FlowKey> =
-            self.conns.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        // Export in key order so map iteration order never leaks into
-        // the wire.
-        matching.sort_unstable();
-        let mut out = Vec::with_capacity(matching.len());
-        for fk in matching {
-            let c = self.conns[&fk].clone();
-            let n = self.nonce;
-            self.nonce += 1;
-            let sealed = EncryptedChunk::seal(&self.vendor, n, &c.serialize(&fk));
-            self.sync.mark_moved(fk, op);
-            out.push(StateChunk::new(HeaderFieldList::exact(fk), sealed));
-        }
-        self.sync.mark_move_pattern(op, *key);
-        Ok(out)
+        Ok(state::export(&self.conns, &mut self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let plain = chunk.data.open(&self.vendor)?;
-        let (key, c) = ConnState::deserialize(&plain)?;
-        let key = key.canonical();
-        self.sync.clear_flow(&key);
-        self.conns.insert(key, c);
+        let (key, c) = ConnState::deserialize(&self.sealer.open(&chunk.data)?)?;
+        state::import(&mut self.conns, &mut self.sync, key.canonical(), c);
         Ok(())
     }
 
     fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        let victims: Vec<FlowKey> =
-            self.conns.keys().filter(|k| key.matches_bidi(k)).copied().collect();
-        for k in &victims {
-            self.conns.remove(k);
-            self.sync.clear_flow(k);
-        }
-        Ok(victims.len())
+        Ok(state::delete(&mut self.conns, &mut self.sync, key).len())
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
-        let bytes = self.serialize_cache();
         self.sync.mark_shared(op);
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        Ok(Some(self.sealer.seal(&self.serialize_cache())))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        self.merge_cache(&plain)
-    }
-
-    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
-    }
-
-    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
+        self.merge_cache(&self.sealer.open(&chunk)?)
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        let mut w = Writer::new();
-        w.u64(self.requests);
-        w.u64(self.hits);
-        w.u64(self.misses);
-        let bytes = w.into_bytes();
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        let counters = state::encode_counters(self.counters());
+        Ok(Some(self.sealer.seal(&counters)))
     }
 
     fn put_report_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let mut r = Reader::new(&plain);
-        self.requests += r.u64()?;
-        self.hits += r.u64()?;
-        self.misses += r.u64()?;
-        Ok(())
+        let plain = self.sealer.open(&chunk)?;
+        state::merge_counters(self.counters(), &plain)
     }
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        let cache = self.serialize_cache();
-        let mut w = Writer::new();
-        w.u64(self.requests);
-        w.u64(self.hits);
-        w.u64(self.misses);
-        let counters = w.into_bytes();
-        let n = self.nonce;
-        self.nonce += 2;
-        Ok(SharedSnapshot {
-            support: Some(EncryptedChunk::seal(&self.vendor, n, &cache)),
-            report: Some(EncryptedChunk::seal(&self.vendor, n + 1, &counters)),
-        })
+        let counters = state::encode_counters(self.counters());
+        Ok(self.sealer.snapshot(Some(self.serialize_cache()), Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
         self.cache.clear();
-        if let Some(chunk) = snap.support {
-            let plain = chunk.open(&self.vendor)?;
+        if let Some(plain) = self.sealer.open_opt(snap.support)? {
             // Merging into an empty cache reproduces it exactly.
             self.merge_cache(&plain)?;
         }
-        match snap.report {
-            Some(chunk) => {
-                let plain = chunk.open(&self.vendor)?;
-                let mut r = Reader::new(&plain);
-                self.requests = r.u64()?;
-                self.hits = r.u64()?;
-                self.misses = r.u64()?;
-            }
-            None => {
-                self.requests = 0;
-                self.hits = 0;
-                self.misses = 0;
-            }
-        }
-        Ok(())
+        let plain = self.sealer.open_opt(snap.report)?;
+        state::replace_counters(self.counters(), plain.as_deref())
     }
 
     fn stats(&self, key: &HeaderFieldList) -> StateStats {
-        let mut s = StateStats::default();
-        for (k, c) in &self.conns {
-            if key.matches_bidi(k) {
-                s.perflow_support_chunks += 1;
-                s.perflow_support_bytes += c.serialize(k).len() + 16;
-            }
+        let (chunks, bytes) = state::count(&self.conns, key);
+        StateStats {
+            perflow_support_chunks: chunks,
+            perflow_support_bytes: bytes,
+            shared_support_bytes: self.serialize_cache().len() + state::SEAL_OVERHEAD,
+            shared_report_bytes: 3 * 8 + state::SEAL_OVERHEAD,
+            ..StateStats::default()
         }
-        s.shared_support_bytes = self.serialize_cache().len() + 16;
-        s.shared_report_bytes = 24 + 16;
-        s
     }
 
     fn process_packet(&mut self, _now: SimTime, pkt: &Packet, fx: &mut Effects) {

@@ -22,13 +22,12 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use openmb_mb::{CostModel, Effects, Middlebox, SharedSnapshot, SyncTracker};
+use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SharedSnapshot, SyncTracker};
 use openmb_simnet::SimTime;
-use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, HeaderFieldList, HierarchicalKey, IpPrefix,
-    OpId, Packet, Result, StateChunk, StateStats,
+    OpId, Packet, Result, StateStats,
 };
 
 /// Fingerprint window size (bytes).
@@ -347,8 +346,7 @@ pub struct ReEncoder {
     caches: Vec<EncoderCache>,
     cache_size: usize,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Total payload bytes replaced by shims (Table 3 "Encoded Bytes").
     pub bytes_saved: u64,
     /// Packets encoded.
@@ -368,11 +366,15 @@ impl ReEncoder {
             caches: vec![EncoderCache::new(cache_size)],
             cache_size,
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("re"),
-            nonce: 1,
+            sealer: Sealer::new("re", 1),
             bytes_saved: 0,
             packets_encoded: 0,
         }
+    }
+
+    /// The shared reporting counters, in wire order.
+    fn counters(&mut self) -> [&mut u64; 2] {
+        [&mut self.bytes_saved, &mut self.packets_encoded]
     }
 
     fn cache_flows(&self) -> Vec<IpPrefix> {
@@ -421,13 +423,7 @@ impl Middlebox for ReEncoder {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -505,40 +501,16 @@ impl Middlebox for ReEncoder {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
-    }
-
-    fn get_support_perflow(
-        &mut self,
-        _op: OpId,
-        _key: &HeaderFieldList,
-    ) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_support_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow supporting".into()))
-    }
-
-    fn del_support_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
+        self.config.remove(key)
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
-        let bytes = self.caches[0].cache.serialize();
         self.sync.mark_shared(op);
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        Ok(Some(self.sealer.seal(&self.caches[0].cache.serialize())))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let cache = PacketCache::deserialize(&plain)?;
+        let cache = PacketCache::deserialize(&self.sealer.open(&chunk)?)?;
         if self.caches[0].cache.total() != 0 {
             return Err(Error::MergeNotPermitted(
                 "RE caches are position-sensitive and cannot be merged".into(),
@@ -548,80 +520,39 @@ impl Middlebox for ReEncoder {
         Ok(())
     }
 
-    fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        let cache = self.caches[0].cache.serialize();
-        let mut w = Writer::new();
-        w.u64(self.bytes_saved);
-        w.u64(self.packets_encoded);
-        let counters = w.into_bytes();
-        let n = self.nonce;
-        self.nonce += 2;
-        Ok(SharedSnapshot {
-            support: Some(EncryptedChunk::seal(&self.vendor, n, &cache)),
-            report: Some(EncryptedChunk::seal(&self.vendor, n + 1, &counters)),
-        })
-    }
-
-    fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.caches[0] = match snap.support {
-            Some(chunk) => {
-                let plain = chunk.open(&self.vendor)?;
-                EncoderCache {
-                    cache: PacketCache::deserialize(&plain)?,
-                    fingerprints: HashMap::new(),
-                }
-            }
-            None => EncoderCache::new(self.cache_size),
-        };
-        match snap.report {
-            Some(chunk) => {
-                let plain = chunk.open(&self.vendor)?;
-                let mut r = Reader::new(&plain);
-                self.bytes_saved = r.u64()?;
-                self.packets_encoded = r.u64()?;
-            }
-            None => {
-                self.bytes_saved = 0;
-                self.packets_encoded = 0;
-            }
-        }
-        Ok(())
-    }
-
-    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
-    }
-
-    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
-    }
-
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        let mut w = Writer::new();
-        w.u64(self.bytes_saved);
-        w.u64(self.packets_encoded);
-        let bytes = w.into_bytes();
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        let counters = state::encode_counters(self.counters());
+        Ok(Some(self.sealer.seal(&counters)))
     }
 
     fn put_report_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let mut r = Reader::new(&plain);
-        self.bytes_saved += r.u64()?;
-        self.packets_encoded += r.u64()?;
-        Ok(())
+        let plain = self.sealer.open(&chunk)?;
+        state::merge_counters(self.counters(), &plain)
     }
 
+    fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
+        let counters = state::encode_counters(self.counters());
+        Ok(self.sealer.snapshot(Some(self.caches[0].cache.serialize()), Some(counters)))
+    }
+
+    fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
+        self.caches[0] = match self.sealer.open_opt(snap.support)? {
+            Some(plain) => EncoderCache {
+                cache: PacketCache::deserialize(&plain)?,
+                fingerprints: HashMap::new(),
+            },
+            None => EncoderCache::new(self.cache_size),
+        };
+        let plain = self.sealer.open_opt(snap.report)?;
+        state::replace_counters(self.counters(), plain.as_deref())
+    }
+
+    // Bare sizes, without the seal overhead the other types add: these
+    // numbers are printed by `repro` (DESIGN §18).
     fn stats(&self, _key: &HeaderFieldList) -> StateStats {
         StateStats {
             shared_support_bytes: self.caches.iter().map(|c| c.cache.serialize().len()).sum(),
-            shared_report_bytes: 16,
+            shared_report_bytes: 2 * 8,
             ..StateStats::default()
         }
     }
@@ -669,8 +600,7 @@ pub struct ReDecoder {
     cache: PacketCache,
     cache_size: usize,
     sync: SyncTracker,
-    vendor: VendorKey,
-    nonce: u64,
+    sealer: Sealer,
     /// Packets fully reconstructed.
     pub packets_decoded: u64,
     /// Encoded packets that referenced content this cache did not hold
@@ -690,12 +620,16 @@ impl ReDecoder {
             cache: PacketCache::new(cache_size),
             cache_size,
             sync: SyncTracker::new(),
-            vendor: VendorKey::derive("re"),
-            nonce: 1_000_000,
+            sealer: Sealer::new("re", 1_000_000),
             packets_decoded: 0,
             packets_undecodable: 0,
             bytes_undecodable: 0,
         }
+    }
+
+    /// The shared reporting counters, in wire order.
+    fn counters(&mut self) -> [&mut u64; 3] {
+        [&mut self.packets_decoded, &mut self.packets_undecodable, &mut self.bytes_undecodable]
     }
 
     /// Direct cache access (tests / experiments).
@@ -713,13 +647,7 @@ impl Middlebox for ReDecoder {
         &self,
         key: &HierarchicalKey,
     ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
-        if key.is_root() {
-            return Ok(self.config.flatten());
-        }
-        match self.config.get(key) {
-            Some(v) => Ok(vec![(key.clone(), v)]),
-            None => Err(Error::NoSuchConfigKey(key.to_string())),
-        }
+        self.config.read(key)
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
@@ -739,40 +667,16 @@ impl Middlebox for ReDecoder {
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        if self.config.del(key) {
-            Ok(())
-        } else {
-            Err(Error::NoSuchConfigKey(key.to_string()))
-        }
-    }
-
-    fn get_support_perflow(
-        &mut self,
-        _op: OpId,
-        _key: &HeaderFieldList,
-    ) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_support_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow supporting".into()))
-    }
-
-    fn del_support_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
+        self.config.remove(key)
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
-        let bytes = self.cache.serialize();
         self.sync.mark_shared(op);
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        Ok(Some(self.sealer.seal(&self.cache.serialize())))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let cache = PacketCache::deserialize(&plain)?;
+        let cache = PacketCache::deserialize(&self.sealer.open(&chunk)?)?;
         if self.cache.total() != 0 {
             // §4.1.2's shared-state constraint: we cannot overwrite live
             // shared state, and RE caches cannot be merged.
@@ -784,82 +688,35 @@ impl Middlebox for ReDecoder {
         Ok(())
     }
 
-    fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        let cache = self.cache.serialize();
-        let mut w = Writer::new();
-        w.u64(self.packets_decoded);
-        w.u64(self.packets_undecodable);
-        w.u64(self.bytes_undecodable);
-        let counters = w.into_bytes();
-        let n = self.nonce;
-        self.nonce += 2;
-        Ok(SharedSnapshot {
-            support: Some(EncryptedChunk::seal(&self.vendor, n, &cache)),
-            report: Some(EncryptedChunk::seal(&self.vendor, n + 1, &counters)),
-        })
-    }
-
-    fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.cache = match snap.support {
-            Some(chunk) => {
-                let plain = chunk.open(&self.vendor)?;
-                PacketCache::deserialize(&plain)?
-            }
-            None => PacketCache::new(self.cache_size),
-        };
-        match snap.report {
-            Some(chunk) => {
-                let plain = chunk.open(&self.vendor)?;
-                let mut r = Reader::new(&plain);
-                self.packets_decoded = r.u64()?;
-                self.packets_undecodable = r.u64()?;
-                self.bytes_undecodable = r.u64()?;
-            }
-            None => {
-                self.packets_decoded = 0;
-                self.packets_undecodable = 0;
-                self.bytes_undecodable = 0;
-            }
-        }
-        Ok(())
-    }
-
-    fn get_report_perflow(&mut self, _op: OpId, _key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(Vec::new())
-    }
-
-    fn put_report_perflow(&mut self, _chunk: StateChunk) -> Result<()> {
-        Err(Error::UnsupportedStateClass("per-flow reporting".into()))
-    }
-
-    fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
-        Ok(0)
-    }
-
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
-        let mut w = Writer::new();
-        w.u64(self.packets_decoded);
-        w.u64(self.packets_undecodable);
-        w.u64(self.bytes_undecodable);
-        let bytes = w.into_bytes();
-        let n = self.nonce;
-        self.nonce += 1;
-        Ok(Some(EncryptedChunk::seal(&self.vendor, n, &bytes)))
+        let counters = state::encode_counters(self.counters());
+        Ok(Some(self.sealer.seal(&counters)))
     }
 
     fn put_report_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let plain = chunk.open(&self.vendor)?;
-        let mut r = Reader::new(&plain);
-        self.packets_decoded += r.u64()?;
-        self.packets_undecodable += r.u64()?;
-        self.bytes_undecodable += r.u64()?;
-        Ok(())
+        let plain = self.sealer.open(&chunk)?;
+        state::merge_counters(self.counters(), &plain)
     }
 
+    fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
+        let counters = state::encode_counters(self.counters());
+        Ok(self.sealer.snapshot(Some(self.cache.serialize()), Some(counters)))
+    }
+
+    fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
+        self.cache = match self.sealer.open_opt(snap.support)? {
+            Some(plain) => PacketCache::deserialize(&plain)?,
+            None => PacketCache::new(self.cache_size),
+        };
+        let plain = self.sealer.open_opt(snap.report)?;
+        state::replace_counters(self.counters(), plain.as_deref())
+    }
+
+    // Bare sizes, like the encoder's.
     fn stats(&self, _key: &HeaderFieldList) -> StateStats {
         StateStats {
             shared_support_bytes: self.cache.serialize().len(),
-            shared_report_bytes: 24,
+            shared_report_bytes: 3 * 8,
             ..StateStats::default()
         }
     }

@@ -12,13 +12,22 @@
 //! ReEncoder) and the specialized overrides (Firewall, Monitor, Nat)
 //! are covered, in live and replay mode, with and without moved marks
 //! (the sync-window raise path and the quiet fast-skip path).
+//!
+//! A last pass over the same nine types pins each one's state-export
+//! behaviour across builds (`export_digests_are_pinned`): the sealed
+//! bytes, their order, every error string and the stats accounting are
+//! hashed into one constant per type.
 
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::{
     DummyMb, Firewall, Ips, LoadBalancer, Monitor, Nat, Proxy, ReDecoder, ReEncoder,
 };
 use openmb_simnet::SimTime;
-use openmb_types::{FlowKey, HeaderFieldList, OpId, Packet, Proto};
+use openmb_types::crypto::VendorKey;
+use openmb_types::{
+    EncryptedChunk, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix, OpId, Packet, Proto,
+    Result, StateChunk,
+};
 use std::net::Ipv4Addr;
 
 /// Deterministic xorshift64* PRNG — no external crates, reproducible
@@ -268,4 +277,186 @@ fn nightly_batch_1024_sweep() {
         sweep_all(seed, 1024, false);
         sweep_all(seed, 1024, true);
     }
+}
+
+/// Everything a state operation can return, appended to a transcript:
+/// `Debug` for shapes, keys, counts and error strings, raw wire bytes
+/// for sealed chunks (`Debug` of a chunk shows only its first 32 bytes).
+struct Transcript(Vec<u8>);
+
+impl Transcript {
+    fn note(&mut self, label: &str, v: &dyn std::fmt::Debug) {
+        self.0.extend_from_slice(format!("{label} {v:?}\n").as_bytes());
+    }
+    fn perflow(&mut self, label: &str, r: &Result<Vec<StateChunk>>) {
+        self.note(label, r);
+        for c in r.iter().flatten() {
+            self.0.extend_from_slice(c.data.as_wire());
+        }
+    }
+    fn shared(&mut self, label: &str, r: &Result<Option<EncryptedChunk>>) {
+        self.note(label, r);
+        if let Ok(Some(c)) = r {
+            self.0.extend_from_slice(c.as_wire());
+        }
+    }
+    /// The five exports and `stats`, in the order a controller issues
+    /// them; returns the exports so the caller can put them elsewhere.
+    fn export<M: Middlebox>(&mut self, who: &str, mb: &mut M, op: u64) -> Exports {
+        let any = HeaderFieldList::any();
+        let support_perflow = mb.get_support_perflow(OpId(op), &any);
+        self.perflow(&format!("{who}.get_support_perflow"), &support_perflow);
+        let report_perflow = mb.get_report_perflow(OpId(op + 1), &any);
+        self.perflow(&format!("{who}.get_report_perflow"), &report_perflow);
+        let support_shared = mb.get_support_shared(OpId(op + 2));
+        self.shared(&format!("{who}.get_support_shared"), &support_shared);
+        let report_shared = mb.get_report_shared();
+        self.shared(&format!("{who}.get_report_shared"), &report_shared);
+        let snapshot = mb.snapshot_shared().expect("snapshot_shared");
+        self.shared(&format!("{who}.snapshot.support"), &Ok(snapshot.support.clone()));
+        self.shared(&format!("{who}.snapshot.report"), &Ok(snapshot.report.clone()));
+        self.note(&format!("{who}.stats"), &mb.stats(&any));
+        self.note(&format!("{who}.entries"), &mb.perflow_entries());
+        Exports { support_perflow, report_perflow, support_shared, report_shared, snapshot }
+    }
+}
+
+/// What [`Transcript::export`] took from a middlebox.
+struct Exports {
+    support_perflow: Result<Vec<StateChunk>>,
+    report_perflow: Result<Vec<StateChunk>>,
+    support_shared: Result<Option<EncryptedChunk>>,
+    report_shared: Result<Option<EncryptedChunk>>,
+    snapshot: openmb_mb::SharedSnapshot,
+}
+
+/// One type's state-export transcript, hashed: a fixed-seed train into
+/// the source, every export, every put into a fresh destination, the
+/// snapshot restored there, the destination re-exported, traffic on
+/// both sides of the open sync window, a partial and a full delete on
+/// the source — plus what a fresh instance answers to foreign chunks,
+/// an exact-flow get and config reads.
+fn export_digest<M: Middlebox>(mk: impl Fn() -> M) -> u64 {
+    let flows = flow_pool();
+    let mut rng = Rng::new(20);
+    let mut next_id = 1u64;
+    let now = SimTime(1_000_000);
+    let mut t = Transcript(Vec::new());
+    let any = HeaderFieldList::any();
+
+    let mut src = mk();
+    let mut fx = Effects::normal();
+    for _ in 0..4 {
+        let train = gen_train(&mut rng, &flows, 32, &mut next_id);
+        src.process_batch(now, &train, &mut fx);
+    }
+    fx.reset();
+    let got = t.export("src", &mut src, 1);
+
+    let mut dst = mk();
+    for c in got.support_perflow.into_iter().flatten() {
+        t.note("dst.put_support_perflow", &dst.put_support_perflow(c));
+    }
+    for c in got.report_perflow.into_iter().flatten() {
+        t.note("dst.put_report_perflow", &dst.put_report_perflow(c));
+    }
+    if let Ok(Some(c)) = got.support_shared {
+        t.note("dst.put_support_shared", &dst.put_support_shared(c));
+    }
+    if let Ok(Some(c)) = got.report_shared {
+        t.note("dst.put_report_shared", &dst.put_report_shared(c));
+    }
+    t.export("dst.merged", &mut dst, 11);
+    dst.end_sync(OpId(11));
+    dst.end_sync(OpId(12));
+    dst.end_sync(OpId(13));
+    t.note("dst.restore_shared", &dst.restore_shared(got.snapshot));
+    t.export("dst.restored", &mut dst, 21);
+
+    // Inside the sync windows: the source's marks raise events, the
+    // destination's second export re-marked what the puts had cleared.
+    let train = gen_train(&mut rng, &flows, 16, &mut next_id);
+    for (who, mb) in [("src", &mut src), ("dst", &mut dst)] {
+        mb.process_batch(now, &train, &mut fx);
+        t.note(&format!("{who}.events"), &fx.take_events());
+        fx.reset();
+    }
+
+    let subnet = HeaderFieldList::from_src_subnet(IpPrefix::new(Ipv4Addr::new(10, 0, 0, 2), 32));
+    t.note("src.del_support_perflow(subnet)", &src.del_support_perflow(&subnet));
+    t.note("src.del_report_perflow(subnet)", &src.del_report_perflow(&subnet));
+    t.note("src.stats", &src.stats(&any));
+    t.note("src.del_support_perflow", &src.del_support_perflow(&any));
+    t.note("src.del_report_perflow", &src.del_report_perflow(&any));
+    t.note("src.stats", &src.stats(&any));
+    t.note("src.entries", &src.perflow_entries());
+
+    // A fresh instance: chunks sealed under a foreign key (a class the
+    // type lacks refuses by name, one it has fails to open), an exact
+    // key (finer than the load balancer's native granularity), config.
+    let mut probe = mk();
+    let foreign = || EncryptedChunk::seal(&VendorKey::derive("not-a-middlebox"), 1, b"x");
+    let exact = HeaderFieldList::exact(flows[0]);
+    t.note(
+        "probe.put_support_perflow",
+        &probe.put_support_perflow(StateChunk::new(exact, foreign())),
+    );
+    t.note(
+        "probe.put_report_perflow",
+        &probe.put_report_perflow(StateChunk::new(exact, foreign())),
+    );
+    t.note("probe.put_support_shared", &probe.put_support_shared(foreign()));
+    t.note("probe.put_report_shared", &probe.put_report_shared(foreign()));
+    probe.process_batch(now, &train, &mut fx);
+    fx.reset();
+    let r = probe.get_support_perflow(OpId(31), &exact);
+    t.perflow("probe.get_support_perflow(exact)", &r);
+    let r = probe.get_report_perflow(OpId(32), &exact);
+    t.perflow("probe.get_report_perflow(exact)", &r);
+    t.note("probe.stats(exact)", &probe.stats(&exact));
+    t.note("probe.del_support_perflow(exact)", &probe.del_support_perflow(&exact));
+    t.note("probe.get_config(*)", &probe.get_config(&HierarchicalKey::root()));
+    t.note("probe.get_config(missing)", &probe.get_config(&HierarchicalKey::parse("no/such")));
+
+    let h = openmb_store::content_hash(&t.0);
+    u64::from_le_bytes(h[..8].try_into().unwrap())
+}
+
+/// Cross-build oracle: the constants were computed at the commit before
+/// the state-export kit (`openmb_mb::state`) replaced the nine
+/// hand-written copies, so they pin nonce order, export sort order,
+/// record bytes, error strings and the `+16` accounting per type. A
+/// mismatch names the type that drifted.
+#[test]
+fn export_digests_are_pinned() {
+    let ext = Ipv4Addr::new(198, 51, 100, 1);
+    let got = [
+        ("dummy", export_digest(DummyMb::new)),
+        ("firewall", export_digest(Firewall::new)),
+        ("ips", export_digest(Ips::new)),
+        ("lb", export_digest(|| LoadBalancer::new(vip(), &backends()))),
+        ("monitor", export_digest(Monitor::new)),
+        ("nat", export_digest(|| Nat::new(ext))),
+        ("proxy", export_digest(|| Proxy::new(64))),
+        ("re-encoder", export_digest(|| ReEncoder::new(1 << 16))),
+        ("re-decoder", export_digest(|| ReDecoder::new(1 << 16))),
+    ];
+    let want: [(&str, u64); 9] = [
+        ("dummy", 0x17C8E69AE5A2BB8C),
+        ("firewall", 0x7DF4A71F6B9993D1),
+        ("ips", 0x333AFAFC127FDE90),
+        ("lb", 0xAFC30CC12AB9CE31),
+        ("monitor", 0x8AD99C00DE659AF8),
+        ("nat", 0xE8C633A0CD533D2B),
+        ("proxy", 0x14B20F32229F7D6B),
+        ("re-encoder", 0xE3CF8931AABAD378),
+        ("re-decoder", 0x2BA9AE2E56DA1C62),
+    ];
+    let drifted: Vec<String> = got
+        .iter()
+        .zip(want)
+        .filter(|((_, got), (_, want))| got != want)
+        .map(|((name, got), _)| format!("(\"{name}\", {got:#018x})"))
+        .collect();
+    assert!(drifted.is_empty(), "state-export transcript drifted for: {}", drifted.join(", "));
 }

@@ -11,6 +11,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::error::{Error, Result};
+
 /// A path in the configuration hierarchy, e.g. `"rules/http/0"` or the
 /// whole-tree wildcard `"*"`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -218,6 +220,29 @@ impl ConfigTree {
         }
     }
 
+    /// The southbound `getConfig` (§4.1.1): the root key reads the whole
+    /// hierarchy flattened, any other key the values under it as one
+    /// pair; a key that does not exist is [`Error::NoSuchConfigKey`].
+    pub fn read(&self, key: &HierarchicalKey) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
+        if key.is_root() {
+            return Ok(self.flatten());
+        }
+        match self.get(key) {
+            Some(v) => Ok(vec![(key.clone(), v)]),
+            None => Err(Error::NoSuchConfigKey(key.to_string())),
+        }
+    }
+
+    /// The southbound `delConfig`: [`del`](ConfigTree::del), with a key
+    /// that removed nothing reported as [`Error::NoSuchConfigKey`].
+    pub fn remove(&mut self, key: &HierarchicalKey) -> Result<()> {
+        if self.del(key) {
+            Ok(())
+        } else {
+            Err(Error::NoSuchConfigKey(key.to_string()))
+        }
+    }
+
     /// Enumerate the immediate sub-keys of an interior node.
     pub fn subkeys(&self, key: &HierarchicalKey) -> Vec<String> {
         match self.find(key) {
@@ -348,6 +373,21 @@ mod tests {
         t.set(&key("a"), vec![1i64.into()]);
         assert!(t.del(&HierarchicalKey::root()));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn read_and_remove_report_missing_keys() {
+        let mut t = ConfigTree::new();
+        t.set(&key("rules/http"), vec!["a".into()]);
+        t.set(&key("params/n"), vec![7i64.into()]);
+        assert_eq!(t.read(&HierarchicalKey::root()).unwrap(), t.flatten());
+        assert_eq!(
+            t.read(&key("rules")).unwrap(),
+            vec![(key("rules"), vec![ConfigValue::from("a")])]
+        );
+        assert_eq!(t.read(&key("nope")), Err(Error::NoSuchConfigKey("nope".into())));
+        assert_eq!(t.remove(&key("rules/http")), Ok(()));
+        assert_eq!(t.remove(&key("rules/http")), Err(Error::NoSuchConfigKey("rules/http".into())));
     }
 
     #[test]

@@ -240,6 +240,21 @@ impl HeaderFieldList {
         }
     }
 
+    /// The one flow this pattern names, when it constrains every field
+    /// to a single value — the inverse of [`exact`](Self::exact).
+    pub fn as_exact(&self) -> Option<FlowKey> {
+        if self.nw_src.len() != 32 || self.nw_dst.len() != 32 {
+            return None;
+        }
+        Some(FlowKey {
+            src_ip: self.nw_src.addr(),
+            dst_ip: self.nw_dst.addr(),
+            src_port: self.tp_src?,
+            dst_port: self.tp_dst?,
+            proto: self.proto?,
+        })
+    }
+
     /// Match all flows from a source subnet — the
     /// `[nw_src=1.1.1.0/24]` argument of §6.2.
     pub fn from_src_subnet(prefix: IpPrefix) -> Self {
@@ -429,6 +444,20 @@ mod tests {
         assert!(h.matches(&k));
         let other = FlowKey::tcp(ip("1.1.1.1"), 1235, ip("2.2.2.2"), 80);
         assert!(!h.matches(&other));
+    }
+
+    #[test]
+    fn hfl_as_exact_inverts_exact_and_rejects_wildcards() {
+        let k = FlowKey::tcp(ip("1.1.1.1"), 1234, ip("2.2.2.2"), 80);
+        let h = HeaderFieldList::exact(k);
+        assert_eq!(h.as_exact(), Some(k));
+        assert_eq!(HeaderFieldList::exact(k.reversed()).as_exact(), Some(k.reversed()));
+        assert_eq!(HeaderFieldList::any().as_exact(), None);
+        assert_eq!(HeaderFieldList { tp_src: None, ..h }.as_exact(), None);
+        assert_eq!(HeaderFieldList { tp_dst: None, ..h }.as_exact(), None);
+        assert_eq!(HeaderFieldList { proto: None, ..h }.as_exact(), None);
+        assert_eq!(HeaderFieldList { nw_src: IpPrefix::new(k.src_ip, 31), ..h }.as_exact(), None);
+        assert_eq!(HeaderFieldList { nw_dst: IpPrefix::new(k.dst_ip, 24), ..h }.as_exact(), None);
     }
 
     #[test]

@@ -476,7 +476,9 @@ impl Writer {
         self.buf.extend_from_slice(&v.octets());
     }
 
-    fn flow_key(&mut self, k: &FlowKey) {
+    /// A 5-tuple, 13 bytes: the layout messages and middlebox records
+    /// share.
+    pub fn flow_key(&mut self, k: &FlowKey) {
         self.ip(k.src_ip);
         self.ip(k.dst_ip);
         self.u16(k.src_port);
@@ -737,7 +739,8 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    fn flow_key(&mut self) -> Result<FlowKey> {
+    /// Reverse of [`Writer::flow_key`].
+    pub fn flow_key(&mut self) -> Result<FlowKey> {
         let src_ip = self.ip()?;
         let dst_ip = self.ip()?;
         let src_port = self.u16()?;
