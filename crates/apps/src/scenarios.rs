@@ -98,7 +98,6 @@ pub fn two_mb_scenario<A: Middlebox + 'static, B: Middlebox + 'static>(
     let mut controller = ControllerNode::new(
         ControllerConfig {
             quiesce_after: params.quiesce_after,
-            compress_transfers: false,
             buffer_events: params.buffer_events,
             ..ControllerConfig::default()
         },
@@ -257,7 +256,6 @@ pub fn re_scenario(
     let mut controller = ControllerNode::new(
         ControllerConfig {
             quiesce_after: params.quiesce_after,
-            compress_transfers: false,
             buffer_events: params.buffer_events,
             ..ControllerConfig::default()
         },

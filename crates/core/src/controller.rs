@@ -69,7 +69,7 @@ use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, O
 use crate::chain::{is_chain_op, ChainPhase, ChainRun, ChainSpec, ChainStatus, CHAIN_OP_BASE};
 use crate::router::{Admission, Route, ShardRouter};
 pub use crate::shard::{
-    Action, Completion, ControllerConfig, ControllerShard, TransferKind, TransferLedgerStats,
+    Action, Completion, ControllerConfig, ControllerShard, OpKind, Phase, TransferLedgerStats,
 };
 
 /// The sharded controller engine every embedding drives.
@@ -342,13 +342,13 @@ impl ControllerCore {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        self.admit_transfer(TransferKind::Move, key, src, dst, now, out)
+        self.admit_transfer(OpKind::Move, key, src, dst, now, out)
     }
 
     /// `cloneSupport` — transfers *all* support state, so its conflict
     /// flowspace is the wildcard pattern.
     pub fn clone_support(&self, src: MbId, dst: MbId, now: SimTime, out: &mut Vec<Action>) -> OpId {
-        self.admit_transfer(TransferKind::Clone, HeaderFieldList::any(), src, dst, now, out)
+        self.admit_transfer(OpKind::Clone, HeaderFieldList::any(), src, dst, now, out)
     }
 
     /// `mergeInternal` — wildcard flowspace, like clone.
@@ -359,7 +359,7 @@ impl ControllerCore {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        self.admit_transfer(TransferKind::Merge, HeaderFieldList::any(), src, dst, now, out)
+        self.admit_transfer(OpKind::Merge, HeaderFieldList::any(), src, dst, now, out)
     }
 
     /// Has shard op `op` fully closed? Consulted with `try_lock` (the
@@ -392,7 +392,7 @@ impl ControllerCore {
     /// serialize against the op from the moment its id exists.
     fn admit_transfer(
         &self,
-        kind: TransferKind,
+        kind: OpKind,
         pattern: HeaderFieldList,
         src: MbId,
         dst: MbId,
@@ -411,15 +411,7 @@ impl ControllerCore {
                 Admission::Defer { shard, blockers } => (shard, true, blockers),
             };
             let mut sh = self.shards[s].lock();
-            let op = if blockers.is_empty() {
-                match kind {
-                    TransferKind::Move => sh.move_internal(src, dst, pattern, now, out),
-                    TransferKind::Clone => sh.clone_support(src, dst, now, out),
-                    TransferKind::Merge => sh.merge_internal(src, dst, now, out),
-                }
-            } else {
-                sh.reserve_transfer(kind, src, dst, pattern, now, out)
-            };
+            let op = sh.start_transfer(kind, src, dst, pattern, !blockers.is_empty(), now, out);
             router.register_transfer(op, pattern, src, dst, s);
             if !blockers.is_empty() && !sh.op_closed(op) {
                 // op_closed here means validation failed fast: the op is
@@ -528,6 +520,25 @@ impl ControllerCore {
         id
     }
 
+    /// One move of chain `c` — a hop forward, or its compensating
+    /// reverse — issued directly on the chain's shard and recorded as
+    /// pinned there.
+    fn issue_chain_move(
+        &self,
+        c: &ChainRun,
+        src: MbId,
+        dst: MbId,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) -> OpId {
+        let mut sh = self.shards[c.shard].lock();
+        let op = sh.start_transfer(OpKind::Move, src, dst, c.spec.pattern, false, now, out);
+        drop(sh);
+        let routed = SpanEvent::OpRouted { shard: c.shard as u32, pinned: true };
+        self.record(now.0, Some(op.0), None, routed);
+        op
+    }
+
     /// Issue the forward move of hop `hop` for chain `c`, directly on
     /// the chain's shard. The router is NOT consulted: the chain's own
     /// conflict entries already cover this hop's exact footprint, so
@@ -536,9 +547,7 @@ impl ControllerCore {
     /// that emits no traffic until the chain closes.
     fn issue_hop(&self, c: &mut ChainRun, hop: usize, now: SimTime, out: &mut Vec<Action>) {
         let h = c.spec.hops[hop];
-        let op = self.shards[c.shard].lock().move_internal(h.src, h.dst, c.spec.pattern, now, out);
-        let routed = SpanEvent::OpRouted { shard: c.shard as u32, pinned: true };
-        self.record(now.0, Some(op.0), None, routed);
+        let op = self.issue_chain_move(c, h.src, h.dst, now, out);
         self.record(now.0, Some(c.id.0), None, SpanEvent::ChainHop { hop: hop as u32 });
         c.phase = ChainPhase::Forward { hop, op };
         c.hop_ops.push(op);
@@ -571,9 +580,7 @@ impl ControllerCore {
     /// op has closed (see [`Self::begin_undo`]).
     fn issue_reverse(&self, c: &mut ChainRun, undo: usize, now: SimTime, out: &mut Vec<Action>) {
         let h = c.spec.hops[undo];
-        let op = self.shards[c.shard].lock().move_internal(h.dst, h.src, c.spec.pattern, now, out);
-        let routed = SpanEvent::OpRouted { shard: c.shard as u32, pinned: true };
-        self.record(now.0, Some(op.0), None, routed);
+        let op = self.issue_chain_move(c, h.dst, h.src, now, out);
         let undone = SpanEvent::ChainUndo { hop: undo as u32, undoes: c.hop_ops[undo].0 };
         self.record(now.0, Some(c.id.0), None, undone);
         c.aux_ops.push((undo, op));
@@ -895,6 +902,12 @@ impl ControllerCore {
     /// Total chunks transferred under an operation (experiments).
     pub fn chunks_moved(&self, op: OpId) -> usize {
         self.shards[self.shard_of_op(op)].lock().chunks_moved(op)
+    }
+
+    /// Where shard op `op` is in its lifecycle (DESIGN §10); `None` for
+    /// an id its shard never issued, chain ids included.
+    pub fn op_phase(&self, op: OpId) -> Option<Phase> {
+        self.shards[self.shard_of_op(op)].lock().phase(op)
     }
 
     /// Transfer-ledger snapshot for `op`: per-op fields come from the
@@ -1345,7 +1358,7 @@ mod tests {
         let t5 = SimTime(5_000_000_000);
         let op_c = core.clone_support(mbs[2 * i + 1], mbs[2 * j], t5, &mut out);
         assert_eq!(core.deferred_transfers(), 1);
-        assert!(core.shards[core.shard_of_op(op_c)].lock().op_deferred(op_c));
+        assert_eq!(core.op_phase(op_c), Some(Phase::Deferred));
         out.clear();
         // At t=11s both moves blow their 10s deadline and abort. The
         // aborted blocker counts as closed, so the SAME tick must
@@ -1368,7 +1381,7 @@ mod tests {
             ),
             "released clone issues its shared get in the deadline tick: {out:?}"
         );
-        assert!(!core.shards[core.shard_of_op(op_c)].lock().op_deferred(op_c));
+        assert_eq!(core.op_phase(op_c), Some(Phase::Running));
     }
 
     #[test]

@@ -445,66 +445,57 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                         msg.op_id().map(|o| o.0),
                         SpanEvent::Handled { msg: msg.kind_name() },
                     );
+                    // Each get comes in a support and a report flavour
+                    // that differ only in the trait method called.
+                    let report = matches!(
+                        msg,
+                        Message::GetReportPerflow { .. } | Message::GetReportShared { .. }
+                    );
                     match msg {
-                        Message::GetSupportPerflow { op, key } => {
+                        Message::GetSupportPerflow { op, key }
+                        | Message::GetReportPerflow { op, key } => {
                             let entries = self.logic.perflow_entries();
-                            match self.logic.get_support_perflow(op, &key) {
+                            let got = if report {
+                                self.logic.get_report_perflow(op, &key)
+                            } else {
+                                self.logic.get_support_perflow(op, &key)
+                            };
+                            match got {
                                 Ok(chunks) => self.queue.push_back(Work::GetBatch {
                                     sub: op,
                                     chunks,
                                     idx: 0,
-                                    report: false,
+                                    report,
                                     first: true,
                                     scanned_entries: entries,
                                 }),
                                 Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
                             }
                         }
-                        Message::GetReportPerflow { op, key } => {
-                            let entries = self.logic.perflow_entries();
-                            match self.logic.get_report_perflow(op, &key) {
-                                Ok(chunks) => self.queue.push_back(Work::GetBatch {
-                                    sub: op,
-                                    chunks,
-                                    idx: 0,
-                                    report: true,
-                                    first: true,
-                                    scanned_entries: entries,
-                                }),
-                                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                            }
-                        }
-                        Message::GetSupportShared { op } => {
+                        Message::GetSupportShared { op } | Message::GetReportShared { op } => {
                             // Shared exports serialize on a background thread:
                             // the result is delivered after the serialization
                             // delay without occupying the packet path (the §8.2
                             // RE result: exporting a 500 MB cache leaves
                             // per-packet latency essentially unchanged).
-                            match self.logic.get_support_shared(op) {
+                            let got = if report {
+                                self.logic.get_report_shared()
+                            } else {
+                                self.logic.get_support_shared(op)
+                            };
+                            match got {
                                 Ok(chunk) => {
                                     let cost = self
                                         .costs()
                                         .shared_cost(chunk.as_ref().map(|c| c.len()).unwrap_or(0));
                                     let token = self.next_shared_token;
                                     self.next_shared_token += 1;
-                                    self.pending_shared.insert(token, (op, chunk, false));
+                                    self.pending_shared.insert(token, (op, chunk, report));
                                     ctx.set_timer(cost, token);
                                 }
                                 Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
                             }
                         }
-                        Message::GetReportShared { op } => match self.logic.get_report_shared() {
-                            Ok(chunk) => {
-                                let cost = self
-                                    .costs()
-                                    .shared_cost(chunk.as_ref().map(|c| c.len()).unwrap_or(0));
-                                let token = self.next_shared_token;
-                                self.next_shared_token += 1;
-                                self.pending_shared.insert(token, (op, chunk, true));
-                                ctx.set_timer(cost, token);
-                            }
-                            Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                        },
                         Message::ReprocessPacket { op: _, key: _, packet } => {
                             self.queue.push_back(Work::Replay { pkt: packet });
                         }

@@ -22,6 +22,17 @@
 //! (`first + k·stride`), which both keeps ids globally unique and makes
 //! southbound demux a mod operation rather than a table lookup.
 //!
+//! Every operation walks one lifecycle, held in one value ([`Phase`],
+//! DESIGN §10): a transfer runs `Running → Completed → Closed` (with
+//! `Deferred` before it under a cross-shard conflict and `Suspended`
+//! beside it while an endpoint is down), a simple request runs
+//! `Running → Closed` on its reply, and abort closes from anywhere. The
+//! guards below read that value; `OpState::set_phase` is the only
+//! place it is written and asserts each edge is a legal one. Both op
+//! families enter through one body each — [`ControllerShard::start_transfer`]
+//! and `start_simple` — so ids, spans and actions are ordered in one
+//! place per family.
+//!
 //! Keeping the core pure lets the same controller run embedded in the
 //! discrete-event simulator (`nodes::ControllerNode`) and over real TCP
 //! transports (`tcp`), exactly as the paper's Floodlight module serves
@@ -33,7 +44,8 @@ use openmb_obs::{NodeTag, ParkReason, Recorder, SpanEvent};
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::wire::{self, Event, EventFilter, Message};
 use openmb_types::{
-    ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId, Packet, StateStats,
+    ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId,
+    Packet, StateChunk, StateStats,
 };
 
 /// An effect the embedding must carry out.
@@ -112,36 +124,84 @@ impl Completion {
     }
 }
 
+/// The two classes every state exchange comes in (§4.1: supporting and
+/// reporting state). Carried as data by the [`SubRole`]s that differ in
+/// nothing else; the constructors below are the one place a class picks
+/// its wire message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Class {
+    Support,
+    Report,
+}
+
+impl Class {
+    fn wire(self) -> wire::ChunkClass {
+        match self {
+            Class::Support => wire::ChunkClass::Support,
+            Class::Report => wire::ChunkClass::Report,
+        }
+    }
+
+    fn put_perflow(self, op: OpId, chunk: StateChunk) -> Message {
+        match self {
+            Class::Support => Message::PutSupportPerflow { op, chunk },
+            Class::Report => Message::PutReportPerflow { op, chunk },
+        }
+    }
+
+    fn del_perflow(self, op: OpId, key: HeaderFieldList) -> Message {
+        match self {
+            Class::Support => Message::DelSupportPerflow { op, key },
+            Class::Report => Message::DelReportPerflow { op, key },
+        }
+    }
+
+    fn put_shared(self, op: OpId, chunk: EncryptedChunk) -> Message {
+        match self {
+            Class::Support => Message::PutSupportShared { op, chunk },
+            Class::Report => Message::PutReportShared { op, chunk },
+        }
+    }
+}
+
 /// Which southbound exchange a sub-operation id belongs to. Put roles
 /// carry the controller-assigned per-op chunk sequence number `seq`, so
 /// a duplicated `PutAck` (fault injection, or a re-sent put racing its
 /// original ack) is deduplicated by `(op, seq)` instead of double-
 /// decrementing the outstanding-put count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SubRole {
-    GetSupport,
-    GetReport,
-    PutSupport {
-        key: HeaderFieldList,
+    /// A per-flow get stream (moves).
+    Get(Class),
+    /// The put (or `ChunkRef`) of one streamed per-flow chunk.
+    Put {
+        class: Class,
         seq: u64,
     },
-    PutReport {
-        key: HeaderFieldList,
+    /// A shared-state get (clone/merge): at most one chunk.
+    GetShared(Class),
+    PutShared {
         seq: u64,
     },
-    GetSharedSupport,
-    GetSharedReport,
-    PutSharedSupport {
-        seq: u64,
-    },
-    PutSharedReport {
-        seq: u64,
-    },
-    DelSupport,
-    DelReport,
-    /// Shared-state rollback (`DeleteState`) after a clone/merge abort.
-    DelShared,
+    /// A delete tracked in the acked ledger: a per-flow delete at either
+    /// end, or the shared-state rollback (`DeleteState`) after a
+    /// clone/merge abort.
+    Delete,
+    /// The single request of a simple op.
     Simple,
+}
+
+impl SubRole {
+    /// The request that opens this get at the source.
+    fn get_request(self, op: OpId, key: HeaderFieldList) -> Message {
+        match self {
+            SubRole::Get(Class::Support) => Message::GetSupportPerflow { op, key },
+            SubRole::Get(Class::Report) => Message::GetReportPerflow { op, key },
+            SubRole::GetShared(Class::Support) => Message::GetSupportShared { op },
+            SubRole::GetShared(Class::Report) => Message::GetReportShared { op },
+            _ => unreachable!("{self:?} is not a get"),
+        }
+    }
 }
 
 /// A reprocess event parked until its chunk's put is ACKed.
@@ -153,19 +213,20 @@ struct BufferedEvent {
 
 /// Retry bookkeeping for idempotent simple requests (config reads,
 /// stats). The stored request keeps its original sub-op id, so a
-/// duplicate reply after a retry lands on an already-completed op and
-/// is ignored.
+/// duplicate reply after a retry lands on an op that is already
+/// [`Phase::Closed`] and `finish_simple` ignores it.
 #[derive(Clone)]
 struct RetryState {
-    target: MbId,
     request: Message,
     next_at: SimTime,
     backoff: SimDuration,
     left: u32,
 }
 
+/// The northbound operations. Public so the engine can name the
+/// transfer it admits ([`ControllerShard::start_transfer`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
+pub enum OpKind {
     ReadConfig,
     WriteConfig,
     DelConfig,
@@ -176,33 +237,86 @@ enum OpKind {
     Merge,
 }
 
-/// The three transfer-class northbound operations, as a public handle
-/// so embeddings can reserve a deferred transfer
-/// ([`ControllerShard::reserve_transfer`]) without naming the private
-/// [`OpKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferKind {
-    Move,
-    Clone,
-    Merge,
-}
-
-impl TransferKind {
-    fn op_kind(self) -> OpKind {
-        match self {
-            TransferKind::Move => OpKind::Move,
-            TransferKind::Clone => OpKind::Clone,
-            TransferKind::Merge => OpKind::Merge,
-        }
+impl OpKind {
+    /// The three state transfers (gets at a source, puts at a
+    /// destination, a sync window to close); the rest are simple
+    /// one-request ops.
+    fn is_transfer(self) -> bool {
+        !self.gets().is_empty()
     }
 
     /// The northbound API name, as spans report it.
     fn api_name(self) -> &'static str {
         match self {
-            TransferKind::Move => "moveInternal",
-            TransferKind::Clone => "cloneSupport",
-            TransferKind::Merge => "mergeInternal",
+            OpKind::ReadConfig => "readConfig",
+            OpKind::WriteConfig => "writeConfig",
+            OpKind::DelConfig => "delConfig",
+            OpKind::Stats => "stats",
+            OpKind::EnableEvents => "enableEvents",
+            OpKind::Move => "moveInternal",
+            OpKind::Clone => "cloneSupport",
+            OpKind::Merge => "mergeInternal",
         }
+    }
+
+    /// The get streams a transfer opens at its source, in issue order.
+    fn gets(self) -> &'static [SubRole] {
+        match self {
+            OpKind::Move => &[SubRole::Get(Class::Support), SubRole::Get(Class::Report)],
+            OpKind::Clone => &[SubRole::GetShared(Class::Support)],
+            OpKind::Merge => {
+                &[SubRole::GetShared(Class::Support), SubRole::GetShared(Class::Report)]
+            }
+            _ => &[],
+        }
+    }
+}
+
+/// Where an operation is in its lifecycle — the boxes of DESIGN §10.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// A transfer reserved under a cross-shard conflict deferral: the op
+    /// id and state exist (so the router's conflict entry pins later
+    /// admissions) but no southbound traffic has been issued yet. Left
+    /// through [`ControllerShard::release_transfer`].
+    Deferred,
+    /// The southbound exchange is in progress.
+    Running,
+    /// A transfer parked while an endpoint is unreachable, awaiting
+    /// resume.
+    Suspended,
+    /// A transfer whose every put is acked and whose completion has
+    /// been reported; events are still forwarded until quiescence.
+    Completed,
+    /// Terminal: quiesced, aborted, failed validation, or a simple op
+    /// whose reply arrived. Only owed deletes may still be in flight.
+    Closed,
+}
+
+impl Phase {
+    /// Outcome not decided yet: nothing has been reported northbound.
+    fn live(self) -> bool {
+        matches!(self, Phase::Deferred | Phase::Running | Phase::Suspended)
+    }
+
+    /// The one open-op predicate: the op can still emit southbound
+    /// traffic of its own (owed deletes are counted separately).
+    fn open(self) -> bool {
+        self != Phase::Closed
+    }
+
+    /// The legal lifecycle edges. `Suspended → Completed` is the
+    /// transfer parked on its *source* whose last puts the live
+    /// destination then acks.
+    pub fn can_become(self, to: Phase) -> bool {
+        use Phase::*;
+        matches!(
+            (self, to),
+            (Deferred, Running | Closed)
+                | (Running, Suspended | Completed | Closed)
+                | (Suspended, Running | Completed | Closed)
+                | (Completed, Closed)
+        )
     }
 }
 
@@ -210,6 +324,8 @@ impl TransferKind {
 #[derive(Clone)]
 struct OpState {
     kind: OpKind,
+    /// Lifecycle position; written only by [`OpState::set_phase`].
+    phase: Phase,
     src: MbId,
     dst: MbId,
     /// For moves: the pattern being moved.
@@ -225,21 +341,13 @@ struct OpState {
     /// A set, not a list: the ack path removes one exact key per
     /// `PutAck`, and a linear scan there is O(n²) over a transfer.
     pending_keys: HashSet<HeaderFieldList>,
-    /// The get sub-operations issued to the source. The source MB tags
-    /// its moved/cloned marks (and its reprocess events) with these ids,
-    /// so closing the sync window means sending EndSync for each.
-    get_subs: Vec<OpId>,
     /// Events waiting for their chunk's put ACK.
     buffered: Vec<BufferedEvent>,
     /// Total chunks transferred.
     chunks: usize,
-    /// Completion already reported?
-    completed: bool,
     /// Virtual time of the most recent event (or completion), for the
     /// quiescence timer.
     last_activity: SimTime,
-    /// Quiescence already executed (del/EndSync sent)?
-    quiesced: bool,
     /// Virtual time at which the op is aborted if still incomplete.
     deadline: SimTime,
     /// Retry schedule for idempotent simple requests.
@@ -260,17 +368,21 @@ struct OpState {
     /// Get sub-ops that have fully completed (stream closed); dedups
     /// duplicated `GetAck`s and re-streamed `SharedChunk`s.
     done_gets: HashSet<OpId>,
-    /// Chunk identities already streamed (is_report, key): a duplicated
-    /// or re-streamed chunk is dropped instead of creating a second put.
-    streamed: HashSet<(bool, HeaderFieldList)>,
-    /// Distinct chunk keys received per get sub-op, compared against the
-    /// `GetAck` count so a dropped chunk leaves the get open for resume.
-    get_seen: HashMap<OpId, HashSet<HeaderFieldList>>,
+    /// Chunk keys already streamed, per [`Class`]: a duplicated or
+    /// re-streamed chunk is dropped instead of creating a second put.
+    /// An op has one get sub-op per class (resume re-sends it under the
+    /// same id), so a class's set is also the distinct chunks its get
+    /// has delivered — what the `GetAck` count is compared against, so
+    /// a dropped chunk leaves the get open for resume.
+    streamed: [HashSet<HeaderFieldList>; 2],
     /// The chunk count each get's `GetAck` announced.
     get_expected: HashMap<OpId, u32>,
-    /// The original get requests, re-sent verbatim (same sub ids) on
-    /// resume; the source's moved-marks and our chunk dedup make the
-    /// re-issue idempotent.
+    /// The get requests issued to the source, by sub-op id. Re-sent
+    /// verbatim (same sub ids) on resume; the source's moved-marks and
+    /// our chunk dedup make the re-issue idempotent. The source also
+    /// tags its moved/cloned marks (and its reprocess events) with
+    /// these ids, so closing the sync window means sending EndSync for
+    /// each.
     get_reqs: Vec<(OpId, Message)>,
     /// The in-flight put ledger: puts issued but not yet acked, keyed
     /// by sequence number. A `BTreeMap` so the ack path removes in
@@ -287,20 +399,13 @@ struct OpState {
     shared_puts: Vec<OpId>,
     /// Remaining resume attempts (config `max_transfer_resumes`).
     resumes_left: u32,
-    /// Parked while an endpoint is unreachable, awaiting resume.
-    suspended: bool,
-    /// Reserved under a cross-shard conflict deferral: the op id and
-    /// state exist (so the router's conflict entry pins later
-    /// admissions) but no southbound traffic has been issued yet.
-    /// Cleared by [`ControllerShard::release_transfer`].
-    deferred: bool,
 
     // ---- content-addressed transfer bookkeeping ----
     /// Body (and its content hash) of every in-flight `ChunkRef`, by
     /// seq — the source of the `ChunkBody` answering a `ChunkNeed`.
     /// Entries leave on ack or abort, so this holds O(window) chunks,
     /// not the whole transfer.
-    ref_bodies: HashMap<u64, (openmb_types::StateChunk, [u8; 32])>,
+    ref_bodies: HashMap<u64, (StateChunk, [u8; 32])>,
     /// Seqs whose destination reported a cache miss (`ChunkNeed`): the
     /// bodies currently streaming alongside the reference window. The
     /// ledger counts these separately from the refs in `unacked_puts` —
@@ -316,10 +421,6 @@ pub struct ControllerConfig {
     /// the routing change has taken effect (paper: "a fixed amount of
     /// time (e.g., 5 seconds)").
     pub quiesce_after: SimDuration,
-    /// Compress state transfers between controller and MBs (§8.3).
-    /// Affects the modeled wire size of Chunk/Put messages via the
-    /// embedding; the core only records the setting.
-    pub compress_transfers: bool,
     /// Buffer reprocess events until the matching put is ACKed (Fig 5).
     /// Disabling this is an ABLATION ONLY: events forwarded before their
     /// chunk's put land first and are overwritten by the put — the exact
@@ -385,7 +486,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             quiesce_after: SimDuration::from_millis(500),
-            compress_transfers: false,
             buffer_events: true,
             op_deadline: SimDuration::from_secs(10),
             retry_backoff: SimDuration::from_millis(100),
@@ -602,13 +702,6 @@ impl ControllerShard {
         id
     }
 
-    /// Fresh per-op state with the deadline stamped from config.
-    fn new_op_state(&self, kind: OpKind, src: MbId, dst: MbId, now: SimTime) -> OpState {
-        let mut st = OpState::new(kind, src, dst, now, now.after(self.config.op_deadline));
-        st.resumes_left = self.config.max_transfer_resumes;
-        st
-    }
-
     /// First unusable MB among `mbs`: unregistered handles surface as
     /// [`Error::UnknownMb`], crashed ones as [`Error::MbUnreachable`].
     fn mb_error(&self, mbs: &[MbId]) -> Option<Error> {
@@ -636,36 +729,60 @@ impl ControllerShard {
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        let mut st = self.new_op_state(kind, src, dst, now);
-        st.completed = true;
-        st.quiesced = true;
-        self.ops.insert(op, st);
+        self.ops.insert(op, OpState::new(kind, src, dst, Phase::Closed, now, &self.config));
         self.obs.record_with(now.0, self.obs_tag, Some(op.0), None, || SpanEvent::Aborted {
             error: error.to_string(),
         });
         out.push(Action::Notify(Completion::Failed { op, error, dropped_events: 0 }));
     }
 
-    /// Arm the retry schedule for an idempotent simple request. The
-    /// resent message reuses the original sub-op id, so a duplicate
-    /// reply lands on an already-completed op and is absorbed by the
-    /// `completed` guards.
-    fn arm_retry(&mut self, op: OpId, target: MbId, request: Message, now: SimTime) {
-        let backoff = self.config.retry_backoff;
-        if let Some(st) = self.ops.get_mut(&op) {
-            st.retry = Some(RetryState {
-                target,
-                request,
-                next_at: now.after(backoff),
-                backoff,
-                left: self.config.max_retries,
-            });
-        }
+    /// Record a span event for `op` (and optionally a sub-op) at `now`.
+    #[inline]
+    fn span(&self, now: SimTime, op: OpId, sub: Option<OpId>, ev: SpanEvent) {
+        self.obs.record(now.0, self.obs_tag, Some(op.0), sub.map(|s| s.0), ev);
     }
 
     // ------------------------------------------------------------------
     // Northbound API (§5)
     // ------------------------------------------------------------------
+
+    /// The one entry body of the simple ops: allocate the op, validate
+    /// the target, record the op, send the single `request` under a
+    /// fresh sub-op id. Idempotent kinds (config reads, stats) also arm
+    /// the retry schedule; the resent message reuses the sub-op id, so
+    /// a duplicate reply lands on an op already [`Phase::Closed`] and is
+    /// ignored. Non-idempotent kinds are never retried.
+    fn start_simple(
+        &mut self,
+        kind: OpKind,
+        mb: MbId,
+        request: impl FnOnce(OpId) -> Message,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) -> OpId {
+        let op = self.alloc_op();
+        if let Some(e) = self.mb_error(&[mb]) {
+            self.fail_fast(op, kind, mb, mb, e, now, out);
+            return op;
+        }
+        let mut st = OpState::new(kind, mb, mb, Phase::Running, now, &self.config);
+        self.span(now, op, None, SpanEvent::Issued { kind: kind.api_name() });
+        let sub = self.alloc_sub(op, SubRole::Simple);
+        let msg = request(sub);
+        self.span(now, op, Some(sub), SpanEvent::Issued { kind: msg.kind_name() });
+        if matches!(kind, OpKind::ReadConfig | OpKind::Stats) {
+            let backoff = self.config.retry_backoff;
+            st.retry = Some(RetryState {
+                request: msg.clone(),
+                next_at: now.after(backoff),
+                backoff,
+                left: self.config.max_retries,
+            });
+        }
+        self.ops.insert(op, st);
+        out.push(Action::ToMb(mb, msg));
+        op
+    }
 
     /// `readConfig(SrcMB, HierarchicalKey)`.
     pub fn read_config(
@@ -675,26 +792,7 @@ impl ControllerShard {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        let op = self.alloc_op();
-        if let Some(e) = self.mb_error(&[src]) {
-            self.fail_fast(op, OpKind::ReadConfig, src, src, e, now, out);
-            return op;
-        }
-        self.ops.insert(op, self.new_op_state(OpKind::ReadConfig, src, src, now));
-        self.span(now, op, None, SpanEvent::Issued { kind: "readConfig" });
-        let sub = self.alloc_sub(op, SubRole::Simple);
-        let msg = Message::GetConfig { op: sub, key };
-        self.span(now, op, Some(sub), SpanEvent::Issued { kind: "getConfig" });
-        // Config reads are idempotent: retry on a lost request/reply.
-        self.arm_retry(op, src, msg.clone(), now);
-        out.push(Action::ToMb(src, msg));
-        op
-    }
-
-    /// Record a span event for `op` (and optionally a sub-op) at `now`.
-    #[inline]
-    fn span(&self, now: SimTime, op: OpId, sub: Option<OpId>, ev: SpanEvent) {
-        self.obs.record(now.0, self.obs_tag, Some(op.0), sub.map(|s| s.0), ev);
+        self.start_simple(OpKind::ReadConfig, src, |op| Message::GetConfig { op, key }, now, out)
     }
 
     /// `writeConfig(DstMB, HierarchicalKey, values)`.
@@ -706,17 +804,8 @@ impl ControllerShard {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        let op = self.alloc_op();
-        if let Some(e) = self.mb_error(&[dst]) {
-            self.fail_fast(op, OpKind::WriteConfig, dst, dst, e, now, out);
-            return op;
-        }
-        self.ops.insert(op, self.new_op_state(OpKind::WriteConfig, dst, dst, now));
-        self.span(now, op, None, SpanEvent::Issued { kind: "writeConfig" });
-        let sub = self.alloc_sub(op, SubRole::Simple);
-        self.span(now, op, Some(sub), SpanEvent::Issued { kind: "setConfig" });
-        out.push(Action::ToMb(dst, Message::SetConfig { op: sub, key, values }));
-        op
+        let request = |op| Message::SetConfig { op, key, values };
+        self.start_simple(OpKind::WriteConfig, dst, request, now, out)
     }
 
     /// `delConfig` — a composition convenience over the southbound API.
@@ -727,17 +816,7 @@ impl ControllerShard {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        let op = self.alloc_op();
-        if let Some(e) = self.mb_error(&[dst]) {
-            self.fail_fast(op, OpKind::DelConfig, dst, dst, e, now, out);
-            return op;
-        }
-        self.ops.insert(op, self.new_op_state(OpKind::DelConfig, dst, dst, now));
-        self.span(now, op, None, SpanEvent::Issued { kind: "delConfig" });
-        let sub = self.alloc_sub(op, SubRole::Simple);
-        self.span(now, op, Some(sub), SpanEvent::Issued { kind: "delConfig" });
-        out.push(Action::ToMb(dst, Message::DelConfig { op: sub, key }));
-        op
+        self.start_simple(OpKind::DelConfig, dst, |op| Message::DelConfig { op, key }, now, out)
     }
 
     /// `stats(SrcMB, HeaderFieldList)`.
@@ -748,20 +827,7 @@ impl ControllerShard {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        let op = self.alloc_op();
-        if let Some(e) = self.mb_error(&[src]) {
-            self.fail_fast(op, OpKind::Stats, src, src, e, now, out);
-            return op;
-        }
-        self.ops.insert(op, self.new_op_state(OpKind::Stats, src, src, now));
-        self.span(now, op, None, SpanEvent::Issued { kind: "stats" });
-        let sub = self.alloc_sub(op, SubRole::Simple);
-        self.span(now, op, Some(sub), SpanEvent::Issued { kind: "getStats" });
-        let msg = Message::GetStats { op: sub, key };
-        // Stats reads are idempotent: retry on a lost request/reply.
-        self.arm_retry(op, src, msg.clone(), now);
-        out.push(Action::ToMb(src, msg));
-        op
+        self.start_simple(OpKind::Stats, src, |op| Message::GetStats { op, key }, now, out)
     }
 
     /// Subscribe the application to introspection events from `mb`.
@@ -772,77 +838,57 @@ impl ControllerShard {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        let op = self.alloc_op();
-        if let Some(e) = self.mb_error(&[mb]) {
-            self.fail_fast(op, OpKind::EnableEvents, mb, mb, e, now, out);
-            return op;
+        let request = |op| Message::EnableEvents { op, filter: filter.clone() };
+        let op = self.start_simple(OpKind::EnableEvents, mb, request, now, out);
+        if self.phase(op) == Some(Phase::Running) {
+            self.subscriptions.insert(mb, filter);
         }
-        self.ops.insert(op, self.new_op_state(OpKind::EnableEvents, mb, mb, now));
-        self.span(now, op, None, SpanEvent::Issued { kind: "enableEvents" });
-        self.subscriptions.insert(mb, filter.clone());
-        let sub = self.alloc_sub(op, SubRole::Simple);
-        self.span(now, op, Some(sub), SpanEvent::Issued { kind: "enableEvents" });
-        out.push(Action::ToMb(mb, Message::EnableEvents { op: sub, filter }));
         op
     }
 
-    /// `moveInternal(SrcMB, DstMB, HeaderFieldList)` — Figure 5.
-    pub fn move_internal(
+    /// The one entry body of the transfers — `moveInternal(SrcMB, DstMB,
+    /// HeaderFieldList)` (Figure 5), `cloneSupport(SrcMB, DstMB)`
+    /// (shared supporting state only) and `mergeInternal(SrcMB, DstMB)`
+    /// (shared supporting + reporting); the shared-state kinds take the
+    /// wildcard `pattern`.
+    ///
+    /// `deferred` reserves a transfer whose admission the router
+    /// deferred ([`crate::router::Admission::Defer`]): the op id and
+    /// state are allocated — so the conflict entry registered against
+    /// it pins later overlapping admissions — but no southbound traffic
+    /// is issued. The op parks as [`ParkReason::CrossShardConflict`] in
+    /// [`Phase::Deferred`] until the engine calls
+    /// [`ControllerShard::release_transfer`]; the op deadline (running
+    /// from *now*) backstops blockers that never close. Endpoint
+    /// validation runs the same either way, so a doomed transfer still
+    /// fails fast instead of queueing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn start_transfer(
         &mut self,
+        kind: OpKind,
         src: MbId,
         dst: MbId,
-        key: HeaderFieldList,
+        pattern: HeaderFieldList,
+        deferred: bool,
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
+        debug_assert!(kind.is_transfer(), "start_transfer on a simple op kind");
         let op = self.alloc_op();
         if let Some(e) = self.mb_error(&[src, dst]) {
-            self.fail_fast(op, OpKind::Move, src, dst, e, now, out);
+            self.fail_fast(op, kind, src, dst, e, now, out);
             return op;
         }
-        let mut st = self.new_op_state(OpKind::Move, src, dst, now);
-        st.pattern = key;
+        let start = if deferred { Phase::Deferred } else { Phase::Running };
+        let mut st = OpState::new(kind, src, dst, start, now, &self.config);
+        st.pattern = pattern;
         self.ops.insert(op, st);
-        self.span(now, op, None, SpanEvent::Issued { kind: "moveInternal" });
-        self.issue_transfer_gets(op, now, out);
-        op
-    }
-
-    /// `cloneSupport(SrcMB, DstMB)` — shared supporting state only.
-    pub fn clone_support(
-        &mut self,
-        src: MbId,
-        dst: MbId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        let op = self.alloc_op();
-        if let Some(e) = self.mb_error(&[src, dst]) {
-            self.fail_fast(op, OpKind::Clone, src, dst, e, now, out);
-            return op;
+        self.span(now, op, None, SpanEvent::Issued { kind: kind.api_name() });
+        if deferred {
+            self.span(now, op, None, SpanEvent::Parked { reason: ParkReason::CrossShardConflict });
+        } else {
+            self.issue_transfer_gets(op, now, out);
         }
-        self.ops.insert(op, self.new_op_state(OpKind::Clone, src, dst, now));
-        self.span(now, op, None, SpanEvent::Issued { kind: "cloneSupport" });
-        self.issue_transfer_gets(op, now, out);
-        op
-    }
-
-    /// `mergeInternal(SrcMB, DstMB)` — shared supporting + reporting.
-    pub fn merge_internal(
-        &mut self,
-        src: MbId,
-        dst: MbId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        let op = self.alloc_op();
-        if let Some(e) = self.mb_error(&[src, dst]) {
-            self.fail_fast(op, OpKind::Merge, src, dst, e, now, out);
-            return op;
-        }
-        self.ops.insert(op, self.new_op_state(OpKind::Merge, src, dst, now));
-        self.span(now, op, None, SpanEvent::Issued { kind: "mergeInternal" });
-        self.issue_transfer_gets(op, now, out);
         op
     }
 
@@ -854,86 +900,17 @@ impl ControllerShard {
     /// here, so deferred transfers emit the exact same stream.
     fn issue_transfer_gets(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
         let Some(st) = self.ops.get(&op) else { return };
-        let (kind, src, key) = (st.kind, st.src, st.pattern);
-        match kind {
-            OpKind::Move => {
-                let gs = self.alloc_sub(op, SubRole::GetSupport);
-                let gr = self.alloc_sub(op, SubRole::GetReport);
-                self.span(now, op, Some(gs), SpanEvent::Issued { kind: "getSupportPerflow" });
-                self.span(now, op, Some(gr), SpanEvent::Issued { kind: "getReportPerflow" });
-                let mgs = Message::GetSupportPerflow { op: gs, key };
-                let mgr = Message::GetReportPerflow { op: gr, key };
-                if let Some(st) = self.ops.get_mut(&op) {
-                    st.gets_outstanding = 2;
-                    st.get_subs.extend([gs, gr]);
-                    st.get_reqs.push((gs, mgs.clone()));
-                    st.get_reqs.push((gr, mgr.clone()));
-                }
-                out.push(Action::ToMb(src, mgs));
-                out.push(Action::ToMb(src, mgr));
+        let (kind, src, pattern) = (st.kind, st.src, st.pattern);
+        for &role in kind.gets() {
+            let sub = self.alloc_sub(op, role);
+            let msg = role.get_request(sub, pattern);
+            self.span(now, op, Some(sub), SpanEvent::Issued { kind: msg.kind_name() });
+            if let Some(st) = self.ops.get_mut(&op) {
+                st.gets_outstanding += 1;
+                st.get_reqs.push((sub, msg.clone()));
             }
-            OpKind::Clone => {
-                let g = self.alloc_sub(op, SubRole::GetSharedSupport);
-                self.span(now, op, Some(g), SpanEvent::Issued { kind: "getSupportShared" });
-                let mg = Message::GetSupportShared { op: g };
-                if let Some(st) = self.ops.get_mut(&op) {
-                    st.gets_outstanding = 1;
-                    st.get_subs.push(g);
-                    st.get_reqs.push((g, mg.clone()));
-                }
-                out.push(Action::ToMb(src, mg));
-            }
-            OpKind::Merge => {
-                let gs = self.alloc_sub(op, SubRole::GetSharedSupport);
-                let gr = self.alloc_sub(op, SubRole::GetSharedReport);
-                self.span(now, op, Some(gs), SpanEvent::Issued { kind: "getSupportShared" });
-                self.span(now, op, Some(gr), SpanEvent::Issued { kind: "getReportShared" });
-                let mgs = Message::GetSupportShared { op: gs };
-                let mgr = Message::GetReportShared { op: gr };
-                if let Some(st) = self.ops.get_mut(&op) {
-                    st.gets_outstanding = 2;
-                    st.get_subs.extend([gs, gr]);
-                    st.get_reqs.push((gs, mgs.clone()));
-                    st.get_reqs.push((gr, mgr.clone()));
-                }
-                out.push(Action::ToMb(src, mgs));
-                out.push(Action::ToMb(src, mgr));
-            }
-            _ => debug_assert!(false, "issue_transfer_gets on a non-transfer op"),
+            out.push(Action::ToMb(src, msg));
         }
-    }
-
-    /// Reserve a transfer whose admission the router deferred
-    /// ([`crate::router::Admission::Defer`]): allocate the op id and
-    /// state — so the conflict entry registered against it pins later
-    /// overlapping admissions — but issue no southbound traffic. The
-    /// op parks as [`ParkReason::CrossShardConflict`] until the engine
-    /// calls [`ControllerShard::release_transfer`]; the op deadline
-    /// (running from *now*) backstops blockers that never close.
-    /// Endpoint validation runs here exactly as on the direct path, so
-    /// a doomed transfer still fails fast instead of queueing.
-    pub fn reserve_transfer(
-        &mut self,
-        kind: TransferKind,
-        src: MbId,
-        dst: MbId,
-        key: HeaderFieldList,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        let op = self.alloc_op();
-        let okind = kind.op_kind();
-        if let Some(e) = self.mb_error(&[src, dst]) {
-            self.fail_fast(op, okind, src, dst, e, now, out);
-            return op;
-        }
-        let mut st = self.new_op_state(okind, src, dst, now);
-        st.pattern = key;
-        st.deferred = true;
-        self.ops.insert(op, st);
-        self.span(now, op, None, SpanEvent::Issued { kind: kind.api_name() });
-        self.span(now, op, None, SpanEvent::Parked { reason: ParkReason::CrossShardConflict });
-        op
     }
 
     /// Release a reserved transfer: its cross-shard blockers have all
@@ -944,20 +921,16 @@ impl ControllerShard {
     /// window the direct path would have had.
     pub fn release_transfer(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
         let Some(st) = self.ops.get(&op) else { return };
-        if !st.deferred || st.completed || st.quiesced {
+        if st.phase != Phase::Deferred {
             return;
         }
-        let (src, dst) = (st.src, st.dst);
-        if let Some(e) = self.mb_error(&[src, dst]) {
-            if let Some(st) = self.ops.get_mut(&op) {
-                st.deferred = false;
-            }
+        if let Some(e) = self.mb_error(&[st.src, st.dst]) {
             self.abort_op(op, e, now, out);
             return;
         }
         let deadline = now.after(self.config.op_deadline);
         if let Some(st) = self.ops.get_mut(&op) {
-            st.deferred = false;
+            st.set_phase(Phase::Running);
             st.last_activity = now;
             st.deadline = deadline;
         }
@@ -965,10 +938,10 @@ impl ControllerShard {
         self.issue_transfer_gets(op, now, out);
     }
 
-    /// Whether `op` is still reserved awaiting release (tests,
-    /// diagnostics).
-    pub fn op_deferred(&self, op: OpId) -> bool {
-        self.ops.get(&op).is_some_and(|st| st.deferred)
+    /// Where `op` is in its lifecycle (`None` for an op this shard never
+    /// issued).
+    pub fn phase(&self, op: OpId) -> Option<Phase> {
+        self.ops.get(&op).map(|st| st.phase)
     }
 
     /// Explicitly finish a move/clone/merge transaction now: send the
@@ -1007,24 +980,17 @@ impl ControllerShard {
         self.messages_handled += 1;
         match msg {
             Message::Chunk { op: sub, chunk } => {
-                let Some(&(parent, ref role)) = self.sub_ops.get(&sub) else { return };
-                let role = role.clone();
-                let is_report = match role {
-                    SubRole::GetSupport => false,
-                    SubRole::GetReport => true,
-                    _ => return,
-                };
+                let Some(&(parent, SubRole::Get(class))) = self.sub_ops.get(&sub) else { return };
                 let Some(st) = self.ops.get_mut(&parent) else { return };
-                if st.completed || st.quiesced {
+                if !st.phase.live() {
                     return;
                 }
                 st.last_activity = now;
-                st.get_seen.entry(sub).or_default().insert(chunk.key);
                 // A duplicated (fault-injected) or re-streamed (resume)
                 // chunk: its put — same sub id — is already in flight or
                 // acked, so issuing a second one would double-count.
-                if !st.streamed.insert((is_report, chunk.key)) {
-                    self.maybe_finish_get(parent, sub, now, out);
+                if !st.streamed[class as usize].insert(chunk.key) {
+                    self.maybe_finish_get(parent, sub, class, now, out);
                     return;
                 }
                 st.chunks += 1;
@@ -1032,44 +998,29 @@ impl ControllerShard {
                 st.puts_outstanding += 1;
                 let seq = st.next_chunk_seq;
                 st.next_chunk_seq += 1;
-                let (put_role, mk): (SubRole, fn(OpId, openmb_types::StateChunk) -> Message) =
-                    if is_report {
-                        (SubRole::PutReport { key: chunk.key, seq }, |op, chunk| {
-                            Message::PutReportPerflow { op, chunk }
-                        })
-                    } else {
-                        (SubRole::PutSupport { key: chunk.key, seq }, |op, chunk| {
-                            Message::PutSupportPerflow { op, chunk }
-                        })
-                    };
-                let put_sub = self.alloc_sub(parent, put_role);
+                let put_sub = self.alloc_sub(parent, SubRole::Put { class, seq });
                 let m = if self.config.content_cache {
                     // Negotiate-then-reference: put a (key, hash)
                     // manifest entry in the window instead of the body.
                     // The body is parked in `ref_bodies` until the ack —
                     // streamed only if the destination reports a miss.
                     let hash = openmb_store::content_hash(chunk.data.as_wire());
-                    let class = if is_report {
-                        wire::ChunkClass::Report
-                    } else {
-                        wire::ChunkClass::Support
-                    };
                     let key = chunk.key;
                     if let Some(st) = self.ops.get_mut(&parent) {
                         st.ref_bodies.insert(seq, (chunk, hash));
                     }
-                    Message::ChunkRef { op: put_sub, class, key, hash }
+                    Message::ChunkRef { op: put_sub, class: class.wire(), key, hash }
                 } else {
-                    mk(put_sub, chunk)
+                    class.put_perflow(put_sub, chunk)
                 };
                 self.span(now, parent, Some(put_sub), SpanEvent::Issued { kind: m.kind_name() });
                 self.enqueue_put(parent, seq, m, now, out);
-                self.maybe_finish_get(parent, sub, now, out);
+                self.maybe_finish_get(parent, sub, class, now, out);
             }
             Message::GetAck { op: sub, count } => {
-                let Some(&(parent, _)) = self.sub_ops.get(&sub) else { return };
+                let Some(&(parent, SubRole::Get(class))) = self.sub_ops.get(&sub) else { return };
                 let Some(st) = self.ops.get_mut(&parent) else { return };
-                if st.completed || st.quiesced || st.done_gets.contains(&sub) {
+                if !st.phase.live() || st.done_gets.contains(&sub) {
                     return;
                 }
                 st.last_activity = now;
@@ -1078,16 +1029,14 @@ impl ControllerShard {
                 // arrived — a dropped chunk leaves it open for resume
                 // instead of silently losing state.
                 st.get_expected.insert(sub, count);
-                self.maybe_finish_get(parent, sub, now, out);
+                self.maybe_finish_get(parent, sub, class, now, out);
             }
             Message::SharedChunk { op: sub, chunk } => {
-                let Some(&(parent, ref role)) = self.sub_ops.get(&sub) else { return };
-                let role = role.clone();
-                if !matches!(role, SubRole::GetSharedSupport | SubRole::GetSharedReport) {
+                let Some(&(parent, SubRole::GetShared(class))) = self.sub_ops.get(&sub) else {
                     return;
-                }
+                };
                 let Some(st) = self.ops.get_mut(&parent) else { return };
-                if st.completed || st.quiesced {
+                if !st.phase.live() {
                     return;
                 }
                 // Shared puts MERGE at the destination — not idempotent —
@@ -1103,17 +1052,8 @@ impl ControllerShard {
                 st.last_activity = now;
                 let seq = st.next_chunk_seq;
                 st.next_chunk_seq += 1;
-                let (put_sub, m) = match role {
-                    SubRole::GetSharedSupport => {
-                        let s = self.alloc_sub(parent, SubRole::PutSharedSupport { seq });
-                        (s, Message::PutSupportShared { op: s, chunk })
-                    }
-                    SubRole::GetSharedReport => {
-                        let s = self.alloc_sub(parent, SubRole::PutSharedReport { seq });
-                        (s, Message::PutReportShared { op: s, chunk })
-                    }
-                    _ => unreachable!(),
-                };
+                let put_sub = self.alloc_sub(parent, SubRole::PutShared { seq });
+                let m = class.put_shared(put_sub, chunk);
                 self.span(now, parent, Some(put_sub), SpanEvent::Issued { kind: m.kind_name() });
                 if let Some(st) = self.ops.get_mut(&parent) {
                     st.shared_puts.push(put_sub);
@@ -1124,14 +1064,11 @@ impl ControllerShard {
                 // Destination-side cache miss: stream the parked body.
                 // The ref's window slot stays occupied — the exchange
                 // closes with the same PutAck either way.
-                let Some(&(parent, ref role)) = self.sub_ops.get(&sub) else { return };
-                let (seq, is_report) = match role {
-                    SubRole::PutSupport { seq, .. } => (*seq, false),
-                    SubRole::PutReport { seq, .. } => (*seq, true),
-                    _ => return,
+                let Some(&(parent, SubRole::Put { class, seq })) = self.sub_ops.get(&sub) else {
+                    return;
                 };
                 let Some(st) = self.ops.get_mut(&parent) else { return };
-                if st.completed || st.quiesced {
+                if !st.phase.live() {
                     return;
                 }
                 st.last_activity = now;
@@ -1149,11 +1086,9 @@ impl ControllerShard {
                 // have been dropped); the destination's store and the
                 // ack dedup make the re-send harmless.
                 self.bodies_sent += 1;
-                let class =
-                    if is_report { wire::ChunkClass::Report } else { wire::ChunkClass::Support };
                 let m = Message::ChunkBody {
                     op: sub,
-                    class,
+                    class: class.wire(),
                     key: chunk.key,
                     hash,
                     data: chunk.data.clone(),
@@ -1161,97 +1096,76 @@ impl ControllerShard {
                 out.push(Action::ToMb(st.dst, m));
             }
             Message::PutAck { op: sub, key } => {
-                let Some(&(parent, ref role)) = self.sub_ops.get(&sub) else { return };
-                let seq = match role {
-                    SubRole::PutSupport { seq, .. }
-                    | SubRole::PutReport { seq, .. }
-                    | SubRole::PutSharedSupport { seq }
-                    | SubRole::PutSharedReport { seq } => Some(*seq),
-                    _ => None,
+                let Some(&(parent, SubRole::Put { seq, .. } | SubRole::PutShared { seq })) =
+                    self.sub_ops.get(&sub)
+                else {
+                    return;
                 };
-                if let Some(st) = self.ops.get_mut(&parent) {
-                    // A late or duplicated ack for an op that already
-                    // reached a terminal state (completed, quiesced, or
-                    // aborted — abort sets both flags) must not
-                    // resurrect ledger state or refill the window.
-                    if st.completed || st.quiesced {
-                        return;
+                let Some(st) = self.ops.get_mut(&parent) else { return };
+                // A late or duplicated ack for an op that already reached
+                // an outcome (completed, quiesced, or aborted) must not
+                // resurrect ledger state or refill the window.
+                if !st.phase.live() {
+                    return;
+                }
+                // Dedup by (op, chunk_seq): a duplicated PutAck — fault
+                // injection, or a resumed put racing its original ack —
+                // must not double-decrement the outstanding-put count.
+                if !st.mark_acked(seq) {
+                    return;
+                }
+                st.unacked_puts.remove(&seq);
+                if let Some((chunk, hash)) = st.ref_bodies.remove(&seq) {
+                    if st.needed.remove(&seq) {
+                        // The body streamed; nothing was saved.
+                    } else {
+                        // Reference-only delivery: the savings are the
+                        // put we did not send, minus the ref we did.
+                        // (Message construction here is cheap — the
+                        // chunk's Bytes are refcounted.)
+                        self.cache_hits += 1;
+                        let ref_len = wire::encoded_len(&Message::ChunkRef {
+                            op: sub,
+                            class: wire::ChunkClass::Support,
+                            key: chunk.key,
+                            hash,
+                        });
+                        let put_len =
+                            wire::encoded_len(&Message::PutSupportPerflow { op: sub, chunk });
+                        self.bytes_saved += (put_len.saturating_sub(ref_len)) as u64;
                     }
-                    if let Some(seq) = seq {
-                        // Dedup by (op, chunk_seq): a duplicated PutAck —
-                        // fault injection, or a resumed put racing its
-                        // original ack — must not double-decrement the
-                        // outstanding-put count.
-                        if !st.mark_acked(seq) {
-                            return;
-                        }
-                        st.unacked_puts.remove(&seq);
-                        if let Some((chunk, hash)) = st.ref_bodies.remove(&seq) {
-                            if st.needed.remove(&seq) {
-                                // The body streamed; nothing was saved.
-                            } else {
-                                // Reference-only delivery: the savings
-                                // are the put we did not send, minus the
-                                // ref we did. (Message construction here
-                                // is cheap — the chunk's Bytes are
-                                // refcounted.)
-                                self.cache_hits += 1;
-                                let ref_len = wire::encoded_len(&Message::ChunkRef {
-                                    op: sub,
-                                    class: wire::ChunkClass::Support,
-                                    key: chunk.key,
-                                    hash,
-                                });
-                                let put_len = wire::encoded_len(&Message::PutSupportPerflow {
-                                    op: sub,
-                                    chunk,
-                                });
-                                self.bytes_saved += (put_len.saturating_sub(ref_len)) as u64;
-                            }
-                        }
-                        self.obs.record(
-                            now.0,
-                            self.obs_tag,
-                            Some(parent.0),
-                            Some(sub.0),
-                            SpanEvent::ChunkAcked { seq },
-                        );
-                    }
-                    st.puts_outstanding = st.puts_outstanding.saturating_sub(1);
-                    st.last_activity = now;
-                    if let Some(k) = key {
-                        st.pending_keys.remove(&k);
-                        st.acked_keys.push(k);
-                        // Release any buffered events this put unblocks,
-                        // in arrival order; the rest stay where they are.
-                        let dst = st.dst;
-                        for ev in st.buffered.extract_if(.., |ev| k.matches_bidi(&ev.key)) {
-                            st.events_forwarded += 1;
-                            out.push(Action::ToMb(
-                                dst,
-                                Message::ReprocessPacket {
-                                    op: parent,
-                                    key: ev.key,
-                                    packet: ev.packet,
-                                },
-                            ));
-                        }
+                }
+                let acked = SpanEvent::ChunkAcked { seq };
+                self.obs.record(now.0, self.obs_tag, Some(parent.0), Some(sub.0), acked);
+                st.puts_outstanding = st.puts_outstanding.saturating_sub(1);
+                st.last_activity = now;
+                if let Some(k) = key {
+                    st.pending_keys.remove(&k);
+                    st.acked_keys.push(k);
+                    // Release any buffered events this put unblocks, in
+                    // arrival order; the rest stay where they are.
+                    let dst = st.dst;
+                    for ev in st.buffered.extract_if(.., |ev| k.matches_bidi(&ev.key)) {
+                        st.events_forwarded += 1;
+                        out.push(Action::ToMb(
+                            dst,
+                            Message::ReprocessPacket { op: parent, key: ev.key, packet: ev.packet },
+                        ));
                     }
                 }
                 self.refill_window(parent, now, out);
                 self.maybe_complete(parent, now, out);
             }
             Message::OpAck { op: sub } => {
-                let Some(&(parent, ref role)) = self.sub_ops.get(&sub) else { return };
-                let role = role.clone();
+                let Some(&(parent, role)) = self.sub_ops.get(&sub) else { return };
                 match role {
                     // A shared get that found no state: nothing to put.
-                    SubRole::GetSharedSupport | SubRole::GetSharedReport => {
+                    SubRole::GetShared(_) => {
                         if let Some(st) = self.ops.get_mut(&parent) {
                             // Same dedup key as SharedChunk: the stream
                             // closes exactly once even if the empty-ack
                             // is duplicated or re-elicited by a resume.
-                            if st.completed || st.quiesced || !st.done_gets.insert(sub) {
+                            if !st.phase.live() || !st.done_gets.insert(sub) {
                                 return;
                             }
                             st.gets_outstanding = st.gets_outstanding.saturating_sub(1);
@@ -1260,64 +1174,25 @@ impl ControllerShard {
                         self.maybe_complete(parent, now, out);
                     }
                     SubRole::Simple => {
-                        if let Some(st) = self.ops.get_mut(&parent) {
-                            if !st.completed {
-                                st.completed = true;
-                                self.obs.record(
-                                    now.0,
-                                    self.obs_tag,
-                                    Some(parent.0),
-                                    Some(sub.0),
-                                    SpanEvent::Completed,
-                                );
-                                out.push(Action::Notify(Completion::Ack { op: parent }));
-                            }
-                        }
+                        self.finish_simple(parent, sub, Completion::Ack { op: parent }, now, out);
                     }
-                    SubRole::DelSupport | SubRole::DelReport | SubRole::DelShared => {
-                        // Quiescence/abort deletes; the ack closes the
-                        // ledger entry and stops the re-send chain.
-                        // Nothing to report northbound. The span fires
-                        // only when an entry actually closed —
-                        // duplicated acks must not inflate the
-                        // monitor's delete accounting.
-                        let before = self.pending_deletes.len();
-                        self.pending_deletes.retain(|r| r.sub != sub);
-                        if self.pending_deletes.len() < before {
-                            self.span(now, parent, Some(sub), SpanEvent::DeleteAcked);
-                        }
-                    }
+                    // Quiescence/abort deletes: nothing to report
+                    // northbound.
+                    SubRole::Delete => self.close_delete(sub, now),
                     _ => {}
                 }
             }
-            Message::DeleteAck { op: sub, restored: _ } => {
-                // Confirmation of a shared-state rollback. The aborted
-                // op already reported its failure, so there is nothing
-                // left to notify; the ack closes the ledger entry and
-                // stops the re-send chain.
-                let before = self.pending_deletes.len();
-                self.pending_deletes.retain(|r| r.sub != sub);
-                if self.pending_deletes.len() < before {
-                    if let Some(&(parent, _)) = self.sub_ops.get(&sub) {
-                        self.span(now, parent, Some(sub), SpanEvent::DeleteAcked);
-                    }
-                }
-            }
+            // Confirmation of a shared-state rollback. The aborted op
+            // already reported its failure, so there is nothing left to
+            // notify.
+            Message::DeleteAck { op: sub, restored: _ } => self.close_delete(sub, now),
             Message::ConfigValues { op: sub, pairs } => {
-                let Some(&(parent, _)) = self.sub_ops.get(&sub) else { return };
-                if let Some(st) = self.ops.get_mut(&parent) {
-                    st.completed = true;
-                }
-                self.span(now, parent, Some(sub), SpanEvent::Completed);
-                out.push(Action::Notify(Completion::Config { op: parent, pairs }));
+                let Some(&(parent, SubRole::Simple)) = self.sub_ops.get(&sub) else { return };
+                self.finish_simple(parent, sub, Completion::Config { op: parent, pairs }, now, out);
             }
             Message::Stats { op: sub, stats } => {
-                let Some(&(parent, _)) = self.sub_ops.get(&sub) else { return };
-                if let Some(st) = self.ops.get_mut(&parent) {
-                    st.completed = true;
-                }
-                self.span(now, parent, Some(sub), SpanEvent::Completed);
-                out.push(Action::Notify(Completion::Stats { op: parent, stats }));
+                let Some(&(parent, SubRole::Simple)) = self.sub_ops.get(&sub) else { return };
+                self.finish_simple(parent, sub, Completion::Stats { op: parent, stats }, now, out);
             }
             Message::EventMsg { event } => match event {
                 Event::Reprocess { op: sub, key, packet } => {
@@ -1378,15 +1253,9 @@ impl ControllerShard {
                 // op releases its bookkeeping instead of lingering open.
                 // A rejected delete also closes its ledger entry —
                 // the MB has spoken; re-sending cannot change the
-                // answer (the span marks the entry closed, same as an
-                // ack, so the monitor's ledger drains).
-                let before = self.pending_deletes.len();
-                self.pending_deletes.retain(|r| r.sub != sub);
-                let closed_delete = self.pending_deletes.len() < before;
+                // answer.
+                self.close_delete(sub, now);
                 let Some(&(parent, _)) = self.sub_ops.get(&sub) else { return };
-                if closed_delete {
-                    self.span(now, parent, Some(sub), SpanEvent::DeleteAcked);
-                }
                 self.abort_op(parent, error, now, out);
             }
             _ => {
@@ -1415,42 +1284,27 @@ impl ControllerShard {
         for r in self.pending_deletes.iter_mut().filter(|r| r.mb == mb) {
             r.due = None;
         }
-        let mut touched: Vec<OpId> = self
-            .ops
-            .iter()
-            .filter(|(_, st)| !st.quiesced && (st.src == mb || st.dst == mb))
-            .map(|(id, _)| *id)
-            .collect();
-        // HashMap iteration order is arbitrary; sort so replays with the
-        // same fault schedule emit byte-identical action streams.
-        touched.sort();
-        for op in touched {
+        for op in self.ops_where(|st| st.phase.open() && (st.src == mb || st.dst == mb)) {
             let Some(st) = self.ops.get_mut(&op) else { continue };
-            if st.completed {
-                if matches!(st.kind, OpKind::Move | OpKind::Clone | OpKind::Merge) {
-                    // Finalize: close the sync window and (moves) delete
-                    // at the source, if the source is still up.
-                    self.quiesce_op(op, now, out);
-                }
-            } else if matches!(st.kind, OpKind::Move | OpKind::Clone | OpKind::Merge)
-                && st.resumes_left > 0
-                && !st.deferred
-            {
-                // (A still-deferred transfer falls through to abort:
-                // it has sent nothing, so the abort is a pure notify,
-                // and the release sweep will drop it as closed.)
+            match st.phase {
+                // Finalize: close the sync window and (moves) delete at
+                // the source, if the source is still up.
+                Phase::Completed => self.quiesce_op(op, now, out),
                 // Park: the transfer resumes when the endpoint returns.
                 // The op deadline still backstops an MB that never does.
-                st.suspended = true;
-                self.obs.record(
-                    now.0,
-                    self.obs_tag,
-                    Some(op.0),
-                    None,
-                    SpanEvent::Parked { reason: ParkReason::MbUnreachable { mb: mb.0 } },
-                );
-            } else {
-                self.abort_op(op, Error::MbUnreachable(mb), now, out);
+                Phase::Running | Phase::Suspended
+                    if st.kind.is_transfer() && st.resumes_left > 0 =>
+                {
+                    if st.phase == Phase::Running {
+                        st.set_phase(Phase::Suspended);
+                    }
+                    let reason = ParkReason::MbUnreachable { mb: mb.0 };
+                    self.span(now, op, None, SpanEvent::Parked { reason });
+                }
+                // (Includes a still-deferred transfer: it has sent
+                // nothing, so the abort is a pure notify, and the
+                // release sweep will drop it as closed.)
+                _ => self.abort_op(op, Error::MbUnreachable(mb), now, out),
             }
         }
     }
@@ -1465,14 +1319,7 @@ impl ControllerShard {
             r.due = Some(now.after(backoff));
             out.push(Action::ToMb(r.mb, r.msg.clone()));
         }
-        let mut parked: Vec<OpId> = self
-            .ops
-            .iter()
-            .filter(|(_, st)| st.suspended && !st.completed && !st.quiesced)
-            .map(|(id, _)| *id)
-            .collect();
-        parked.sort();
-        for op in parked {
+        for op in self.ops_where(|st| st.phase == Phase::Suspended) {
             // resume_op re-checks reachability: an op parked on a
             // *different* still-down endpoint stays parked.
             self.resume_op(op, now, out);
@@ -1492,11 +1339,10 @@ impl ControllerShard {
     /// the application with the typed `error`.
     fn abort_op(&mut self, op: OpId, error: Error, now: SimTime, out: &mut Vec<Action>) {
         let Some(st) = self.ops.get_mut(&op) else { return };
-        if st.completed || st.quiesced {
+        if !st.phase.live() {
             return;
         }
-        st.completed = true;
-        st.quiesced = true;
+        st.set_phase(Phase::Closed);
         st.retry = None;
         let dropped_events = st.buffered.len();
         st.buffered.clear();
@@ -1509,9 +1355,8 @@ impl ControllerShard {
         st.needed.clear();
         st.gets_outstanding = 0;
         st.puts_outstanding = 0;
-        let (kind, src, dst, pattern) = (st.kind, st.src, st.dst, st.pattern);
+        let (kind, dst, pattern) = (st.kind, st.dst, st.pattern);
         let had_chunks = st.chunks > 0;
-        let get_subs = std::mem::take(&mut st.get_subs);
         let shared_puts = std::mem::take(&mut st.shared_puts);
         // Terminal event first: the compensating deletes below are
         // consequences of the abort, and the invariant monitor insists
@@ -1523,26 +1368,9 @@ impl ControllerShard {
             // Before the move the destination held nothing under the
             // op's pattern (the premise of moveInternal), so deleting by
             // pattern removes exactly the chunks this op streamed in.
-            let ds = self.alloc_sub(op, SubRole::DelSupport);
-            let dr = self.alloc_sub(op, SubRole::DelReport);
-            self.track_delete(
-                op,
-                dst,
-                ds,
-                Message::DelSupportPerflow { op: ds, key: pattern },
-                now,
-                out,
-            );
-            self.track_delete(
-                op,
-                dst,
-                dr,
-                Message::DelReportPerflow { op: dr, key: pattern },
-                now,
-                out,
-            );
+            self.delete_perflow(op, dst, pattern, now, out);
         }
-        if matches!(kind, OpKind::Clone | OpKind::Merge) && !shared_puts.is_empty() {
+        if !shared_puts.is_empty() {
             // Compensating rollback (§4.1.3): undo the shared-state
             // merges that already landed, so the abort leaves no
             // orphaned shared state at the destination. The delete is
@@ -1550,79 +1378,75 @@ impl ControllerShard {
             // if lost, and — since an MB's logic tables (and thus the
             // orphaned state) survive its crash — deferred to reattach
             // when the destination is down right now.
-            let del = self.alloc_sub(op, SubRole::DelShared);
-            self.track_delete(
-                op,
-                dst,
-                del,
-                Message::DeleteState { op: del, puts: shared_puts },
-                now,
-                out,
-            );
+            let rollback = |op| Message::DeleteState { op, puts: shared_puts };
+            self.track_delete(op, dst, rollback, now, out);
         }
-        if !self.unreachable.contains(&src) {
-            for sub in get_subs {
-                out.push(Action::ToMb(src, Message::EndSync { op: sub }));
-            }
-        }
+        self.end_sync(op, out);
         out.push(Action::Notify(Completion::Failed { op, error, dropped_events }));
     }
 
-    /// Finish a completed transfer: mark it quiesced, delete moved
-    /// per-flow state at the source (moves only, via the acked ledger —
-    /// a lost delete must not strand the moved state at both ends), and
-    /// close the sync window. `EndSync` is fire-and-forget and skipped
-    /// while the source is unreachable: its loss only leaves a sync
-    /// mark in the source's tracker, never state.
+    /// Finish a transfer: close it, delete moved per-flow state at the
+    /// source (moves only, via the acked ledger — a lost delete must
+    /// not strand the moved state at both ends), and close the sync
+    /// window.
     fn quiesce_op(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
         let Some(st) = self.ops.get_mut(&op) else { return };
-        if st.quiesced {
+        if !st.phase.open() {
             return;
         }
-        st.quiesced = true;
+        st.set_phase(Phase::Closed);
         let (kind, src, pattern) = (st.kind, st.src, st.pattern);
-        let get_subs = st.get_subs.clone();
         if kind == OpKind::Move {
-            let ds = self.alloc_sub(op, SubRole::DelSupport);
-            let dr = self.alloc_sub(op, SubRole::DelReport);
-            self.track_delete(
-                op,
-                src,
-                ds,
-                Message::DelSupportPerflow { op: ds, key: pattern },
-                now,
-                out,
-            );
-            self.track_delete(
-                op,
-                src,
-                dr,
-                Message::DelReportPerflow { op: dr, key: pattern },
-                now,
-                out,
-            );
+            self.delete_perflow(op, src, pattern, now, out);
         }
-        if !self.unreachable.contains(&src) {
-            for sub in get_subs {
-                out.push(Action::ToMb(src, Message::EndSync { op: sub }));
+        self.end_sync(op, out);
+    }
+
+    /// Close the sync window of `op` at its source: one `EndSync` per
+    /// get sub-op (once per op — both callers have just closed it).
+    /// Fire-and-forget, and skipped while the source is unreachable:
+    /// its loss only leaves a sync mark in the source's tracker, never
+    /// state.
+    fn end_sync(&self, op: OpId, out: &mut Vec<Action>) {
+        let Some(st) = self.ops.get(&op) else { return };
+        if !self.unreachable.contains(&st.src) {
+            for &(sub, _) in &st.get_reqs {
+                out.push(Action::ToMb(st.src, Message::EndSync { op: sub }));
             }
         }
     }
 
-    /// Record a delete in the acked re-delivery ledger and send it now,
-    /// unless `mb` is unreachable — then the entry parks (due `None`)
-    /// and `mark_reachable` re-sends it on reattach. The `DeleteIssued`
-    /// span marks the ledger-entry open; the invariant monitor checks
-    /// it only fires after `op`'s terminal event.
+    /// Delete both per-flow classes under `pattern` at `mb`, each as its
+    /// own acked-ledger entry.
+    fn delete_perflow(
+        &mut self,
+        op: OpId,
+        mb: MbId,
+        pattern: HeaderFieldList,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        for class in [Class::Support, Class::Report] {
+            self.track_delete(op, mb, |sub| class.del_perflow(sub, pattern), now, out);
+        }
+    }
+
+    /// Record a delete (built under a fresh sub-op id) in the acked
+    /// re-delivery ledger and send it now, unless `mb` is unreachable —
+    /// then the entry parks (due `None`) and `mark_reachable` re-sends
+    /// it on reattach. The `DeleteIssued` span marks the ledger-entry
+    /// open; the invariant monitor checks it only fires after `op`'s
+    /// terminal event.
     fn track_delete(
         &mut self,
         op: OpId,
         mb: MbId,
-        sub: OpId,
-        msg: Message,
+        msg: impl FnOnce(OpId) -> Message,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
+        let sub = self.alloc_sub(op, SubRole::Delete);
+        let msg = msg(sub);
         let down = self.unreachable.contains(&mb);
         if !down {
             out.push(Action::ToMb(mb, msg.clone()));
@@ -1637,18 +1461,60 @@ impl ControllerShard {
         self.span(now, op, Some(sub), SpanEvent::DeleteIssued { mb: mb.0 });
     }
 
+    /// The ack of a tracked delete (`OpAck`, `DeleteAck`, or a
+    /// rejection) closes its ledger entry and stops the re-send chain.
+    /// The `DeleteAcked` span fires only when an entry actually closed —
+    /// duplicated acks must not inflate the monitor's delete
+    /// accounting.
+    fn close_delete(&mut self, sub: OpId, now: SimTime) {
+        let before = self.pending_deletes.len();
+        self.pending_deletes.retain(|r| r.sub != sub);
+        if self.pending_deletes.len() < before {
+            if let Some(&(parent, _)) = self.sub_ops.get(&sub) {
+                self.span(now, parent, Some(sub), SpanEvent::DeleteAcked);
+            }
+        }
+    }
+
+    /// The reply to a simple op's request: `Running → Closed`, one
+    /// `Completed` span, one completion. A reply that finds the op
+    /// already closed — duplicated by the fault plan, elicited twice by
+    /// a retry, or late after an abort — is ignored.
+    fn finish_simple(
+        &mut self,
+        parent: OpId,
+        sub: OpId,
+        done: Completion,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        let Some(st) = self.ops.get_mut(&parent) else { return };
+        if st.phase != Phase::Running {
+            return;
+        }
+        st.set_phase(Phase::Closed);
+        self.span(now, parent, Some(sub), SpanEvent::Completed);
+        out.push(Action::Notify(done));
+    }
+
     /// Close get sub-op `sub` of `parent` once its `GetAck` has arrived
     /// *and* every announced chunk has been seen. Called from both the
     /// GetAck and Chunk handlers, so a chunk delayed past its ack still
     /// completes the stream when it finally lands.
-    fn maybe_finish_get(&mut self, parent: OpId, sub: OpId, now: SimTime, out: &mut Vec<Action>) {
+    fn maybe_finish_get(
+        &mut self,
+        parent: OpId,
+        sub: OpId,
+        class: Class,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         let Some(st) = self.ops.get_mut(&parent) else { return };
-        if st.completed || st.quiesced || st.done_gets.contains(&sub) {
+        if !st.phase.live() || st.done_gets.contains(&sub) {
             return;
         }
         let Some(&expected) = st.get_expected.get(&sub) else { return };
-        let seen = st.get_seen.get(&sub).map(|s| s.len()).unwrap_or(0);
-        if seen < expected as usize {
+        if st.streamed[class as usize].len() < expected as usize {
             return;
         }
         st.done_gets.insert(sub);
@@ -1656,43 +1522,31 @@ impl ControllerShard {
         self.maybe_complete(parent, now, out);
     }
 
-    /// Admit put `seq` of `op` into the transfer pipeline: issue it
-    /// immediately while the in-flight ledger has a free window slot
-    /// (or windowing is off), otherwise defer it to the queue for
-    /// `refill_window`. Suspended ops always queue — their in-flight
-    /// set is re-sent wholesale by `resume_op`.
+    /// Admit put `seq` of `op` into the transfer pipeline: it joins the
+    /// queue and `refill_window` issues it at once while the in-flight
+    /// ledger has a free window slot (or windowing is off). A running
+    /// op's queue is non-empty only while its window is full (every ack
+    /// refills), so a put never overtakes an earlier one. Suspended ops
+    /// only queue — their in-flight set is re-sent wholesale by
+    /// `resume_op`.
     fn enqueue_put(&mut self, op: OpId, seq: u64, m: Message, now: SimTime, out: &mut Vec<Action>) {
-        let window = self.config.transfer_window as usize;
-        let mut in_flight = 0;
-        let mut admitted = false;
         if let Some(st) = self.ops.get_mut(&op) {
-            if !st.suspended && (window == 0 || st.unacked_puts.len() < window) {
-                st.unacked_puts.insert(seq, m.clone());
-                in_flight = st.unacked_puts.len();
-                out.push(Action::ToMb(st.dst, m));
-                admitted = true;
-            } else {
-                st.queued_puts.push_back((seq, m));
-            }
+            st.queued_puts.push_back((seq, m));
         }
-        if admitted {
-            // Window-queued puts get their PutAdmitted only once
-            // refill_window promotes them, so admissions mirror the
-            // ledger exactly (what the I1 window invariant counts).
-            self.span(now, op, None, SpanEvent::PutAdmitted { seq });
-        }
-        self.in_flight_peak = self.in_flight_peak.max(in_flight);
+        self.refill_window(op, now, out);
     }
 
     /// Promote queued puts into freed window slots and send them. Called
-    /// on every ack and at the end of a resume; a no-op for terminal or
-    /// suspended ops so a late ack cannot push puts past an abort.
+    /// on every new put, every ack and at the end of a resume; a no-op
+    /// for terminal or suspended ops so a late ack cannot push puts past
+    /// an abort. A put gets its `PutAdmitted` only here, so admissions
+    /// mirror the ledger exactly (what the I1 window invariant counts).
     fn refill_window(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
         let window = self.config.transfer_window as usize;
         let mut in_flight = 0;
         let mut admitted = Vec::new();
         if let Some(st) = self.ops.get_mut(&op) {
-            if st.completed || st.quiesced || st.suspended {
+            if st.phase != Phase::Running {
                 return;
             }
             while !st.queued_puts.is_empty() && (window == 0 || st.unacked_puts.len() < window) {
@@ -1717,21 +1571,22 @@ impl ControllerShard {
     /// whose put is already in flight, and the destination's put-log
     /// re-acks shared puts it already applied without re-merging. The
     /// deadline is extended so the resumed attempt gets a full window.
-    fn resume_op(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
+    /// Returns false (and does nothing) when the op cannot resume: not
+    /// in progress, out of resume budget, or an endpoint still down.
+    fn resume_op(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) -> bool {
         let deadline = now.after(self.config.op_deadline);
-        let Some(st) = self.ops.get(&op) else { return };
-        if st.completed
-            || st.quiesced
-            || st.deferred
+        let Some(st) = self.ops.get_mut(&op) else { return false };
+        if !matches!(st.phase, Phase::Running | Phase::Suspended)
             || st.resumes_left == 0
             || self.unreachable.contains(&st.src)
             || self.unreachable.contains(&st.dst)
         {
-            return;
+            return false;
         }
-        let Some(st) = self.ops.get_mut(&op) else { return };
         st.resumes_left -= 1;
-        st.suspended = false;
+        if st.phase == Phase::Suspended {
+            st.set_phase(Phase::Running);
+        }
         st.last_activity = now;
         st.deadline = deadline;
         // The window base: the ledger's first key — O(log W), not a
@@ -1744,32 +1599,29 @@ impl ControllerShard {
             .or_else(|| st.queued_puts.front().map(|(s, _)| *s))
             .unwrap_or(st.next_chunk_seq);
         self.obs.record(now.0, self.obs_tag, Some(op.0), None, SpanEvent::Resumed { from_seq });
-        let Some(st) = self.ops.get_mut(&op) else { return };
-        let (src, dst) = (st.src, st.dst);
-        let gets: Vec<Message> = st
-            .get_reqs
-            .iter()
-            .filter(|(sub, _)| !st.done_gets.contains(sub))
-            .map(|(_, m)| m.clone())
-            .collect();
-        let puts: Vec<Message> = st.unacked_puts.values().cloned().collect();
-        for m in gets {
-            out.push(Action::ToMb(src, m));
-        }
-        for m in puts {
-            out.push(Action::ToMb(dst, m));
-        }
+        let open_gets = st.get_reqs.iter().filter(|(sub, _)| !st.done_gets.contains(sub));
+        out.extend(open_gets.map(|(_, m)| Action::ToMb(st.src, m.clone())));
+        out.extend(st.unacked_puts.values().map(|m| Action::ToMb(st.dst, m.clone())));
         // Chunks that arrived while parked were window-deferred; top the
         // window back up now that the transfer is live again.
         self.refill_window(op, now, out);
+        true
     }
 
+    /// Report a transfer complete once every get has closed and every
+    /// put is acked. (Simple kinds complete in `finish_simple`.)
     fn maybe_complete(&mut self, parent: OpId, now: SimTime, out: &mut Vec<Action>) {
         let Some(st) = self.ops.get_mut(&parent) else { return };
-        if st.completed || st.gets_outstanding > 0 || st.puts_outstanding > 0 {
+        if !st.phase.live() || st.gets_outstanding > 0 || st.puts_outstanding > 0 {
             return;
         }
-        st.completed = true;
+        let c = match st.kind {
+            OpKind::Move => Completion::MoveComplete { op: parent, chunks_moved: st.chunks },
+            OpKind::Clone => Completion::CloneComplete { op: parent },
+            OpKind::Merge => Completion::MergeComplete { op: parent },
+            _ => return,
+        };
+        st.set_phase(Phase::Completed);
         // Flush events still buffered: every put has been ACKed, so what
         // remains belongs to flows whose state never had a chunk (created
         // during the window) or whose puts completed while they waited.
@@ -1781,15 +1633,19 @@ impl ControllerShard {
                 Message::ReprocessPacket { op: parent, key: ev.key, packet: ev.packet },
             ));
         }
-        let c = match st.kind {
-            OpKind::Move => Completion::MoveComplete { op: parent, chunks_moved: st.chunks },
-            OpKind::Clone => Completion::CloneComplete { op: parent },
-            OpKind::Merge => Completion::MergeComplete { op: parent },
-            // Simple kinds complete via their own paths.
-            _ => return,
-        };
         self.span(now, parent, None, SpanEvent::Completed);
         out.push(Action::Notify(c));
+    }
+
+    /// Ids of the ops satisfying `pred`, ascending. Every loop over the
+    /// op table goes through here: HashMap iteration order is arbitrary
+    /// and must never reach the action stream, or replays with the same
+    /// fault schedule would stop being byte-identical.
+    fn ops_where(&self, pred: impl Fn(&OpState) -> bool) -> Vec<OpId> {
+        let mut ids: Vec<OpId> =
+            self.ops.iter().filter(|(_, st)| pred(st)).map(|(id, _)| *id).collect();
+        ids.sort();
+        ids
     }
 
     /// Periodic maintenance, in deterministic order (op lists are
@@ -1814,72 +1670,42 @@ impl ControllerShard {
     ///    only) and close the sync window.
     pub fn tick(&mut self, now: SimTime, out: &mut Vec<Action>) {
         // 1. Retries.
-        let mut due: Vec<OpId> = self
-            .ops
-            .iter()
-            .filter(|(_, st)| {
-                !st.completed && st.retry.as_ref().is_some_and(|r| r.left > 0 && now >= r.next_at)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        due.sort();
-        for op in due {
+        let due = |st: &OpState| {
+            st.phase == Phase::Running
+                && st.retry.as_ref().is_some_and(|r| r.left > 0 && now >= r.next_at)
+        };
+        for op in self.ops_where(due) {
             let Some(st) = self.ops.get_mut(&op) else { continue };
             let Some(r) = st.retry.as_mut() else { continue };
             r.left -= 1;
             r.backoff = r.backoff.scaled(2);
             r.next_at = now.after(r.backoff);
-            let (target, resend) = (r.target, r.request.clone());
-            if !self.unreachable.contains(&target) {
-                out.push(Action::ToMb(target, resend));
+            if !self.unreachable.contains(&st.src) {
+                out.push(Action::ToMb(st.src, r.request.clone()));
             }
         }
 
         // 2. Stall resume.
         let resume_after = self.config.resume_after;
-        let mut stalled: Vec<OpId> = self
-            .ops
-            .iter()
-            .filter(|(_, st)| {
-                !st.completed
-                    && !st.quiesced
-                    && !st.suspended
-                    && st.resumes_left > 0
-                    && matches!(st.kind, OpKind::Move | OpKind::Clone | OpKind::Merge)
-                    && (st.gets_outstanding > 0 || st.puts_outstanding > 0)
-                    && now.since(st.last_activity) >= resume_after
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        stalled.sort();
-        for op in stalled {
+        let stalled = |st: &OpState| {
+            st.phase == Phase::Running
+                && st.resumes_left > 0
+                && st.kind.is_transfer()
+                && (st.gets_outstanding > 0 || st.puts_outstanding > 0)
+                && now.since(st.last_activity) >= resume_after
+        };
+        for op in self.ops_where(stalled) {
             self.resume_op(op, now, out);
         }
 
         // 3. Deadlines.
-        let mut overdue: Vec<OpId> = self
-            .ops
-            .iter()
-            .filter(|(_, st)| !st.completed && !st.quiesced && now >= st.deadline)
-            .map(|(id, _)| *id)
-            .collect();
-        overdue.sort();
-        for op in overdue {
-            let can_resume = self.ops.get(&op).is_some_and(|st| {
-                matches!(st.kind, OpKind::Move | OpKind::Clone | OpKind::Merge)
-                    && st.resumes_left > 0
-                    && !st.suspended
-                    // A transfer still deferred at its deadline has
-                    // blockers that never closed: abort, don't resume.
-                    && !st.deferred
-                    && !self.unreachable.contains(&st.src)
-                    && !self.unreachable.contains(&st.dst)
-            });
-            if can_resume {
-                self.resume_op(op, now, out);
-            } else {
-                // Includes suspended transfers whose endpoint never
-                // returned: the deadline is the backstop.
+        for op in self.ops_where(|st| st.phase.live() && now >= st.deadline) {
+            // Only a running transfer may resume instead: one still
+            // deferred at its deadline has blockers that never closed,
+            // and a suspended one an endpoint that never returned.
+            let st = &self.ops[&op];
+            let running_transfer = st.phase == Phase::Running && st.kind.is_transfer();
+            if !(running_transfer && self.resume_op(op, now, out)) {
                 self.abort_op(op, Error::Timeout { op }, now, out);
             }
         }
@@ -1915,71 +1741,40 @@ impl ControllerShard {
 
         // 5. Quiescence.
         let quiesce = self.config.quiesce_after;
-        let mut ready: Vec<OpId> = self
-            .ops
-            .iter()
-            .filter(|(_, st)| {
-                st.completed
-                    && !st.quiesced
-                    && matches!(st.kind, OpKind::Move | OpKind::Clone | OpKind::Merge)
-                    && st.buffered.is_empty()
-                    && now.since(st.last_activity) >= quiesce
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        ready.sort();
-        for op in ready {
-            if self.ops.contains_key(&op) {
-                self.quiesce_op(op, now, out);
-            } else {
-                // The op's state vanished between collection and
-                // processing. Nothing to clean up, but the application
-                // is owed a terminal completion rather than a panic.
-                out.push(Action::Notify(Completion::Failed {
-                    op,
-                    error: Error::OpFailed("operation state lost before quiescence".into()),
-                    dropped_events: 0,
-                }));
-            }
+        let ready = |st: &OpState| {
+            st.phase == Phase::Completed
+                && st.buffered.is_empty()
+                && now.since(st.last_activity) >= quiesce
+        };
+        for op in self.ops_where(ready) {
+            self.quiesce_op(op, now, out);
         }
     }
 
-    /// Number of operations not yet quiesced, plus deletes still being
+    /// Number of operations not yet closed, plus deletes still being
     /// actively re-delivered (testing, and the embedding's "keep the
     /// maintenance timer armed" signal). Deletes parked on an
     /// unreachable MB are excluded — they cannot progress until the
     /// reattach event, which restarts the timer itself.
     pub fn open_ops(&self) -> usize {
-        self.ops
-            .values()
-            .filter(|st| {
-                !(st.quiesced
-                    || (st.completed
-                        && !matches!(st.kind, OpKind::Move | OpKind::Clone | OpKind::Merge)))
-            })
-            .count()
+        self.ops.values().filter(|st| st.phase.open()).count()
             + self.pending_deletes.iter().filter(|r| r.due.is_some()).count()
     }
 
     /// Number of ops parked on cross-shard conflicts, awaiting release
     /// (health snapshots).
     pub fn deferred_ops(&self) -> usize {
-        self.ops.values().filter(|st| st.deferred && !st.quiesced).count()
+        self.ops.values().filter(|st| st.phase == Phase::Deferred).count()
     }
 
-    /// Has this operation fully left the shard — terminal (quiesced,
-    /// aborted and released, or a completed simple request) with no
-    /// delete still owed on its behalf? The shard router prunes its
-    /// conflict table on this, so a flowspace stays pinned to its shard
-    /// for as long as the op can still emit southbound traffic
+    /// Has this operation fully left the shard — [`Phase::Closed`]
+    /// (quiesced, aborted and released, or an answered simple request)
+    /// with no delete still owed on its behalf? The shard router prunes
+    /// its conflict table on this, so a flowspace stays pinned to its
+    /// shard for as long as the op can still emit southbound traffic
     /// (including quiescence deletes and parked rollbacks).
     pub fn op_closed(&self, op: OpId) -> bool {
-        let state_open = self.ops.get(&op).is_some_and(|st| {
-            !(st.quiesced
-                || (st.completed
-                    && !matches!(st.kind, OpKind::Move | OpKind::Clone | OpKind::Merge)))
-        });
-        if state_open {
+        if self.ops.get(&op).is_some_and(|st| st.phase.open()) {
             return false;
         }
         !self
@@ -2004,30 +1799,17 @@ impl ControllerShard {
     /// populated regardless, so callers that only want those may pass
     /// any op id.
     pub fn transfer_ledger_stats(&self, op: OpId) -> TransferLedgerStats {
-        let (puts_in_flight, puts_queued, ack_set_size, bodies_in_flight) = self
-            .ops
-            .get(&op)
-            .map(|s| {
-                (s.unacked_puts.len(), s.queued_puts.len(), s.acked_above.len(), s.needed.len())
-            })
-            .unwrap_or((0, 0, 0, 0));
-        TransferLedgerStats {
-            puts_in_flight,
-            puts_queued,
-            ack_set_size,
-            bodies_in_flight,
-            in_flight_peak: self.in_flight_peak,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            bodies_sent: self.bodies_sent,
-            bytes_saved: self.bytes_saved,
-        }
+        self.ledger_stats(self.ops.get(&op))
     }
 
     /// Transfer-ledger occupancy summed over *every* op the shard still
     /// tracks (health snapshots want "how loaded is this shard now",
     /// not one op's view).
     pub fn aggregate_ledger_stats(&self) -> TransferLedgerStats {
+        self.ledger_stats(self.ops.values())
+    }
+
+    fn ledger_stats<'a>(&self, ops: impl IntoIterator<Item = &'a OpState>) -> TransferLedgerStats {
         let mut agg = TransferLedgerStats {
             in_flight_peak: self.in_flight_peak,
             cache_hits: self.cache_hits,
@@ -2036,7 +1818,7 @@ impl ControllerShard {
             bytes_saved: self.bytes_saved,
             ..TransferLedgerStats::default()
         };
-        for s in self.ops.values() {
+        for s in ops {
             agg.puts_in_flight += s.unacked_puts.len();
             agg.puts_queued += s.queued_puts.len();
             agg.ack_set_size += s.acked_above.len();
@@ -2047,9 +1829,19 @@ impl ControllerShard {
 }
 
 impl OpState {
-    fn new(kind: OpKind, src: MbId, dst: MbId, now: SimTime, deadline: SimTime) -> Self {
+    /// Fresh per-op state entering the lifecycle at `phase`, with the
+    /// deadline and resume budget stamped from config.
+    fn new(
+        kind: OpKind,
+        src: MbId,
+        dst: MbId,
+        phase: Phase,
+        now: SimTime,
+        config: &ControllerConfig,
+    ) -> Self {
         OpState {
             kind,
+            phase,
             src,
             dst,
             pattern: HeaderFieldList::any(),
@@ -2057,32 +1849,35 @@ impl OpState {
             puts_outstanding: 0,
             acked_keys: Vec::new(),
             pending_keys: HashSet::new(),
-            get_subs: Vec::new(),
             buffered: Vec::new(),
             chunks: 0,
-            completed: false,
             last_activity: now,
-            quiesced: false,
-            deadline,
+            deadline: now.after(config.op_deadline),
             retry: None,
             events_forwarded: 0,
             next_chunk_seq: 0,
             ack_watermark: 0,
             acked_above: BTreeSet::new(),
             done_gets: HashSet::new(),
-            streamed: HashSet::new(),
-            get_seen: HashMap::new(),
+            streamed: [HashSet::new(), HashSet::new()],
             get_expected: HashMap::new(),
             get_reqs: Vec::new(),
             unacked_puts: BTreeMap::new(),
             queued_puts: VecDeque::new(),
             shared_puts: Vec::new(),
-            resumes_left: 0,
-            suspended: false,
-            deferred: false,
+            resumes_left: config.max_transfer_resumes,
             ref_bodies: HashMap::new(),
             needed: HashSet::new(),
         }
+    }
+
+    /// The one lifecycle write: every transition is checked against
+    /// [`Phase::can_become`], so an illegal edge is a debug-build panic
+    /// at the line that took it rather than a flag combination some
+    /// later guard misreads.
+    fn set_phase(&mut self, to: Phase) {
+        debug_assert!(self.phase.can_become(to), "illegal op phase edge {:?} → {to:?}", self.phase);
+        self.phase = to;
     }
 
     /// Record `seq` as acked. Returns false on a duplicate. Newly acked

@@ -4,15 +4,17 @@
 
 use openmb_core::controller::{Action, Completion, ControllerConfig, ControllerCore};
 use openmb_core::tcp::{handle_southbound, handle_southbound_logged};
-use openmb_core::{ChainHop, ChainSpec, ShardRouter};
+use openmb_core::{ChainHop, ChainSpec, Phase, ShardRouter};
 use openmb_mb::{Effects, Middlebox, SharedPutLog};
 use openmb_middleboxes::{DummyMb, Ips, Monitor, Proxy};
+use openmb_obs::{Recorder, SpanEvent};
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_store::{ContentStore, MemoryContentStore};
 use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{self, Message};
 use openmb_types::{
-    EncryptedChunk, FlowKey, HeaderFieldList, IpPrefix, MbId, OpId, Packet, StateChunk,
+    EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix, MbId, OpId, Packet,
+    StateChunk,
 };
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -56,7 +58,6 @@ impl<A: Middlebox, B: Middlebox> World<A, B> {
     fn new(a: A, b: B) -> Self {
         let core = ControllerCore::new(ControllerConfig {
             quiesce_after: SimDuration::from_millis(10),
-            compress_transfers: false,
             buffer_events: true,
             ..ControllerConfig::default()
         });
@@ -301,6 +302,39 @@ fn duplicate_put_ack_after_completion_is_ignored() {
 }
 
 #[test]
+fn duplicated_config_or_stats_reply_completes_the_op_once() {
+    // A `ConfigValues` / `Stats` reply delivered twice — a retry racing
+    // a slow reply, or the fault plan duplicating the frame — must
+    // complete the op once: the second copy finds it closed.
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    seed_monitor(&mut w.a, 3);
+    let rec = Recorder::enabled(256);
+    w.core.set_recorder(rec.clone());
+    let mut out = Vec::new();
+    let cfg = w.core.read_config(w.a_id, HierarchicalKey::parse("*"), w.now, &mut out);
+    let stats = w.core.stats(w.a_id, HeaderFieldList::any(), w.now, &mut out);
+    assert_eq!(w.core.op_phase(cfg), Some(Phase::Running));
+    let mut notified = Vec::new();
+    for act in out {
+        let Action::ToMb(mb, request) = act else { panic!("unexpected action {act:?}") };
+        for reply in handle_southbound(&mut w.a, request, w.now) {
+            w.core.handle_mb_message(mb, reply.clone(), w.now, &mut notified);
+            w.core.handle_mb_message(mb, reply, w.now, &mut notified);
+        }
+    }
+    let spans = rec.dump().events;
+    for op in [cfg, stats] {
+        let completions =
+            notified.iter().filter(|a| matches!(a, Action::Notify(c) if c.op() == Some(op)));
+        assert_eq!(completions.count(), 1, "one completion for {op:?}: {notified:?}");
+        let completed =
+            spans.iter().filter(|e| e.op == Some(op.0) && e.event == SpanEvent::Completed);
+        assert_eq!(completed.count(), 1, "one Completed span for {op:?}");
+        assert_eq!(w.core.op_phase(op), Some(Phase::Closed), "simple op: Running → Closed");
+    }
+}
+
+#[test]
 fn transfer_ledger_stays_bounded_by_window() {
     // With a transfer window of 4, a 120-chunk move must never have more
     // than 4 unacked puts in flight, and the watermark-compacted ack set
@@ -537,4 +571,229 @@ fn end_op_skips_quiescence_wait() {
     w.core.end_op(op, w.now, &mut out);
     assert!(out.is_empty());
     let _ = OpId(0);
+}
+
+// ---- the op lifecycle (DESIGN §10): one `Phase` per op ----------------
+
+/// `Completion::Failed`s delivered for `op` so far.
+fn failures<A: Middlebox, B: Middlebox>(w: &World<A, B>, op: OpId) -> Vec<&Error> {
+    w.completions
+        .iter()
+        .filter_map(|c| match c {
+            Completion::Failed { op: o, error, .. } if *o == op => Some(error),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn phase_rule_admits_exactly_the_documented_edges() {
+    use Phase::*;
+    const ALL: [Phase; 5] = [Deferred, Running, Suspended, Completed, Closed];
+    const LEGAL: [(Phase, Phase); 9] = [
+        (Deferred, Running),
+        (Deferred, Closed),
+        (Running, Suspended),
+        (Running, Completed),
+        (Running, Closed),
+        (Suspended, Running),
+        (Suspended, Completed),
+        (Suspended, Closed),
+        (Completed, Closed),
+    ];
+    for from in ALL {
+        for to in ALL {
+            assert_eq!(from.can_become(to), LEGAL.contains(&(from, to)), "{from:?} → {to:?}");
+        }
+    }
+}
+
+#[test]
+fn move_walks_running_completed_closed() {
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    seed_monitor(&mut w.a, 6);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Running));
+    w.pump(out);
+    assert!(w.completions.iter().any(|c| matches!(c, Completion::MoveComplete { .. })));
+    assert_eq!(w.core.op_phase(op), Some(Phase::Completed), "awaiting quiescence");
+    // A rejection arriving now is too late to abort: the outcome is
+    // decided and was reported.
+    let late = Message::ErrorMsg { op: OpId(op.0 + 1), error: Error::OpFailed("late".into()) };
+    let mut out = Vec::new();
+    w.core.handle_mb_message(w.a_id, late, w.now, &mut out);
+    assert!(out.is_empty(), "{out:?}");
+    assert_eq!(w.core.op_phase(op), Some(Phase::Completed));
+    w.quiesce();
+    assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
+    assert!(failures(&w, op).is_empty());
+    assert_eq!(w.core.op_phase(OpId(op.0 + 1_000)), None, "never issued");
+}
+
+#[test]
+fn simple_op_walks_running_closed_and_fails_fast_closed() {
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    let mut out = Vec::new();
+    let op = w.core.read_config(w.a_id, HierarchicalKey::parse("*"), w.now, &mut out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Running));
+    w.pump(out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
+    // Validation failure: born closed, one typed failure.
+    let mut out = Vec::new();
+    let bad = w.core.stats(MbId(99), HeaderFieldList::any(), w.now, &mut out);
+    w.pump(out);
+    assert_eq!(w.core.op_phase(bad), Some(Phase::Closed));
+    assert_eq!(failures(&w, bad), [&Error::UnknownMb(MbId(99))]);
+}
+
+#[test]
+fn running_transfer_without_resume_budget_aborts_closed_once() {
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    seed_monitor(&mut w.a, 4);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let mut out = Vec::new();
+    w.core.mark_unreachable(w.b_id, w.now, &mut out);
+    // Reported again (the embedding may) and ticked past the deadline:
+    // a closed op fails exactly once.
+    w.core.mark_unreachable(w.b_id, w.now, &mut out);
+    w.core.tick(SimTime(60_000_000_000), &mut out);
+    w.pump(out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
+    assert_eq!(failures(&w, op), [&Error::MbUnreachable(w.b_id)]);
+}
+
+#[test]
+fn unreachable_transfer_suspends_resumes_and_the_deadline_closes_it() {
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    w.core.update_config(|c| c.max_transfer_resumes = 2);
+    seed_monitor(&mut w.a, 4);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    out.clear(); // the gets are lost with the link
+    w.core.mark_unreachable(w.b_id, w.now, &mut out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Suspended));
+    assert!(out.is_empty(), "a parked op sends nothing: {out:?}");
+    w.core.mark_reachable(w.b_id, w.now, &mut out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Running));
+    assert_eq!(out.len(), 2, "resume re-sends both gets: {out:?}");
+    out.clear();
+    // Parked again, and this time the endpoint never returns.
+    w.core.mark_unreachable(w.a_id, w.now, &mut out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Suspended));
+    w.core.tick(SimTime(60_000_000_000), &mut out);
+    w.pump(out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
+    assert_eq!(failures(&w, op), [&Error::Timeout { op }]);
+}
+
+#[test]
+fn transfer_parked_on_its_source_completes_when_the_destination_acks() {
+    // The one edge out of `Suspended` that is not a resume or an abort:
+    // the source goes down after streaming everything, the live
+    // destination acks the puts already in flight.
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    w.core.update_config(|c| c.max_transfer_resumes = 1);
+    seed_monitor(&mut w.a, 5);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    // Serve the source; hold everything addressed to the destination.
+    let mut held = Vec::new();
+    while let Some(act) = out.pop() {
+        match act {
+            Action::ToMb(mb, msg) if mb == w.a_id => {
+                for r in handle_southbound(&mut w.a, msg, w.now) {
+                    w.core.handle_mb_message(mb, r, w.now, &mut out);
+                }
+            }
+            other => held.push(other),
+        }
+    }
+    assert_eq!(w.core.op_phase(op), Some(Phase::Running));
+    let mut out = Vec::new();
+    w.core.mark_unreachable(w.a_id, w.now, &mut out);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Suspended));
+    w.pump(held);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Completed));
+    assert!(w
+        .completions
+        .iter()
+        .any(|c| matches!(c, Completion::MoveComplete { op: o, chunks_moved: 5 } if *o == op)));
+    assert_eq!(w.b.perflow_entries(), 5);
+}
+
+#[test]
+fn deferred_transfer_runs_on_release_or_closes_on_its_deadline() {
+    // Two moves on different shards and a wildcard clone bridging
+    // them: the clone defers behind both.
+    let deferred_clone = |clone_deadline: SimDuration| {
+        let mut core =
+            ControllerCore::new(ControllerConfig { shards: 4, ..ControllerConfig::default() });
+        let mbs: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
+        let place =
+            |i: usize| ShardRouter::hash_placement(4, &subnet(i as u8), mbs[2 * i], mbs[2 * i + 1]);
+        let (i, j) = (0..4)
+            .flat_map(|a| (0..4).map(move |b| (a, b)))
+            .find(|&(a, b)| a != b && place(a) != place(b))
+            .expect("subnets spread over more than one shard");
+        let mut out = Vec::new();
+        for k in [i, j] {
+            core.move_internal(mbs[2 * k], mbs[2 * k + 1], subnet(k as u8), SimTime(0), &mut out);
+        }
+        core.update_config(|c| c.op_deadline = clone_deadline);
+        out.clear();
+        let clone = core.clone_support(mbs[2 * i + 1], mbs[2 * j], SimTime(0), &mut out);
+        assert_eq!(core.op_phase(clone), Some(Phase::Deferred));
+        assert!(out.is_empty(), "a deferred op sends nothing: {out:?}");
+        (core, clone)
+    };
+    let failed = |out: &[Action], op: OpId| {
+        out.iter()
+            .filter(|a| matches!(a, Action::Notify(Completion::Failed { op: o, .. }) if *o == op))
+            .count()
+    };
+
+    // Its own deadline (1 s) falls before the blockers' (10 s): closed
+    // from `Deferred`, one timeout, nothing ever sent.
+    let (core, clone) = deferred_clone(SimDuration::from_secs(1));
+    let mut out = Vec::new();
+    core.tick(SimTime(2_000_000_000), &mut out);
+    assert_eq!(core.op_phase(clone), Some(Phase::Closed));
+    assert_eq!(failed(&out, clone), 1, "{out:?}");
+    assert!(out.iter().all(|a| matches!(a, Action::Notify(_))), "{out:?}");
+    core.tick(SimTime(30_000_000_000), &mut out);
+    assert_eq!(failed(&out, clone), 1, "a closed op fails once: {out:?}");
+
+    // The blockers time out first (10 s against 30 s): released.
+    let (core, clone) = deferred_clone(SimDuration::from_secs(30));
+    let mut out = Vec::new();
+    core.tick(SimTime(11_000_000_000), &mut out);
+    assert_eq!(core.op_phase(clone), Some(Phase::Running));
+    assert_eq!(failed(&out, clone), 0, "{out:?}");
+    assert!(out.iter().any(|a| matches!(a, Action::ToMb(_, Message::GetSupportShared { .. }))));
+}
+
+#[test]
+fn end_op_before_completion_closes_the_op_silently() {
+    // Pinned, not endorsed: `end_op` on a transfer still in progress
+    // closes it on the spot — source deletes and EndSync go out, the
+    // chunks then streaming are dropped at the controller, and the
+    // application hears nothing further about the op (no completion,
+    // no failure). Applications call it only after the completion.
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    seed_monitor(&mut w.a, 4);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let mut ended = Vec::new();
+    w.core.end_op(op, w.now, &mut ended);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
+    // Gets first (they were sent first), then the deletes: `pump` pops
+    // from the back.
+    ended.extend(out);
+    w.pump(ended);
+    w.core.tick(SimTime(60_000_000_000), &mut Vec::new());
+    assert!(w.completions.iter().all(|c| c.op() != Some(op)), "{:?}", w.completions);
+    assert_eq!((w.a.perflow_entries(), w.b.perflow_entries()), (0, 0));
+    assert_eq!(w.core.open_ops(), 0);
 }

@@ -88,7 +88,6 @@ fn move_between_monitors_with_live_traffic() {
     let mut controller = ControllerNode::new(
         ControllerConfig {
             quiesce_after: SimDuration::from_millis(200),
-            compress_transfers: false,
             buffer_events: true,
             ..ControllerConfig::default()
         },

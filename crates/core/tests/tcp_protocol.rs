@@ -60,7 +60,6 @@ fn move_and_merge_over_loopback_tcp() {
 
     let mut controller = TcpController::new(ControllerConfig {
         quiesce_after: SimDuration::from_millis(50),
-        compress_transfers: false,
         buffer_events: true,
         ..ControllerConfig::default()
     });
@@ -145,7 +144,6 @@ fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
         op_deadline: SimDuration::from_secs(30),
         max_transfer_resumes: 4,
         resume_after: SimDuration::from_millis(50),
-        compress_transfers: false,
         buffer_events: true,
         // A window smaller than PUTS_BEFORE_CRASH, so the puts arrive
         // in several coalesced frames and the crash really lands
@@ -290,7 +288,6 @@ fn span_ids_propagate_across_the_wire() {
 
     let mut controller = TcpController::new(ControllerConfig {
         quiesce_after: SimDuration::from_millis(50),
-        compress_transfers: false,
         buffer_events: true,
         ..ControllerConfig::default()
     });

@@ -82,8 +82,7 @@ pub(crate) fn build_pairs<M: Middlebox + 'static>(
     pairs: usize,
     requests: Vec<Request>,
 ) -> Scenario {
-    let mut config =
-        ControllerConfig { shards: SHARDS, compress_transfers: false, ..Default::default() };
+    let mut config = ControllerConfig { shards: SHARDS, ..Default::default() };
     tune(&mut config, true);
     Scenario::new(requests, 4096, |app| {
         let params = ScenarioParams::default();

@@ -102,7 +102,6 @@ pub fn concurrent_moves_avg_ms(n_moves: usize, chunks: usize) -> f64 {
     let mut controller = ControllerNode::new(
         ControllerConfig {
             quiesce_after: SimDuration::from_millis(100),
-            compress_transfers: false,
             buffer_events: true,
             ..ControllerConfig::default()
         },

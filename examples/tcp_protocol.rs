@@ -59,7 +59,6 @@ fn main() {
     // --- the controller connects out and brokers operations ---
     let mut controller = TcpController::new(ControllerConfig {
         quiesce_after: SimDuration::from_millis(50),
-        compress_transfers: false,
         buffer_events: true,
         ..ControllerConfig::default()
     });
