@@ -9,25 +9,71 @@
 //! * [`serve_middlebox`] — serves any [`Middlebox`]'s southbound
 //!   protocol over a [`Transport`] (one thread per MB, like the paper).
 //! * [`TcpController`] — hosts the one controller engine
-//!   ([`ControllerCore`], thread-safe behind per-shard locks), pumps
-//!   all MB transports into it, and exposes *blocking* northbound calls
-//!   ([`TcpController::move_internal`], [`TcpController::chain_move`],
-//!   ...) that wait for the matching completion. Callers on different
-//!   threads each get their own completion: every blocking call parks
-//!   on a per-op slot, not on a shared queue.
+//!   ([`ControllerCore`]), runs one receive thread per MB connection
+//!   that feeds the engine directly, and exposes *blocking* northbound
+//!   calls ([`TcpController::move_internal`],
+//!   [`TcpController::chain_move`], ...) that wait for the matching
+//!   completion. Callers on different threads each get their own
+//!   completion: every blocking call parks on a per-op slot, not on a
+//!   shared queue.
 //!
 //! Nothing here re-implements controller logic: admission, deferral
 //! release, chain transactions and batch unpacking are the engine's;
-//! this file owns sockets, the pump thread, and the waiter table.
+//! this file owns the threads, the link table and the waiter table.
+//!
+//! # Threads and the order lock
+//!
+//! Event-driven, no polling between a frame and the engine: each MB
+//! connection has one **receive thread**, blocked in its transport's
+//! `recv_timeout` — for a [`TcpTransport`], in a read of the socket
+//! itself; the transport has no thread of its own. The frame an MB
+//! sends wakes that thread, which calls
+//! [`ControllerCore::handle_mb_message`] and sends what the engine asked
+//! for. There is no pump thread and no hand-off between the socket and
+//! the engine. A disconnect arrives on the same thread, after that MB's
+//! last frame, so `TransportReset` → `mark_unreachable` stays ordered
+//! per MB. A **timer thread** calls the engine's maintenance `tick`
+//! every 25 ms.
+//!
+//! Every engine call — an MB's frame, a reset, a northbound call, a
+//! reattach, a tick — runs under one **order lock**, held from the call
+//! until the frames it produced are sent and its completions
+//! delivered. "Engine call + its sends" is therefore atomic: each MB
+//! receives frames in exactly the order the engine produced them (the
+//! per-flow `ReprocessPacket`/put ordering of §5), as it did when a
+//! single pump thread made all the calls. A send blocks under the
+//! lock, which cannot deadlock because a [`TcpTransport`] whose send
+//! stalls reads its own incoming frames into an unbounded queue (so two
+//! ends sending to each other both finish). The link table (one
+//! transport and one generation per MB) lives under the same lock.
+//!
+//! **Generations.** [`TcpController::reattach_mb`] bumps the MB's
+//! generation and starts a receive thread for the new transport. A
+//! receive thread handles a frame or a disconnect only while its
+//! generation is current, so a replaced connection's late frames and
+//! late EOF are no-ops.
+//!
+//! **What is still polled.** A receive thread gives up its wait every
+//! 250 ms (`RECV_POLL`) to notice shutdown or a stale generation, the
+//! MB serve loop every 20 ms (`IDLE_POLL`) to notice `stop`. That
+//! bounds how long `shutdown` and a replaced connection's thread
+//! linger; it is never between a frame and the engine, because a frame
+//! ends the wait at once. (The other polling in the picture is the
+//! transport's: right after a frame a [`TcpTransport`] receive polls the
+//! socket for up to 200 µs before it blocks, so the replies of a
+//! lock-step transfer find both ends awake.)
 //!
 //! The discrete-event simulator remains the measurement substrate; this
 //! embedding exists to demonstrate the protocol and controller logic are
 //! genuinely transport-independent (and is exercised by integration
 //! tests and the `tcp_protocol` example over loopback).
+//!
+//! [`TcpTransport`]: openmb_types::transport::TcpTransport
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -41,6 +87,23 @@ use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, O
 
 use crate::chain::ChainSpec;
 use crate::controller::{coalesce, Action, Completion, ControllerConfig, ControllerCore};
+
+/// How long the MB serve loop's blocked receive waits before looking at
+/// `stop`. A frame or a disconnect ends the wait immediately, so this
+/// is never latency a frame sees.
+const IDLE_POLL: Duration = Duration::from_millis(20);
+
+/// The same for a controller receive thread, which looks at shutdown
+/// and its link's generation: the bound on how long `shutdown` and a
+/// replaced connection's thread linger. Long on purpose — every timer
+/// wake-up of an idle thread lands on some CPU in the middle of another
+/// MB's transfer and can pull that transfer's threads apart (measured:
+/// see DESIGN §9), so idle links stay quiet.
+const RECV_POLL: Duration = Duration::from_millis(250);
+
+/// The engine's maintenance cadence (quiescence deletes, deadlines,
+/// resume timers).
+const TICK: Duration = Duration::from_millis(25);
 
 /// Serve a middlebox's southbound protocol over `transport` until the
 /// peer disconnects or `stop` is raised.
@@ -87,7 +150,7 @@ pub fn serve_middlebox_recorded<M: Middlebox>(
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let msg = match transport.recv_timeout(Duration::from_millis(20)) {
+        let msg = match transport.recv_timeout(IDLE_POLL) {
             Ok(Some(m)) => m,
             Ok(None) => continue,
             Err(_) => return Ok(()), // peer closed
@@ -100,9 +163,9 @@ pub fn serve_middlebox_recorded<M: Middlebox>(
         let mut replies = handle_southbound_recorded(mb, log, msg, now, rec, tag);
         // A request with several replies (a get streaming chunks, a
         // batched request) answers with one coalesced frame.
-        match replies.len() {
-            0 => {}
-            1 => transport.send(replies.pop().expect("len 1"))?,
+        let sent = match replies.len() {
+            0 => Ok(()),
+            1 => transport.send(replies.pop().expect("len 1")),
             n => {
                 rec.record(
                     now.0,
@@ -111,8 +174,13 @@ pub fn serve_middlebox_recorded<M: Middlebox>(
                     replies[0].op_id().map(|o| o.0),
                     SpanEvent::BatchFlushed { count: n as u32 },
                 );
-                transport.send(Message::Batch { msgs: replies })?;
+                transport.send(Message::Batch { msgs: replies })
             }
+        };
+        if sent.is_err() {
+            // Peer closed between its request and our reply: the same
+            // disconnect a failed receive reports, seen one call later.
+            return Ok(());
         }
     }
 }
@@ -124,9 +192,19 @@ pub use openmb_mb::southbound::{
 };
 
 /// A controller serving the northbound API over per-MB transports.
+///
+/// Event-driven (see the [module docs](self)): after
+/// [`start`](TcpController::start), one receive thread per MB
+/// connection blocks on its transport and makes the engine call itself
+/// the moment a frame is queued; a timer thread ticks. Every engine
+/// call, northbound ones included, holds the *order lock* until its
+/// frames are sent, so each MB sees the engine's order. A connection
+/// replaced by [`reattach_mb`](TcpController::reattach_mb) has a stale
+/// *generation* and is ignored. Only idle threads poll (250 ms, to
+/// notice that or [`shutdown`](TcpController::shutdown)).
 pub struct TcpController {
     inner: Arc<Inner>,
-    pump: Option<std::thread::JoinHandle<()>>,
+    timer: Option<JoinHandle<()>>,
 }
 
 /// Blocked northbound calls by op: `None` until the completion lands.
@@ -134,23 +212,42 @@ type Waiters = HashMap<OpId, Option<Completion>>;
 
 const WAITERS_POISONED: &str = "a northbound caller panicked inside the controller core";
 
+/// One MB's connection. A receive thread serves exactly one
+/// `(transport, generation)`; replacing the transport bumps the
+/// generation, which turns the old thread's late frames and late EOF
+/// into no-ops.
+struct Link {
+    transport: Arc<dyn Transport + Sync>,
+    generation: u64,
+}
+
+/// What the order lock guards besides the order itself.
+#[derive(Default)]
+struct Links {
+    /// Indexed by `MbId`.
+    mbs: Vec<Link>,
+    /// Between `start` and `shutdown`: connections have receive threads
+    /// and frames reach the engine.
+    running: bool,
+    /// Every receive thread spawned since `start`, joined by `shutdown`.
+    receivers: Vec<JoinHandle<()>>,
+}
+
 struct Inner {
-    /// The engine: the pump thread and blocking northbound callers
-    /// contend only when they touch the same shard.
+    /// The engine. Thread-safe on its own; this embedding additionally
+    /// serialises calls into it with the order lock so that the sends
+    /// of one call cannot interleave with the next call's.
     core: ControllerCore,
-    transports: Mutex<Vec<Arc<dyn Transport + Sync>>>,
-    /// Per-MB "connection lost" flags, parallel to `transports`. Set by
-    /// the pump loop on a reset/EOF; cleared by
-    /// [`TcpController::reattach_mb`] when a fresh transport replaces
-    /// the dead one.
-    dead: Mutex<Vec<bool>>,
+    /// The order lock: held around every engine call *and* the sends
+    /// and completion deliveries it produced ([`Inner::drive`]).
+    links: Mutex<Links>,
     /// One slot per blocked northbound call, filled by whichever thread
     /// executes the op's completion. Completions for ops with no slot —
     /// chain hop sub-results, MB events, calls that already timed out —
     /// are dropped on delivery, so the table holds live callers only.
+    /// Taken inside the order lock, never the other way round.
     waiters: std::sync::Mutex<Waiters>,
     completed: Condvar,
-    stop: AtomicBool,
     start: Instant,
 }
 
@@ -162,46 +259,40 @@ impl TcpController {
         TcpController {
             inner: Arc::new(Inner {
                 core: ControllerCore::new(config),
-                transports: Mutex::new(Vec::new()),
-                dead: Mutex::new(Vec::new()),
+                links: Mutex::new(Links::default()),
                 waiters: std::sync::Mutex::new(HashMap::new()),
                 completed: Condvar::new(),
-                stop: AtomicBool::new(false),
                 start: Instant::now(),
             }),
-            pump: None,
+            timer: None,
         }
     }
 
-    /// Register a middlebox reachable over `transport`.
+    /// Register a middlebox reachable over `transport`. Before
+    /// [`start`](TcpController::start) the connection only joins the
+    /// table; after it, its receive thread starts at once.
     pub fn register_mb(&self, transport: Arc<dyn Transport + Sync>) -> MbId {
+        let mut links = self.inner.links.lock();
         let id = self.inner.core.register_mb();
-        self.inner.transports.lock().push(transport);
-        self.inner.dead.lock().push(false);
+        debug_assert_eq!(id.0 as usize, links.mbs.len(), "the link table is indexed by MbId");
+        links.mbs.push(Link { transport, generation: 0 });
+        self.inner.spawn_receiver(&mut links, id);
         id
     }
 
-    /// The MB reconnected: replace its dead transport, clear the
-    /// unreachable mark, send any shared-state rollbacks deferred while
-    /// it was down, and resume transfers parked on its account (with
+    /// The MB reconnected: replace its transport (the old connection,
+    /// dead or not, is ignored from here on), clear the unreachable
+    /// mark, send any shared-state rollbacks deferred while it was
+    /// down, and resume transfers parked on its account (with
     /// `max_transfer_resumes` > 0, a move interrupted mid-transfer picks
     /// up from its last acked chunk instead of starting over).
     pub fn reattach_mb(&self, mb: MbId, transport: Arc<dyn Transport + Sync>) {
-        let idx = mb.0 as usize;
-        {
-            let mut transports = self.inner.transports.lock();
-            if idx >= transports.len() {
-                return;
-            }
-            transports[idx] = transport;
-        }
-        {
-            let mut dead = self.inner.dead.lock();
-            if idx < dead.len() {
-                dead[idx] = false;
-            }
-        }
-        self.inner.drive(|core, now, out| {
+        let mut links = self.inner.links.lock();
+        let Some(link) = links.mbs.get_mut(mb.0 as usize) else { return };
+        link.transport = transport;
+        link.generation += 1;
+        self.inner.spawn_receiver(&mut links, mb);
+        self.inner.drive(&links, |core, now, out| {
             core.record(now.0, None, None, SpanEvent::TransportReattached);
             core.mark_reachable(mb, now, out);
         });
@@ -221,10 +312,25 @@ impl TcpController {
         self.inner.core.recorder()
     }
 
-    /// Start the pump thread (poll transports, drive the core).
+    /// The hosted engine, for reading its counters (`open_ops`,
+    /// `transfer_ledger_stats`, `op_phase`, ...).
+    pub fn engine(&self) -> &ControllerCore {
+        &self.inner.core
+    }
+
+    /// Start serving: one receive thread per registered MB and the
+    /// maintenance timer. No frame reaches the engine before this.
     pub fn start(&mut self) {
+        let mut links = self.inner.links.lock();
+        if links.running {
+            return;
+        }
+        links.running = true;
+        for i in 0..links.mbs.len() {
+            self.inner.spawn_receiver(&mut links, MbId(i as u32));
+        }
         let inner = Arc::clone(&self.inner);
-        self.pump = Some(std::thread::spawn(move || inner.pump_loop()));
+        self.timer = Some(std::thread::spawn(move || inner.timer_loop()));
     }
 
     /// Issue one northbound operation and block until its completion
@@ -235,18 +341,15 @@ impl TcpController {
         issue: impl FnOnce(&ControllerCore, SimTime, &mut Vec<Action>) -> OpId,
     ) -> Result<Completion> {
         let inner = &*self.inner;
-        let mut out = Vec::new();
-        let op = {
-            // Deliveries take this lock, so holding it from before the
-            // op id exists until its slot does means no completion —
-            // not even a racing transport reset's abort — can arrive
-            // unobserved.
-            let mut waiters = inner.waiters();
-            let op = issue(&inner.core, inner.now(), &mut out);
-            waiters.insert(op, None);
+        // Completions are delivered under the order lock, so holding it
+        // from before the op id exists until its slot does means no
+        // completion — not even a racing transport reset's abort — can
+        // arrive unobserved.
+        let op = inner.drive(&inner.links.lock(), |core, now, out| {
+            let op = issue(core, now, out);
+            inner.waiters().insert(op, None);
             op
-        };
-        inner.execute(out);
+        });
         let pending = |w: &mut Waiters| matches!(w.get(&op), Some(None));
         let (mut waiters, _) = inner
             .completed
@@ -324,11 +427,21 @@ impl TcpController {
         self.call(timeout, |core, now, out| core.enable_events(mb, filter, now, out))
     }
 
-    /// Stop the pump thread.
+    /// Stop serving and join every thread this controller spawned;
+    /// they drop their transports on the way out. Returns within one
+    /// idle poll (250 ms).
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
+        let receivers = {
+            let mut links = self.inner.links.lock();
+            links.running = false;
+            std::mem::take(&mut links.receivers)
+        };
+        if let Some(timer) = self.timer.take() {
+            timer.thread().unpark();
+            let _ = timer.join();
+        }
+        for r in receivers {
+            let _ = r.join();
         }
     }
 }
@@ -348,85 +461,96 @@ impl Inner {
         SimTime(self.start.elapsed().as_nanos() as u64)
     }
 
-    /// Run one call into the core and execute what it asks for.
-    fn drive(&self, f: impl FnOnce(&ControllerCore, SimTime, &mut Vec<Action>)) {
+    /// Run one call into the engine, send the frames it asked for, then
+    /// hand each completion to the caller blocked on its op, if any —
+    /// all under the order lock, which `links` proves the caller holds.
+    fn drive<R>(
+        &self,
+        links: &Links,
+        f: impl FnOnce(&ControllerCore, SimTime, &mut Vec<Action>) -> R,
+    ) -> R {
         let mut out = Vec::new();
-        f(&self.core, self.now(), &mut out);
-        self.execute(out);
-    }
-
-    /// Send one core call's frames, then hand each completion to the
-    /// caller blocked on its op, if any.
-    fn execute(&self, actions: Vec<Action>) {
-        let completions = coalesce(actions, |mb, frame, flushed| {
+        let ret = f(&self.core, self.now(), &mut out);
+        let completions = coalesce(out, |mb, frame, flushed| {
             if let Some((sub, ev)) = flushed {
                 self.core.record(self.now().0, None, sub, ev);
             }
-            let transport = self.transports.lock().get(mb.0 as usize).cloned();
-            if let Some(t) = transport {
-                let _ = t.send(frame);
+            if let Some(link) = links.mbs.get(mb.0 as usize) {
+                // A dead peer is reported by its receive thread.
+                let _ = link.transport.send(frame);
             }
         });
-        if completions.is_empty() {
-            return;
-        }
-        let mut waiters = self.waiters();
-        for c in completions {
-            if let Some(slot) = c.op().and_then(|op| waiters.get_mut(&op)) {
-                *slot = Some(c);
+        if !completions.is_empty() {
+            let mut waiters = self.waiters();
+            for c in completions {
+                if let Some(slot) = c.op().and_then(|op| waiters.get_mut(&op)) {
+                    *slot = Some(c);
+                }
             }
+            drop(waiters);
+            self.completed.notify_all();
         }
-        self.completed.notify_all();
+        ret
     }
 
-    fn pump_loop(&self) {
-        let mut last_tick = Instant::now();
-        // Transports whose peer has reset or closed are marked
-        // unreachable once and then skipped until `reattach_mb` swaps in
-        // a fresh transport and clears the flag.
-        while !self.stop.load(Ordering::Relaxed) {
-            let mut idle = true;
-            let n = self.transports.lock().len();
-            {
-                let mut dead = self.dead.lock();
-                if dead.len() < n {
-                    dead.resize(n, false);
+    /// Start the receive thread of `mb`'s current connection — once the
+    /// controller is running; until then `start` will.
+    fn spawn_receiver(self: &Arc<Self>, links: &mut Links, mb: MbId) {
+        if !links.running {
+            return;
+        }
+        let link = &links.mbs[mb.0 as usize];
+        let (inner, transport, generation) =
+            (Arc::clone(self), Arc::clone(&link.transport), link.generation);
+        links
+            .receivers
+            .push(std::thread::spawn(move || inner.receive_loop(mb, generation, &*transport)));
+    }
+
+    /// One connection's receive thread: block until the transport has a
+    /// frame or reports the peer gone, then make the engine call here —
+    /// no hand-off to another thread.
+    fn receive_loop(&self, mb: MbId, generation: u64, transport: &(dyn Transport + Sync)) {
+        loop {
+            let received = transport.recv_timeout(RECV_POLL);
+            let links = self.links.lock();
+            if !links.running || links.mbs[mb.0 as usize].generation != generation {
+                return;
+            }
+            match received {
+                Ok(Some(msg)) => {
+                    self.drive(&links, |core, now, out| core.handle_mb_message(mb, msg, now, out))
+                }
+                Ok(None) => {}
+                Err(_) => {
+                    // Connection reset or EOF, after this MB's last
+                    // frame: every operation touching it aborts with
+                    // MbUnreachable (or parks, given resume budget),
+                    // exactly as the sim harness reports link failures.
+                    self.drive(&links, |core, now, out| {
+                        core.record(now.0, None, None, SpanEvent::TransportReset);
+                        core.mark_unreachable(mb, now, out);
+                    });
+                    return;
                 }
             }
-            for i in 0..n {
-                if self.dead.lock()[i] {
-                    continue;
-                }
-                let t = Arc::clone(&self.transports.lock()[i]);
-                let mb = MbId(i as u32);
-                loop {
-                    match t.try_recv() {
-                        Ok(Some(msg)) => {
-                            idle = false;
-                            self.drive(|core, now, out| core.handle_mb_message(mb, msg, now, out));
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Connection reset or EOF: every operation
-                            // touching this MB aborts with MbUnreachable
-                            // (or parks, given resume budget), exactly as
-                            // the sim harness reports link failures.
-                            self.dead.lock()[i] = true;
-                            self.drive(|core, now, out| {
-                                core.record(now.0, None, None, SpanEvent::TransportReset);
-                                core.mark_unreachable(mb, now, out);
-                            });
-                            break;
-                        }
-                    }
-                }
+        }
+    }
+
+    /// The maintenance timer: `tick` every [`TICK`], parked in between;
+    /// `shutdown` unparks it.
+    fn timer_loop(&self) {
+        let mut next = Instant::now() + TICK;
+        loop {
+            std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
+            let links = self.links.lock();
+            if !links.running {
+                return;
             }
-            if last_tick.elapsed() > Duration::from_millis(25) {
-                last_tick = Instant::now();
-                self.drive(|core, now, out| core.tick(now, out));
-            }
-            if idle {
-                std::thread::sleep(Duration::from_millis(1));
+            let now = Instant::now();
+            if now >= next {
+                next = now + TICK;
+                self.drive(&links, |core, now, out| core.tick(now, out));
             }
         }
     }

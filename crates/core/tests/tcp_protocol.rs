@@ -421,12 +421,7 @@ fn served_monitor(flows: u8, servers: &mut Servers) -> std::net::SocketAddr {
     servers.threads.push(std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let transport = TcpTransport::new(stream).unwrap();
-        let mut monitor = Monitor::new();
-        let mut fx = Effects::normal();
-        for f in 1..=flows {
-            monitor.process_packet(SimTime(u64::from(f)), &http_pkt(u64::from(f), f), &mut fx);
-        }
-        serve_middlebox(&mut monitor, &transport, &stop).unwrap();
+        serve_middlebox(&mut loaded_monitor(flows), &transport, &stop).unwrap();
     }));
     addr
 }
@@ -444,10 +439,7 @@ fn connect(controller: &TcpController, addr: std::net::SocketAddr) -> openmb_typ
 }
 
 fn report_chunks(controller: &TcpController, mb: openmb_types::MbId) -> usize {
-    match controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap() {
-        Completion::Stats { stats, .. } => stats.perflow_report_chunks,
-        other => panic!("unexpected {other:?}"),
-    }
+    stats_of(controller, mb).perflow_report_chunks
 }
 
 /// Blocking callers on different threads each receive their own
@@ -561,6 +553,338 @@ fn chain_move_rolls_back_over_loopback_tcp_when_a_hop_destination_drops() {
     assert_eq!(report_chunks(&controller, a), 30, "hop 0 source restored");
     assert_eq!(report_chunks(&controller, b), 0, "hop 0 destination emptied");
     assert_eq!(report_chunks(&controller, c), 20, "hop 1 source untouched");
+    controller.shutdown();
+    servers.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The event-driven embedding: receive threads, generations, the oracle.
+// ---------------------------------------------------------------------
+
+/// Block until `cond` holds (the controller's threads make it so).
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A monitor preloaded with `flows` observed flows.
+fn loaded_monitor(flows: u8) -> Monitor {
+    let mut monitor = Monitor::new();
+    let mut fx = Effects::normal();
+    for f in 1..=flows {
+        monitor.process_packet(SimTime(u64::from(f)), &http_pkt(u64::from(f), f), &mut fx);
+    }
+    monitor
+}
+
+/// `monitor` served over an in-process channel until the servers shut
+/// down; returns the controller's end.
+fn served_over_channel(
+    mut monitor: Monitor,
+    servers: &mut Servers,
+) -> Arc<openmb_types::transport::ChannelTransport> {
+    let (ctl_end, mb_end) = openmb_types::transport::channel_pair();
+    let stop = Arc::clone(&servers.stop);
+    servers.threads.push(std::thread::spawn(move || {
+        serve_middlebox(&mut monitor, &mb_end, &stop).unwrap();
+    }));
+    Arc::new(ctl_end)
+}
+
+fn stats_of(controller: &TcpController, mb: openmb_types::MbId) -> openmb_types::StateStats {
+    match controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap() {
+        Completion::Stats { stats, .. } => stats,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Put `controller` under the online invariant monitor: a flight
+/// recorder of `ring` events whose span stream the monitor rides as a
+/// sink, configured from the controller's own shard count and window.
+fn attach_oracle(
+    controller: &TcpController,
+    ring: usize,
+) -> (openmb_obs::Recorder, Arc<openmb_obs::Monitor>) {
+    let config = controller.engine().config();
+    let oracle = Arc::new(openmb_obs::Monitor::new(openmb_obs::MonitorConfig {
+        shards: config.shards,
+        transfer_window: config.transfer_window,
+        ..openmb_obs::MonitorConfig::default()
+    }));
+    let rec = openmb_obs::Recorder::enabled(ring);
+    rec.add_sink(oracle.clone());
+    controller.set_recorder(rec.clone());
+    (rec, oracle)
+}
+
+/// A controller that hangs up between its request and the reply is the
+/// same disconnect a failed receive reports: the serve loop ends `Ok`.
+#[test]
+fn serve_loop_ends_cleanly_when_the_reply_send_fails() {
+    use openmb_types::transport::Transport;
+    use openmb_types::wire::Message;
+    use openmb_types::{Error, OpId, Result};
+
+    /// Delivers one `GetStats`, then is gone: every send fails.
+    struct HangsUpBeforeReply(std::sync::Mutex<Option<Message>>);
+    impl Transport for HangsUpBeforeReply {
+        fn send(&self, _: Message) -> Result<()> {
+            Err(Error::Transport("peer disconnected".into()))
+        }
+        fn recv_timeout(&self, _: Duration) -> Result<Option<Message>> {
+            self.try_recv()
+        }
+        fn try_recv(&self) -> Result<Option<Message>> {
+            match self.0.lock().unwrap().take() {
+                Some(m) => Ok(Some(m)),
+                None => Err(Error::Transport("peer disconnected".into())),
+            }
+        }
+    }
+
+    let request = Message::GetStats { op: OpId(1), key: HeaderFieldList::any() };
+    let transport = HangsUpBeforeReply(std::sync::Mutex::new(Some(request)));
+    let served = serve_middlebox(&mut loaded_monitor(3), &transport, &AtomicBool::new(false));
+    assert_eq!(served, Ok(()));
+    assert!(transport.0.lock().unwrap().is_none(), "the request was taken and answered");
+}
+
+/// `reattach_mb` while the old connection is still open: from then on
+/// the old connection's frames and its EOF are no-ops — the MB stays
+/// reachable over the new one and no reset is recorded.
+#[test]
+fn a_replaced_connection_is_ignored_from_reattach_on() {
+    use openmb_obs::SpanEvent;
+    use openmb_types::transport::{channel_pair, Transport};
+    use openmb_types::wire::Message;
+    use openmb_types::OpId;
+
+    let mut servers = Servers::new();
+    let mut controller = quick_controller();
+    let (rec, _) = attach_oracle(&controller, 256);
+    let (old_ctl, old_mb) = channel_pair();
+    let old_ctl = Arc::new(old_ctl);
+    let mb = controller.register_mb(old_ctl.clone());
+    controller.start();
+
+    controller.reattach_mb(mb, served_over_channel(loaded_monitor(7), &mut servers));
+    let handled = controller.engine().messages_handled();
+    old_mb.send(Message::OpAck { op: OpId(1) }).unwrap();
+    drop(old_mb);
+    // The old connection's receive thread is gone once it lets go of
+    // the transport; this test's clone is then the only reference.
+    wait_until("the replaced connection's thread exits", || Arc::strong_count(&old_ctl) == 1);
+
+    assert_eq!(controller.engine().messages_handled(), handled, "late frame reached the engine");
+    assert!(!controller.engine().is_unreachable(mb));
+    assert_eq!(report_chunks(&controller, mb), 7);
+    let dump = rec.dump();
+    let count = |ev: SpanEvent| dump.events.iter().filter(|e| e.event == ev).count();
+    assert_eq!(count(SpanEvent::TransportReattached), 1, "{dump}");
+    assert_eq!(count(SpanEvent::TransportReset), 0, "late EOF of a replaced connection:\n{dump}");
+
+    controller.shutdown();
+    servers.shutdown();
+}
+
+/// A middlebox registered after `start()` gets its receive thread at
+/// once.
+#[test]
+fn an_mb_registered_after_start_is_served() {
+    let mut servers = Servers::new();
+    let mut controller = quick_controller();
+    controller.start();
+    let mb = controller.register_mb(served_over_channel(loaded_monitor(5), &mut servers));
+    assert_eq!(report_chunks(&controller, mb), 5);
+    controller.shutdown();
+    servers.shutdown();
+}
+
+/// A disconnect is handled on the MB's own receive thread after that
+/// MB's last frame: N acks queued right before the hang-up are all
+/// applied before the reset is.
+#[test]
+fn frames_queued_before_a_disconnect_are_handled_before_the_reset() {
+    use openmb_core::tcp::handle_southbound;
+    use openmb_obs::SpanEvent;
+    use openmb_types::transport::{channel_pair, Transport};
+    use openmb_types::wire::Message;
+
+    const FLOWS: u8 = 16;
+
+    let mut servers = Servers::new();
+    // The window holds every chunk, so all FLOWS puts are in flight —
+    // and all their acks can be queued — at once.
+    let mut controller = TcpController::new(ControllerConfig {
+        quiesce_after: SimDuration::from_millis(50),
+        transfer_window: u32::from(FLOWS),
+        ..ControllerConfig::default()
+    });
+    let (rec, oracle) = attach_oracle(&controller, 1024);
+    let src = controller.register_mb(served_over_channel(loaded_monitor(FLOWS), &mut servers));
+    let (dst_ctl, dst_mb) = channel_pair();
+    let dst = controller.register_mb(Arc::new(dst_ctl));
+    controller.start();
+
+    let ctrl = &controller;
+    let done = std::thread::scope(|s| {
+        let mover = s.spawn(|| {
+            ctrl.move_internal(src, dst, HeaderFieldList::any(), Duration::from_secs(10)).unwrap()
+        });
+        // The destination by hand: answer everything but hold the acks
+        // back until the last put is applied ...
+        let mut monitor = Monitor::new();
+        let mut acks = Vec::new();
+        while acks.len() < usize::from(FLOWS) {
+            let msg = dst_mb.recv_timeout(Duration::from_secs(10)).unwrap().expect("puts arrive");
+            for reply in handle_southbound(&mut monitor, msg, SimTime(0)) {
+                match reply {
+                    Message::PutAck { .. } => acks.push(reply),
+                    other => dst_mb.send(other).unwrap(),
+                }
+            }
+        }
+        // ... then queue them, one frame each, and hang up.
+        for ack in acks {
+            dst_mb.send(ack).unwrap();
+        }
+        drop(dst_mb);
+        mover.join().unwrap()
+    });
+    assert!(
+        matches!(done, Completion::MoveComplete { chunks_moved, .. } if chunks_moved == usize::from(FLOWS)),
+        "{done:?}"
+    );
+    wait_until("the reset is applied", || ctrl.engine().is_unreachable(dst));
+
+    // Ring order is recording order.
+    let dump = rec.dump();
+    let reset = dump.events.iter().position(|e| e.event == SpanEvent::TransportReset);
+    let acked: Vec<usize> = (0..dump.events.len())
+        .filter(|&i| matches!(dump.events[i].event, SpanEvent::ChunkAcked { .. }))
+        .collect();
+    assert_eq!(acked.len(), usize::from(FLOWS), "{dump}");
+    assert!(acked.iter().all(|&i| Some(i) < reset), "an ack was handled after the reset:\n{dump}");
+    assert_eq!(oracle.violations(), []);
+
+    controller.shutdown();
+    servers.shutdown();
+}
+
+/// `shutdown()` does not wait out a timer or a poll chain, and joins
+/// everything it spawned: afterwards no thread holds a transport.
+#[test]
+fn shutdown_is_prompt_and_leaves_no_thread_behind() {
+    use openmb_types::transport::channel_pair;
+
+    let mut controller = quick_controller();
+    let (ctl_end, _mb_end) = channel_pair();
+    let ctl_end = Arc::new(ctl_end);
+    controller.register_mb(ctl_end.clone());
+    controller.start();
+    assert_eq!(Arc::strong_count(&ctl_end), 3, "the table's and the receive thread's");
+
+    let t0 = std::time::Instant::now();
+    controller.shutdown();
+    assert!(t0.elapsed() < Duration::from_millis(500), "shutdown took {:?}", t0.elapsed());
+    drop(controller);
+    assert_eq!(Arc::strong_count(&ctl_end), 1, "a thread outlived the controller");
+}
+
+/// The TCP embedding under the oracle: a mid-transfer disconnect and
+/// resume over `channel_pair`, then 20 alternating moves over loopback
+/// TCP, all on one controller whose span stream the invariant monitor
+/// checks live. Every move completes with the full chunk count, the
+/// destination reports exactly what the source held, and nothing is
+/// left open.
+#[test]
+fn soak_under_the_monitor_over_tcp_and_a_reattach() {
+    use openmb_core::tcp::{handle_southbound_logged, serve_middlebox_logged};
+    use openmb_mb::SharedPutLog;
+    use openmb_types::transport::{channel_pair, Transport};
+    use openmb_types::wire::Message;
+
+    const FLOWS: u8 = 200;
+    const MOVES: usize = 20;
+    const PUTS_BEFORE_CRASH: usize = 20;
+
+    let mut servers = Servers::new();
+    let mut controller = TcpController::new(ControllerConfig {
+        quiesce_after: SimDuration::from_millis(1),
+        op_deadline: SimDuration::from_secs(30),
+        max_transfer_resumes: 4,
+        resume_after: SimDuration::from_millis(10),
+        buffer_events: true,
+        transfer_window: 8,
+        shards: 2,
+        ..ControllerConfig::default()
+    });
+    let (rec, oracle) = attach_oracle(&controller, 1 << 16);
+    let tcp = [
+        connect(&controller, served_monitor(FLOWS, &mut servers)),
+        connect(&controller, served_monitor(0, &mut servers)),
+    ];
+    let src = controller.register_mb(served_over_channel(loaded_monitor(FLOWS), &mut servers));
+    let (dst_ctl, dst_mb) = channel_pair();
+    let dst = controller.register_mb(Arc::new(dst_ctl));
+    controller.start();
+
+    let all = HeaderFieldList::any;
+    let moved_all = |c: Completion| match c {
+        Completion::MoveComplete { chunks_moved, .. } => {
+            assert_eq!(chunks_moved, usize::from(FLOWS))
+        }
+        other => panic!("move did not complete: {other:?}"),
+    };
+
+    // The destination applies PUTS_BEFORE_CRASH puts and hangs up; once
+    // the controller has parked the move it reconnects (same state and
+    // put-log, fresh transport) and the move resumes.
+    let ctrl = &controller;
+    let expect = stats_of(ctrl, src);
+    std::thread::scope(|s| {
+        let mover = s.spawn(|| ctrl.move_internal(src, dst, all(), Duration::from_secs(20)));
+        let mut monitor = Monitor::new();
+        let mut log = SharedPutLog::new();
+        let mut puts = 0;
+        while puts < PUTS_BEFORE_CRASH {
+            let msg = dst_mb.recv_timeout(Duration::from_secs(10)).unwrap().expect("puts arrive");
+            for reply in handle_southbound_logged(&mut monitor, &mut log, msg, SimTime(0)) {
+                puts += usize::from(matches!(reply, Message::PutAck { .. }));
+                dst_mb.send(reply).unwrap();
+            }
+        }
+        drop(dst_mb);
+        wait_until("the move is parked on the reset", || ctrl.engine().is_unreachable(dst));
+        let (ctl2, mb2) = channel_pair();
+        ctrl.reattach_mb(dst, Arc::new(ctl2));
+        let stop = Arc::clone(&servers.stop);
+        servers.threads.push(std::thread::spawn(move || {
+            serve_middlebox_logged(&mut monitor, &mut log, &mb2, &stop).unwrap();
+        }));
+        moved_all(mover.join().unwrap().unwrap());
+    });
+    assert_eq!(stats_of(ctrl, dst), expect, "resumed move: nothing lost, nothing duplicated");
+
+    let mut holder = 0;
+    for _ in 0..MOVES {
+        let (from, to) = (tcp[holder], tcp[1 - holder]);
+        let expect = stats_of(ctrl, from);
+        moved_all(ctrl.move_internal(from, to, all(), Duration::from_secs(10)).unwrap());
+        // The quiescence deletes run on the maintenance tick.
+        wait_until("the source is emptied", || report_chunks(ctrl, from) == 0);
+        assert_eq!(stats_of(ctrl, to), expect);
+        holder = 1 - holder;
+    }
+
+    wait_until("every op is closed", || ctrl.engine().open_ops() == 0);
+    assert_eq!(oracle.violations(), []);
+    let dump = rec.dump();
+    assert_eq!(dump.evicted, 0, "ring too small for the run: {} events", dump.events.len());
+
     controller.shutdown();
     servers.shutdown();
 }

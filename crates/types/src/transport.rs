@@ -7,22 +7,24 @@
 //!   Unit tests and the discrete-event simulator use this (the simulator
 //!   adds its own latency model on top).
 //! * [`TcpTransport`] — real length-prefixed frames over `std::net`
-//!   TCP, with a reader thread per connection. The `tcp_protocol`
-//!   example and integration tests run the full controller ↔ MB protocol
-//!   over loopback TCP, demonstrating the wire format is a genuine
-//!   network protocol and not just an in-memory enum.
+//!   TCP, read by whichever thread asks for the next message (no thread
+//!   of its own). The `tcp_protocol` example and integration tests run
+//!   the full controller ↔ MB protocol over loopback TCP, demonstrating
+//!   the wire format is a genuine network protocol and not just an
+//!   in-memory enum.
 //!
 //! [`wire::Message`]: crate::wire::Message
 
-use std::io::{BufReader, BufWriter, Write};
+use std::collections::VecDeque;
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::{Error, Result};
-use crate::wire::{read_frame, write_frame, Message};
+use crate::wire::{decode_bytes, encode_frame, Message, MAX_MESSAGE};
 
 /// A bidirectional, ordered, reliable message pipe.
 pub trait Transport: Send {
@@ -74,36 +76,221 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// TCP transport: frames [`Message`]s over a socket with a dedicated
-/// reader thread feeding an internal channel.
+/// How long a `send` waits for room in the peer's socket buffer before
+/// it reads its own incoming frames into the queue and tries again.
+const SEND_STALL: Duration = Duration::from_millis(20);
+
+/// Right after a frame, how long the next `recv_timeout` polls the
+/// socket (non-blocking reads, yielding the CPU between them) before it
+/// blocks. A request/reply exchange in lock step — a windowed state
+/// transfer is ~250 of them — has its next frame on the way within the
+/// peer's service time (~100 µs for a 64-chunk window), while blocking
+/// costs a cross-CPU wake-up per frame whose price on a virtual machine
+/// is 5-100 µs *depending on where the scheduler put the two threads*:
+/// measured run to run, that made one binary's move take anything from
+/// 29 to 60 ms. A receiver that is still running when the reply lands
+/// pays neither the wake-up nor the lottery. Bounded: an idle
+/// connection never polls (only a receive that follows a frame does),
+/// and a reply slower than this is awaited blocked as before.
+const HOT_POLL: Duration = Duration::from_micros(200);
+
+/// TCP transport: frames [`Message`]s over a socket, with no thread of
+/// its own.
+///
+/// * **Receive**: the thread that calls `recv_timeout` reads the socket
+///   itself (a blocking read under the socket's read timeout), so
+///   between a frame arriving and its consumer running there is at most
+///   one wake-up — the kernel's — and no hand-off; right after a frame
+///   it first polls for 200 µs (`HOT_POLL`), so the replies of a lock-step
+///   exchange find it awake. A timeout in the middle of a frame keeps
+///   what was read; the next call resumes it. One receiver at a time: a
+///   second `recv_timeout` waits for the first, and `try_recv` finds
+///   nothing while another thread is receiving.
+/// * **Send** is one `write` per frame ([`encode_frame`]) and never
+///   blocks for good: when the peer leaves no room for 20 ms (`SEND_STALL`)
+///   it may itself be blocked sending to us, so the sender reads
+///   whatever has arrived on this socket into an unbounded queue (which
+///   `recv_timeout` serves first) and tries again. Two endpoints
+///   sending to each other with nobody receiving therefore both finish
+///   — which is what lets a controller send while holding a lock its
+///   own receivers need. (An eager reader thread per connection used
+///   to give the same guarantee, at the price of a second wake-up per
+///   frame.)
 pub struct TcpTransport {
-    writer: parking_lot::Mutex<BufWriter<TcpStream>>,
-    rx: Receiver<Message>,
-    // Keeps the reader thread's handle alive; joined on drop.
-    reader: Option<JoinHandle<()>>,
-    stream: Arc<TcpStream>,
+    /// Serialises senders.
+    writer: parking_lot::Mutex<TcpStream>,
+    /// The receive half: whoever holds it reads the socket.
+    rx: parking_lot::Mutex<Rx>,
+}
+
+struct Rx {
+    stream: BufReader<TcpStream>,
+    /// The read timeout now set on the socket.
+    timeout: Option<Duration>,
+    /// The frame being read: how much of the length prefix is in, then
+    /// the body and how much of it is in.
+    prefix: [u8; 4],
+    prefix_len: usize,
+    body: Option<(Vec<u8>, usize)>,
+    /// Frames a stalled sender read off the socket.
+    queue: VecDeque<Message>,
+    /// EOF, a socket error or an undecodable frame was seen.
+    closed: bool,
+    /// The last receive returned a frame: the next one polls first.
+    hot: bool,
+}
+
+/// What one attempt to complete a frame came to.
+enum Progress {
+    Frame(Message),
+    /// The read timed out (or would block); what was read is kept.
+    NotYet,
+    Closed,
+}
+
+impl Rx {
+    /// Read until a whole frame is in, `deadline` passes, a read times
+    /// out, or the connection ends.
+    fn read_frame(&mut self, deadline: Option<Instant>) -> Progress {
+        loop {
+            let (buf, filled) = match &mut self.body {
+                None => (&mut self.prefix[..], &mut self.prefix_len),
+                Some((body, filled)) => (&mut body[..], filled),
+            };
+            if *filled < buf.len() {
+                match self.stream.read(&mut buf[*filled..]) {
+                    Ok(0) => return Progress::Closed,
+                    Ok(n) => *filled += n,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        return Progress::NotYet
+                    }
+                    Err(_) => return Progress::Closed,
+                }
+                if *filled < buf.len() {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Progress::NotYet;
+                    }
+                    continue;
+                }
+            }
+            match self.body.take() {
+                None => {
+                    let len = u32::from_le_bytes(self.prefix) as usize;
+                    if len > MAX_MESSAGE {
+                        return Progress::Closed;
+                    }
+                    self.body = Some((vec![0u8; len], 0));
+                }
+                Some((body, _)) => {
+                    self.prefix_len = 0;
+                    // Decode through `Bytes` so packet payloads and state
+                    // chunks alias the receive buffer instead of copying
+                    // out of it.
+                    return match decode_bytes(&Bytes::from(body)) {
+                        Ok(msg) => Progress::Frame(msg),
+                        Err(_) => Progress::Closed,
+                    };
+                }
+            }
+        }
+    }
+
+    /// The next message: queued, or read off the socket waiting up to
+    /// `wait` (`None`: not at all).
+    fn recv(&mut self, wait: Option<Duration>) -> Result<Option<Message>> {
+        if let Some(msg) = self.queue.pop_front() {
+            return Ok(Some(msg));
+        }
+        if self.closed {
+            return Err(Error::Transport("connection closed".into()));
+        }
+        let progress = match wait.filter(|w| !w.is_zero()) {
+            None => self.read_pending(Duration::ZERO),
+            Some(wait) => {
+                let polled = match std::mem::take(&mut self.hot) {
+                    true => self.read_pending(wait.min(HOT_POLL)),
+                    false => Progress::NotYet,
+                };
+                match polled {
+                    Progress::NotYet => {
+                        if self.timeout != Some(wait) {
+                            self.stream.get_ref().set_read_timeout(Some(wait))?;
+                            self.timeout = Some(wait);
+                        }
+                        self.read_frame(Instant::now().checked_add(wait))
+                    }
+                    done => done,
+                }
+            }
+        };
+        match progress {
+            Progress::Frame(msg) => {
+                self.hot = true;
+                Ok(Some(msg))
+            }
+            Progress::NotYet => Ok(None),
+            Progress::Closed => {
+                self.closed = true;
+                Err(Error::Transport("connection closed".into()))
+            }
+        }
+    }
+
+    /// [`Rx::read_frame`] without blocking: what the socket already
+    /// holds, or comes to hold within `poll_for` of non-blocking reads
+    /// with the CPU offered to other threads in between. (`O_NONBLOCK`
+    /// is shared with the write half; a concurrent `send` that trips
+    /// over it just tries again.)
+    fn read_pending(&mut self, poll_for: Duration) -> Progress {
+        if self.stream.get_ref().set_nonblocking(true).is_err() {
+            return Progress::Closed;
+        }
+        let start = Instant::now();
+        let progress = loop {
+            match self.read_frame(None) {
+                Progress::NotYet if start.elapsed() < poll_for => std::thread::yield_now(),
+                progress => break progress,
+            }
+        };
+        match self.stream.get_ref().set_nonblocking(false) {
+            Ok(()) => progress,
+            Err(_) => Progress::Closed,
+        }
+    }
+
+    /// Move every frame the socket already holds into the queue.
+    fn drain(&mut self) {
+        while !self.closed {
+            match self.read_pending(Duration::ZERO) {
+                Progress::Frame(msg) => self.queue.push_back(msg),
+                Progress::NotYet => break,
+                Progress::Closed => self.closed = true,
+            }
+        }
+    }
 }
 
 impl TcpTransport {
     /// Wrap an established TCP stream.
     pub fn new(stream: TcpStream) -> Result<Self> {
         stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        let stream = Arc::new(stream);
-        let (tx, rx) = unbounded();
-        let reader = std::thread::spawn(move || {
-            let mut r = BufReader::new(read_half);
-            while let Ok(Some(msg)) = read_frame(&mut r) {
-                if tx.send(msg).is_err() {
-                    break;
-                }
-            }
-        });
+        stream.set_write_timeout(Some(SEND_STALL))?;
+        let rx = Rx {
+            // Room for a whole window's frame (64 chunk bodies ≈ 16 KiB)
+            // in one `read`.
+            stream: BufReader::with_capacity(64 << 10, stream.try_clone()?),
+            timeout: None,
+            prefix: [0; 4],
+            prefix_len: 0,
+            body: None,
+            queue: VecDeque::new(),
+            closed: false,
+            hot: false,
+        };
         Ok(TcpTransport {
-            writer: parking_lot::Mutex::new(BufWriter::new(stream.try_clone()?)),
-            rx,
-            reader: Some(reader),
-            stream,
+            writer: parking_lot::Mutex::new(stream),
+            rx: parking_lot::Mutex::new(rx),
         })
     }
 
@@ -116,48 +303,54 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&self, msg: Message) -> Result<()> {
-        let mut w = self.writer.lock();
-        write_frame(&mut *w, &msg)?;
-        w.flush()?;
+        let frame = encode_frame(&msg)?;
+        let mut writer = self.writer.lock();
+        let mut sent = 0;
+        while sent < frame.len() {
+            match writer.write(&frame[sent..]) {
+                Ok(0) => return Err(Error::Transport("connection closed".into())),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    // No room at the peer: make room for *its* sends. A
+                    // receiver holding `rx` is reading the socket itself.
+                    if let Some(mut rx) = self.rx.try_lock() {
+                        rx.drain();
+                    }
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
         Ok(())
     }
 
-    fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Message>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(Some(m)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(Error::Transport("connection closed".into()))
-            }
-        }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>> {
+        self.rx.lock().recv(Some(timeout))
     }
 
     fn try_recv(&self) -> Result<Option<Message>> {
-        match self.rx.try_recv() {
-            Ok(m) => Ok(Some(m)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                Err(Error::Transport("connection closed".into()))
-            }
+        match self.rx.try_lock() {
+            Some(mut rx) => rx.recv(None),
+            None => Ok(None),
         }
     }
 }
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        // Unblock the reader thread, then join it.
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
+        // Hang up even if the caller kept a clone of the stream.
+        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::VendorKey;
+    use crate::flow::HeaderFieldList;
+    use crate::state::EncryptedChunk;
+    use crate::wire::ChunkClass;
     use crate::OpId;
-    use std::time::Duration;
 
     #[test]
     fn channel_pair_delivers_in_order() {
@@ -201,5 +394,91 @@ mod tests {
             assert_eq!(m, Message::GetAck { op: OpId(i), count: i as u32 });
         }
         server.join().unwrap();
+    }
+
+    /// A connected loopback pair: the raw accepted stream and the
+    /// connecting end wrapped as a transport.
+    fn raw_and_transport() -> (TcpStream, TcpTransport) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        (listener.accept().unwrap().0, client)
+    }
+
+    /// What the eager reader thread used to guarantee: two ends that
+    /// both send far more than the socket buffers hold, with nobody
+    /// receiving, both finish — each stalled sender reads the other's
+    /// frames into its queue — and then receive everything in order.
+    #[test]
+    fn both_ends_sending_with_nobody_receiving_finish() {
+        const FRAMES: u64 = 192; // x 64 KiB = 12 MiB each way
+        let big = |i: u64| Message::ChunkBody {
+            op: OpId(i),
+            class: ChunkClass::Report,
+            key: HeaderFieldList::any(),
+            hash: [7; 32],
+            data: EncryptedChunk::seal(&VendorKey::derive("t"), i, &vec![0u8; 64 << 10]),
+        };
+        let exchange = move |t: TcpTransport| {
+            for i in 0..FRAMES {
+                t.send(big(i)).unwrap();
+            }
+            for i in 0..FRAMES {
+                let m = t.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
+                assert_eq!(m.op_id(), Some(OpId(i)));
+            }
+        };
+        let (raw, a) = raw_and_transport();
+        let b = TcpTransport::new(raw).unwrap();
+        let peer = std::thread::spawn(move || exchange(b));
+        exchange(a);
+        peer.join().unwrap();
+    }
+
+    /// A read timeout in the middle of a frame keeps what was read; the
+    /// rest completes the same frame — on the blocking path (first
+    /// round) and on the poll that follows a frame (second round).
+    /// `try_recv` does not wait.
+    #[test]
+    fn a_frame_arriving_in_pieces_survives_timeouts() {
+        let (mut raw, t) = raw_and_transport();
+        let msg = Message::GetAck { op: OpId(9), count: 3 };
+        let frame = encode_frame(&msg).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(t.try_recv().unwrap(), None);
+        assert!(t0.elapsed() < Duration::from_millis(100), "try_recv waited");
+        for cut in [2, 7] {
+            // Inside the length prefix, then inside the body.
+            raw.write_all(&frame[..cut]).unwrap();
+            assert_eq!(t.recv_timeout(Duration::from_millis(20)).unwrap(), None);
+            assert_eq!(t.try_recv().unwrap(), None);
+            raw.write_all(&frame[cut..]).unwrap();
+            assert_eq!(t.recv_timeout(Duration::from_secs(5)).unwrap(), Some(msg.clone()));
+        }
+        raw.write_all(&frame).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match t.try_recv().unwrap() {
+                Some(m) => break assert_eq!(m, msg),
+                None => assert!(Instant::now() < deadline, "frame never arrived"),
+            }
+        }
+    }
+
+    /// A peer that hangs up is an error only after the frames it sent,
+    /// and stays one.
+    #[test]
+    fn hangup_is_reported_after_the_last_frame() {
+        let (mut raw, t) = raw_and_transport();
+        for i in 0..2 {
+            raw.write_all(&encode_frame(&Message::OpAck { op: OpId(i) }).unwrap()).unwrap();
+        }
+        raw.write_all(&[9, 0]).unwrap(); // half a length prefix
+        drop(raw);
+        for i in 0..2 {
+            let m = t.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(m, Some(Message::OpAck { op: OpId(i) }));
+        }
+        assert!(t.recv_timeout(Duration::from_secs(5)).is_err());
+        assert!(t.try_recv().is_err());
     }
 }

@@ -914,6 +914,12 @@ mod tag {
 /// Encode a message body (no length prefix).
 pub fn encode(msg: &Message) -> Vec<u8> {
     let mut w = Writer::new();
+    encode_into(&mut w, msg);
+    w.into_bytes()
+}
+
+/// Append `msg`'s encoding to `w`.
+fn encode_into(w: &mut Writer, msg: &Message) {
     match msg {
         Message::GetConfig { op, key } => {
             w.u8(tag::GET_CONFIG);
@@ -1132,7 +1138,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             }
         }
     }
-    w.into_bytes()
 }
 
 // ---------------------------------------------------------------------------
@@ -1472,14 +1477,25 @@ fn decode_with(mut r: Reader<'_>) -> Result<Message> {
     Ok(msg)
 }
 
-/// Write a length-prefixed frame to an `io::Write`.
-pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &Message) -> Result<()> {
-    let body = encode(msg);
-    if body.len() > MAX_MESSAGE {
-        return Err(Error::Codec(format!("message too large: {} bytes", body.len())));
+/// One length-prefixed frame — prefix and body in one buffer, encoded
+/// in place (no second copy).
+pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
+    let mut frame = Writer { buf: Vec::with_capacity(4 + encoded_len(msg)) };
+    frame.u32(0); // the length, patched in once the body is encoded
+    encode_into(&mut frame, msg);
+    let len = frame.buf.len() - 4;
+    if len > MAX_MESSAGE {
+        return Err(Error::Codec(format!("message too large: {len} bytes")));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
+    frame.buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(frame.buf)
+}
+
+/// Write a length-prefixed frame to an `io::Write` in one `write_all`,
+/// so an unbuffered socket sends no lone 4-byte segment and the peer
+/// wakes once per frame.
+pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &Message) -> Result<()> {
+    w.write_all(&encode_frame(msg)?)?;
     Ok(())
 }
 
@@ -1801,6 +1817,44 @@ mod tests {
             } else {
                 assert!(matches!(end, Err(Error::Transport(_))), "{extra} prefix bytes: {end:?}");
             }
+        }
+    }
+
+    /// A frame is one `write`, whatever its size: no lone 4-byte prefix
+    /// segment ahead of a body larger than any buffer in between.
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        struct CountingWrite {
+            calls: usize,
+            bytes: Vec<u8>,
+        }
+        impl std::io::Write for CountingWrite {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.calls += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let body = |i: u64| Message::ChunkBody {
+            op: OpId(i),
+            class: ChunkClass::Report,
+            key: HeaderFieldList::exact(fk()),
+            hash: [i as u8 + 1; 32],
+            data: EncryptedChunk::seal(&VendorKey::derive("t"), i, &[0u8; 200]),
+        };
+        let batch = Message::Batch { msgs: (0..64).map(body).collect() };
+        assert!(encoded_len(&batch) > 8 << 10);
+        for (msg, frame_len) in
+            [(batch.clone(), 4 + encoded_len(&batch)), (Message::OpAck { op: OpId(1) }, 13)]
+        {
+            let mut w = CountingWrite { calls: 0, bytes: Vec::new() };
+            write_frame(&mut w, &msg).unwrap();
+            assert_eq!(w.calls, 1, "{frame_len}-byte frame");
+            assert_eq!(w.bytes.len(), frame_len);
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap(), Some(msg));
         }
     }
 
