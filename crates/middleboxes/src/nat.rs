@@ -88,14 +88,30 @@ fn parse_mapping_spec(s: &str) -> Option<FlowKey> {
     ))
 }
 
+/// What packets need from the config tree, parsed when it is written.
+#[derive(Clone, Copy)]
+struct Compiled {
+    external_ip: Option<Ipv4Addr>,
+    timeout: SimDuration,
+    /// `port_range/start` and `/end`, both allocatable.
+    ports: (u16, u16),
+}
+
 /// The NAT middlebox.
 #[derive(Clone)]
 pub struct Nat {
     config: ConfigTree,
+    /// [`Nat::compile_config`] of `config`.
+    compiled: Compiled,
     /// internal flow → mapping.
     mappings: HashMap<FlowKey, NatMapping>,
     /// external port → internal flow (reverse path).
     by_port: HashMap<u16, FlowKey>,
+    /// No resident mapping has an older `last_used_ns`. A touch only
+    /// moves a mapping forward, so packets leave it alone; every insert
+    /// lowers it and a sweep recomputes it. While the expiry cutoff has
+    /// not passed it, [`Nat::expire`] has nothing to find.
+    oldest_bound_ns: u64,
     /// Shared supporting state: the port allocator cursor.
     next_port: u16,
     sync: SyncTracker,
@@ -118,9 +134,11 @@ impl Nat {
         config.set(&HierarchicalKey::parse("port_range/end"), vec![ConfigValue::Int(60000)]);
         config.set(&HierarchicalKey::parse("mapping_timeout_ms"), vec![ConfigValue::Int(30_000)]);
         Nat {
+            compiled: Self::compile_config(&config),
             config,
             mappings: HashMap::new(),
             by_port: HashMap::new(),
+            oldest_bound_ns: u64::MAX,
             next_port: 20000,
             sync: SyncTracker::new(),
             sealer: Sealer::new("nat", 1),
@@ -129,34 +147,31 @@ impl Nat {
         }
     }
 
-    fn external_ip(&self) -> Ipv4Addr {
-        self.config
-            .get_leaf(&HierarchicalKey::parse("external_ip"))
-            .and_then(|v| v.first().and_then(|c| c.as_str().map(str::to_owned)))
-            .and_then(|s| s.parse().ok())
-            .expect("external_ip always configured")
+    /// Every writer of `config` ends by storing this, so packets never
+    /// parse it.
+    fn compile_config(config: &ConfigTree) -> Compiled {
+        let int = |key: &str, default: i64| {
+            config
+                .get_leaf(&HierarchicalKey::parse(key))
+                .and_then(|v| v.first().and_then(ConfigValue::as_int))
+                .unwrap_or(default)
+        };
+        Compiled {
+            external_ip: config
+                .get_leaf(&HierarchicalKey::parse("external_ip"))
+                .and_then(|v| v.first().and_then(ConfigValue::as_str))
+                .and_then(|s| s.parse().ok()),
+            timeout: SimDuration::from_millis(int("mapping_timeout_ms", 30_000).max(1) as u64),
+            ports: (int("port_range/start", 20000) as u16, int("port_range/end", 60000) as u16),
+        }
     }
 
-    fn timeout(&self) -> SimDuration {
-        let ms = self
-            .config
-            .get_leaf(&HierarchicalKey::parse("mapping_timeout_ms"))
-            .and_then(|v| v.first().and_then(ConfigValue::as_int))
-            .unwrap_or(30_000);
-        SimDuration::from_millis(ms.max(1) as u64)
+    fn external_ip(&self) -> Ipv4Addr {
+        self.compiled.external_ip.expect("external_ip always configured")
     }
 
     fn alloc_port(&mut self) -> u16 {
-        let (start, end) = (
-            self.config
-                .get_leaf(&HierarchicalKey::parse("port_range/start"))
-                .and_then(|v| v.first().and_then(ConfigValue::as_int))
-                .unwrap_or(20000) as u16,
-            self.config
-                .get_leaf(&HierarchicalKey::parse("port_range/end"))
-                .and_then(|v| v.first().and_then(ConfigValue::as_int))
-                .unwrap_or(60000) as u16,
-        );
+        let (start, end) = self.compiled.ports;
         for _ in 0..=(end - start) {
             let p = self.next_port;
             self.next_port = if self.next_port >= end { start } else { self.next_port + 1 };
@@ -167,6 +182,24 @@ impl Nat {
         panic!("NAT port pool exhausted");
     }
 
+    /// What the side tables hold about `m`, on its way into `mappings`:
+    /// the reverse index and the expiry bound. Every insert path calls
+    /// this.
+    fn index_mapping(&mut self, m: &NatMapping) {
+        self.by_port.insert(m.external_port, m.internal);
+        self.oldest_bound_ns = self.oldest_bound_ns.min(m.last_used_ns);
+    }
+
+    /// A mapping for the outbound flow `key`, first seen at `now`, on a
+    /// freshly allocated external port (returned).
+    fn create_mapping(&mut self, key: FlowKey, now: SimTime) -> u16 {
+        let external_port = self.alloc_port();
+        let m = NatMapping { internal: key, external_port, last_used_ns: now.0, packets: 0 };
+        self.index_mapping(&m);
+        self.mappings.insert(key, m);
+        external_port
+    }
+
     /// The shared supporting state on the wire: the allocator cursor.
     fn serialize_cursor(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -175,15 +208,31 @@ impl Nat {
     }
 
     /// Expire idle mappings (called per packet, like a real NAT's timer
-    /// wheel would on packet-driven ticks).
+    /// wheel would on packet-driven ticks). The table is walked only
+    /// once the cutoff has passed `oldest_bound_ns`.
     fn expire(&mut self, now: SimTime, fx: &mut Effects) {
-        let cutoff = now.0.saturating_sub(self.timeout().as_nanos());
-        let expired: Vec<FlowKey> = self
-            .mappings
-            .values()
-            .filter(|m| m.last_used_ns < cutoff)
-            .map(|m| m.internal)
-            .collect();
+        let cutoff = now.0.saturating_sub(self.compiled.timeout.as_nanos());
+        if cutoff > self.oldest_bound_ns {
+            self.sweep(cutoff, fx);
+        }
+        // Every touch this call goes on to make stamps `now`; only a
+        // clock that stepped back makes this lower the bound.
+        self.oldest_bound_ns = self.oldest_bound_ns.min(now.0);
+    }
+
+    /// Remove every mapping last used before `cutoff` and make the
+    /// bound exact again.
+    fn sweep(&mut self, cutoff: u64, fx: &mut Effects) {
+        let mut oldest_kept = u64::MAX;
+        let mut expired: Vec<FlowKey> = Vec::new();
+        for m in self.mappings.values() {
+            if m.last_used_ns < cutoff {
+                expired.push(m.internal);
+            } else {
+                oldest_kept = oldest_kept.min(m.last_used_ns);
+            }
+        }
+        self.oldest_bound_ns = oldest_kept;
         for key in expired {
             if let Some(m) = self.mappings.remove(&key) {
                 self.by_port.remove(&m.external_port);
@@ -256,17 +305,15 @@ impl Middlebox for Nat {
                 key: key.to_string(),
                 reason: format!("unparseable mapping spec: {spec}"),
             })?;
-            self.by_port.insert(ext_port, internal);
-            self.mappings.insert(
+            let m = NatMapping {
                 internal,
-                NatMapping {
-                    internal,
-                    external_port: ext_port,
-                    // Non-critical state at defaults: fresh timestamps.
-                    last_used_ns: 0,
-                    packets: 0,
-                },
-            );
+                external_port: ext_port,
+                // Non-critical state at defaults: fresh timestamps.
+                last_used_ns: 0,
+                packets: 0,
+            };
+            self.index_mapping(&m);
+            self.mappings.insert(internal, m);
         }
         if key.to_string() == "external_ip" {
             let ok = values
@@ -282,11 +329,14 @@ impl Middlebox for Nat {
             }
         }
         self.config.set(key, values);
+        self.compiled = Self::compile_config(&self.config);
         Ok(())
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        self.config.remove(key)
+        self.config.remove(key)?;
+        self.compiled = Self::compile_config(&self.config);
+        Ok(())
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
@@ -295,7 +345,7 @@ impl Middlebox for Nat {
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
         let m = NatMapping::deserialize(&self.sealer.open(&chunk.data)?)?;
-        self.by_port.insert(m.external_port, m.internal);
+        self.index_mapping(&m);
         state::import(&mut self.mappings, &mut self.sync, m.internal, m);
         Ok(())
     }
@@ -328,11 +378,7 @@ impl Middlebox for Nat {
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
         self.next_port = match self.sealer.open_opt(snap.support)? {
             Some(plain) => Reader::new(&plain).u16()?,
-            None => self
-                .config
-                .get_leaf(&HierarchicalKey::parse("port_range/start"))
-                .and_then(|v| v.first().and_then(ConfigValue::as_int))
-                .unwrap_or(20000) as u16,
+            None => self.compiled.ports.0,
         };
         Ok(())
     }
@@ -377,17 +423,8 @@ impl Middlebox for Nat {
         // Outbound: find or create a mapping for the internal flow.
         let key = pkt.key;
         let created = !self.mappings.contains_key(&key);
-        let external_port = if created {
-            let p = self.alloc_port();
-            self.by_port.insert(p, key);
-            self.mappings.insert(
-                key,
-                NatMapping { internal: key, external_port: p, last_used_ns: now.0, packets: 0 },
-            );
-            p
-        } else {
-            self.mappings[&key].external_port
-        };
+        let external_port =
+            if created { self.create_mapping(key, now) } else { self.mappings[&key].external_port };
         {
             let m = self.mappings.get_mut(&key).expect("mapping exists");
             m.last_used_ns = now.0;
@@ -415,8 +452,8 @@ impl Middlebox for Nat {
     /// mapping touched at `now` has `last_used_ns = now` and cannot
     /// cross the cutoff, which sits at least one timeout before `now`),
     /// and the serial loop raises all expiry events before the first
-    /// packet's other events anyway. The external-IP parse is hoisted to
-    /// one per batch, and a same-flow run shares one mapping lookup.
+    /// packet's other events anyway. A same-flow run shares one mapping
+    /// lookup.
     fn process_batch(&mut self, now: SimTime, pkts: &[Packet], fx: &mut Effects) {
         if pkts.len() < 2 {
             if let Some(pkt) = pkts.first() {
@@ -489,13 +526,7 @@ impl Middlebox for Nat {
             let key = run_key;
             let created = !self.mappings.contains_key(&key);
             let external_port = if created {
-                let p = self.alloc_port();
-                self.by_port.insert(p, key);
-                self.mappings.insert(
-                    key,
-                    NatMapping { internal: key, external_port: p, last_used_ns: now.0, packets: 0 },
-                );
-                p
+                self.create_mapping(key, now)
             } else {
                 self.mappings[&key].external_port
             };
@@ -697,5 +728,118 @@ mod tests {
         let mut dedup = ports.clone();
         dedup.dedup();
         assert_eq!(ports.len(), dedup.len(), "no duplicate external ports");
+    }
+
+    /// A packet of some other flow at `now`: what drives lazy expiry.
+    fn tick(nat: &mut Nat, now: SimTime) {
+        nat.process_packet(now, &outbound(99, 9999), &mut Effects::normal());
+    }
+
+    fn ports(nat: &Nat) -> Vec<u16> {
+        nat.mappings_sorted().iter().map(|m| m.internal.src_port).collect()
+    }
+
+    const SEC: u64 = 1_000_000_000;
+
+    #[test]
+    fn imported_old_mapping_expires_at_next_packet() {
+        let mut a = Nat::new(ip(5, 5, 5, 5));
+        a.process_packet(SimTime(0), &outbound(1, 1000), &mut Effects::normal());
+        let chunks = a.get_support_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
+        // The destination has only fresh mappings of its own when the
+        // 31-second-old one lands.
+        let mut b = Nat::new(ip(5, 5, 5, 5));
+        tick(&mut b, SimTime(31 * SEC));
+        for c in chunks {
+            b.put_support_perflow(c).unwrap();
+        }
+        assert_eq!(ports(&b), vec![1000, 9999]);
+        tick(&mut b, SimTime(31 * SEC));
+        assert_eq!(ports(&b), vec![9999], "imported with last_used_ns 0: idle past the timeout");
+    }
+
+    #[test]
+    fn static_mapping_expires_one_timeout_after_zero() {
+        let mut nat = Nat::new(ip(5, 5, 5, 5));
+        tick(&mut nat, SimTime(29 * SEC));
+        let internal = FlowKey::tcp(ip(10, 0, 0, 1), 1000, ip(8, 8, 8, 8), 80);
+        nat.set_config(
+            &HierarchicalKey::parse("static_mappings/20077"),
+            vec![ConfigValue::Str(Nat::mapping_spec(&internal))],
+        )
+        .unwrap();
+        // Its timestamp is 0, not the time of the write.
+        tick(&mut nat, SimTime(30 * SEC));
+        assert_eq!(ports(&nat), vec![1000, 9999], "idle for exactly the timeout: kept");
+        tick(&mut nat, SimTime(30 * SEC + 1));
+        assert_eq!(ports(&nat), vec![9999]);
+    }
+
+    #[test]
+    fn shorter_timeout_applies_at_the_next_packet() {
+        let mut nat = Nat::new(ip(5, 5, 5, 5));
+        nat.process_packet(SimTime(0), &outbound(1, 1000), &mut Effects::normal());
+        tick(&mut nat, SimTime(10 * SEC));
+        assert_eq!(ports(&nat), vec![1000, 9999]);
+        let key = HierarchicalKey::parse("mapping_timeout_ms");
+        nat.set_config(&key, vec![ConfigValue::Int(5_000)]).unwrap();
+        tick(&mut nat, SimTime(10 * SEC));
+        assert_eq!(ports(&nat), vec![9999]);
+        // Deleting the leaf falls back to the 30 s default.
+        nat.del_config(&key).unwrap();
+        tick(&mut nat, SimTime(20 * SEC));
+        assert_eq!(ports(&nat), vec![9999], "touched at 10 s, 30 s timeout again");
+    }
+
+    #[test]
+    fn sweep_after_deleting_the_oldest_still_expires_the_next_oldest() {
+        let mut nat = Nat::new(ip(5, 5, 5, 5));
+        for (at, sp) in [(0, 1000), (SEC, 2000), (20 * SEC, 3000)] {
+            nat.process_packet(SimTime(at), &outbound(1, sp), &mut Effects::normal());
+        }
+        let oldest = HeaderFieldList::exact(outbound(1, 1000).key);
+        assert_eq!(nat.del_support_perflow(&oldest).unwrap(), 1);
+        tick(&mut nat, SimTime(31 * SEC + SEC / 2));
+        assert_eq!(ports(&nat), vec![3000, 9999]);
+    }
+
+    #[test]
+    fn sweep_that_removes_nothing_still_finds_the_next_to_expire() {
+        let mut nat = Nat::new(ip(5, 5, 5, 5));
+        nat.process_packet(SimTime(0), &outbound(1, 1000), &mut Effects::normal());
+        nat.process_packet(SimTime(10 * SEC), &outbound(2, 2000), &mut Effects::normal());
+        nat.process_packet(SimTime(20 * SEC), &outbound(3, 1000), &mut Effects::normal());
+        // 31 s: the flow created at 0 was touched at 20 s — nothing goes.
+        nat.process_packet(SimTime(31 * SEC), &outbound(4, 1000), &mut Effects::normal());
+        assert_eq!(ports(&nat), vec![1000, 2000]);
+        // 41 s: the one idle since 10 s does.
+        nat.process_packet(SimTime(41 * SEC), &outbound(5, 1000), &mut Effects::normal());
+        assert_eq!(ports(&nat), vec![1000]);
+    }
+
+    #[test]
+    fn touch_with_an_earlier_clock_can_still_expire() {
+        let mut nat = Nat::new(ip(5, 5, 5, 5));
+        nat.process_packet(SimTime(100 * SEC), &outbound(1, 1000), &mut Effects::normal());
+        // `now` is the caller's: a touch may stamp an earlier time.
+        nat.process_packet(SimTime(50 * SEC), &outbound(2, 1000), &mut Effects::normal());
+        tick(&mut nat, SimTime(81 * SEC));
+        assert_eq!(ports(&nat), vec![9999], "last used at 50 s, cutoff 51 s");
+    }
+
+    #[test]
+    fn external_ip_write_applies_at_the_next_packet_or_not_at_all() {
+        let mut nat = Nat::new(ip(5, 5, 5, 5));
+        let key = HierarchicalKey::parse("external_ip");
+        let src_ip = |nat: &mut Nat| {
+            let mut fx = Effects::normal();
+            nat.process_packet(SimTime(0), &outbound(1, 1000), &mut fx);
+            fx.take_output().unwrap().key.src_ip
+        };
+        nat.set_config(&key, vec![ConfigValue::Str("6.6.6.6".into())]).unwrap();
+        assert_eq!(src_ip(&mut nat), ip(6, 6, 6, 6));
+        assert!(nat.set_config(&key, vec![ConfigValue::Str("six".into())]).is_err());
+        assert_eq!(src_ip(&mut nat), ip(6, 6, 6, 6), "a rejected write changes nothing");
+        assert_eq!(nat.get_config(&key).unwrap()[0].1, vec![ConfigValue::Str("6.6.6.6".into())]);
     }
 }

@@ -2,15 +2,18 @@
 //!
 //! A counting global allocator wraps `System`; the test drives the
 //! Firewall established exact-match path, the NAT outbound established
-//! path and the IPS established-connection data path through
-//! `process_batch` at two batch sizes with pre-warmed buffers, and
-//! asserts the allocation count does not grow with the batch size —
-//! i.e. zero allocations *per packet* once conntrack/mapping/connection
-//! entries exist and the `Effects` buffers have reached their
-//! high-water mark. (Packet clones are refcount bumps on the shared
-//! payload, log lines only form on the deny/drop/request/alert paths,
-//! and the per-batch expire sweep collects nothing when nothing
-//! expires.)
+//! path, the Monitor known-flow path and the IPS established-connection
+//! data path through `process_batch` at two batch sizes with pre-warmed
+//! buffers, and asserts the allocation count does not grow with the
+//! batch size — i.e. zero allocations *per packet* once
+//! conntrack/mapping/asset/connection entries exist and the `Effects`
+//! buffers have reached their high-water mark. (Packet clones are
+//! refcount bumps on the shared payload, log lines only form on the
+//! deny/drop/request/alert paths, and the NAT neither reads its config
+//! tree nor walks its table while nothing can have expired.) Firewall,
+//! NAT and IPS allocate nothing per *batch* either; the Monitor still
+//! reads its service table out of the config tree once per batch (39
+//! allocations, whatever the batch holds).
 //!
 //! The same counter audits the control path's import side: opening a
 //! sealed 1 520-byte chunk (the size `move_live_1400B` moves) allocates
@@ -27,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::ips::{ConnRecord, ConnState, HttpAnalyzer};
-use openmb_middleboxes::{Firewall, Ips, Nat};
+use openmb_middleboxes::{Firewall, Ips, Monitor, Nat};
 use openmb_simnet::SimTime;
 use openmb_types::crypto::VendorKey;
 use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, Packet, StateChunk};
@@ -81,70 +84,72 @@ fn train(key: FlowKey, n: usize) -> Vec<Packet> {
     (0..n).map(|i| Packet::new(i as u64 + 1, key, vec![0u8; 32])).collect()
 }
 
+/// Allocations of one `process_batch` of `small` and of one of `large`,
+/// after a warm-up batch of `large` has created the flow's entry and
+/// grown the `Effects` buffers to their high-water mark.
+fn batch_allocs(
+    mb: &mut impl Middlebox,
+    small: &[Packet],
+    large: &[Packet],
+    fx: &mut Effects,
+) -> (u64, u64) {
+    let now = SimTime(1_000_000_000);
+    mb.process_batch(now, large, fx);
+    fx.reset();
+    let at_small = allocs_during(|| mb.process_batch(now, small, fx));
+    fx.reset();
+    let at_large = allocs_during(|| mb.process_batch(now, large, fx));
+    fx.reset();
+    (at_small, at_large)
+}
+
 #[test]
 fn steady_state_batch_path_allocates_nothing_per_packet() {
-    let now = SimTime(1_000_000_000);
+    let mut fx = Effects::normal();
+    let dst = |d: u8| Ipv4Addr::new(93, 184, 216, d);
 
     // Firewall: one allowed flow (tcp/80), conntrack entry established
-    // by the warmup batch, Effects buffers grown to the larger size.
-    let fw_key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 3001, Ipv4Addr::new(93, 184, 216, 1), 80);
-    let small = train(fw_key, 32);
-    let large = train(fw_key, 256);
-    let mut fw = Firewall::new();
-    let mut fx = Effects::normal();
-    fw.process_batch(now, &large, &mut fx);
-    fx.reset();
-
-    let fw_32 = allocs_during(|| fw.process_batch(now, &small, &mut fx));
-    fx.reset();
-    let fw_256 = allocs_during(|| fw.process_batch(now, &large, &mut fx));
-    fx.reset();
+    // by the warm-up batch.
+    let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 3001, dst(1), 80);
+    let (fw_32, fw_256) =
+        batch_allocs(&mut Firewall::new(), &train(key, 32), &train(key, 256), &mut fx);
     assert_eq!(
         fw_32, fw_256,
         "firewall exact-match batch path allocates per packet ({fw_32} at 32 vs {fw_256} at 256)"
     );
     assert_eq!(fw_32, 0, "firewall exact-match batch path should be allocation-free");
 
-    // NAT: one outbound flow, mapping established by the warmup batch.
-    // The per-batch expire sweep may read config (constant per call),
-    // so the assertion is per-packet flatness, not absolute zero.
-    let nat_key =
-        FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 2), 4002, Ipv4Addr::new(93, 184, 216, 2), 80);
-    let small = train(nat_key, 32);
-    let large = train(nat_key, 256);
+    // NAT: one outbound flow, mapping established by the warm-up batch.
+    let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 2), 4002, dst(2), 80);
     let mut nat = Nat::new(Ipv4Addr::new(198, 51, 100, 1));
-    nat.process_batch(now, &large, &mut fx);
-    fx.reset();
-
-    let nat_32 = allocs_during(|| nat.process_batch(now, &small, &mut fx));
-    fx.reset();
-    let nat_256 = allocs_during(|| nat.process_batch(now, &large, &mut fx));
-    fx.reset();
+    let (nat_32, nat_256) = batch_allocs(&mut nat, &train(key, 32), &train(key, 256), &mut fx);
     assert_eq!(
         nat_32, nat_256,
         "nat outbound established batch path allocates per packet ({nat_32} at 32 vs {nat_256} at 256)"
+    );
+    assert_eq!(nat_32, 0, "nat outbound established batch path should be allocation-free");
+
+    // Monitor: one known flow, asset record created by the warm-up
+    // batch. Flat per packet only: see the header.
+    let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 5), 7005, dst(5), 80);
+    let (mon_32, mon_256) =
+        batch_allocs(&mut Monitor::new(), &train(key, 32), &train(key, 256), &mut fx);
+    assert_eq!(
+        mon_32, mon_256,
+        "monitor known-flow batch path allocates per packet ({mon_32} at 32 vs {mon_256} at 256)"
     );
 
     // IPS: data packets of one open port-80 connection — a line that is
     // not a request, then filler, 1 400 bytes in all. The analyzer's
     // line buffer, the signature tail and the hit list are at their
-    // high-water marks after the warmup batch.
-    let ips_key =
-        FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 3), 5003, Ipv4Addr::new(93, 184, 216, 3), 80);
+    // high-water marks after the warm-up batch.
+    let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 3), 5003, dst(3), 80);
     let mut payload = b"X-Seq: 0123abcd\r\n".to_vec();
     payload.resize(1400, b'e');
     let data = |n: usize| -> Vec<Packet> {
-        (0..n).map(|i| Packet::new(i as u64 + 1, ips_key, payload.clone())).collect()
+        (0..n).map(|i| Packet::new(i as u64 + 1, key, payload.clone())).collect()
     };
-    let (small, large) = (data(32), data(256));
-    let mut ips = Ips::new();
-    ips.process_batch(now, &large, &mut fx);
-    fx.reset();
-
-    let ips_32 = allocs_during(|| ips.process_batch(now, &small, &mut fx));
-    fx.reset();
-    let ips_256 = allocs_during(|| ips.process_batch(now, &large, &mut fx));
-    fx.reset();
+    let (ips_32, ips_256) = batch_allocs(&mut Ips::new(), &data(32), &data(256), &mut fx);
     assert_eq!(
         ips_32, ips_256,
         "ips data-packet path allocates per packet ({ips_32} at 32 vs {ips_256} at 256)"

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use openmb_simnet::obs::SpanEvent;
-use openmb_simnet::{Ctx, Frame, Node, SimDuration};
+use openmb_simnet::{Ctx, Frame, Node, SimDuration, SimTime};
 use openmb_types::sdn::{SdnAction, SdnMessage};
 use openmb_types::NodeId;
 
@@ -27,8 +27,8 @@ pub struct Switch {
     /// Packets dropped due to table miss (no controller attached).
     pub dropped: u64,
     /// Packets that finished table lookup and are waiting out the
-    /// pipeline delay before egress.
-    pending_out: VecDeque<(NodeId, openmb_types::Packet)>,
+    /// pipeline delay before egress, each with the time it is over.
+    pending_out: VecDeque<(SimTime, NodeId, openmb_types::Packet)>,
     label: String,
 }
 
@@ -82,7 +82,7 @@ impl Switch {
                     // Simpler and equivalent under FIFO links: add the
                     // delay by scheduling the send from now+delay.
                     let delay = self.forwarding_delay;
-                    self.pending_out.push_back((next, pkt));
+                    self.pending_out.push_back((ctx.now().after(delay), next, pkt));
                     ctx.set_timer(delay, TIMER_FLUSH);
                 }
             }
@@ -108,7 +108,10 @@ const TIMER_FLUSH: u64 = 1;
 impl Switch {
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
         // Timers fire in order, one per queued packet: emit the oldest.
-        if let Some((next, pkt)) = self.pending_out.pop_front() {
+        // A timer armed before a crash that fires after a quick restart
+        // finds its own packet gone and a younger one not yet due.
+        if self.pending_out.front().is_some_and(|(due, ..)| *due <= ctx.now()) {
+            let (_, next, pkt) = self.pending_out.pop_front().expect("front checked");
             ctx.send(next, Frame::Data(pkt));
         }
     }
@@ -148,6 +151,15 @@ impl Node for Switch {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TIMER_FLUSH {
             self.flush(ctx);
+        }
+    }
+
+    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
+        // The pipeline's contents die with the switch, as the engine
+        // discards the timers that would have emitted them; the flow
+        // table (like an MB's tables) is kept.
+        for (_, _, pkt) in self.pending_out.drain(..) {
+            ctx.record(None, None, SpanEvent::PacketDropped { pkt_id: pkt.id });
         }
     }
 

@@ -3,7 +3,8 @@
 //! barriers, and mid-run rule updates with in-flight packets.
 
 use openmb_openflow::Switch;
-use openmb_simnet::{Ctx, Frame, Node, Sim, SimDuration, SimTime};
+use openmb_simnet::obs::{Recorder, SpanEvent};
+use openmb_simnet::{Ctx, FaultPlan, Frame, Node, Sim, SimDuration, SimTime};
 use openmb_types::sdn::{FlowRule, SdnAction, SdnMessage};
 use openmb_types::{FlowKey, HeaderFieldList, NodeId, Packet};
 use std::net::Ipv4Addr;
@@ -154,4 +155,58 @@ fn pipeline_delay_preserves_fifo_order() {
     let probe: &Probe = sim.node_as(b);
     let ids: Vec<u64> = probe.data.iter().map(|(_, id)| *id).collect();
     assert_eq!(ids, (1..=20).collect::<Vec<_>>(), "FIFO through the pipeline");
+}
+
+/// `k` packets are inside the pipeline when the switch crashes; after
+/// the restart `n` more enter. Returns what the far probe saw and the
+/// ids the recorder counts as dropped.
+fn crash_mid_pipeline(restart_after: SimDuration) -> (Vec<(SimTime, u64)>, Vec<u64>) {
+    const CRASH: SimTime = SimTime(100_000);
+    let mut sw = Switch::new("t").with_forwarding_delay(SimDuration::from_micros(5));
+    sw.preinstall(FlowRule::new(HeaderFieldList::any(), 1, SdnAction::Forward(NodeId(2))));
+    let (mut sim, a, s, b, _c) = world(sw);
+    sim.set_recorder(Recorder::enabled(4096));
+    let restart = CRASH.after(restart_after);
+    sim.set_fault_plan(FaultPlan::seeded(1).crash_restart(s, CRASH, restart));
+    // k = 3, each 1 µs apart, the first 3 µs before the crash.
+    for i in 0..3u64 {
+        sim.inject_frame(SimTime(CRASH.0 - 3_000 + i * 1_000), a, s, Frame::Data(pkt(i + 1, 80)));
+    }
+    // n = 4 from 1 µs after the restart, 2 µs apart.
+    for i in 0..4u64 {
+        sim.inject_frame(
+            SimTime(restart.0 + 1_000 + i * 2_000),
+            a,
+            s,
+            Frame::Data(pkt(i + 10, 80)),
+        );
+    }
+    sim.run(10_000);
+    let dropped = sim
+        .recorder()
+        .dump()
+        .events
+        .iter()
+        .filter_map(|e| match e.event {
+            SpanEvent::PacketDropped { pkt_id } => Some(pkt_id),
+            _ => None,
+        })
+        .collect();
+    (sim.node_as::<Probe>(b).data.clone(), dropped)
+}
+
+#[test]
+fn crash_empties_the_pipeline() {
+    // Restarting 1 ms later (the crash-era timers are long discarded)
+    // and 1 µs later (two of them fire after the restart, before any
+    // post-restart packet is due).
+    for restart_after in [SimDuration::from_millis(1), SimDuration::from_micros(1)] {
+        let (seen, dropped) = crash_mid_pipeline(restart_after);
+        let restart = 100_000 + restart_after.as_nanos();
+        // In at restart + 1, 3, 5, 7 µs; out 5 µs pipeline + 10 µs link later.
+        let want: Vec<(SimTime, u64)> =
+            (0..4u64).map(|i| (SimTime(restart + 16_000 + i * 2_000), i + 10)).collect();
+        assert_eq!(seen, want, "exactly the post-restart packets, none late or early");
+        assert_eq!(dropped, vec![1, 2, 3], "the crash accounts for what it lost");
+    }
 }

@@ -207,7 +207,7 @@ impl RuleRng {
         RuleRng { state: seed ^ (rule_idx as u64).wrapping_mul(0xA076_1D64_78BD_642F) }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
