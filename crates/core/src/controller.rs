@@ -69,7 +69,8 @@ use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, O
 use crate::chain::{is_chain_op, ChainPhase, ChainRun, ChainSpec, ChainStatus, CHAIN_OP_BASE};
 use crate::router::{Admission, Route, ShardRouter};
 pub use crate::shard::{
-    Action, Completion, ControllerConfig, ControllerShard, OpKind, Phase, TransferLedgerStats,
+    Action, Completion, ControllerConfig, ControllerShard, OpKind, Phase, TableSizes,
+    TransferLedgerStats, RETIRED_RING,
 };
 
 /// The sharded controller engine every embedding drives.
@@ -905,9 +906,25 @@ impl ControllerCore {
     }
 
     /// Where shard op `op` is in its lifecycle (DESIGN §10); `None` for
-    /// an id its shard never issued, chain ids included.
+    /// an id its shard never issued, chain ids included, and `Closed`
+    /// for one it has retired.
     pub fn op_phase(&self, op: OpId) -> Option<Phase> {
         self.shards[self.shard_of_op(op)].lock().phase(op)
+    }
+
+    /// Entry counts of every table the controller keeps, summed over
+    /// shards, plus the router's conflict table — the numbers that must
+    /// stay flat over an unbounded run (DESIGN §10, "Op lifetime").
+    pub fn table_sizes(&self) -> TableSizes {
+        let mut sum = TableSizes { conflicts: self.active_transfers(), ..TableSizes::default() };
+        for sh in &self.shards {
+            let t = sh.lock().table_sizes();
+            sum.ops += t.ops;
+            sum.sub_ops += t.sub_ops;
+            sum.tombstones += t.tombstones;
+            sum.pending_deletes += t.pending_deletes;
+        }
+        sum
     }
 
     /// Transfer-ledger snapshot for `op`: per-op fields come from the

@@ -41,4 +41,4 @@ pub use nodes::{ControllerCosts, ControllerNode, Host, MbNode};
 pub use parallel::ShardedController;
 pub use placement::{select_destination, PlacementCandidate};
 pub use router::{Admission, Route, ShardRouter};
-pub use shard::{ControllerShard, OpKind, Phase};
+pub use shard::{ControllerShard, OpKind, Phase, TableSizes};

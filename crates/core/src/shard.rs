@@ -537,11 +537,47 @@ pub struct TransferLedgerStats {
     pub bytes_saved: u64,
 }
 
-/// The MB controller state machine.
-///
+/// Entry counts of the tables a long-running controller keeps — what
+/// must stay flat however many ops it has run (the bounded-tables soak
+/// reads it, and so will the live control socket's `tables` command).
+/// Taken with [`crate::controller::ControllerCore::table_sizes`],
+/// summed over shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TableSizes {
+    /// Ops not yet retired: open, or closed with a delete still owed.
+    pub ops: usize,
+    /// Sub-op ids still routable: gets, unacked puts, deletes and
+    /// simple requests of unretired ops.
+    pub sub_ops: usize,
+    /// Retired transfers kept for late traffic, at most
+    /// [`RETIRED_RING`] per shard.
+    pub tombstones: usize,
+    /// Owed deletes in the acked-delete ledger.
+    pub pending_deletes: usize,
+    /// Transfers in the router's conflict table (pruned on admission).
+    pub conflicts: usize,
+}
+
+/// How many retired transfers a shard keeps for late traffic. A retired
+/// op has sent its `EndSync`s and had its deletes acked, so what still
+/// arrives for it is duplicated or retried replies, which find no
+/// sub-op and are dropped exactly as the closed op dropped them, and
+/// the tail of the source's reprocess events — frames in flight when
+/// the sync window closed (a clone or merge retires at that instant;
+/// a move's tail mostly lands before its delete acks, but a delay or
+/// reorder can hold it back). Those events are the one thing a closed
+/// op still acts on — they go on to the destination — so the ring keeps
+/// the last `RETIRED_RING` transfers' states, which still name the
+/// destination and the get sub-ops the source tags events with. Simple
+/// ops leave no tombstone: nothing tags an event with them.
+pub const RETIRED_RING: usize = 16;
+
 /// One owed state delete (see `ControllerShard::pending_deletes`).
 #[derive(Debug, Clone)]
 struct PendingDelete {
+    /// The op the delete is owed for: it retires once its last owed
+    /// delete is acked or given up on.
+    op: OpId,
     mb: MbId,
     /// Sub-op id reused verbatim on every (re)send, so the ack
     /// (`DeleteAck` or `OpAck`) matches no matter which attempt got
@@ -559,6 +595,8 @@ struct PendingDelete {
     left: u32,
 }
 
+/// The MB controller state machine.
+///
 /// `Clone` so embeddings can journal a snapshot of the whole machine
 /// (e.g. `ControllerNode`'s crash/restore journal) and restore it after
 /// a controller crash without replaying the message history.
@@ -572,8 +610,16 @@ pub struct ControllerShard {
     /// stride N and distinct residues never collide and
     /// `(id - 1) % stride` recovers the owning shard in O(1).
     op_stride: u64,
+    /// Unretired ops: an op leaves once it is [`Phase::Closed`] with no
+    /// delete owed (`retire_if_done`), so membership *is* "not fully
+    /// closed" — what [`ControllerShard::op_closed`] answers.
     ops: HashMap<OpId, OpState>,
+    /// Routable sub-op ids. A put's entry leaves when its ack is
+    /// accepted; the rest leave with their op.
     sub_ops: HashMap<OpId, (OpId, SubRole)>,
+    /// The last [`RETIRED_RING`] retired transfers, oldest first, their
+    /// per-chunk collections freed at close.
+    retired: VecDeque<(OpId, OpState)>,
     /// Introspection subscription per MB (controller-side record).
     subscriptions: HashMap<MbId, EventFilter>,
     /// MBs the embedding has reported as crashed/unreachable. Every
@@ -637,6 +683,7 @@ impl ControllerShard {
             op_stride: stride,
             ops: HashMap::new(),
             sub_ops: HashMap::new(),
+            retired: VecDeque::new(),
             subscriptions: HashMap::new(),
             unreachable: HashSet::new(),
             pending_deletes: Vec::new(),
@@ -734,6 +781,7 @@ impl ControllerShard {
             error: error.to_string(),
         });
         out.push(Action::Notify(Completion::Failed { op, error, dropped_events: 0 }));
+        self.retire_if_done(op);
     }
 
     /// Record a span event for `op` (and optionally a sub-op) at `now`.
@@ -938,10 +986,48 @@ impl ControllerShard {
         self.issue_transfer_gets(op, now, out);
     }
 
-    /// Where `op` is in its lifecycle (`None` for an op this shard never
-    /// issued).
+    /// Where `op` is in its lifecycle: `None` for an id this shard never
+    /// issued, [`Phase::Closed`] for one it issued and has retired (ids
+    /// are allocated monotonically, so "issued" is arithmetic; a sub-op
+    /// id reads the same way).
     pub fn phase(&self, op: OpId) -> Option<Phase> {
-        self.ops.get(&op).map(|st| st.phase)
+        match self.ops.get(&op) {
+            Some(st) => Some(st.phase),
+            None => {
+                let issued = op.0 != 0
+                    && op.0 < self.next_op
+                    && (self.next_op - op.0).is_multiple_of(self.op_stride);
+                issued.then_some(Phase::Closed)
+            }
+        }
+    }
+
+    /// The state of `op`, unretired or still in the tombstone ring.
+    fn op_state(&self, op: OpId) -> Option<&OpState> {
+        let retired = || self.retired.iter().find(|(id, _)| *id == op).map(|(_, st)| st);
+        self.ops.get(&op).or_else(retired)
+    }
+
+    /// Retire `op` if it has fully left the lifecycle — [`Phase::Closed`]
+    /// with no delete owed: it leaves the op table, its remaining sub-op
+    /// ids stop routing, and a transfer that issued gets moves to the
+    /// tombstone ring (evicting the oldest). Called wherever the last of
+    /// those two conditions can become true: on close, and when an owed
+    /// delete is acked or given up on.
+    fn retire_if_done(&mut self, op: OpId) {
+        let closed = self.ops.get(&op).is_some_and(|st| !st.phase.open());
+        if !closed || self.pending_deletes.iter().any(|d| d.op == op) {
+            return;
+        }
+        let st = self.ops.remove(&op).expect("checked above");
+        self.sub_ops.retain(|_, (parent, _)| *parent != op);
+        if st.get_reqs.is_empty() {
+            return;
+        }
+        if self.retired.len() == RETIRED_RING {
+            self.retired.pop_front();
+        }
+        self.retired.push_back((op, st));
     }
 
     /// Explicitly finish a move/clone/merge transaction now: send the
@@ -1114,6 +1200,11 @@ impl ControllerShard {
                 if !st.mark_acked(seq) {
                     return;
                 }
+                // The put's exchange is over: whatever else still names
+                // its sub-op — a duplicated ack or need, a rejection of
+                // a re-sent copy — finds nothing to route to and is
+                // dropped, as the dedup above would drop it.
+                self.sub_ops.remove(&sub);
                 st.unacked_puts.remove(&seq);
                 if let Some((chunk, hash)) = st.ref_bodies.remove(&seq) {
                     if st.needed.remove(&seq) {
@@ -1196,15 +1287,23 @@ impl ControllerShard {
             }
             Message::EventMsg { event } => match event {
                 Event::Reprocess { op: sub, key, packet } => {
-                    // The MB tags events with the *get* sub-op id.
-                    let parent = match self.sub_ops.get(&sub) {
-                        Some(&(parent, _)) => parent,
-                        // Events raised under the parent id directly
-                        // (e.g. forwarded after completion).
-                        None if self.ops.contains_key(&sub) => sub,
-                        None => return,
+                    // The MB tags events with the *get* sub-op id; events
+                    // raised under the parent id directly (e.g. forwarded
+                    // after completion) name the op. A retired op answers
+                    // from its tombstone, by either id.
+                    let parent = self.sub_ops.get(&sub).map_or(sub, |&(parent, _)| parent);
+                    let (parent, st) = match self.ops.get_mut(&parent) {
+                        Some(st) => (parent, st),
+                        None => {
+                            let tagged = |(op, st): &&mut (OpId, OpState)| {
+                                *op == sub || st.get_reqs.iter().any(|(get, _)| *get == sub)
+                            };
+                            let Some((op, st)) = self.retired.iter_mut().find(tagged) else {
+                                return;
+                            };
+                            (*op, st)
+                        }
                     };
-                    let Some(st) = self.ops.get_mut(&parent) else { return };
                     st.last_activity = now;
                     let dst = st.dst;
                     // Buffer until the destination has ACKed the put for
@@ -1215,10 +1314,12 @@ impl ControllerShard {
                     // while (a) its chunk's put is in flight, or (b) the
                     // get stream is still open and this key has not been
                     // ACKed (its chunk may not have been streamed yet).
-                    let acked = st.acked_keys.iter().any(|k| k.matches_bidi(&key));
-                    let pending = st.pending_keys.iter().any(|k| k.matches_bidi(&key));
+                    // Evaluated in that order, so the walk over every
+                    // acked key runs only while a get is open.
+                    let pending = || st.pending_keys.iter().any(|k| k.matches_bidi(&key));
+                    let acked = || st.acked_keys.iter().any(|k| k.matches_bidi(&key));
                     let get_open = st.gets_outstanding > 0;
-                    if self.config.buffer_events && (pending || (get_open && !acked)) {
+                    if self.config.buffer_events && (pending() || (get_open && !acked())) {
                         st.buffered.push(BufferedEvent { key, packet });
                         self.events_buffered_peak =
                             self.events_buffered_peak.max(st.buffered.len());
@@ -1342,19 +1443,12 @@ impl ControllerShard {
         if !st.phase.live() {
             return;
         }
-        st.set_phase(Phase::Closed);
-        st.retry = None;
         let dropped_events = st.buffered.len();
-        st.buffered.clear();
+        st.buffered = Vec::new();
         st.pending_keys.clear();
-        // Drop the transfer pipeline outright: a late ack after this
-        // point must find nothing to refill the window from.
-        st.unacked_puts.clear();
-        st.queued_puts.clear();
-        st.ref_bodies.clear();
-        st.needed.clear();
         st.gets_outstanding = 0;
         st.puts_outstanding = 0;
+        st.close();
         let (kind, dst, pattern) = (st.kind, st.dst, st.pattern);
         let had_chunks = st.chunks > 0;
         let shared_puts = std::mem::take(&mut st.shared_puts);
@@ -1383,6 +1477,7 @@ impl ControllerShard {
         }
         self.end_sync(op, out);
         out.push(Action::Notify(Completion::Failed { op, error, dropped_events }));
+        self.retire_if_done(op);
     }
 
     /// Finish a transfer: close it, delete moved per-flow state at the
@@ -1394,12 +1489,13 @@ impl ControllerShard {
         if !st.phase.open() {
             return;
         }
-        st.set_phase(Phase::Closed);
+        st.close();
         let (kind, src, pattern) = (st.kind, st.src, st.pattern);
         if kind == OpKind::Move {
             self.delete_perflow(op, src, pattern, now, out);
         }
         self.end_sync(op, out);
+        self.retire_if_done(op);
     }
 
     /// Close the sync window of `op` at its source: one `EndSync` per
@@ -1452,6 +1548,7 @@ impl ControllerShard {
             out.push(Action::ToMb(mb, msg.clone()));
         }
         self.pending_deletes.push(PendingDelete {
+            op,
             mb,
             sub,
             msg,
@@ -1465,15 +1562,12 @@ impl ControllerShard {
     /// rejection) closes its ledger entry and stops the re-send chain.
     /// The `DeleteAcked` span fires only when an entry actually closed —
     /// duplicated acks must not inflate the monitor's delete
-    /// accounting.
+    /// accounting. The op's last owed delete retires it.
     fn close_delete(&mut self, sub: OpId, now: SimTime) {
-        let before = self.pending_deletes.len();
-        self.pending_deletes.retain(|r| r.sub != sub);
-        if self.pending_deletes.len() < before {
-            if let Some(&(parent, _)) = self.sub_ops.get(&sub) {
-                self.span(now, parent, Some(sub), SpanEvent::DeleteAcked);
-            }
-        }
+        let Some(i) = self.pending_deletes.iter().position(|r| r.sub == sub) else { return };
+        let op = self.pending_deletes.remove(i).op;
+        self.span(now, op, Some(sub), SpanEvent::DeleteAcked);
+        self.retire_if_done(op);
     }
 
     /// The reply to a simple op's request: `Running → Closed`, one
@@ -1492,9 +1586,10 @@ impl ControllerShard {
         if st.phase != Phase::Running {
             return;
         }
-        st.set_phase(Phase::Closed);
+        st.close();
         self.span(now, parent, Some(sub), SpanEvent::Completed);
         out.push(Action::Notify(done));
+        self.retire_if_done(parent);
     }
 
     /// Close get sub-op `sub` of `parent` once its `GetAck` has arrived
@@ -1716,27 +1811,30 @@ impl ControllerShard {
         // dropped once the budget is spent, so a destination that never
         // acks cannot keep the maintenance timer alive forever.
         let backoff = self.config.retry_backoff;
-        let mut resend: Vec<(MbId, OpId, Message)> = Vec::new();
+        let mut resend: Vec<(MbId, OpId, OpId, Message)> = Vec::new();
+        let mut given_up = Vec::new();
         self.pending_deletes.retain_mut(|r| {
             let Some(due) = r.due else { return true };
             if now < due {
                 return true;
             }
             if r.left == 0 {
+                given_up.push(r.op);
                 return false;
             }
             r.left -= 1;
             r.due = Some(now.after(backoff));
-            resend.push((r.mb, r.sub, r.msg.clone()));
+            resend.push((r.mb, r.op, r.sub, r.msg.clone()));
             true
         });
-        for (mb, sub, msg) in resend {
+        for (mb, op, sub, msg) in resend {
             if !self.unreachable.contains(&mb) {
-                if let Some(&(parent, _)) = self.sub_ops.get(&sub) {
-                    self.span(now, parent, Some(sub), SpanEvent::DeleteRetried);
-                }
+                self.span(now, op, Some(sub), SpanEvent::DeleteRetried);
                 out.push(Action::ToMb(mb, msg));
             }
+        }
+        for op in given_up {
+            self.retire_if_done(op);
         }
 
         // 5. Quiescence.
@@ -1772,25 +1870,35 @@ impl ControllerShard {
     /// with no delete still owed on its behalf? The shard router prunes
     /// its conflict table on this, so a flowspace stays pinned to its
     /// shard for as long as the op can still emit southbound traffic
-    /// (including quiescence deletes and parked rollbacks).
+    /// (including quiescence deletes and parked rollbacks). That is
+    /// exactly the condition under which an op is retired, so the
+    /// answer is "not in the op table" (true for ids never issued).
     pub fn op_closed(&self, op: OpId) -> bool {
-        if self.ops.get(&op).is_some_and(|st| st.phase.open()) {
-            return false;
-        }
-        !self
-            .pending_deletes
-            .iter()
-            .any(|d| self.sub_ops.get(&d.sub).map(|(parent, _)| *parent) == Some(op))
+        !self.ops.contains_key(&op)
     }
 
-    /// Events forwarded under an operation (experiments).
+    /// Events forwarded under an operation (experiments; 0 once its
+    /// tombstone has left the ring).
     pub fn events_forwarded(&self, op: OpId) -> u64 {
-        self.ops.get(&op).map(|s| s.events_forwarded).unwrap_or(0)
+        self.op_state(op).map_or(0, |s| s.events_forwarded)
     }
 
-    /// Total chunks transferred under an operation (experiments).
+    /// Total chunks transferred under an operation (experiments; 0 once
+    /// its tombstone has left the ring).
     pub fn chunks_moved(&self, op: OpId) -> usize {
-        self.ops.get(&op).map(|s| s.chunks).unwrap_or(0)
+        self.op_state(op).map_or(0, |s| s.chunks)
+    }
+
+    /// Entry counts of this shard's tables (`conflicts` is the
+    /// engine's; 0 here).
+    pub(crate) fn table_sizes(&self) -> TableSizes {
+        TableSizes {
+            ops: self.ops.len(),
+            sub_ops: self.sub_ops.len(),
+            tombstones: self.retired.len(),
+            pending_deletes: self.pending_deletes.len(),
+            conflicts: 0,
+        }
     }
 
     /// One consistent snapshot of the transfer ledger for `op` plus the
@@ -1878,6 +1986,31 @@ impl OpState {
     fn set_phase(&mut self, to: Phase) {
         debug_assert!(self.phase.can_become(to), "illegal op phase edge {:?} → {to:?}", self.phase);
         self.phase = to;
+    }
+
+    /// Enter [`Phase::Closed`] and free what no handler reads past it.
+    /// Every chunk, ack, need and get handler returns on a closed op, so
+    /// the transfer pipeline (a late ack must find nothing to refill the
+    /// window from), the ack set, the stream dedup sets and the retry
+    /// schedule are dead. The key sets are too unless a get or put was
+    /// still outstanding — `end_op` before completion — because a late
+    /// reprocess event is still held or forwarded by them; otherwise
+    /// that predicate is false for every key.
+    fn close(&mut self) {
+        self.set_phase(Phase::Closed);
+        self.retry = None;
+        self.unacked_puts = BTreeMap::new();
+        self.queued_puts = VecDeque::new();
+        self.ref_bodies = HashMap::new();
+        self.needed = HashSet::new();
+        self.acked_above = BTreeSet::new();
+        self.done_gets = HashSet::new();
+        self.streamed = Default::default();
+        self.get_expected = HashMap::new();
+        if self.gets_outstanding == 0 && self.pending_keys.is_empty() {
+            self.pending_keys = HashSet::new();
+            self.acked_keys = Vec::new();
+        }
     }
 
     /// Record `seq` as acked. Returns false on a duplicate. Newly acked

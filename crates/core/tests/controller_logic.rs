@@ -2,7 +2,9 @@
 //! [`ControllerCore`] against real middlebox logic through the pure
 //! southbound dispatcher, no simulator in between.
 
-use openmb_core::controller::{Action, Completion, ControllerConfig, ControllerCore};
+use openmb_core::controller::{
+    Action, Completion, ControllerConfig, ControllerCore, TableSizes, RETIRED_RING,
+};
 use openmb_core::tcp::{handle_southbound, handle_southbound_logged};
 use openmb_core::{ChainHop, ChainSpec, Phase, ShardRouter};
 use openmb_mb::{Effects, Middlebox, SharedPutLog};
@@ -290,8 +292,14 @@ fn duplicate_put_ack_after_completion_is_ignored() {
     w.pump(out);
     assert_eq!(w.completions.len(), n_completions, "no completion resurrected");
 
-    // And again after quiescence has deleted the op entirely.
+    // And again after quiescence has deleted the op entirely: its
+    // deletes acked, it is retired — gone from the op and sub-op
+    // tables, one tombstone left. (The router prunes its conflict entry
+    // at the next admission.)
     w.quiesce();
+    let retired = TableSizes { tombstones: 1, conflicts: 1, ..TableSizes::default() };
+    assert_eq!(w.core.table_sizes(), retired);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
     let mut out = Vec::new();
     w.core.handle_mb_message(w.b_id, dup, w.now, &mut out);
     w.pump(out);
@@ -299,6 +307,148 @@ fn duplicate_put_ack_after_completion_is_ignored() {
     assert_eq!(w.a.perflow_entries(), 0, "quiescence delete still happened");
     assert_eq!(w.b.perflow_entries(), dst_entries);
     assert_eq!(w.core.open_ops(), 0);
+    assert_eq!(w.core.table_sizes(), retired, "nothing resurrected");
+}
+
+/// Every late message a retired move can receive, replayed after its
+/// retirement: each gets the reaction the closed op got before ops
+/// were retired — the replies and the rejection are dropped, a
+/// reprocess event tagged with a get sub-op (or the op) still reaches
+/// the destination — and none resurrects a table entry. Once
+/// [`RETIRED_RING`] later ops have retired, the tombstone is gone and
+/// the event is dropped too.
+#[test]
+fn late_messages_for_a_retired_op_get_the_closed_ops_reaction() {
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    seed_monitor(&mut w.a, 6);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let gets: Vec<OpId> = out
+        .iter()
+        .filter_map(|a| match a {
+            Action::ToMb(
+                _,
+                Message::GetSupportPerflow { op, .. } | Message::GetReportPerflow { op, .. },
+            ) => Some(*op),
+            _ => None,
+        })
+        .collect();
+    // One of each reply the move elicited, from the MB that sent it.
+    let mut late: Vec<(MbId, Message)> = Vec::new();
+    drive(&w.core, out, w.now, &mut w.completions, |mb, msg| {
+        let replies = if mb == w.a_id {
+            handle_southbound(&mut w.a, msg, w.now)
+        } else {
+            handle_southbound(&mut w.b, msg, w.now)
+        };
+        for r in &replies {
+            if !late.iter().any(|(_, m)| m.kind_name() == r.kind_name()) {
+                late.push((mb, r.clone()));
+            }
+        }
+        replies
+    });
+    let sub_of = |kind: &str| {
+        let (_, m) = late.iter().find(|(_, m)| m.kind_name() == kind).expect(kind);
+        m.op_id().expect("a reply names its sub-op")
+    };
+    // A rejection naming a put whose ack was accepted.
+    let acked_put = sub_of("putAck");
+    late.push((w.b_id, Message::ErrorMsg { op: acked_put, error: Error::OpFailed("late".into()) }));
+    for kind in ["putAck", "chunkNeed", "chunk", "getAck", "error"] {
+        assert!(late.iter().any(|(_, m)| m.kind_name() == kind), "no {kind} in {late:?}");
+    }
+    w.quiesce();
+    let retired = w.core.table_sizes();
+    assert_eq!((retired.ops, retired.sub_ops, retired.tombstones), (0, 0, 1));
+    let n_completions = w.completions.len();
+
+    for (mb, msg) in &late {
+        let mut out = Vec::new();
+        w.core.handle_mb_message(*mb, msg.clone(), w.now, &mut out);
+        assert!(out.is_empty(), "{msg:?} → {out:?}");
+        assert_eq!(w.core.table_sizes(), retired, "{msg:?}");
+    }
+    let key = http_key(1);
+    let packet = Packet::new(99, key, vec![0u8; 64]);
+    let reprocess = |tag: OpId| Message::EventMsg {
+        event: wire::Event::Reprocess { op: tag, key, packet: packet.clone() },
+    };
+    let forwarded =
+        Action::ToMb(w.b_id, Message::ReprocessPacket { op, key, packet: packet.clone() });
+    for tag in [gets[0], gets[1], op] {
+        let mut out = Vec::new();
+        w.core.handle_mb_message(w.a_id, reprocess(tag), w.now, &mut out);
+        assert_eq!(out, std::slice::from_ref(&forwarded), "event tagged {tag:?}");
+    }
+    assert_eq!(w.core.events_forwarded(op), 3);
+    assert_eq!(w.core.chunks_moved(op), 6);
+    assert_eq!(w.completions.len(), n_completions);
+
+    // RETIRED_RING transfers retire after it (simple ops leave no
+    // tombstone): the move's is evicted, its phase still reads Closed,
+    // and its events are dropped.
+    let mut out = Vec::new();
+    w.core.stats(w.a_id, HeaderFieldList::any(), w.now, &mut out);
+    w.pump(out);
+    assert_eq!(w.core.table_sizes().tombstones, 1);
+    for _ in 0..RETIRED_RING {
+        let mut out = Vec::new();
+        w.core.clone_support(w.a_id, w.b_id, w.now, &mut out);
+        w.pump(out);
+        w.quiesce();
+    }
+    assert_eq!(w.core.table_sizes().tombstones, RETIRED_RING);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
+    assert_eq!(w.core.chunks_moved(op), 0);
+    let mut out = Vec::new();
+    w.core.handle_mb_message(w.a_id, reprocess(gets[0]), w.now, &mut out);
+    assert!(out.is_empty(), "{out:?}");
+}
+
+/// Pinned: a rejection naming a put whose ack was already accepted does
+/// not abort the live transfer. The put's outcome was decided by its
+/// ack (a rejection can only come from a re-sent copy), so the sub-op
+/// no longer routes anywhere and the move completes.
+#[test]
+fn rejection_of_an_acked_put_leaves_the_live_move_running() {
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    w.core.update_config(|c| c.content_cache = false);
+    seed_monitor(&mut w.a, 5);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    // Serve the source; hold the puts addressed to the destination.
+    let mut held = Vec::new();
+    while let Some(act) = out.pop() {
+        match act {
+            Action::ToMb(mb, msg) if mb == w.a_id => {
+                for r in handle_southbound(&mut w.a, msg, w.now) {
+                    w.core.handle_mb_message(mb, r, w.now, &mut out);
+                }
+            }
+            other => held.push(other),
+        }
+    }
+    // Apply one put and accept its ack.
+    let Action::ToMb(_, put) = held.remove(0) else { panic!("a put first: {held:?}") };
+    let mut replies = handle_southbound(&mut w.b, put, w.now);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    let ack = replies.remove(0);
+    let Message::PutAck { op: sub, .. } = ack else { panic!("an ack: {ack:?}") };
+    w.core.handle_mb_message(w.b_id, ack, w.now, &mut held);
+    assert_eq!(w.core.op_phase(op), Some(Phase::Running));
+
+    let stale = Message::ErrorMsg { op: sub, error: Error::OpFailed("stale".into()) };
+    let mut out = Vec::new();
+    w.core.handle_mb_message(w.b_id, stale, w.now, &mut out);
+    assert!(out.is_empty(), "{out:?}");
+    assert_eq!(w.core.op_phase(op), Some(Phase::Running));
+    w.pump(held);
+    assert!(failures(&w, op).is_empty(), "{:?}", w.completions);
+    assert!(w
+        .completions
+        .iter()
+        .any(|c| matches!(c, Completion::MoveComplete { op: o, chunks_moved: 5 } if *o == op)));
 }
 
 #[test]

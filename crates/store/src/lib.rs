@@ -9,19 +9,20 @@
 //! sends `(key, hash)` references first, and only bodies the destination
 //! is missing are streamed.
 //!
-//! Two implementations are provided: [`MemoryContentStore`] (a plain
-//! hash map, dies with the process) and [`FileContentStore`] (one file
-//! per entry, so the cache survives MB restarts and re-sent chunks after
-//! a crash hit the cache instead of re-streaming).
+//! Two implementations are provided: [`MemoryContentStore`] (a map under
+//! a byte budget with least-recently-used eviction, dies with the
+//! process) and [`FileContentStore`] (one file per entry, so the cache
+//! survives MB restarts and re-sent chunks after a crash hit the cache
+//! instead of re-streaming).
 //!
 //! [`StateChunk`]: https://docs.rs/openmb-types
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Debug;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::RwLock;
+use std::sync::Mutex;
 
 /// Number of bytes in a content hash.
 pub const HASH_LEN: usize = 32;
@@ -148,44 +149,157 @@ pub trait ContentStore: Send + Sync + Debug {
     /// Number of entries currently stored.
     fn len(&self) -> usize;
 
+    /// Body bytes currently stored, summed over entries.
+    fn bytes(&self) -> usize;
+
     /// True when the store holds no entries.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// In-memory [`ContentStore`]: a hash map behind an `RwLock`. Contents
-/// die with the process.
-#[derive(Debug, Default)]
+/// What a [`MemoryContentStore`] may hold, in bytes charged: each
+/// entry's body plus [`ENTRY_OVERHEAD`]. 16 MiB holds several
+/// 2 048-flow IPS moves (≈ 3 MB of bodies each), so a move that resumes
+/// or reverses soon after still finds its bodies.
+pub const MEMORY_STORE_BUDGET: usize = 16 << 20;
+
+/// Bytes charged per entry on top of its body: the hash key, the map
+/// slot and the recency-index slot.
+pub const ENTRY_OVERHEAD: usize = 96;
+
+/// In-memory [`ContentStore`] under a byte budget
+/// ([`MEMORY_STORE_BUDGET`]), evicting least-recently-used entries —
+/// the bounded cache of SNIPPETS.md's PersistentCache. A [`get`] that
+/// finds an entry refreshes its recency; `contains` does not. An entry
+/// whose charge exceeds the whole budget is not stored, and any older
+/// entry under its hash is removed, so a later reference to it misses.
+/// A miss costs the body on the wire — the `ChunkNeed` path — never
+/// correctness. Contents die with the process.
+///
+/// [`get`]: ContentStore::get
+#[derive(Debug)]
 pub struct MemoryContentStore {
-    entries: RwLock<HashMap<ContentHash, Vec<u8>>>,
+    lru: Mutex<Lru>,
+}
+
+/// The map and its recency order. `order` holds `(stamp, hash)`
+/// records oldest first, and `entries` each entry's current stamp: a
+/// record whose stamp is no longer its entry's — refreshed, replaced or
+/// removed since — is stale, and eviction skips it. (A deque pushed at
+/// the back and popped at the front, not an ordered map: no node is
+/// allocated or freed per insert, which on `move_live_1400B` was worth
+/// ≈ 1 ms an op.) Stale records are swept out in one pass whenever they
+/// could outnumber the live ones, so `order` stays O(entries).
+#[derive(Debug)]
+struct Lru {
+    entries: HashMap<ContentHash, (Vec<u8>, u64)>,
+    order: VecDeque<(u64, ContentHash)>,
+    next_stamp: u64,
+    /// Σ (body length + [`ENTRY_OVERHEAD`]) over `entries`.
+    charged: usize,
+    budget: usize,
+}
+
+impl Lru {
+    /// Queue `hash` as the most recently used; returns the stamp its
+    /// entry must carry for the record to count.
+    fn touch(&mut self, hash: ContentHash) -> u64 {
+        if self.order.len() > 2 * self.entries.len() + 64 {
+            let entries = &self.entries;
+            self.order.retain(|(stamp, h)| entries.get(h).is_some_and(|e| e.1 == *stamp));
+        }
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.order.push_back((stamp, hash));
+        stamp
+    }
+
+    fn remove(&mut self, hash: &ContentHash) -> bool {
+        let Some((body, _)) = self.entries.remove(hash) else { return false };
+        self.charged -= body.len() + ENTRY_OVERHEAD;
+        true
+    }
+}
+
+impl Default for MemoryContentStore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MemoryContentStore {
+    /// An empty store under [`MEMORY_STORE_BUDGET`].
     pub fn new() -> Self {
-        Self::default()
+        Self::with_budget(MEMORY_STORE_BUDGET)
+    }
+
+    fn lru(&self) -> std::sync::MutexGuard<'_, Lru> {
+        self.lru.lock().expect("a thread panicked holding the content store lock")
+    }
+
+    fn with_budget(budget: usize) -> Self {
+        MemoryContentStore {
+            lru: Mutex::new(Lru {
+                entries: HashMap::new(),
+                order: VecDeque::new(),
+                next_stamp: 0,
+                charged: 0,
+                budget,
+            }),
+        }
     }
 }
 
 impl ContentStore for MemoryContentStore {
     fn get(&self, hash: &ContentHash) -> Option<Vec<u8>> {
-        self.entries.read().unwrap().get(hash).cloned()
+        let lru = &mut *self.lru();
+        if !lru.entries.contains_key(hash) {
+            return None;
+        }
+        let stamp = lru.touch(*hash);
+        let (body, at) = lru.entries.get_mut(hash).expect("checked above");
+        *at = stamp;
+        Some(body.clone())
     }
 
     fn contains(&self, hash: &ContentHash) -> bool {
-        self.entries.read().unwrap().contains_key(hash)
+        self.lru().entries.contains_key(hash)
     }
 
     fn evict(&self, hash: &ContentHash) -> bool {
-        self.entries.write().unwrap().remove(hash).is_some()
+        self.lru().remove(hash)
     }
 
     fn insert_unchecked(&self, hash: ContentHash, data: Vec<u8>) {
-        self.entries.write().unwrap().insert(hash, data);
+        let lru = &mut *self.lru();
+        let charge = data.len() + ENTRY_OVERHEAD;
+        if charge > lru.budget {
+            lru.remove(&hash);
+            return;
+        }
+        let stamp = lru.touch(hash);
+        lru.charged += charge;
+        if let Some((old, _)) = lru.entries.insert(hash, (data, stamp)) {
+            lru.charged -= old.len() + ENTRY_OVERHEAD;
+        }
+        // The newest record is the last and its entry fits the budget
+        // alone, so this stops before reaching it.
+        while lru.charged > lru.budget {
+            let (stamp, oldest) = lru.order.pop_front().expect("over budget: a live record");
+            if lru.entries.get(&oldest).is_some_and(|e| e.1 == stamp) {
+                lru.remove(&oldest);
+            }
+        }
     }
 
     fn len(&self) -> usize {
-        self.entries.read().unwrap().len()
+        self.lru().entries.len()
+    }
+
+    fn bytes(&self) -> usize {
+        let lru = self.lru();
+        lru.charged - lru.entries.len() * ENTRY_OVERHEAD
     }
 }
 
@@ -235,9 +349,19 @@ impl ContentStore for FileContentStore {
     }
 
     fn len(&self) -> usize {
-        fs::read_dir(&self.dir)
-            .map(|rd| rd.filter_map(|e| e.ok()).filter(|e| e.path().extension().is_none()).count())
-            .unwrap_or(0)
+        self.entries().count()
+    }
+
+    fn bytes(&self) -> usize {
+        self.entries().filter_map(|e| e.metadata().ok()).map(|m| m.len() as usize).sum()
+    }
+}
+
+impl FileContentStore {
+    /// The entry files: everything in the spool but `.tmp` writes.
+    fn entries(&self) -> impl Iterator<Item = fs::DirEntry> {
+        let rd = fs::read_dir(&self.dir).into_iter().flatten();
+        rd.filter_map(|e| e.ok()).filter(|e| e.path().extension().is_none())
     }
 }
 
@@ -384,11 +508,93 @@ mod tests {
 
     #[test]
     fn memory_store_poison_detectable_by_reverify() {
-        let s = MemoryContentStore::new();
+        let s = MemoryContentStore::with_budget(4 * (64 + ENTRY_OVERHEAD));
         let h = content_hash(b"real body");
         s.insert_unchecked(h, b"garbage".to_vec());
+        // Churn that refreshes the poisoned entry keeps it resident —
+        // and still wrong.
+        for i in 0..8u8 {
+            s.put(&[i; 64]);
+            assert!(s.get(&h).is_some(), "a refreshed entry is not the eviction victim");
+        }
         let fetched = s.get(&h).unwrap();
         assert_ne!(content_hash(&fetched), h, "re-verification must catch poison");
+    }
+
+    /// Σ (body + overhead) over what `s` holds, and the store's own view.
+    fn charged(s: &MemoryContentStore) -> usize {
+        let check = s.lru().charged;
+        assert_eq!(s.bytes() + s.len() * ENTRY_OVERHEAD, check, "byte count drifted");
+        check
+    }
+
+    #[test]
+    fn memory_store_never_exceeds_its_budget() {
+        let budget = 10_000;
+        let s = MemoryContentStore::with_budget(budget);
+        let mut bodies = 0;
+        for i in 0..500usize {
+            s.put(&pattern(1 + i * 37 % 900));
+            bodies += 1 + i * 37 % 900;
+            assert!(charged(&s) <= budget, "insert {i}");
+        }
+        assert!(s.len() > 1 && s.bytes() < bodies, "the budget must have evicted");
+        let default = MemoryContentStore::new();
+        assert_eq!(default.lru().budget, MEMORY_STORE_BUDGET);
+    }
+
+    #[test]
+    fn memory_store_hit_refreshes_recency() {
+        let s = MemoryContentStore::with_budget(3 * (100 + ENTRY_OVERHEAD));
+        let [a, b, c, d] = [1u8, 2, 3, 4].map(|i| s.put(&[i; 100]));
+        assert_eq!(s.len(), 3, "d evicted the oldest, a");
+        assert!(!s.contains(&a) && s.contains(&d));
+        // A hit on b makes c the least recently used; `contains` is a
+        // probe and refreshes nothing.
+        assert!(s.get(&b).is_some());
+        assert!(s.contains(&c));
+        let e = s.put(&[5; 100]);
+        assert!(s.contains(&b) && !s.contains(&c) && s.contains(&d));
+        // Refreshes without evictions leave stale records behind; they
+        // are swept, so the recency queue stays within its bound, and the
+        // order survives the sweeps: e is now the least recently used.
+        for _ in 0..1000 {
+            s.get(&d);
+            s.get(&b);
+        }
+        let queued = s.lru().order.len();
+        assert!(queued <= 2 * s.len() + 65, "{queued} records for {} entries", s.len());
+        let f = s.put(&[6; 100]);
+        assert!(!s.contains(&e) && s.contains(&b) && s.contains(&d) && s.contains(&f));
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn memory_store_evict_and_replace_keep_the_byte_count_exact() {
+        let s = MemoryContentStore::with_budget(1 << 20);
+        let h = s.put(&[7; 300]);
+        s.put(&[8; 50]);
+        assert_eq!((s.bytes(), charged(&s)), (350, 350 + 2 * ENTRY_OVERHEAD));
+        // Re-filing under the same hash replaces, it does not add.
+        s.insert_unchecked(h, vec![0; 10]);
+        assert_eq!((s.len(), s.bytes()), (2, 60));
+        assert!(s.evict(&h));
+        assert!(!s.evict(&h));
+        assert_eq!((s.len(), s.bytes(), charged(&s)), (1, 50, 50 + ENTRY_OVERHEAD));
+    }
+
+    #[test]
+    fn memory_store_drops_an_entry_larger_than_its_budget() {
+        let s = MemoryContentStore::with_budget(200 + 2 * ENTRY_OVERHEAD);
+        let small = s.put(&[1; 20]);
+        let h = s.put(&[2; 150]);
+        assert_eq!(s.len(), 2);
+        // Too big to ever fit: not stored, nothing else evicted for it,
+        // and the entry it would have replaced is gone — a later lookup
+        // misses and the body is streamed.
+        s.insert_unchecked(h, vec![3; 201 + ENTRY_OVERHEAD]);
+        assert!(!s.contains(&h) && s.contains(&small));
+        assert_eq!((s.len(), s.bytes()), (1, 20));
     }
 
     #[test]
@@ -414,9 +620,10 @@ mod tests {
         let h = s.put(b"persisted body");
         assert!(s.contains(&h));
         assert_eq!(s.get(&h).unwrap(), b"persisted body");
-        assert_eq!(s.len(), 1);
+        assert_eq!((s.len(), s.bytes()), (1, 14));
         assert!(s.evict(&h));
         assert!(s.is_empty());
+        assert_eq!(s.bytes(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
