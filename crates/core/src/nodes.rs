@@ -24,7 +24,7 @@ use openmb_obs::SpanEvent;
 use openmb_openflow::Topology;
 use openmb_simnet::{Ctx, Frame, Node, SimDuration, SimTime};
 use openmb_types::sdn::SdnMessage;
-use openmb_types::wire::Message;
+use openmb_types::wire::{self, Message};
 use openmb_types::{MbId, NodeId, OpId, Packet, StateChunk};
 
 use crate::app::{Api, ApiCtx, ControlApp};
@@ -227,11 +227,17 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 }
             }
             Work::Msg(m) => match m {
-                Message::PutSupportPerflow { .. }
-                | Message::PutReportPerflow { .. }
-                | Message::ChunkBody { .. } => c.deserialize_per_chunk,
+                // A run is priced per record.
+                Message::PutSupportPerflow { rest, .. }
+                | Message::PutReportPerflow { rest, .. }
+                | Message::ChunkBody { rest, .. } => {
+                    c.deserialize_per_chunk.scaled(1 + rest.len() as u64)
+                }
                 Message::PutSupportShared { chunk, .. }
                 | Message::PutReportShared { chunk, .. } => c.shared_cost(chunk.len()),
+                Message::ChunkRef { rest, .. } => {
+                    SimDuration::from_micros(10).scaled(1 + rest.len() as u64)
+                }
                 Message::GetStats { .. } => c.scan_cost(self.logic.perflow_entries()),
                 Message::GetConfig { .. }
                 | Message::SetConfig { .. }
@@ -285,7 +291,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
             ctx.record(None, None, SpanEvent::EventRaised);
             ctx.metrics.incr(&self.metric_names.events_raised, 1);
             if let Some(c) = self.controller {
-                ctx.send(c, Frame::Control(Message::EventMsg { event: ev }));
+                ctx.send(c, Frame::control(Message::EventMsg { event: ev }));
             }
         }
     }
@@ -314,13 +320,11 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 let end = (idx + c.get_batch).min(chunks.len());
                 let controller = self.controller.expect("get requires a controller");
                 // The whole service batch leaves in one coalesced frame
-                // (one length prefix, one scheduler event) instead of
-                // one frame per chunk; the closing GetAck rides along
-                // with the final batch.
-                let mut msgs: Vec<Message> = chunks[idx..end]
-                    .iter()
-                    .map(|chunk| Message::Chunk { op: sub, chunk: chunk.clone() })
-                    .collect();
+                // (one length prefix, one scheduler event) as runs — a
+                // run never spans two batches; the closing GetAck rides
+                // along with the final batch.
+                let mut msgs = Vec::new();
+                wire::push_runs(&mut msgs, sub, chunks.len(), chunks[idx..end].iter().cloned());
                 let last = end == chunks.len();
                 if !last {
                     // Re-queue at the back so packets interleave.
@@ -338,10 +342,10 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 }
                 match msgs.len() {
                     0 => {}
-                    1 => ctx.send(controller, Frame::Control(msgs.pop().expect("len 1"))),
+                    1 => ctx.send(controller, Frame::control(msgs.pop().expect("len 1"))),
                     n => {
                         ctx.record(None, Some(sub.0), SpanEvent::BatchFlushed { count: n as u32 });
-                        ctx.send(controller, Frame::Control(Message::Batch { msgs }));
+                        ctx.send(controller, Frame::control(Message::Batch { msgs }));
                     }
                 }
                 if last {
@@ -398,7 +402,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
 
     fn reply(&self, ctx: &mut Ctx<'_>, msg: Message) {
         if let Some(c) = self.controller {
-            ctx.send(c, Frame::Control(msg));
+            ctx.send(c, Frame::control(msg));
         }
     }
 
@@ -435,7 +439,7 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                 // `Handled` span (keyed by its own sub-op id) and is
                 // costed as its own work item — only the wire framing
                 // is shared.
-                msg.for_each_unbatched(|msg| {
+                (*msg).for_each_unbatched(|msg| {
                     // One `Handled` span per southbound request, keyed by
                     // the wire message's sub-op id: the controller records
                     // the same id as the `sub` of its parent op, so one op
@@ -595,6 +599,14 @@ pub struct ControllerCosts {
     pub per_kib: SimDuration,
     /// Extra per event buffered/forwarded.
     pub per_event: SimDuration,
+}
+
+impl ControllerCosts {
+    /// What one streamed per-flow record costs on top of its message's
+    /// `per_message`.
+    fn per_record(&self, c: &StateChunk) -> SimDuration {
+        self.per_chunk + SimDuration(self.per_kib.0 * c.data.len() as u64 / 1024)
+    }
 }
 
 impl Default for ControllerCosts {
@@ -767,7 +779,7 @@ impl ControllerNode {
             if let Some((sub, ev)) = flushed {
                 ctx.record(None, sub, ev);
             }
-            ctx.send(mb_nodes[mb.0 as usize], Frame::Control(frame));
+            ctx.send(mb_nodes[mb.0 as usize], Frame::control(frame));
         });
         for c in pending_completions {
             self.completions.push((ctx.now(), c.clone()));
@@ -826,10 +838,13 @@ impl ControllerNode {
         if let Some((_, msg)) = self.queues[s].front() {
             let mut d = self.costs.per_message;
             match msg {
-                Message::Chunk { chunk, .. } => {
-                    d = d
-                        + self.costs.per_chunk
-                        + SimDuration(self.costs.per_kib.0 * chunk.data.len() as u64 / 1024);
+                // A streamed run is priced per record; the message
+                // overhead once.
+                Message::Chunk { chunk, .. } => d = d + self.costs.per_record(chunk),
+                Message::ChunkRun { chunk, rest, .. } => {
+                    for c in std::iter::once(chunk).chain(rest) {
+                        d = d + self.costs.per_record(c);
+                    }
                 }
                 Message::SharedChunk { chunk, .. } => {
                     d = d
@@ -1003,18 +1018,22 @@ impl Node for ControllerNode {
 /// configured as a source — emits self-injected packets onto its access
 /// link (so link-level effects like Split/Merge suspension apply to
 /// them).
-#[derive(Default)]
 pub struct Host {
     /// `(arrival time, packet)` in order.
     pub received: Vec<(SimTime, Packet)>,
     /// Where self-injected packets are sent (the access switch).
     forward_to: Option<NodeId>,
     label: String,
+    /// `"<label>.delivered"`, formatted once so a delivered packet
+    /// never allocates a key string.
+    delivered: String,
 }
 
 impl Host {
     pub fn new(label: impl Into<String>) -> Self {
-        Host { received: Vec::new(), forward_to: None, label: label.into() }
+        let label = label.into();
+        let delivered = format!("{label}.delivered");
+        Host { received: Vec::new(), forward_to: None, label, delivered }
     }
 
     /// Configure as a traffic source: frames injected *at this host*
@@ -1040,7 +1059,7 @@ impl Node for Host {
                     return;
                 }
             }
-            ctx.metrics.incr(&format!("{}.delivered", self.label), 1);
+            ctx.metrics.incr(&self.delivered, 1);
             self.received.push((ctx.now(), pkt));
         }
     }

@@ -142,10 +142,10 @@ impl Class {
         }
     }
 
-    fn put_perflow(self, op: OpId, chunk: StateChunk) -> Message {
+    fn put_perflow(self, op: OpId, chunk: StateChunk, rest: Vec<StateChunk>) -> Message {
         match self {
-            Class::Support => Message::PutSupportPerflow { op, chunk },
-            Class::Report => Message::PutReportPerflow { op, chunk },
+            Class::Support => Message::PutSupportPerflow { op, chunk, rest },
+            Class::Report => Message::PutReportPerflow { op, chunk, rest },
         }
     }
 
@@ -165,7 +165,7 @@ impl Class {
 }
 
 /// Which southbound exchange a sub-operation id belongs to. Put roles
-/// carry the controller-assigned per-op chunk sequence number `seq`, so
+/// carry the controller-assigned per-op put sequence number `seq`, so
 /// a duplicated `PutAck` (fault injection, or a re-sent put racing its
 /// original ack) is deduplicated by `(op, seq)` instead of double-
 /// decrementing the outstanding-put count.
@@ -173,7 +173,7 @@ impl Class {
 enum SubRole {
     /// A per-flow get stream (moves).
     Get(Class),
-    /// The put (or `ChunkRef`) of one streamed per-flow chunk.
+    /// The put (or `ChunkRef`) of one streamed run of per-flow records.
     Put {
         class: Class,
         seq: u64,
@@ -333,17 +333,19 @@ struct OpState {
     /// Outstanding get streams (2 for move: support+report; 1-2 for
     /// clone/merge).
     gets_outstanding: u32,
-    /// Outstanding puts (sub-op ids).
+    /// Outstanding puts (sub-op ids), one per run.
     puts_outstanding: u32,
-    /// Chunk keys whose puts have been ACKed.
-    acked_keys: Vec<HeaderFieldList>,
-    /// Chunk keys whose puts are in flight (issued or window-queued).
-    /// A set, not a list: the ack path removes one exact key per
-    /// `PutAck`, and a linear scan there is O(n²) over a transfer.
+    /// Record keys whose runs' puts are in flight (issued or
+    /// window-queued). A set, not a list: the ack path removes every
+    /// key of its run, and a linear scan there is O(n²) over a transfer.
     pending_keys: HashSet<HeaderFieldList>,
+    /// Every key that has entered `pending_keys` names one exact flow,
+    /// so [`OpState::pending`] and [`OpState::streamed`] answer by set
+    /// probes instead of a walk.
+    exact_keys: bool,
     /// Events waiting for their chunk's put ACK.
     buffered: Vec<BufferedEvent>,
-    /// Total chunks transferred.
+    /// Total flow records transferred (not runs).
     chunks: usize,
     /// Virtual time of the most recent event (or completion), for the
     /// quiescence timer.
@@ -356,7 +358,8 @@ struct OpState {
     pub events_forwarded: u64,
 
     // ---- resumable-transfer bookkeeping ----
-    /// Next per-op chunk sequence number (tags put sub-roles).
+    /// Next per-op put sequence number (tags put sub-roles): one per
+    /// run, not per record.
     next_chunk_seq: u64,
     /// Watermark-compacted ack set: every seq below `ack_watermark` has
     /// been acked, plus the sparse set of acked seqs at or above it.
@@ -368,12 +371,14 @@ struct OpState {
     /// Get sub-ops that have fully completed (stream closed); dedups
     /// duplicated `GetAck`s and re-streamed `SharedChunk`s.
     done_gets: HashSet<OpId>,
-    /// Chunk keys already streamed, per [`Class`]: a duplicated or
-    /// re-streamed chunk is dropped instead of creating a second put.
+    /// Record keys already streamed, per [`Class`]: a duplicated or
+    /// re-streamed record is dropped instead of creating a second put.
     /// An op has one get sub-op per class (resume re-sends it under the
-    /// same id), so a class's set is also the distinct chunks its get
+    /// same id), so a class's set is also the distinct records its get
     /// has delivered — what the `GetAck` count is compared against, so
-    /// a dropped chunk leaves the get open for resume.
+    /// a dropped run leaves the get open for resume — and what the event
+    /// predicate reads as "its state has left the source"
+    /// ([`OpState::streamed`]).
     streamed: [HashSet<HeaderFieldList>; 2],
     /// The chunk count each get's `GetAck` announced.
     get_expected: HashMap<OpId, u32>,
@@ -385,7 +390,8 @@ struct OpState {
     /// each.
     get_reqs: Vec<(OpId, Message)>,
     /// The in-flight put ledger: puts issued but not yet acked, keyed
-    /// by sequence number. A `BTreeMap` so the ack path removes in
+    /// by sequence number — one entry per run, so the window counts
+    /// runs. A `BTreeMap` so the ack path removes in
     /// O(log W) and resume finds the window base (first key) in
     /// O(log W), instead of the old `Vec` retain/min-scan that made a
     /// long transfer O(n²). Bounded by `transfer_window` when set.
@@ -401,11 +407,11 @@ struct OpState {
     resumes_left: u32,
 
     // ---- content-addressed transfer bookkeeping ----
-    /// Body (and its content hash) of every in-flight `ChunkRef`, by
-    /// seq — the source of the `ChunkBody` answering a `ChunkNeed`.
-    /// Entries leave on ack or abort, so this holds O(window) chunks,
-    /// not the whole transfer.
-    ref_bodies: HashMap<u64, (StateChunk, [u8; 32])>,
+    /// Records (first, rest) and content hash of every in-flight
+    /// `ChunkRef`'s run, by seq — the source of the `ChunkBody`
+    /// answering a `ChunkNeed`. Entries leave on ack or abort, so this
+    /// holds O(window) runs, not the whole transfer.
+    ref_bodies: HashMap<u64, (StateChunk, Vec<StateChunk>, [u8; 32])>,
     /// Seqs whose destination reported a cache miss (`ChunkNeed`): the
     /// bodies currently streaming alongside the reference window. The
     /// ledger counts these separately from the refs in `unacked_puts` —
@@ -453,10 +459,12 @@ pub struct ControllerConfig {
     pub resume_after: SimDuration,
     /// Sliding-window size for streamed state transfers: at most this
     /// many puts are in flight (issued, unacked) per operation; further
-    /// chunks queue and are released as acks open slots, so the
+    /// runs queue and are released as acks open slots, so the
     /// in-flight ledger — and everything resume must rescan — stays
-    /// O(window) regardless of transfer size. 0 disables windowing
-    /// (fire everything immediately, the pre-window behaviour).
+    /// O(window) regardless of transfer size. A put carries one run, so
+    /// at most `window × RUN_FLOWS` flow records are in flight. 0
+    /// disables windowing (fire everything immediately, the pre-window
+    /// behaviour).
     pub transfer_window: u32,
     /// Content-addressed per-flow transfers (negotiate-then-reference):
     /// stream `ChunkRef` manifests instead of full puts, and bodies only
@@ -1065,44 +1073,8 @@ impl ControllerShard {
         }
         self.messages_handled += 1;
         match msg {
-            Message::Chunk { op: sub, chunk } => {
-                let Some(&(parent, SubRole::Get(class))) = self.sub_ops.get(&sub) else { return };
-                let Some(st) = self.ops.get_mut(&parent) else { return };
-                if !st.phase.live() {
-                    return;
-                }
-                st.last_activity = now;
-                // A duplicated (fault-injected) or re-streamed (resume)
-                // chunk: its put — same sub id — is already in flight or
-                // acked, so issuing a second one would double-count.
-                if !st.streamed[class as usize].insert(chunk.key) {
-                    self.maybe_finish_get(parent, sub, class, now, out);
-                    return;
-                }
-                st.chunks += 1;
-                st.pending_keys.insert(chunk.key);
-                st.puts_outstanding += 1;
-                let seq = st.next_chunk_seq;
-                st.next_chunk_seq += 1;
-                let put_sub = self.alloc_sub(parent, SubRole::Put { class, seq });
-                let m = if self.config.content_cache {
-                    // Negotiate-then-reference: put a (key, hash)
-                    // manifest entry in the window instead of the body.
-                    // The body is parked in `ref_bodies` until the ack —
-                    // streamed only if the destination reports a miss.
-                    let hash = openmb_store::content_hash(chunk.data.as_wire());
-                    let key = chunk.key;
-                    if let Some(st) = self.ops.get_mut(&parent) {
-                        st.ref_bodies.insert(seq, (chunk, hash));
-                    }
-                    Message::ChunkRef { op: put_sub, class: class.wire(), key, hash }
-                } else {
-                    class.put_perflow(put_sub, chunk)
-                };
-                self.span(now, parent, Some(put_sub), SpanEvent::Issued { kind: m.kind_name() });
-                self.enqueue_put(parent, seq, m, now, out);
-                self.maybe_finish_get(parent, sub, class, now, out);
-            }
+            Message::Chunk { op, chunk } => self.stream_run(op, chunk, Vec::new(), now, out),
+            Message::ChunkRun { op, chunk, rest } => self.stream_run(op, chunk, rest, now, out),
             Message::GetAck { op: sub, count } => {
                 let Some(&(parent, SubRole::Get(class))) = self.sub_ops.get(&sub) else { return };
                 let Some(st) = self.ops.get_mut(&parent) else { return };
@@ -1158,7 +1130,7 @@ impl ControllerShard {
                     return;
                 }
                 st.last_activity = now;
-                let Some((chunk, stored_hash)) = st.ref_bodies.get(&seq) else { return };
+                let Some((chunk, rest, stored_hash)) = st.ref_bodies.get(&seq) else { return };
                 if *stored_hash != hash {
                     // A need for a hash we never referenced under this
                     // sub-op: stale or corrupted; the stall-resume path
@@ -1178,10 +1150,13 @@ impl ControllerShard {
                     key: chunk.key,
                     hash,
                     data: chunk.data.clone(),
+                    rest: rest.clone(),
                 };
                 out.push(Action::ToMb(st.dst, m));
             }
-            Message::PutAck { op: sub, key } => {
+            // The run's keys come from the ledger, not the ack: a
+            // destination acks a run once, naming its first key.
+            Message::PutAck { op: sub, .. } => {
                 let Some(&(parent, SubRole::Put { seq, .. } | SubRole::PutShared { seq })) =
                     self.sub_ops.get(&sub)
                 else {
@@ -1205,38 +1180,37 @@ impl ControllerShard {
                 // a re-sent copy — finds nothing to route to and is
                 // dropped, as the dedup above would drop it.
                 self.sub_ops.remove(&sub);
-                st.unacked_puts.remove(&seq);
-                if let Some((chunk, hash)) = st.ref_bodies.remove(&seq) {
+                let put = st.unacked_puts.remove(&seq);
+                if let Some((chunk, rest, _)) = st.ref_bodies.remove(&seq) {
                     if st.needed.remove(&seq) {
                         // The body streamed; nothing was saved.
                     } else {
                         // Reference-only delivery: the savings are the
                         // put we did not send, minus the ref we did.
                         // (Message construction here is cheap — the
-                        // chunk's Bytes are refcounted.)
+                        // records' Bytes are refcounted.)
                         self.cache_hits += 1;
-                        let ref_len = wire::encoded_len(&Message::ChunkRef {
-                            op: sub,
-                            class: wire::ChunkClass::Support,
-                            key: chunk.key,
-                            hash,
-                        });
-                        let put_len =
-                            wire::encoded_len(&Message::PutSupportPerflow { op: sub, chunk });
-                        self.bytes_saved += (put_len.saturating_sub(ref_len)) as u64;
+                        let ref_len = put.as_ref().map_or(0, wire::encoded_len);
+                        let body = Class::Support.put_perflow(sub, chunk, rest);
+                        self.bytes_saved += wire::encoded_len(&body).saturating_sub(ref_len) as u64;
                     }
                 }
                 let acked = SpanEvent::ChunkAcked { seq };
                 self.obs.record(now.0, self.obs_tag, Some(parent.0), Some(sub.0), acked);
                 st.puts_outstanding = st.puts_outstanding.saturating_sub(1);
                 st.last_activity = now;
-                if let Some(k) = key {
-                    st.pending_keys.remove(&k);
-                    st.acked_keys.push(k);
-                    // Release any buffered events this put unblocks, in
-                    // arrival order; the rest stay where they are.
+                if let Some(put) = &put {
+                    // Every key of the run is acked at once; one pass
+                    // over `buffered` releases, in arrival order, the
+                    // events any of them unblocks, and the rest stay
+                    // where they are.
+                    for k in put.run_keys() {
+                        st.pending_keys.remove(k);
+                    }
                     let dst = st.dst;
-                    for ev in st.buffered.extract_if(.., |ev| k.matches_bidi(&ev.key)) {
+                    let unblocked =
+                        |ev: &mut BufferedEvent| put.run_keys().any(|k| k.matches_bidi(&ev.key));
+                    for ev in st.buffered.extract_if(.., unblocked) {
                         st.events_forwarded += 1;
                         out.push(Action::ToMb(
                             dst,
@@ -1312,14 +1286,13 @@ impl ControllerShard {
                     // overwrite the replayed update at the destination —
                     // the §4.2.1 ordering violation. So an event is held
                     // while (a) its chunk's put is in flight, or (b) the
-                    // get stream is still open and this key has not been
-                    // ACKed (its chunk may not have been streamed yet).
-                    // Evaluated in that order, so the walk over every
-                    // acked key runs only while a get is open.
-                    let pending = || st.pending_keys.iter().any(|k| k.matches_bidi(&key));
-                    let acked = || st.acked_keys.iter().any(|k| k.matches_bidi(&key));
+                    // get stream is still open and its chunk has not been
+                    // streamed yet. Past (a), a streamed key's put has
+                    // been ACKed, so no set of acked keys is kept.
                     let get_open = st.gets_outstanding > 0;
-                    if self.config.buffer_events && (pending() || (get_open && !acked())) {
+                    if self.config.buffer_events
+                        && (st.pending(&key) || (get_open && !st.streamed(&key)))
+                    {
                         st.buffered.push(BufferedEvent { key, packet });
                         self.events_buffered_peak =
                             self.events_buffered_peak.max(st.buffered.len());
@@ -1615,6 +1588,76 @@ impl ControllerShard {
         st.done_gets.insert(sub);
         st.gets_outstanding = st.gets_outstanding.saturating_sub(1);
         self.maybe_complete(parent, now, out);
+    }
+
+    /// One run of a per-flow get's records arriving from the source — a
+    /// lone `Chunk` is a run of one, and both take this one path.
+    /// Records whose key the get has streamed before are dropped: a
+    /// duplicated (fault-injected) or re-streamed (resume) run is
+    /// filtered down to its new keys, since the puts of the others —
+    /// same sub ids — are already in flight or acked, and a second one
+    /// would double-count. What is left becomes one put: one sub-op,
+    /// one window slot, one content hash and one reference exchange,
+    /// while every key of it enters `pending_keys`, so events for any of
+    /// them wait for the run's ack.
+    fn stream_run(
+        &mut self,
+        sub: OpId,
+        chunk: StateChunk,
+        mut rest: Vec<StateChunk>,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        let Some(&(parent, SubRole::Get(class))) = self.sub_ops.get(&sub) else { return };
+        let Some(st) = self.ops.get_mut(&parent) else { return };
+        if !st.phase.live() {
+            return;
+        }
+        st.last_activity = now;
+        let streamed = &mut st.streamed[class as usize];
+        let first_new = streamed.insert(chunk.key);
+        rest.retain(|c| streamed.insert(c.key));
+        let chunk = match (first_new, rest.is_empty()) {
+            (true, _) => chunk,
+            (false, false) => rest.remove(0),
+            (false, true) => {
+                self.maybe_finish_get(parent, sub, class, now, out);
+                return;
+            }
+        };
+        st.chunks += 1 + rest.len();
+        for key in std::iter::once(&chunk.key).chain(rest.iter().map(|c| &c.key)) {
+            st.exact_keys &= key.as_exact().is_some();
+            st.pending_keys.insert(*key);
+        }
+        st.puts_outstanding += 1;
+        let seq = st.next_chunk_seq;
+        st.next_chunk_seq += 1;
+        let put_sub = self.alloc_sub(parent, SubRole::Put { class, seq });
+        let m = if self.config.content_cache {
+            // Negotiate-then-reference: put a (keys, hash) manifest
+            // entry in the window instead of the records. They are
+            // parked in `ref_bodies` until the ack — streamed only if
+            // the destination reports a miss.
+            let hash = openmb_store::content_hash(&wire::run_content(&chunk.data, &rest));
+            let keys = rest.iter().map(|c| c.key).collect();
+            let m = Message::ChunkRef {
+                op: put_sub,
+                class: class.wire(),
+                key: chunk.key,
+                hash,
+                rest: keys,
+            };
+            if let Some(st) = self.ops.get_mut(&parent) {
+                st.ref_bodies.insert(seq, (chunk, rest, hash));
+            }
+            m
+        } else {
+            class.put_perflow(put_sub, chunk, rest)
+        };
+        self.span(now, parent, Some(put_sub), SpanEvent::Issued { kind: m.kind_name() });
+        self.enqueue_put(parent, seq, m, now, out);
+        self.maybe_finish_get(parent, sub, class, now, out);
     }
 
     /// Admit put `seq` of `op` into the transfer pipeline: it joins the
@@ -1936,6 +1979,13 @@ impl ControllerShard {
     }
 }
 
+/// Whether `has` holds for the exact key of `flow` or of its reverse:
+/// the only keys that can match `flow` either way while every key of an
+/// op names one exact flow.
+fn either_way(flow: &FlowKey, has: impl Fn(&HeaderFieldList) -> bool) -> bool {
+    has(&HeaderFieldList::exact(*flow)) || has(&HeaderFieldList::exact(flow.reversed()))
+}
+
 impl OpState {
     /// Fresh per-op state entering the lifecycle at `phase`, with the
     /// deadline and resume budget stamped from config.
@@ -1955,8 +2005,8 @@ impl OpState {
             pattern: HeaderFieldList::any(),
             gets_outstanding: 0,
             puts_outstanding: 0,
-            acked_keys: Vec::new(),
             pending_keys: HashSet::new(),
+            exact_keys: true,
             buffered: Vec::new(),
             chunks: 0,
             last_activity: now,
@@ -1991,11 +2041,12 @@ impl OpState {
     /// Enter [`Phase::Closed`] and free what no handler reads past it.
     /// Every chunk, ack, need and get handler returns on a closed op, so
     /// the transfer pipeline (a late ack must find nothing to refill the
-    /// window from), the ack set, the stream dedup sets and the retry
-    /// schedule are dead. The key sets are too unless a get or put was
-    /// still outstanding — `end_op` before completion — because a late
-    /// reprocess event is still held or forwarded by them; otherwise
-    /// that predicate is false for every key.
+    /// window from), the ack set and the retry schedule are dead. The
+    /// key sets are too unless a get or put was still outstanding —
+    /// `end_op` before completion — because a late reprocess event is
+    /// still held or forwarded by them ([`OpState::pending`] while a put
+    /// is, [`OpState::streamed`] while a get is);
+    /// otherwise that predicate is false for every key.
     fn close(&mut self) {
         self.set_phase(Phase::Closed);
         self.retry = None;
@@ -2005,11 +2056,33 @@ impl OpState {
         self.needed = HashSet::new();
         self.acked_above = BTreeSet::new();
         self.done_gets = HashSet::new();
-        self.streamed = Default::default();
         self.get_expected = HashMap::new();
-        if self.gets_outstanding == 0 && self.pending_keys.is_empty() {
-            self.pending_keys = HashSet::new();
-            self.acked_keys = Vec::new();
+        if self.gets_outstanding == 0 {
+            self.streamed = Default::default();
+            if self.pending_keys.is_empty() {
+                self.pending_keys = HashSet::new();
+            }
+        }
+    }
+
+    /// Is a put carrying a key that matches `flow`, in either direction,
+    /// in flight?
+    fn pending(&self, flow: &FlowKey) -> bool {
+        if self.exact_keys {
+            either_way(flow, |k| self.pending_keys.contains(k))
+        } else {
+            self.pending_keys.iter().any(|k| k.matches_bidi(flow))
+        }
+    }
+
+    /// Has a get of this op streamed a key that matches `flow`, in
+    /// either direction?
+    fn streamed(&self, flow: &FlowKey) -> bool {
+        let [support, report] = &self.streamed;
+        if self.exact_keys {
+            either_way(flow, |k| support.contains(k) || report.contains(k))
+        } else {
+            support.iter().chain(report).any(|k| k.matches_bidi(flow))
         }
     }
 

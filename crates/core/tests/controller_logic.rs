@@ -486,8 +486,8 @@ fn duplicated_config_or_stats_reply_completes_the_op_once() {
 
 #[test]
 fn transfer_ledger_stays_bounded_by_window() {
-    // With a transfer window of 4, a 120-chunk move must never have more
-    // than 4 unacked puts in flight, and the watermark-compacted ack set
+    // With a transfer window of 4, a 120-flow move (30 runs of 4) must
+    // never have more than 4 unacked puts in flight, and the watermark-compacted ack set
     // must stay within the window too — at every step, not just at the
     // end. FIFO delivery keeps acks in seq order, the common wire case.
     use std::collections::VecDeque;
@@ -539,8 +539,8 @@ fn transfer_ledger_stays_bounded_by_window() {
     assert_eq!(stats.bodies_in_flight, 0, "every needed body was streamed and acked");
     assert_eq!(
         stats.cache_hits + stats.cache_misses,
-        120,
-        "every reference resolved as a hit or a miss"
+        120u64.div_ceil(wire::run_len(120) as u64),
+        "every run's reference resolved as a hit or a miss"
     );
 }
 
@@ -946,4 +946,216 @@ fn end_op_before_completion_closes_the_op_silently() {
     assert!(w.completions.iter().all(|c| c.op() != Some(op)), "{:?}", w.completions);
     assert_eq!((w.a.perflow_entries(), w.b.perflow_entries()), (0, 0));
     assert_eq!(w.core.open_ops(), 0);
+}
+
+// ---- transfer runs (DESIGN §13 "Runs") --------------------------------
+
+/// Pinned: the exchange a caller feeding lone chunks sees is the one it saw
+/// before runs — the benchmark's two-thread move drives exactly this.
+/// `Batch`es of 16 single `Chunk`s go in with the `GetAck` counts; each
+/// chunk earns one run-of-one `ChunkRef`, answered `ChunkNeed` →
+/// `ChunkBody` → `PutAck { key: Some(key) }`; the move completes with
+/// every flow, the window is never exceeded, and nothing stays open.
+#[test]
+fn single_chunk_drive_sees_the_pinned_exchange() {
+    use openmb_core::ShardedController;
+    use std::collections::HashSet;
+    const FLOWS: usize = 2_000;
+    const WINDOW: u32 = 64;
+    const FRAME: usize = 16;
+    const BURST: usize = 4 * WINDOW as usize;
+    const NOW: SimTime = SimTime(0);
+
+    let config = ControllerConfig { shards: 2, transfer_window: WINDOW, ..Default::default() };
+    let ctrl = ShardedController::new(config);
+    let (src, dst) = (ctrl.register_mb(), ctrl.register_mb());
+    let vendor = VendorKey::derive("prads");
+    let chunks: Vec<StateChunk> = (0..FLOWS)
+        .map(|j| {
+            let flow = FlowKey::tcp(
+                Ipv4Addr::new(10, 0, (j >> 8) as u8, j as u8),
+                1000,
+                Ipv4Addr::new(10, 0, 255, 1),
+                80,
+            );
+            let body = EncryptedChunk::seal(&vendor, j as u64, &[j as u8; 96]);
+            StateChunk::new(HeaderFieldList::exact(flow), body)
+        })
+        .collect();
+
+    let (op, out) = ctrl.move_internal(src, dst, HeaderFieldList::any(), NOW);
+    let get = |want: fn(&Message) -> bool| {
+        out.iter()
+            .find_map(|a| match a {
+                Action::ToMb(_, m) if want(m) => m.op_id(),
+                _ => None,
+            })
+            .expect("both gets issued")
+    };
+    let gs = get(|m| matches!(m, Message::GetSupportPerflow { .. }));
+    let gr = get(|m| matches!(m, Message::GetReportPerflow { .. }));
+
+    let mut out = ctrl.handle_mb_message(src, Message::GetAck { op: gs, count: 0 }, NOW);
+    let (mut refs, mut bodies, mut in_flight, mut peak) = (HashSet::new(), 0, 0usize, 0);
+    let mut moved = None;
+    let mut stored = HashSet::new();
+    let mut sent = 0;
+    let mut it = chunks.iter().cloned();
+    while sent < FLOWS {
+        let msgs: Vec<Message> =
+            it.by_ref().take(FRAME).map(|chunk| Message::Chunk { op: gr, chunk }).collect();
+        sent += msgs.len();
+        out.extend(ctrl.handle_mb_message(src, Message::Batch { msgs }, NOW));
+        if sent % BURST != 0 && sent != FLOWS {
+            continue;
+        }
+        if sent == FLOWS {
+            let ack = Message::GetAck { op: gr, count: FLOWS as u32 };
+            out.extend(ctrl.handle_mb_message(src, ack, NOW));
+        }
+        loop {
+            let mut replies = Vec::new();
+            for a in out.drain(..) {
+                match a {
+                    Action::ToMb(to, Message::ChunkRef { op, key, hash, rest, .. }) => {
+                        assert_eq!(to, dst);
+                        assert!(rest.is_empty(), "a lone chunk is a run of one");
+                        assert!(refs.insert(key), "one reference per chunk: {key:?}");
+                        in_flight += 1;
+                        peak = peak.max(in_flight);
+                        assert!(!stored.contains(&hash), "every body is new");
+                        replies.push(Message::ChunkNeed { op, hash });
+                    }
+                    Action::ToMb(to, Message::ChunkBody { op, key, hash, rest, .. }) => {
+                        assert_eq!(to, dst);
+                        assert!(rest.is_empty(), "a run of one streams one body");
+                        bodies += 1;
+                        stored.insert(hash);
+                        in_flight -= 1;
+                        replies.push(Message::PutAck { op, key: Some(key) });
+                    }
+                    Action::Notify(Completion::MoveComplete { chunks_moved, .. }) => {
+                        moved = Some(chunks_moved)
+                    }
+                    other => panic!("unexpected action {other:?}"),
+                }
+            }
+            if replies.is_empty() {
+                break;
+            }
+            out = ctrl.handle_mb_message(dst, Message::Batch { msgs: replies }, NOW);
+        }
+    }
+    assert_eq!(moved, Some(FLOWS));
+    assert_eq!((refs.len(), bodies), (FLOWS, FLOWS));
+    assert!(peak <= WINDOW as usize, "window exceeded: {peak}");
+    assert_eq!(ctrl.chunks_moved(op), FLOWS);
+
+    let later = SimTime(ctrl.config().quiesce_after.0 + 1);
+    for a in ctrl.tick(later) {
+        if let Action::ToMb(
+            mb,
+            Message::DelSupportPerflow { op, .. } | Message::DelReportPerflow { op, .. },
+        ) = a
+        {
+            ctrl.handle_mb_message(mb, Message::OpAck { op }, later);
+        }
+    }
+    assert_eq!(ctrl.open_ops(), 0);
+}
+
+/// Events for a flow wait while the run carrying its key is unacked, in
+/// either direction, and — while the get is open — while no run has
+/// carried it yet; they go straight through once the run is acked,
+/// whether the op's keys are exact flows (the set-probe path) or
+/// wildcards (the walk). One ack releases every event its run
+/// unblocks, in arrival order; completion releases the rest.
+#[test]
+fn events_wait_for_their_runs_ack_for_exact_and_wildcard_keys() {
+    fn flow(i: u16) -> FlowKey {
+        FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 1000 + i, Ipv4Addr::new(1, 2, 3, 4), 8000 + i)
+    }
+    fn exact(i: u16) -> HeaderFieldList {
+        HeaderFieldList::exact(flow(i))
+    }
+    fn wildcard(i: u16) -> HeaderFieldList {
+        HeaderFieldList { tp_dst: Some(8000 + i), ..HeaderFieldList::any() }
+    }
+    for key_of in [exact as fn(u16) -> HeaderFieldList, wildcard] {
+        let core = ControllerCore::new(ControllerConfig {
+            buffer_events: true,
+            content_cache: false,
+            ..ControllerConfig::default()
+        });
+        let (src, dst) = (core.register_mb(), core.register_mb());
+        let now = SimTime(0);
+        let mut out = Vec::new();
+        let op = core.move_internal(src, dst, HeaderFieldList::any(), now, &mut out);
+        let gets: Vec<OpId> = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::ToMb(
+                    _,
+                    m @ (Message::GetSupportPerflow { .. } | Message::GetReportPerflow { .. }),
+                ) => m.op_id(),
+                _ => None,
+            })
+            .collect();
+        let (gs, gr) = (gets[0], gets[1]);
+        let vendor = VendorKey::derive("t");
+        let record = |i: u16| StateChunk::new(key_of(i), EncryptedChunk::seal(&vendor, 0, b"x"));
+        let mut out = Vec::new();
+        core.handle_mb_message(src, Message::GetAck { op: gs, count: 0 }, now, &mut out);
+        let run =
+            Message::ChunkRun { op: gr, chunk: record(0), rest: (1..4).map(record).collect() };
+        core.handle_mb_message(src, run, now, &mut out);
+        let put = out
+            .iter()
+            .find_map(|a| match a {
+                Action::ToMb(_, Message::PutReportPerflow { op, rest, .. }) => {
+                    assert_eq!(rest.len(), 3, "one put carries the run");
+                    Some(*op)
+                }
+                _ => None,
+            })
+            .expect("the run's put");
+
+        let event = |id: u64, key: FlowKey| Message::EventMsg {
+            event: wire::Event::Reprocess { op, key, packet: Packet::new(id, key, vec![]) },
+        };
+        let replayed = |out: &[Action]| -> Vec<u64> {
+            out.iter()
+                .filter_map(|a| match a {
+                    Action::ToMb(to, Message::ReprocessPacket { packet, .. }) if *to == dst => {
+                        Some(packet.id)
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut out = Vec::new();
+        core.handle_mb_message(src, event(1, flow(2)), now, &mut out);
+        core.handle_mb_message(src, event(2, flow(0).reversed()), now, &mut out);
+        core.handle_mb_message(src, event(3, flow(9)), now, &mut out);
+        core.handle_mb_message(src, event(4, flow(3)), now, &mut out);
+        assert_eq!(replayed(&out), [], "unacked, or not streamed while the get is open");
+        let mut out = Vec::new();
+        core.handle_mb_message(
+            dst,
+            Message::PutAck { op: put, key: Some(key_of(0)) },
+            now,
+            &mut out,
+        );
+        assert_eq!(replayed(&out), [1, 2, 4], "one ack releases the run's events in order");
+        let mut out = Vec::new();
+        core.handle_mb_message(src, event(5, flow(1).reversed()), now, &mut out);
+        assert_eq!(replayed(&out), [5], "an acked flow's event goes straight through");
+        let mut out = Vec::new();
+        core.handle_mb_message(src, Message::GetAck { op: gr, count: 4 }, now, &mut out);
+        assert_eq!(replayed(&out), [3], "the get closed with every put acked");
+        let mut out = Vec::new();
+        core.handle_mb_message(src, event(6, flow(9)), now, &mut out);
+        assert_eq!(replayed(&out), [6], "a flow in no run goes through once the get is done");
+        assert_eq!(core.events_forwarded(op), 6);
+    }
 }

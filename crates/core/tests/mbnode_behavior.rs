@@ -22,7 +22,7 @@ impl Node for CtrlProbe {
         if let Frame::Control(m) = frame {
             // Mirror the real controller: a coalesced frame counts as
             // its contents.
-            match m {
+            match *m {
                 Message::Batch { msgs } => {
                     self.msgs.extend(msgs.into_iter().map(|m| (ctx.now(), m)));
                 }
@@ -137,7 +137,7 @@ fn get_streams_chunks_then_acks() {
         SimTime(0),
         ctrl,
         mb,
-        Frame::Control(Message::GetReportPerflow { op: OpId(5), key: HeaderFieldList::any() }),
+        Frame::control(Message::GetReportPerflow { op: OpId(5), key: HeaderFieldList::any() }),
     );
     sim.run(100_000);
     let probe: &CtrlProbe = sim.node_as(ctrl);
@@ -170,7 +170,7 @@ fn replay_suppresses_external_side_effects() {
         SimTime(0),
         ctrl,
         mb,
-        Frame::Control(Message::ReprocessPacket { op: OpId(1), key: pkt.key, packet: pkt }),
+        Frame::control(Message::ReprocessPacket { op: OpId(1), key: pkt.key, packet: pkt }),
     );
     sim.run(10_000);
     let s: &Host = sim.node_as(sink);
@@ -203,7 +203,7 @@ fn shared_export_runs_off_the_packet_path() {
         SimTime(0),
         ctrl,
         mb,
-        Frame::Control(Message::GetSupportShared { op: OpId(9) }),
+        Frame::control(Message::GetSupportShared { op: OpId(9) }),
     );
     // Packets during the export window.
     for i in 0..50u64 {
@@ -325,7 +325,7 @@ fn errors_propagate_as_error_msgs() {
         SimTime(0),
         ctrl,
         mb,
-        Frame::Control(Message::PutSupportPerflow { op: OpId(3), chunk }),
+        Frame::control(Message::PutSupportPerflow { op: OpId(3), chunk, rest: Vec::new() }),
     );
     sim.run(10_000);
     let probe: &CtrlProbe = sim.node_as(ctrl);

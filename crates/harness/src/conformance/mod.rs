@@ -700,4 +700,6 @@ pub use single::{check_seed, conformance_table, generate, run_schedule, SeedOutc
 #[cfg(test)]
 mod crash_points;
 #[cfg(test)]
+mod runs;
+#[cfg(test)]
 mod tests;

@@ -25,7 +25,7 @@
 
 use openmb_obs::{NodeTag, Recorder, SpanEvent};
 use openmb_simnet::SimTime;
-use openmb_types::wire::{ChunkClass, Message};
+use openmb_types::wire::{self, ChunkClass, Message};
 use openmb_types::{EncryptedChunk, OpId, Result, StateChunk};
 
 use crate::effects::Effects;
@@ -99,11 +99,11 @@ pub fn handle_southbound_logged<M: Middlebox>(
         Message::GetReportPerflow { op, key } => {
             stream_chunks(&mut out, op, mb.get_report_perflow(op, &key));
         }
-        Message::PutSupportPerflow { op, chunk } => {
-            out.push(apply_classed_put(mb, op, ChunkClass::Support, chunk));
+        Message::PutSupportPerflow { op, chunk, rest } => {
+            out.push(apply_run(mb, op, ChunkClass::Support, chunk, rest));
         }
-        Message::PutReportPerflow { op, chunk } => {
-            out.push(apply_classed_put(mb, op, ChunkClass::Report, chunk));
+        Message::PutReportPerflow { op, chunk, rest } => {
+            out.push(apply_run(mb, op, ChunkClass::Report, chunk, rest));
         }
         Message::DelSupportPerflow { op, key } => {
             out.push(ack(op, mb.del_support_perflow(&key).map(drop)));
@@ -154,27 +154,31 @@ pub fn handle_southbound_logged<M: Middlebox>(
         Message::EndSync { op } => {
             mb.end_sync(op);
         }
-        Message::ChunkRef { op, class, key, hash } => {
+        Message::ChunkRef { op, class, key, hash, rest } => {
             // Negotiate-then-reference, destination side: apply straight
-            // from the content store on a hit, ask for the body on a
-            // miss. The stored bytes are re-hashed before use, so a
-            // poisoned or corrupted entry degrades to a miss instead of
-            // importing wrong state.
-            match log.store().get(&hash) {
-                Some(data) if openmb_store::content_hash(&data) == hash => {
-                    let chunk = StateChunk::new(key, EncryptedChunk::from_wire(data));
-                    out.push(apply_classed_put(mb, op, class, chunk));
-                }
-                _ => out.push(Message::ChunkNeed { op, hash }),
+            // from the content store on a hit, ask for the run's body on
+            // a miss. The stored bytes are re-hashed before use, and
+            // must split into as many records as the reference names,
+            // so a poisoned or corrupted entry degrades to a miss
+            // instead of importing wrong state.
+            let hit = log
+                .store()
+                .get(&hash)
+                .filter(|data| openmb_store::content_hash(data) == hash)
+                .and_then(|data| wire::split_run_content(data, key, &rest));
+            match hit {
+                Some((chunk, rest)) => out.push(apply_run(mb, op, class, chunk, rest)),
+                None => out.push(Message::ChunkNeed { op, hash }),
             }
         }
-        Message::ChunkBody { op, class, key, hash, data } => {
-            // A streamed body answering a ChunkNeed. Verify the hash
+        Message::ChunkBody { op, class, key, hash, data, rest } => {
+            // A streamed run body answering a ChunkNeed. Verify the hash
             // before caching or applying: a mismatch means corruption
             // (or a confused source) and must surface as an error, not
-            // poison the store. The body is walked once: it is cached
+            // poison the store. The content is walked once: it is cached
             // under the hash just verified, not re-hashed by `put`.
-            if openmb_store::content_hash(data.as_wire()) != hash {
+            let content = wire::run_content(&data, &rest);
+            if openmb_store::content_hash(&content) != hash {
                 out.push(Message::ErrorMsg {
                     op,
                     error: openmb_types::Error::MalformedChunk(
@@ -182,9 +186,8 @@ pub fn handle_southbound_logged<M: Middlebox>(
                     ),
                 });
             } else {
-                log.store().insert_unchecked(hash, data.as_wire().to_vec());
-                let chunk = StateChunk::new(key, data);
-                out.push(apply_classed_put(mb, op, class, chunk));
+                log.store().insert_unchecked(hash, content.into_owned());
+                out.push(apply_run(mb, op, class, StateChunk::new(key, data), rest));
             }
         }
         batch @ Message::Batch { .. } => {
@@ -210,14 +213,15 @@ fn ack(op: OpId, result: Result<()>) -> Message {
     }
 }
 
-/// The reply to a per-flow get of either class: the chunks, then a
-/// `GetAck` carrying their number.
+/// The reply to a per-flow get of either class: the records in runs
+/// ([`wire::push_runs`]), in export order, then a `GetAck` carrying the
+/// number of records.
 fn stream_chunks(out: &mut Vec<Message>, op: OpId, result: Result<Vec<StateChunk>>) {
     match result {
         Ok(chunks) => {
-            let count = chunks.len() as u32;
-            out.extend(chunks.into_iter().map(|chunk| Message::Chunk { op, chunk }));
-            out.push(Message::GetAck { op, count });
+            let count = chunks.len();
+            wire::push_runs(out, op, count, chunks);
+            out.push(Message::GetAck { op, count: count as u32 });
         }
         Err(e) => out.push(Message::ErrorMsg { op, error: e }),
     }
@@ -255,25 +259,29 @@ fn put_shared<M: Middlebox>(
     }
 }
 
-/// Apply a per-flow put under its state class. Streamed
-/// (`Put*Perflow`) and content-addressed (`ChunkRef`/`ChunkBody`) puts
-/// earn the same `PutAck { key: Some(..) }` — the controller's ledger
-/// cannot tell (and must not care) how a chunk arrived.
-fn apply_classed_put<M: Middlebox>(
+/// Apply a run of per-flow puts under its state class, record by
+/// record in run order, and answer once. Streamed (`Put*Perflow`) and
+/// content-addressed (`ChunkRef`/`ChunkBody`) runs earn the same
+/// `PutAck { key: Some(first key) }` — the controller's ledger cannot
+/// tell (and must not care) how a run arrived. The first record that
+/// fails stops the run and is the answer; the controller aborts the op
+/// on it, which deletes whatever of the run landed.
+fn apply_run<M: Middlebox>(
     mb: &mut M,
     op: OpId,
     class: ChunkClass,
     chunk: StateChunk,
+    rest: Vec<StateChunk>,
 ) -> Message {
     let key = chunk.key;
-    let result = match class {
+    let mut put = |chunk| match class {
         ChunkClass::Support => mb.put_support_perflow(chunk),
         ChunkClass::Report => mb.put_report_perflow(chunk),
         // `ChunkClass` is non-exhaustive: a class this build does not
         // know cannot be applied correctly, so refuse it.
         other => Err(openmb_types::Error::UnsupportedStateClass(format!("{other:?}"))),
     };
-    match result {
+    match std::iter::once(chunk).chain(rest).try_for_each(&mut put) {
         Ok(()) => Message::PutAck { op, key: Some(key) },
         Err(e) => Message::ErrorMsg { op, error: e },
     }

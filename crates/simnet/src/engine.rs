@@ -28,13 +28,21 @@ use crate::time::{SimDuration, SimTime};
 pub enum Frame {
     /// A data-plane packet.
     Data(Packet),
-    /// An OpenMB control-plane message (controller ↔ MB).
-    Control(wire::Message),
+    /// An OpenMB control-plane message (controller ↔ MB). Boxed: every
+    /// pending event carries a `Frame`, so its size is what the event
+    /// queue moves per packet, and the largest control message — a
+    /// `ChunkBody` with a run's further records — would set it.
+    Control(Box<wire::Message>),
     /// An SDN control-plane message (controller ↔ switch).
     Sdn(openmb_types::sdn::SdnMessage),
 }
 
 impl Frame {
+    /// A control-plane frame carrying `msg`.
+    pub fn control(msg: wire::Message) -> Self {
+        Frame::Control(Box::new(msg))
+    }
+
     /// Modeled wire size, for transmission-time and byte accounting.
     /// O(fields) arithmetic — control messages are *not* serialized to
     /// learn their length (see [`wire::encoded_len`]).
@@ -994,7 +1002,7 @@ mod tests {
 
     #[test]
     fn control_frames_have_wire_cost() {
-        let f = Frame::Control(wire::Message::OpAck { op: OpId(1) });
+        let f = Frame::control(wire::Message::OpAck { op: OpId(1) });
         assert!(f.wire_len() > 4);
     }
 

@@ -417,6 +417,7 @@ mod tests {
             key: HeaderFieldList::any(),
             hash: [7; 32],
             data: EncryptedChunk::seal(&VendorKey::derive("t"), i, &vec![0u8; 64 << 10]),
+            rest: Vec::new(),
         };
         let exchange = move |t: TcpTransport| {
             for i in 0..FRAMES {

@@ -12,6 +12,7 @@
 //! type-tagged; all integers little-endian; strings and blobs are
 //! `u32 length ‖ bytes`.
 
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -25,6 +26,15 @@ use crate::{MbId, OpId};
 
 /// Maximum decoded message size; guards against corrupt length prefixes.
 pub const MAX_MESSAGE: usize = 64 << 20;
+
+/// Most flow records one *run* carries: the unit of per-flow transfer.
+/// A run is consecutive records of one get, in the key order the
+/// middlebox exported them, and costs one controller sub-op, one
+/// transfer-window slot, one content hash, one reference exchange and
+/// one `PutAck` whatever its length. Each record inside stays sealed
+/// on its own. A run of one travels as [`Message::Chunk`] and encodes
+/// byte for byte as a lone record always has (DESIGN §13 "Runs").
+pub const RUN_FLOWS: usize = 16;
 
 /// Introspection / reprocess events raised by middleboxes (§4.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,9 +123,12 @@ pub enum Message {
         op: OpId,
         key: HeaderFieldList,
     },
+    /// A run's records, applied in order and acknowledged with one
+    /// `PutAck`; `rest` is empty for a run of one.
     PutSupportPerflow {
         op: OpId,
         chunk: StateChunk,
+        rest: Vec<StateChunk>,
     },
     DelSupportPerflow {
         op: OpId,
@@ -128,6 +141,7 @@ pub enum Message {
     PutReportPerflow {
         op: OpId,
         chunk: StateChunk,
+        rest: Vec<StateChunk>,
     },
     DelReportPerflow {
         op: OpId,
@@ -186,10 +200,19 @@ pub enum Message {
     },
 
     // ---- MB -> controller ----
-    /// One streamed per-flow chunk answering a `Get*Perflow`.
+    /// One streamed per-flow chunk answering a `Get*Perflow`: a run of
+    /// one.
     Chunk {
         op: OpId,
         chunk: StateChunk,
+    },
+    /// A run of two or more streamed per-flow records answering a
+    /// `Get*Perflow`: `chunk` and then `rest`, in export order. Built by
+    /// [`Message::run`], which sends a run of one as [`Message::Chunk`].
+    ChunkRun {
+        op: OpId,
+        chunk: StateChunk,
+        rest: Vec<StateChunk>,
     },
     /// Stream terminator: the get completed; `count` chunks were sent.
     /// (The "ACK after both get operations complete" of Fig 5.)
@@ -243,19 +266,22 @@ pub enum Message {
     },
     // ---- content-addressed transfer (negotiate-then-reference) ----
     /// Manifest entry of a content-addressed transfer: "the destination
-    /// may already hold these bytes". Carries the chunk's key and the
-    /// content hash of its ciphertext but NOT the body; the destination
-    /// applies from its `ContentStore` on a hit (answering with
-    /// [`Message::PutAck`] exactly as for a streamed put) or answers
-    /// with [`Message::ChunkNeed`] on a miss.
+    /// may already hold these bytes". Carries the run's keys and the
+    /// content hash of its [`run_content`] but NOT the bodies; the
+    /// destination applies from its `ContentStore` on a hit (answering
+    /// with [`Message::PutAck`] exactly as for a streamed put) or
+    /// answers with [`Message::ChunkNeed`] on a miss.
     ChunkRef {
         op: OpId,
         /// Whether the referenced chunk is supporting or reporting state
         /// (selects `putSupportPerflow`/`putReportPerflow` semantics on
         /// application).
         class: ChunkClass,
+        /// The run's first key.
         key: HeaderFieldList,
         hash: [u8; 32],
+        /// The keys of the run's further records; empty for a run of one.
+        rest: Vec<HeaderFieldList>,
     },
     /// The destination's half of the negotiation: it does not hold the
     /// body for `hash` and needs it streamed. Answered by the controller
@@ -264,16 +290,18 @@ pub enum Message {
         op: OpId,
         hash: [u8; 32],
     },
-    /// A hash-addressed chunk body streamed in answer to a
-    /// [`Message::ChunkNeed`]. The destination verifies the hash,
-    /// stores the body in its `ContentStore`, applies the put, and
-    /// acknowledges with [`Message::PutAck`].
+    /// A hash-addressed run body streamed in answer to a
+    /// [`Message::ChunkNeed`]: the first record as `key`/`data`, the
+    /// rest in `rest`. The destination verifies the hash of the run's
+    /// [`run_content`], stores that in its `ContentStore`, applies the
+    /// records, and acknowledges with [`Message::PutAck`].
     ChunkBody {
         op: OpId,
         class: ChunkClass,
         key: HeaderFieldList,
         hash: [u8; 32],
         data: EncryptedChunk,
+        rest: Vec<StateChunk>,
     },
 
     /// Several messages bound for the same node coalesced into one wire
@@ -342,6 +370,7 @@ impl Message {
             | EndSync { op }
             | DeleteState { op, .. }
             | Chunk { op, .. }
+            | ChunkRun { op, .. }
             | GetAck { op, .. }
             | SharedChunk { op, .. }
             | PutAck { op, .. }
@@ -382,6 +411,7 @@ impl Message {
             EndSync { .. } => "endSync",
             DeleteState { .. } => "deleteState",
             Chunk { .. } => "chunk",
+            ChunkRun { .. } => "chunkRun",
             GetAck { .. } => "getAck",
             SharedChunk { .. } => "sharedChunk",
             PutAck { .. } => "putAck",
@@ -416,6 +446,34 @@ impl Message {
             }
             m => f(m),
         }
+    }
+
+    /// One run of per-flow records streamed under get `op`: `chunk`
+    /// then `rest`, as [`Message::Chunk`] when `rest` is empty and as
+    /// [`Message::ChunkRun`] otherwise.
+    pub fn run(op: OpId, chunk: StateChunk, rest: Vec<StateChunk>) -> Message {
+        if rest.is_empty() {
+            Message::Chunk { op, chunk }
+        } else {
+            Message::ChunkRun { op, chunk, rest }
+        }
+    }
+
+    /// The flow keys of the run a per-flow transfer message carries —
+    /// a streamed run, a put, a reference or a body — in run order;
+    /// none for any other message.
+    pub fn run_keys(&self) -> impl Iterator<Item = &HeaderFieldList> {
+        use Message::*;
+        let (first, keys, chunks): (_, &[HeaderFieldList], &[StateChunk]) = match self {
+            Chunk { chunk, .. } => (Some(&chunk.key), &[], &[]),
+            ChunkRun { chunk, rest, .. }
+            | PutSupportPerflow { chunk, rest, .. }
+            | PutReportPerflow { chunk, rest, .. } => (Some(&chunk.key), &[], rest),
+            ChunkRef { key, rest, .. } => (Some(key), rest, &[]),
+            ChunkBody { key, rest, .. } => (Some(key), &[], rest),
+            _ => (None, &[], &[]),
+        };
+        first.into_iter().chain(keys).chain(chunks.iter().map(|c| &c.key))
     }
 
     /// Like [`Message::for_each_unbatched`], but materialized. Handy
@@ -552,6 +610,25 @@ impl Writer {
 
     fn hash(&mut self, h: &[u8; 32]) {
         self.buf.extend_from_slice(h);
+    }
+
+    /// The tag of a variant that carries a run: `one` for a run of one
+    /// — which so encodes exactly as a lone record — and `one` with
+    /// [`tag::RUN`] set otherwise, announcing [`Writer::rest`].
+    fn run_tag<T>(&mut self, one: u8, rest: &[T]) {
+        self.u8(if rest.is_empty() { one } else { one | tag::RUN });
+    }
+
+    /// A run's items after its first, as the message's last field: a
+    /// count, then the items. Written only under a [`tag::RUN`] tag.
+    fn rest<T>(&mut self, rest: &[T], item: impl Fn(&mut Self, &T)) {
+        if rest.is_empty() {
+            return;
+        }
+        self.u32(rest.len() as u32);
+        for x in rest {
+            item(self, x);
+        }
     }
 
     /// Typed error payload: `u8` kind discriminant followed by the
@@ -868,6 +945,24 @@ impl<'a> Reader<'a> {
         Ok(h)
     }
 
+    /// Reverse of [`Writer::rest`] under a tag with [`tag::RUN`] set
+    /// (`run`): a count of at least one, then the items. Without it the
+    /// message is a run of one.
+    fn rest<T>(&mut self, run: bool, item: impl Fn(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        if !run {
+            return Ok(Vec::new());
+        }
+        let n = self.u32()? as usize;
+        if n == 0 || n > MAX_MESSAGE / 8 {
+            return Err(Error::Codec(format!("bad run length {n}")));
+        }
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
     fn chunk_class(&mut self) -> Result<ChunkClass> {
         let b = self.u8()?;
         ChunkClass::from_number(b).ok_or_else(|| Error::Codec(format!("bad chunk class {b}")))
@@ -909,6 +1004,16 @@ mod tag {
     pub const CHUNK_REF: u8 = 32;
     pub const CHUNK_NEED: u8 = 33;
     pub const CHUNK_BODY: u8 = 34;
+    /// Set on the tag of a variant that carries a run when the run has
+    /// more than one record; the further ones follow as the message's
+    /// last field. The tags with it are distinct, so every run shape has
+    /// one encoding and no prefix of one decodes as another.
+    pub const RUN: u8 = 0x40;
+    pub const PUT_SUPPORT_RUN: u8 = PUT_SUPPORT_PERFLOW | RUN;
+    pub const PUT_REPORT_RUN: u8 = PUT_REPORT_PERFLOW | RUN;
+    pub const CHUNK_RUN: u8 = CHUNK | RUN;
+    pub const CHUNK_REF_RUN: u8 = CHUNK_REF | RUN;
+    pub const CHUNK_BODY_RUN: u8 = CHUNK_BODY | RUN;
 }
 
 /// Encode a message body (no length prefix).
@@ -942,10 +1047,11 @@ fn encode_into(w: &mut Writer, msg: &Message) {
             w.u64(op.0);
             w.hfl(key);
         }
-        Message::PutSupportPerflow { op, chunk } => {
-            w.u8(tag::PUT_SUPPORT_PERFLOW);
+        Message::PutSupportPerflow { op, chunk, rest } => {
+            w.run_tag(tag::PUT_SUPPORT_PERFLOW, rest);
             w.u64(op.0);
             w.chunk(chunk);
+            w.rest(rest, Writer::chunk);
         }
         Message::DelSupportPerflow { op, key } => {
             w.u8(tag::DEL_SUPPORT_PERFLOW);
@@ -957,10 +1063,11 @@ fn encode_into(w: &mut Writer, msg: &Message) {
             w.u64(op.0);
             w.hfl(key);
         }
-        Message::PutReportPerflow { op, chunk } => {
-            w.u8(tag::PUT_REPORT_PERFLOW);
+        Message::PutReportPerflow { op, chunk, rest } => {
+            w.run_tag(tag::PUT_REPORT_PERFLOW, rest);
             w.u64(op.0);
             w.chunk(chunk);
+            w.rest(rest, Writer::chunk);
         }
         Message::DelReportPerflow { op, key } => {
             w.u8(tag::DEL_REPORT_PERFLOW);
@@ -1025,6 +1132,15 @@ fn encode_into(w: &mut Writer, msg: &Message) {
             w.u8(tag::CHUNK);
             w.u64(op.0);
             w.chunk(chunk);
+        }
+        Message::ChunkRun { op, chunk, rest } => {
+            // Always the run tag and a count, so a malformed run of one
+            // is refused at decode instead of turning into a `Chunk`.
+            w.u8(tag::CHUNK_RUN);
+            w.u64(op.0);
+            w.chunk(chunk);
+            w.u32(rest.len() as u32);
+            rest.iter().for_each(|c| w.chunk(c));
         }
         Message::GetAck { op, count } => {
             w.u8(tag::GET_ACK);
@@ -1110,25 +1226,27 @@ fn encode_into(w: &mut Writer, msg: &Message) {
             w.u64(op.0);
             w.u32(*restored);
         }
-        Message::ChunkRef { op, class, key, hash } => {
-            w.u8(tag::CHUNK_REF);
+        Message::ChunkRef { op, class, key, hash, rest } => {
+            w.run_tag(tag::CHUNK_REF, rest);
             w.u64(op.0);
             w.u8(class.number());
             w.hfl(key);
             w.hash(hash);
+            w.rest(rest, Writer::hfl);
         }
         Message::ChunkNeed { op, hash } => {
             w.u8(tag::CHUNK_NEED);
             w.u64(op.0);
             w.hash(hash);
         }
-        Message::ChunkBody { op, class, key, hash, data } => {
-            w.u8(tag::CHUNK_BODY);
+        Message::ChunkBody { op, class, key, hash, data, rest } => {
+            w.run_tag(tag::CHUNK_BODY, rest);
             w.u64(op.0);
             w.u8(class.number());
             w.hfl(key);
             w.hash(hash);
             w.bytes(data.as_wire());
+            w.rest(rest, Writer::chunk);
         }
         Message::Batch { msgs } => {
             w.u8(tag::BATCH);
@@ -1199,6 +1317,15 @@ fn chunk_len(c: &StateChunk) -> usize {
     hfl_len(&c.key) + blob_len(c.data.len())
 }
 
+/// Length of [`Writer::rest`]'s encoding.
+fn rest_len<T>(rest: &[T], item: impl Fn(&T) -> usize) -> usize {
+    if rest.is_empty() {
+        0
+    } else {
+        4 + rest.iter().map(item).sum::<usize>()
+    }
+}
+
 fn error_len(e: &Error) -> usize {
     1 + match e {
         Error::GranularityTooFine { requested, native } => hfl_len(requested) + str_len(native),
@@ -1230,9 +1357,14 @@ pub fn encoded_len(msg: &Message) -> usize {
         | Message::GetReportPerflow { key, .. }
         | Message::DelReportPerflow { key, .. }
         | Message::GetStats { key, .. } => 1 + 8 + hfl_len(key),
-        Message::PutSupportPerflow { chunk, .. }
-        | Message::PutReportPerflow { chunk, .. }
-        | Message::Chunk { chunk, .. } => 1 + 8 + chunk_len(chunk),
+        Message::Chunk { chunk, .. } => 1 + 8 + chunk_len(chunk),
+        Message::ChunkRun { chunk, rest, .. } => {
+            1 + 8 + chunk_len(chunk) + 4 + rest.iter().map(chunk_len).sum::<usize>()
+        }
+        Message::PutSupportPerflow { chunk, rest, .. }
+        | Message::PutReportPerflow { chunk, rest, .. } => {
+            1 + 8 + chunk_len(chunk) + rest_len(rest, chunk_len)
+        }
         Message::GetSupportShared { .. }
         | Message::GetReportShared { .. }
         | Message::DisableEvents { .. }
@@ -1279,15 +1411,98 @@ pub fn encoded_len(msg: &Message) -> usize {
         },
         Message::ErrorMsg { error, .. } => 1 + 8 + error_len(error),
         // tag + op + class byte + key + 32-byte hash (+ body blob).
-        Message::ChunkRef { key, .. } => 1 + 8 + 1 + hfl_len(key) + 32,
+        Message::ChunkRef { key, rest, .. } => {
+            1 + 8 + 1 + hfl_len(key) + 32 + rest_len(rest, hfl_len)
+        }
         Message::ChunkNeed { .. } => 1 + 8 + 32,
-        Message::ChunkBody { key, data, .. } => {
-            1 + 8 + 1 + hfl_len(key) + 32 + blob_len(data.len())
+        Message::ChunkBody { key, data, rest, .. } => {
+            1 + 8 + 1 + hfl_len(key) + 32 + blob_len(data.len()) + rest_len(rest, chunk_len)
         }
         Message::Batch { msgs } => {
             1 + 4 + msgs.iter().map(|m| blob_len(encoded_len(m))).sum::<usize>()
         }
     }
+}
+
+/// A get is spread over about this many runs until its runs reach
+/// [`RUN_FLOWS`] records ([`run_len`]); a get of more than
+/// `GET_RUNS × RUN_FLOWS` records (512) travels in full runs. The
+/// smallest round value that keeps small transfers one flow per put
+/// as the TCP protocol tests expect them (a 20-flow move acks every
+/// flow, a 200-flow soak acks at least 20 puts), which needs at least 20.
+pub const GET_RUNS: usize = 32;
+
+/// Most records one run of a get of `records` records carries:
+/// `⌈records / GET_RUNS⌉`, at least 1 and at most [`RUN_FLOWS`]. A get
+/// of up to `GET_RUNS` records travels one record per run.
+pub fn run_len(records: usize) -> usize {
+    records.div_ceil(GET_RUNS).clamp(1, RUN_FLOWS)
+}
+
+/// Cut `records` — consecutive records, in export order, of a get of
+/// `get_len` records in all — into runs under `op` and push one message
+/// per run to `out` ([`Message::run`]). A run closes after
+/// [`run_len`]`(get_len)` records. The one place the run boundary rule
+/// lives: every embedding's get reply goes through here.
+pub fn push_runs(
+    out: &mut Vec<Message>,
+    op: OpId,
+    get_len: usize,
+    records: impl IntoIterator<Item = StateChunk>,
+) {
+    let max = run_len(get_len);
+    let mut open: Option<(StateChunk, Vec<StateChunk>)> = None;
+    for record in records {
+        match &mut open {
+            Some((_, rest)) if rest.len() + 1 < max => rest.push(record),
+            _ => {
+                if let Some((chunk, rest)) = open.replace((record, Vec::new())) {
+                    out.push(Message::run(op, chunk, rest));
+                }
+            }
+        }
+    }
+    if let Some((chunk, rest)) = open {
+        out.push(Message::run(op, chunk, rest));
+    }
+}
+
+/// What a run's content hash covers and a destination's content store
+/// keeps under it: a lone record's sealed bytes as they are — a run of
+/// one hashes and is stored exactly as a lone chunk always was — and
+/// for several records each one's sealed bytes as a length-prefixed
+/// blob, in run order.
+pub fn run_content<'a>(data: &'a EncryptedChunk, rest: &[StateChunk]) -> Cow<'a, [u8]> {
+    if rest.is_empty() {
+        return Cow::Borrowed(data.as_wire());
+    }
+    let len = blob_len(data.len()) + rest.iter().map(|c| blob_len(c.data.len())).sum::<usize>();
+    let mut w = Writer { buf: Vec::with_capacity(len) };
+    w.bytes(data.as_wire());
+    for c in rest {
+        w.bytes(c.data.as_wire());
+    }
+    Cow::Owned(w.buf)
+}
+
+/// Reverse of [`run_content`] for a run whose keys are `key` and then
+/// `rest`: its records, or `None` when `content` does not hold exactly
+/// that many.
+pub fn split_run_content(
+    content: Vec<u8>,
+    key: HeaderFieldList,
+    rest: &[HeaderFieldList],
+) -> Option<(StateChunk, Vec<StateChunk>)> {
+    if rest.is_empty() {
+        return Some((StateChunk::new(key, EncryptedChunk::from_wire(content)), Vec::new()));
+    }
+    let content = Bytes::from(content);
+    let mut r = Reader::new_shared(&content);
+    let mut record =
+        |key| Some(StateChunk::new(key, EncryptedChunk::from_wire(r.bytes_shared().ok()?)));
+    let first = record(key)?;
+    let rest = rest.iter().map(|&k| record(k)).collect::<Option<Vec<_>>>()?;
+    r.is_exhausted().then_some((first, rest))
 }
 
 /// Decode a message body produced by [`encode`]. Rejects trailing bytes.
@@ -1306,6 +1521,7 @@ pub fn decode_bytes(buf: &Bytes) -> Result<Message> {
 
 fn decode_with(mut r: Reader<'_>) -> Result<Message> {
     let t = r.u8()?;
+    let run = t & tag::RUN != 0;
     let msg = match t {
         tag::GET_CONFIG => Message::GetConfig { op: OpId(r.u64()?), key: r.hkey()? },
         tag::SET_CONFIG => {
@@ -1315,16 +1531,20 @@ fn decode_with(mut r: Reader<'_>) -> Result<Message> {
         tag::GET_SUPPORT_PERFLOW => {
             Message::GetSupportPerflow { op: OpId(r.u64()?), key: r.hfl()? }
         }
-        tag::PUT_SUPPORT_PERFLOW => {
-            Message::PutSupportPerflow { op: OpId(r.u64()?), chunk: r.chunk()? }
-        }
+        tag::PUT_SUPPORT_PERFLOW | tag::PUT_SUPPORT_RUN => Message::PutSupportPerflow {
+            op: OpId(r.u64()?),
+            chunk: r.chunk()?,
+            rest: r.rest(run, Reader::chunk)?,
+        },
         tag::DEL_SUPPORT_PERFLOW => {
             Message::DelSupportPerflow { op: OpId(r.u64()?), key: r.hfl()? }
         }
         tag::GET_REPORT_PERFLOW => Message::GetReportPerflow { op: OpId(r.u64()?), key: r.hfl()? },
-        tag::PUT_REPORT_PERFLOW => {
-            Message::PutReportPerflow { op: OpId(r.u64()?), chunk: r.chunk()? }
-        }
+        tag::PUT_REPORT_PERFLOW | tag::PUT_REPORT_RUN => Message::PutReportPerflow {
+            op: OpId(r.u64()?),
+            chunk: r.chunk()?,
+            rest: r.rest(run, Reader::chunk)?,
+        },
         tag::DEL_REPORT_PERFLOW => Message::DelReportPerflow { op: OpId(r.u64()?), key: r.hfl()? },
         tag::GET_SUPPORT_SHARED => Message::GetSupportShared { op: OpId(r.u64()?) },
         tag::PUT_SUPPORT_SHARED => Message::PutSupportShared {
@@ -1360,6 +1580,11 @@ fn decode_with(mut r: Reader<'_>) -> Result<Message> {
             Message::ReprocessPacket { op: OpId(r.u64()?), key: r.flow_key()?, packet: r.packet()? }
         }
         tag::CHUNK => Message::Chunk { op: OpId(r.u64()?), chunk: r.chunk()? },
+        tag::CHUNK_RUN => Message::ChunkRun {
+            op: OpId(r.u64()?),
+            chunk: r.chunk()?,
+            rest: r.rest(run, Reader::chunk)?,
+        },
         tag::GET_ACK => Message::GetAck { op: OpId(r.u64()?), count: r.u32()? },
         tag::SHARED_CHUNK => Message::SharedChunk {
             op: OpId(r.u64()?),
@@ -1429,26 +1654,28 @@ fn decode_with(mut r: Reader<'_>) -> Result<Message> {
             Message::DeleteState { op, puts }
         }
         tag::DELETE_ACK => Message::DeleteAck { op: OpId(r.u64()?), restored: r.u32()? },
-        tag::CHUNK_REF => Message::ChunkRef {
+        tag::CHUNK_REF | tag::CHUNK_REF_RUN => Message::ChunkRef {
             op: OpId(r.u64()?),
             class: r.chunk_class()?,
             key: r.hfl()?,
             hash: r.hash()?,
+            rest: r.rest(run, Reader::hfl)?,
         },
         tag::CHUNK_NEED => Message::ChunkNeed { op: OpId(r.u64()?), hash: r.hash()? },
-        tag::CHUNK_BODY => {
+        tag::CHUNK_BODY | tag::CHUNK_BODY_RUN => {
             let op = OpId(r.u64()?);
             let class = r.chunk_class()?;
             let key = r.hfl()?;
             let hash = r.hash()?;
             let data = EncryptedChunk::from_wire(r.bytes_shared()?);
-            if data.is_empty() {
+            let rest = r.rest(run, Reader::chunk)?;
+            if data.is_empty() || rest.iter().any(|c| c.data.is_empty()) {
                 // A body message with no body is as malformed as a
                 // nested batch: refs exist precisely so empty re-sends
                 // never happen.
                 return Err(Error::Codec("empty chunk body".into()));
             }
-            Message::ChunkBody { op, class, key, hash, data }
+            Message::ChunkBody { op, class, key, hash, data, rest }
         }
         tag::BATCH => {
             let n = r.u32()? as usize;
@@ -1567,10 +1794,18 @@ mod tests {
         });
         roundtrip(Message::DelConfig { op: OpId(3), key: hk });
         roundtrip(Message::GetSupportPerflow { op: OpId(4), key: hfl });
-        roundtrip(Message::PutSupportPerflow { op: OpId(5), chunk: chunk.clone() });
+        roundtrip(Message::PutSupportPerflow {
+            op: OpId(5),
+            chunk: chunk.clone(),
+            rest: Vec::new(),
+        });
         roundtrip(Message::DelSupportPerflow { op: OpId(6), key: hfl });
         roundtrip(Message::GetReportPerflow { op: OpId(7), key: hfl });
-        roundtrip(Message::PutReportPerflow { op: OpId(8), chunk: chunk.clone() });
+        roundtrip(Message::PutReportPerflow {
+            op: OpId(8),
+            chunk: chunk.clone(),
+            rest: vec![chunk.clone(), chunk.clone()],
+        });
         roundtrip(Message::DelReportPerflow { op: OpId(9), key: hfl });
         roundtrip(Message::GetSupportShared { op: OpId(10) });
         roundtrip(Message::PutSupportShared { op: OpId(11), chunk: shared.clone() });
@@ -1593,8 +1828,8 @@ mod tests {
         roundtrip(Message::DeleteState { op: OpId(23), puts: Vec::new() });
         roundtrip(Message::Batch {
             msgs: vec![
-                Message::PutSupportPerflow { op: OpId(24), chunk: chunk.clone() },
-                Message::PutReportPerflow { op: OpId(25), chunk },
+                Message::PutSupportPerflow { op: OpId(24), chunk: chunk.clone(), rest: Vec::new() },
+                Message::PutReportPerflow { op: OpId(25), chunk, rest: Vec::new() },
                 Message::EndSync { op: OpId(26) },
             ],
         });
@@ -1625,6 +1860,7 @@ mod tests {
                 class,
                 key: HeaderFieldList::exact(fk()),
                 hash,
+                rest: Vec::new(),
             });
             roundtrip(Message::ChunkBody {
                 op: OpId(41),
@@ -1632,6 +1868,7 @@ mod tests {
                 key: HeaderFieldList::exact(fk()),
                 hash,
                 data: body.clone(),
+                rest: Vec::new(),
             });
         }
         roundtrip(Message::ChunkNeed { op: OpId(42), hash });
@@ -1643,6 +1880,7 @@ mod tests {
                     class: ChunkClass::Support,
                     key: HeaderFieldList::exact(fk()),
                     hash,
+                    rest: vec![HeaderFieldList::from_dst_port(80)],
                 },
                 Message::ChunkNeed { op: OpId(44), hash },
             ],
@@ -1661,6 +1899,7 @@ mod tests {
                 class: ChunkClass::Support,
                 key: HeaderFieldList::exact(fk()),
                 hash: [0u8; 32],
+                rest: Vec::new(),
             },
             Message::ChunkNeed { op: OpId(2), hash: [0u8; 32] },
             Message::ChunkBody {
@@ -1669,6 +1908,7 @@ mod tests {
                 key: HeaderFieldList::exact(fk()),
                 hash: [0u8; 32],
                 data: body.clone(),
+                rest: Vec::new(),
             },
         ] {
             let err = decode(&encode(&m)).unwrap_err();
@@ -1683,6 +1923,7 @@ mod tests {
             key: HeaderFieldList::exact(fk()),
             hash,
             data: EncryptedChunk::from_wire(Vec::new()),
+            rest: Vec::new(),
         };
         let err = decode(&encode(&empty)).unwrap_err();
         assert!(matches!(err, Error::Codec(ref why) if why.contains("empty")), "{err:?}");
@@ -1692,11 +1933,117 @@ mod tests {
             class: ChunkClass::Support,
             key: HeaderFieldList::exact(fk()),
             hash,
+            rest: Vec::new(),
         };
         let mut enc = encode(&ok);
         enc[9] = 7; // tag(1) + op(8), then the class byte
         let err = decode(&enc).unwrap_err();
         assert!(matches!(err, Error::Codec(ref why) if why.contains("chunk class")), "{err:?}");
+    }
+
+    /// A run of one is the pre-run wire format, bit for bit: `run`
+    /// builds a `Chunk`, an empty `rest` adds no byte to a put, a
+    /// reference or a body, and a lone record's content is its sealed
+    /// bytes. Longer runs round-trip; every run shape has one encoding.
+    #[test]
+    fn runs_encode_and_a_run_of_one_is_the_lone_record() {
+        let key = VendorKey::derive("t");
+        let rec = |i: u64| {
+            let flow =
+                FlowKey::tcp(Ipv4Addr::new(10, 0, 0, i as u8), 1000, Ipv4Addr::new(5, 6, 7, 8), 80);
+            StateChunk::new(HeaderFieldList::exact(flow), EncryptedChunk::seal(&key, i, b"rec"))
+        };
+        let one = Message::run(OpId(1), rec(0), Vec::new());
+        assert_eq!(one, Message::Chunk { op: OpId(1), chunk: rec(0) });
+        let c = rec(0);
+        let put = Message::PutReportPerflow { op: OpId(2), chunk: c.clone(), rest: Vec::new() };
+        assert_eq!(encoded_len(&put), 1 + 8 + hfl_len(&c.key) + blob_len(c.data.len()));
+        let hash = [3u8; 32];
+        let r = Message::ChunkRef {
+            op: OpId(3),
+            class: ChunkClass::Report,
+            key: c.key,
+            hash,
+            rest: Vec::new(),
+        };
+        assert_eq!(encoded_len(&r), 1 + 8 + 1 + hfl_len(&c.key) + 32);
+        assert_eq!(run_content(&c.data, &[]), Cow::Borrowed(c.data.as_wire()));
+
+        let run = Message::run(OpId(4), rec(0), (1..RUN_FLOWS as u64).map(rec).collect());
+        assert!(matches!(run, Message::ChunkRun { ref rest, .. } if rest.len() == RUN_FLOWS - 1));
+        roundtrip(run.clone());
+        let keys: Vec<HeaderFieldList> = run.run_keys().copied().collect();
+        assert_eq!(keys, (0..RUN_FLOWS as u64).map(|i| rec(i).key).collect::<Vec<_>>());
+
+        // A run tag over no further record would be a second encoding
+        // of a lone record, and the run bit means nothing on a variant
+        // that carries no run: both refused.
+        let lone = Message::ChunkRun { op: OpId(5), chunk: rec(0), rest: Vec::new() };
+        let mut zero = encode(&r);
+        zero[0] |= tag::RUN;
+        zero.extend_from_slice(&0u32.to_le_bytes());
+        for frame in [encode(&lone), zero] {
+            assert!(matches!(decode(&frame), Err(Error::Codec(ref m)) if m.contains("run length")));
+        }
+        let mut ack = encode(&Message::OpAck { op: OpId(6) });
+        ack[0] |= tag::RUN;
+        assert!(matches!(decode(&ack), Err(Error::Codec(ref m)) if m.contains("unknown")));
+    }
+
+    /// The run boundary rule: a get of up to `GET_RUNS` records travels
+    /// one record per run, a larger one in about `GET_RUNS` runs until
+    /// they hold `RUN_FLOWS` records.
+    #[test]
+    fn push_runs_cuts_by_get_size() {
+        let key = VendorKey::derive("t");
+        let rec = |i: u64| {
+            StateChunk::new(
+                HeaderFieldList::from_dst_port(i as u16),
+                EncryptedChunk::seal(&key, i, &[0; 8]),
+            )
+        };
+        let lens = |get_len: usize, records: u64| -> Vec<usize> {
+            let mut out = Vec::new();
+            push_runs(&mut out, OpId(1), get_len, (0..records).map(rec));
+            out.iter().map(|m| m.run_keys().count()).collect()
+        };
+        assert_eq!((run_len(0), run_len(GET_RUNS), run_len(GET_RUNS + 1)), (1, 1, 2));
+        assert_eq!(run_len(GET_RUNS * RUN_FLOWS), RUN_FLOWS);
+        assert_eq!(run_len(10_000), RUN_FLOWS);
+        assert_eq!(lens(20, 20), [1; 20]);
+        assert_eq!(lens(200, 200).len(), 200usize.div_ceil(run_len(200)));
+        assert_eq!(lens(10_000, 40), [16, 16, 8]);
+        // Only the slice handed over is cut: a DES service quantum.
+        assert_eq!(lens(10_000, 5), [5]);
+    }
+
+    /// `run_content` and `split_run_content` are inverses, and a store
+    /// entry holding a different number of records than the reference
+    /// names does not split.
+    #[test]
+    fn run_content_splits_back_into_its_records() {
+        let key = VendorKey::derive("t");
+        let recs: Vec<StateChunk> = (0..5u8)
+            .map(|i| {
+                let k = HeaderFieldList::from_dst_port(u16::from(i));
+                StateChunk::new(
+                    k,
+                    EncryptedChunk::seal(&key, u64::from(i), &vec![i; usize::from(i) * 9]),
+                )
+            })
+            .collect();
+        let (first, rest) = (&recs[0], &recs[1..]);
+        let content = run_content(&first.data, rest).into_owned();
+        let keys: Vec<HeaderFieldList> = rest.iter().map(|c| c.key).collect();
+        let (a, b) = split_run_content(content.clone(), first.key, &keys).unwrap();
+        assert_eq!((&a, &b[..]), (first, rest));
+        assert_eq!(split_run_content(content.clone(), first.key, &keys[1..]), None);
+        assert_eq!(
+            split_run_content(content[..content.len() - 1].to_vec(), first.key, &keys),
+            None
+        );
+        let lone = split_run_content(first.data.as_wire().to_vec(), first.key, &[]).unwrap();
+        assert_eq!(lone, (first.clone(), Vec::new()));
     }
 
     #[test]
@@ -1844,6 +2191,7 @@ mod tests {
             key: HeaderFieldList::exact(fk()),
             hash: [i as u8 + 1; 32],
             data: EncryptedChunk::seal(&VendorKey::derive("t"), i, &[0u8; 200]),
+            rest: Vec::new(),
         };
         let batch = Message::Batch { msgs: (0..64).map(body).collect() };
         assert!(encoded_len(&batch) > 8 << 10);
@@ -1937,6 +2285,7 @@ mod tests {
                 HeaderFieldList::exact(fk()),
                 EncryptedChunk::seal(&key, 1, &[7u8; 512]),
             ),
+            rest: Vec::new(),
         };
         let wire = Bytes::from(encode(&m));
         let dec = decode_bytes(&wire).unwrap();

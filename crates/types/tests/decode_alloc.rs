@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use openmb_types::wire::{decode, decode_bytes, Message};
-use openmb_types::{ConfigValue, HierarchicalKey};
+use openmb_types::{ConfigValue, HierarchicalKey, StateChunk};
 
 mod wire_corpus;
 
@@ -60,11 +60,14 @@ const PER_FRAME_BYTE: u64 = 64;
 fn decode_allocates_in_proportion_to_the_frame() {
     // What the clamped reservations can take before the first element
     // fails to parse. They nest three deep at most: a batch of
-    // messages, one of them `ConfigValues`, one of its pairs' values.
+    // messages, one of them `ConfigValues`, one of its pairs' values —
+    // or two deep, a batch and one run's records or keys, which the
+    // same sum covers.
     let reserve = 1024
         * (size_of::<Message>()
             + size_of::<(HierarchicalKey, Vec<ConfigValue>)>()
-            + size_of::<ConfigValue>()) as u64;
+            + size_of::<ConfigValue>()
+            + size_of::<StateChunk>()) as u64;
     let mut rng = proptest::test_runner::TestRng::from_name("decode_alloc");
     let (mut frames, mut worst) = (0u64, 0u64);
     wire_corpus::for_each_damaged(&mut rng, 8, |frame, _| {

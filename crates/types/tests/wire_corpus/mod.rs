@@ -55,6 +55,13 @@ pub fn chunk(rng: &mut TestRng) -> StateChunk {
     StateChunk::new(hfl(rng), shared_chunk(rng))
 }
 
+/// A run's further items: usually none (a run of one), else up to
+/// three.
+pub fn rest<T>(rng: &mut TestRng, item: fn(&mut TestRng) -> T) -> Vec<T> {
+    let n = rng.below(6).saturating_sub(2);
+    (0..n).map(|_| item(rng)).collect()
+}
+
 pub fn hkey(rng: &mut TestRng) -> HierarchicalKey {
     let depth = rng.below(4);
     let path: Vec<String> = (0..depth).map(|_| string(rng)).collect();
@@ -121,9 +128,9 @@ pub fn chunk_class(rng: &mut TestRng) -> ChunkClass {
     }
 }
 
-/// One randomized message of the variant at `idx` (0..=33 covers
+/// One randomized message of the variant at `idx` (0..=34 covers
 /// the whole enum; keep in sync with `Message`).
-pub const VARIANTS: u64 = 34;
+pub const VARIANTS: u64 = 35;
 pub fn message(rng: &mut TestRng, idx: u64) -> Message {
     let op = OpId(rng.next_u64());
     match idx {
@@ -131,10 +138,10 @@ pub fn message(rng: &mut TestRng, idx: u64) -> Message {
         1 => Message::SetConfig { op, key: hkey(rng), values: values(rng) },
         2 => Message::DelConfig { op, key: hkey(rng) },
         3 => Message::GetSupportPerflow { op, key: hfl(rng) },
-        4 => Message::PutSupportPerflow { op, chunk: chunk(rng) },
+        4 => Message::PutSupportPerflow { op, chunk: chunk(rng), rest: rest(rng, chunk) },
         5 => Message::DelSupportPerflow { op, key: hfl(rng) },
         6 => Message::GetReportPerflow { op, key: hfl(rng) },
-        7 => Message::PutReportPerflow { op, chunk: chunk(rng) },
+        7 => Message::PutReportPerflow { op, chunk: chunk(rng), rest: rest(rng, chunk) },
         8 => Message::DelReportPerflow { op, key: hfl(rng) },
         9 => Message::GetSupportShared { op },
         10 => Message::PutSupportShared { op, chunk: shared_chunk(rng) },
@@ -181,7 +188,13 @@ pub fn message(rng: &mut TestRng, idx: u64) -> Message {
             puts: (0..rng.below(6)).map(|_| OpId(rng.next_u64())).collect(),
         },
         29 => Message::DeleteAck { op, restored: rng.next_u64() as u32 },
-        30 => Message::ChunkRef { op, class: chunk_class(rng), key: hfl(rng), hash: hash(rng) },
+        30 => Message::ChunkRef {
+            op,
+            class: chunk_class(rng),
+            key: hfl(rng),
+            hash: hash(rng),
+            rest: rest(rng, hfl),
+        },
         31 => Message::ChunkNeed { op, hash: hash(rng) },
         32 => Message::ChunkBody {
             op,
@@ -189,13 +202,22 @@ pub fn message(rng: &mut TestRng, idx: u64) -> Message {
             key: hfl(rng),
             hash: hash(rng),
             data: shared_chunk(rng),
+            rest: rest(rng, chunk),
         },
+        33 => {
+            let more = 1 + rng.below(4) as usize;
+            Message::ChunkRun {
+                op,
+                chunk: chunk(rng),
+                rest: (0..more).map(|_| chunk(rng)).collect(),
+            }
+        }
         // Batch: 0..=3 inner messages drawn from the non-batch
         // variants (nesting is rejected by the codec).
         _ => Message::Batch {
             msgs: (0..rng.below(4))
                 .map(|_| {
-                    let inner = rng.below(33);
+                    let inner = rng.below(34);
                     message(rng, inner)
                 })
                 .collect(),

@@ -53,7 +53,9 @@ proptest! {
         let vendor = VendorKey::derive("prop");
         let chunk = StateChunk::new(hfl, EncryptedChunk::seal(&vendor, op, &data));
         for msg in [
-            Message::PutSupportPerflow { op: OpId(op), chunk: chunk.clone() },
+            Message::PutSupportPerflow { op: OpId(op), chunk: chunk.clone(), rest: Vec::new() },
+            Message::PutReportPerflow { op: OpId(op), chunk: chunk.clone(), rest: vec![chunk.clone()] },
+            Message::ChunkRun { op: OpId(op), chunk: chunk.clone(), rest: vec![chunk.clone()] },
             Message::Chunk { op: OpId(op), chunk },
             Message::GetSupportPerflow { op: OpId(op), key: hfl },
             Message::ReprocessPacket { op: OpId(op), key, packet: Packet::new(op, key, data.clone()) },
@@ -496,14 +498,28 @@ mod chunk_integrity {
 
         // An old controller still refers to the body by the stale name:
         // the entry is there, fails re-verification, and is not applied.
-        let reply = send(&mut dst, Message::ChunkRef { op: OpId(2), class, key, hash: stale });
+        let rest = Vec::new;
+        let reply = send(
+            &mut dst,
+            Message::ChunkRef { op: OpId(2), class, key, hash: stale, rest: rest() },
+        );
         assert_eq!(reply, vec![Message::ChunkNeed { op: OpId(2), hash: stale }]);
         // This build's controller refers to it by the current hash: a
         // plain miss, then the streamed body.
-        let reply = send(&mut dst, Message::ChunkRef { op: OpId(3), class, key, hash: current });
+        let reply = send(
+            &mut dst,
+            Message::ChunkRef { op: OpId(3), class, key, hash: current, rest: rest() },
+        );
         assert_eq!(reply, vec![Message::ChunkNeed { op: OpId(3), hash: current }]);
         assert_eq!(dst.perflow_entries(), 0, "nothing imported before a verified body arrives");
-        let body = Message::ChunkBody { op: OpId(3), class, key, hash: current, data: chunk.data };
+        let body = Message::ChunkBody {
+            op: OpId(3),
+            class,
+            key,
+            hash: current,
+            data: chunk.data,
+            rest: Vec::new(),
+        };
         assert_eq!(send(&mut dst, body), vec![Message::PutAck { op: OpId(3), key: Some(key) }]);
         assert_eq!(dst.perflow_entries(), 1);
         assert_eq!(store.get(&current).map(|b| content_hash(&b)), Some(current));
