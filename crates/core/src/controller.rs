@@ -38,9 +38,10 @@
 //! is held, shard state is only *consulted* (conflict-table pruning,
 //! deferral and chain sweeps) via `try_lock` — conservative on
 //! contention ("not closed yet", re-checked by the next sweep), never
-//! blocking admission on a busy shard. A southbound message with
-//! nothing deferred and no live chain takes the owning shard's lock
-//! once per inner message and the router lock once per call.
+//! blocking admission on a busy shard. A southbound frame with nothing
+//! deferred and no live chain takes the owning shard's lock once per
+//! run of consecutive inner messages that shard owns, and the router
+//! lock once per call.
 //!
 //! **Determinism.** On the single-threaded simulator no lock is ever
 //! contended, so every `try_lock` succeeds and the engine is a pure
@@ -59,7 +60,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use openmb_obs::{HealthSnapshot, LedgerHealth, NodeTag, Recorder, ShardHealth, SpanEvent};
 use openmb_simnet::SimTime;
@@ -795,19 +796,38 @@ impl ControllerCore {
 
     /// Process one frame arriving from middlebox `from`: each inner
     /// message of a `Batch` routes independently to its owning shard
-    /// (or to all shards, for the rare unattributable message), locking
-    /// only that shard; the deferral and chain sweeps then run once for
-    /// the whole frame.
+    /// (or to all shards, for the rare unattributable message), and a
+    /// run of consecutive messages one shard owns is handled under one
+    /// acquisition of that shard's lock. The guard is dropped before
+    /// another shard's lock or the router lock (an op-less message) is
+    /// taken, so a thread still holds at most one shard lock and never
+    /// asks for another lock under it. The deferral and chain sweeps
+    /// then run once for the whole frame.
     pub fn handle_mb_message(&self, from: MbId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
-        msg.for_each_unbatched(|m| match self.route(from, &m) {
-            Route::Shard(s) => self.shards[s].lock().handle_mb_message(from, m, now, out),
-            Route::Broadcast => {
-                for sh in &self.shards {
-                    sh.lock().handle_mb_message(from, m.clone(), now, out);
+        let mut held: Option<(usize, MutexGuard<'_, ControllerShard>)> = None;
+        msg.for_each_unbatched(|m| {
+            let route = ShardRouter::route_by_op(self.shards.len(), &m).unwrap_or_else(|| {
+                drop(held.take());
+                self.router.lock().route_message(from, &m)
+            });
+            match route {
+                Route::Shard(s) => {
+                    if held.as_ref().map(|(h, _)| *h) != Some(s) {
+                        drop(held.take());
+                        held = Some((s, self.shards[s].lock()));
+                    }
+                    let (_, sh) = held.as_mut().expect("locked above");
+                    sh.handle_mb_message(from, m, now, out);
+                }
+                Route::Broadcast => {
+                    for sh in &self.shards {
+                        sh.lock().handle_mb_message(from, m.clone(), now, out);
+                    }
                 }
             }
         });
+        drop(held);
         self.sweep(now, out, start, false);
     }
 
@@ -1409,5 +1429,172 @@ mod tests {
         for sh in &core.shards {
             assert_eq!(sh.lock().config.transfer_window, 7);
         }
+    }
+
+    /// A two-shard core running one move per shard, MB `a` subscribed
+    /// to introspection events, and a batch from `a` that alternates
+    /// between the two moves' report gets — support gets' empty acks,
+    /// then one chunk each per round — with an op-less introspection
+    /// event in the middle.
+    fn two_shard_batch() -> (ControllerCore, MbId, Vec<Message>) {
+        use openmb_types::crypto::VendorKey;
+        use openmb_types::wire::Event;
+        use openmb_types::{EncryptedChunk, FlowKey, StateChunk};
+        let (core, a, b, c, d) = sharded(2);
+        let place = |p: HeaderFieldList, s, t| ShardRouter::hash_placement(2, &p, s, t);
+        let j = (1..=255u8)
+            .find(|&j| place(subnet(j), c, d) != place(subnet(0), a, b))
+            .expect("some subnet lands on the other shard");
+        let mut out = Vec::new();
+        core.enable_events(a, EventFilter::all(), SimTime(0), &mut out);
+        let mut gets = Vec::new();
+        for (src, dst, net) in [(a, b, 0), (c, d, j)] {
+            let mut out = Vec::new();
+            core.move_internal(src, dst, subnet(net), SimTime(0), &mut out);
+            gets.push((net, move_gets(&out)));
+        }
+        assert_ne!(core.shard_of_op(gets[0].1[0].0), core.shard_of_op(gets[1].1[0].0));
+        let flow = |net: u8, i: u8| {
+            FlowKey::tcp(Ipv4Addr::new(10, net, 0, i), 1000, Ipv4Addr::new(10, net, 1, 1), 80)
+        };
+        let vendor = VendorKey::derive("prads");
+        let mut msgs: Vec<Message> =
+            gets.iter().map(|(_, g)| Message::GetAck { op: g[0].0, count: 0 }).collect();
+        for i in 0..4u8 {
+            if i == 2 {
+                let event = Event::Introspection { code: 7, key: flow(0, 0), values: Vec::new() };
+                msgs.push(Message::EventMsg { event });
+            }
+            for (net, g) in &gets {
+                let body = EncryptedChunk::seal(&vendor, u64::from(i), &[i; 16]);
+                let chunk = StateChunk::new(HeaderFieldList::exact(flow(*net, i)), body);
+                msgs.push(Message::Chunk { op: g[1].0, chunk });
+            }
+        }
+        (core, a, msgs)
+    }
+
+    #[test]
+    fn a_batch_across_two_shards_acts_as_its_messages_one_by_one() {
+        let (batched, from, msgs) = two_shard_batch();
+        let (single, _, _) = two_shard_batch();
+        let mut want = Vec::new();
+        for m in msgs.clone() {
+            single.handle_mb_message(from, m, SimTime(1), &mut want);
+        }
+        let mut got = Vec::new();
+        batched.handle_mb_message(from, Message::Batch { msgs }, SimTime(1), &mut got);
+        assert_eq!(got, want);
+        // Eight references, and the event's notification between the
+        // first four and the last four.
+        let is_ref = |a: &Action| matches!(a, Action::ToMb(_, Message::ChunkRef { .. }));
+        let event =
+            got.iter().position(|a| matches!(a, Action::Notify(Completion::MbEvent { .. })));
+        assert_eq!(event, Some(4), "{got:?}");
+        assert_eq!(got.iter().filter(|a| is_ref(a)).count(), 8);
+        assert_eq!(batched.messages_handled(), single.messages_handled());
+    }
+
+    #[test]
+    fn batches_across_shards_beside_admissions_do_not_deadlock() {
+        use std::sync::{mpsc, Arc, Barrier};
+        let (core, from, msgs) = two_shard_batch();
+        let core = Arc::new(core);
+        let (e, f) = (core.register_mb(), core.register_mb());
+        let (done, finished) = mpsc::channel();
+        let start = Arc::new(Barrier::new(2));
+        let admitter = {
+            let (core, done, start) = (Arc::clone(&core), done.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                // Router lock, then a shard's: the order the batch path
+                // must never invert.
+                for k in 0..1_000u32 {
+                    let mut out = Vec::new();
+                    core.move_internal(e, f, subnet((k % 200) as u8 + 50), SimTime(0), &mut out);
+                }
+                done.send(()).expect("test is waiting");
+            })
+        };
+        let batcher = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..1_000 {
+                    let batch = Message::Batch { msgs: msgs.clone() };
+                    core.handle_mb_message(from, batch, SimTime(1), &mut Vec::new());
+                }
+                done.send(()).expect("test is waiting");
+            })
+        };
+        for _ in 0..2 {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a batch and an admission deadlocked");
+        }
+        admitter.join().expect("admitter panicked");
+        batcher.join().expect("batcher panicked");
+    }
+
+    /// `Clone` copies the router's deferral queue with the shards: a
+    /// copy taken while a move is deferred releases it, on the copy,
+    /// in the call that closes its last blocker there.
+    #[test]
+    fn a_clone_holding_a_deferral_releases_it_when_its_blocker_closes() {
+        let core =
+            ControllerCore::new(ControllerConfig { shards: 4, ..ControllerConfig::default() });
+        let mbs: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
+        let place =
+            |i: usize| ShardRouter::hash_placement(4, &subnet(i as u8), mbs[2 * i], mbs[2 * i + 1]);
+        let (i, j) = (0..4)
+            .flat_map(|a| (0..4).map(move |b| (a, b)))
+            .find(|&(a, b)| a != b && place(a) != place(b))
+            .expect("bench subnets spread over more than one shard");
+        let mut out = Vec::new();
+        core.move_internal(mbs[2 * i], mbs[2 * i + 1], subnet(i as u8), SimTime(0), &mut out);
+        out.clear();
+        core.move_internal(mbs[2 * j], mbs[2 * j + 1], subnet(j as u8), SimTime(0), &mut out);
+        let blocker = move_gets(&out);
+        out.clear();
+        // A wildcard move bridging both live moves defers.
+        let op = core.move_internal(
+            mbs[2 * i + 1],
+            mbs[2 * j],
+            HeaderFieldList::any(),
+            SimTime(0),
+            &mut out,
+        );
+        assert_eq!(core.op_phase(op), Some(Phase::Deferred));
+
+        // Close the cross-shard blocker on a copy: its gets complete,
+        // quiescence sends its deletes, and acking the last one must
+        // release the deferred move in that same call.
+        let copy = core.clone();
+        ack_gets(&copy, &blocker, SimTime(1_000_000));
+        out.clear();
+        copy.tick(SimTime(601_000_000), &mut out);
+        let dels: Vec<(MbId, OpId)> = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::ToMb(mb, Message::DelSupportPerflow { op, .. })
+                | Action::ToMb(mb, Message::DelReportPerflow { op, .. }) => Some((*mb, *op)),
+                _ => None,
+            })
+            .collect();
+        let [(mb0, del0), (mb1, del1)] = dels[..] else { panic!("two deletes: {out:?}") };
+        let t = SimTime(602_000_000);
+        copy.handle_mb_message(mb0, Message::OpAck { op: del0 }, t, &mut out);
+        assert_eq!(copy.op_phase(op), Some(Phase::Deferred), "one delete is still owed");
+        let mut released = Vec::new();
+        copy.handle_mb_message(mb1, Message::OpAck { op: del1 }, t, &mut released);
+        assert_eq!(copy.op_phase(op), Some(Phase::Running));
+        assert_eq!(
+            move_gets(&released).len(),
+            2,
+            "the released move issues its gets: {released:?}"
+        );
+        assert_eq!(copy.deferred_transfers(), 0);
+        // The original still holds its own deferral.
+        assert_eq!(core.op_phase(op), Some(Phase::Deferred));
     }
 }

@@ -27,6 +27,7 @@
 pub mod app;
 pub mod chain;
 pub mod controller;
+mod id_hash;
 pub mod nodes;
 pub mod parallel;
 pub mod placement;

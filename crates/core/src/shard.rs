@@ -38,7 +38,7 @@
 //! transports (`tcp`), exactly as the paper's Floodlight module serves
 //! both their testbed and their dummy-MB scalability rig.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use openmb_obs::{NodeTag, ParkReason, Recorder, SpanEvent};
 use openmb_simnet::{SimDuration, SimTime};
@@ -47,6 +47,8 @@ use openmb_types::{
     ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId,
     Packet, StateChunk, StateStats,
 };
+
+use crate::id_hash::{IdMap, IdSet};
 
 /// An effect the embedding must carry out.
 ///
@@ -370,7 +372,7 @@ struct OpState {
     acked_above: BTreeSet<u64>,
     /// Get sub-ops that have fully completed (stream closed); dedups
     /// duplicated `GetAck`s and re-streamed `SharedChunk`s.
-    done_gets: HashSet<OpId>,
+    done_gets: IdSet<OpId>,
     /// Record keys already streamed, per [`Class`]: a duplicated or
     /// re-streamed record is dropped instead of creating a second put.
     /// An op has one get sub-op per class (resume re-sends it under the
@@ -381,7 +383,7 @@ struct OpState {
     /// ([`OpState::streamed`]).
     streamed: [HashSet<HeaderFieldList>; 2],
     /// The chunk count each get's `GetAck` announced.
-    get_expected: HashMap<OpId, u32>,
+    get_expected: IdMap<OpId, u32>,
     /// The get requests issued to the source, by sub-op id. Re-sent
     /// verbatim (same sub ids) on resume; the source's moved-marks and
     /// our chunk dedup make the re-issue idempotent. The source also
@@ -411,13 +413,13 @@ struct OpState {
     /// `ChunkRef`'s run, by seq — the source of the `ChunkBody`
     /// answering a `ChunkNeed`. Entries leave on ack or abort, so this
     /// holds O(window) runs, not the whole transfer.
-    ref_bodies: HashMap<u64, (StateChunk, Vec<StateChunk>, [u8; 32])>,
+    ref_bodies: IdMap<u64, (StateChunk, Vec<StateChunk>, [u8; 32])>,
     /// Seqs whose destination reported a cache miss (`ChunkNeed`): the
     /// bodies currently streaming alongside the reference window. The
     /// ledger counts these separately from the refs in `unacked_puts` —
     /// a body does not occupy a second window slot; its ref's slot is
     /// still open until the `PutAck` lands.
-    needed: HashSet<u64>,
+    needed: IdSet<u64>,
 }
 
 /// Tunable controller parameters.
@@ -621,19 +623,19 @@ pub struct ControllerShard {
     /// Unretired ops: an op leaves once it is [`Phase::Closed`] with no
     /// delete owed (`retire_if_done`), so membership *is* "not fully
     /// closed" — what [`ControllerShard::op_closed`] answers.
-    ops: HashMap<OpId, OpState>,
+    ops: IdMap<OpId, OpState>,
     /// Routable sub-op ids. A put's entry leaves when its ack is
     /// accepted; the rest leave with their op.
-    sub_ops: HashMap<OpId, (OpId, SubRole)>,
+    sub_ops: IdMap<OpId, (OpId, SubRole)>,
     /// The last [`RETIRED_RING`] retired transfers, oldest first, their
     /// per-chunk collections freed at close.
     retired: VecDeque<(OpId, OpState)>,
     /// Introspection subscription per MB (controller-side record).
-    subscriptions: HashMap<MbId, EventFilter>,
+    subscriptions: IdMap<MbId, EventFilter>,
     /// MBs the embedding has reported as crashed/unreachable. Every
     /// northbound call naming one fails fast with
     /// [`Error::MbUnreachable`] until `mark_reachable` clears it.
-    unreachable: HashSet<MbId>,
+    unreachable: IdSet<MbId>,
     /// State deletes owed to an MB: shared-state rollbacks
     /// (`DeleteState`) after a clone/merge abort, per-flow deletes at
     /// the destination after a move abort, and per-flow deletes at the
@@ -689,11 +691,11 @@ impl ControllerShard {
             mbs: Vec::new(),
             next_op: first,
             op_stride: stride,
-            ops: HashMap::new(),
-            sub_ops: HashMap::new(),
+            ops: IdMap::default(),
+            sub_ops: IdMap::default(),
             retired: VecDeque::new(),
-            subscriptions: HashMap::new(),
-            unreachable: HashSet::new(),
+            subscriptions: IdMap::default(),
+            unreachable: IdSet::default(),
             pending_deletes: Vec::new(),
             config,
             messages_handled: 0,
@@ -1681,24 +1683,18 @@ impl ControllerShard {
     /// mirror the ledger exactly (what the I1 window invariant counts).
     fn refill_window(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
         let window = self.config.transfer_window as usize;
-        let mut in_flight = 0;
-        let mut admitted = Vec::new();
-        if let Some(st) = self.ops.get_mut(&op) {
-            if st.phase != Phase::Running {
-                return;
-            }
-            while !st.queued_puts.is_empty() && (window == 0 || st.unacked_puts.len() < window) {
-                let (seq, m) = st.queued_puts.pop_front().expect("checked non-empty");
-                st.unacked_puts.insert(seq, m.clone());
-                in_flight = st.unacked_puts.len();
-                out.push(Action::ToMb(st.dst, m));
-                admitted.push(seq);
-            }
+        let Some(st) = self.ops.get_mut(&op) else { return };
+        if st.phase != Phase::Running {
+            return;
         }
-        for seq in admitted {
-            self.span(now, op, None, SpanEvent::PutAdmitted { seq });
+        while !st.queued_puts.is_empty() && (window == 0 || st.unacked_puts.len() < window) {
+            let (seq, m) = st.queued_puts.pop_front().expect("checked non-empty");
+            st.unacked_puts.insert(seq, m.clone());
+            self.in_flight_peak = self.in_flight_peak.max(st.unacked_puts.len());
+            out.push(Action::ToMb(st.dst, m));
+            let admitted = SpanEvent::PutAdmitted { seq };
+            self.obs.record(now.0, self.obs_tag, Some(op.0), None, admitted);
         }
-        self.in_flight_peak = self.in_flight_peak.max(in_flight);
     }
 
     /// Resume a stalled or parked transfer from its last acked chunk:
@@ -2016,16 +2012,16 @@ impl OpState {
             next_chunk_seq: 0,
             ack_watermark: 0,
             acked_above: BTreeSet::new(),
-            done_gets: HashSet::new(),
+            done_gets: IdSet::default(),
             streamed: [HashSet::new(), HashSet::new()],
-            get_expected: HashMap::new(),
+            get_expected: IdMap::default(),
             get_reqs: Vec::new(),
             unacked_puts: BTreeMap::new(),
             queued_puts: VecDeque::new(),
             shared_puts: Vec::new(),
             resumes_left: config.max_transfer_resumes,
-            ref_bodies: HashMap::new(),
-            needed: HashSet::new(),
+            ref_bodies: IdMap::default(),
+            needed: IdSet::default(),
         }
     }
 
@@ -2052,11 +2048,11 @@ impl OpState {
         self.retry = None;
         self.unacked_puts = BTreeMap::new();
         self.queued_puts = VecDeque::new();
-        self.ref_bodies = HashMap::new();
-        self.needed = HashSet::new();
+        self.ref_bodies = IdMap::default();
+        self.needed = IdSet::default();
         self.acked_above = BTreeSet::new();
-        self.done_gets = HashSet::new();
-        self.get_expected = HashMap::new();
+        self.done_gets = IdSet::default();
+        self.get_expected = IdMap::default();
         if self.gets_outstanding == 0 {
             self.streamed = Default::default();
             if self.pending_keys.is_empty() {
@@ -2089,14 +2085,46 @@ impl OpState {
     /// Record `seq` as acked. Returns false on a duplicate. Newly acked
     /// seqs at the watermark advance it, draining contiguous entries
     /// out of the sparse set — per-op ack state stays O(window) instead
-    /// of one set entry per chunk forever.
+    /// of one set entry per chunk forever. An in-order ack, the common
+    /// case, never enters the set: the watermark itself is never in it.
     fn mark_acked(&mut self, seq: u64) -> bool {
-        if seq < self.ack_watermark || !self.acked_above.insert(seq) {
-            return false;
+        if seq != self.ack_watermark {
+            return seq > self.ack_watermark && self.acked_above.insert(seq);
         }
+        self.ack_watermark += 1;
         while self.acked_above.remove(&self.ack_watermark) {
             self.ack_watermark += 1;
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mark_acked_in_order_out_of_order_and_duplicates() {
+        let config = ControllerConfig::default();
+        let mut st =
+            OpState::new(OpKind::Move, MbId(0), MbId(1), Phase::Running, SimTime::ZERO, &config);
+        let state = |st: &OpState| -> (u64, Vec<u64>) {
+            (st.ack_watermark, st.acked_above.iter().copied().collect())
+        };
+        // In order: the watermark moves and the sparse set stays empty.
+        assert!(st.mark_acked(0) && st.mark_acked(1));
+        assert_eq!(state(&st), (2, Vec::new()));
+        // Out of order: 4 and 3 wait above the gap at 2.
+        assert!(st.mark_acked(4) && st.mark_acked(3));
+        assert_eq!(state(&st), (2, vec![3, 4]));
+        // Duplicates of a seq below the watermark and of one above it.
+        assert!(!st.mark_acked(1) && !st.mark_acked(4));
+        assert_eq!(state(&st), (2, vec![3, 4]));
+        // Filling the gap drains everything contiguous above it.
+        assert!(st.mark_acked(2));
+        assert_eq!(state(&st), (5, Vec::new()));
+        assert!(!st.mark_acked(2) && !st.mark_acked(4));
+        assert!(st.mark_acked(5));
+        assert_eq!(state(&st), (6, Vec::new()));
     }
 }

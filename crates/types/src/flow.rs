@@ -7,6 +7,7 @@
 //! request returns all matching finest-granularity chunks. A request
 //! *finer* than the MB's native granularity is an error.
 
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// Transport protocol carried in the 5-tuple.
@@ -50,7 +51,10 @@ impl std::fmt::Display for Proto {
 
 /// An exact transport-level flow identifier (the finest granularity any
 /// middlebox in this workspace keys state by).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `Hash` writes `FlowKey::packed`: two words instead of the derived
+/// impl's per-field writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     pub src_ip: Ipv4Addr,
     pub dst_ip: Ipv4Addr,
@@ -91,6 +95,27 @@ impl FlowKey {
         } else {
             self.reversed()
         }
+    }
+
+    /// Every field in two words, injectively: the addresses in the
+    /// first, ports and protocol number in the second. Equal keys pack
+    /// equal and distinct keys pack apart, so hashing the packing with
+    /// a keyed hasher is as collision-resistant as hashing the fields.
+    pub(crate) fn packed(&self) -> [u64; 2] {
+        [
+            (u64::from(u32::from(self.src_ip)) << 32) | u64::from(u32::from(self.dst_ip)),
+            (u64::from(self.src_port) << 24)
+                | (u64::from(self.dst_port) << 8)
+                | u64::from(self.proto.number()),
+        ]
+    }
+}
+
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b] = self.packed();
+        state.write_u64(a);
+        state.write_u64(b);
     }
 }
 
@@ -201,7 +226,10 @@ pub enum Granularity {
 
 /// A wildcardable flow pattern: the `HeaderFieldList` of the paper's
 /// southbound API. `None` fields and `/0` prefixes match anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// `Hash` writes `HeaderFieldList::packed`: two words instead of the
+/// derived impl's dozen small writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeaderFieldList {
     pub nw_src: IpPrefix,
     pub nw_dst: IpPrefix,
@@ -374,6 +402,33 @@ impl HeaderFieldList {
     /// This is the conflict test the shard router uses.
     pub fn overlaps_bidi(&self, other: &HeaderFieldList) -> bool {
         self.overlaps(other) || self.overlaps(&other.reversed())
+    }
+
+    /// Every field in two words, injectively: the two (masked) prefix
+    /// addresses in the first; in the second, from bit 0, each port as
+    /// 17 bits (`None` is 0, `Some(p)` is `1 << 16 | p`), the protocol
+    /// number (`None` is 0, no protocol's number is), and the two
+    /// prefix lengths, 6 bits each. Equal patterns pack equal and
+    /// distinct ones pack apart, so hashing the packing with a keyed
+    /// hasher is as collision-resistant as hashing the fields.
+    pub(crate) fn packed(&self) -> [u64; 2] {
+        let port = |p: Option<u16>| p.map_or(0, |p| (1 << 16) | u64::from(p));
+        [
+            (u64::from(u32::from(self.nw_src.addr)) << 32) | u64::from(u32::from(self.nw_dst.addr)),
+            port(self.tp_src)
+                | (port(self.tp_dst) << 17)
+                | (u64::from(self.proto.map_or(0, Proto::number)) << 34)
+                | (u64::from(self.nw_src.len) << 42)
+                | (u64::from(self.nw_dst.len) << 48),
+        ]
+    }
+}
+
+impl Hash for HeaderFieldList {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b] = self.packed();
+        state.write_u64(a);
+        state.write_u64(b);
     }
 }
 
@@ -562,5 +617,121 @@ mod tests {
         };
         assert!(!pinned_a.overlaps_bidi(&pinned_b));
         assert!(pinned_a.overlaps_bidi(&pinned_a.reversed()));
+    }
+
+    mod packed {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::hash_map::RandomState;
+        use std::fmt::Debug;
+        use std::hash::BuildHasher;
+
+        /// Addresses from a small set, so generated values collide often
+        /// (host bits set under a short prefix, the all-zero and all-one
+        /// addresses), plus arbitrary ones.
+        fn addr() -> impl Strategy<Value = Ipv4Addr> {
+            prop_oneof![
+                Just(0u32),
+                Just(u32::MAX),
+                Just(0x0a00_0005),
+                Just(0x0a00_0009),
+                Just(0x0a00_0100),
+                any::<u32>(),
+            ]
+            .prop_map(Ipv4Addr::from)
+        }
+
+        fn port() -> impl Strategy<Value = u16> {
+            prop_oneof![Just(0u16), Just(1), Just(u16::MAX), any::<u16>()]
+        }
+
+        fn proto() -> impl Strategy<Value = Proto> {
+            prop_oneof![Just(Proto::Tcp), Just(Proto::Udp), Just(Proto::Icmp)]
+        }
+
+        fn prefix() -> impl Strategy<Value = IpPrefix> {
+            (addr(), prop_oneof![Just(0u8), Just(32u8), Just(24u8), 0u8..=32])
+                .prop_map(|(a, len)| IpPrefix::new(a, len))
+        }
+
+        fn flow_key() -> impl Strategy<Value = FlowKey> {
+            (addr(), addr(), port(), port(), proto()).prop_map(
+                |(src_ip, dst_ip, src_port, dst_port, proto)| FlowKey {
+                    src_ip,
+                    dst_ip,
+                    src_port,
+                    dst_port,
+                    proto,
+                },
+            )
+        }
+
+        fn pattern() -> impl Strategy<Value = HeaderFieldList> {
+            use proptest::option::of;
+            (prefix(), prefix(), of(port()), of(port()), of(proto())).prop_map(
+                |(nw_src, nw_dst, tp_src, tp_dst, proto)| HeaderFieldList {
+                    nw_src,
+                    nw_dst,
+                    tp_src,
+                    tp_dst,
+                    proto,
+                },
+            )
+        }
+
+        /// Over every pair: equal exactly when the packings are, and
+        /// equal values hash equal under one `RandomState`.
+        fn injective<T: Eq + Hash + Debug>(vals: &[T], packed: impl Fn(&T) -> [u64; 2]) {
+            let s = RandomState::new();
+            for a in vals {
+                for b in vals {
+                    prop_assert_eq!(a == b, packed(a) == packed(b), "{:?} vs {:?}", a, b);
+                    if a == b {
+                        prop_assert_eq!(s.hash_one(a), s.hash_one(b));
+                    }
+                }
+            }
+        }
+
+        /// The edges every case includes: `None` against `Some(0)`
+        /// ports, every protocol and none, `/0` against `0.0.0.0/32`,
+        /// and one prefix built with two different host parts.
+        fn edge_patterns() -> Vec<HeaderFieldList> {
+            let any = HeaderFieldList::any();
+            let net = |host| IpPrefix::new(Ipv4Addr::new(10, 1, 2, host), 24);
+            let mut v = vec![
+                any,
+                HeaderFieldList { tp_src: Some(0), ..any },
+                HeaderFieldList { tp_dst: Some(0), ..any },
+                HeaderFieldList { nw_src: IpPrefix::host(Ipv4Addr::UNSPECIFIED), ..any },
+                HeaderFieldList { nw_dst: IpPrefix::host(Ipv4Addr::UNSPECIFIED), ..any },
+                HeaderFieldList { nw_src: net(3), ..any },
+                HeaderFieldList { nw_src: net(99), ..any },
+            ];
+            v.extend(
+                [Proto::Tcp, Proto::Udp, Proto::Icmp]
+                    .map(|p| HeaderFieldList { proto: Some(p), ..any }),
+            );
+            v
+        }
+
+        proptest! {
+            #[test]
+            fn flow_key_packing_is_injective(
+                mut keys in proptest::collection::vec(flow_key(), 1..24),
+            ) {
+                keys.extend(keys.clone().iter().map(FlowKey::reversed));
+                injective(&keys, FlowKey::packed);
+            }
+
+            #[test]
+            fn pattern_packing_is_injective(
+                mut pats in proptest::collection::vec(pattern(), 1..24),
+            ) {
+                pats.extend(edge_patterns());
+                pats.extend(pats.clone().iter().map(HeaderFieldList::reversed));
+                injective(&pats, HeaderFieldList::packed);
+            }
+        }
     }
 }
