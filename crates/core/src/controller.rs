@@ -59,8 +59,7 @@
 //! consistent cut.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use openmb_obs::{HealthSnapshot, LedgerHealth, NodeTag, Recorder, ShardHealth, SpanEvent};
 use openmb_simnet::SimTime;
@@ -98,18 +97,25 @@ pub struct ControllerCore {
 /// crash without replaying the message history.
 impl Clone for ControllerCore {
     fn clone(&self) -> Self {
-        let router = self.router.lock();
-        let chains = self.chains.lock();
+        let router = lock(&self.router);
+        let chains = lock(&self.chains);
         ControllerCore {
-            shards: self.shards.iter().map(|sh| Mutex::new(sh.lock().clone())).collect(),
+            shards: self.shards.iter().map(|sh| Mutex::new(lock(sh).clone())).collect(),
             router: Mutex::new(router.clone()),
             chains: Mutex::new(chains.clone()),
             live_chains: AtomicUsize::new(chains.len()),
             next_chain: AtomicU64::new(self.next_chain.load(Ordering::Relaxed)),
-            rec: Mutex::new(self.rec.lock().clone()),
+            rec: Mutex::new(lock(&self.rec).clone()),
             config: self.config,
         }
     }
+}
+
+/// Take `m`, recovering it from a holder that panicked: the panic
+/// surfaces on the panicking caller's thread, and the other callers go
+/// on with the table as it was left instead of inheriting the poison.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The hop-op outcome an action reports, if it is a completion a chain
@@ -200,7 +206,7 @@ impl ControllerCore {
     pub fn update_config(&mut self, edit: impl FnOnce(&mut ControllerConfig)) {
         edit(&mut self.config);
         for sh in &self.shards {
-            sh.lock().config = self.config;
+            lock(sh).config = self.config;
         }
     }
 
@@ -214,7 +220,7 @@ impl ControllerCore {
     /// op-less introspection events take the router lock, briefly.
     fn route(&self, from: MbId, msg: &Message) -> Route {
         ShardRouter::route_by_op(self.shards.len(), msg)
-            .unwrap_or_else(|| self.router.lock().route_message(from, msg))
+            .unwrap_or_else(|| lock(&self.router).route_message(from, msg))
     }
 
     /// The shard an incoming southbound message will be delivered to —
@@ -233,22 +239,22 @@ impl ControllerCore {
     /// one controller column in the op timeline.
     pub fn set_recorder(&self, rec: Recorder) {
         let tag = rec.register("controller");
-        *self.rec.lock() = (rec.clone(), tag);
+        *lock(&self.rec) = (rec.clone(), tag);
         for sh in &self.shards {
-            sh.lock().set_recorder_with_tag(rec.clone(), tag);
+            lock(sh).set_recorder_with_tag(rec.clone(), tag);
         }
     }
 
     /// The installed flight recorder handle (disabled by default).
     pub fn recorder(&self) -> Recorder {
-        self.rec.lock().0.clone()
+        lock(&self.rec).0.clone()
     }
 
     /// Record an engine-level event (routing, chain phases, an
     /// embedding's transport resets) under the controller's node tag,
     /// without taking any shard or router lock.
     pub(crate) fn record(&self, t_ns: u64, op: Option<u64>, sub: Option<u64>, ev: SpanEvent) {
-        let (rec, tag) = &*self.rec.lock();
+        let (rec, tag) = &*lock(&self.rec);
         rec.record(t_ns, *tag, op, sub, ev);
     }
 
@@ -258,7 +264,7 @@ impl ControllerCore {
     pub fn register_mb(&self) -> MbId {
         let mut id = None;
         for sh in &self.shards {
-            let got = sh.lock().register_mb();
+            let got = lock(sh).register_mb();
             debug_assert!(id.is_none_or(|i| i == got));
             id = Some(got);
         }
@@ -272,7 +278,7 @@ impl ControllerCore {
     /// Simple (flowspace-free) ops route by MB hash: no conflict entry
     /// and — placement being pure arithmetic — no router lock.
     fn simple(&self, mb: MbId, issue: impl FnOnce(&mut ControllerShard) -> OpId) -> OpId {
-        issue(&mut self.shards[ShardRouter::place_simple(self.shards.len(), mb)].lock())
+        issue(&mut lock(&self.shards[ShardRouter::place_simple(self.shards.len(), mb)]))
     }
 
     /// `readConfig`.
@@ -331,8 +337,8 @@ impl ControllerCore {
         out: &mut Vec<Action>,
     ) -> OpId {
         let s = ShardRouter::place_simple(self.shards.len(), mb);
-        self.router.lock().note_subscription(mb, s);
-        self.shards[s].lock().enable_events(mb, filter, now, out)
+        lock(&self.router).note_subscription(mb, s);
+        lock(&self.shards[s]).enable_events(mb, filter, now, out)
     }
 
     /// `moveInternal` — admitted through the conflict detector.
@@ -368,7 +374,11 @@ impl ControllerCore {
     /// caller holds the router lock): a contended shard answers "not
     /// yet" and is re-checked by the next sweep.
     fn shard_op_closed(&self, shard: usize, op: OpId) -> bool {
-        self.shards[shard].try_lock().is_some_and(|sh| sh.op_closed(op))
+        match self.shards[shard].try_lock() {
+            Ok(sh) => sh.op_closed(op),
+            Err(TryLockError::Poisoned(e)) => e.into_inner().op_closed(op),
+            Err(TryLockError::WouldBlock) => false,
+        }
     }
 
     /// Has `(shard, op)` fully closed, chain-aware: chain ids close when
@@ -403,16 +413,16 @@ impl ControllerCore {
     ) -> OpId {
         let start = out.len();
         let (op, s, pinned) = {
-            let mut router = self.router.lock();
+            let mut router = lock(&self.router);
             {
-                let chains = self.chains.lock();
+                let chains = lock(&self.chains);
                 router.prune(|shard, op| self.closed(&chains, shard, op));
             }
             let (s, pinned, blockers) = match router.admit(&pattern, src, dst) {
                 Admission::Run { shard, pinned } => (shard, pinned, Vec::new()),
                 Admission::Defer { shard, blockers } => (shard, true, blockers),
             };
-            let mut sh = self.shards[s].lock();
+            let mut sh = lock(&self.shards[s]);
             let op = sh.start_transfer(kind, src, dst, pattern, !blockers.is_empty(), now, out);
             router.register_transfer(op, pattern, src, dst, s);
             if !blockers.is_empty() && !sh.op_closed(op) {
@@ -433,7 +443,7 @@ impl ControllerCore {
     /// any deferral this unblocks is still released by the next
     /// state-advancing entry point — tick or message.)
     pub fn end_op(&self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
-        self.shards[self.shard_of_op(op)].lock().end_op(op, now, out);
+        lock(&self.shards[self.shard_of_op(op)]).end_op(op, now, out);
     }
 
     // ------------------------------------------------------------------
@@ -484,8 +494,8 @@ impl ControllerCore {
             // entries and its table row must appear atomically, or a
             // racing prune would see a chain id with no live chain
             // behind it and drop the entries.
-            let mut router = self.router.lock();
-            let mut chains = self.chains.lock();
+            let mut router = lock(&self.router);
+            let mut chains = lock(&self.chains);
             router.prune(|shard, op| self.closed(&chains, shard, op));
             let (shard, pinned, blockers) = match router.admit_chain(&entries) {
                 Admission::Run { shard, pinned } => (shard, pinned, Vec::new()),
@@ -533,7 +543,7 @@ impl ControllerCore {
         now: SimTime,
         out: &mut Vec<Action>,
     ) -> OpId {
-        let mut sh = self.shards[c.shard].lock();
+        let mut sh = lock(&self.shards[c.shard]);
         let op = sh.start_transfer(OpKind::Move, src, dst, c.spec.pattern, false, now, out);
         drop(sh);
         let routed = SpanEvent::OpRouted { shard: c.shard as u32, pinned: true };
@@ -572,7 +582,7 @@ impl ControllerCore {
     /// delete landing after the reverse move's puts would destroy the
     /// state the rollback just restored.
     fn begin_undo(&self, c: &mut ChainRun, undo: usize, now: SimTime, out: &mut Vec<Action>) {
-        self.shards[c.shard].lock().end_op(c.hop_ops[undo], now, out);
+        lock(&self.shards[c.shard]).end_op(c.hop_ops[undo], now, out);
         let retries_left = self.retries_left(c);
         c.phase = ChainPhase::Rollback { undo, op: None, retries_left, paced: false };
     }
@@ -643,8 +653,8 @@ impl ControllerCore {
         {
             // The router lock too: settling re-registers draining hop
             // ops, and the order is router → chains.
-            let mut router = self.router.lock();
-            let mut chains = self.chains.lock();
+            let mut router = lock(&self.router);
+            let mut chains = lock(&self.chains);
             if reissue {
                 // Un-park paced rollback retries; the fixpoint below
                 // re-issues them (and anything else whose wait is over).
@@ -769,15 +779,15 @@ impl ControllerCore {
     /// locking only each released op's own shard.
     fn release_deferred(&self, now: SimTime, out: &mut Vec<Action>) {
         let ready = {
-            let mut router = self.router.lock();
+            let mut router = lock(&self.router);
             if !router.has_deferred() {
                 return;
             }
-            let chains = self.chains.lock();
+            let chains = lock(&self.chains);
             router.drain_releasable(|shard, op| self.closed(&chains, shard, op))
         };
         for (shard, op) in ready {
-            self.shards[shard].lock().release_transfer(op, now, out);
+            lock(&self.shards[shard]).release_transfer(op, now, out);
         }
     }
 
@@ -809,20 +819,20 @@ impl ControllerCore {
         msg.for_each_unbatched(|m| {
             let route = ShardRouter::route_by_op(self.shards.len(), &m).unwrap_or_else(|| {
                 drop(held.take());
-                self.router.lock().route_message(from, &m)
+                lock(&self.router).route_message(from, &m)
             });
             match route {
                 Route::Shard(s) => {
                     if held.as_ref().map(|(h, _)| *h) != Some(s) {
                         drop(held.take());
-                        held = Some((s, self.shards[s].lock()));
+                        held = Some((s, lock(&self.shards[s])));
                     }
                     let (_, sh) = held.as_mut().expect("locked above");
                     sh.handle_mb_message(from, m, now, out);
                 }
                 Route::Broadcast => {
                     for sh in &self.shards {
-                        sh.lock().handle_mb_message(from, m.clone(), now, out);
+                        lock(sh).handle_mb_message(from, m.clone(), now, out);
                     }
                 }
             }
@@ -838,7 +848,7 @@ impl ControllerCore {
     pub fn mark_unreachable(&self, mb: MbId, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
         for sh in &self.shards {
-            sh.lock().mark_unreachable(mb, now, out);
+            lock(sh).mark_unreachable(mb, now, out);
         }
         self.sweep(now, out, start, false);
     }
@@ -849,7 +859,7 @@ impl ControllerCore {
     pub fn mark_reachable(&self, mb: MbId, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
         for sh in &self.shards {
-            sh.lock().mark_reachable(mb, now, out);
+            lock(sh).mark_reachable(mb, now, out);
         }
         self.sweep(now, out, start, true);
     }
@@ -857,7 +867,7 @@ impl ControllerCore {
     /// Is `mb` currently marked unreachable? (The set is broadcast, so
     /// any shard can answer.)
     pub fn is_unreachable(&self, mb: MbId) -> bool {
-        self.shards[0].lock().is_unreachable(mb)
+        lock(&self.shards[0]).is_unreachable(mb)
     }
 
     /// Periodic maintenance, shard by shard in index order — the order
@@ -869,7 +879,7 @@ impl ControllerCore {
     pub fn tick(&self, now: SimTime, out: &mut Vec<Action>) {
         let start = out.len();
         for sh in &self.shards {
-            sh.lock().tick(now, out);
+            lock(sh).tick(now, out);
         }
         self.sweep(now, out, start, true);
     }
@@ -883,7 +893,7 @@ impl ControllerCore {
     /// keep the maintenance timer armed while a chain is between hops
     /// or pacing a rollback retry.
     pub fn open_ops(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().open_ops()).sum::<usize>() + self.open_chains()
+        self.shards.iter().map(|s| lock(s).open_ops()).sum::<usize>() + self.open_chains()
     }
 
     /// Chain transactions still running (any phase).
@@ -895,41 +905,41 @@ impl ControllerCore {
     /// [`Completion::ChainComplete`] / [`Completion::Failed`] has been
     /// emitted) or for ids that are not chains.
     pub fn chain_status(&self, id: OpId) -> Option<ChainStatus> {
-        self.chains.lock().iter().find(|c| c.id == id).map(|c| c.status())
+        lock(&self.chains).iter().find(|c| c.id == id).map(|c| c.status())
     }
 
     /// Forward hop ops issued so far by live chain `id`, in hop order
     /// (diagnostics, tests). Empty once the chain is terminal.
     pub fn chain_hop_ops(&self, id: OpId) -> Vec<OpId> {
-        let chains = self.chains.lock();
+        let chains = lock(&self.chains);
         chains.iter().find(|c| c.id == id).map(|c| c.hop_ops.clone()).unwrap_or_default()
     }
 
     /// Southbound messages brokered, across all shards.
     pub fn messages_handled(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().messages_handled).sum()
+        self.shards.iter().map(|s| lock(s).messages_handled).sum()
     }
 
     /// Peak reprocess-event buffer depth observed on any one shard.
     pub fn events_buffered_peak(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().events_buffered_peak).max().unwrap_or(0)
+        self.shards.iter().map(|s| lock(s).events_buffered_peak).max().unwrap_or(0)
     }
 
     /// Events forwarded under an operation (experiments).
     pub fn events_forwarded(&self, op: OpId) -> u64 {
-        self.shards[self.shard_of_op(op)].lock().events_forwarded(op)
+        lock(&self.shards[self.shard_of_op(op)]).events_forwarded(op)
     }
 
     /// Total chunks transferred under an operation (experiments).
     pub fn chunks_moved(&self, op: OpId) -> usize {
-        self.shards[self.shard_of_op(op)].lock().chunks_moved(op)
+        lock(&self.shards[self.shard_of_op(op)]).chunks_moved(op)
     }
 
     /// Where shard op `op` is in its lifecycle (DESIGN §10); `None` for
     /// an id its shard never issued, chain ids included, and `Closed`
     /// for one it has retired.
     pub fn op_phase(&self, op: OpId) -> Option<Phase> {
-        self.shards[self.shard_of_op(op)].lock().phase(op)
+        lock(&self.shards[self.shard_of_op(op)]).phase(op)
     }
 
     /// Entry counts of every table the controller keeps, summed over
@@ -938,7 +948,7 @@ impl ControllerCore {
     pub fn table_sizes(&self) -> TableSizes {
         let mut sum = TableSizes { conflicts: self.active_transfers(), ..TableSizes::default() };
         for sh in &self.shards {
-            let t = sh.lock().table_sizes();
+            let t = lock(sh).table_sizes();
             sum.ops += t.ops;
             sum.sub_ops += t.sub_ops;
             sum.tombstones += t.tombstones;
@@ -956,7 +966,7 @@ impl ControllerCore {
     pub fn transfer_ledger_stats(&self, op: OpId) -> TransferLedgerStats {
         let mut merged = TransferLedgerStats::default();
         for sh in &self.shards {
-            let s = sh.lock().transfer_ledger_stats(op);
+            let s = lock(sh).transfer_ledger_stats(op);
             merged.puts_in_flight += s.puts_in_flight;
             merged.puts_queued += s.puts_queued;
             merged.ack_set_size += s.ack_set_size;
@@ -980,7 +990,7 @@ impl ControllerCore {
         let mut ledger = LedgerHealth::default();
         let mut shards = Vec::with_capacity(self.shards.len());
         for (i, sh) in self.shards.iter().enumerate() {
-            let sh = sh.lock();
+            let sh = lock(sh);
             let a = sh.aggregate_ledger_stats();
             ledger.puts_in_flight += a.puts_in_flight as u64;
             ledger.puts_queued += a.puts_queued as u64;
@@ -1006,13 +1016,13 @@ impl ControllerCore {
     /// Live transfers currently pinned in the router's conflict table
     /// (diagnostics; shrinks lazily on the next admission).
     pub fn active_transfers(&self) -> usize {
-        self.router.lock().active_transfers()
+        lock(&self.router).active_transfers()
     }
 
     /// Transfers reserved under a cross-shard conflict and still
     /// awaiting release (diagnostics, tests).
     pub fn deferred_transfers(&self) -> usize {
-        self.router.lock().deferred_transfers()
+        lock(&self.router).deferred_transfers()
     }
 }
 
@@ -1421,13 +1431,40 @@ mod tests {
         assert_eq!(core.op_phase(op_c), Some(Phase::Running));
     }
 
+    /// A caller that panics while holding a shard or the router lock
+    /// does not take the engine down with it: the next callers recover
+    /// the locks and go on.
+    #[test]
+    fn a_panicked_lock_holder_leaves_the_engine_usable() {
+        let (core, a, b, ..) = sharded(2);
+        std::thread::scope(|s| {
+            for m in [&core.shards[0], &core.shards[1]] {
+                let held = s.spawn(|| {
+                    let _g = lock(m);
+                    panic!("a caller panics holding a shard lock");
+                });
+                assert!(held.join().is_err());
+            }
+            let held = s.spawn(|| {
+                let _g = lock(&core.router);
+                panic!("a caller panics holding the router lock");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(core.shards[0].is_poisoned() && core.router.is_poisoned());
+        let mut out = Vec::new();
+        let op = core.move_internal(a, b, HeaderFieldList::any(), SimTime(0), &mut out);
+        assert_eq!(core.op_phase(op), Some(Phase::Running));
+        assert_eq!(core.open_ops(), 1);
+    }
+
     #[test]
     fn update_config_reaches_every_shard_at_once() {
         let (mut core, ..) = sharded(2);
         core.update_config(|c| c.transfer_window = 7);
         assert_eq!(core.config().transfer_window, 7);
         for sh in &core.shards {
-            assert_eq!(sh.lock().config.transfer_window, 7);
+            assert_eq!(lock(sh).config.transfer_window, 7);
         }
     }
 

@@ -6,8 +6,11 @@
 //! one thread for handling events"). This module provides the same
 //! deployment shape on `std::net` TCP with the binary wire codec:
 //!
-//! * [`serve_middlebox`] — serves any [`Middlebox`]'s southbound
-//!   protocol over a [`Transport`] (one thread per MB, like the paper).
+//! * [`serve_middlebox_recorded`] — the one MB serve loop: serves any
+//!   [`Middlebox`]'s southbound protocol over a [`Transport`] (one
+//!   thread per MB, like the paper), with a caller-owned put log and
+//!   flight recorder; [`serve_middlebox`] runs it with neither. The
+//!   dispatch it calls is [`openmb_mb::handle_southbound_logged`].
 //! * [`TcpController`] — hosts the one controller engine
 //!   ([`ControllerCore`]), runs one receive thread per MB connection
 //!   that feeds the engine directly, and exposes *blocking* northbound
@@ -46,6 +49,8 @@
 //! stalls reads its own incoming frames into an unbounded queue (so two
 //! ends sending to each other both finish). The link table (one
 //! transport and one generation per MB) lives under the same lock.
+//! Every lock here is a `std::sync::Mutex`; the order lock is recovered
+//! from a holder that panicked, the waiter table is not.
 //!
 //! **Generations.** [`TcpController::reattach_mb`] bumps the MB's
 //! generation and starts a receive thread for the new transport. A
@@ -72,13 +77,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-use openmb_mb::{Middlebox, SharedPutLog};
+use openmb_mb::{handle_southbound_logged, Middlebox, SharedPutLog};
 use openmb_obs::{Recorder, SpanEvent};
 use openmb_simnet::SimTime;
 use openmb_types::transport::Transport;
@@ -86,7 +89,7 @@ use openmb_types::wire::{EventFilter, Message};
 use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, OpId, Result};
 
 use crate::chain::ChainSpec;
-use crate::controller::{coalesce, Action, Completion, ControllerConfig, ControllerCore};
+use crate::controller::{coalesce, lock, Action, Completion, ControllerConfig, ControllerCore};
 
 /// How long the MB serve loop's blocked receive waits before looking at
 /// `stop`. A frame or a disconnect ends the wait immediately, so this
@@ -106,36 +109,31 @@ const RECV_POLL: Duration = Duration::from_millis(250);
 const TICK: Duration = Duration::from_millis(25);
 
 /// Serve a middlebox's southbound protocol over `transport` until the
-/// peer disconnects or `stop` is raised.
+/// peer disconnects or `stop` is raised: [`serve_middlebox_recorded`]
+/// with a fresh log and no recorder.
 pub fn serve_middlebox<M: Middlebox>(
     mb: &mut M,
     transport: &dyn Transport,
     stop: &AtomicBool,
 ) -> Result<()> {
-    let mut log = SharedPutLog::new();
-    serve_middlebox_logged(mb, &mut log, transport, stop)
-}
-
-/// [`serve_middlebox`] with a caller-owned [`SharedPutLog`], so the
-/// dedup/rollback bookkeeping survives a disconnect: pass the same log
-/// back in when re-serving the MB after a reconnect and a re-sent
-/// shared put is re-acked instead of re-merged.
-pub fn serve_middlebox_logged<M: Middlebox>(
-    mb: &mut M,
-    log: &mut SharedPutLog,
-    transport: &dyn Transport,
-    stop: &AtomicBool,
-) -> Result<()> {
+    let log = &mut SharedPutLog::new();
     serve_middlebox_recorded(mb, log, transport, stop, &Recorder::disabled(), "")
 }
 
-/// The serve loop. With an enabled `rec` every request handled is
-/// recorded as a [`SpanEvent::Handled`] under the node name `name` —
-/// the MB half of an end-to-end op timeline — and timestamps (also the
-/// `now` packet replay sees) are nanoseconds since the recorder's
-/// epoch, so when the controller shares the same recorder (loopback
-/// tests) both sides' events interleave on one clock. With a disabled
-/// recorder recording costs one branch and the clock is the loop's own.
+/// The serve loop.
+///
+/// * `log` is caller-owned so the shared-put dedup/rollback bookkeeping
+///   survives a disconnect: pass the same log back in when re-serving
+///   the MB after a reconnect and a re-sent shared put is re-acked
+///   instead of re-merged.
+/// * With an enabled `rec` every request handled — each inner message
+///   of a batched frame, keyed by its own sub-op id — is recorded as a
+///   [`SpanEvent::Handled`] under the node name `name`: the MB half of
+///   an end-to-end op timeline. Timestamps (also the `now` packet replay
+///   sees) are nanoseconds since the recorder's epoch, so when the
+///   controller shares the same recorder (loopback tests) both sides'
+///   events interleave on one clock. With a disabled recorder recording
+///   costs one branch and the clock is the loop's own.
 pub fn serve_middlebox_recorded<M: Middlebox>(
     mb: &mut M,
     log: &mut SharedPutLog,
@@ -160,7 +158,12 @@ pub fn serve_middlebox_recorded<M: Middlebox>(
         } else {
             start.elapsed().as_nanos() as u64
         });
-        let mut replies = handle_southbound_recorded(mb, log, msg, now, rec, tag);
+        let mut replies = Vec::new();
+        msg.for_each_unbatched(|m| {
+            let (sub, kind) = (m.op_id().map(|o| o.0), m.kind_name());
+            rec.record(now.0, tag, None, sub, SpanEvent::Handled { msg: kind });
+            replies.extend(handle_southbound_logged(mb, log, m, now));
+        });
         // A request with several replies (a get streaming chunks, a
         // batched request) answers with one coalesced frame.
         let sent = match replies.len() {
@@ -184,12 +187,6 @@ pub fn serve_middlebox_recorded<M: Middlebox>(
         }
     }
 }
-
-/// Southbound dispatch, re-exported from [`openmb_mb::southbound`]
-/// where it now lives (next to the [`Middlebox`] trait it drives).
-pub use openmb_mb::southbound::{
-    handle_southbound, handle_southbound_logged, handle_southbound_recorded,
-};
 
 /// A controller serving the northbound API over per-MB transports.
 ///
@@ -246,7 +243,7 @@ struct Inner {
     /// chain hop sub-results, MB events, calls that already timed out —
     /// are dropped on delivery, so the table holds live callers only.
     /// Taken inside the order lock, never the other way round.
-    waiters: std::sync::Mutex<Waiters>,
+    waiters: Mutex<Waiters>,
     completed: Condvar,
     start: Instant,
 }
@@ -260,7 +257,7 @@ impl TcpController {
             inner: Arc::new(Inner {
                 core: ControllerCore::new(config),
                 links: Mutex::new(Links::default()),
-                waiters: std::sync::Mutex::new(HashMap::new()),
+                waiters: Mutex::new(HashMap::new()),
                 completed: Condvar::new(),
                 start: Instant::now(),
             }),
@@ -272,7 +269,7 @@ impl TcpController {
     /// [`start`](TcpController::start) the connection only joins the
     /// table; after it, its receive thread starts at once.
     pub fn register_mb(&self, transport: Arc<dyn Transport + Sync>) -> MbId {
-        let mut links = self.inner.links.lock();
+        let mut links = lock(&self.inner.links);
         let id = self.inner.core.register_mb();
         debug_assert_eq!(id.0 as usize, links.mbs.len(), "the link table is indexed by MbId");
         links.mbs.push(Link { transport, generation: 0 });
@@ -287,7 +284,7 @@ impl TcpController {
     /// `max_transfer_resumes` > 0, a move interrupted mid-transfer picks
     /// up from its last acked chunk instead of starting over).
     pub fn reattach_mb(&self, mb: MbId, transport: Arc<dyn Transport + Sync>) {
-        let mut links = self.inner.links.lock();
+        let mut links = lock(&self.inner.links);
         let Some(link) = links.mbs.get_mut(mb.0 as usize) else { return };
         link.transport = transport;
         link.generation += 1;
@@ -321,7 +318,7 @@ impl TcpController {
     /// Start serving: one receive thread per registered MB and the
     /// maintenance timer. No frame reaches the engine before this.
     pub fn start(&mut self) {
-        let mut links = self.inner.links.lock();
+        let mut links = lock(&self.inner.links);
         if links.running {
             return;
         }
@@ -345,7 +342,7 @@ impl TcpController {
         // from before the op id exists until its slot does means no
         // completion — not even a racing transport reset's abort — can
         // arrive unobserved.
-        let op = inner.drive(&inner.links.lock(), |core, now, out| {
+        let op = inner.drive(&lock(&inner.links), |core, now, out| {
             let op = issue(core, now, out);
             inner.waiters().insert(op, None);
             op
@@ -432,7 +429,7 @@ impl TcpController {
     /// idle poll (250 ms).
     pub fn shutdown(&mut self) {
         let receivers = {
-            let mut links = self.inner.links.lock();
+            let mut links = lock(&self.inner.links);
             links.running = false;
             std::mem::take(&mut links.receivers)
         };
@@ -453,7 +450,7 @@ impl Drop for TcpController {
 }
 
 impl Inner {
-    fn waiters(&self) -> std::sync::MutexGuard<'_, Waiters> {
+    fn waiters(&self) -> MutexGuard<'_, Waiters> {
         self.waiters.lock().expect(WAITERS_POISONED)
     }
 
@@ -513,7 +510,7 @@ impl Inner {
     fn receive_loop(&self, mb: MbId, generation: u64, transport: &(dyn Transport + Sync)) {
         loop {
             let received = transport.recv_timeout(RECV_POLL);
-            let links = self.links.lock();
+            let links = lock(&self.links);
             if !links.running || links.mbs[mb.0 as usize].generation != generation {
                 return;
             }
@@ -543,7 +540,7 @@ impl Inner {
         let mut next = Instant::now() + TICK;
         loop {
             std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
-            let links = self.links.lock();
+            let links = lock(&self.links);
             if !links.running {
                 return;
             }

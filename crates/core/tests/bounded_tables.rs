@@ -27,10 +27,11 @@ use openmb_core::controller::{
     Action, Completion, ControllerConfig, ControllerCore, TableSizes, RETIRED_RING,
 };
 use openmb_core::nodes::{ControllerCosts, ControllerNode, MbNode, APP_TIMER_BASE};
-use openmb_core::tcp::{handle_southbound_logged, serve_middlebox_logged, TcpController};
+use openmb_core::tcp::{serve_middlebox_recorded, TcpController};
 use openmb_core::ShardedController;
-use openmb_mb::{Middlebox, SharedPutLog};
+use openmb_mb::{handle_southbound_logged, Middlebox, SharedPutLog};
 use openmb_middleboxes::DummyMb;
+use openmb_obs::Recorder;
 use openmb_simnet::{Sim, SimDuration, SimTime};
 use openmb_store::{ContentStore, MemoryContentStore, ENTRY_OVERHEAD, MEMORY_STORE_BUDGET};
 use openmb_types::crypto::VendorKey;
@@ -313,7 +314,15 @@ fn soak_tcp(workloads: usize) {
             let (stream, _) = listener.accept().unwrap();
             let transport = TcpTransport::new(stream).unwrap();
             let (mut logic, mut log) = (logic, SharedPutLog::with_store(store));
-            serve_middlebox_logged(&mut logic, &mut log, &transport, &stop).unwrap();
+            serve_middlebox_recorded(
+                &mut logic,
+                &mut log,
+                &transport,
+                &stop,
+                &Recorder::disabled(),
+                "",
+            )
+            .unwrap();
         }));
         ids.push(controller.register_mb(Arc::new(TcpTransport::connect(addr).unwrap())));
     }

@@ -5,8 +5,8 @@
 use openmb_core::controller::{
     Action, Completion, ControllerConfig, ControllerCore, TableSizes, RETIRED_RING,
 };
-use openmb_core::tcp::{handle_southbound, handle_southbound_logged};
 use openmb_core::{ChainHop, ChainSpec, Phase, ShardRouter};
+use openmb_mb::{handle_southbound, handle_southbound_logged};
 use openmb_mb::{Effects, Middlebox, SharedPutLog};
 use openmb_middleboxes::{DummyMb, Ips, Monitor, Proxy};
 use openmb_obs::{Recorder, SpanEvent};

@@ -131,8 +131,9 @@ fn move_and_merge_over_loopback_tcp() {
 /// connection died), so re-sent puts are re-acked, not re-applied.
 #[test]
 fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
-    use openmb_core::tcp::{handle_southbound_logged, serve_middlebox_logged};
-    use openmb_mb::SharedPutLog;
+    use openmb_core::tcp::serve_middlebox_recorded;
+    use openmb_mb::{handle_southbound_logged, SharedPutLog};
+    use openmb_obs::Recorder;
     use openmb_types::transport::{channel_pair, Transport};
     use openmb_types::wire::Message;
 
@@ -211,7 +212,8 @@ fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
         ctrl.reattach_mb(dst_id, Arc::new(ctl2));
         let stop2 = Arc::clone(&stop);
         let served = s.spawn(move || {
-            serve_middlebox_logged(&mut dst, &mut log, &mb2, &stop2).unwrap();
+            serve_middlebox_recorded(&mut dst, &mut log, &mb2, &stop2, &Recorder::disabled(), "")
+                .unwrap();
             dst
         });
 
@@ -504,8 +506,8 @@ fn chain_move_commits_over_loopback_tcp() {
 /// source holds exactly its pre-move state.
 #[test]
 fn chain_move_rolls_back_over_loopback_tcp_when_a_hop_destination_drops() {
-    use openmb_core::tcp::handle_southbound;
     use openmb_core::{ChainHop, ChainSpec};
+    use openmb_mb::handle_southbound;
     use openmb_types::transport::Transport;
     use openmb_types::wire::Message;
     use openmb_types::Error;
@@ -708,7 +710,7 @@ fn an_mb_registered_after_start_is_served() {
 /// applied before the reset is.
 #[test]
 fn frames_queued_before_a_disconnect_are_handled_before_the_reset() {
-    use openmb_core::tcp::handle_southbound;
+    use openmb_mb::handle_southbound;
     use openmb_obs::SpanEvent;
     use openmb_types::transport::{channel_pair, Transport};
     use openmb_types::wire::Message;
@@ -802,8 +804,9 @@ fn shutdown_is_prompt_and_leaves_no_thread_behind() {
 /// left open.
 #[test]
 fn soak_under_the_monitor_over_tcp_and_a_reattach() {
-    use openmb_core::tcp::{handle_southbound_logged, serve_middlebox_logged};
-    use openmb_mb::SharedPutLog;
+    use openmb_core::tcp::serve_middlebox_recorded;
+    use openmb_mb::{handle_southbound_logged, SharedPutLog};
+    use openmb_obs::Recorder;
     use openmb_types::transport::{channel_pair, Transport};
     use openmb_types::wire::Message;
 
@@ -863,7 +866,15 @@ fn soak_under_the_monitor_over_tcp_and_a_reattach() {
         ctrl.reattach_mb(dst, Arc::new(ctl2));
         let stop = Arc::clone(&servers.stop);
         servers.threads.push(std::thread::spawn(move || {
-            serve_middlebox_logged(&mut monitor, &mut log, &mb2, &stop).unwrap();
+            serve_middlebox_recorded(
+                &mut monitor,
+                &mut log,
+                &mb2,
+                &stop,
+                &Recorder::disabled(),
+                "",
+            )
+            .unwrap();
         }));
         moved_all(mover.join().unwrap().unwrap());
     });

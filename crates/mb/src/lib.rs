@@ -34,7 +34,7 @@ pub mod sync;
 
 pub use cost::CostModel;
 pub use effects::{Effects, LogEntry};
-pub use southbound::{handle_southbound, handle_southbound_logged, handle_southbound_recorded};
+pub use southbound::{handle_southbound, handle_southbound_logged};
 pub use state::{Record, Sealer};
 pub use sync::SyncTracker;
 

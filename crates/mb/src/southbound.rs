@@ -16,14 +16,7 @@
 //! as replay work behind the packets already waiting. Every other
 //! request — and every request under the other embeddings — takes the
 //! arms below.
-//!
-//! [`handle_southbound_recorded`] additionally records a
-//! [`SpanEvent::Handled`] into a flight recorder per request, keyed by
-//! the wire message's sub-op id — the controller records the same id as
-//! the `sub` of its parent operation, so one op id correlates events
-//! across both nodes' timelines.
 
-use openmb_obs::{NodeTag, Recorder, SpanEvent};
 use openmb_simnet::SimTime;
 use openmb_types::wire::{self, ChunkClass, Message};
 use openmb_types::{EncryptedChunk, OpId, Result, StateChunk};
@@ -40,41 +33,6 @@ use crate::{Middlebox, SharedPutLog};
 pub fn handle_southbound<M: Middlebox>(mb: &mut M, msg: Message, now: SimTime) -> Vec<Message> {
     let mut log = SharedPutLog::new();
     handle_southbound_logged(mb, &mut log, msg, now)
-}
-
-/// [`handle_southbound_logged`] that first records the request into a
-/// flight recorder (when enabled) under `tag`, with the message's wire
-/// id in the *sub* slot — on the MB side every request id is a sub-op
-/// the controller allocated, so the cross-node timeline lines up by
-/// sub-op id.
-pub fn handle_southbound_recorded<M: Middlebox>(
-    mb: &mut M,
-    log: &mut SharedPutLog,
-    msg: Message,
-    now: SimTime,
-    rec: &Recorder,
-    tag: NodeTag,
-) -> Vec<Message> {
-    // A coalesced frame records one `Handled` per inner message, each
-    // keyed by its own sub-op id, so per-op timelines stay correct
-    // under batching.
-    if matches!(msg, Message::Batch { .. }) {
-        let mut out = Vec::new();
-        msg.for_each_unbatched(|m| {
-            out.extend(handle_southbound_recorded(mb, log, m, now, rec, tag));
-        });
-        return out;
-    }
-    if rec.is_enabled() {
-        rec.record(
-            now.0,
-            tag,
-            None,
-            msg.op_id().map(|o| o.0),
-            SpanEvent::Handled { msg: msg.kind_name() },
-        );
-    }
-    handle_southbound_logged(mb, log, msg, now)
 }
 
 /// [`handle_southbound`] with a caller-owned [`SharedPutLog`] carrying

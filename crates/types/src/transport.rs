@@ -3,9 +3,9 @@
 //! The controller and middleboxes speak [`wire::Message`]s over a
 //! [`Transport`]. Two implementations exist:
 //!
-//! * [`channel_pair`] — an in-process pair built on crossbeam channels.
-//!   Unit tests and the discrete-event simulator use this (the simulator
-//!   adds its own latency model on top).
+//! * [`channel_pair`] — an in-process pair built on `std::sync::mpsc`
+//!   channels, for tests that drive a `TcpController` without sockets.
+//!   (The discrete-event simulator has links of its own.)
 //! * [`TcpTransport`] — real length-prefixed frames over `std::net`
 //!   TCP, read by whichever thread asks for the next message (no thread
 //!   of its own). The `tcp_protocol` example and integration tests run
@@ -18,10 +18,11 @@
 use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::{Error, Result};
 use crate::wire::{decode_bytes, encode_frame, Message, MAX_MESSAGE};
@@ -32,22 +33,27 @@ pub trait Transport: Send {
     fn send(&self, msg: Message) -> Result<()>;
     /// Receive the next message, blocking up to `timeout`.
     /// `Ok(None)` = timeout; `Err` = disconnected.
-    fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Message>>;
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>>;
     /// Non-blocking receive. `Ok(None)` = nothing pending.
     fn try_recv(&self) -> Result<Option<Message>>;
 }
 
-/// In-process transport endpoint: a pair of crossbeam channels.
+/// In-process transport endpoint: a pair of `std::sync::mpsc` channels.
+/// The receive end sits in a mutex, which makes the endpoint `Sync`;
+/// like [`TcpTransport`], one receiver at a time: a second
+/// `recv_timeout` waits for the first, and `try_recv` finds nothing
+/// while another thread is receiving.
 pub struct ChannelTransport {
     tx: Sender<Message>,
-    rx: Receiver<Message>,
+    rx: Mutex<Receiver<Message>>,
 }
 
 /// Create a connected pair of in-process transports.
 pub fn channel_pair() -> (ChannelTransport, ChannelTransport) {
-    let (a_tx, b_rx) = unbounded();
-    let (b_tx, a_rx) = unbounded();
-    (ChannelTransport { tx: a_tx, rx: a_rx }, ChannelTransport { tx: b_tx, rx: b_rx })
+    let (a_tx, b_rx) = channel();
+    let (b_tx, a_rx) = channel();
+    let end = |tx, rx| ChannelTransport { tx, rx: Mutex::new(rx) };
+    (end(a_tx, a_rx), end(b_tx, b_rx))
 }
 
 impl Transport for ChannelTransport {
@@ -55,8 +61,8 @@ impl Transport for ChannelTransport {
         self.tx.send(msg).map_err(|_| Error::Transport("peer disconnected".into()))
     }
 
-    fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Message>> {
-        match self.rx.recv_timeout(timeout) {
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>> {
+        match lock(&self.rx).recv_timeout(timeout) {
             Ok(m) => Ok(Some(m)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => {
@@ -66,13 +72,27 @@ impl Transport for ChannelTransport {
     }
 
     fn try_recv(&self) -> Result<Option<Message>> {
-        match self.rx.try_recv() {
+        let Some(rx) = try_lock(&self.rx) else { return Ok(None) };
+        match rx.try_recv() {
             Ok(m) => Ok(Some(m)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                Err(Error::Transport("peer disconnected".into()))
-            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(Error::Transport("peer disconnected".into())),
         }
+    }
+}
+
+/// Take `m`, recovering it from a holder that panicked: each lock here
+/// guards one end of a pipe, which a panic elsewhere leaves usable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] if nobody holds `m` right now, `None` if somebody does.
+fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -118,9 +138,9 @@ const HOT_POLL: Duration = Duration::from_micros(200);
 ///   frame.)
 pub struct TcpTransport {
     /// Serialises senders.
-    writer: parking_lot::Mutex<TcpStream>,
+    writer: Mutex<TcpStream>,
     /// The receive half: whoever holds it reads the socket.
-    rx: parking_lot::Mutex<Rx>,
+    rx: Mutex<Rx>,
 }
 
 struct Rx {
@@ -288,10 +308,7 @@ impl TcpTransport {
             closed: false,
             hot: false,
         };
-        Ok(TcpTransport {
-            writer: parking_lot::Mutex::new(stream),
-            rx: parking_lot::Mutex::new(rx),
-        })
+        Ok(TcpTransport { writer: Mutex::new(stream), rx: Mutex::new(rx) })
     }
 
     /// Connect to a listening peer.
@@ -304,7 +321,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn send(&self, msg: Message) -> Result<()> {
         let frame = encode_frame(&msg)?;
-        let mut writer = self.writer.lock();
+        let mut writer = lock(&self.writer);
         let mut sent = 0;
         while sent < frame.len() {
             match writer.write(&frame[sent..]) {
@@ -314,7 +331,7 @@ impl Transport for TcpTransport {
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     // No room at the peer: make room for *its* sends. A
                     // receiver holding `rx` is reading the socket itself.
-                    if let Some(mut rx) = self.rx.try_lock() {
+                    if let Some(mut rx) = try_lock(&self.rx) {
                         rx.drain();
                     }
                 }
@@ -325,11 +342,11 @@ impl Transport for TcpTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>> {
-        self.rx.lock().recv(Some(timeout))
+        lock(&self.rx).recv(Some(timeout))
     }
 
     fn try_recv(&self) -> Result<Option<Message>> {
-        match self.rx.try_lock() {
+        match try_lock(&self.rx) {
             Some(mut rx) => rx.recv(None),
             None => Ok(None),
         }
@@ -339,7 +356,7 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         // Hang up even if the caller kept a clone of the stream.
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
+        let _ = lock(&self.writer).shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -351,6 +368,13 @@ mod tests {
     use crate::state::EncryptedChunk;
     use crate::wire::ChunkClass;
     use crate::OpId;
+
+    // `TcpController` hosts its links as `Arc<dyn Transport + Sync>`.
+    const _: () = {
+        const fn hostable<T: Transport + Sync>() {}
+        hostable::<ChannelTransport>();
+        hostable::<TcpTransport>();
+    };
 
     #[test]
     fn channel_pair_delivers_in_order() {
@@ -370,6 +394,46 @@ mod tests {
         let (a, b) = channel_pair();
         drop(a);
         assert!(b.recv_timeout(Duration::from_millis(10)).is_err());
+    }
+
+    /// `Duration::MAX` is a wait without a deadline on both transports
+    /// (TCP first, then the channel): a queued frame comes back, and a
+    /// peer that hung up is an error, not an overflow or a hang.
+    #[test]
+    fn an_unbounded_wait_returns_the_frame_then_the_hangup() {
+        let msg = Message::OpAck { op: OpId(5) };
+        let (raw, t) = raw_and_transport();
+        let peer = TcpTransport::new(raw).unwrap();
+        peer.send(msg.clone()).unwrap();
+        assert_eq!(t.recv_timeout(Duration::MAX).unwrap(), Some(msg.clone()));
+        drop(peer);
+        assert!(t.recv_timeout(Duration::MAX).is_err());
+
+        let (a, b) = channel_pair();
+        a.send(msg.clone()).unwrap();
+        assert_eq!(b.recv_timeout(Duration::MAX).unwrap(), Some(msg));
+        drop(a);
+        assert!(b.recv_timeout(Duration::MAX).is_err());
+    }
+
+    /// One receiver at a time on the channel transport, as on TCP: while
+    /// another thread waits in `recv_timeout`, `try_recv` returns at once
+    /// with nothing, and the waiting receiver gets the next frame.
+    #[test]
+    fn try_recv_does_not_wait_for_a_blocked_receiver() {
+        let msg = Message::OpAck { op: OpId(6) };
+        let (a, b) = channel_pair();
+        let b = std::sync::Arc::new(b);
+        let receiver = std::sync::Arc::clone(&b);
+        let waiting = std::thread::spawn(move || receiver.recv_timeout(Duration::from_secs(5)));
+        while b.rx.try_lock().is_ok() {
+            std::thread::yield_now(); // until the receiver holds the channel
+        }
+        let t0 = Instant::now();
+        assert_eq!(b.try_recv().unwrap(), None);
+        assert!(t0.elapsed() < Duration::from_secs(1), "try_recv waited for the receiver");
+        a.send(msg.clone()).unwrap();
+        assert_eq!(waiting.join().unwrap().unwrap(), Some(msg));
     }
 
     #[test]

@@ -1718,45 +1718,6 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
     Ok(frame.buf)
 }
 
-/// Write a length-prefixed frame to an `io::Write` in one `write_all`,
-/// so an unbuffered socket sends no lone 4-byte segment and the peer
-/// wakes once per frame.
-pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &Message) -> Result<()> {
-    w.write_all(&encode_frame(msg)?)?;
-    Ok(())
-}
-
-/// Read a length-prefixed frame from an `io::Read`. Returns `Ok(None)` at
-/// a clean EOF (no partial frame): the stream ended before the first
-/// byte of a length prefix. A stream cut anywhere later — inside the
-/// prefix or the body — is an [`Error::Transport`].
-pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Option<Message>> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < len_buf.len() {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(Error::Transport(format!(
-                    "stream ended {got} bytes into a frame's length prefix"
-                )))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_MESSAGE {
-        return Err(Error::Codec(format!("frame length {len} exceeds limit")));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    // Decode through `Bytes` so packet payloads and state chunks alias
-    // the receive buffer instead of copying out of it.
-    decode_bytes(&Bytes::from(body)).map(Some)
-}
-
 /// Randomized instances of every variant and their damaged encodings,
 /// shared with `tests/decode_alloc.rs`.
 #[cfg(test)]
@@ -2128,63 +2089,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_roundtrip_over_stream() {
-        let msgs = vec![
-            Message::OpAck { op: OpId(1) },
-            Message::GetAck { op: OpId(2), count: 3 },
-            Message::ErrorMsg { op: OpId(3), error: Error::OpFailed("x".into()) },
-        ];
-        let mut buf = Vec::new();
-        for m in &msgs {
-            write_frame(&mut buf, m).unwrap();
-        }
-        let mut cursor = std::io::Cursor::new(buf);
-        let mut out = Vec::new();
-        while let Some(m) = read_frame(&mut cursor).unwrap() {
-            out.push(m);
-        }
-        assert_eq!(msgs, out);
-    }
-
-    #[test]
-    fn read_frame_reports_a_partial_length_prefix() {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &Message::OpAck { op: OpId(1) }).unwrap();
-        // Each stream carries one whole frame, then `extra` bytes of a
-        // second frame's prefix, then EOF.
-        for extra in [0usize, 1, 3] {
-            let mut stream = frame.clone();
-            stream.extend_from_slice(&frame[..extra]);
-            let mut cursor = std::io::Cursor::new(stream);
-            assert!(matches!(read_frame(&mut cursor), Ok(Some(Message::OpAck { .. }))));
-            let end = read_frame(&mut cursor);
-            if extra == 0 {
-                assert_eq!(end, Ok(None), "zero bytes then EOF is a clean close");
-            } else {
-                assert!(matches!(end, Err(Error::Transport(_))), "{extra} prefix bytes: {end:?}");
-            }
-        }
-    }
-
-    /// A frame is one `write`, whatever its size: no lone 4-byte prefix
-    /// segment ahead of a body larger than any buffer in between.
+    /// A frame is one buffer, whatever its size — `TcpTransport` sends
+    /// it in one `write`, so no lone 4-byte prefix segment goes out ahead
+    /// of a body larger than any buffer in between: the length prefix
+    /// then exactly `encoded_len` body bytes, which decode back.
     #[test]
     fn write_frame_issues_one_write_per_frame() {
-        struct CountingWrite {
-            calls: usize,
-            bytes: Vec<u8>,
-        }
-        impl std::io::Write for CountingWrite {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.calls += 1;
-                self.bytes.extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let body = |i: u64| Message::ChunkBody {
             op: OpId(i),
             class: ChunkClass::Report,
@@ -2198,11 +2108,10 @@ mod tests {
         for (msg, frame_len) in
             [(batch.clone(), 4 + encoded_len(&batch)), (Message::OpAck { op: OpId(1) }, 13)]
         {
-            let mut w = CountingWrite { calls: 0, bytes: Vec::new() };
-            write_frame(&mut w, &msg).unwrap();
-            assert_eq!(w.calls, 1, "{frame_len}-byte frame");
-            assert_eq!(w.bytes.len(), frame_len);
-            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap(), Some(msg));
+            let frame = encode_frame(&msg).unwrap();
+            assert_eq!(frame.len(), frame_len);
+            assert_eq!(frame[..4], ((frame_len - 4) as u32).to_le_bytes());
+            assert_eq!(decode(&frame[4..]).unwrap(), msg);
         }
     }
 

@@ -149,7 +149,7 @@ fn lb_migration_preserves_affinity_through_sim() {
 #[test]
 fn lb_rejects_fine_grained_get_through_controller() {
     use openmb::core::controller::{Action, ControllerConfig, ControllerCore};
-    use openmb::core::tcp::handle_southbound;
+    use openmb::mb::handle_southbound;
     let core = ControllerCore::new(ControllerConfig::default());
     let mb = core.register_mb();
     let mut lb = LoadBalancer::new(Ipv4Addr::new(1, 2, 3, 4), &[Ipv4Addr::new(10, 0, 0, 1)]);
