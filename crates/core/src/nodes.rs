@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use openmb_mb::{Effects, Middlebox, SharedPutLog};
-use openmb_obs::SpanEvent;
+use openmb_obs::{CounterSlot, GaugeSlot, SpanEvent};
 use openmb_openflow::Topology;
 use openmb_simnet::{Ctx, Frame, Node, SimDuration, SimTime};
 use openmb_types::sdn::SdnMessage;
@@ -101,7 +101,9 @@ pub struct MbNode<M: Middlebox> {
     /// runtime state — see `on_crash`).
     shared_log: SharedPutLog,
     /// Per-node metric names, formatted once at construction so the
-    /// per-packet/per-event hot paths never allocate a key string.
+    /// per-packet/per-event hot paths never allocate a key string, and
+    /// resolved to registry slots on their first write so they never
+    /// look one up.
     metric_names: MetricNames,
     /// Largest packet train handed to `process_batch` in one service
     /// slot. 1 (the default) takes the exact serial path.
@@ -118,25 +120,26 @@ pub struct MbNode<M: Middlebox> {
     fx_scratch: Effects,
 }
 
-/// Precomputed `"<label>.<metric>"` strings for [`MbNode`]'s hot paths.
+/// Precomputed `"<label>.<metric>"` names for [`MbNode`]'s hot paths.
+/// The histogram is observed by name once per service slot.
 struct MetricNames {
-    events_raised: String,
-    events_replayed: String,
+    events_raised: CounterSlot,
+    events_replayed: CounterSlot,
+    packets: CounterSlot,
+    queue_depth: GaugeSlot,
+    busy: GaugeSlot,
     pkt_latency: String,
-    packets: String,
-    queue_depth: String,
-    busy: String,
 }
 
 impl MetricNames {
     fn new(label: &str) -> Self {
         MetricNames {
-            events_raised: format!("{label}.events_raised"),
-            events_replayed: format!("{label}.events_replayed"),
+            events_raised: CounterSlot::new(format!("{label}.events_raised")),
+            events_replayed: CounterSlot::new(format!("{label}.events_replayed")),
+            packets: CounterSlot::new(format!("{label}.packets")),
+            queue_depth: GaugeSlot::new(format!("{label}.queue_depth")),
+            busy: GaugeSlot::new(format!("{label}.busy")),
             pkt_latency: format!("{label}.pkt_latency"),
-            packets: format!("{label}.packets"),
-            queue_depth: format!("{label}.queue_depth"),
-            busy: format!("{label}.busy"),
         }
     }
 }
@@ -253,9 +256,9 @@ impl<M: Middlebox + 'static> MbNode<M> {
         // depth and busy flag. Pump runs after every enqueue/dequeue,
         // so this is the one place that sees every transition.
         let reg = ctx.metrics.registry_mut();
-        reg.set_gauge(&self.metric_names.queue_depth, self.queue.len() as f64);
+        reg.set_gauge_at(&mut self.metric_names.queue_depth, self.queue.len() as f64);
         if self.busy {
-            reg.set_gauge(&self.metric_names.busy, 1.0);
+            reg.set_gauge_at(&mut self.metric_names.busy, 1.0);
             return;
         }
         if let Some(front) = self.queue.front() {
@@ -277,7 +280,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
         }
         ctx.metrics
             .registry_mut()
-            .set_gauge(&self.metric_names.busy, if self.busy { 1.0 } else { 0.0 });
+            .set_gauge_at(&mut self.metric_names.busy, if self.busy { 1.0 } else { 0.0 });
     }
 
     fn emit_effects(&mut self, ctx: &mut Ctx<'_>, fx: &mut Effects) {
@@ -289,7 +292,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
         self.logs.extend(fx.take_logs());
         for ev in fx.take_events() {
             ctx.record(None, None, SpanEvent::EventRaised);
-            ctx.metrics.incr(&self.metric_names.events_raised, 1);
+            ctx.metrics.incr_at(&mut self.metric_names.events_raised, 1);
             if let Some(c) = self.controller {
                 ctx.send(c, Frame::control(Message::EventMsg { event: ev }));
             }
@@ -303,8 +306,8 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 let mut fx = Effects::normal();
                 self.logic.process_packet(now, &pkt, &mut fx);
                 self.packets_processed += 1;
-                self.packet_done(ctx, pkt.id, now.since(arrived));
-                ctx.metrics.incr(&self.metric_names.packets, 1);
+                self.packets_done(ctx, std::iter::once((pkt.id, now.since(arrived))));
+                ctx.metrics.incr_at(&mut self.metric_names.packets, 1);
                 self.emit_effects(ctx, &mut fx);
             }
             Work::Replay { pkt } => {
@@ -312,7 +315,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 self.logic.process_packet(now, &pkt, &mut fx);
                 self.events_replayed += 1;
                 ctx.record(None, None, SpanEvent::EventReplayed);
-                ctx.metrics.incr(&self.metric_names.events_replayed, 1);
+                ctx.metrics.incr_at(&mut self.metric_names.events_replayed, 1);
                 self.emit_effects(ctx, &mut fx);
             }
             Work::GetBatch { sub, chunks, idx, report, .. } => {
@@ -359,8 +362,9 @@ impl<M: Middlebox + 'static> MbNode<M> {
 
     /// Deliver the `n` packets pump claimed as one `process_batch`
     /// call. Per-packet accounting (spans, latency samples, counters)
-    /// is unchanged; only the middlebox sees the train at once. All
-    /// buffers are reused so the steady state allocates nothing.
+    /// is unchanged; only the middlebox sees the train at once, and the
+    /// latency histogram is looked up once for all of it. All buffers
+    /// are reused so the steady state allocates nothing.
     fn execute_packet_batch(&mut self, ctx: &mut Ctx<'_>, n: usize) {
         self.busy_packet_ns += self.current_service.0;
         self.batch_buf.clear();
@@ -381,23 +385,33 @@ impl<M: Middlebox + 'static> MbNode<M> {
         self.logic.process_batch(now, &pkts, &mut fx);
         self.batch_buf = pkts;
         self.packets_processed += n as u64;
-        for (pkt, arrived) in self.batch_buf.iter().zip(&self.batch_arrivals) {
-            self.packet_done(ctx, pkt.id, now.since(*arrived));
-        }
-        ctx.metrics.incr(&self.metric_names.packets, n as u64);
+        let done = self
+            .batch_buf
+            .iter()
+            .zip(&self.batch_arrivals)
+            .map(|(pkt, arrived)| (pkt.id, now.since(*arrived)));
+        self.packets_done(ctx, done);
+        ctx.metrics.incr_at(&mut self.metric_names.packets, n as u64);
         self.emit_effects(ctx, &mut fx);
         self.fx_scratch = fx;
     }
 
-    /// One packet's completion: the span (exact latency, for the
-    /// timeline readers) and the `<label>.pkt_latency` histogram.
-    fn packet_done(&self, ctx: &mut Ctx<'_>, pkt_id: u64, latency: SimDuration) {
-        ctx.record(
-            None,
-            None,
-            SpanEvent::PacketProcessed { pkt_id, latency_ns: latency.as_nanos() },
-        );
-        ctx.metrics.sample(&self.metric_names.pkt_latency, latency);
+    /// Packets' completions, `(id, latency)` in packet order: a span
+    /// each (exact latency, for the timeline readers), then the
+    /// `<label>.pkt_latency` histogram, observed in the same order.
+    fn packets_done(
+        &self,
+        ctx: &mut Ctx<'_>,
+        done: impl Iterator<Item = (u64, SimDuration)> + Clone,
+    ) {
+        for (pkt_id, latency) in done.clone() {
+            ctx.record(
+                None,
+                None,
+                SpanEvent::PacketProcessed { pkt_id, latency_ns: latency.as_nanos() },
+            );
+        }
+        ctx.metrics.sample_all(&self.metric_names.pkt_latency, done.map(|(_, latency)| latency));
     }
 
     fn reply(&self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -563,8 +577,8 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
         self.current_service = SimDuration::ZERO;
         self.pending_shared.clear();
         let reg = ctx.metrics.registry_mut();
-        reg.set_gauge(&self.metric_names.queue_depth, 0.0);
-        reg.set_gauge(&self.metric_names.busy, 0.0);
+        reg.set_gauge_at(&mut self.metric_names.queue_depth, 0.0);
+        reg.set_gauge_at(&mut self.metric_names.busy, 0.0);
     }
 
     fn on_restart(&mut self, _ctx: &mut Ctx<'_>) {
@@ -1024,15 +1038,16 @@ pub struct Host {
     /// Where self-injected packets are sent (the access switch).
     forward_to: Option<NodeId>,
     label: String,
-    /// `"<label>.delivered"`, formatted once so a delivered packet
-    /// never allocates a key string.
-    delivered: String,
+    /// `"<label>.delivered"`, formatted once and resolved on its first
+    /// write, so a delivered packet neither allocates nor looks up a
+    /// key string.
+    delivered: CounterSlot,
 }
 
 impl Host {
     pub fn new(label: impl Into<String>) -> Self {
         let label = label.into();
-        let delivered = format!("{label}.delivered");
+        let delivered = CounterSlot::new(format!("{label}.delivered"));
         Host { received: Vec::new(), forward_to: None, label, delivered }
     }
 
@@ -1059,7 +1074,7 @@ impl Node for Host {
                     return;
                 }
             }
-            ctx.metrics.incr(&self.delivered, 1);
+            ctx.metrics.incr_at(&mut self.delivered, 1);
             self.received.push((ctx.now(), pkt));
         }
     }

@@ -6,7 +6,7 @@ use openmb_core::nodes::{Host, MbNode};
 use openmb_mb::Middlebox;
 use openmb_middleboxes::{Monitor, ReDecoder};
 use openmb_simnet::obs::{Recorder, SpanEvent};
-use openmb_simnet::{Ctx, Frame, Node, Sim, SimDuration, SimTime};
+use openmb_simnet::{Ctx, Frame, Metrics, Node, Sim, SimDuration, SimTime};
 use openmb_types::wire::Message;
 use openmb_types::{FlowKey, HeaderFieldList, NodeId, OpId, Packet};
 use std::net::Ipv4Addr;
@@ -119,6 +119,35 @@ fn unrecorded_run_keeps_no_per_packet_table() {
         reg.counters().count() + reg.gauges().count() + reg.histograms().count()
     };
     assert_eq!(keys(100), keys(1000));
+}
+
+#[test]
+fn node_metrics_follow_a_replaced_registry() {
+    // A benchmark replaces `sim.metrics` between ops. The names the node
+    // and the sink resolved against the old registry must write the new
+    // one from its first packet on.
+    let (mut sim, _ctrl, mb, _sink) = world(Monitor::new());
+    let mut id = 0;
+    let mut send = |sim: &mut Sim, n: u64| {
+        let start = sim.now().0;
+        for i in 0..n {
+            id += 1;
+            let pkt = Packet::new(id, key(id as u16), vec![0u8; 10]);
+            sim.inject_frame(SimTime(start + i * 100_000), NodeId(0), mb, Frame::Data(pkt));
+        }
+        sim.run(1_000_000);
+    };
+    send(&mut sim, 3);
+    let old = std::mem::replace(&mut sim.metrics, Metrics::new());
+    assert_eq!(old.counter("mb.packets"), 3);
+    send(&mut sim, 2);
+    let reg = sim.metrics.registry();
+    assert_eq!(reg.counter("mb.packets"), 2);
+    assert_eq!(reg.counter("sink.delivered"), 2);
+    assert_eq!(reg.gauge("mb.queue_depth"), Some(0.0));
+    assert_eq!(reg.gauge("mb.busy"), Some(0.0));
+    assert_eq!(reg.histogram("mb.pkt_latency").map(|h| h.count()), Some(2));
+    assert_eq!(old.counter("mb.packets"), 3);
 }
 
 #[test]

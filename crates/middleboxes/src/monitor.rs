@@ -11,8 +11,9 @@
 //! instance").
 //!
 //! Configuration state: `service_rules/<name>` (port → service label)
-//! and `params/os_fingerprints` toggles, exercising the hierarchical
-//! config API.
+//! and the `params/os_fingerprinting` toggle, exercising the
+//! hierarchical config API. Packets read them compiled, never from the
+//! tree.
 
 use std::collections::HashMap;
 
@@ -105,10 +106,49 @@ impl MonitorStat {
     }
 }
 
+/// What packets need from the config tree, parsed when it is written.
+#[derive(Clone)]
+struct Compiled {
+    /// `service_rules/<name>` → ports, in `subkeys` order: the first
+    /// rule naming either port of a flow classifies it.
+    services: Vec<(String, Vec<i64>)>,
+    /// `params/os_fingerprinting`.
+    os_fingerprinting: bool,
+}
+
+impl Compiled {
+    /// The service a new flow is recorded under.
+    fn classify(&self, key: &FlowKey) -> String {
+        for (name, ports) in &self.services {
+            for &port in ports {
+                if i64::from(key.dst_port) == port || i64::from(key.src_port) == port {
+                    return name.clone();
+                }
+            }
+        }
+        "unknown".to_owned()
+    }
+
+    /// Deterministic heuristic stand-in for p0f-style matching; empty
+    /// while fingerprinting is off.
+    fn os_fingerprint(&self, pkt: &Packet) -> String {
+        if !self.os_fingerprinting {
+            return String::new();
+        }
+        match pkt.key.src_ip.octets()[3] % 3 {
+            0 => "Linux".to_owned(),
+            1 => "Windows".to_owned(),
+            _ => "BSD".to_owned(),
+        }
+    }
+}
+
 /// The monitor middlebox.
 #[derive(Clone)]
 pub struct Monitor {
     config: ConfigTree,
+    /// [`Monitor::compile_config`] of `config`.
+    compiled: Compiled,
     /// Per-flow reporting state, keyed canonically (bidirectional).
     assets: HashMap<FlowKey, AssetRecord>,
     stat: MonitorStat,
@@ -140,6 +180,7 @@ impl Monitor {
             vec![ConfigValue::Bool(true)],
         );
         Monitor {
+            compiled: Self::compile_config(&config),
             config,
             assets: HashMap::new(),
             stat: MonitorStat::default(),
@@ -149,63 +190,27 @@ impl Monitor {
         }
     }
 
-    /// The service-rule table, parsed out of the config tree once —
-    /// the scalar path re-walks this per packet; the batch path hoists
-    /// it to one parse per batch.
-    fn service_table(&self) -> Vec<(String, Vec<i64>)> {
-        self.config
-            .subkeys(&HierarchicalKey::parse("service_rules"))
+    /// Every writer of `config` ends by storing this, so packets never
+    /// parse it.
+    fn compile_config(config: &ConfigTree) -> Compiled {
+        let rules = HierarchicalKey::parse("service_rules");
+        let services = config
+            .subkeys(&rules)
             .into_iter()
             .map(|name| {
-                let k = HierarchicalKey::parse("service_rules").child(&name);
-                let ports = self
-                    .config
-                    .get_leaf(&k)
-                    .map(|vals| vals.iter().filter_map(|v| v.as_int()).collect())
+                let ports = config
+                    .get_leaf(&rules.child(&name))
+                    .map(|vals| vals.iter().filter_map(ConfigValue::as_int).collect())
                     .unwrap_or_default();
                 (name, ports)
             })
-            .collect()
-    }
-
-    fn classify_in(table: &[(String, Vec<i64>)], key: &FlowKey) -> String {
-        for (name, ports) in table {
-            for &port in ports {
-                if i64::from(key.dst_port) == port || i64::from(key.src_port) == port {
-                    return name.clone();
-                }
-            }
-        }
-        "unknown".to_owned()
-    }
-
-    fn classify(&self, key: &FlowKey) -> String {
-        Self::classify_in(&self.service_table(), key)
-    }
-
-    fn os_fingerprinting_enabled(&self) -> bool {
-        self.config
+            .collect();
+        let os_fingerprinting = config
             .get_leaf(&HierarchicalKey::parse("params/os_fingerprinting"))
-            .and_then(|v| v.first().cloned())
-            .and_then(|v| v.as_int())
+            .and_then(|v| v.first().and_then(ConfigValue::as_int))
             .unwrap_or(0)
-            != 0
-    }
-
-    /// Deterministic heuristic stand-in for p0f-style matching.
-    fn os_guess_for(pkt: &Packet) -> String {
-        match pkt.key.src_ip.octets()[3] % 3 {
-            0 => "Linux".to_owned(),
-            1 => "Windows".to_owned(),
-            _ => "BSD".to_owned(),
-        }
-    }
-
-    fn os_fingerprint(&self, pkt: &Packet) -> String {
-        if !self.os_fingerprinting_enabled() {
-            return String::new();
-        }
-        Self::os_guess_for(pkt)
+            != 0;
+        Compiled { services, os_fingerprinting }
     }
 
     /// Read the shared counters (experiments compare these across runs).
@@ -239,18 +244,23 @@ impl Middlebox for Monitor {
     }
 
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
-        if key.is_root() {
-            return Err(Error::InvalidConfigValue {
+        let written = if key.is_root() {
+            Err(Error::InvalidConfigValue {
                 key: key.to_string(),
                 reason: "cannot set the root key; set individual keys".into(),
-            });
-        }
-        self.config.set(key, values);
-        Ok(())
+            })
+        } else {
+            self.config.set(key, values);
+            Ok(())
+        };
+        self.compiled = Self::compile_config(&self.config);
+        written
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        self.config.remove(key)
+        let removed = self.config.remove(key);
+        self.compiled = Self::compile_config(&self.config);
+        removed
     }
 
     // The monitor keeps no supporting state: its records exist purely to
@@ -301,18 +311,21 @@ impl Middlebox for Monitor {
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {
         let key = pkt.key.canonical();
-        let is_new = !self.assets.contains_key(&key);
-        let service = self.classify(&pkt.key);
-        let os = self.os_fingerprint(pkt);
-        let rec = self.assets.entry(key).or_insert_with(|| AssetRecord {
-            key,
-            first_seen_ns: now.0,
-            last_seen_ns: now.0,
-            packets: 0,
-            bytes: 0,
-            service: service.clone(),
-            os_guess: os,
-            http_requests: 0,
+        // Classified only when the flow is new.
+        let mut new_service = None;
+        let rec = self.assets.entry(key).or_insert_with(|| {
+            let service = self.compiled.classify(&pkt.key);
+            new_service = Some(service.clone());
+            AssetRecord {
+                key,
+                first_seen_ns: now.0,
+                last_seen_ns: now.0,
+                packets: 0,
+                bytes: 0,
+                service,
+                os_guess: self.compiled.os_fingerprint(pkt),
+                http_requests: 0,
+            }
         });
         rec.last_seen_ns = now.0;
         rec.packets += 1;
@@ -338,7 +351,7 @@ impl Middlebox for Monitor {
                 self.stat.http_requests += 1;
             }
         }
-        if is_new && !fx.is_replay() {
+        if let Some(service) = new_service.filter(|_| !fx.is_replay()) {
             self.stat.flows_seen += 1;
             fx.log("prads.log", format!("asset {key} service={service}"));
             let gate =
@@ -362,11 +375,10 @@ impl Middlebox for Monitor {
         fx.forward(pkt.clone());
     }
 
-    /// Batch specialization: the service-rule walk and the fingerprint
-    /// flag are parsed once per batch instead of once per packet, record
-    /// and stat counters for a same-flow run are bumped in one step, and
-    /// classification is skipped entirely for established flows (the
-    /// scalar path computes and discards it). Byte-identical to the
+    /// Batch specialization: record and stat counters for a same-flow
+    /// run are bumped in one step, and classification is skipped
+    /// entirely for established flows (the scalar path computes and
+    /// discards it). Both paths read the compiled service table. Byte-identical to the
     /// serial loop: all packets carry the same `now`, the asset log line
     /// and introspection event fire only on the first packet of a new
     /// flow, and per-packet reprocess events are preserved whenever a
@@ -379,8 +391,6 @@ impl Middlebox for Monitor {
             return;
         }
         let live = !fx.is_replay();
-        let service_table = self.service_table();
-        let os_enabled = self.os_fingerprinting_enabled();
         let mut i = 0;
         while i < pkts.len() {
             let run_key = pkts[i].key;
@@ -410,8 +420,8 @@ impl Middlebox for Monitor {
                 rec.bytes += run_bytes;
                 rec.http_requests += run_http;
             } else {
-                let service = Self::classify_in(&service_table, &run_key);
-                let os = if os_enabled { Self::os_guess_for(&run[0]) } else { String::new() };
+                let service = self.compiled.classify(&run_key);
+                let os = self.compiled.os_fingerprint(&run[0]);
                 self.assets.insert(
                     key,
                     AssetRecord {
@@ -608,6 +618,82 @@ mod tests {
             b.get_config(&HierarchicalKey::parse("service_rules/gopher")).unwrap(),
             a.get_config(&HierarchicalKey::parse("service_rules/gopher")).unwrap()
         );
+    }
+
+    /// One new flow (source `10.0.1.<src>`, destination port `dport`)
+    /// through the serial or the batch path: its `service=` label in
+    /// prads.log and its record's `os_guess`.
+    fn first_sight(m: &mut Monitor, batch: bool, src: u8, dport: u16) -> (String, String) {
+        let key = FlowKey::tcp(ip(10, 0, 1, src), 5000, ip(192, 168, 1, 1), dport);
+        let pkt = Packet::new(u64::from(src), key, b"x".to_vec());
+        let mut fx = Effects::normal();
+        if batch {
+            m.process_batch(SimTime(0), &[pkt.clone(), pkt], &mut fx);
+        } else {
+            m.process_packet(SimTime(0), &pkt, &mut fx);
+        }
+        let logs = fx.take_logs();
+        assert_eq!(logs.len(), 1, "one asset line per new flow");
+        let service = logs[0].line.rsplit_once("service=").expect("asset line").1.to_owned();
+        (service, m.assets[&key.canonical()].os_guess.clone())
+    }
+
+    #[test]
+    fn config_writes_reach_the_next_new_flow() {
+        let key = HierarchicalKey::parse;
+        let fingerprint = "params/os_fingerprinting";
+        let linux = |s: &str| (s.to_owned(), "Linux".to_owned());
+        let blind = |s: &str| (s.to_owned(), String::new());
+        for batch in [false, true] {
+            let mut m = Monitor::new();
+            // Sources 10.0.1.3, .6, .9, ... all fingerprint as Linux.
+            let mut src = 0;
+            let mut sight = |m: &mut Monitor, dport| {
+                src += 3;
+                first_sight(m, batch, src, dport)
+            };
+            assert_eq!(sight(&mut m, 70), linux("unknown"));
+
+            m.set_config(&key("service_rules/gopher"), vec![ConfigValue::Int(70)]).unwrap();
+            assert_eq!(sight(&mut m, 70), linux("gopher"));
+            m.set_config(&key("service_rules/http"), vec![ConfigValue::Int(8081)]).unwrap();
+            assert_eq!(sight(&mut m, 80), linux("unknown"));
+            assert_eq!(sight(&mut m, 8081), linux("http"));
+
+            m.set_config(&key(fingerprint), vec![ConfigValue::Bool(false)]).unwrap();
+            assert_eq!(sight(&mut m, 70), blind("gopher"));
+            m.set_config(&key(fingerprint), vec![ConfigValue::Bool(true)]).unwrap();
+            assert_eq!(sight(&mut m, 70), linux("gopher"));
+            m.del_config(&key(fingerprint)).unwrap();
+            assert_eq!(sight(&mut m, 70), blind("gopher"));
+            m.del_config(&key("service_rules/gopher")).unwrap();
+            assert_eq!(sight(&mut m, 70), blind("unknown"));
+
+            // Refused writes leave the compiled table as it was.
+            assert!(m.set_config(&key("*"), vec![ConfigValue::Int(1)]).is_err());
+            assert!(m.del_config(&key(fingerprint)).is_err());
+            assert_eq!(sight(&mut m, 8081), blind("http"));
+
+            // A clone classifies the same way.
+            let mut c = m.clone();
+            for (i, dport) in [22, 53, 70, 80, 443, 8080, 8081].into_iter().enumerate() {
+                let src = 200 + i as u8;
+                let want = first_sight(&mut m, batch, src, dport);
+                assert_eq!(first_sight(&mut c, batch, src, dport), want, "port {dport}");
+            }
+
+            // Reads still come from the tree, as written.
+            let int = |v: i64| vec![ConfigValue::Int(v)];
+            assert_eq!(
+                m.get_config(&key("*")).unwrap(),
+                vec![
+                    (key("service_rules/dns"), int(53)),
+                    (key("service_rules/http"), int(8081)),
+                    (key("service_rules/https"), int(443)),
+                    (key("service_rules/ssh"), int(22)),
+                ]
+            );
+        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! buffers have reached their high-water mark. (Packet clones are
 //! refcount bumps on the shared payload, log lines only form on the
 //! deny/drop/request/alert paths, and the NAT neither reads its config
-//! tree nor walks its table while nothing can have expired.) Firewall,
-//! NAT and IPS allocate nothing per *batch* either; the Monitor still
-//! reads its service table out of the config tree once per batch (39
-//! allocations, whatever the batch holds).
+//! tree nor walks its table while nothing can have expired.) None of
+//! the four allocates per *batch* either: the Monitor, like the NAT,
+//! reads a service table compiled when its config was written, and
+//! classifies only a flow it has not seen.
 //!
 //! The same counter audits the control path's import side: opening a
 //! sealed 1 520-byte chunk (the size `move_live_1400B` moves) allocates
@@ -130,7 +130,7 @@ fn steady_state_batch_path_allocates_nothing_per_packet() {
     assert_eq!(nat_32, 0, "nat outbound established batch path should be allocation-free");
 
     // Monitor: one known flow, asset record created by the warm-up
-    // batch. Flat per packet only: see the header.
+    // batch.
     let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 5), 7005, dst(5), 80);
     let (mon_32, mon_256) =
         batch_allocs(&mut Monitor::new(), &train(key, 32), &train(key, 256), &mut fx);
@@ -138,6 +138,7 @@ fn steady_state_batch_path_allocates_nothing_per_packet() {
         mon_32, mon_256,
         "monitor known-flow batch path allocates per packet ({mon_32} at 32 vs {mon_256} at 256)"
     );
+    assert_eq!(mon_32, 0, "monitor known-flow batch path should be allocation-free");
 
     // IPS: data packets of one open port-80 connection — a line that is
     // not a request, then filler, 1 400 bytes in all. The analyzer's

@@ -34,7 +34,7 @@ mod recorder;
 mod span;
 
 pub use health::{HealthSnapshot, LedgerHealth, ShardHealth};
-pub use metrics::{Histogram, Registry, DEFAULT_BOUNDS};
+pub use metrics::{CounterSlot, GaugeSlot, Histogram, Registry, Slot, DEFAULT_BOUNDS};
 pub use monitor::{Monitor, MonitorConfig, Violation};
 pub use phase::{
     export_chain_phases, export_op_phases, percentile, ChainPhases, HopPhase, OpPhases,

@@ -5,11 +5,17 @@
 //! in `simnet::metrics` — the simulator's `Metrics` now delegates its
 //! counters (and mirrors its duration samples as histograms) into a
 //! `Registry`, so every embedding exports through one code path.
-//! Iteration order is `BTreeMap` order, which keeps exports
-//! deterministic and diffable.
+//! Iteration order is name order, whatever order the names were first
+//! written in, which keeps exports deterministic and diffable.
+//!
+//! A packet path writes its counters and gauges through [`Slot`]s: a
+//! name resolved once to its position in the registry that issued it,
+//! so a write is one generation compare and one index.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default histogram bucket upper bounds (unit-agnostic; the simnet
 /// integration observes milliseconds). A final `+Inf` bucket is
@@ -131,12 +137,148 @@ impl Histogram {
     }
 }
 
+/// Source of [`Registry`] generations. 0 is never issued, so a fresh
+/// [`Slot`] resolves on its first write.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// Values of one kind under string names. `index` maps a name to its
+/// position in `values`; positions are never reused or removed, so a
+/// resolved position stays valid for the table's lifetime.
+#[derive(Clone, Default)]
+struct Table<T> {
+    index: BTreeMap<String, usize>,
+    values: Vec<T>,
+}
+
+impl<T: Copy> Table<T> {
+    /// The position of `name`, inserting `init` on first use (the only
+    /// time the name is copied).
+    fn position(&mut self, name: &str, init: T) -> usize {
+        if let Some(&i) = self.index.get(name) {
+            return i;
+        }
+        self.index.insert(name.to_owned(), self.values.len());
+        self.values.push(init);
+        self.values.len() - 1
+    }
+
+    fn entry(&mut self, name: &str, init: T) -> &mut T {
+        let i = self.position(name, init);
+        &mut self.values[i]
+    }
+
+    /// The value `slot` names, re-resolving it by name first unless it
+    /// was resolved in this table's registry (`generation`).
+    fn at(&mut self, slot: &mut Slot<T>, generation: u64, init: T) -> &mut T {
+        if slot.generation != generation {
+            slot.idx = self.position(&slot.name, init);
+            slot.generation = generation;
+        }
+        &mut self.values[slot.idx]
+    }
+
+    fn get(&self, name: &str) -> Option<T> {
+        self.index.get(name).map(|&i| self.values[i])
+    }
+
+    /// Every value in name order.
+    fn iter(&self) -> impl Iterator<Item = (&str, T)> {
+        self.index.iter().map(|(k, &i)| (k.as_str(), self.values[i]))
+    }
+}
+
+impl<T: Copy + PartialEq> PartialEq for Table<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Copy + fmt::Debug> fmt::Debug for Table<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// A counter (`Slot<u64>`) or gauge (`Slot<f64>`) name resolved to its
+/// position in one [`Registry`]. A write through a slot checks the
+/// registry's generation: on a match it is one index; on a mismatch —
+/// a slot never written, or one last written into another registry,
+/// a clone included — it writes by name and re-resolves there. So a
+/// slot never writes a registry other than the one it is handed, and
+/// never skips a write into a new one.
+#[derive(Debug, Clone)]
+pub struct Slot<T> {
+    name: String,
+    /// Generation of the registry `idx` is valid in (0: none).
+    generation: u64,
+    idx: usize,
+    kind: PhantomData<T>,
+}
+
+/// A resolved counter name, for [`Registry::incr_at`].
+pub type CounterSlot = Slot<u64>;
+/// A resolved gauge name, for [`Registry::set_gauge_at`].
+pub type GaugeSlot = Slot<f64>;
+
+impl<T> Slot<T> {
+    /// An unresolved slot for `name`; its first write resolves it.
+    pub fn new(name: impl Into<String>) -> Self {
+        Slot { name: name.into(), generation: 0, idx: 0, kind: PhantomData }
+    }
+}
+
 /// Counters, gauges, and histograms under string names.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Equality, `Debug` and the exports read names in name order and
+/// ignore the generation, so two registries holding the same values
+/// compare and export alike however their names were first written.
 pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
+    /// Issued from a process-wide counter at construction and again to
+    /// every clone: the identity [`Slot`]s check.
+    generation: u64,
+    counters: Table<u64>,
+    gauges: Table<f64>,
     histograms: BTreeMap<String, Histogram>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
+            counters: Table::default(),
+            gauges: Table::default(),
+            histograms: BTreeMap::new(),
+        }
+    }
+}
+
+impl Clone for Registry {
+    fn clone(&self) -> Self {
+        Registry {
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            histograms: self.histograms.clone(),
+            ..Registry::default()
+        }
+    }
+}
+
+impl PartialEq for Registry {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters == other.counters
+            && self.gauges == other.gauges
+            && self.histograms == other.histograms
+    }
+}
+
+impl fmt::Debug for Registry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Registry")
+            .field("counters", &self.counters)
+            .field("gauges", &self.gauges)
+            .field("histograms", &self.histograms)
+            .finish()
+    }
 }
 
 impl Registry {
@@ -146,30 +288,32 @@ impl Registry {
 
     /// Bump a monotonic counter. Allocates the key only on first use.
     pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += by;
-        } else {
-            self.counters.insert(name.to_owned(), by);
-        }
+        *self.counters.entry(name, 0) += by;
+    }
+
+    /// [`Registry::incr`] through a resolved name.
+    pub fn incr_at(&mut self, slot: &mut CounterSlot, by: u64) {
+        *self.counters.at(slot, self.generation, 0) += by;
     }
 
     /// Read a counter (0 when never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.get(name).unwrap_or(0)
     }
 
     /// Set a gauge to an absolute value.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = v;
-        } else {
-            self.gauges.insert(name.to_owned(), v);
-        }
+        *self.gauges.entry(name, v) = v;
+    }
+
+    /// [`Registry::set_gauge`] through a resolved name.
+    pub fn set_gauge_at(&mut self, slot: &mut GaugeSlot, v: f64) {
+        *self.gauges.at(slot, self.generation, v) = v;
     }
 
     /// Read a gauge, `None` when never set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+        self.gauges.get(name)
     }
 
     /// Observe a value into a histogram with [`DEFAULT_BOUNDS`].
@@ -189,18 +333,35 @@ impl Registry {
         }
     }
 
+    /// Observe `vs` in order into one [`DEFAULT_BOUNDS`] histogram with
+    /// one name lookup; the result is bit-identical to observing them
+    /// one by one. An empty `vs` creates nothing.
+    pub fn observe_all(&mut self, name: &str, vs: impl IntoIterator<Item = f64>) {
+        let mut vs = vs.into_iter();
+        let Some(first) = vs.next() else { return };
+        let h = match self.histograms.get_mut(name) {
+            Some(h) => h,
+            None => self
+                .histograms
+                .entry(name.to_owned())
+                .or_insert_with(|| Histogram::new(DEFAULT_BOUNDS)),
+        };
+        h.observe(first);
+        vs.for_each(|v| h.observe(v));
+    }
+
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
 
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter()
     }
 
     /// All gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+        self.gauges.iter()
     }
 
     /// All histograms in name order.
@@ -252,7 +413,7 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_string(k), json_f64(*v));
+            let _ = write!(out, "{}:{}", json_string(k), json_f64(v));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -288,15 +449,15 @@ impl Registry {
     /// `mbA_packets`).
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
-        for (k, v) in &self.counters {
+        for (k, v) in self.counters.iter() {
             let name = prom_name(k);
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {v}");
         }
-        for (k, v) in &self.gauges {
+        for (k, v) in self.gauges.iter() {
             let name = prom_name(k);
             let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {}", prom_f64(*v));
+            let _ = writeln!(out, "{name} {}", prom_f64(v));
         }
         for (k, h) in &self.histograms {
             let name = prom_name(k);
@@ -453,6 +614,98 @@ mod tests {
         assert_eq!(h.max(), Some(5.0));
         assert_eq!(h.cumulative().collect::<Vec<_>>(), vec![(1.0, 1), (10.0, 2)]);
         assert_eq!(a.histogram("h2").unwrap().count(), 1, "missing histograms copy over");
+    }
+
+    #[test]
+    fn a_slot_used_on_a_fresh_registry_writes_it_by_name() {
+        let mut a = Registry::new();
+        let mut hits = CounterSlot::new("hits");
+        let mut depth = GaugeSlot::new("depth");
+        a.incr_at(&mut hits, 2);
+        a.set_gauge_at(&mut depth, 3.0);
+        let before = a.clone();
+
+        // The swap a benchmark makes between ops: same slots, new registry.
+        let mut b = Registry::new();
+        b.incr_at(&mut hits, 5);
+        b.set_gauge_at(&mut depth, 7.0);
+        assert_eq!(a, before, "the old registry is never written");
+        assert_eq!((b.counter("hits"), b.gauge("depth")), (5, Some(7.0)), "first write lands");
+        b.incr_at(&mut hits, 1);
+        assert_eq!(b.counter("hits"), 6);
+
+        // A name the new registry already holds at another position.
+        let mut c = Registry::new();
+        c.incr("first", 1);
+        c.incr_at(&mut hits, 4);
+        assert_eq!((c.counter("first"), c.counter("hits")), (1, 4));
+        assert_eq!(b.counter("hits"), 6);
+    }
+
+    #[test]
+    fn a_clone_has_its_own_identity() {
+        let mut a = Registry::new();
+        let mut hits = CounterSlot::new("hits");
+        a.incr_at(&mut hits, 1);
+        let mut c = a.clone();
+        assert_ne!(a.generation, c.generation);
+        // A name only the original gains after the clone sits where a
+        // slot resolved on the original would point.
+        let mut late = CounterSlot::new("late");
+        a.incr_at(&mut late, 10);
+        c.incr("other", 1);
+        c.incr_at(&mut late, 3);
+        a.incr_at(&mut late, 10);
+        c.incr_at(&mut hits, 100);
+        assert_eq!((a.counter("hits"), a.counter("late"), a.counter("other")), (1, 20, 0));
+        assert_eq!((c.counter("hits"), c.counter("late"), c.counter("other")), (101, 3, 1));
+    }
+
+    #[test]
+    fn first_write_order_reaches_neither_equality_nor_exports() {
+        let names = ["b.packets", "a.depth", "c.busy"];
+        let mut by_name = Registry::new();
+        for (i, n) in names.iter().enumerate() {
+            by_name.incr(n, i as u64 + 1);
+            by_name.set_gauge(n, i as f64 * 0.5);
+        }
+        by_name.observe("lat", 1.5);
+        let mut by_slot = Registry::new();
+        by_slot.observe("lat", 1.5);
+        for (i, n) in names.iter().enumerate().rev() {
+            by_slot.set_gauge_at(&mut GaugeSlot::new(*n), i as f64 * 0.5);
+            by_slot.incr_at(&mut CounterSlot::new(*n), i as u64 + 1);
+        }
+        assert_eq!(by_name, by_slot);
+        assert_eq!(by_name.to_json(), by_slot.to_json());
+        assert_eq!(by_name.to_prometheus_text(), by_slot.to_prometheus_text());
+        assert_eq!(format!("{by_name:?}"), format!("{by_slot:?}"));
+        let order: Vec<&str> = by_slot.counters().map(|(k, _)| k).collect();
+        assert_eq!(order, ["a.depth", "b.packets", "c.busy"]);
+        by_slot.incr("a.depth", 1);
+        assert_ne!(by_name, by_slot);
+    }
+
+    #[test]
+    fn a_batch_observe_matches_per_value_observes_bit_for_bit() {
+        // Sums of these depend on the order they are added in.
+        let vs = [0.1, 0.2, 0.3, 1e-9, 12.5, 0.0007, 5000.0, 20000.0, 0.1];
+        let mut one = Registry::new();
+        for v in vs {
+            one.observe("lat", v);
+        }
+        let mut all = Registry::new();
+        all.observe_all("lat", vs);
+        let (h1, h2) = (one.histogram("lat").unwrap(), all.histogram("lat").unwrap());
+        assert_eq!(h1.sum().to_bits(), h2.sum().to_bits());
+        assert_eq!((h1.count(), h1.min(), h1.max()), (h2.count(), h2.min(), h2.max()));
+        assert!(h1.cumulative().eq(h2.cumulative()));
+        assert_eq!(h1, h2);
+        // Into an existing histogram, and nothing created by an empty batch.
+        one.observe("lat", 3.0);
+        all.observe_all("lat", [3.0]);
+        all.observe_all("never", []);
+        assert_eq!(one, all);
     }
 
     #[test]
