@@ -29,14 +29,17 @@ use openmb_core::controller::{
 use openmb_core::nodes::{ControllerCosts, ControllerNode, MbNode, APP_TIMER_BASE};
 use openmb_core::tcp::{serve_middlebox_recorded, TcpController};
 use openmb_core::ShardedController;
-use openmb_mb::{handle_southbound_logged, Middlebox, SharedPutLog};
+use openmb_mb::{handle_southbound_logged, CostModel, Effects, Middlebox, SharedPutLog};
 use openmb_middleboxes::DummyMb;
 use openmb_obs::Recorder;
 use openmb_simnet::{Sim, SimDuration, SimTime};
 use openmb_store::{ContentStore, MemoryContentStore, ENTRY_OVERHEAD, MEMORY_STORE_BUDGET};
 use openmb_types::crypto::VendorKey;
 use openmb_types::transport::TcpTransport;
-use openmb_types::{EncryptedChunk, HeaderFieldList, MbId, NodeId, OpId, StateChunk};
+use openmb_types::{
+    ConfigValue, EncryptedChunk, HeaderFieldList, HierarchicalKey, MbId, NodeId, OpId, Packet,
+    Result, StateChunk, StateStats,
+};
 
 /// Flows per move: DummyMb state, one sealed report chunk each.
 const FLOWS: usize = 16;
@@ -57,6 +60,71 @@ fn loaded() -> DummyMb {
         mb.put_report_perflow(StateChunk::new(key, body)).unwrap();
     }
     mb
+}
+
+/// A DummyMb whose records change on every export, as a live flow's
+/// do. Sealing is convergent: state moved back unchanged seals to the
+/// bytes the destination filed two moves earlier and files nothing, so
+/// without the churn only the first two moves would file new bodies.
+struct Churning(DummyMb);
+
+impl Churning {
+    fn loaded() -> Self {
+        Churning(loaded())
+    }
+
+    fn empty() -> Self {
+        Churning(DummyMb::new())
+    }
+}
+
+impl Middlebox for Churning {
+    fn mb_type(&self) -> &'static str {
+        self.0.mb_type()
+    }
+    fn get_config(
+        &self,
+        key: &HierarchicalKey,
+    ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
+        self.0.get_config(key)
+    }
+    fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
+        self.0.set_config(key, values)
+    }
+    fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
+        self.0.del_config(key)
+    }
+    /// Touches every flow (a packet each) before exporting them.
+    fn get_report_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
+        assert_eq!(self.0.perflow_entries(), FLOWS, "only the holder is asked for its state");
+        let mut fx = Effects::normal();
+        for i in 0..FLOWS {
+            let pkt = Packet::new(0, DummyMb::flow_for(i), Vec::new());
+            self.0.process_packet(SimTime(0), &pkt, &mut fx);
+        }
+        self.0.get_report_perflow(op, key)
+    }
+    fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {
+        self.0.put_report_perflow(chunk)
+    }
+    fn del_report_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
+        self.0.del_report_perflow(key)
+    }
+    fn stats(&self, key: &HeaderFieldList) -> StateStats {
+        self.0.stats(key)
+    }
+    fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {
+        self.0.process_packet(now, pkt, fx)
+    }
+    fn end_sync(&mut self, op: OpId) {
+        self.0.end_sync(op)
+    }
+    fn costs(&self) -> CostModel {
+        self.0.costs()
+    }
+    fn perflow_entries(&self) -> usize {
+        self.0.perflow_entries()
+    }
 }
 
 /// Fill `store` to its budget with bodies the size of a moved chunk's,
@@ -111,6 +179,8 @@ impl Soak {
     /// to the warm-up.
     fn sample(&mut self, core: &ControllerCore, stores: [&dyn ContentStore; 2]) {
         let mut tables = core.table_sizes();
+        let cache_hits = core.transfer_ledger_stats(OpId(0)).cache_hits;
+        assert_eq!(cache_hits, 0, "{}: every move files new bodies", self.name);
         let moves: usize = self.retired.iter().sum();
         let stored = stores.map(|s| (s.len(), s.bytes()));
         println!("{} after {moves} moves: {tables:?}, stores (len, bytes) {stored:?}", self.name);
@@ -180,7 +250,7 @@ fn soak_des(workloads: usize) {
         ctrl.register_mb(mb);
     }
     assert_eq!(sim.add_node(Box::new(ctrl)), CONTROLLER);
-    for (i, logic) in [loaded(), DummyMb::new()].into_iter().enumerate() {
+    for (i, logic) in [Churning::loaded(), Churning::empty()].into_iter().enumerate() {
         let node = MbNode::new(["a", "b"][i], logic).with_controller(CONTROLLER);
         fill(&**node.shared_log().store());
         assert_eq!(sim.add_node(Box::new(node)), MBS[i]);
@@ -202,7 +272,7 @@ fn soak_des(workloads: usize) {
         let ctrl: &ControllerNode = sim.node_as(CONTROLLER);
         soak.retired(&ctrl.core, op);
         if n % WORKLOAD == 0 {
-            let store = |i: usize| &**sim.node_as::<MbNode<DummyMb>>(MBS[i]).shared_log().store();
+            let store = |i: usize| &**sim.node_as::<MbNode<Churning>>(MBS[i]).shared_log().store();
             soak.sample(&ctrl.core, [store(0), store(1)]);
         }
     }
@@ -210,10 +280,11 @@ fn soak_des(workloads: usize) {
 
 // ---- ShardedController, two threads ----------------------------------
 
-/// One thread's pair: two DummyMbs with their put logs, holder first.
+/// One thread's pair: two churning DummyMbs with their put logs,
+/// holder first.
 struct Pair {
     ids: [MbId; 2],
-    mbs: [DummyMb; 2],
+    mbs: [Churning; 2],
     logs: [SharedPutLog; 2],
 }
 
@@ -262,7 +333,7 @@ fn soak_threads(workloads: usize) {
     let pairs: Vec<Pair> = (0..2)
         .map(|_| Pair {
             ids: [ctrl.register_mb(), ctrl.register_mb()],
-            mbs: [loaded(), DummyMb::new()],
+            mbs: [Churning::loaded(), Churning::empty()],
             logs: [SharedPutLog::with_store(full_store()), SharedPutLog::with_store(full_store())],
         })
         .collect();
@@ -304,7 +375,7 @@ fn soak_tcp(workloads: usize) {
     let mut stores = Vec::new();
     let mut servers = Vec::new();
     let mut ids = Vec::new();
-    for logic in [loaded(), DummyMb::new()] {
+    for logic in [Churning::loaded(), Churning::empty()] {
         let store = full_store();
         stores.push(store.clone());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

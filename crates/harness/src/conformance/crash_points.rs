@@ -63,7 +63,7 @@ fn crash_bit(faulted: &Run) -> bool {
 fn move_survives_a_controller_crash_at_every_instant() {
     for content_cache in [true, false] {
         let mut sc = build(&mut Monitor::new, ConfOp::Move, content_cache);
-        let reference = drive(Monitor::new, &mut sc, None);
+        let reference = drive::<Monitor>(&mut sc, None);
         let instants = controller_instants(&sc.sim);
         assert!(instants.len() >= 100, "enumeration collapsed: {} instants", instants.len());
         let (mut completed, mut lossy) = (0, 0);
@@ -88,7 +88,7 @@ fn move_survives_a_controller_crash_at_every_instant() {
 fn sweep_chain(stride: usize) {
     const HOPS: usize = 3;
     let mut sc = build_pairs(&mut Monitor::new, HOPS, chain_request(HOPS));
-    let reference = drive(Monitor::new, &mut sc, None);
+    let reference = drive::<Monitor>(&mut sc, None);
     let instants = controller_instants(&sc.sim);
     assert!(instants.len() >= 300, "enumeration collapsed: {} instants", instants.len());
     let (mut committed, mut lossy) = (0, 0);

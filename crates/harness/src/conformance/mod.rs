@@ -516,22 +516,15 @@ pub(crate) fn fresh_pair<M: Middlebox>(mk: &mut impl FnMut() -> M) -> (M, M) {
     (src, mk())
 }
 
-/// One endpoint's `(entries, stats, canonical shared)` image.
+/// One endpoint's `(entries, stats, shared)` image.
 type Image = (usize, StateStats, SharedSnapshot);
 
-/// Sealed chunks embed a per-instance nonce counter, so byte-equality
-/// of raw snapshots is confounded by *how many* exports an instance has
-/// performed (a duplicated shared-state GET advances the counter
-/// without changing state). Recoding through a fresh instance —
-/// restore, then re-snapshot — normalizes the nonces so equal state
-/// means equal bytes.
-fn image<M: Middlebox>(mk: &mut impl FnMut() -> M, logic: &mut M) -> Image {
+/// Sealing is convergent (a chunk's bytes follow from its plaintext),
+/// so the snapshot is read as it is: equal shared state is equal bytes,
+/// however many exports the instance performed before.
+fn image<M: Middlebox>(logic: &mut M) -> Image {
     let (entries, stats) = (logic.perflow_entries(), logic.stats(&HeaderFieldList::any()));
-    let mut fresh = mk();
-    fresh
-        .restore_shared(logic.snapshot_shared().expect("shared state must snapshot"))
-        .expect("shared snapshot must round-trip");
-    (entries, stats, fresh.snapshot_shared().expect("shared snapshot must round-trip"))
+    (entries, stats, logic.snapshot_shared().expect("shared state must snapshot"))
 }
 
 impl Endpoints {
@@ -552,7 +545,7 @@ impl Endpoints {
 pub(crate) fn initial_images(mb: ConfMb) -> Endpoints {
     fn img<M: Middlebox>(mut mk: impl FnMut() -> M) -> Endpoints {
         let (mut src, mut dst) = fresh_pair(&mut mk);
-        Endpoints::new(image(&mut mk, &mut src), image(&mut mk, &mut dst))
+        Endpoints::new(image(&mut src), image(&mut dst))
     }
     with_mb!(mb, img)
 }
@@ -562,11 +555,7 @@ pub(crate) fn initial_images(mb: ConfMb) -> Endpoints {
 /// read everything back. Asserts what no schedule may break: the
 /// simulation drains, the requests were issued, and no shard's ledger
 /// ever held more than the configured window of unacked puts.
-pub(crate) fn drive<M: Middlebox + 'static>(
-    mut mk: impl FnMut() -> M,
-    sc: &mut Scenario,
-    faults: Faults<'_>,
-) -> Run {
+pub(crate) fn drive<M: Middlebox + 'static>(sc: &mut Scenario, faults: Faults<'_>) -> Run {
     let sim = &mut sc.sim;
     let config = sim.node_as::<ControllerNode>(CONTROLLER).core.config();
     // Every run flies with a recorder: a failing seed dumps the faulted
@@ -642,8 +631,8 @@ pub(crate) fn drive<M: Middlebox + 'static>(
         violations: monitor.violations().iter().map(|v| v.to_string()).collect(),
     };
     for &(src, dst) in &sc.pairs {
-        let src = image(&mut mk, &mut sim.node_as_mut::<MbNode<M>>(src).logic);
-        let dst = image(&mut mk, &mut sim.node_as_mut::<MbNode<M>>(dst).logic);
+        let src = image(&mut sim.node_as_mut::<MbNode<M>>(src).logic);
+        let dst = image(&mut sim.node_as_mut::<MbNode<M>>(dst).logic);
         run.pairs.push(Endpoints::new(src, dst));
     }
     run

@@ -29,14 +29,14 @@ type Send = (u64, (NodeId, NodeId));
 /// and its sim for inspection.
 fn reference(content_cache: bool) -> (Run, Vec<Send>, Sim) {
     let mut sc = build(&mut DummyMb::new, ConfOp::Move, content_cache);
-    let run = drive(DummyMb::new, &mut sc, None);
+    let run = drive::<DummyMb>(&mut sc, None);
 
     let mut probe = build(&mut DummyMb::new, ConfOp::Move, content_cache);
     let log_every_frame =
         ctl_links(MB_A, MB_B).into_iter().fold(FaultPlan::seeded(0), |p, (a, b)| {
             p.rule(FaultRule::on_link(a, b, FaultAction::Delay(SimDuration::ZERO)))
         });
-    let logged = drive(DummyMb::new, &mut probe, Some((&log_every_frame, &[])));
+    let logged = drive::<DummyMb>(&mut probe, Some((&log_every_frame, &[])));
     assert_eq!(logged.completions, run.completions, "a 0 ns delay moves nothing");
     let mut sends: Vec<Send> = probe
         .sim

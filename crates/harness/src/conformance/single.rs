@@ -76,7 +76,7 @@ pub fn run_schedule(s: &Schedule<ConfOp>, faulted: bool, content_cache: bool) ->
         content_cache: bool,
     ) -> Run {
         let mut sc = build(&mut mk, s.shape, content_cache);
-        drive(mk, &mut sc, s.faults(faulted))
+        drive::<M>(&mut sc, s.faults(faulted))
     }
     with_mb!(s.mb, run, s, faulted, content_cache)
 }

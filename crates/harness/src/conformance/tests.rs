@@ -114,13 +114,12 @@ fn duplicated_chunk_acks_are_deduplicated() {
 }
 
 /// Predict the content hashes a Monitor move will put in its manifest:
-/// a probe instance with the identical preload and export call
-/// sequence seals byte-identical chunks (exports are key-sorted and the
-/// nonce counter starts equal), so the hashes match the real run's.
+/// a probe instance with the identical preload seals byte-identical
+/// chunks (exports are key-sorted and sealing is convergent), so the
+/// hashes match the real run's.
 fn monitor_transfer_hashes() -> Vec<(openmb_store::ContentHash, Vec<u8>)> {
     let mut probe = Monitor::new();
     preload(&mut probe, PRELOAD);
-    let _ = probe.get_support_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
     let chunks = probe.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
     assert!(!chunks.is_empty(), "probe must export the preloaded flows");
     chunks
@@ -138,7 +137,7 @@ fn monitor_transfer_hashes() -> Vec<(openmb_store::ContentHash, Vec<u8>)> {
 fn tampered_monitor_move(tamper: impl FnOnce(&mut MbNode<Monitor>)) -> (Run, Scenario) {
     let mut sc = build(&mut Monitor::new, ConfOp::Move, true);
     tamper(sc.sim.node_as_mut::<MbNode<Monitor>>(MB_B));
-    let run = drive(Monitor::new, &mut sc, None);
+    let run = drive::<Monitor>(&mut sc, None);
     (run, sc)
 }
 

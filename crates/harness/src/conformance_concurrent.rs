@@ -99,7 +99,7 @@ pub(crate) fn run_pairs<M: Middlebox + 'static>(
     faults: Faults<'_>,
 ) -> Run {
     let mut sc = build_pairs(&mut mk, pairs, requests);
-    drive(mk, &mut sc, faults)
+    drive::<M>(&mut sc, faults)
 }
 
 fn run_ops(mb: ConfMb, ops: &[ConfOp], faults: Faults<'_>) -> Run {

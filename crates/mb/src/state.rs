@@ -10,8 +10,11 @@
 //!
 //! * **order** — per-flow exports leave in table-key order, so map
 //!   iteration order never reaches the wire;
-//! * **nonces** — one [`Sealer`] per middlebox, one nonce per sealed
-//!   chunk, consecutive, in the order chunks are produced;
+//! * **sealing** — one [`Sealer`] per middlebox; a chunk's nonce is
+//!   derived from the vendor key and its plaintext, so equal state
+//!   seals to equal bytes on every instance of a type, whatever the
+//!   instance exported before (what lets a destination's content store
+//!   answer a repeat move);
 //! * **marks** — every exported flow is marked moved and the pattern
 //!   recorded once ([`export`]); an import or a delete clears the
 //!   flow's mark ([`import`], [`delete`]); a snapshot marks nothing;
@@ -37,27 +40,26 @@ use crate::{SharedSnapshot, SyncTracker};
 /// checksum): what `stats` adds per chunk.
 pub const SEAL_OVERHEAD: usize = 16;
 
-/// A middlebox's vendor key and its nonce counter. Every chunk the MB
-/// exports — per-flow, shared, snapshot — is sealed here, so nonces are
-/// unique per instance and follow export order.
+/// A middlebox's vendor key. Every chunk the MB exports — per-flow,
+/// shared, snapshot — is sealed here, convergently: the nonce comes
+/// from the key and the plaintext, so a chunk's bytes depend on its
+/// state alone.
 #[derive(Debug, Clone)]
 pub struct Sealer {
     vendor: VendorKey,
-    nonce: u64,
 }
 
 impl Sealer {
     /// A sealer under the key derived from `vendor` (instances of one
-    /// type share it), whose first chunk carries `first_nonce`.
-    pub fn new(vendor: &str, first_nonce: u64) -> Self {
-        Sealer { vendor: VendorKey::derive(vendor), nonce: first_nonce }
+    /// type share it).
+    pub fn new(vendor: &str) -> Self {
+        Sealer { vendor: VendorKey::derive(vendor) }
     }
 
-    /// Seal one serialized piece of state under the next nonce.
-    pub fn seal(&mut self, plain: &[u8]) -> EncryptedChunk {
-        let n = self.nonce;
-        self.nonce += 1;
-        EncryptedChunk::seal(&self.vendor, n, plain)
+    /// Seal one serialized piece of state
+    /// ([`EncryptedChunk::seal_convergent`]).
+    pub fn seal(&self, plain: &[u8]) -> EncryptedChunk {
+        EncryptedChunk::seal_convergent(&self.vendor, plain)
     }
 
     /// Open a chunk sealed by an instance of the same type.
@@ -71,13 +73,9 @@ impl Sealer {
     }
 
     /// `snapshot_shared`: the two shared gets without a sync window —
-    /// supporting state sealed before reporting state, nothing marked.
-    /// `None` for a class the MB does not keep.
-    pub fn snapshot(
-        &mut self,
-        support: Option<Vec<u8>>,
-        report: Option<Vec<u8>>,
-    ) -> SharedSnapshot {
+    /// each half sealed as a get seals it, nothing marked. `None` for a
+    /// class the MB does not keep.
+    pub fn snapshot(&self, support: Option<Vec<u8>>, report: Option<Vec<u8>>) -> SharedSnapshot {
         SharedSnapshot {
             support: support.map(|p| self.seal(&p)),
             report: report.map(|p| self.seal(&p)),
@@ -110,7 +108,7 @@ impl Record for Vec<u8> {
 /// marking each flow moved under `op` and the pattern in flight.
 pub fn export<R: Record>(
     table: &HashMap<FlowKey, R>,
-    sealer: &mut Sealer,
+    sealer: &Sealer,
     sync: &mut SyncTracker,
     op: OpId,
     pattern: &HeaderFieldList,
@@ -122,7 +120,7 @@ pub fn export<R: Record>(
 /// that transforms records on the way out (compress-then-seal).
 pub fn export_with<R: Record>(
     table: &HashMap<FlowKey, R>,
-    sealer: &mut Sealer,
+    sealer: &Sealer,
     sync: &mut SyncTracker,
     op: OpId,
     pattern: &HeaderFieldList,
@@ -229,35 +227,52 @@ mod tests {
     }
 
     fn kit() -> (Sealer, SyncTracker) {
-        (Sealer::new("kit-test", 1), SyncTracker::new())
+        (Sealer::new("kit-test"), SyncTracker::new())
     }
 
     #[test]
-    fn export_seals_in_key_order_with_consecutive_nonces() {
-        let (mut sealer, mut sync) = kit();
+    fn export_seals_in_key_order_and_equal_state_to_equal_bytes() {
+        let (sealer, mut sync) = kit();
         let t = table(9);
-        let chunks = export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any());
+        let chunks = export(&t, &sealer, &mut sync, OpId(1), &HeaderFieldList::any());
         let keys: Vec<FlowKey> = chunks.iter().map(|c| c.key.as_exact().unwrap()).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
         for (i, c) in chunks.iter().enumerate() {
-            let nonce = u64::from_le_bytes(c.data.as_wire()[..8].try_into().unwrap());
-            assert_eq!(nonce, i as u64 + 1);
             assert_eq!(sealer.open(&c.data).unwrap(), t[&keys[i]]);
         }
-        // The next chunk of any kind continues the sequence.
-        let next = sealer.snapshot(None, Some(vec![0])).report.unwrap();
-        assert_eq!(next.as_wire()[..8], 10u64.to_le_bytes());
+        // A second instance of the type, which has sealed other state
+        // first, seals the same table to the same bytes.
+        let (other, mut other_sync) = kit();
+        let _ = other.snapshot(Some(vec![7; 40]), Some(vec![0]));
+        let again = export(&t, &other, &mut other_sync, OpId(2), &HeaderFieldList::any());
+        assert_eq!(again, chunks);
+        // Shared and per-flow chunks follow one rule.
+        let shared = other.snapshot(None, Some(t[&flow(1)].clone())).report.unwrap();
+        assert_eq!(shared, chunks[0].data);
+    }
+
+    #[test]
+    fn instances_sealing_different_state_never_share_a_nonce() {
+        // A shared nonce under the shared vendor key is a shared
+        // keystream: the xor of two different plaintexts would leak.
+        let (a, b) = (Sealer::new("kit-test"), Sealer::new("kit-test"));
+        let nonce = |c: &EncryptedChunk| u64::from_le_bytes(c.as_wire()[..8].try_into().unwrap());
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..64u8 {
+            assert!(seen.insert(nonce(&a.seal(&[i, 0xa]))), "instance a, chunk {i}");
+            assert!(seen.insert(nonce(&b.seal(&[i, 0xb]))), "instance b, chunk {i}");
+        }
     }
 
     #[test]
     fn export_reads_the_table_and_marks_flows_and_pattern() {
-        let (mut sealer, mut sync) = kit();
+        let (sealer, mut sync) = kit();
         let t = table(4);
         let before = t.clone();
         let only = HeaderFieldList::from_src_subnet(openmb_types::IpPrefix::host(flow(2).src_ip));
-        let chunks = export(&t, &mut sealer, &mut sync, OpId(7), &only);
+        let chunks = export(&t, &sealer, &mut sync, OpId(7), &only);
         assert_eq!(chunks.len(), 1);
         assert_eq!(t, before);
         assert!(sync.is_moved(&flow(2)) && !sync.is_moved(&flow(3)));
@@ -270,10 +285,10 @@ mod tests {
 
     #[test]
     fn export_with_applies_the_callers_encoding() {
-        let (mut sealer, mut sync) = kit();
+        let (sealer, mut sync) = kit();
         let chunks = export_with(
             &table(2),
-            &mut sealer,
+            &sealer,
             &mut sync,
             OpId(1),
             &HeaderFieldList::any(),
@@ -284,9 +299,9 @@ mod tests {
 
     #[test]
     fn import_clears_a_stale_moved_mark() {
-        let (mut sealer, mut sync) = kit();
+        let (sealer, mut sync) = kit();
         let mut t = table(2);
-        export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any());
+        export(&t, &sealer, &mut sync, OpId(1), &HeaderFieldList::any());
         assert!(sync.is_moved(&flow(1)));
         import(&mut t, &mut sync, flow(1), vec![42]);
         assert!(!sync.is_moved(&flow(1)) && sync.is_moved(&flow(2)));
@@ -295,9 +310,9 @@ mod tests {
 
     #[test]
     fn delete_clears_marks_and_returns_what_it_removed() {
-        let (mut sealer, mut sync) = kit();
+        let (sealer, mut sync) = kit();
         let mut t = table(3);
-        export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any());
+        export(&t, &sealer, &mut sync, OpId(1), &HeaderFieldList::any());
         // Either direction selects a canonically-keyed record.
         let reply_side = HeaderFieldList::exact(flow(2).reversed());
         assert_eq!(delete(&mut t, &mut sync, &reply_side), vec![vec![2, 2]]);
@@ -312,8 +327,8 @@ mod tests {
         let t = table(3);
         assert_eq!(count(&t, &HeaderFieldList::any()), (3, 1 + 2 + 3 + 3 * SEAL_OVERHEAD));
         assert_eq!(count(&t, &HeaderFieldList::exact(flow(3))), (1, 3 + SEAL_OVERHEAD));
-        let (mut sealer, mut sync) = kit();
-        let sealed: usize = export(&t, &mut sealer, &mut sync, OpId(1), &HeaderFieldList::any())
+        let (sealer, mut sync) = kit();
+        let sealed: usize = export(&t, &sealer, &mut sync, OpId(1), &HeaderFieldList::any())
             .iter()
             .map(|c| c.data.len())
             .sum();
@@ -339,11 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_seals_support_before_report() {
-        let (mut sealer, _) = kit();
+    fn snapshot_seals_each_half_as_seal_does() {
+        let (sealer, _) = kit();
         let snap = sealer.snapshot(Some(vec![1]), Some(vec![2]));
-        assert_eq!(snap.support.as_ref().unwrap().as_wire()[..8], 1u64.to_le_bytes());
-        assert_eq!(snap.report.as_ref().unwrap().as_wire()[..8], 2u64.to_le_bytes());
+        assert_eq!(snap.support, Some(sealer.seal(&[1])));
+        assert_eq!(snap.report, Some(sealer.seal(&[2])));
+        assert_ne!(snap.support, snap.report);
         assert_eq!(sealer.open_opt(snap.report).unwrap(), Some(vec![2]));
         assert_eq!(sealer.open_opt(None).unwrap(), None);
         assert_eq!(sealer.snapshot(None, None), SharedSnapshot::default());

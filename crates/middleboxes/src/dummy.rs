@@ -55,7 +55,7 @@ impl DummyMb {
             config: ConfigTree::new(),
             state: HashMap::new(),
             sync: SyncTracker::new(),
-            sealer: Sealer::new("dummy", 1),
+            sealer: Sealer::new("dummy"),
             compress_exports: false,
             packets: 0,
             puts: 0,
@@ -132,7 +132,7 @@ impl Middlebox for DummyMb {
             true => openmb_types::compress::compress(bytes),
             false => bytes.clone(),
         };
-        Ok(state::export_with(&self.state, &mut self.sealer, &mut self.sync, op, key, encode))
+        Ok(state::export_with(&self.state, &self.sealer, &mut self.sync, op, key, encode))
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {

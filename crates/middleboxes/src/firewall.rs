@@ -123,7 +123,7 @@ impl Firewall {
             config,
             conntrack: HashMap::new(),
             sync: SyncTracker::new(),
-            sealer: Sealer::new("firewall", 1),
+            sealer: Sealer::new("firewall"),
             allowed: 0,
             denied: 0,
         }
@@ -201,7 +201,7 @@ impl Middlebox for Firewall {
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(state::export(&self.conntrack, &mut self.sealer, &mut self.sync, op, key))
+        Ok(state::export(&self.conntrack, &self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {

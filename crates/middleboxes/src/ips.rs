@@ -458,7 +458,7 @@ impl Ips {
             scan_table: HashMap::new(),
             stat: IpsStat::default(),
             sync: SyncTracker::new(),
-            sealer: Sealer::new("bro", 1),
+            sealer: Sealer::new("bro"),
             hits: Vec::new(),
         }
     }
@@ -610,7 +610,7 @@ impl Middlebox for Ips {
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(state::export(&self.conns, &mut self.sealer, &mut self.sync, op, key))
+        Ok(state::export(&self.conns, &self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {

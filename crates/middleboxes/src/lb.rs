@@ -90,7 +90,7 @@ impl LoadBalancer {
             assignments: HashMap::new(),
             rr: 0,
             sync: SyncTracker::new(),
-            sealer: Sealer::new("balance", 1),
+            sealer: Sealer::new("balance"),
             introspection: None,
         }
     }

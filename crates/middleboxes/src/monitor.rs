@@ -185,7 +185,7 @@ impl Monitor {
             assets: HashMap::new(),
             stat: MonitorStat::default(),
             sync: SyncTracker::new(),
-            sealer: Sealer::new("prads", 1),
+            sealer: Sealer::new("prads"),
             introspection: None,
         }
     }
@@ -267,7 +267,7 @@ impl Middlebox for Monitor {
     // report observations (§3.1's Reporting role). Native granularity is
     // the full (canonical) 5-tuple, so any pattern is valid.
     fn get_report_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(state::export(&self.assets, &mut self.sealer, &mut self.sync, op, key))
+        Ok(state::export(&self.assets, &self.sealer, &mut self.sync, op, key))
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {
@@ -701,7 +701,7 @@ mod tests {
         let mut m = Monitor::new();
         let key = FlowKey::tcp(ip(1, 1, 1, 1), 1, ip(2, 2, 2, 2), 80);
         let chunk =
-            StateChunk::new(HeaderFieldList::exact(key), Sealer::new("bro", 0).seal(b"not ours"));
+            StateChunk::new(HeaderFieldList::exact(key), Sealer::new("bro").seal(b"not ours"));
         assert!(matches!(m.put_report_perflow(chunk), Err(Error::MalformedChunk(_))));
     }
 

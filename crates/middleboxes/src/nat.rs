@@ -141,7 +141,7 @@ impl Nat {
             oldest_bound_ns: u64::MAX,
             next_port: 20000,
             sync: SyncTracker::new(),
-            sealer: Sealer::new("nat", 1),
+            sealer: Sealer::new("nat"),
             introspection: None,
             dropped_unknown: 0,
         }
@@ -340,7 +340,7 @@ impl Middlebox for Nat {
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(state::export(&self.mappings, &mut self.sealer, &mut self.sync, op, key))
+        Ok(state::export(&self.mappings, &self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {

@@ -94,7 +94,7 @@ impl Proxy {
             conns: HashMap::new(),
             cache: HashMap::new(),
             sync: SyncTracker::new(),
-            sealer: Sealer::new("squid", 1),
+            sealer: Sealer::new("squid"),
             requests: 0,
             hits: 0,
             misses: 0,
@@ -216,7 +216,7 @@ impl Middlebox for Proxy {
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        Ok(state::export(&self.conns, &mut self.sealer, &mut self.sync, op, key))
+        Ok(state::export(&self.conns, &self.sealer, &mut self.sync, op, key))
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {

@@ -366,7 +366,7 @@ impl ReEncoder {
             caches: vec![EncoderCache::new(cache_size)],
             cache_size,
             sync: SyncTracker::new(),
-            sealer: Sealer::new("re", 1),
+            sealer: Sealer::new("re"),
             bytes_saved: 0,
             packets_encoded: 0,
         }
@@ -620,7 +620,7 @@ impl ReDecoder {
             cache: PacketCache::new(cache_size),
             cache_size,
             sync: SyncTracker::new(),
-            sealer: Sealer::new("re", 1_000_000),
+            sealer: Sealer::new("re"),
             packets_decoded: 0,
             packets_undecodable: 0,
             bytes_undecodable: 0,

@@ -16,7 +16,9 @@
 //! A last pass over the same nine types pins each one's state-export
 //! behaviour across builds (`export_digests_are_pinned`): the sealed
 //! bytes, their order, every error string and the stats accounting are
-//! hashed into one constant per type.
+//! hashed into one constant per type. The same transcript with every
+//! chunk opened (`export_plaintext_digests_are_pinned`) pins what is
+//! exported apart from how it is sealed.
 
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::{
@@ -186,9 +188,8 @@ fn check_equivalence<M: Middlebox>(
         now = SimTime(now.0 + if rng.below(4) == 0 { 120_000_000_000 } else { 50_000 });
     }
 
-    // Final deep compare: sealed exports are deterministic (both copies
-    // performed identical sequences of state ops, so their nonce
-    // counters agree) — byte-identical chunks mean identical tables.
+    // Final deep compare: sealing is convergent (equal state seals to
+    // equal bytes) — byte-identical chunks mean identical tables.
     let export_op = OpId(99);
     let a = serial.get_support_perflow(export_op, &HeaderFieldList::any()).ok();
     let b = batched.get_support_perflow(export_op, &HeaderFieldList::any()).ok();
@@ -282,22 +283,46 @@ fn nightly_batch_1024_sweep() {
 /// Everything a state operation can return, appended to a transcript:
 /// `Debug` for shapes, keys, counts and error strings, raw wire bytes
 /// for sealed chunks (`Debug` of a chunk shows only its first 32 bytes).
-struct Transcript(Vec<u8>);
+/// With a key, the transcript is the plaintext view instead: each
+/// sealed chunk is noted as its key, sealed length and opened bytes, so
+/// it reads the same under any nonce rule.
+struct Transcript {
+    bytes: Vec<u8>,
+    open: Option<VendorKey>,
+}
 
 impl Transcript {
     fn note(&mut self, label: &str, v: &dyn std::fmt::Debug) {
-        self.0.extend_from_slice(format!("{label} {v:?}\n").as_bytes());
+        self.bytes.extend_from_slice(format!("{label} {v:?}\n").as_bytes());
+    }
+    fn chunk(&mut self, c: &EncryptedChunk) {
+        match &self.open {
+            None => self.bytes.extend_from_slice(c.as_wire()),
+            Some(key) => {
+                let plain = c.open(key).expect("the plaintext view opens every chunk it notes");
+                self.note("  sealed", &(c.len(), plain));
+            }
+        }
     }
     fn perflow(&mut self, label: &str, r: &Result<Vec<StateChunk>>) {
-        self.note(label, r);
+        match (&self.open, r) {
+            (None, _) | (Some(_), Err(_)) => self.note(label, r),
+            (Some(_), Ok(chunks)) => {
+                let keys: Vec<_> = chunks.iter().map(|c| c.key).collect();
+                self.note(label, &keys);
+            }
+        }
         for c in r.iter().flatten() {
-            self.0.extend_from_slice(c.data.as_wire());
+            self.chunk(&c.data);
         }
     }
     fn shared(&mut self, label: &str, r: &Result<Option<EncryptedChunk>>) {
-        self.note(label, r);
+        match (&self.open, r) {
+            (None, _) | (Some(_), Err(_)) => self.note(label, r),
+            (Some(_), Ok(c)) => self.note(label, &c.is_some()),
+        }
         if let Ok(Some(c)) = r {
-            self.0.extend_from_slice(c.as_wire());
+            self.chunk(c);
         }
     }
     /// The five exports and `stats`, in the order a controller issues
@@ -337,11 +362,22 @@ struct Exports {
 /// the source — plus what a fresh instance answers to foreign chunks,
 /// an exact-flow get and config reads.
 fn export_digest<M: Middlebox>(mk: impl Fn() -> M) -> u64 {
+    transcript_digest(mk, None)
+}
+
+/// [`export_digest`]'s plaintext view: every sealed chunk opened under
+/// `vendor`'s key and noted with its sealed length, so a change to how
+/// chunks are sealed (not to what they hold) leaves it unmoved.
+fn export_plaintext_digest<M: Middlebox>(vendor: &str, mk: impl Fn() -> M) -> u64 {
+    transcript_digest(mk, Some(VendorKey::derive(vendor)))
+}
+
+fn transcript_digest<M: Middlebox>(mk: impl Fn() -> M, open: Option<VendorKey>) -> u64 {
     let flows = flow_pool();
     let mut rng = Rng::new(20);
     let mut next_id = 1u64;
     let now = SimTime(1_000_000);
-    let mut t = Transcript(Vec::new());
+    let mut t = Transcript { bytes: Vec::new(), open };
     let any = HeaderFieldList::any();
 
     let mut src = mk();
@@ -418,15 +454,21 @@ fn export_digest<M: Middlebox>(mk: impl Fn() -> M) -> u64 {
     t.note("probe.get_config(*)", &probe.get_config(&HierarchicalKey::root()));
     t.note("probe.get_config(missing)", &probe.get_config(&HierarchicalKey::parse("no/such")));
 
-    let h = openmb_store::content_hash(&t.0);
+    let h = openmb_store::content_hash(&t.bytes);
     u64::from_le_bytes(h[..8].try_into().unwrap())
 }
 
-/// Cross-build oracle: the constants were computed at the commit before
-/// the state-export kit (`openmb_mb::state`) replaced the nine
-/// hand-written copies, so they pin nonce order, export sort order,
-/// record bytes, error strings and the `+16` accounting per type. A
-/// mismatch names the type that drifted.
+/// Cross-build oracle, pinned twice. The constants were first computed
+/// at the commit before the state-export kit (`openmb_mb::state`)
+/// replaced the nine hand-written copies, so they pin export sort
+/// order, record bytes, error strings and the `+16` accounting per
+/// type, and the sealed bytes of every chunk. They were re-pinned once
+/// when sealing became convergent (a chunk's nonce derived from the
+/// vendor key and its plaintext instead of a per-instance counter):
+/// every nonce and keystream moved, and nothing else did —
+/// [`export_plaintext_digests_are_pinned`], whose constants are equal at
+/// the counter build and the convergent one, reads the same transcript
+/// with every chunk opened. A mismatch names the type that drifted.
 #[test]
 fn export_digests_are_pinned() {
     let ext = Ipv4Addr::new(198, 51, 100, 1);
@@ -441,22 +483,65 @@ fn export_digests_are_pinned() {
         ("re-encoder", export_digest(|| ReEncoder::new(1 << 16))),
         ("re-decoder", export_digest(|| ReDecoder::new(1 << 16))),
     ];
-    let want: [(&str, u64); 9] = [
-        ("dummy", 0x17C8E69AE5A2BB8C),
-        ("firewall", 0x7DF4A71F6B9993D1),
-        ("ips", 0x333AFAFC127FDE90),
-        ("lb", 0xAFC30CC12AB9CE31),
-        ("monitor", 0x8AD99C00DE659AF8),
-        ("nat", 0xE8C633A0CD533D2B),
-        ("proxy", 0x14B20F32229F7D6B),
-        ("re-encoder", 0xE3CF8931AABAD378),
-        ("re-decoder", 0x2BA9AE2E56DA1C62),
+    assert_pinned(
+        "state-export transcript",
+        got,
+        [
+            ("dummy", 0xB089F7A1774703AB),
+            ("firewall", 0xD69B5C7B7A8A968F),
+            ("ips", 0x0015D7A06B6A0A1C),
+            ("lb", 0xCD7A16AF514E7894),
+            ("monitor", 0x15F08AD4FC774D1B),
+            ("nat", 0x59DEDA7FA67A951F),
+            ("proxy", 0xA35764B91E61E2A8),
+            ("re-encoder", 0xB99FDA1BB735F70C),
+            ("re-decoder", 0xFA3407285AC37C7F),
+        ],
+    );
+}
+
+/// [`export_digests_are_pinned`]'s transcript in the plaintext view
+/// ([`export_plaintext_digest`]): pins what each type exports — order,
+/// opened record bytes, sealed lengths, error strings, stats — apart
+/// from how chunks are sealed. The constants were computed at the
+/// counter-nonce build and are unchanged by convergent sealing.
+#[test]
+fn export_plaintext_digests_are_pinned() {
+    let ext = Ipv4Addr::new(198, 51, 100, 1);
+    let got = [
+        ("dummy", export_plaintext_digest("dummy", DummyMb::new)),
+        ("firewall", export_plaintext_digest("firewall", Firewall::new)),
+        ("ips", export_plaintext_digest("bro", Ips::new)),
+        ("lb", export_plaintext_digest("balance", || LoadBalancer::new(vip(), &backends()))),
+        ("monitor", export_plaintext_digest("prads", Monitor::new)),
+        ("nat", export_plaintext_digest("nat", || Nat::new(ext))),
+        ("proxy", export_plaintext_digest("squid", || Proxy::new(64))),
+        ("re-encoder", export_plaintext_digest("re", || ReEncoder::new(1 << 16))),
+        ("re-decoder", export_plaintext_digest("re", || ReDecoder::new(1 << 16))),
     ];
+    assert_pinned(
+        "plaintext state-export transcript",
+        got,
+        [
+            ("dummy", 0x9B53CAD513635B49),
+            ("firewall", 0x83280B49F88D9615),
+            ("ips", 0x1A284F0510FBFD6C),
+            ("lb", 0x6BCD519EBB4245FC),
+            ("monitor", 0x698FE86577513066),
+            ("nat", 0x1627FEC47B57E18A),
+            ("proxy", 0x3452879E75D95B2F),
+            ("re-encoder", 0x5F9AC51044F92463),
+            ("re-decoder", 0x7AFA764E7B37756F),
+        ],
+    );
+}
+
+fn assert_pinned(what: &str, got: [(&str, u64); 9], want: [(&str, u64); 9]) {
     let drifted: Vec<String> = got
         .iter()
         .zip(want)
         .filter(|((_, got), (_, want))| got != want)
         .map(|((name, got), _)| format!("(\"{name}\", {got:#018x})"))
         .collect();
-    assert!(drifted.is_empty(), "state-export transcript drifted for: {}", drifted.join(", "));
+    assert!(drifted.is_empty(), "{what} drifted for: {}", drifted.join(", "));
 }

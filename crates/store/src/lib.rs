@@ -59,22 +59,41 @@ pub fn mix_words(data: &[u8]) -> [u64; 4] {
         0x07bb_0142_6c62_272e,
     ];
     const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
-    fn absorb(lanes: &mut [u64; 4], block: &[u8; 32]) {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+    fn absorb(lanes: &mut [u64; 4], words: impl IntoIterator<Item = u64>) {
+        for (lane, w) in lanes.iter_mut().zip(words) {
             *lane = (*lane ^ w).rotate_left(29).wrapping_mul(MUL);
         }
     }
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
     let mut lanes = BASES;
     let mut blocks = data.chunks_exact(32);
     for block in &mut blocks {
-        absorb(&mut lanes, block.try_into().expect("32-byte block"));
+        absorb(&mut lanes, block.chunks_exact(8).map(word));
     }
     let tail = blocks.remainder();
     if !tail.is_empty() {
-        let mut block = [0u8; 32];
-        block[..tail.len()].copy_from_slice(tail);
-        absorb(&mut lanes, &block);
+        // The zero-padded last block, read in place: whole words as
+        // they are, a partial last word as the input's last eight bytes
+        // shifted down (zero-filled the slow way when the input is
+        // shorter than a word). Copying the tail into a zeroed block
+        // and loading words back stalls on store forwarding, and a
+        // convergent seal's nonce waits for this digest.
+        let mut words = [0u64; 4];
+        let mut whole = tail.chunks_exact(8);
+        for (w, b) in words.iter_mut().zip(&mut whole) {
+            *w = word(b);
+        }
+        let part = whole.remainder();
+        if !part.is_empty() {
+            words[tail.len() / 8] = if data.len() >= 8 {
+                word(&data[data.len() - 8..]) >> (8 * (8 - part.len()))
+            } else {
+                let mut b = [0u8; 8];
+                b[..part.len()].copy_from_slice(part);
+                u64::from_le_bytes(b)
+            };
+        }
+        absorb(&mut lanes, words);
     }
     for (i, lane) in lanes.iter_mut().enumerate() {
         let mut z = lane
@@ -406,6 +425,49 @@ mod tests {
         }
         let bytes: Vec<u8> = KNOWN_ANSWERS[7].1.iter().flat_map(|w| w.to_le_bytes()).collect();
         assert_eq!(content_hash(&pattern(1520))[..], bytes, "the words, little-endian");
+    }
+
+    /// The doc comment's kernel as written: every block, the last one
+    /// copied into a zeroed 32-byte buffer first.
+    fn padded_reference(data: &[u8]) -> [u64; 4] {
+        let mut padded = data.to_vec();
+        padded.resize(data.len().div_ceil(32) * 32, 0);
+        let mut lanes = [
+            0xcbf2_9ce4_8422_2325,
+            0x8422_2325_cbf2_9ce4,
+            0x6c62_272e_07bb_0142,
+            0x07bb_0142_6c62_272e,
+        ];
+        for (i, word) in padded.chunks_exact(8).enumerate() {
+            let w = u64::from_le_bytes(word.try_into().unwrap());
+            lanes[i % 4] = (lanes[i % 4] ^ w).rotate_left(29).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let mut z = lane
+                .wrapping_add((data.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .wrapping_add((i as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9));
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            *lane = z ^ (z >> 31);
+        }
+        lanes
+    }
+
+    #[test]
+    fn the_last_block_reads_as_zero_padded_at_every_length() {
+        // The kernel reads a partial last word in place (the input's
+        // last eight bytes, shifted) instead of copying the block; every
+        // tail shape, and inputs shorter than a word, must digest as the
+        // padded block does.
+        for len in (0..=100).chain(1500..=1540) {
+            let body = pattern(len);
+            assert_eq!(mix_words(&body), padded_reference(&body), "length {len}");
+            // A body ending in zero bytes: the shifted read must not
+            // confuse them with the padding.
+            let mut zeros = body.clone();
+            zeros.iter_mut().rev().take(5).for_each(|b| *b = 0);
+            assert_eq!(mix_words(&zeros), padded_reference(&zeros), "length {len}, zero tail");
+        }
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! The cipher also carries a checksum (the word-at-a-time kernel of
 //! `openmb-store`, folded to 64 bits) so corrupted or wrong-key chunks
 //! are detected on import (surfacing as `Error::MalformedChunk`).
+//!
+//! Middleboxes seal with [`seal_convergent`]: the nonce is a keyed mix
+//! of the plaintext's checksum and length, so equal state seals to equal
+//! bytes on every instance of a type (what lets a content store
+//! recognise a body it has seen), and a keystream repeats only for equal
+//! plaintexts — which is then all it reveals — or on a 64-bit checksum
+//! collision. [`seal`] takes an explicit nonce.
 
 /// A symmetric "vendor key" shared by all instances of one middlebox type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,10 +111,36 @@ fn checksum(data: &[u8]) -> u64 {
 /// under any other key (a property-test-found bug in the earlier layout,
 /// where `checksum("") == checksum("")` let empty chunks open anywhere).
 pub fn seal(key: &VendorKey, nonce: u64, plaintext: &[u8]) -> Vec<u8> {
+    seal_summed(key, nonce, checksum(plaintext), plaintext)
+}
+
+/// [`seal`] under a nonce derived from `key` and the plaintext itself:
+/// equal plaintexts seal to equal bytes under one key. The body is
+/// walked once — its checksum feeds both the nonce and the sealed
+/// header — and the layout is [`seal`]'s, so [`open`] reads either.
+pub fn seal_convergent(key: &VendorKey, plaintext: &[u8]) -> Vec<u8> {
+    let sum = checksum(plaintext);
+    seal_summed(key, convergent_nonce(key, sum, plaintext.len()), sum, plaintext)
+}
+
+/// The nonce of [`seal_convergent`]: one multiply-xorshift round (the
+/// first stage of splitmix's finalizer) over the checksum and length,
+/// whitened by key words on both sides, so without the key it gives
+/// away neither the unkeyed checksum nor the length. It sits between
+/// the checksum and the keystream on the critical path, so it is kept
+/// to one round.
+fn convergent_nonce(key: &VendorKey, sum: u64, len: usize) -> u64 {
+    let word = |i: usize| u64::from_le_bytes(key.0[i * 8..][..8].try_into().expect("8 bytes"));
+    let z = (sum ^ word(0) ^ (len as u64 ^ word(1)).rotate_left(32))
+        .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z ^ (z >> 31) ^ word(2)
+}
+
+fn seal_summed(key: &VendorKey, nonce: u64, sum: u64, plaintext: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + plaintext.len());
     out.extend_from_slice(&nonce.to_le_bytes());
     let body_start = out.len();
-    out.extend_from_slice(&checksum(plaintext).to_le_bytes());
+    out.extend_from_slice(&sum.to_le_bytes());
     out.extend_from_slice(plaintext);
     Keystream::new(key, nonce).xor_in_place(&mut out[body_start..]);
     out
@@ -194,6 +227,32 @@ mod tests {
             0x05, 0x06, 0x81, 0x79, 0x87, 0x4f, 0x3c, 0xcd, 0xb5, 0x46, 0xeb, 0x6a, 0x6f,
         ];
         assert_eq!(ct, want);
+    }
+
+    #[test]
+    fn convergent_sealed_bytes_known_answer() {
+        // The convergent nonce rule pinned beside the explicit-nonce
+        // layout above: same length, same layout, a derived nonce.
+        let ct = seal_convergent(&VendorKey::derive("bro"), b"per-flow supporting state");
+        let want: [u8; 41] = [
+            0xda, 0x89, 0x47, 0xb7, 0xc9, 0xa6, 0x84, 0xf8, 0xcd, 0x1f, 0xdf, 0x70, 0x21, 0x71,
+            0xa8, 0x76, 0x2a, 0x42, 0xe8, 0x33, 0x5a, 0x53, 0x98, 0x5d, 0x46, 0x96, 0x28, 0x92,
+            0xf1, 0x98, 0xfc, 0x69, 0x0d, 0x85, 0x2b, 0xa4, 0x53, 0xbf, 0xb8, 0x74, 0xc9,
+        ];
+        assert_eq!(ct, want);
+    }
+
+    #[test]
+    fn convergent_seal_is_a_function_of_key_and_plaintext() {
+        let (bro, prads) = (VendorKey::derive("bro"), VendorKey::derive("prads"));
+        let ct = seal_convergent(&bro, b"state");
+        assert_eq!(ct, seal_convergent(&bro, b"state"));
+        assert_eq!(open(&bro, &ct).unwrap(), b"state");
+        assert_ne!(ct[..8], seal_convergent(&bro, b"statf")[..8]);
+        assert_ne!(ct[..8], seal_convergent(&prads, b"state")[..8]);
+        assert!(open(&prads, &ct).is_none());
+        // The nonce is keyed: it is not the plaintext's checksum.
+        assert_ne!(ct[..8], checksum(b"state").to_le_bytes());
     }
 
     #[test]

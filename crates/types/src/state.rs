@@ -58,6 +58,13 @@ impl EncryptedChunk {
         EncryptedChunk { bytes: crypto::seal(key, nonce, plaintext).into() }
     }
 
+    /// [`seal`](EncryptedChunk::seal) under a nonce derived from the key
+    /// and the plaintext ([`crypto::seal_convergent`]): equal state
+    /// seals to an equal chunk on every instance of a type.
+    pub fn seal_convergent(key: &VendorKey, plaintext: &[u8]) -> Self {
+        EncryptedChunk { bytes: crypto::seal_convergent(key, plaintext).into() }
+    }
+
     /// Decrypt. Fails with [`Error::MalformedChunk`] when the chunk was
     /// sealed by a different MB type or corrupted in transit.
     pub fn open(&self, key: &VendorKey) -> Result<Vec<u8>> {

@@ -1,6 +1,7 @@
 //! Property-based tests on core data structures and invariants,
 //! spanning crates.
 
+use openmb::mb::Sealer;
 use openmb::types::compress;
 use openmb::types::crypto::{self, VendorKey};
 use openmb::types::wire::{self, EventFilter, Message};
@@ -94,6 +95,29 @@ proptest! {
         let ct = crypto::seal(&k1, nonce, &data);
         prop_assert_eq!(crypto::open(&k1, &ct).unwrap(), data);
         prop_assert!(crypto::open(&k2, &ct).is_none());
+    }
+
+    /// Convergent sealing: two sealers of one vendor give byte-equal
+    /// chunks for equal plaintexts; plaintexts one byte apart get
+    /// different nonces and both open; another vendor opens neither.
+    #[test]
+    fn convergent_seal_is_equal_for_equal_state_and_private_to_the_vendor(
+        data in proptest::collection::vec(any::<u8>(), 1..512),
+        pick in any::<u64>(),
+        flip in 1..=255u8,
+    ) {
+        let (a, b) = (Sealer::new("alpha"), Sealer::new("alpha"));
+        let ct = a.seal(&data);
+        prop_assert_eq!(&ct, &b.seal(&data));
+        let mut other = data.clone();
+        other[(pick % data.len() as u64) as usize] ^= flip;
+        let ct2 = b.seal(&other);
+        prop_assert_ne!(&ct.as_wire()[..8], &ct2.as_wire()[..8]);
+        prop_assert_eq!(a.open(&ct).unwrap(), data);
+        prop_assert_eq!(a.open(&ct2).unwrap(), other);
+        let beta = Sealer::new("beta");
+        prop_assert!(beta.open(&ct).is_err());
+        prop_assert!(beta.open(&ct2).is_err());
     }
 
     /// The integrity kernel behind both checks: one flipped bit
