@@ -152,9 +152,8 @@ fn mid_move_crash_aborts_and_rolls_back_destination() {
     // at the destination, most are not.
     let crash_at = SimTime(SimDuration::from_millis(102).as_nanos());
     setup.sim.set_fault_plan(FaultPlan::seeded(11).crash(MB_A, crash_at));
-    setup.sim.run_until(crash_at, 10_000_000);
     // The transport notices the dead connection (sim stand-in).
-    setup.sim.node_as_mut::<ControllerNode>(CONTROLLER).report_unreachable(MB_A_ID);
+    ControllerNode::report_reachability(&mut setup.sim, CONTROLLER, crash_at, MB_A_ID, false);
     setup.sim.run(10_000_000);
     assert!(setup.sim.is_idle());
 

@@ -5,9 +5,12 @@
 //! evaluation measures: a single work queue with per-item service times
 //! from the MB's [`openmb_mb::CostModel`]. Data packets, southbound operations, and
 //! event replays all share the queue, and a per-flow `get` is split into
-//! batches that *interleave* with packet processing — which is why the
-//! paper sees only a ≤2 % packet-latency impact during a get (§8.2)
-//! instead of a stall, while the get itself scales linearly (Fig 9).
+//! service quanta that *interleave* with packet processing — which is
+//! why the paper sees only a ≤2 % packet-latency impact during a get
+//! (§8.2) instead of a stall, while the get itself scales linearly
+//! (Fig 9). Its records leave as the runs `wire::push_runs` cuts over
+//! the whole get, each when the quantum that serializes its last record
+//! ends.
 //! Only that timing lives here (streamed gets, background shared
 //! exports, queued replays); what a request *does* to the middlebox is
 //! [`openmb_mb::southbound::handle_southbound_logged`], the dispatch
@@ -22,7 +25,7 @@ use std::collections::VecDeque;
 use openmb_mb::{Effects, Middlebox, SharedPutLog};
 use openmb_obs::{CounterSlot, GaugeSlot, SpanEvent};
 use openmb_openflow::Topology;
-use openmb_simnet::{Ctx, Frame, Node, SimDuration, SimTime};
+use openmb_simnet::{Ctx, Frame, Node, Sim, SimDuration, SimTime};
 use openmb_types::sdn::SdnMessage;
 use openmb_types::wire::{self, Message};
 use openmb_types::{MbId, NodeId, OpId, Packet, StateChunk};
@@ -43,14 +46,19 @@ enum Work {
     Packet { pkt: Packet, arrived: SimTime },
     /// A reprocess event to replay (§4.2.1 step 3).
     Replay { pkt: Packet },
-    /// A batch of a streaming per-flow get: send chunks `idx..idx+n`.
+    /// One service quantum of a streaming per-flow get: serialize
+    /// chunks `idx..idx+n`, then send every run completed in
+    /// `sent..idx+n` (all of them on the last quantum). The quantum at
+    /// `idx == 0` also pays the linear-scan cost.
     GetBatch {
         sub: OpId,
         chunks: Vec<StateChunk>,
         idx: usize,
+        /// Chunks before this have left; always a multiple of the get's
+        /// run length, so the runs are the ones `wire::push_runs` cuts
+        /// over the whole get.
+        sent: usize,
         report: bool,
-        /// The first batch also pays the linear-scan cost.
-        first: bool,
         /// Entries resident at scan time (for the scan cost).
         scanned_entries: usize,
     },
@@ -220,10 +228,10 @@ impl<M: Middlebox + 'static> MbNode<M> {
         let c = self.costs();
         match w {
             Work::Packet { .. } | Work::Replay { .. } => c.per_packet,
-            Work::GetBatch { chunks, idx, first, scanned_entries, .. } => {
+            Work::GetBatch { chunks, idx, scanned_entries, .. } => {
                 let n = (chunks.len() - idx).min(c.get_batch);
                 let batch = c.serialize_cost(n);
-                if *first {
+                if *idx == 0 {
                     batch + c.scan_cost(*scanned_entries)
                 } else {
                     batch
@@ -318,25 +326,28 @@ impl<M: Middlebox + 'static> MbNode<M> {
                 ctx.metrics.incr_at(&mut self.metric_names.events_replayed, 1);
                 self.emit_effects(ctx, &mut fx);
             }
-            Work::GetBatch { sub, chunks, idx, report, .. } => {
+            Work::GetBatch { sub, chunks, idx, sent, report, .. } => {
                 let c = self.costs();
                 let end = (idx + c.get_batch).min(chunks.len());
                 let controller = self.controller.expect("get requires a controller");
-                // The whole service batch leaves in one coalesced frame
-                // (one length prefix, one scheduler event) as runs — a
-                // run never spans two batches; the closing GetAck rides
-                // along with the final batch.
-                let mut msgs = Vec::new();
-                wire::push_runs(&mut msgs, sub, chunks.len(), chunks[idx..end].iter().cloned());
+                // A run spans quanta: the runs this quantum completed
+                // leave in one coalesced frame (one length prefix, one
+                // scheduler event), and a record of an unfinished run
+                // waits for the quantum that serializes the run's last
+                // record. The closing GetAck rides with the final runs.
                 let last = end == chunks.len();
+                let run = wire::run_len(chunks.len());
+                let flush = if last { end } else { end - end % run };
+                let mut msgs = Vec::new();
+                wire::push_runs(&mut msgs, sub, chunks.len(), chunks[sent..flush].iter().cloned());
                 if !last {
                     // Re-queue at the back so packets interleave.
                     self.queue.push_back(Work::GetBatch {
                         sub,
                         chunks,
                         idx: end,
+                        sent: flush,
                         report,
-                        first: false,
                         scanned_entries: 0,
                     });
                 } else {
@@ -483,8 +494,8 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                                     sub: op,
                                     chunks,
                                     idx: 0,
+                                    sent: 0,
                                     report,
-                                    first: true,
                                     scanned_entries: entries,
                                 }),
                                 Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
@@ -640,6 +651,9 @@ const TIMER_QUIESCE: u64 = 3;
 /// server with its own queue and busy flag, which is where the
 /// multi-op speedup comes from in virtual time.
 const TIMER_CTRL_WORK_BASE: u64 = 16;
+/// Timer tokens `TIMER_REACHABILITY_BASE + 2 × mb + reachable` deliver a
+/// reachability report ([`ControllerNode::report_reachability`]).
+const TIMER_REACHABILITY_BASE: u64 = 1 << 24;
 /// App timer tokens are offset to avoid collisions.
 pub const APP_TIMER_BASE: u64 = 1 << 32;
 
@@ -669,14 +683,6 @@ pub struct ControllerNode {
     /// Completions delivered, with their virtual times (post-run
     /// inspection; experiments read operation latencies from here).
     pub completions: Vec<(SimTime, crate::controller::Completion)>,
-    /// MBs reported unreachable (e.g. by the harness on an injected
-    /// crash, standing in for a TCP connection reset); drained into
-    /// `core.mark_unreachable` on the next event-loop turn.
-    pending_unreachable: Vec<MbId>,
-    /// MBs reported re-attached; drained into `core.mark_reachable`
-    /// (which may emit deferred rollbacks and resume parked transfers)
-    /// on the next event-loop turn.
-    pending_reachable: Vec<MbId>,
     /// Crash-durable image of `core`, checkpointed after every processed
     /// event when enabled (see [`ControllerNode::enable_journal`]).
     journal: Option<Box<ControllerCore>>,
@@ -700,8 +706,6 @@ impl ControllerNode {
             quiesce_timer_set: false,
             started: false,
             completions: Vec::new(),
-            pending_unreachable: Vec::new(),
-            pending_reachable: Vec::new(),
             journal: None,
         }
     }
@@ -728,36 +732,29 @@ impl ControllerNode {
         }
     }
 
-    /// Report that `mb`'s connection dropped (the sim-side stand-in for
-    /// a southbound TCP reset). The controller aborts the MB's in-flight
-    /// operations with [`openmb_types::Error::MbUnreachable`] on its
-    /// next event-loop turn and fails fast any new op naming it until
-    /// [`ControllerNode::report_reachable`].
-    pub fn report_unreachable(&mut self, mb: MbId) {
-        self.pending_unreachable.push(mb);
-    }
-
-    /// The MB re-attached: accept operations naming it again, send any
-    /// shared-state rollbacks deferred while it was down, and resume
-    /// transfers parked on its account (all on the controller's next
-    /// event-loop turn).
-    pub fn report_reachable(&mut self, mb: MbId) {
-        self.pending_reachable.push(mb);
-    }
-
-    fn drain_unreachable(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pending_unreachable.is_empty() && self.pending_reachable.is_empty() {
-            return;
-        }
-        let mut actions = Vec::new();
-        let now = ctx.now();
-        for mb in std::mem::take(&mut self.pending_unreachable) {
-            self.core.mark_unreachable(mb, now, &mut actions);
-        }
-        for mb in std::mem::take(&mut self.pending_reachable) {
-            self.core.mark_reachable(mb, now, &mut actions);
-        }
-        self.dispatch_actions(ctx, actions);
+    /// Report at `at` that `mb`'s southbound connection to the
+    /// controller node `ctrl` dropped (`reachable == false`, the
+    /// sim-side stand-in for a TCP reset) or came back. The report is a
+    /// timer on the controller, so it takes effect at the virtual
+    /// instant it is made, not on the controller's next unrelated
+    /// event; a controller that is down at `at` never sees it, as a
+    /// dead process misses a reset.
+    ///
+    /// Unreachable: the MB's in-flight operations abort with
+    /// [`openmb_types::Error::MbUnreachable`], and any new op naming it
+    /// fails fast until it is reported reachable. Reachable: ops naming
+    /// it are accepted again, shared-state rollbacks deferred while it
+    /// was down are sent, and transfers parked on its account resume.
+    pub fn report_reachability(
+        sim: &mut Sim,
+        ctrl: NodeId,
+        at: SimTime,
+        mb: MbId,
+        reachable: bool,
+    ) {
+        let slot = 2 * mb.0 as u64 + reachable as u64;
+        assert!(slot < APP_TIMER_BASE - TIMER_REACHABILITY_BASE, "MB id {mb} out of timer range");
+        sim.inject_timer(at, ctrl, TIMER_REACHABILITY_BASE + slot);
     }
 
     /// One point-in-time health capture: the core's view
@@ -921,7 +918,6 @@ impl Node for ControllerNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, from: NodeId, frame: Frame) {
-        self.drain_unreachable(ctx);
         match frame {
             Frame::Control(msg) => {
                 let mb = self.mb_of(from).unwrap_or(MbId(u32::MAX));
@@ -945,7 +941,6 @@ impl Node for ControllerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        self.drain_unreachable(ctx);
         if (TIMER_CTRL_WORK_BASE..TIMER_CTRL_WORK_BASE + self.queues.len() as u64).contains(&token)
         {
             let s = (token - TIMER_CTRL_WORK_BASE) as usize;
@@ -962,6 +957,16 @@ impl Node for ControllerNode {
             self.core.tick(ctx.now(), &mut actions);
             self.dispatch_actions(ctx, actions);
             self.arm_quiesce(ctx);
+        } else if (TIMER_REACHABILITY_BASE..APP_TIMER_BASE).contains(&token) {
+            let slot = token - TIMER_REACHABILITY_BASE;
+            let mb = MbId((slot / 2) as u32);
+            let mut actions = Vec::new();
+            if slot % 2 == 1 {
+                self.core.mark_reachable(mb, ctx.now(), &mut actions);
+            } else {
+                self.core.mark_unreachable(mb, ctx.now(), &mut actions);
+            }
+            self.dispatch_actions(ctx, actions);
         } else if token >= APP_TIMER_BASE {
             let app_token = token - APP_TIMER_BASE;
             self.with_api(ctx, |app, api| app.on_timer(api, app_token));
@@ -978,8 +983,6 @@ impl Node for ControllerNode {
         }
         self.busy.iter_mut().for_each(|b| *b = false);
         self.quiesce_timer_set = false;
-        self.pending_unreachable.clear();
-        self.pending_reachable.clear();
         match &self.journal {
             Some(j) => self.core = (**j).clone(),
             None => {

@@ -3,11 +3,11 @@
 //! suppression, and off-path shared exports.
 
 use openmb_core::nodes::{Host, MbNode};
-use openmb_mb::Middlebox;
+use openmb_mb::{CostModel, Middlebox};
 use openmb_middleboxes::{Monitor, ReDecoder};
 use openmb_simnet::obs::{Recorder, SpanEvent};
 use openmb_simnet::{Ctx, Frame, Metrics, Node, Sim, SimDuration, SimTime};
-use openmb_types::wire::Message;
+use openmb_types::wire::{self, Message};
 use openmb_types::{FlowKey, HeaderFieldList, NodeId, OpId, Packet};
 use std::net::Ipv4Addr;
 
@@ -15,6 +15,8 @@ use std::net::Ipv4Addr;
 #[derive(Default)]
 struct CtrlProbe {
     msgs: Vec<(SimTime, Message)>,
+    /// Messages per received frame, in arrival order.
+    frames: Vec<usize>,
 }
 
 impl Node for CtrlProbe {
@@ -22,12 +24,14 @@ impl Node for CtrlProbe {
         if let Frame::Control(m) = frame {
             // Mirror the real controller: a coalesced frame counts as
             // its contents.
+            let before = self.msgs.len();
             match *m {
                 Message::Batch { msgs } => {
                     self.msgs.extend(msgs.into_iter().map(|m| (ctx.now(), m)));
                 }
                 m => self.msgs.push((ctx.now(), m)),
             }
+            self.frames.push(self.msgs.len() - before);
         }
     }
     fn as_any(&self) -> &dyn std::any::Any {
@@ -187,6 +191,64 @@ fn get_streams_chunks_then_acks() {
         .map(|(t, _)| t.0)
         .collect();
     assert!(chunk_times.windows(2).all(|w| w[1] > w[0]), "streamed, not batched");
+}
+
+/// A Monitor holding `n` flows.
+fn monitor_with(n: u16) -> Monitor {
+    let mut monitor = Monitor::new();
+    let mut fx = openmb_mb::Effects::normal();
+    for i in 0..n {
+        let pkt = Packet::new(u64::from(i), key(i), vec![0u8; 10]);
+        monitor.process_packet(SimTime(u64::from(i)), &pkt, &mut fx);
+    }
+    monitor
+}
+
+/// Whatever the service quantum, a DES get sends the runs
+/// `wire::push_runs` cuts over the whole get: a record waits for the
+/// quantum that serializes its run's last record, and the `GetAck`
+/// rides in the frame with the final runs.
+#[test]
+fn get_runs_span_service_quanta() {
+    const N: usize = 70;
+    let op = OpId(5);
+    let run_len = wire::run_len(N);
+    assert_eq!(run_len, 3);
+    let chunks = monitor_with(N as u16).get_report_perflow(op, &HeaderFieldList::any()).unwrap();
+    let mut expected = Vec::new();
+    wire::push_runs(&mut expected, op, N, chunks);
+    assert_eq!(expected.len(), N.div_ceil(run_len));
+    expected.push(Message::GetAck { op, count: N as u32 });
+    let link = SimDuration::from_micros(10);
+
+    for get_batch in [1, 16] {
+        let logic = monitor_with(N as u16);
+        let costs = CostModel { get_batch, ..logic.costs() };
+        let (mut sim, ctrl, mb, _sink) = world(logic);
+        sim.node_as_mut::<MbNode<Monitor>>(mb).set_cost_override(costs);
+        let get = Message::GetReportPerflow { op, key: HeaderFieldList::any() };
+        sim.inject_frame(SimTime(0), ctrl, mb, Frame::control(get));
+        sim.run(1_000_000);
+        let probe: &CtrlProbe = sim.node_as(ctrl);
+        let sent: Vec<&Message> = probe.msgs.iter().map(|(_, m)| m).collect();
+        assert_eq!(sent, expected.iter().collect::<Vec<_>>(), "get_batch {get_batch}");
+
+        // A frame leaves no earlier than the serialization of its first
+        // run's last record: the scan, then one serialization per record
+        // up to and including it.
+        let (mut first, mut records) = (0, 0);
+        for &len in &probe.frames {
+            let (at, head) = &probe.msgs[first];
+            let done = records + head.run_keys().count();
+            let ready = link + costs.scan_cost(N) + costs.serialize_cost(done);
+            assert!(*at >= SimTime(ready.0), "get_batch {get_batch}: run {done} left early");
+            let frame = &probe.msgs[first..first + len];
+            records += frame.iter().map(|(_, m)| m.run_keys().count()).sum::<usize>();
+            first += len;
+        }
+        let last = *probe.frames.last().unwrap();
+        assert!(last >= 2, "get_batch {get_batch}: the GetAck rides with the final runs");
+    }
 }
 
 #[test]

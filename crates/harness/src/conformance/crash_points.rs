@@ -4,14 +4,18 @@
 //! suite's full invariants.
 //!
 //! An *instant* is a distinct virtual time at or after the op's issue at
-//! which the unfaulted reference run recorded a span event under the
-//! `controller` node — i.e. a time the controller handled something and
-//! journaled the result. Crashing 1 ns later lands strictly after
-//! everything it did at that instant and strictly before its next
-//! event (the DES clock is integer nanoseconds and no two controller
-//! steps are closer than the per-message service cost), so the set of
-//! instants enumerates every distinct journal state a crash can
-//! restore. The 10 ms downtime outlasts the 100 µs control latency, so
+//! which the controller, in an unfaulted run, recorded a span event or
+//! handled a southbound message — i.e. a time the controller did
+//! something and journaled the result. Some handlings record no span (a
+//! `ChunkNeed` answered with its body, a `GetAck` that does not close
+//! its get), so the handled times come from a second run, read off the
+//! core's message counter without the recorder; they also floor the
+//! enumeration. Crashing 1 ns later lands strictly after everything it
+//! did at that instant and strictly before its next event (the DES
+//! clock is integer nanoseconds and no two controller steps are closer
+//! than the per-message service cost), so the set of instants
+//! enumerates every distinct journal state a crash can restore. The
+//! 10 ms downtime outlasts the 100 µs control latency, so
 //! every frame in flight towards the controller at the crash is lost.
 
 use openmb_middleboxes::Monitor;
@@ -23,8 +27,9 @@ use crate::conformance_concurrent::build_pairs;
 
 const DOWNTIME: SimDuration = SimDuration::from_millis(10);
 
-/// Every instant of the reference run just driven on `sim`.
-fn controller_instants(sim: &Sim) -> Vec<u64> {
+/// Every instant of the reference run just driven on `sim`, given the
+/// `handled` times of a second unfaulted run.
+fn controller_instants(sim: &Sim, handled: &[u64]) -> Vec<u64> {
     let dump = sim.recorder().dump();
     assert_eq!(dump.evicted, 0, "the ring must retain the whole reference run");
     let mut instants: Vec<u64> = dump
@@ -32,9 +37,44 @@ fn controller_instants(sim: &Sim) -> Vec<u64> {
         .iter()
         .filter(|e| e.node == "controller" && e.t_ns >= ms(OP_AT_MS).0)
         .map(|e| e.t_ns)
+        .chain(handled.iter().copied())
         .collect();
+    instants.sort_unstable();
     instants.dedup();
     instants
+}
+
+/// The distinct times at or after the op's issue at which the
+/// controller handled a southbound message in an unfaulted run of `sc`
+/// ([`ControllerCore::messages_handled`] rose across one event), read
+/// without the recorder. Each journals a new state, so each must be an
+/// instant.
+///
+/// [`ControllerCore::messages_handled`]: openmb_core::controller::ControllerCore::messages_handled
+fn handled_times(mut sc: Scenario) -> Vec<u64> {
+    let sim = &mut sc.sim;
+    let (mut handled, mut times) = (0, Vec::new());
+    while sim.run(1) == 1 {
+        let now = sim.now().0;
+        let n = sim.node_as::<ControllerNode>(CONTROLLER).core.messages_handled();
+        if n > handled && now >= ms(OP_AT_MS).0 && times.last() != Some(&now) {
+            times.push(now);
+        }
+        handled = n;
+    }
+    times
+}
+
+/// The enumeration's floor: it must hold every time the recorder-free
+/// count found.
+fn assert_exhaustive(instants: &[u64], handled: &[u64]) {
+    let missed: Vec<_> = handled.iter().filter(|t| instants.binary_search(t).is_err()).collect();
+    assert!(
+        missed.is_empty(),
+        "enumeration collapsed: {} instants for {} handled times, missing {missed:?}",
+        instants.len(),
+        handled.len()
+    );
 }
 
 /// A schedule whose only fault is one controller crash just after `t`.
@@ -64,8 +104,9 @@ fn move_survives_a_controller_crash_at_every_instant() {
     for content_cache in [true, false] {
         let mut sc = build(&mut Monitor::new, ConfOp::Move, content_cache);
         let reference = drive::<Monitor>(&mut sc, None);
-        let instants = controller_instants(&sc.sim);
-        assert!(instants.len() >= 100, "enumeration collapsed: {} instants", instants.len());
+        let handled = handled_times(build(&mut Monitor::new, ConfOp::Move, content_cache));
+        let instants = controller_instants(&sc.sim, &handled);
+        assert_exhaustive(&instants, &handled);
         let (mut completed, mut lossy) = (0, 0);
         for &t in &instants {
             let s = crash_after(t, ConfOp::Move);
@@ -89,8 +130,9 @@ fn sweep_chain(stride: usize) {
     const HOPS: usize = 3;
     let mut sc = build_pairs(&mut Monitor::new, HOPS, chain_request(HOPS));
     let reference = drive::<Monitor>(&mut sc, None);
-    let instants = controller_instants(&sc.sim);
-    assert!(instants.len() >= 300, "enumeration collapsed: {} instants", instants.len());
+    let handled = handled_times(build_pairs(&mut Monitor::new, HOPS, chain_request(HOPS)));
+    let instants = controller_instants(&sc.sim, &handled);
+    assert_exhaustive(&instants, &handled);
     let (mut committed, mut lossy) = (0, 0);
     for &t in instants.iter().step_by(stride) {
         let s = crash_after(t, HOPS);

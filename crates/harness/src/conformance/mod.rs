@@ -577,30 +577,21 @@ pub(crate) fn drive<M: Middlebox + 'static>(sc: &mut Scenario, faults: Faults<'_
     }
     for &(t, mb, up) in &events {
         sim.run_until(t, 50_000_000);
-        let ctrl = sim.node_as_mut::<ControllerNode>(CONTROLLER);
-        if up {
-            ctrl.report_reachable(mb);
-        } else {
-            ctrl.report_unreachable(mb);
-        }
+        ControllerNode::report_reachability(sim, CONTROLLER, t, mb, up);
     }
     sim.run(50_000_000);
 
-    // A controller crash can land between a reachability report and the
-    // event that drains it, eating the report (the crash clears the
-    // pending vecs, as a process restart would). Re-reporting is
-    // idempotent and also flushes any rollback still parked on the MB;
-    // the injected timer (unknown token: drain-only) gives the
-    // controller an event to drain them on.
+    // A controller that is down when a reachability report lands never
+    // sees it, as a dead process misses a reset. Re-reporting every
+    // reattach once the run has drained is idempotent and also flushes
+    // any rollback still parked on the MB.
     if !events.is_empty() {
-        let ctrl = sim.node_as_mut::<ControllerNode>(CONTROLLER);
+        let t = sim.now().after(SimDuration::from_millis(1));
         for &(_, mb, up) in &events {
             if up {
-                ctrl.report_reachable(mb);
+                ControllerNode::report_reachability(sim, CONTROLLER, t, mb, true);
             }
         }
-        let t = sim.now().after(SimDuration::from_millis(1));
-        sim.inject_timer(t, CONTROLLER, 4242);
         sim.run(50_000_000);
     }
     assert!(sim.is_idle(), "simulation must drain");

@@ -1,5 +1,6 @@
 use openmb_apps::scenarios::layout::{MB_A, MB_B, MB_B_ID};
 use openmb_middleboxes::Monitor;
+use openmb_types::wire::{self, Message};
 
 use super::single::{build, WINDOW_END_MS};
 use super::*;
@@ -115,19 +116,26 @@ fn duplicated_chunk_acks_are_deduplicated() {
 
 /// Predict the content hashes a Monitor move will put in its manifest:
 /// a probe instance with the identical preload seals byte-identical
-/// chunks (exports are key-sorted and sealing is convergent), so the
-/// hashes match the real run's.
+/// chunks (exports are key-sorted and sealing is convergent), and the
+/// probe cuts them into the runs the transfer sends
+/// ([`wire::push_runs`]) and hashes what the store keys a run by
+/// ([`wire::run_content`]), so the hashes match the real run's.
 fn monitor_transfer_hashes() -> Vec<(openmb_store::ContentHash, Vec<u8>)> {
     let mut probe = Monitor::new();
     preload(&mut probe, PRELOAD);
     let chunks = probe.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
     assert!(!chunks.is_empty(), "probe must export the preloaded flows");
-    chunks
-        .into_iter()
-        .map(|c| {
-            let bytes = c.data.as_wire().to_vec();
-            (openmb_store::content_hash(&bytes), bytes)
+    let mut runs = Vec::new();
+    wire::push_runs(&mut runs, OpId(1), chunks.len(), chunks);
+    runs.into_iter()
+        .map(|m| match m {
+            Message::Chunk { chunk, .. } => wire::run_content(&chunk.data, &[]).into_owned(),
+            Message::ChunkRun { chunk, rest, .. } => {
+                wire::run_content(&chunk.data, &rest).into_owned()
+            }
+            other => panic!("push_runs cut a non-run message: {other:?}"),
         })
+        .map(|bytes| (openmb_store::content_hash(&bytes), bytes))
         .collect()
 }
 
