@@ -23,18 +23,18 @@ pub struct LogEntry {
     pub line: String,
 }
 
-/// Side-effect collector handed to [`Middlebox::process_packet`] and
-/// [`Middlebox::process_batch`].
+/// Side-effect collector handed to [`Middlebox::process_packet`],
+/// [`Middlebox::process_run`] and [`Middlebox::process_batch`].
 ///
 /// A batch of packets shares one collector: forwarded packets accumulate
 /// in order, and the embedding drains them once per batch. The replay
-/// flag is checked per side effect on the scalar path; batch
-/// specializations may instead branch once per batch and use the `_live`
-/// variants plus [`suppress`](Effects::suppress), which is byte-identical
-/// (the suppression counter and the empty output are the same either
-/// way).
+/// flag is checked per side effect; a same-flow run that forwards its
+/// packets unchanged checks it once, through
+/// [`forward_all`](Effects::forward_all), which is byte-identical (the
+/// suppression counter and the empty output are the same either way).
 ///
 /// [`Middlebox::process_packet`]: crate::Middlebox::process_packet
+/// [`Middlebox::process_run`]: crate::Middlebox::process_run
 /// [`Middlebox::process_batch`]: crate::Middlebox::process_batch
 #[derive(Debug, Default)]
 pub struct Effects {
@@ -95,14 +95,6 @@ impl Effects {
         }
     }
 
-    /// [`forward`](Effects::forward) for a caller that already branched
-    /// on [`is_replay`](Effects::is_replay) for the whole batch: no
-    /// per-call replay check.
-    pub fn forward_live(&mut self, pkt: Packet) {
-        debug_assert!(!self.replay, "forward_live on a replay collector");
-        self.outputs.push(pkt);
-    }
-
     /// Write a line to a named log (external side effect).
     pub fn log(&mut self, log: &str, line: impl Into<String>) {
         if self.replay {
@@ -112,27 +104,17 @@ impl Effects {
         }
     }
 
-    /// [`log`](Effects::log) without the per-call replay check, for a
-    /// caller that branched once per batch.
-    pub fn log_live(&mut self, log: &str, line: impl Into<String>) {
-        debug_assert!(!self.replay, "log_live on a replay collector");
-        self.logs.push(LogEntry { log: log.to_owned(), line: line.into() });
-    }
-
-    /// Forward a whole same-treatment run in one call: a single reserve
-    /// and a tight clone-append loop instead of per-packet calls.
-    /// Clones are cheap (the payload is refcounted). Caller must have
-    /// branched on [`is_replay`](Effects::is_replay) for the batch.
-    pub fn forward_live_all(&mut self, pkts: &[Packet]) {
-        debug_assert!(!self.replay, "forward_live_all on a replay collector");
-        self.outputs.extend_from_slice(pkts);
-    }
-
-    /// Account `n` side effects as replay-suppressed in one step — the
-    /// batch-wide counterpart of the per-call suppression branch.
-    pub fn suppress(&mut self, n: u64) {
-        debug_assert!(self.replay, "suppress on a live collector");
-        self.suppressed += n;
+    /// Forward a whole same-treatment run (external side effects): one
+    /// replay check, then one bulk append, or `n` suppressions counted
+    /// in one step. Same outputs and `suppressed` as
+    /// [`forward`](Effects::forward) on each packet. Clones are cheap
+    /// (the payload is refcounted).
+    pub fn forward_all(&mut self, pkts: &[Packet]) {
+        if self.replay {
+            self.suppressed += pkts.len() as u64;
+        } else {
+            self.outputs.extend_from_slice(pkts);
+        }
     }
 
     /// Raise an event (always recorded — events are control-plane
@@ -230,42 +212,31 @@ mod tests {
         assert!(fx.take_output().is_none());
     }
 
-    /// The per-batch replay branch (branch once, then `_live` calls or
-    /// one `suppress(n)`) must be byte-identical to the per-call branch
-    /// the scalar path takes — the obs_pipeline "single branch on the
-    /// disabled path" pattern applied to side-effect suppression.
+    /// `forward_all` (one replay check per run) must be byte-identical
+    /// to the per-call branch of `forward` on each packet, live and in
+    /// replay: same outputs, same `suppressed`.
     #[test]
     fn batch_lane_matches_per_call_branch() {
-        // Live mode: _live variants produce the same collected output.
-        let mut per_call = Effects::normal();
-        let mut batched = Effects::normal();
-        for _ in 0..5 {
-            per_call.forward(pkt());
-            per_call.log("nat.log", "drop");
-        }
-        if !batched.is_replay() {
-            for _ in 0..5 {
-                batched.forward_live(pkt());
-                batched.log_live("nat.log", "drop");
+        let run: Vec<Packet> = (0..5u64)
+            .map(|id| {
+                let mut p = pkt();
+                p.id = id;
+                p
+            })
+            .collect();
+        for replay in [false, true] {
+            let mut per_call = Effects::normal();
+            let mut batched = Effects::normal();
+            per_call.set_replay(replay);
+            batched.set_replay(replay);
+            for p in &run {
+                per_call.forward(p.clone());
             }
+            batched.forward_all(&run);
+            assert_eq!(per_call.outputs(), batched.outputs(), "replay={replay}");
+            assert_eq!(per_call.suppressed, batched.suppressed, "replay={replay}");
+            assert_eq!(batched.suppressed, if replay { 5 } else { 0 });
         }
-        assert_eq!(per_call.outputs().len(), batched.outputs().len());
-        assert_eq!(per_call.take_logs(), batched.take_logs());
-        assert_eq!(per_call.suppressed, batched.suppressed);
-
-        // Replay mode: one bulk suppress(n) equals n suppressed calls.
-        let mut per_call = Effects::replay();
-        let mut batched = Effects::replay();
-        for _ in 0..5 {
-            per_call.forward(pkt());
-            per_call.log("nat.log", "drop");
-        }
-        if batched.is_replay() {
-            batched.suppress(10);
-        }
-        assert_eq!(per_call.suppressed, batched.suppressed);
-        assert!(batched.take_output().is_none());
-        assert!(batched.take_logs().is_empty());
     }
 
     #[test]

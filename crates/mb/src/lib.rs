@@ -302,6 +302,18 @@ pub trait Middlebox {
     /// virtual wall-clock time, used for log timestamps and timeouts.
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects);
 
+    /// Process a non-empty run of packets that share one `FlowKey`, with
+    /// the same side effects and state updates as
+    /// [`process_packet`](Middlebox::process_packet) on each in order with
+    /// the same `now`. The default is that loop. A middlebox whose work is
+    /// mostly per flow writes its packet logic here, once, and makes
+    /// `process_packet` the run of one (`std::slice::from_ref(pkt)`).
+    fn process_run(&mut self, now: SimTime, run: &[Packet], fx: &mut Effects) {
+        for pkt in run {
+            self.process_packet(now, pkt, fx);
+        }
+    }
+
     /// Process a train of packets that arrived back-to-back, producing
     /// the same side effects and state updates as calling
     /// [`process_packet`](Middlebox::process_packet) on each packet in
@@ -309,14 +321,12 @@ pub trait Middlebox {
     /// must preserve, and which the batch-equivalence property tests
     /// check for each type.
     ///
-    /// The default does exactly that loop. Hot middleboxes override it
-    /// to amortize per-packet work that is invariant across the batch:
-    /// config re-parses, flow-table lookups for same-flow runs, the
-    /// replay-mode branch, and sync-tracker checks when no move is in
-    /// flight. Overrides must not reorder side effects across packets.
+    /// The default cuts the train into maximal same-`FlowKey` runs and
+    /// hands each to [`process_run`](Middlebox::process_run): this is
+    /// the one place run detection lives.
     fn process_batch(&mut self, now: SimTime, pkts: &[Packet], fx: &mut Effects) {
-        for pkt in pkts {
-            self.process_packet(now, pkt, fx);
+        for run in pkts.chunk_by(|a, b| a.key == b.key) {
+            self.process_run(now, run, fx);
         }
     }
 
@@ -350,4 +360,72 @@ pub trait Middlebox {
     /// classes); used to model linear-search get cost (§7 note on
     /// wildcard matching) and by experiments.
     fn perflow_entries(&self) -> usize;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use openmb_types::FlowKey;
+    use std::net::Ipv4Addr;
+
+    /// Records each `process_run` it is handed: the run's length and
+    /// the id of its first packet.
+    #[derive(Default)]
+    struct RunRecorder {
+        runs: Vec<(usize, u64)>,
+    }
+
+    impl Middlebox for RunRecorder {
+        fn mb_type(&self) -> &'static str {
+            "run-recorder"
+        }
+        fn get_config(
+            &self,
+            _key: &HierarchicalKey,
+        ) -> Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
+            Ok(Vec::new())
+        }
+        fn set_config(&mut self, _key: &HierarchicalKey, _values: Vec<ConfigValue>) -> Result<()> {
+            Ok(())
+        }
+        fn del_config(&mut self, _key: &HierarchicalKey) -> Result<()> {
+            Ok(())
+        }
+        fn stats(&self, _key: &HeaderFieldList) -> StateStats {
+            StateStats::default()
+        }
+        fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {
+            self.process_run(now, std::slice::from_ref(pkt), fx);
+        }
+        fn process_run(&mut self, _now: SimTime, run: &[Packet], fx: &mut Effects) {
+            assert!(run.iter().all(|p| p.key == run[0].key), "a run shares one FlowKey");
+            self.runs.push((run.len(), run[0].id));
+            fx.forward_all(run);
+        }
+        fn end_sync(&mut self, _op: OpId) {}
+        fn costs(&self) -> CostModel {
+            CostModel::default()
+        }
+        fn perflow_entries(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn process_batch_cuts_same_flow_runs_in_order() {
+        let flow =
+            |port| FlowKey::tcp(Ipv4Addr::new(1, 1, 1, 1), port, Ipv4Addr::new(2, 2, 2, 2), 80);
+        let (a, b) = (flow(1), flow(2));
+        let pkts: Vec<Packet> = [a, a, b, a, a, a]
+            .into_iter()
+            .enumerate()
+            .map(|(id, key)| Packet::new(id as u64, key, vec![0u8; 4]))
+            .collect();
+        let mut mb = RunRecorder::default();
+        let mut fx = Effects::normal();
+        mb.process_batch(SimTime(0), &pkts, &mut fx);
+        assert_eq!(mb.runs, vec![(2, 0), (1, 2), (3, 3)]);
+        let ids: Vec<u64> = fx.outputs().iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5], "runs are handed over in train order");
+    }
 }

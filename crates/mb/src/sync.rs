@@ -67,10 +67,10 @@ impl SyncTracker {
     /// True when no per-flow sync window can affect `key`: the flow is
     /// not marked moved and no move pattern is in flight. While this
     /// holds, [`on_perflow_update`](SyncTracker::on_perflow_update) for
-    /// `key` neither raises an event nor mutates the tracker, so a batch
-    /// specialization may make one check per same-flow run instead of
-    /// one call per packet.
-    pub fn perflow_quiet(&self, key: &FlowKey) -> bool {
+    /// `key` neither raises an event nor mutates the tracker, which is
+    /// what lets [`on_perflow_run`](SyncTracker::on_perflow_run) make one
+    /// check per same-flow run instead of one call per packet.
+    pub(crate) fn perflow_quiet(&self, key: &FlowKey) -> bool {
         self.active_moves.is_empty() && !self.moved.contains_key(key)
     }
 
@@ -98,6 +98,18 @@ impl SyncTracker {
             self.moved.insert(key, op);
             self.events_raised += 1;
             fx.raise(Event::Reprocess { op, key, packet: pkt.clone() });
+        }
+    }
+
+    /// Every packet of `run` just updated per-flow state for `key`: what
+    /// [`on_perflow_update`](SyncTracker::on_perflow_update) on each
+    /// packet does, with one check for the whole run while it is quiet.
+    pub fn on_perflow_run(&mut self, key: FlowKey, run: &[Packet], fx: &mut Effects) {
+        if self.perflow_quiet(&key) {
+            return;
+        }
+        for pkt in run {
+            self.on_perflow_update(key, pkt, fx);
         }
     }
 
@@ -204,6 +216,64 @@ mod tests {
         t.mark_moved(key(1), OpId(1));
         t.clear_flow(&key(1));
         assert_eq!(t.moved_count(), 0);
+    }
+
+    /// `on_perflow_run` against `on_perflow_update` on each packet of the
+    /// same run, starting from equal trackers: equal events, equal
+    /// tracker afterwards.
+    fn run_matches_per_packet(t: &SyncTracker, k: FlowKey, n: u64) -> (SyncTracker, Vec<Event>) {
+        let run: Vec<Packet> = (0..n).map(|id| Packet::new(id, k, vec![0u8; 4])).collect();
+        let (mut per_pkt, mut fx_per_pkt) = (t.clone(), Effects::normal());
+        for pkt in &run {
+            per_pkt.on_perflow_update(k, pkt, &mut fx_per_pkt);
+        }
+        let (mut whole, mut fx_whole) = (t.clone(), Effects::normal());
+        whole.on_perflow_run(k, &run, &mut fx_whole);
+        let events = fx_whole.take_events();
+        assert_eq!(events, fx_per_pkt.take_events());
+        assert_eq!(whole.moved, per_pkt.moved);
+        assert_eq!(whole.active_moves, per_pkt.active_moves);
+        assert_eq!(whole.events_raised, per_pkt.events_raised);
+        (whole, events)
+    }
+
+    fn reprocess_ops(events: &[Event]) -> Vec<(OpId, u64)> {
+        events
+            .iter()
+            .map(|e| match e {
+                Event::Reprocess { op, packet, .. } => (*op, packet.id),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_quiet_run_raises_nothing_and_leaves_the_tracker_alone() {
+        let mut t = SyncTracker::new();
+        t.mark_moved(key(2), OpId(1));
+        let (after, events) = run_matches_per_packet(&t, key(1), 4);
+        assert!(events.is_empty());
+        assert_eq!(after.moved, t.moved);
+        assert_eq!(after.events_raised, 0);
+    }
+
+    #[test]
+    fn a_marked_run_raises_one_event_per_packet_under_its_op() {
+        let mut t = SyncTracker::new();
+        t.mark_moved(key(1), OpId(7));
+        let (after, events) = run_matches_per_packet(&t, key(1), 3);
+        assert_eq!(reprocess_ops(&events), vec![(OpId(7), 0), (OpId(7), 1), (OpId(7), 2)]);
+        assert_eq!(after.events_raised, 3);
+    }
+
+    #[test]
+    fn a_new_flow_run_under_a_pattern_is_marked_once_and_raises_per_packet() {
+        let mut t = SyncTracker::new();
+        t.mark_move_pattern(OpId(4), HeaderFieldList::from_dst_port(80));
+        let (after, events) = run_matches_per_packet(&t, key(5), 3);
+        assert_eq!(reprocess_ops(&events), vec![(OpId(4), 0), (OpId(4), 1), (OpId(4), 2)]);
+        assert_eq!(after.moved_count(), 1);
+        assert!(after.is_moved(&key(5)));
     }
 
     #[test]

@@ -85,10 +85,21 @@ impl ConnTrack {
     }
 }
 
+/// What packets need from the config tree, parsed when it is written.
+#[derive(Clone)]
+struct Compiled {
+    /// `chains/inbound`, in order: the first matching rule decides.
+    rules: Vec<Rule>,
+    /// `params/default_policy` is `"allow"`.
+    default_allow: bool,
+}
+
 /// The firewall middlebox.
 #[derive(Clone)]
 pub struct Firewall {
     config: ConfigTree,
+    /// [`Firewall::compile_config`] of `config`.
+    compiled: Compiled,
     conntrack: HashMap<FlowKey, ConnTrack>,
     sync: SyncTracker,
     sealer: Sealer,
@@ -120,6 +131,7 @@ impl Firewall {
             vec![ConfigValue::Str("deny".into())],
         );
         Firewall {
+            compiled: Self::compile_config(&config),
             config,
             conntrack: HashMap::new(),
             sync: SyncTracker::new(),
@@ -129,28 +141,23 @@ impl Firewall {
         }
     }
 
-    fn rules(&self) -> Vec<Rule> {
-        self.config
+    /// Every writer of `config` ends by storing this, so packets never
+    /// parse it.
+    fn compile_config(config: &ConfigTree) -> Compiled {
+        let rules = config
             .get_leaf(&HierarchicalKey::parse("chains/inbound"))
             .map(|vs| vs.iter().filter_map(|v| v.as_str()).filter_map(Rule::parse).collect())
-            .unwrap_or_default()
-    }
-
-    fn default_allow(&self) -> bool {
-        self.config
+            .unwrap_or_default();
+        let default_allow = config
             .get_leaf(&HierarchicalKey::parse("params/default_policy"))
-            .and_then(|v| v.first().and_then(|c| c.as_str().map(str::to_owned)))
-            .as_deref()
-            == Some("allow")
+            .and_then(|v| v.first().and_then(ConfigValue::as_str))
+            == Some("allow");
+        Compiled { rules, default_allow }
     }
 
     fn decide(&self, key: &FlowKey) -> bool {
-        for rule in self.rules() {
-            if rule.matches(key) {
-                return rule.allow;
-            }
-        }
-        self.default_allow()
+        let rule = self.compiled.rules.iter().find(|rule| rule.matches(key));
+        rule.map_or(self.compiled.default_allow, |rule| rule.allow)
     }
 
     /// The shared reporting counters, in wire order.
@@ -181,23 +188,26 @@ impl Middlebox for Firewall {
     fn set_config(&mut self, key: &HierarchicalKey, values: Vec<ConfigValue>) -> Result<()> {
         // Rule chains are validated value-by-value: a single malformed
         // rule rejects the whole set (ordered sets are atomic units).
-        if key.segments().first().map(String::as_str) == Some("chains") {
-            for v in &values {
-                let ok = v.as_str().map(Rule::parse).unwrap_or(None).is_some();
-                if !ok {
-                    return Err(Error::InvalidConfigValue {
-                        key: key.to_string(),
-                        reason: format!("unparseable rule: {v}"),
-                    });
-                }
+        let chains = key.segments().first().map(String::as_str) == Some("chains");
+        let bad = values.iter().find(|v| chains && v.as_str().and_then(Rule::parse).is_none());
+        let written = match bad {
+            Some(v) => Err(Error::InvalidConfigValue {
+                key: key.to_string(),
+                reason: format!("unparseable rule: {v}"),
+            }),
+            None => {
+                self.config.set(key, values);
+                Ok(())
             }
-        }
-        self.config.set(key, values);
-        Ok(())
+        };
+        self.compiled = Self::compile_config(&self.config);
+        written
     }
 
     fn del_config(&mut self, key: &HierarchicalKey) -> Result<()> {
-        self.config.remove(key)
+        let removed = self.config.remove(key);
+        self.compiled = Self::compile_config(&self.config);
+        removed
     }
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
@@ -245,102 +255,37 @@ impl Middlebox for Firewall {
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {
-        let key = pkt.key.canonical();
-        // Established connections pass without re-evaluating rules.
-        if let Some(c) = self.conntrack.get_mut(&key) {
-            c.packets += 1;
-            c.last_ns = now.0;
-            if !fx.is_replay() {
-                self.allowed += 1;
-            }
-            self.sync.on_perflow_update(key, pkt, fx);
-            fx.forward(pkt.clone());
-            return;
-        }
-        if self.decide(&pkt.key) {
-            if !fx.is_replay() {
-                self.allowed += 1;
-            }
-            self.conntrack.insert(key, ConnTrack { key, packets: 1, last_ns: now.0 });
-            self.sync.on_perflow_update(key, pkt, fx);
-            fx.forward(pkt.clone());
-        } else {
-            if !fx.is_replay() {
-                self.denied += 1;
-            }
-            fx.log("firewall.log", format!("{} deny {}", now.0, pkt.key));
-        }
+        self.process_run(now, std::slice::from_ref(pkt), fx);
     }
 
-    /// Batch specialization: consecutive packets of the same flow share
-    /// one conntrack lookup (or one rule decision), the replay branch is
-    /// taken once per run, and the sync tracker is consulted once per
-    /// run when no move is in flight. Byte-identical to the serial loop:
-    /// all packets in a batch carry the same `now`, denies mutate no
-    /// state (so one decision covers the run and every deny line is
-    /// identical), and a quiet sync window raises nothing.
-    fn process_batch(&mut self, now: SimTime, pkts: &[Packet], fx: &mut Effects) {
-        if pkts.len() < 2 {
-            if let Some(pkt) = pkts.first() {
-                self.process_packet(now, pkt, fx);
+    /// A same-flow run shares one conntrack lookup or one rule decision:
+    /// a deny mutates no state, so the first decision covers the run and
+    /// every deny line (same `now`, same key) is the same.
+    fn process_run(&mut self, now: SimTime, run: &[Packet], fx: &mut Effects) {
+        let flow = run[0].key;
+        let key = flow.canonical();
+        let n = run.len() as u64;
+        // Established connections pass without re-evaluating rules.
+        if let Some(c) = self.conntrack.get_mut(&key) {
+            c.packets += n;
+            c.last_ns = now.0;
+        } else if self.decide(&flow) {
+            self.conntrack.insert(key, ConnTrack { key, packets: n, last_ns: now.0 });
+        } else {
+            if !fx.is_replay() {
+                self.denied += n;
+            }
+            let line = format!("{} deny {}", now.0, flow);
+            for _ in run {
+                fx.log("firewall.log", line.clone());
             }
             return;
         }
-        let live = !fx.is_replay();
-        let mut i = 0;
-        while i < pkts.len() {
-            let run_key = pkts[i].key;
-            let mut j = i + 1;
-            while j < pkts.len() && pkts[j].key == run_key {
-                j += 1;
-            }
-            let run = &pkts[i..j];
-            let key = run_key.canonical();
-            let quiet = self.sync.perflow_quiet(&key);
-            let n = run.len() as u64;
-            if let Some(c) = self.conntrack.get_mut(&key) {
-                c.packets += n;
-                c.last_ns = now.0;
-            } else if self.decide(&run_key) {
-                self.conntrack.insert(key, ConnTrack { key, packets: n, last_ns: now.0 });
-            } else {
-                // Denied: no state update, so the first decision covers
-                // the whole run and the log line (same now, same key) is
-                // formatted once.
-                if live {
-                    self.denied += n;
-                    let line = format!("{} deny {}", now.0, run_key);
-                    for _ in run {
-                        fx.log_live("firewall.log", line.clone());
-                    }
-                } else {
-                    fx.suppress(n);
-                }
-                i = j;
-                continue;
-            }
-            if live {
-                self.allowed += n;
-                // Reprocess events and forwarded packets are separate
-                // channels, so raising the run's events first and then
-                // bulk-appending the outputs preserves per-channel
-                // order — the only order the serial path guarantees.
-                if !quiet {
-                    for pkt in run {
-                        self.sync.on_perflow_update(key, pkt, fx);
-                    }
-                }
-                fx.forward_live_all(run);
-            } else {
-                if !quiet {
-                    for pkt in run {
-                        self.sync.on_perflow_update(key, pkt, fx);
-                    }
-                }
-                fx.suppress(n);
-            }
-            i = j;
+        if !fx.is_replay() {
+            self.allowed += n;
         }
+        self.sync.on_perflow_run(key, run, fx);
+        fx.forward_all(run);
     }
 
     fn end_sync(&mut self, op: OpId) {
@@ -428,6 +373,34 @@ mod tests {
         assert!(fx.take_output().is_none(), "first matching rule wins");
         fw.process_packet(SimTime(1), &pkt(2, 9999, Proto::Udp), &mut fx);
         assert!(fx.take_output().is_some());
+    }
+
+    #[test]
+    fn deleting_the_chain_leaves_new_flows_to_the_default_policy() {
+        let key = HierarchicalKey::parse;
+        for policy in ["deny", "allow"] {
+            let mut fw = Firewall::new();
+            let value = vec![ConfigValue::Str(policy.into())];
+            fw.set_config(&key("params/default_policy"), value).unwrap();
+            let mut fx = Effects::normal();
+            fw.process_packet(SimTime(0), &pkt(1, 80, Proto::Tcp), &mut fx);
+            assert!(fx.take_output().is_some());
+
+            fw.del_config(&key("chains/inbound")).unwrap();
+            // Port 443 was allowed by the deleted chain.
+            fw.process_packet(SimTime(1), &pkt(2, 443, Proto::Tcp), &mut fx);
+            assert_eq!(fx.take_output().is_some(), policy == "allow", "policy {policy}");
+            // The established flow passes on its conntrack entry.
+            fw.process_packet(SimTime(2), &pkt(3, 80, Proto::Tcp), &mut fx);
+            assert!(fx.take_output().is_some(), "policy {policy}");
+
+            // With no policy left, a new flow is denied; a refused
+            // delete changes nothing.
+            fw.del_config(&key("params/default_policy")).unwrap();
+            assert!(fw.del_config(&key("params/default_policy")).is_err());
+            fw.process_packet(SimTime(3), &pkt(4, 53, Proto::Udp), &mut fx);
+            assert!(fx.take_output().is_none(), "policy {policy}");
+        }
     }
 
     #[test]

@@ -310,28 +310,40 @@ impl Middlebox for Monitor {
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {
-        let key = pkt.key.canonical();
-        // Classified only when the flow is new.
+        self.process_run(now, std::slice::from_ref(pkt), fx);
+    }
+
+    /// A same-flow run shares one record lookup and bumps the record and
+    /// stat counters in one step; a flow is classified only when it is
+    /// new, and its asset line and introspection event belong to the
+    /// run's first packet.
+    fn process_run(&mut self, now: SimTime, run: &[Packet], fx: &mut Effects) {
+        let flow = run[0].key;
+        let key = flow.canonical();
+        let n = run.len() as u64;
+        let bytes: u64 = run.iter().map(|pkt| pkt.wire_len() as u64).sum();
+        let http = run.iter().filter(|pkt| pkt.meta.http_request).count() as u64;
+
         let mut new_service = None;
-        let rec = self.assets.entry(key).or_insert_with(|| {
-            let service = self.compiled.classify(&pkt.key);
-            new_service = Some(service.clone());
-            AssetRecord {
+        if let Some(rec) = self.assets.get_mut(&key) {
+            rec.last_seen_ns = now.0;
+            rec.packets += n;
+            rec.bytes += bytes;
+            rec.http_requests += http;
+        } else {
+            let service = self.compiled.classify(&flow);
+            let rec = AssetRecord {
                 key,
                 first_seen_ns: now.0,
                 last_seen_ns: now.0,
-                packets: 0,
-                bytes: 0,
-                service,
-                os_guess: self.compiled.os_fingerprint(pkt),
-                http_requests: 0,
-            }
-        });
-        rec.last_seen_ns = now.0;
-        rec.packets += 1;
-        rec.bytes += pkt.wire_len() as u64;
-        if pkt.meta.http_request {
-            rec.http_requests += 1;
+                packets: n,
+                bytes,
+                service: service.clone(),
+                os_guess: self.compiled.os_fingerprint(&run[0]),
+                http_requests: http,
+            };
+            self.assets.insert(key, rec);
+            new_service = Some(service);
         }
 
         // Shared counters. Shared reporting state is never cloned or
@@ -340,151 +352,39 @@ impl Middlebox for Monitor {
         // arrive via merge); only the *moved* per-flow record needs the
         // update.
         if !fx.is_replay() {
-            self.stat.total_packets += 1;
-            self.stat.total_bytes += pkt.wire_len() as u64;
-            match pkt.key.proto {
-                Proto::Tcp => self.stat.tcp_packets += 1,
-                Proto::Udp => self.stat.udp_packets += 1,
-                Proto::Icmp => self.stat.icmp_packets += 1,
+            self.stat.total_packets += n;
+            self.stat.total_bytes += bytes;
+            match flow.proto {
+                Proto::Tcp => self.stat.tcp_packets += n,
+                Proto::Udp => self.stat.udp_packets += n,
+                Proto::Icmp => self.stat.icmp_packets += n,
             }
-            if pkt.meta.http_request {
-                self.stat.http_requests += 1;
-            }
-        }
-        if let Some(service) = new_service.filter(|_| !fx.is_replay()) {
-            self.stat.flows_seen += 1;
-            fx.log("prads.log", format!("asset {key} service={service}"));
-            let gate =
-                self.introspection.as_ref().is_some_and(|f| f.accepts(EVENT_ASSET_DETECTED, &key));
-            if gate {
-                fx.raise(Event::Introspection {
-                    code: EVENT_ASSET_DETECTED,
-                    key,
-                    values: vec![("service".into(), service)],
-                });
+            self.stat.http_requests += http;
+            if let Some(service) = new_service {
+                self.stat.flows_seen += 1;
+                fx.log("prads.log", format!("asset {key} service={service}"));
+                let gate = self
+                    .introspection
+                    .as_ref()
+                    .is_some_and(|f| f.accepts(EVENT_ASSET_DETECTED, &key));
+                if gate {
+                    fx.raise(Event::Introspection {
+                        code: EVENT_ASSET_DETECTED,
+                        key,
+                        values: vec![("service".into(), service)],
+                    });
+                }
             }
         }
 
-        // Reprocess events: this packet updated per-flow reporting state
+        // Reprocess events: each packet updated per-flow reporting state
         // (and the shared stat — but PRADS consolidation moves shared
         // reporting state only at scale-down, never cloning it, so only
         // per-flow marks matter here).
-        self.sync.on_perflow_update(key, pkt, fx);
+        self.sync.on_perflow_run(key, run, fx);
 
-        // Passive monitor: forward the packet unmodified.
-        fx.forward(pkt.clone());
-    }
-
-    /// Batch specialization: record and stat counters for a same-flow
-    /// run are bumped in one step, and classification is skipped
-    /// entirely for established flows (the scalar path computes and
-    /// discards it). Both paths read the compiled service table. Byte-identical to the
-    /// serial loop: all packets carry the same `now`, the asset log line
-    /// and introspection event fire only on the first packet of a new
-    /// flow, and per-packet reprocess events are preserved whenever a
-    /// sync window is open.
-    fn process_batch(&mut self, now: SimTime, pkts: &[Packet], fx: &mut Effects) {
-        if pkts.len() < 2 {
-            if let Some(pkt) = pkts.first() {
-                self.process_packet(now, pkt, fx);
-            }
-            return;
-        }
-        let live = !fx.is_replay();
-        let mut i = 0;
-        while i < pkts.len() {
-            let run_key = pkts[i].key;
-            let mut j = i + 1;
-            while j < pkts.len() && pkts[j].key == run_key {
-                j += 1;
-            }
-            let run = &pkts[i..j];
-            let n = run.len() as u64;
-            let key = run_key.canonical();
-
-            let mut run_bytes = 0u64;
-            let mut run_http = 0u64;
-            for pkt in run {
-                run_bytes += pkt.wire_len() as u64;
-                if pkt.meta.http_request {
-                    run_http += 1;
-                }
-            }
-
-            // One record lookup per run; classification only when the
-            // flow is actually new.
-            let mut new_service = None;
-            if let Some(rec) = self.assets.get_mut(&key) {
-                rec.last_seen_ns = now.0;
-                rec.packets += n;
-                rec.bytes += run_bytes;
-                rec.http_requests += run_http;
-            } else {
-                let service = self.compiled.classify(&run_key);
-                let os = self.compiled.os_fingerprint(&run[0]);
-                self.assets.insert(
-                    key,
-                    AssetRecord {
-                        key,
-                        first_seen_ns: now.0,
-                        last_seen_ns: now.0,
-                        packets: n,
-                        bytes: run_bytes,
-                        service: service.clone(),
-                        os_guess: os,
-                        http_requests: run_http,
-                    },
-                );
-                new_service = Some(service);
-            }
-
-            if live {
-                self.stat.total_packets += n;
-                self.stat.total_bytes += run_bytes;
-                match run_key.proto {
-                    Proto::Tcp => self.stat.tcp_packets += n,
-                    Proto::Udp => self.stat.udp_packets += n,
-                    Proto::Icmp => self.stat.icmp_packets += n,
-                }
-                self.stat.http_requests += run_http;
-                if let Some(service) = new_service {
-                    self.stat.flows_seen += 1;
-                    fx.log_live("prads.log", format!("asset {key} service={service}"));
-                    let gate = self
-                        .introspection
-                        .as_ref()
-                        .is_some_and(|f| f.accepts(EVENT_ASSET_DETECTED, &key));
-                    if gate {
-                        fx.raise(Event::Introspection {
-                            code: EVENT_ASSET_DETECTED,
-                            key,
-                            values: vec![("service".into(), service)],
-                        });
-                    }
-                }
-            }
-
-            if self.sync.perflow_quiet(&key) {
-                if live {
-                    for pkt in run {
-                        fx.forward_live(pkt.clone());
-                    }
-                } else {
-                    fx.suppress(n);
-                }
-            } else if live {
-                for pkt in run {
-                    self.sync.on_perflow_update(key, pkt, fx);
-                    fx.forward_live(pkt.clone());
-                }
-            } else {
-                for pkt in run {
-                    self.sync.on_perflow_update(key, pkt, fx);
-                }
-                fx.suppress(n);
-            }
-            i = j;
-        }
+        // Passive monitor: forward the packets unmodified.
+        fx.forward_all(run);
     }
 
     fn set_introspection(&mut self, filter: Option<openmb_types::wire::EventFilter>) {

@@ -207,8 +207,8 @@ impl Nat {
         w.into_bytes()
     }
 
-    /// Expire idle mappings (called per packet, like a real NAT's timer
-    /// wheel would on packet-driven ticks). The table is walked only
+    /// Expire idle mappings (called per same-flow run, like a real NAT's
+    /// timer wheel would on packet-driven ticks). The table is walked only
     /// once the cutoff has passed `oldest_bound_ns`.
     fn expire(&mut self, now: SimTime, fx: &mut Effects) {
         let cutoff = now.0.saturating_sub(self.compiled.timeout.as_nanos());
@@ -394,179 +394,72 @@ impl Middlebox for Nat {
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &Packet, fx: &mut Effects) {
+        self.process_run(now, std::slice::from_ref(pkt), fx);
+    }
+
+    /// A same-flow run shares one mapping lookup and one expiry sweep.
+    /// Every packet of a batch carries the same `now`, so once a run has
+    /// swept, a later run's sweep finds nothing the serial loop's would
+    /// have: a mapping touched at `now` has `last_used_ns = now` and
+    /// cannot cross the cutoff, which sits at least one timeout before
+    /// `now`.
+    fn process_run(&mut self, now: SimTime, run: &[Packet], fx: &mut Effects) {
         self.expire(now, fx);
+        let flow = run[0].key;
+        let n = run.len() as u64;
         let ext_ip = self.external_ip();
-        if pkt.key.dst_ip == ext_ip {
+        if flow.dst_ip == ext_ip {
             // Inbound: translate external port back to the internal flow.
-            match self.by_port.get(&pkt.key.dst_port).copied() {
-                Some(internal) => {
-                    if let Some(m) = self.mappings.get_mut(&internal) {
-                        m.last_used_ns = now.0;
-                        m.packets += 1;
-                    }
-                    self.sync.on_perflow_update(internal, pkt, fx);
-                    let mut out = pkt.clone();
-                    out.key.dst_ip = internal.src_ip;
-                    out.key.dst_port = internal.src_port;
-                    fx.forward(out);
+            let Some(internal) = self.by_port.get(&flow.dst_port).copied() else {
+                // The drop counter advances in replay too: only the log
+                // line is an external side effect.
+                self.dropped_unknown += n;
+                let line = format!("{} drop inbound to unknown port {}", now.0, flow.dst_port);
+                for _ in run {
+                    fx.log("nat.log", line.clone());
                 }
-                None => {
-                    self.dropped_unknown += 1;
-                    fx.log(
-                        "nat.log",
-                        format!("{} drop inbound to unknown port {}", now.0, pkt.key.dst_port),
-                    );
-                }
+                return;
+            };
+            if let Some(m) = self.mappings.get_mut(&internal) {
+                m.last_used_ns = now.0;
+                m.packets += n;
+            }
+            self.sync.on_perflow_run(internal, run, fx);
+            for pkt in run {
+                let mut out = pkt.clone();
+                out.key.dst_ip = internal.src_ip;
+                out.key.dst_port = internal.src_port;
+                fx.forward(out);
             }
             return;
         }
         // Outbound: find or create a mapping for the internal flow.
-        let key = pkt.key;
-        let created = !self.mappings.contains_key(&key);
-        let external_port =
-            if created { self.create_mapping(key, now) } else { self.mappings[&key].external_port };
+        let created = !self.mappings.contains_key(&flow);
+        let external_port = if created {
+            self.create_mapping(flow, now)
+        } else {
+            self.mappings[&flow].external_port
+        };
         {
-            let m = self.mappings.get_mut(&key).expect("mapping exists");
+            let m = self.mappings.get_mut(&flow).expect("mapping exists");
             m.last_used_ns = now.0;
-            m.packets += 1;
+            m.packets += n;
         }
         let gate = created
-            && self.introspection.as_ref().is_some_and(|f| f.accepts(EVENT_MAPPING_CREATED, &key));
+            && self.introspection.as_ref().is_some_and(|f| f.accepts(EVENT_MAPPING_CREATED, &flow));
         if gate {
             fx.raise(Event::Introspection {
                 code: EVENT_MAPPING_CREATED,
-                key,
+                key: flow,
                 values: vec![("external_port".into(), external_port.to_string())],
             });
         }
-        self.sync.on_perflow_update(key, pkt, fx);
-        let mut out = pkt.clone();
-        out.key.src_ip = ext_ip;
-        out.key.src_port = external_port;
-        fx.forward(out);
-    }
-
-    /// Batch specialization. The lazy-expiry sweep runs once per batch:
-    /// every packet in a batch carries the same `now`, so the first
-    /// sweep removes everything the per-packet sweeps would have (a
-    /// mapping touched at `now` has `last_used_ns = now` and cannot
-    /// cross the cutoff, which sits at least one timeout before `now`),
-    /// and the serial loop raises all expiry events before the first
-    /// packet's other events anyway. A same-flow run shares one mapping
-    /// lookup.
-    fn process_batch(&mut self, now: SimTime, pkts: &[Packet], fx: &mut Effects) {
-        if pkts.len() < 2 {
-            if let Some(pkt) = pkts.first() {
-                self.process_packet(now, pkt, fx);
-            }
-            return;
-        }
-        self.expire(now, fx);
-        let live = !fx.is_replay();
-        let ext_ip = self.external_ip();
-        let mut i = 0;
-        while i < pkts.len() {
-            let run_key = pkts[i].key;
-            let mut j = i + 1;
-            while j < pkts.len() && pkts[j].key == run_key {
-                j += 1;
-            }
-            let run = &pkts[i..j];
-            let n = run.len() as u64;
-            if run_key.dst_ip == ext_ip {
-                // Inbound: one reverse lookup per run.
-                match self.by_port.get(&run_key.dst_port).copied() {
-                    Some(internal) => {
-                        if let Some(m) = self.mappings.get_mut(&internal) {
-                            m.last_used_ns = now.0;
-                            m.packets += n;
-                        }
-                        let quiet = self.sync.perflow_quiet(&internal);
-                        if live {
-                            for pkt in run {
-                                if !quiet {
-                                    self.sync.on_perflow_update(internal, pkt, fx);
-                                }
-                                let mut out = pkt.clone();
-                                out.key.dst_ip = internal.src_ip;
-                                out.key.dst_port = internal.src_port;
-                                fx.forward_live(out);
-                            }
-                        } else {
-                            if !quiet {
-                                for pkt in run {
-                                    self.sync.on_perflow_update(internal, pkt, fx);
-                                }
-                            }
-                            fx.suppress(n);
-                        }
-                    }
-                    None => {
-                        // The drop counter advances in replay too, like
-                        // the scalar path: only the log line is an
-                        // external side effect.
-                        self.dropped_unknown += n;
-                        if live {
-                            let line = format!(
-                                "{} drop inbound to unknown port {}",
-                                now.0, run_key.dst_port
-                            );
-                            for _ in run {
-                                fx.log_live("nat.log", line.clone());
-                            }
-                        } else {
-                            fx.suppress(n);
-                        }
-                    }
-                }
-                i = j;
-                continue;
-            }
-            // Outbound: find or create the mapping once per run.
-            let key = run_key;
-            let created = !self.mappings.contains_key(&key);
-            let external_port = if created {
-                self.create_mapping(key, now)
-            } else {
-                self.mappings[&key].external_port
-            };
-            {
-                let m = self.mappings.get_mut(&key).expect("mapping exists");
-                m.last_used_ns = now.0;
-                m.packets += n;
-            }
-            let gate = created
-                && self
-                    .introspection
-                    .as_ref()
-                    .is_some_and(|f| f.accepts(EVENT_MAPPING_CREATED, &key));
-            if gate {
-                fx.raise(Event::Introspection {
-                    code: EVENT_MAPPING_CREATED,
-                    key,
-                    values: vec![("external_port".into(), external_port.to_string())],
-                });
-            }
-            let quiet = self.sync.perflow_quiet(&key);
-            if live {
-                for pkt in run {
-                    if !quiet {
-                        self.sync.on_perflow_update(key, pkt, fx);
-                    }
-                    let mut out = pkt.clone();
-                    out.key.src_ip = ext_ip;
-                    out.key.src_port = external_port;
-                    fx.forward_live(out);
-                }
-            } else {
-                if !quiet {
-                    for pkt in run {
-                        self.sync.on_perflow_update(key, pkt, fx);
-                    }
-                }
-                fx.suppress(n);
-            }
-            i = j;
+        self.sync.on_perflow_run(flow, run, fx);
+        for pkt in run {
+            let mut out = pkt.clone();
+            out.key.src_ip = ext_ip;
+            out.key.src_port = external_port;
+            fx.forward(out);
         }
     }
 

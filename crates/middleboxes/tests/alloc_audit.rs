@@ -4,8 +4,10 @@
 //! Firewall established exact-match path, the NAT outbound established
 //! path, the Monitor known-flow path and the IPS established-connection
 //! data path through `process_batch` at two batch sizes with pre-warmed
-//! buffers, and asserts the allocation count does not grow with the
-//! batch size — i.e. zero allocations *per packet* once
+//! buffers. Each train is one flow, so the Firewall, NAT and Monitor see
+//! one `process_run` of n and the IPS n runs of one. It asserts the
+//! allocation count does not grow with the batch size — i.e. zero
+//! allocations *per packet* once
 //! conntrack/mapping/asset/connection entries exist and the `Effects`
 //! buffers have reached their high-water mark. (Packet clones are
 //! refcount bumps on the shared payload, log lines only form on the

@@ -3,15 +3,18 @@
 //! The `Middlebox::process_batch` contract: feeding a train through one
 //! batch call produces byte-identical side effects, events, and state to
 //! calling `process_packet` on each packet in order with the same `now`.
-//! These tests drive two copies of every middlebox type through the same
-//! randomized packet trains — one copy per-packet, one copy batched —
-//! and diff everything observable after every chunk: forwarded packets,
-//! log lines, raised events, the replay-suppression counter, per-flow
-//! entry counts, stats, and the sealed state exports. Both the default
-//! trait implementation (DummyMb, Ips, LoadBalancer, Proxy, ReDecoder,
-//! ReEncoder) and the specialized overrides (Firewall, Monitor, Nat)
-//! are covered, in live and replay mode, with and without moved marks
-//! (the sync-window raise path and the quiet fast-skip path).
+//! The trait's `process_batch` cuts the train into same-`FlowKey` runs
+//! and hands each to `process_run`, so the subject is a run of n against
+//! n runs of one. These tests drive two copies of every middlebox type
+//! through the same randomized packet trains — one copy per-packet, one
+//! copy batched — and diff everything observable after every chunk:
+//! forwarded packets, log lines, raised events, the replay-suppression
+//! counter, per-flow entry counts, stats, and the sealed state exports.
+//! Both the trait's default run loop (DummyMb, Ips, LoadBalancer, Proxy,
+//! ReDecoder, ReEncoder) and the middleboxes that write their packet
+//! logic as `process_run` (Firewall, Monitor, Nat) are covered, in live
+//! and replay mode, with and without moved marks (the sync-window raise
+//! path and the quiet one-check-per-run path).
 //!
 //! A last pass over the same nine types pins each one's state-export
 //! behaviour across builds (`export_digests_are_pinned`): the sealed
