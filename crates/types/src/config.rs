@@ -43,6 +43,11 @@ impl HierarchicalKey {
         self.0.is_empty()
     }
 
+    /// The key with these segments, outermost first.
+    pub(crate) fn from_segments(segments: Vec<String>) -> Self {
+        HierarchicalKey(segments)
+    }
+
     /// Append a segment, producing a child key.
     pub fn child(&self, seg: &str) -> Self {
         let mut v = self.0.clone();

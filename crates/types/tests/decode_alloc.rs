@@ -9,6 +9,8 @@
 //! clamped `Vec::with_capacity(n.min(1024))` reservations can take on a
 //! count the body does not back. A hostile 30-byte frame can therefore
 //! cost kilobytes, never the megabytes an unclamped count would reserve.
+//! One more input is the deepest hierarchical key a frame may carry,
+//! whose segments must be collected once, not copied per segment.
 //!
 //! One `#[test]` only: the counter is process-global, and a single test
 //! keeps other harness threads from muddying the deltas.
@@ -18,8 +20,8 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use openmb_types::wire::{decode, decode_bytes, Message};
-use openmb_types::{ConfigValue, HierarchicalKey, StateChunk};
+use openmb_types::wire::{decode, decode_bytes, encode, Message};
+use openmb_types::{ConfigValue, HierarchicalKey, OpId, StateChunk};
 
 mod wire_corpus;
 
@@ -70,7 +72,7 @@ fn decode_allocates_in_proportion_to_the_frame() {
             + size_of::<StateChunk>()) as u64;
     let mut rng = proptest::test_runner::TestRng::from_name("decode_alloc");
     let (mut frames, mut worst) = (0u64, 0u64);
-    wire_corpus::for_each_damaged(&mut rng, 8, |frame, _| {
+    let mut check = |frame: &[u8]| {
         let shared = Bytes::from(frame.to_vec());
         let copied = bytes_during(|| drop(decode(frame)));
         let aliased = bytes_during(|| drop(decode_bytes(&shared)));
@@ -83,7 +85,12 @@ fn decode_allocates_in_proportion_to_the_frame() {
         );
         frames += 1;
         worst = worst.max(copied.max(aliased));
-    });
+    };
+    wire_corpus::for_each_damaged(&mut rng, 8, |frame, _| check(frame));
+    // The deepest key a frame may carry: 1 024 empty segments.
+    let deep = HierarchicalKey::parse(&"/".repeat(1023));
+    assert_eq!(deep.segments().len(), 1024);
+    check(&encode(&Message::GetConfig { op: OpId(1), key: deep }));
     assert!(frames > 50_000, "the corpus collapsed: {frames} frames");
     eprintln!(
         "decode alloc audit: {frames} damaged frames, worst call {worst} B, reserve {reserve} B"
