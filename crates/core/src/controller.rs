@@ -2,8 +2,8 @@
 //! embedding.
 //!
 //! [`ControllerCore`] owns `config.shards` [`ControllerShard`]s — each
-//! a complete pure state machine with its own op table, transfer
-//! ledgers, ack sets, and pending-delete ledger — the [`ShardRouter`]
+//! a complete pure state machine with its own op table, transfers and
+//! pending-delete ledger — the [`ShardRouter`]
 //! that decides which shard runs an operation, and the table of live
 //! chain transactions ([`crate::chain`]):
 //!
@@ -62,16 +62,181 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use openmb_obs::{HealthSnapshot, LedgerHealth, NodeTag, Recorder, ShardHealth, SpanEvent};
-use openmb_simnet::SimTime;
+use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::wire::{EventFilter, Message};
-use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, OpId};
+use openmb_types::{
+    ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId, StateStats,
+};
 
 use crate::chain::{is_chain_op, ChainPhase, ChainRun, ChainSpec, ChainStatus, CHAIN_OP_BASE};
 use crate::router::{Admission, Route, ShardRouter};
 pub use crate::shard::{
-    Action, Completion, ControllerConfig, ControllerShard, OpKind, Phase, TableSizes,
-    TransferLedgerStats, RETIRED_RING,
+    ControllerShard, OpKind, Phase, TableSizes, TransferLedgerStats, RETIRED_RING,
 };
+
+/// An effect the embedding must carry out.
+///
+/// `#[non_exhaustive]`: embeddings must keep a wildcard arm so new
+/// action kinds are not breaking changes.
+#[non_exhaustive]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Action {
+    /// Send a protocol message to a middlebox.
+    ToMb(MbId, Message),
+    /// Deliver a completion/notification to the control application.
+    Notify(Completion),
+}
+
+/// Northbound completions and notifications delivered to control
+/// applications.
+///
+/// `#[non_exhaustive]`: applications must keep a wildcard arm so new
+/// completion kinds are not breaking changes.
+#[non_exhaustive]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Completion {
+    /// `readConfig` finished.
+    Config { op: OpId, pairs: Vec<(HierarchicalKey, Vec<ConfigValue>)> },
+    /// `writeConfig`/`delConfig`/`enableEvents` acknowledged.
+    Ack { op: OpId },
+    /// `stats` finished.
+    Stats { op: OpId, stats: StateStats },
+    /// `moveInternal` finished: every put has been ACKed (events may
+    /// continue to be forwarded afterwards).
+    MoveComplete { op: OpId, chunks_moved: usize },
+    /// `cloneSupport` finished.
+    CloneComplete { op: OpId },
+    /// `mergeInternal` finished.
+    MergeComplete { op: OpId },
+    /// A chain move ([`crate::controller::ControllerCore::chain_move`])
+    /// committed: every hop's per-flow move completed. Until this fires
+    /// the chain can still abort and roll every hop back, so
+    /// applications must not repoint routing on the individual hops'
+    /// [`Completion::MoveComplete`]s — those are sub-results of the
+    /// chain transaction.
+    ChainComplete {
+        op: OpId,
+        /// Number of hops the chain moved.
+        hops: usize,
+        /// Total chunks transferred across all hops.
+        chunks_moved: usize,
+    },
+    /// An operation failed. Carries the typed [`Error`] so applications
+    /// can branch on the failure kind (timeout, unreachable MB,
+    /// granularity, ...) instead of parsing a message string, plus the
+    /// number of buffered reprocess events the abort discarded — before
+    /// this was reported, the app always saw a count of zero because the
+    /// rollback path cleared the buffer first.
+    Failed { op: OpId, error: Error, dropped_events: usize },
+    /// An introspection event arrived from a middlebox the application
+    /// subscribed to.
+    MbEvent { mb: MbId, code: u32, key: FlowKey, values: Vec<(String, String)> },
+}
+
+impl Completion {
+    /// The operation this completion concludes (`None` for MbEvent).
+    pub fn op(&self) -> Option<OpId> {
+        match self {
+            Completion::Config { op, .. }
+            | Completion::Ack { op }
+            | Completion::Stats { op, .. }
+            | Completion::MoveComplete { op, .. }
+            | Completion::CloneComplete { op }
+            | Completion::MergeComplete { op }
+            | Completion::ChainComplete { op, .. }
+            | Completion::Failed { op, .. } => Some(*op),
+            Completion::MbEvent { .. } => None,
+        }
+    }
+}
+
+/// Tunable controller parameters.
+#[derive(Debug, Clone, Copy)]
+pub struct ControllerConfig {
+    /// How long after the last reprocess event the controller assumes
+    /// the routing change has taken effect (paper: "a fixed amount of
+    /// time (e.g., 5 seconds)").
+    pub quiesce_after: SimDuration,
+    /// Buffer reprocess events until the matching put is ACKed (Fig 5).
+    /// Disabling this is an ABLATION ONLY: events forwarded before their
+    /// chunk's put land first and are overwritten by the put — the exact
+    /// §4.2.1 atomicity violation the design exists to prevent. The
+    /// `ablations` harness measures the resulting lost updates.
+    pub buffer_events: bool,
+    /// Deadline for every northbound operation: if the op has not
+    /// completed within this span, `tick` aborts it — rolling back
+    /// partially-put destination state (moves), dropping buffered
+    /// reprocess events, releasing the op's bookkeeping, and notifying
+    /// the application with [`Error::Timeout`] (or
+    /// [`Error::MbUnreachable`] when the embedding reported a crash).
+    pub op_deadline: SimDuration,
+    /// Initial backoff before the first retry of an idempotent simple
+    /// request (config reads, stats). Doubles per attempt.
+    pub retry_backoff: SimDuration,
+    /// Maximum retries for idempotent simple requests. Non-idempotent
+    /// requests (writes, transfers) are never retried — they fail at
+    /// the deadline instead.
+    pub max_retries: u32,
+    /// Maximum number of times a stalled, timed-out, or disconnected
+    /// transfer (move/clone/merge) is resumed from its last acked chunk
+    /// before the controller gives up and aborts. 0 (the default)
+    /// preserves the legacy fail-fast behaviour: any stall or endpoint
+    /// loss aborts the operation immediately.
+    pub max_transfer_resumes: u32,
+    /// How long a transfer may sit with outstanding gets or puts and no
+    /// message activity before `tick` treats it as stalled (a message
+    /// was lost) and resumes it.
+    pub resume_after: SimDuration,
+    /// Sliding-window size for streamed state transfers: at most this
+    /// many puts are in flight (issued, unacked) per operation; further
+    /// runs queue and are released as acks open slots, so the
+    /// in-flight ledger — and everything resume must rescan — stays
+    /// O(window) regardless of transfer size. A put carries one run, so
+    /// at most `window × RUN_FLOWS` flow records are in flight. 0
+    /// disables windowing (fire everything immediately, the pre-window
+    /// behaviour).
+    pub transfer_window: u32,
+    /// Content-addressed per-flow transfers (negotiate-then-reference):
+    /// stream `ChunkRef` manifests instead of full puts, and bodies only
+    /// for the hashes the destination reports missing. On (the default),
+    /// repeated and resumed moves cost reference-sized frames instead of
+    /// re-shipping every chunk body. Off restores the legacy
+    /// `Put*Perflow` streaming; final state is identical either way,
+    /// which the conformance suite asserts across both modes.
+    pub content_cache: bool,
+    /// How many times a chain rollback re-attempts one failed
+    /// compensating reverse move before the chain is abandoned with
+    /// [`openmb_types::Error`] `OpFailed("chain rollback incomplete")`.
+    /// Reverse moves target an endpoint that just failed, so retries are
+    /// paced by the maintenance tick / reachability events rather than
+    /// fired back-to-back.
+    pub chain_rollback_retries: u32,
+    /// Number of controller shards. Read once when a
+    /// [`crate::controller::ControllerCore`] is constructed (mutating it
+    /// afterwards has no effect — shard count is structural). 1 (the
+    /// default) is the pre-sharding single-stream controller; N > 1 lets
+    /// operations on disjoint flowspaces proceed through independent
+    /// shards in parallel.
+    pub shards: u32,
+}
+
+impl Default for ControllerConfig {
+    fn default() -> Self {
+        ControllerConfig {
+            quiesce_after: SimDuration::from_millis(500),
+            buffer_events: true,
+            op_deadline: SimDuration::from_secs(10),
+            retry_backoff: SimDuration::from_millis(100),
+            max_retries: 3,
+            max_transfer_resumes: 0,
+            resume_after: SimDuration::from_millis(400),
+            transfer_window: 64,
+            content_cache: true,
+            chain_rollback_retries: 16,
+            shards: 1,
+        }
+    }
+}
 
 /// The sharded controller engine every embedding drives.
 pub struct ControllerCore {

@@ -34,6 +34,7 @@ pub mod placement;
 pub mod router;
 pub mod shard;
 pub mod tcp;
+mod transfer;
 
 pub use app::{Api, ApiCtx, ControlApp, NullApp};
 pub use chain::{ChainHop, ChainSpec, ChainStatus, CHAIN_OP_BASE};

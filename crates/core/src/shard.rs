@@ -13,8 +13,9 @@
 //! (shared state; no delete).
 //!
 //! A shard owns *all* state for the operations routed to it — the op
-//! table, sub-op map, transfer ledgers, ack sets, and the pending-delete
-//! ledger — so shards share nothing and never need a lock between them.
+//! table, sub-op map, each transfer's `Transfer` (its gets and put
+//! ledger), and the pending-delete ledger — so shards share nothing and
+//! never need a lock between them.
 //! The engine ([`crate::controller::ControllerCore`]) owns N shards plus
 //! the [`crate::router::ShardRouter`] that keeps overlapping flowspaces
 //! on one shard; a single-shard engine is byte-for-byte the pre-sharding
@@ -38,139 +39,21 @@
 //! transports (`tcp`), exactly as the paper's Floodlight module serves
 //! both their testbed and their dummy-MB scalability rig.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use openmb_obs::{NodeTag, ParkReason, Recorder, SpanEvent};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::wire::{self, Event, EventFilter, Message};
+use openmb_types::wire::{Event, EventFilter, Message};
 use openmb_types::{
-    ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId,
-    Packet, StateChunk, StateStats,
+    ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId, Packet, StateChunk,
 };
 
+pub use crate::controller::{Action, Completion, ControllerConfig};
 use crate::id_hash::{IdMap, IdSet};
-
-/// An effect the embedding must carry out.
-///
-/// `#[non_exhaustive]`: embeddings must keep a wildcard arm so new
-/// action kinds are not breaking changes.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Send a protocol message to a middlebox.
-    ToMb(MbId, Message),
-    /// Deliver a completion/notification to the control application.
-    Notify(Completion),
-}
-
-/// Northbound completions and notifications delivered to control
-/// applications.
-///
-/// `#[non_exhaustive]`: applications must keep a wildcard arm so new
-/// completion kinds are not breaking changes.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Completion {
-    /// `readConfig` finished.
-    Config { op: OpId, pairs: Vec<(HierarchicalKey, Vec<ConfigValue>)> },
-    /// `writeConfig`/`delConfig`/`enableEvents` acknowledged.
-    Ack { op: OpId },
-    /// `stats` finished.
-    Stats { op: OpId, stats: StateStats },
-    /// `moveInternal` finished: every put has been ACKed (events may
-    /// continue to be forwarded afterwards).
-    MoveComplete { op: OpId, chunks_moved: usize },
-    /// `cloneSupport` finished.
-    CloneComplete { op: OpId },
-    /// `mergeInternal` finished.
-    MergeComplete { op: OpId },
-    /// A chain move ([`crate::controller::ControllerCore::chain_move`])
-    /// committed: every hop's per-flow move completed. Until this fires
-    /// the chain can still abort and roll every hop back, so
-    /// applications must not repoint routing on the individual hops'
-    /// [`Completion::MoveComplete`]s — those are sub-results of the
-    /// chain transaction.
-    ChainComplete {
-        op: OpId,
-        /// Number of hops the chain moved.
-        hops: usize,
-        /// Total chunks transferred across all hops.
-        chunks_moved: usize,
-    },
-    /// An operation failed. Carries the typed [`Error`] so applications
-    /// can branch on the failure kind (timeout, unreachable MB,
-    /// granularity, ...) instead of parsing a message string, plus the
-    /// number of buffered reprocess events the abort discarded — before
-    /// this was reported, the app always saw a count of zero because the
-    /// rollback path cleared the buffer first.
-    Failed { op: OpId, error: Error, dropped_events: usize },
-    /// An introspection event arrived from a middlebox the application
-    /// subscribed to.
-    MbEvent { mb: MbId, code: u32, key: FlowKey, values: Vec<(String, String)> },
-}
-
-impl Completion {
-    /// The operation this completion concludes (`None` for MbEvent).
-    pub fn op(&self) -> Option<OpId> {
-        match self {
-            Completion::Config { op, .. }
-            | Completion::Ack { op }
-            | Completion::Stats { op, .. }
-            | Completion::MoveComplete { op, .. }
-            | Completion::CloneComplete { op }
-            | Completion::MergeComplete { op }
-            | Completion::ChainComplete { op, .. }
-            | Completion::Failed { op, .. } => Some(*op),
-            Completion::MbEvent { .. } => None,
-        }
-    }
-}
-
-/// The two classes every state exchange comes in (§4.1: supporting and
-/// reporting state). Carried as data by the [`SubRole`]s that differ in
-/// nothing else; the constructors below are the one place a class picks
-/// its wire message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Class {
-    Support,
-    Report,
-}
-
-impl Class {
-    fn wire(self) -> wire::ChunkClass {
-        match self {
-            Class::Support => wire::ChunkClass::Support,
-            Class::Report => wire::ChunkClass::Report,
-        }
-    }
-
-    fn put_perflow(self, op: OpId, chunk: StateChunk, rest: Vec<StateChunk>) -> Message {
-        match self {
-            Class::Support => Message::PutSupportPerflow { op, chunk, rest },
-            Class::Report => Message::PutReportPerflow { op, chunk, rest },
-        }
-    }
-
-    fn del_perflow(self, op: OpId, key: HeaderFieldList) -> Message {
-        match self {
-            Class::Support => Message::DelSupportPerflow { op, key },
-            Class::Report => Message::DelReportPerflow { op, key },
-        }
-    }
-
-    fn put_shared(self, op: OpId, chunk: EncryptedChunk) -> Message {
-        match self {
-            Class::Support => Message::PutSupportShared { op, chunk },
-            Class::Report => Message::PutReportShared { op, chunk },
-        }
-    }
-}
+use crate::transfer::{Class, Put, Transfer};
 
 /// Which southbound exchange a sub-operation id belongs to. Put roles
-/// carry the controller-assigned per-op put sequence number `seq`, so
-/// a duplicated `PutAck` (fault injection, or a re-sent put racing its
-/// original ack) is deduplicated by `(op, seq)` instead of double-
-/// decrementing the outstanding-put count.
+/// carry the put's seq in its transfer's ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SubRole {
     /// A per-flow get stream (moves).
@@ -322,7 +205,8 @@ impl Phase {
     }
 }
 
-/// Per-operation progress.
+/// Per-operation progress: lifecycle, endpoints, deadline and retry,
+/// and the event buffer; a transfer's gets and puts are its [`Transfer`].
 #[derive(Clone)]
 struct OpState {
     kind: OpKind,
@@ -332,23 +216,8 @@ struct OpState {
     dst: MbId,
     /// For moves: the pattern being moved.
     pattern: HeaderFieldList,
-    /// Outstanding get streams (2 for move: support+report; 1-2 for
-    /// clone/merge).
-    gets_outstanding: u32,
-    /// Outstanding puts (sub-op ids), one per run.
-    puts_outstanding: u32,
-    /// Record keys whose runs' puts are in flight (issued or
-    /// window-queued). A set, not a list: the ack path removes every
-    /// key of its run, and a linear scan there is O(n²) over a transfer.
-    pending_keys: HashSet<HeaderFieldList>,
-    /// Every key that has entered `pending_keys` names one exact flow,
-    /// so [`OpState::pending`] and [`OpState::streamed`] answer by set
-    /// probes instead of a walk.
-    exact_keys: bool,
     /// Events waiting for their chunk's put ACK.
     buffered: Vec<BufferedEvent>,
-    /// Total flow records transferred (not runs).
-    chunks: usize,
     /// Virtual time of the most recent event (or completion), for the
     /// quiescence timer.
     last_activity: SimTime,
@@ -358,162 +227,14 @@ struct OpState {
     retry: Option<RetryState>,
     /// Statistics: events forwarded under this op.
     pub events_forwarded: u64,
-
-    // ---- resumable-transfer bookkeeping ----
-    /// Next per-op put sequence number (tags put sub-roles): one per
-    /// run, not per record.
-    next_chunk_seq: u64,
-    /// Watermark-compacted ack set: every seq below `ack_watermark` has
-    /// been acked, plus the sparse set of acked seqs at or above it.
-    /// Together they are the (op, chunk_seq) dedup a duplicated ack
-    /// must not get past — in O(log W) space-bounded form instead of a
-    /// `HashSet<u64>` that grows by one entry per chunk forever.
-    ack_watermark: u64,
-    acked_above: BTreeSet<u64>,
-    /// Get sub-ops that have fully completed (stream closed); dedups
-    /// duplicated `GetAck`s and re-streamed `SharedChunk`s.
-    done_gets: IdSet<OpId>,
-    /// Record keys already streamed, per [`Class`]: a duplicated or
-    /// re-streamed record is dropped instead of creating a second put.
-    /// An op has one get sub-op per class (resume re-sends it under the
-    /// same id), so a class's set is also the distinct records its get
-    /// has delivered — what the `GetAck` count is compared against, so
-    /// a dropped run leaves the get open for resume — and what the event
-    /// predicate reads as "its state has left the source"
-    /// ([`OpState::streamed`]).
-    streamed: [HashSet<HeaderFieldList>; 2],
-    /// The chunk count each get's `GetAck` announced.
-    get_expected: IdMap<OpId, u32>,
-    /// The get requests issued to the source, by sub-op id. Re-sent
-    /// verbatim (same sub ids) on resume; the source's moved-marks and
-    /// our chunk dedup make the re-issue idempotent. The source also
-    /// tags its moved/cloned marks (and its reprocess events) with
-    /// these ids, so closing the sync window means sending EndSync for
-    /// each.
-    get_reqs: Vec<(OpId, Message)>,
-    /// The in-flight put ledger: puts issued but not yet acked, keyed
-    /// by sequence number — one entry per run, so the window counts
-    /// runs. A `BTreeMap` so the ack path removes in
-    /// O(log W) and resume finds the window base (first key) in
-    /// O(log W), instead of the old `Vec` retain/min-scan that made a
-    /// long transfer O(n²). Bounded by `transfer_window` when set.
-    unacked_puts: BTreeMap<u64, Message>,
-    /// Puts created but deferred because the window is full, in seq
-    /// order. `refill_window` promotes them into `unacked_puts` (and
-    /// onto the wire) as acks open slots.
-    queued_puts: VecDeque<(u64, Message)>,
     /// Shared-state put sub-ops issued to the destination, in order —
     /// the rollback list an abort sends in `DeleteState`.
     shared_puts: Vec<OpId>,
-    /// Remaining resume attempts (config `max_transfer_resumes`).
-    resumes_left: u32,
-
-    // ---- content-addressed transfer bookkeeping ----
-    /// Records (first, rest) and content hash of every in-flight
-    /// `ChunkRef`'s run, by seq — the source of the `ChunkBody`
-    /// answering a `ChunkNeed`. Entries leave on ack or abort, so this
-    /// holds O(window) runs, not the whole transfer.
-    ref_bodies: IdMap<u64, (StateChunk, Vec<StateChunk>, [u8; 32])>,
-    /// Seqs whose destination reported a cache miss (`ChunkNeed`): the
-    /// bodies currently streaming alongside the reference window. The
-    /// ledger counts these separately from the refs in `unacked_puts` —
-    /// a body does not occupy a second window slot; its ref's slot is
-    /// still open until the `PutAck` lands.
-    needed: IdSet<u64>,
+    transfer: Transfer,
 }
 
-/// Tunable controller parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ControllerConfig {
-    /// How long after the last reprocess event the controller assumes
-    /// the routing change has taken effect (paper: "a fixed amount of
-    /// time (e.g., 5 seconds)").
-    pub quiesce_after: SimDuration,
-    /// Buffer reprocess events until the matching put is ACKed (Fig 5).
-    /// Disabling this is an ABLATION ONLY: events forwarded before their
-    /// chunk's put land first and are overwritten by the put — the exact
-    /// §4.2.1 atomicity violation the design exists to prevent. The
-    /// `ablations` harness measures the resulting lost updates.
-    pub buffer_events: bool,
-    /// Deadline for every northbound operation: if the op has not
-    /// completed within this span, `tick` aborts it — rolling back
-    /// partially-put destination state (moves), dropping buffered
-    /// reprocess events, releasing the op's bookkeeping, and notifying
-    /// the application with [`Error::Timeout`] (or
-    /// [`Error::MbUnreachable`] when the embedding reported a crash).
-    pub op_deadline: SimDuration,
-    /// Initial backoff before the first retry of an idempotent simple
-    /// request (config reads, stats). Doubles per attempt.
-    pub retry_backoff: SimDuration,
-    /// Maximum retries for idempotent simple requests. Non-idempotent
-    /// requests (writes, transfers) are never retried — they fail at
-    /// the deadline instead.
-    pub max_retries: u32,
-    /// Maximum number of times a stalled, timed-out, or disconnected
-    /// transfer (move/clone/merge) is resumed from its last acked chunk
-    /// before the controller gives up and aborts. 0 (the default)
-    /// preserves the legacy fail-fast behaviour: any stall or endpoint
-    /// loss aborts the operation immediately.
-    pub max_transfer_resumes: u32,
-    /// How long a transfer may sit with outstanding gets or puts and no
-    /// message activity before `tick` treats it as stalled (a message
-    /// was lost) and resumes it.
-    pub resume_after: SimDuration,
-    /// Sliding-window size for streamed state transfers: at most this
-    /// many puts are in flight (issued, unacked) per operation; further
-    /// runs queue and are released as acks open slots, so the
-    /// in-flight ledger — and everything resume must rescan — stays
-    /// O(window) regardless of transfer size. A put carries one run, so
-    /// at most `window × RUN_FLOWS` flow records are in flight. 0
-    /// disables windowing (fire everything immediately, the pre-window
-    /// behaviour).
-    pub transfer_window: u32,
-    /// Content-addressed per-flow transfers (negotiate-then-reference):
-    /// stream `ChunkRef` manifests instead of full puts, and bodies only
-    /// for the hashes the destination reports missing. On (the default),
-    /// repeated and resumed moves cost reference-sized frames instead of
-    /// re-shipping every chunk body. Off restores the legacy
-    /// `Put*Perflow` streaming; final state is identical either way,
-    /// which the conformance suite asserts across both modes.
-    pub content_cache: bool,
-    /// How many times a chain rollback re-attempts one failed
-    /// compensating reverse move before the chain is abandoned with
-    /// [`openmb_types::Error`] `OpFailed("chain rollback incomplete")`.
-    /// Reverse moves target an endpoint that just failed, so retries are
-    /// paced by the maintenance tick / reachability events rather than
-    /// fired back-to-back.
-    pub chain_rollback_retries: u32,
-    /// Number of controller shards. Read once when a
-    /// [`crate::controller::ControllerCore`] is constructed (mutating it
-    /// afterwards has no effect — shard count is structural). 1 (the
-    /// default) is the pre-sharding single-stream controller; N > 1 lets
-    /// operations on disjoint flowspaces proceed through independent
-    /// shards in parallel.
-    pub shards: u32,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            quiesce_after: SimDuration::from_millis(500),
-            buffer_events: true,
-            op_deadline: SimDuration::from_secs(10),
-            retry_backoff: SimDuration::from_millis(100),
-            max_retries: 3,
-            max_transfer_resumes: 0,
-            resume_after: SimDuration::from_millis(400),
-            transfer_window: 64,
-            content_cache: true,
-            chain_rollback_retries: 16,
-            shards: 1,
-        }
-    }
-}
-
-/// One snapshot of a transfer's ledger and the core's cache counters —
-/// the typed replacement for the old `puts_in_flight`/`puts_queued`/
-/// `ack_set_size`/`puts_in_flight_peak` accessor sprawl. Taken with
-/// [`ControllerShard::transfer_ledger_stats`].
+/// One snapshot of a transfer's ledger and the core's cache counters.
+/// Taken with [`ControllerShard::transfer_ledger_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransferLedgerStats {
     /// Puts (references or legacy bodies) issued and unacked for the
@@ -521,9 +242,10 @@ pub struct TransferLedgerStats {
     pub puts_in_flight: usize,
     /// Puts created but deferred by the window for the op.
     pub puts_queued: usize,
-    /// Size of the op's sparse acked-seq set above the watermark —
-    /// bounded by the window under in-order delivery (the regression
-    /// guard against unbounded per-chunk ack state).
+    /// Acked seqs above the op's lowest unacked seq (0 with nothing in
+    /// flight): the admitted seqs there that have left the ledger.
+    /// Within the window while acks arrive in order; each ack that
+    /// overtakes a held-back one adds one.
     pub ack_set_size: usize,
     /// Chunk bodies streaming for the op in answer to `ChunkNeed`s.
     /// Bodies ride alongside the reference window, not inside it.
@@ -794,6 +516,13 @@ impl ControllerShard {
         self.retire_if_done(op);
     }
 
+    /// The op sub-op `sub` belongs to, with the sub-op's role, while the
+    /// op's outcome is undecided ([`Phase::live`]).
+    fn live_sub(&mut self, sub: OpId) -> Option<(OpId, SubRole, &mut OpState)> {
+        let &(parent, role) = self.sub_ops.get(&sub)?;
+        Some((parent, role, self.ops.get_mut(&parent).filter(|st| st.phase.live())?))
+    }
+
     /// Record a span event for `op` (and optionally a sub-op) at `now`.
     #[inline]
     fn span(&self, now: SimTime, op: OpId, sub: Option<OpId>, ev: SpanEvent) {
@@ -964,8 +693,7 @@ impl ControllerShard {
             let msg = role.get_request(sub, pattern);
             self.span(now, op, Some(sub), SpanEvent::Issued { kind: msg.kind_name() });
             if let Some(st) = self.ops.get_mut(&op) {
-                st.gets_outstanding += 1;
-                st.get_reqs.push((sub, msg.clone()));
+                st.transfer.open_get(sub, msg.clone());
             }
             out.push(Action::ToMb(src, msg));
         }
@@ -1031,7 +759,7 @@ impl ControllerShard {
         }
         let st = self.ops.remove(&op).expect("checked above");
         self.sub_ops.retain(|_, (parent, _)| *parent != op);
-        if st.get_reqs.is_empty() {
+        if st.transfer.get_subs().next().is_none() {
             return;
         }
         if self.retired.len() == RETIRED_RING {
@@ -1078,147 +806,80 @@ impl ControllerShard {
             Message::Chunk { op, chunk } => self.stream_run(op, chunk, Vec::new(), now, out),
             Message::ChunkRun { op, chunk, rest } => self.stream_run(op, chunk, rest, now, out),
             Message::GetAck { op: sub, count } => {
-                let Some(&(parent, SubRole::Get(class))) = self.sub_ops.get(&sub) else { return };
-                let Some(st) = self.ops.get_mut(&parent) else { return };
-                if !st.phase.live() || st.done_gets.contains(&sub) {
+                let Some((parent, SubRole::Get(class), st)) = self.live_sub(sub) else { return };
+                if !st.transfer.expect(sub, class, count) {
                     return;
                 }
                 st.last_activity = now;
-                // The ack announces how many chunks the source streamed.
-                // The get only closes once that many distinct chunks have
-                // arrived — a dropped chunk leaves it open for resume
-                // instead of silently losing state.
-                st.get_expected.insert(sub, count);
-                self.maybe_finish_get(parent, sub, class, now, out);
+                self.maybe_complete(parent, now, out);
             }
             Message::SharedChunk { op: sub, chunk } => {
-                let Some(&(parent, SubRole::GetShared(class))) = self.sub_ops.get(&sub) else {
+                let Some((parent, SubRole::GetShared(class), st)) = self.live_sub(sub) else {
                     return;
                 };
-                let Some(st) = self.ops.get_mut(&parent) else { return };
-                if !st.phase.live() {
-                    return;
-                }
-                // Shared puts MERGE at the destination — not idempotent —
-                // so a duplicated SharedChunk must not produce a second
-                // put. The get sub id doubles as the dedup key: a shared
-                // get yields exactly one chunk.
-                if !st.done_gets.insert(sub) {
-                    return;
-                }
-                st.gets_outstanding = st.gets_outstanding.saturating_sub(1);
-                st.puts_outstanding += 1;
-                st.chunks += 1;
+                let Some(seq) = st.transfer.admit_shared(sub) else { return };
                 st.last_activity = now;
-                let seq = st.next_chunk_seq;
-                st.next_chunk_seq += 1;
                 let put_sub = self.alloc_sub(parent, SubRole::PutShared { seq });
                 let m = class.put_shared(put_sub, chunk);
                 self.span(now, parent, Some(put_sub), SpanEvent::Issued { kind: m.kind_name() });
                 if let Some(st) = self.ops.get_mut(&parent) {
                     st.shared_puts.push(put_sub);
                 }
-                self.enqueue_put(parent, seq, m, now, out);
+                self.enqueue_put(parent, seq, Put::full(m), now, out);
             }
             Message::ChunkNeed { op: sub, hash } => {
                 // Destination-side cache miss: stream the parked body.
                 // The ref's window slot stays occupied — the exchange
                 // closes with the same PutAck either way.
-                let Some(&(parent, SubRole::Put { class, seq })) = self.sub_ops.get(&sub) else {
-                    return;
-                };
-                let Some(st) = self.ops.get_mut(&parent) else { return };
-                if !st.phase.live() {
-                    return;
-                }
+                let Some((_, SubRole::Put { class, seq }, st)) = self.live_sub(sub) else { return };
                 st.last_activity = now;
-                let Some((chunk, rest, stored_hash)) = st.ref_bodies.get(&seq) else { return };
-                if *stored_hash != hash {
-                    // A need for a hash we never referenced under this
-                    // sub-op: stale or corrupted; the stall-resume path
-                    // will re-send the ref if something was really lost.
-                    return;
-                }
-                if st.needed.insert(seq) {
-                    self.cache_misses += 1;
-                }
-                // A duplicated need re-elicits the body (the first may
-                // have been dropped); the destination's store and the
-                // ack dedup make the re-send harmless.
+                // A need for a hash we never referenced under this sub-op
+                // is stale or corrupted: the stall-resume path re-sends
+                // the ref if something was really lost.
+                let dst = st.dst;
+                let Some((m, first)) = st.transfer.need(seq, sub, class, hash) else { return };
+                self.cache_misses += u64::from(first);
                 self.bodies_sent += 1;
-                let m = Message::ChunkBody {
-                    op: sub,
-                    class: class.wire(),
-                    key: chunk.key,
-                    hash,
-                    data: chunk.data.clone(),
-                    rest: rest.clone(),
-                };
-                out.push(Action::ToMb(st.dst, m));
+                out.push(Action::ToMb(dst, m));
             }
             // The run's keys come from the ledger, not the ack: a
             // destination acks a run once, naming its first key.
             Message::PutAck { op: sub, .. } => {
-                let Some(&(parent, SubRole::Put { seq, .. } | SubRole::PutShared { seq })) =
-                    self.sub_ops.get(&sub)
+                // A late ack for an op that already reached an outcome
+                // (completed, quiesced, or aborted) must not refill the
+                // window.
+                let Some((parent, SubRole::Put { seq, .. } | SubRole::PutShared { seq }, st)) =
+                    self.live_sub(sub)
                 else {
                     return;
                 };
-                let Some(st) = self.ops.get_mut(&parent) else { return };
-                // A late or duplicated ack for an op that already reached
-                // an outcome (completed, quiesced, or aborted) must not
-                // resurrect ledger state or refill the window.
-                if !st.phase.live() {
-                    return;
-                }
-                // Dedup by (op, chunk_seq): a duplicated PutAck — fault
-                // injection, or a resumed put racing its original ack —
-                // must not double-decrement the outstanding-put count.
-                if !st.mark_acked(seq) {
-                    return;
+                // Only an in-flight put's ack counts, once: a duplicate
+                // finds its sub-op gone, and an ack for a put still
+                // queued behind the window is not the destination's.
+                let Some(put) = st.transfer.ack(seq) else { return };
+                st.last_activity = now;
+                // Every key of the run is acked at once; one pass over
+                // `buffered` releases, in arrival order, the events any
+                // of them unblocks, and the rest stay where they are.
+                let dst = st.dst;
+                let unblocked =
+                    |ev: &mut BufferedEvent| put.msg.run_keys().any(|k| k.matches_bidi(&ev.key));
+                for ev in st.buffered.extract_if(.., unblocked) {
+                    st.events_forwarded += 1;
+                    out.push(Action::ToMb(
+                        dst,
+                        Message::ReprocessPacket { op: parent, key: ev.key, packet: ev.packet },
+                    ));
                 }
                 // The put's exchange is over: whatever else still names
                 // its sub-op — a duplicated ack or need, a rejection of
-                // a re-sent copy — finds nothing to route to and is
-                // dropped, as the dedup above would drop it.
+                // a re-sent copy — finds nothing to route to.
                 self.sub_ops.remove(&sub);
-                let put = st.unacked_puts.remove(&seq);
-                if let Some((chunk, rest, _)) = st.ref_bodies.remove(&seq) {
-                    if st.needed.remove(&seq) {
-                        // The body streamed; nothing was saved.
-                    } else {
-                        // Reference-only delivery: the savings are the
-                        // put we did not send, minus the ref we did.
-                        // (Message construction here is cheap — the
-                        // records' Bytes are refcounted.)
-                        self.cache_hits += 1;
-                        let ref_len = put.as_ref().map_or(0, wire::encoded_len);
-                        let body = Class::Support.put_perflow(sub, chunk, rest);
-                        self.bytes_saved += wire::encoded_len(&body).saturating_sub(ref_len) as u64;
-                    }
-                }
-                let acked = SpanEvent::ChunkAcked { seq };
-                self.obs.record(now.0, self.obs_tag, Some(parent.0), Some(sub.0), acked);
-                st.puts_outstanding = st.puts_outstanding.saturating_sub(1);
-                st.last_activity = now;
-                if let Some(put) = &put {
-                    // Every key of the run is acked at once; one pass
-                    // over `buffered` releases, in arrival order, the
-                    // events any of them unblocks, and the rest stay
-                    // where they are.
-                    for k in put.run_keys() {
-                        st.pending_keys.remove(k);
-                    }
-                    let dst = st.dst;
-                    let unblocked =
-                        |ev: &mut BufferedEvent| put.run_keys().any(|k| k.matches_bidi(&ev.key));
-                    for ev in st.buffered.extract_if(.., unblocked) {
-                        st.events_forwarded += 1;
-                        out.push(Action::ToMb(
-                            dst,
-                            Message::ReprocessPacket { op: parent, key: ev.key, packet: ev.packet },
-                        ));
-                    }
+                self.span(now, parent, Some(sub), SpanEvent::ChunkAcked { seq });
+                // A reference-only delivery saved the put it did not send.
+                if let Some(saved) = put.saved(sub) {
+                    self.cache_hits += 1;
+                    self.bytes_saved += saved;
                 }
                 self.refill_window(parent, now, out);
                 self.maybe_complete(parent, now, out);
@@ -1227,17 +888,14 @@ impl ControllerShard {
                 let Some(&(parent, role)) = self.sub_ops.get(&sub) else { return };
                 match role {
                     // A shared get that found no state: nothing to put.
+                    // It closes once even if the empty ack is duplicated or
+                    // re-elicited by a resume.
                     SubRole::GetShared(_) => {
-                        if let Some(st) = self.ops.get_mut(&parent) {
-                            // Same dedup key as SharedChunk: the stream
-                            // closes exactly once even if the empty-ack
-                            // is duplicated or re-elicited by a resume.
-                            if !st.phase.live() || !st.done_gets.insert(sub) {
-                                return;
-                            }
-                            st.gets_outstanding = st.gets_outstanding.saturating_sub(1);
-                            st.last_activity = now;
+                        let Some((_, _, st)) = self.live_sub(sub) else { return };
+                        if !st.transfer.close_get(sub) {
+                            return;
                         }
+                        st.last_activity = now;
                         self.maybe_complete(parent, now, out);
                     }
                     SubRole::Simple => {
@@ -1272,7 +930,7 @@ impl ControllerShard {
                         Some(st) => (parent, st),
                         None => {
                             let tagged = |(op, st): &&mut (OpId, OpState)| {
-                                *op == sub || st.get_reqs.iter().any(|(get, _)| *get == sub)
+                                *op == sub || st.transfer.get_subs().any(|get| get == sub)
                             };
                             let Some((op, st)) = self.retired.iter_mut().find(tagged) else {
                                 return;
@@ -1283,18 +941,8 @@ impl ControllerShard {
                     st.last_activity = now;
                     let dst = st.dst;
                     // Buffer until the destination has ACKed the put for
-                    // the state this event applies to (Fig 5). Forwarding
-                    // the event *before* the put would let the put
-                    // overwrite the replayed update at the destination —
-                    // the §4.2.1 ordering violation. So an event is held
-                    // while (a) its chunk's put is in flight, or (b) the
-                    // get stream is still open and its chunk has not been
-                    // streamed yet. Past (a), a streamed key's put has
-                    // been ACKed, so no set of acked keys is kept.
-                    let get_open = st.gets_outstanding > 0;
-                    if self.config.buffer_events
-                        && (st.pending(&key) || (get_open && !st.streamed(&key)))
-                    {
+                    // the state this event applies to (Fig 5).
+                    if self.config.buffer_events && st.transfer.holds(&key) {
                         st.buffered.push(BufferedEvent { key, packet });
                         self.events_buffered_peak =
                             self.events_buffered_peak.max(st.buffered.len());
@@ -1369,7 +1017,7 @@ impl ControllerShard {
                 // Park: the transfer resumes when the endpoint returns.
                 // The op deadline still backstops an MB that never does.
                 Phase::Running | Phase::Suspended
-                    if st.kind.is_transfer() && st.resumes_left > 0 =>
+                    if st.kind.is_transfer() && st.transfer.can_resume() =>
                 {
                     if st.phase == Phase::Running {
                         st.set_phase(Phase::Suspended);
@@ -1420,12 +1068,10 @@ impl ControllerShard {
         }
         let dropped_events = st.buffered.len();
         st.buffered = Vec::new();
-        st.pending_keys.clear();
-        st.gets_outstanding = 0;
-        st.puts_outstanding = 0;
+        st.transfer.abort();
         st.close();
         let (kind, dst, pattern) = (st.kind, st.dst, st.pattern);
-        let had_chunks = st.chunks > 0;
+        let had_chunks = st.transfer.chunks() > 0;
         let shared_puts = std::mem::take(&mut st.shared_puts);
         // Terminal event first: the compensating deletes below are
         // consequences of the abort, and the invariant monitor insists
@@ -1481,7 +1127,7 @@ impl ControllerShard {
     fn end_sync(&self, op: OpId, out: &mut Vec<Action>) {
         let Some(st) = self.ops.get(&op) else { return };
         if !self.unreachable.contains(&st.src) {
-            for &(sub, _) in &st.get_reqs {
+            for sub in st.transfer.get_subs() {
                 out.push(Action::ToMb(st.src, Message::EndSync { op: sub }));
             }
         }
@@ -1567,177 +1213,84 @@ impl ControllerShard {
         self.retire_if_done(parent);
     }
 
-    /// Close get sub-op `sub` of `parent` once its `GetAck` has arrived
-    /// *and* every announced chunk has been seen. Called from both the
-    /// GetAck and Chunk handlers, so a chunk delayed past its ack still
-    /// completes the stream when it finally lands.
-    fn maybe_finish_get(
-        &mut self,
-        parent: OpId,
-        sub: OpId,
-        class: Class,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        let Some(st) = self.ops.get_mut(&parent) else { return };
-        if !st.phase.live() || st.done_gets.contains(&sub) {
-            return;
-        }
-        let Some(&expected) = st.get_expected.get(&sub) else { return };
-        if st.streamed[class as usize].len() < expected as usize {
-            return;
-        }
-        st.done_gets.insert(sub);
-        st.gets_outstanding = st.gets_outstanding.saturating_sub(1);
-        self.maybe_complete(parent, now, out);
-    }
-
     /// One run of a per-flow get's records arriving from the source — a
-    /// lone `Chunk` is a run of one, and both take this one path.
-    /// Records whose key the get has streamed before are dropped: a
-    /// duplicated (fault-injected) or re-streamed (resume) run is
-    /// filtered down to its new keys, since the puts of the others —
-    /// same sub ids — are already in flight or acked, and a second one
-    /// would double-count. What is left becomes one put: one sub-op,
-    /// one window slot, one content hash and one reference exchange,
-    /// while every key of it enters `pending_keys`, so events for any of
-    /// them wait for the run's ack.
+    /// lone `Chunk` is a run of one, and both take this one path. What
+    /// [`Transfer::admit_run`] leaves of it becomes one put: one sub-op,
+    /// one window slot, one content hash and one reference exchange.
     fn stream_run(
         &mut self,
         sub: OpId,
         chunk: StateChunk,
-        mut rest: Vec<StateChunk>,
+        rest: Vec<StateChunk>,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        let Some(&(parent, SubRole::Get(class))) = self.sub_ops.get(&sub) else { return };
-        let Some(st) = self.ops.get_mut(&parent) else { return };
-        if !st.phase.live() {
-            return;
-        }
+        let Some((parent, SubRole::Get(class), st)) = self.live_sub(sub) else { return };
         st.last_activity = now;
-        let streamed = &mut st.streamed[class as usize];
-        let first_new = streamed.insert(chunk.key);
-        rest.retain(|c| streamed.insert(c.key));
-        let chunk = match (first_new, rest.is_empty()) {
-            (true, _) => chunk,
-            (false, false) => rest.remove(0),
-            (false, true) => {
-                self.maybe_finish_get(parent, sub, class, now, out);
-                return;
-            }
-        };
-        st.chunks += 1 + rest.len();
-        for key in std::iter::once(&chunk.key).chain(rest.iter().map(|c| &c.key)) {
-            st.exact_keys &= key.as_exact().is_some();
-            st.pending_keys.insert(*key);
-        }
-        st.puts_outstanding += 1;
-        let seq = st.next_chunk_seq;
-        st.next_chunk_seq += 1;
-        let put_sub = self.alloc_sub(parent, SubRole::Put { class, seq });
-        let m = if self.config.content_cache {
-            // Negotiate-then-reference: put a (keys, hash) manifest
-            // entry in the window instead of the records. They are
-            // parked in `ref_bodies` until the ack — streamed only if
-            // the destination reports a miss.
-            let hash = openmb_store::content_hash(&wire::run_content(&chunk.data, &rest));
-            let keys = rest.iter().map(|c| c.key).collect();
-            let m = Message::ChunkRef {
-                op: put_sub,
-                class: class.wire(),
-                key: chunk.key,
-                hash,
-                rest: keys,
+        if let Some((seq, chunk, rest)) = st.transfer.admit_run(sub, class, chunk, rest) {
+            let put_sub = self.alloc_sub(parent, SubRole::Put { class, seq });
+            let put = if self.config.content_cache {
+                Put::reference(put_sub, class, chunk, rest)
+            } else {
+                Put::full(class.put_perflow(put_sub, chunk, rest))
             };
-            if let Some(st) = self.ops.get_mut(&parent) {
-                st.ref_bodies.insert(seq, (chunk, rest, hash));
-            }
-            m
-        } else {
-            class.put_perflow(put_sub, chunk, rest)
-        };
-        self.span(now, parent, Some(put_sub), SpanEvent::Issued { kind: m.kind_name() });
-        self.enqueue_put(parent, seq, m, now, out);
-        self.maybe_finish_get(parent, sub, class, now, out);
+            self.span(now, parent, Some(put_sub), SpanEvent::Issued { kind: put.msg.kind_name() });
+            self.enqueue_put(parent, seq, put, now, out);
+        }
+        self.maybe_complete(parent, now, out);
     }
 
-    /// Admit put `seq` of `op` into the transfer pipeline: it joins the
-    /// queue and `refill_window` issues it at once while the in-flight
-    /// ledger has a free window slot (or windowing is off). A running
-    /// op's queue is non-empty only while its window is full (every ack
-    /// refills), so a put never overtakes an earlier one. Suspended ops
-    /// only queue — their in-flight set is re-sent wholesale by
-    /// `resume_op`.
-    fn enqueue_put(&mut self, op: OpId, seq: u64, m: Message, now: SimTime, out: &mut Vec<Action>) {
+    /// Queue put `seq` of `op` and refill the window. A running op queues
+    /// only while its window is full, so no put overtakes an earlier one.
+    fn enqueue_put(&mut self, op: OpId, seq: u64, put: Put, now: SimTime, out: &mut Vec<Action>) {
         if let Some(st) = self.ops.get_mut(&op) {
-            st.queued_puts.push_back((seq, m));
+            st.transfer.enqueue(seq, put);
         }
         self.refill_window(op, now, out);
     }
 
-    /// Promote queued puts into freed window slots and send them. Called
-    /// on every new put, every ack and at the end of a resume; a no-op
-    /// for terminal or suspended ops so a late ack cannot push puts past
-    /// an abort. A put gets its `PutAdmitted` only here, so admissions
-    /// mirror the ledger exactly (what the I1 window invariant counts).
+    /// Send queued puts into free window slots: on every new put, ack and
+    /// resume, and only while the op runs (a suspended op only queues). A
+    /// put's `PutAdmitted` is recorded only here, so admissions mirror the
+    /// ledger the I1 window invariant counts.
     fn refill_window(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) {
         let window = self.config.transfer_window as usize;
         let Some(st) = self.ops.get_mut(&op) else { return };
         if st.phase != Phase::Running {
             return;
         }
-        while !st.queued_puts.is_empty() && (window == 0 || st.unacked_puts.len() < window) {
-            let (seq, m) = st.queued_puts.pop_front().expect("checked non-empty");
-            st.unacked_puts.insert(seq, m.clone());
-            self.in_flight_peak = self.in_flight_peak.max(st.unacked_puts.len());
+        while let Some((seq, m)) = st.transfer.admit_next(window) {
+            self.in_flight_peak = self.in_flight_peak.max(st.transfer.in_flight());
             out.push(Action::ToMb(st.dst, m));
             let admitted = SpanEvent::PutAdmitted { seq };
             self.obs.record(now.0, self.obs_tag, Some(op.0), None, admitted);
         }
     }
 
-    /// Resume a stalled or parked transfer from its last acked chunk:
-    /// re-send every get whose stream has not closed and every put not
-    /// yet acked, verbatim (same sub-op ids). The re-issue is
-    /// idempotent end-to-end — the source's sync tracker keeps its
-    /// marks, the controller's chunk dedup drops re-streamed chunks
-    /// whose put is already in flight, and the destination's put-log
-    /// re-acks shared puts it already applied without re-merging. The
-    /// deadline is extended so the resumed attempt gets a full window.
-    /// Returns false (and does nothing) when the op cannot resume: not
-    /// in progress, out of resume budget, or an endpoint still down.
+    /// Resume a stalled or parked transfer with a fresh deadline: re-send
+    /// every open get and unacked put verbatim (same sub-op ids; the
+    /// source's sync marks, the record dedup and the destination's put
+    /// log make that idempotent), then refill the window. False (and
+    /// nothing done) when the op is not in progress, out of resume
+    /// budget, or has an endpoint down.
     fn resume_op(&mut self, op: OpId, now: SimTime, out: &mut Vec<Action>) -> bool {
         let deadline = now.after(self.config.op_deadline);
         let Some(st) = self.ops.get_mut(&op) else { return false };
         if !matches!(st.phase, Phase::Running | Phase::Suspended)
-            || st.resumes_left == 0
             || self.unreachable.contains(&st.src)
             || self.unreachable.contains(&st.dst)
         {
             return false;
         }
-        st.resumes_left -= 1;
+        let Some(from_seq) = st.transfer.resume() else { return false };
         if st.phase == Phase::Suspended {
             st.set_phase(Phase::Running);
         }
         st.last_activity = now;
         st.deadline = deadline;
-        // The window base: the ledger's first key — O(log W), not a
-        // min-scan over every unacked put.
-        let from_seq = st
-            .unacked_puts
-            .keys()
-            .next()
-            .copied()
-            .or_else(|| st.queued_puts.front().map(|(s, _)| *s))
-            .unwrap_or(st.next_chunk_seq);
         self.obs.record(now.0, self.obs_tag, Some(op.0), None, SpanEvent::Resumed { from_seq });
-        let open_gets = st.get_reqs.iter().filter(|(sub, _)| !st.done_gets.contains(sub));
-        out.extend(open_gets.map(|(_, m)| Action::ToMb(st.src, m.clone())));
-        out.extend(st.unacked_puts.values().map(|m| Action::ToMb(st.dst, m.clone())));
-        // Chunks that arrived while parked were window-deferred; top the
-        // window back up now that the transfer is live again.
+        out.extend(st.transfer.open_gets().map(|m| Action::ToMb(st.src, m.clone())));
+        out.extend(st.transfer.unacked().map(|m| Action::ToMb(st.dst, m.clone())));
         self.refill_window(op, now, out);
         true
     }
@@ -1746,11 +1299,13 @@ impl ControllerShard {
     /// put is acked. (Simple kinds complete in `finish_simple`.)
     fn maybe_complete(&mut self, parent: OpId, now: SimTime, out: &mut Vec<Action>) {
         let Some(st) = self.ops.get_mut(&parent) else { return };
-        if !st.phase.live() || st.gets_outstanding > 0 || st.puts_outstanding > 0 {
+        if !st.phase.live() || st.transfer.outstanding() {
             return;
         }
         let c = match st.kind {
-            OpKind::Move => Completion::MoveComplete { op: parent, chunks_moved: st.chunks },
+            OpKind::Move => {
+                Completion::MoveComplete { op: parent, chunks_moved: st.transfer.chunks() }
+            }
             OpKind::Clone => Completion::CloneComplete { op: parent },
             OpKind::Merge => Completion::MergeComplete { op: parent },
             _ => return,
@@ -1823,9 +1378,9 @@ impl ControllerShard {
         let resume_after = self.config.resume_after;
         let stalled = |st: &OpState| {
             st.phase == Phase::Running
-                && st.resumes_left > 0
                 && st.kind.is_transfer()
-                && (st.gets_outstanding > 0 || st.puts_outstanding > 0)
+                && st.transfer.can_resume()
+                && st.transfer.outstanding()
                 && now.since(st.last_activity) >= resume_after
         };
         for op in self.ops_where(stalled) {
@@ -1925,7 +1480,7 @@ impl ControllerShard {
     /// Total chunks transferred under an operation (experiments; 0 once
     /// its tombstone has left the ring).
     pub fn chunks_moved(&self, op: OpId) -> usize {
-        self.op_state(op).map_or(0, |s| s.chunks)
+        self.op_state(op).map_or(0, |s| s.transfer.chunks())
     }
 
     /// Entry counts of this shard's tables (`conflicts` is the
@@ -1966,20 +1521,10 @@ impl ControllerShard {
             ..TransferLedgerStats::default()
         };
         for s in ops {
-            agg.puts_in_flight += s.unacked_puts.len();
-            agg.puts_queued += s.queued_puts.len();
-            agg.ack_set_size += s.acked_above.len();
-            agg.bodies_in_flight += s.needed.len();
+            s.transfer.add_ledger(&mut agg);
         }
         agg
     }
-}
-
-/// Whether `has` holds for the exact key of `flow` or of its reverse:
-/// the only keys that can match `flow` either way while every key of an
-/// op names one exact flow.
-fn either_way(flow: &FlowKey, has: impl Fn(&HeaderFieldList) -> bool) -> bool {
-    has(&HeaderFieldList::exact(*flow)) || has(&HeaderFieldList::exact(flow.reversed()))
 }
 
 impl OpState {
@@ -1999,29 +1544,13 @@ impl OpState {
             src,
             dst,
             pattern: HeaderFieldList::any(),
-            gets_outstanding: 0,
-            puts_outstanding: 0,
-            pending_keys: HashSet::new(),
-            exact_keys: true,
             buffered: Vec::new(),
-            chunks: 0,
             last_activity: now,
             deadline: now.after(config.op_deadline),
             retry: None,
             events_forwarded: 0,
-            next_chunk_seq: 0,
-            ack_watermark: 0,
-            acked_above: BTreeSet::new(),
-            done_gets: IdSet::default(),
-            streamed: [HashSet::new(), HashSet::new()],
-            get_expected: IdMap::default(),
-            get_reqs: Vec::new(),
-            unacked_puts: BTreeMap::new(),
-            queued_puts: VecDeque::new(),
             shared_puts: Vec::new(),
-            resumes_left: config.max_transfer_resumes,
-            ref_bodies: IdMap::default(),
-            needed: IdSet::default(),
+            transfer: Transfer::new(config.max_transfer_resumes),
         }
     }
 
@@ -2034,97 +1563,12 @@ impl OpState {
         self.phase = to;
     }
 
-    /// Enter [`Phase::Closed`] and free what no handler reads past it.
-    /// Every chunk, ack, need and get handler returns on a closed op, so
-    /// the transfer pipeline (a late ack must find nothing to refill the
-    /// window from), the ack set and the retry schedule are dead. The
-    /// key sets are too unless a get or put was still outstanding —
-    /// `end_op` before completion — because a late reprocess event is
-    /// still held or forwarded by them ([`OpState::pending`] while a put
-    /// is, [`OpState::streamed`] while a get is);
-    /// otherwise that predicate is false for every key.
+    /// Enter [`Phase::Closed`] and free what no handler reads past it:
+    /// every chunk, ack, need and get handler returns on a closed op, so
+    /// the retry schedule and the transfer's ledger are dead.
     fn close(&mut self) {
         self.set_phase(Phase::Closed);
         self.retry = None;
-        self.unacked_puts = BTreeMap::new();
-        self.queued_puts = VecDeque::new();
-        self.ref_bodies = IdMap::default();
-        self.needed = IdSet::default();
-        self.acked_above = BTreeSet::new();
-        self.done_gets = IdSet::default();
-        self.get_expected = IdMap::default();
-        if self.gets_outstanding == 0 {
-            self.streamed = Default::default();
-            if self.pending_keys.is_empty() {
-                self.pending_keys = HashSet::new();
-            }
-        }
-    }
-
-    /// Is a put carrying a key that matches `flow`, in either direction,
-    /// in flight?
-    fn pending(&self, flow: &FlowKey) -> bool {
-        if self.exact_keys {
-            either_way(flow, |k| self.pending_keys.contains(k))
-        } else {
-            self.pending_keys.iter().any(|k| k.matches_bidi(flow))
-        }
-    }
-
-    /// Has a get of this op streamed a key that matches `flow`, in
-    /// either direction?
-    fn streamed(&self, flow: &FlowKey) -> bool {
-        let [support, report] = &self.streamed;
-        if self.exact_keys {
-            either_way(flow, |k| support.contains(k) || report.contains(k))
-        } else {
-            support.iter().chain(report).any(|k| k.matches_bidi(flow))
-        }
-    }
-
-    /// Record `seq` as acked. Returns false on a duplicate. Newly acked
-    /// seqs at the watermark advance it, draining contiguous entries
-    /// out of the sparse set — per-op ack state stays O(window) instead
-    /// of one set entry per chunk forever. An in-order ack, the common
-    /// case, never enters the set: the watermark itself is never in it.
-    fn mark_acked(&mut self, seq: u64) -> bool {
-        if seq != self.ack_watermark {
-            return seq > self.ack_watermark && self.acked_above.insert(seq);
-        }
-        self.ack_watermark += 1;
-        while self.acked_above.remove(&self.ack_watermark) {
-            self.ack_watermark += 1;
-        }
-        true
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mark_acked_in_order_out_of_order_and_duplicates() {
-        let config = ControllerConfig::default();
-        let mut st =
-            OpState::new(OpKind::Move, MbId(0), MbId(1), Phase::Running, SimTime::ZERO, &config);
-        let state = |st: &OpState| -> (u64, Vec<u64>) {
-            (st.ack_watermark, st.acked_above.iter().copied().collect())
-        };
-        // In order: the watermark moves and the sparse set stays empty.
-        assert!(st.mark_acked(0) && st.mark_acked(1));
-        assert_eq!(state(&st), (2, Vec::new()));
-        // Out of order: 4 and 3 wait above the gap at 2.
-        assert!(st.mark_acked(4) && st.mark_acked(3));
-        assert_eq!(state(&st), (2, vec![3, 4]));
-        // Duplicates of a seq below the watermark and of one above it.
-        assert!(!st.mark_acked(1) && !st.mark_acked(4));
-        assert_eq!(state(&st), (2, vec![3, 4]));
-        // Filling the gap drains everything contiguous above it.
-        assert!(st.mark_acked(2));
-        assert_eq!(state(&st), (5, Vec::new()));
-        assert!(!st.mark_acked(2) && !st.mark_acked(4));
-        assert!(st.mark_acked(5));
-        assert_eq!(state(&st), (6, Vec::new()));
+        self.transfer.close();
     }
 }

@@ -487,9 +487,10 @@ fn duplicated_config_or_stats_reply_completes_the_op_once() {
 #[test]
 fn transfer_ledger_stays_bounded_by_window() {
     // With a transfer window of 4, a 120-flow move (30 runs of 4) must
-    // never have more than 4 unacked puts in flight, and the watermark-compacted ack set
-    // must stay within the window too — at every step, not just at the
-    // end. FIFO delivery keeps acks in seq order, the common wire case.
+    // never have more than 4 unacked puts in flight, and the acked seqs
+    // above the lowest unacked one must stay within the window too — at
+    // every step, not just at the end. FIFO delivery keeps acks in seq
+    // order, the common wire case.
     use std::collections::VecDeque;
     const W: u32 = 4;
     let mut w = World::new(Monitor::new(), Monitor::new());
@@ -519,7 +520,7 @@ fn transfer_ledger_stays_bounded_by_window() {
                     );
                     assert!(
                         stats.ack_set_size <= W as usize,
-                        "ack set not compacted: {}",
+                        "ack set beyond the window: {}",
                         stats.ack_set_size
                     );
                 }
@@ -535,7 +536,7 @@ fn transfer_ledger_stays_bounded_by_window() {
     assert_eq!(stats.in_flight_peak, W as usize, "window was exercised and respected");
     assert_eq!(stats.puts_in_flight, 0);
     assert_eq!(stats.puts_queued, 0);
-    assert_eq!(stats.ack_set_size, 0, "all acks drained into the watermark");
+    assert_eq!(stats.ack_set_size, 0, "no ack left above an unacked put");
     assert_eq!(stats.bodies_in_flight, 0, "every needed body was streamed and acked");
     assert_eq!(
         stats.cache_hits + stats.cache_misses,
@@ -548,6 +549,131 @@ fn transfer_ledger_stays_bounded_by_window() {
 /// reference from the cache: over 1 KiB chunk bodies, the bytes the
 /// controller puts on the destination's wire fall to under a tenth of
 /// the cold pass's.
+#[test]
+fn ack_set_size_counts_the_acks_that_overtook_the_lowest_unacked_put() {
+    // The sibling of `transfer_ledger_stays_bounded_by_window` with each
+    // window's acks delivered in reverse: the ledger's derived ack-set
+    // size must equal the acked seqs above the lowest unacked seq,
+    // counted here from the acks the test itself delivered.
+    use std::collections::{BTreeSet, VecDeque};
+    const W: u32 = 4;
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    w.core.update_config(|c| c.transfer_window = W);
+    seed_monitor(&mut w.a, 120);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let mut actions: VecDeque<Action> = out.into();
+    // Put sub-ops in admission order, so a sub-op's index is its seq.
+    let mut seqs: Vec<OpId> = Vec::new();
+    let mut held: Vec<Message> = Vec::new();
+    let mut acked = BTreeSet::new();
+    let mut largest = 0;
+    loop {
+        let in_flight = w.core.transfer_ledger_stats(op).puts_in_flight;
+        if !held.is_empty() && (held.len() == in_flight || actions.is_empty()) {
+            for ack in held.drain(..).rev() {
+                let sub = ack.op_id().expect("an ack names its sub-op");
+                acked.insert(seqs.iter().position(|s| *s == sub).expect("an admitted put"));
+                let mut o = Vec::new();
+                w.core.handle_mb_message(w.b_id, ack, w.now, &mut o);
+                actions.extend(o);
+                let base = (0..).find(|s| !acked.contains(s)).expect("a seq is unacked");
+                let size = w.core.transfer_ledger_stats(op).ack_set_size;
+                assert_eq!(size, acked.range(base..).count(), "acked {acked:?}");
+                assert!(size <= W as usize, "ack set beyond the window: {size}");
+                largest = largest.max(size);
+            }
+            continue;
+        }
+        let Some(act) = actions.pop_front() else { break };
+        match act {
+            Action::Notify(c) => w.completions.push(c),
+            Action::ToMb(mb, msg) => {
+                let replies = if mb == w.a_id {
+                    handle_southbound(&mut w.a, msg, w.now)
+                } else {
+                    let sub = msg.op_id().expect("a put names its sub-op");
+                    if !seqs.contains(&sub) {
+                        seqs.push(sub);
+                    }
+                    handle_southbound(&mut w.b, msg, w.now)
+                };
+                for r in replies {
+                    if matches!(r, Message::PutAck { .. }) {
+                        held.push(r);
+                        continue;
+                    }
+                    let mut o = Vec::new();
+                    w.core.handle_mb_message(mb, r, w.now, &mut o);
+                    actions.extend(o);
+                }
+            }
+            other => panic!("unexpected action {other:?}"),
+        }
+    }
+    assert!(w
+        .completions
+        .iter()
+        .any(|c| matches!(c, Completion::MoveComplete { op: o, chunks_moved: 120 } if *o == op)));
+    assert!(largest > 0, "no ack ever overtook another");
+    assert_eq!(w.core.transfer_ledger_stats(op).ack_set_size, 0);
+}
+
+#[test]
+fn an_ack_for_a_put_still_queued_behind_the_window_is_ignored() {
+    // Window 1: the first run's reference is in flight and the next
+    // run's waits in the queue under the next sub-op id — one flipped
+    // bit away. An ack naming that queued put, arriving before the first
+    // reference lands, is not the destination's and must change nothing:
+    // accepted, it retires the queued put's sub-op, so once that put is
+    // sent its need and ack route nowhere and the move can only time out.
+    use std::collections::VecDeque;
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    w.core.update_config(|c| c.transfer_window = 1);
+    seed_monitor(&mut w.a, 40);
+    let mut out = Vec::new();
+    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let mut actions: VecDeque<Action> = out.into();
+    let mut forged = false;
+    while let Some(act) = actions.pop_front() {
+        match act {
+            Action::Notify(c) => w.completions.push(c),
+            Action::ToMb(mb, msg) => {
+                if mb == w.b_id && !forged {
+                    forged = true;
+                    let first = msg.op_id().expect("a put names its sub-op");
+                    assert!(matches!(msg, Message::ChunkRef { .. }), "{msg:?}");
+                    let ack = Message::PutAck { op: OpId(first.0 + 1), key: None };
+                    let mut o = Vec::new();
+                    w.core.handle_mb_message(w.b_id, ack, w.now, &mut o);
+                    assert!(o.is_empty(), "the forged ack acted: {o:?}");
+                    assert_eq!(w.core.transfer_ledger_stats(op).puts_in_flight, 1);
+                }
+                let replies = if mb == w.a_id {
+                    handle_southbound(&mut w.a, msg, w.now)
+                } else {
+                    handle_southbound(&mut w.b, msg, w.now)
+                };
+                for r in replies {
+                    let mut o = Vec::new();
+                    w.core.handle_mb_message(mb, r, w.now, &mut o);
+                    actions.extend(o);
+                }
+            }
+            other => panic!("unexpected action {other:?}"),
+        }
+    }
+    assert!(forged, "no put reached the destination");
+    assert!(
+        w.completions
+            .iter()
+            .any(|c| matches!(c, Completion::MoveComplete { op: o, chunks_moved: 40 } if *o == op)),
+        "{:?}",
+        w.completions
+    );
+    assert_eq!(w.b.perflow_entries(), 40);
+}
+
 #[test]
 fn warm_move_puts_under_a_tenth_of_the_cold_bytes_on_the_destination_wire() {
     const FLOWS: usize = 64;
