@@ -10,7 +10,13 @@
 //!   [`Middlebox`]'s southbound protocol over a [`Transport`] (one
 //!   thread per MB, like the paper), with a caller-owned put log and
 //!   flight recorder; [`serve_middlebox`] runs it with neither. The
-//!   dispatch it calls is [`openmb_mb::handle_southbound_logged`].
+//!   dispatch it calls is [`openmb_mb::handle_southbound_into`], which
+//!   hands over each reply as it is made, and the loop sends replies in
+//!   frames of about 32 KiB (`FRAME_BYTES`): a per-flow get's runs
+//!   stream to the controller while the middlebox is still sealing the
+//!   rest, so the source's export, the engine and the destination's
+//!   import overlap instead of running one after another (§4.2,
+//!   Fig 5: the controller puts each chunk as it arrives).
 //! * [`TcpController`] — hosts the one controller engine
 //!   ([`ControllerCore`]), runs one receive thread per MB connection
 //!   that feeds the engine directly, and exposes *blocking* northbound
@@ -81,11 +87,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use openmb_mb::{handle_southbound_logged, Middlebox, SharedPutLog};
-use openmb_obs::{Recorder, SpanEvent};
+use openmb_mb::{handle_southbound_into, Middlebox, SharedPutLog};
+use openmb_obs::{NodeTag, Recorder, SpanEvent};
 use openmb_simnet::SimTime;
 use openmb_types::transport::Transport;
-use openmb_types::wire::{EventFilter, Message};
+use openmb_types::wire::{self, EventFilter, Message};
 use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, OpId, Result};
 
 use crate::chain::ChainSpec;
@@ -126,14 +132,26 @@ pub fn serve_middlebox<M: Middlebox>(
 ///   survives a disconnect: pass the same log back in when re-serving
 ///   the MB after a reconnect and a re-sent shared put is re-acked
 ///   instead of re-merged.
+/// * Replies leave in frames of about [`FRAME_BYTES`] as they are
+///   produced ([`Frames`]): a per-flow get's runs go to the controller
+///   while the middlebox is still sealing the rest, and whatever is
+///   left leaves with the request's last reply (a get's `GetAck`).
 /// * With an enabled `rec` every request handled — each inner message
 ///   of a batched frame, keyed by its own sub-op id — is recorded as a
-///   [`SpanEvent::Handled`] under the node name `name`: the MB half of
-///   an end-to-end op timeline. Timestamps (also the `now` packet replay
-///   sees) are nanoseconds since the recorder's epoch, so when the
-///   controller shares the same recorder (loopback tests) both sides'
-///   events interleave on one clock. With a disabled recorder recording
-///   costs one branch and the clock is the loop's own.
+///   [`SpanEvent::Handled`] under the node name `name`, each frame of
+///   several replies as a [`SpanEvent::BatchFlushed`], and each state
+///   get as [`SpanEvent::Served`] once its last reply (a per-flow get's
+///   `GetAck`) has left, as the simulator's `MbNode` records them: the
+///   MB half of an end-to-end op timeline.
+///   Timestamps (also the `now` packet replay sees) are nanoseconds
+///   since the recorder's epoch, so when the controller shares the same
+///   recorder (loopback tests) both sides' events interleave on one
+///   clock. With a disabled recorder recording costs one branch and the
+///   clock is the loop's own.
+///
+/// Only a transport error ends the loop (as a disconnect): a reply the
+/// codec refuses to frame (over [`wire::MAX_MESSAGE`]) is answered with
+/// an `ErrorMsg` for its request instead.
 pub fn serve_middlebox_recorded<M: Middlebox>(
     mb: &mut M,
     log: &mut SharedPutLog,
@@ -142,48 +160,138 @@ pub fn serve_middlebox_recorded<M: Middlebox>(
     rec: &Recorder,
     name: &str,
 ) -> Result<()> {
-    let tag = rec.register(name);
+    let mut frames = Frames::new(transport, rec, rec.register(name));
     let start = Instant::now();
-    loop {
+    while !frames.closed {
         if stop.load(Ordering::Relaxed) {
-            return Ok(());
+            break;
         }
         let msg = match transport.recv_timeout(IDLE_POLL) {
             Ok(Some(m)) => m,
             Ok(None) => continue,
-            Err(_) => return Ok(()), // peer closed
+            Err(_) => break, // peer closed
         };
         let now = SimTime(if rec.is_enabled() {
             rec.now_ns()
         } else {
             start.elapsed().as_nanos() as u64
         });
-        let mut replies = Vec::new();
         msg.for_each_unbatched(|m| {
             let (sub, kind) = (m.op_id().map(|o| o.0), m.kind_name());
-            rec.record(now.0, tag, None, sub, SpanEvent::Handled { msg: kind });
-            replies.extend(handle_southbound_logged(mb, log, m, now));
-        });
-        // A request with several replies (a get streaming chunks, a
-        // batched request) answers with one coalesced frame.
-        let sent = match replies.len() {
-            0 => Ok(()),
-            1 => transport.send(replies.pop().expect("len 1")),
-            n => {
-                rec.record(
-                    now.0,
-                    tag,
-                    None,
-                    replies[0].op_id().map(|o| o.0),
-                    SpanEvent::BatchFlushed { count: n as u32 },
-                );
-                transport.send(Message::Batch { msgs: replies })
+            rec.record(now.0, frames.tag, None, sub, SpanEvent::Handled { msg: kind });
+            let state_get = matches!(
+                m,
+                Message::GetSupportPerflow { .. }
+                    | Message::GetReportPerflow { .. }
+                    | Message::GetSupportShared { .. }
+                    | Message::GetReportShared { .. }
+            );
+            handle_southbound_into(mb, log, m, now, &mut |reply| frames.push(reply));
+            if state_get {
+                frames.served(sub, kind);
             }
+        });
+        frames.flush();
+    }
+    Ok(())
+}
+
+/// The most encoded reply bytes the MB serve loop holds before it sends
+/// them as one frame. Large enough that a frame costs the controller
+/// one engine call per dozen or so runs, small enough that the
+/// controller and the destination start on a get's first runs while
+/// the source seals the rest (EXPERIMENTS.md, "A get streams over
+/// TCP"). A frame is also far below [`wire::MAX_MESSAGE`], so a get of
+/// any size can be sent.
+const FRAME_BYTES: usize = 32 << 10;
+
+/// The serve loop's outgoing side: replies collect until they reach
+/// [`FRAME_BYTES`] and leave as one frame (a `Batch` of several, or the
+/// reply alone).
+struct Frames<'a> {
+    transport: &'a dyn Transport,
+    rec: &'a Recorder,
+    tag: NodeTag,
+    pending: Vec<Message>,
+    /// Encoded size of `pending`, each reply with its length prefix.
+    bytes: usize,
+    /// The state gets whose last reply is in `pending`: `Served` once
+    /// it has left.
+    served: Vec<(Option<u64>, &'static str)>,
+    /// A send failed: the peer is gone.
+    closed: bool,
+}
+
+impl<'a> Frames<'a> {
+    fn new(transport: &'a dyn Transport, rec: &'a Recorder, tag: NodeTag) -> Self {
+        Frames {
+            transport,
+            rec,
+            tag,
+            pending: Vec::new(),
+            bytes: 0,
+            served: Vec::new(),
+            closed: false,
+        }
+    }
+
+    fn push(&mut self, reply: Message) {
+        if self.closed {
+            return;
+        }
+        let len = 4 + wire::encoded_len(&reply);
+        if len >= FRAME_BYTES {
+            // A reply that fills a frame travels alone.
+            self.flush();
+        }
+        self.pending.push(reply);
+        self.bytes += len;
+        if self.bytes >= FRAME_BYTES {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        let frame = match self.pending.len() {
+            0 => return,
+            1 => self.pending.pop().expect("len 1"),
+            n => {
+                let sub = self.pending[0].op_id().map(|o| o.0);
+                let flushed = SpanEvent::BatchFlushed { count: n as u32 };
+                self.rec.record(self.rec.now_ns(), self.tag, None, sub, flushed);
+                Message::Batch { msgs: std::mem::take(&mut self.pending) }
+            }
+        };
+        self.bytes = 0;
+        let op = frame.op_id();
+        let sent = match self.transport.send(frame) {
+            // Only a lone reply can exceed the codec's limit: its
+            // request fails, the connection stays.
+            Err(Error::Codec(reason)) => op.map_or(Ok(()), |op| {
+                let error = Error::Codec(reason);
+                self.transport.send(Message::ErrorMsg { op, error })
+            }),
+            sent => sent,
         };
         if sent.is_err() {
             // Peer closed between its request and our reply: the same
             // disconnect a failed receive reports, seen one call later.
-            return Ok(());
+            self.closed = true;
+            self.served.clear();
+        }
+        let now = self.rec.now_ns();
+        for (sub, msg) in self.served.drain(..) {
+            self.rec.record(now, self.tag, None, sub, SpanEvent::Served { msg });
+        }
+    }
+
+    /// State get `sub` (of kind `msg`) has produced its last reply — a
+    /// per-flow get's `GetAck`: record `Served` once that has left.
+    fn served(&mut self, sub: Option<u64>, msg: &'static str) {
+        if self.pending.is_empty() {
+            self.rec.record(self.rec.now_ns(), self.tag, None, sub, SpanEvent::Served { msg });
+        } else {
+            self.served.push((sub, msg));
         }
     }
 }

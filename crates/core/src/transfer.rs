@@ -7,7 +7,8 @@
 //! sends and records spans, so every order the oracles read is decided
 //! in `shard.rs`.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use openmb_types::wire::{self, Message};
 use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, OpId, StateChunk};
@@ -120,8 +121,10 @@ pub(crate) struct Transfer {
     /// Record keys streamed per [`Class`]: a re-streamed record is
     /// dropped, and a class's count is what its `GetAck` is held to.
     streamed: [HashSet<HeaderFieldList>; 2],
-    /// Keys of the puts in flight or queued: their events wait.
-    pending_keys: HashSet<HeaderFieldList>,
+    /// Keys of the puts in flight or queued, each with the number of
+    /// those puts that carry it (a flow whose support and report records
+    /// travel in two puts has two): their events wait.
+    pending: HashMap<HeaderFieldList, u32>,
     /// Some pending key is not one exact flow, so the event predicate
     /// walks the sets instead of probing them.
     wild_keys: bool,
@@ -210,7 +213,7 @@ impl Transfer {
         self.chunks += 1 + rest.len();
         for key in std::iter::once(&chunk.key).chain(rest.iter().map(|c| &c.key)) {
             self.wild_keys |= key.as_exact().is_none();
-            self.pending_keys.insert(*key);
+            *self.pending.entry(*key).or_default() += 1;
         }
         Some((self.take_seq(), chunk, rest))
     }
@@ -243,11 +246,17 @@ impl Transfer {
 
     /// Accept the ack of put `seq`: `None` unless it is in flight, so a
     /// duplicate, or an ack for a put still queued behind the window,
-    /// changes nothing. Its keys stop being pending.
+    /// changes nothing. Its keys stop being pending unless another open
+    /// put carries them.
     pub(crate) fn ack(&mut self, seq: u64) -> Option<Put> {
         let put = self.in_flight.remove(&seq)?;
         for k in put.msg.run_keys() {
-            self.pending_keys.remove(k);
+            if let Entry::Occupied(mut open) = self.pending.entry(*k) {
+                *open.get_mut() -= 1;
+                if *open.get() == 0 {
+                    open.remove();
+                }
+            }
         }
         Some(put)
     }
@@ -315,12 +324,29 @@ impl Transfer {
     pub(crate) fn holds(&self, flow: &FlowKey) -> bool {
         // With every key exact, only these two can match `flow`.
         let both = [HeaderFieldList::exact(*flow), HeaderFieldList::exact(flow.reversed())];
-        let has = |keys: &HashSet<HeaderFieldList>| match self.wild_keys {
+        let pending = match self.wild_keys {
+            false => both.iter().any(|k| self.pending.contains_key(k)),
+            true => self.pending.keys().any(|k| k.matches_bidi(flow)),
+        };
+        let streamed = |keys: &HashSet<HeaderFieldList>| match self.wild_keys {
             false => both.iter().any(|k| keys.contains(k)),
             true => keys.iter().any(|k| k.matches_bidi(flow)),
         };
         let [support, report] = &self.streamed;
-        has(&self.pending_keys) || (self.gets_open() && !has(support) && !has(report))
+        pending || (self.gets_open() && !streamed(support) && !streamed(report))
+    }
+
+    /// Recompute each pending key's count from the ledger — the puts in
+    /// flight and queued — and assert it is the one kept. Holds at every
+    /// step except between [`Transfer::abort`] and [`Transfer::close`].
+    #[cfg(test)]
+    pub(crate) fn check(&self) {
+        let mut counts: HashMap<HeaderFieldList, u32> = HashMap::new();
+        let puts = self.in_flight.values().chain(self.queued.iter().map(|(_, put)| put));
+        for key in puts.flat_map(|put| put.msg.run_keys()) {
+            *counts.entry(*key).or_default() += 1;
+        }
+        assert_eq!(counts, self.pending, "pending counts are not the ledger's");
     }
 
     /// Add this transfer's ledger to `agg`. The acked seqs above the
@@ -339,7 +365,7 @@ impl Transfer {
     /// waits on a key. Followed by [`Transfer::close`].
     pub(crate) fn abort(&mut self) {
         self.gets.iter_mut().for_each(|g| g.done = true);
-        self.pending_keys.clear();
+        self.pending.clear();
     }
 
     /// The op closed: free the ledger. The key sets stay while a get is
@@ -349,8 +375,8 @@ impl Transfer {
         self.queued = VecDeque::new();
         if !self.gets_open() {
             self.streamed = Default::default();
-            if self.pending_keys.is_empty() {
-                self.pending_keys = HashSet::new();
+            if self.pending.is_empty() {
+                self.pending = HashMap::new();
             }
         }
     }
@@ -423,6 +449,33 @@ mod tests {
         assert!(!t.outstanding());
     }
 
+    /// A flow whose support and report records travel in two puts stays
+    /// held until both are acked, whichever is acked first.
+    #[test]
+    fn a_key_pending_in_both_classes_is_held_until_both_puts_are_acked() {
+        for first in [Class::Support, Class::Report] {
+            let mut t = Transfer::new(0);
+            let key = record(7).key;
+            let flow = key.as_exact().expect("an exact key");
+            let support = stream(&mut t, Class::Support, &[7], false).expect("new");
+            let report = stream(&mut t, Class::Report, &[7], true).expect("new");
+            assert_eq!(admit_all(&mut t, 0), [support, report]);
+            t.check();
+            let (acked, open) = match first {
+                Class::Support => (support, report),
+                Class::Report => (report, support),
+            };
+            assert!(t.ack(acked).is_some());
+            t.check();
+            assert!(t.holds(&flow), "{first:?} acked, the other put is in flight");
+            assert!(t.ack(acked).is_none(), "a duplicate ack releases nothing");
+            assert!(t.holds(&flow));
+            assert!(t.ack(open).is_some());
+            t.check();
+            assert!(!t.holds(&flow));
+        }
+    }
+
     #[test]
     fn a_seeded_walk_keeps_the_ledger_invariants() {
         const W: usize = 3;
@@ -451,13 +504,14 @@ mod tests {
             for _ in 0..200 {
                 match next(16) {
                     0..=7 => {
-                        // A run of up to 4 records; the classes draw from
-                        // disjoint key pools, duplicates within one likely.
+                        // A run of up to 4 records; the classes' key pools
+                        // overlap in 20..40, so a flow can be pending in
+                        // both; duplicates within one run are likely.
                         let (sub, class) = gets[next(2) as usize];
                         if !open.contains(&sub) {
                             continue;
                         }
-                        let base = 100 * class as u16;
+                        let base = 20 * class as u16;
                         let keys: Vec<u16> =
                             (0..1 + next(4)).map(|_| base + next(40) as u16).collect();
                         let before = t.streamed[class as usize].clone();
@@ -514,9 +568,16 @@ mod tests {
                     in_flight.insert(seq, keys);
                 }
                 assert!(t.in_flight() <= W, "window exceeded: {}", t.in_flight());
+                t.check();
+                // A key is pending once per open put carrying it, and a
+                // streamed key no open put carries has been acked.
+                let mut pending: HashMap<HeaderFieldList, u32> = HashMap::new();
+                for key in in_flight.values().chain(queued.values()).flatten() {
+                    *pending.entry(*key).or_default() += 1;
+                }
+                assert_eq!(t.pending, pending);
                 for key in t.streamed.iter().flatten() {
-                    let pending = t.pending_keys.contains(key);
-                    assert!(pending != acked_keys.contains(key), "{key:?} pending {pending}");
+                    assert!(pending.contains_key(key) || acked_keys.contains(key), "{key:?}");
                 }
                 let base = (0..).find(|s| !acked.contains(s)).expect("unacked seq");
                 let above = acked.range(base..).count();

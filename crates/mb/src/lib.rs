@@ -34,11 +34,12 @@ pub mod sync;
 
 pub use cost::CostModel;
 pub use effects::{Effects, LogEntry};
-pub use southbound::{handle_southbound, handle_southbound_logged};
+pub use southbound::{handle_southbound, handle_southbound_into, handle_southbound_logged};
 pub use state::{Record, Sealer};
 pub use sync::SyncTracker;
 
 use openmb_simnet::SimTime;
+use openmb_types::wire::ChunkClass;
 use openmb_types::{
     ConfigValue, EncryptedChunk, Error, HeaderFieldList, HierarchicalKey, OpId, Packet, Result,
     StateChunk, StateStats,
@@ -254,6 +255,37 @@ pub trait Middlebox {
     /// Remove per-flow reporting state matching `key`.
     fn del_report_perflow(&mut self, _key: &HeaderFieldList) -> Result<usize> {
         Ok(0)
+    }
+
+    // ---- per-flow gets, streamed ----
+
+    /// A per-flow get of `class`, a record at a time: hand each record
+    /// `get_support_perflow` / `get_report_perflow` would return to
+    /// `out`, in the same order and with the same moved marks, together
+    /// with the number of records the get holds. An error comes before
+    /// the first record or not at all, so a get is answered with its
+    /// error or with its runs, never both.
+    ///
+    /// The default hands over the records of the `get_*_perflow` call
+    /// once it has returned. A middlebox on the [`state`] kit overrides
+    /// it with [`state::export_into`] for the class it keeps, so an
+    /// embedding can send a get's first runs while the rest are still
+    /// being sealed (the TCP serve loop does).
+    fn export_perflow(
+        &mut self,
+        class: ChunkClass,
+        op: OpId,
+        key: &HeaderFieldList,
+        out: &mut dyn FnMut(usize, StateChunk),
+    ) -> Result<()> {
+        let chunks = match class {
+            ChunkClass::Support => self.get_support_perflow(op, key)?,
+            ChunkClass::Report => self.get_report_perflow(op, key)?,
+            other => return Err(Error::UnsupportedStateClass(format!("{other:?}"))),
+        };
+        let n = chunks.len();
+        chunks.into_iter().for_each(|c| out(n, c));
+        Ok(())
     }
 
     // ---- shared reporting state (§4.1.3) ----

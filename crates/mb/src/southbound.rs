@@ -19,7 +19,7 @@
 
 use openmb_simnet::SimTime;
 use openmb_types::wire::{self, ChunkClass, Message};
-use openmb_types::{EncryptedChunk, OpId, Result, StateChunk};
+use openmb_types::{EncryptedChunk, HeaderFieldList, OpId, Result, StateChunk};
 
 use crate::effects::Effects;
 use crate::{Middlebox, SharedPutLog};
@@ -44,38 +44,54 @@ pub fn handle_southbound_logged<M: Middlebox>(
     now: SimTime,
 ) -> Vec<Message> {
     let mut out = Vec::new();
+    handle_southbound_into(mb, log, msg, now, &mut |m| out.push(m));
+    out
+}
+
+/// The dispatch itself: each reply goes to `out` as soon as it exists.
+/// A per-flow get hands over each run the moment its last record is
+/// sealed ([`Middlebox::export_perflow`]), so an embedding that sends
+/// as it goes (the TCP serve loop) overlaps the export with the
+/// transfer of what has already been cut.
+pub fn handle_southbound_into<M: Middlebox>(
+    mb: &mut M,
+    log: &mut SharedPutLog,
+    msg: Message,
+    now: SimTime,
+    out: &mut dyn FnMut(Message),
+) {
     match msg {
         Message::GetConfig { op, key } => match mb.get_config(&key) {
-            Ok(pairs) => out.push(Message::ConfigValues { op, pairs }),
-            Err(e) => out.push(Message::ErrorMsg { op, error: e }),
+            Ok(pairs) => out(Message::ConfigValues { op, pairs }),
+            Err(e) => out(Message::ErrorMsg { op, error: e }),
         },
-        Message::SetConfig { op, key, values } => out.push(ack(op, mb.set_config(&key, values))),
-        Message::DelConfig { op, key } => out.push(ack(op, mb.del_config(&key))),
+        Message::SetConfig { op, key, values } => out(ack(op, mb.set_config(&key, values))),
+        Message::DelConfig { op, key } => out(ack(op, mb.del_config(&key))),
         Message::GetSupportPerflow { op, key } => {
-            stream_chunks(&mut out, op, mb.get_support_perflow(op, &key));
+            export_runs(mb, ChunkClass::Support, op, &key, out);
         }
         Message::GetReportPerflow { op, key } => {
-            stream_chunks(&mut out, op, mb.get_report_perflow(op, &key));
+            export_runs(mb, ChunkClass::Report, op, &key, out);
         }
         Message::PutSupportPerflow { op, chunk, rest } => {
-            out.push(apply_run(mb, op, ChunkClass::Support, chunk, rest));
+            out(apply_run(mb, op, ChunkClass::Support, chunk, rest));
         }
         Message::PutReportPerflow { op, chunk, rest } => {
-            out.push(apply_run(mb, op, ChunkClass::Report, chunk, rest));
+            out(apply_run(mb, op, ChunkClass::Report, chunk, rest));
         }
         Message::DelSupportPerflow { op, key } => {
-            out.push(ack(op, mb.del_support_perflow(&key).map(drop)));
+            out(ack(op, mb.del_support_perflow(&key).map(drop)));
         }
         Message::DelReportPerflow { op, key } => {
-            out.push(ack(op, mb.del_report_perflow(&key).map(drop)));
+            out(ack(op, mb.del_report_perflow(&key).map(drop)));
         }
-        Message::GetSupportShared { op } => out.push(shared_reply(op, mb.get_support_shared(op))),
-        Message::GetReportShared { op } => out.push(shared_reply(op, mb.get_report_shared())),
+        Message::GetSupportShared { op } => out(shared_reply(op, mb.get_support_shared(op))),
+        Message::GetReportShared { op } => out(shared_reply(op, mb.get_report_shared())),
         Message::PutSupportShared { op, chunk } => {
-            out.push(put_shared(mb, log, op, |mb| mb.put_support_shared(chunk)));
+            out(put_shared(mb, log, op, |mb| mb.put_support_shared(chunk)));
         }
         Message::PutReportShared { op, chunk } => {
-            out.push(put_shared(mb, log, op, |mb| mb.put_report_shared(chunk)));
+            out(put_shared(mb, log, op, |mb| mb.put_report_shared(chunk)));
         }
         Message::DeleteState { op, puts } => {
             // Compensating rollback for an aborted clone/merge: restore
@@ -87,26 +103,26 @@ pub fn handle_southbound_logged<M: Middlebox>(
                 None => Ok(0),
             };
             match result {
-                Ok(restored) => out.push(Message::DeleteAck { op, restored }),
-                Err(e) => out.push(Message::ErrorMsg { op, error: e }),
+                Ok(restored) => out(Message::DeleteAck { op, restored }),
+                Err(e) => out(Message::ErrorMsg { op, error: e }),
             }
         }
         Message::GetStats { op, key } => {
-            out.push(Message::Stats { op, stats: mb.stats(&key) });
+            out(Message::Stats { op, stats: mb.stats(&key) });
         }
         Message::EnableEvents { op, filter } => {
             mb.set_introspection(Some(filter));
-            out.push(Message::OpAck { op });
+            out(Message::OpAck { op });
         }
         Message::DisableEvents { op } => {
             mb.set_introspection(None);
-            out.push(Message::OpAck { op });
+            out(Message::OpAck { op });
         }
         Message::ReprocessPacket { op: _, key: _, packet } => {
             let mut fx = Effects::replay();
             mb.process_packet(now, &packet, &mut fx);
             for event in fx.take_events() {
-                out.push(Message::EventMsg { event });
+                out(Message::EventMsg { event });
             }
         }
         Message::EndSync { op } => {
@@ -125,8 +141,8 @@ pub fn handle_southbound_logged<M: Middlebox>(
                 .filter(|data| openmb_store::content_hash(data) == hash)
                 .and_then(|data| wire::split_run_content(data, key, &rest));
             match hit {
-                Some((chunk, rest)) => out.push(apply_run(mb, op, class, chunk, rest)),
-                None => out.push(Message::ChunkNeed { op, hash }),
+                Some((chunk, rest)) => out(apply_run(mb, op, class, chunk, rest)),
+                None => out(Message::ChunkNeed { op, hash }),
             }
         }
         Message::ChunkBody { op, class, key, hash, data, rest } => {
@@ -137,7 +153,7 @@ pub fn handle_southbound_logged<M: Middlebox>(
             // under the hash just verified, not re-hashed by `put`.
             let content = wire::run_content(&data, &rest);
             if openmb_store::content_hash(&content) != hash {
-                out.push(Message::ErrorMsg {
+                out(Message::ErrorMsg {
                     op,
                     error: openmb_types::Error::MalformedChunk(
                         "chunk body does not match its content hash".into(),
@@ -145,21 +161,17 @@ pub fn handle_southbound_logged<M: Middlebox>(
                 });
             } else {
                 log.store().insert_unchecked(hash, content.into_owned());
-                out.push(apply_run(mb, op, class, StateChunk::new(key, data), rest));
+                out(apply_run(mb, op, class, StateChunk::new(key, data), rest));
             }
         }
         batch @ Message::Batch { .. } => {
-            // One frame, many requests: dispatch each in order. Replies
-            // accumulate and the embedding decides whether to coalesce
-            // them back into one frame.
-            batch.for_each_unbatched(|m| {
-                out.extend(handle_southbound_logged(mb, log, m, now));
-            });
+            // One frame, many requests: dispatch each in order. The
+            // embedding decides how the replies are framed.
+            batch.for_each_unbatched(|m| handle_southbound_into(mb, log, m, now, out));
         }
         // MB→controller messages are not requests.
         _ => {}
     }
-    out
 }
 
 /// `OpAck` on success, the error otherwise: the reply to a request that
@@ -172,16 +184,34 @@ fn ack(op: OpId, result: Result<()>) -> Message {
 }
 
 /// The reply to a per-flow get of either class: the records in runs
-/// ([`wire::push_runs`]), in export order, then a `GetAck` carrying the
-/// number of records.
-fn stream_chunks(out: &mut Vec<Message>, op: OpId, result: Result<Vec<StateChunk>>) {
-    match result {
-        Ok(chunks) => {
-            let count = chunks.len();
-            wire::push_runs(out, op, count, chunks);
-            out.push(Message::GetAck { op, count: count as u32 });
+/// ([`wire::RunCutter`]), in export order, each run handed to `out` as
+/// soon as it is cut, then a `GetAck` carrying the number of records.
+/// An export error is the whole reply: it comes before any record.
+fn export_runs<M: Middlebox>(
+    mb: &mut M,
+    class: ChunkClass,
+    op: OpId,
+    key: &HeaderFieldList,
+    out: &mut dyn FnMut(Message),
+) {
+    let (mut cut, mut count) = (None, 0u32);
+    let exported = mb.export_perflow(class, op, key, &mut |n, record| {
+        count += 1;
+        if let Some(run) = cut.get_or_insert_with(|| wire::RunCutter::new(op, n)).push(record) {
+            out(run);
         }
-        Err(e) => out.push(Message::ErrorMsg { op, error: e }),
+    });
+    match exported {
+        Ok(()) => {
+            if let Some(run) = cut.as_mut().and_then(wire::RunCutter::finish) {
+                out(run);
+            }
+            out(Message::GetAck { op, count });
+        }
+        Err(error) => {
+            debug_assert_eq!(count, 0, "an export error after {count} records of {op}");
+            out(Message::ErrorMsg { op, error });
+        }
     }
 }
 

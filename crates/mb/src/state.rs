@@ -126,18 +126,37 @@ pub fn export_with<R: Record>(
     pattern: &HeaderFieldList,
     encode: impl Fn(&R, &FlowKey) -> Vec<u8>,
 ) -> Vec<StateChunk> {
+    let mut chunks = Vec::new();
+    export_into(table, sealer, sync, op, pattern, encode, &mut |n, chunk| {
+        chunks.reserve_exact(n - chunks.len());
+        chunks.push(chunk);
+    });
+    chunks
+}
+
+/// The one export loop: select, sort by key, then mark and seal each
+/// record and hand it to `out` with the number of records the export
+/// holds, before the next is sealed
+/// ([`Middlebox::export_perflow`](crate::Middlebox::export_perflow)).
+/// The pattern is marked in flight once every record has gone.
+pub fn export_into<R: Record>(
+    table: &HashMap<FlowKey, R>,
+    sealer: &Sealer,
+    sync: &mut SyncTracker,
+    op: OpId,
+    pattern: &HeaderFieldList,
+    encode: impl Fn(&R, &FlowKey) -> Vec<u8>,
+    out: &mut dyn FnMut(usize, StateChunk),
+) {
     let mut hits: Vec<(&FlowKey, &R)> =
         table.iter().filter(|(k, _)| R::selected(pattern, k)).collect();
     hits.sort_unstable_by_key(|(k, _)| **k);
-    let chunks = hits
-        .into_iter()
-        .map(|(k, rec)| {
-            sync.mark_moved(*k, op);
-            StateChunk::new(HeaderFieldList::exact(*k), sealer.seal(&encode(rec, k)))
-        })
-        .collect();
+    let n = hits.len();
+    for (k, rec) in hits {
+        sync.mark_moved(*k, op);
+        out(n, StateChunk::new(HeaderFieldList::exact(*k), sealer.seal(&encode(rec, k))));
+    }
     sync.mark_move_pattern(op, *pattern);
-    chunks
 }
 
 /// `put*Perflow`, after the MB has opened and decoded the chunk: the

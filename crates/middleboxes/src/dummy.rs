@@ -18,6 +18,7 @@ use std::net::Ipv4Addr;
 
 use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SyncTracker};
 use openmb_simnet::SimTime;
+use openmb_types::wire::ChunkClass;
 use openmb_types::{
     ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, OpId, Packet,
     Result, StateChunk, StateStats,
@@ -105,6 +106,15 @@ impl DummyMb {
     }
 }
 
+/// How a record leaves on export: as it is, or compressed before it is
+/// sealed.
+fn export_encoding(compress: bool) -> impl Fn(&Vec<u8>, &FlowKey) -> Vec<u8> {
+    move |bytes, _| match compress {
+        true => openmb_types::compress::compress(bytes),
+        false => bytes.clone(),
+    }
+}
+
 impl Middlebox for DummyMb {
     fn mb_type(&self) -> &'static str {
         "dummy"
@@ -127,12 +137,22 @@ impl Middlebox for DummyMb {
     }
 
     fn get_report_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
-        let compress = self.compress_exports;
-        let encode = |bytes: &Vec<u8>, _: &FlowKey| match compress {
-            true => openmb_types::compress::compress(bytes),
-            false => bytes.clone(),
-        };
+        let encode = export_encoding(self.compress_exports);
         Ok(state::export_with(&self.state, &self.sealer, &mut self.sync, op, key, encode))
+    }
+
+    fn export_perflow(
+        &mut self,
+        class: ChunkClass,
+        op: OpId,
+        key: &HeaderFieldList,
+        out: &mut dyn FnMut(usize, StateChunk),
+    ) -> Result<()> {
+        if class == ChunkClass::Report {
+            let encode = export_encoding(self.compress_exports);
+            state::export_into(&self.state, &self.sealer, &mut self.sync, op, key, encode, out);
+        }
+        Ok(())
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {

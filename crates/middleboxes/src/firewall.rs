@@ -15,7 +15,7 @@ use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::wire::{Reader, Writer};
+use openmb_types::wire::{ChunkClass, Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
     OpId, Packet, Proto, Result, StateChunk, StateStats,
@@ -212,6 +212,20 @@ impl Middlebox for Firewall {
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
         Ok(state::export(&self.conntrack, &self.sealer, &mut self.sync, op, key))
+    }
+
+    fn export_perflow(
+        &mut self,
+        class: ChunkClass,
+        op: OpId,
+        key: &HeaderFieldList,
+        out: &mut dyn FnMut(usize, StateChunk),
+    ) -> Result<()> {
+        if class == ChunkClass::Support {
+            let (table, sealer) = (&self.conntrack, &self.sealer);
+            state::export_into(table, sealer, &mut self.sync, op, key, Record::encode, out);
+        }
+        Ok(())
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {

@@ -59,7 +59,7 @@ use openmb_mb::{
 };
 use openmb_simnet::SimTime;
 use openmb_types::packet::tcp_flags;
-use openmb_types::wire::{Reader, Writer};
+use openmb_types::wire::{ChunkClass, Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
     OpId, Packet, Proto, Result, StateChunk, StateStats,
@@ -611,6 +611,20 @@ impl Middlebox for Ips {
 
     fn get_support_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
         Ok(state::export(&self.conns, &self.sealer, &mut self.sync, op, key))
+    }
+
+    fn export_perflow(
+        &mut self,
+        class: ChunkClass,
+        op: OpId,
+        key: &HeaderFieldList,
+        out: &mut dyn FnMut(usize, StateChunk),
+    ) -> Result<()> {
+        if class == ChunkClass::Support {
+            let (table, sealer) = (&self.conns, &self.sealer);
+            state::export_into(table, sealer, &mut self.sync, op, key, Record::encode, out);
+        }
+        Ok(())
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {

@@ -21,7 +21,7 @@ use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::SimTime;
-use openmb_types::wire::{Event, Reader, Writer};
+use openmb_types::wire::{ChunkClass, Event, Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
     OpId, Packet, Proto, Result, StateChunk, StateStats,
@@ -268,6 +268,20 @@ impl Middlebox for Monitor {
     // the full (canonical) 5-tuple, so any pattern is valid.
     fn get_report_perflow(&mut self, op: OpId, key: &HeaderFieldList) -> Result<Vec<StateChunk>> {
         Ok(state::export(&self.assets, &self.sealer, &mut self.sync, op, key))
+    }
+
+    fn export_perflow(
+        &mut self,
+        class: ChunkClass,
+        op: OpId,
+        key: &HeaderFieldList,
+        out: &mut dyn FnMut(usize, StateChunk),
+    ) -> Result<()> {
+        if class == ChunkClass::Report {
+            let (table, sealer) = (&self.assets, &self.sealer);
+            state::export_into(table, sealer, &mut self.sync, op, key, Record::encode, out);
+        }
+        Ok(())
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {

@@ -16,6 +16,10 @@
 //! and replay mode, with and without moved marks (the sync-window raise
 //! path and the quiet one-check-per-run path).
 //!
+//! `export_perflow_matches_the_vec_gets` holds the streamed per-flow
+//! get (`Middlebox::export_perflow`, overridden by the middleboxes on
+//! the state kit) to the `Vec` one on every type.
+//!
 //! A last pass over the same nine types pins each one's state-export
 //! behaviour across builds (`export_digests_are_pinned`): the sealed
 //! bytes, their order, every error string and the stats accounting are
@@ -29,6 +33,7 @@ use openmb_middleboxes::{
 };
 use openmb_simnet::SimTime;
 use openmb_types::crypto::VendorKey;
+use openmb_types::wire::ChunkClass;
 use openmb_types::{
     EncryptedChunk, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix, OpId, Packet, Proto,
     Result, StateChunk,
@@ -281,6 +286,78 @@ fn nightly_batch_1024_sweep() {
         sweep_all(seed, 1024, false);
         sweep_all(seed, 1024, true);
     }
+}
+
+/// The streamed per-flow get (`export_perflow`) against the `Vec` one
+/// (`get_*_perflow`) on two identical instances of `mk`'s type, for both
+/// per-flow classes and three patterns: the same records — keys, sealed
+/// bytes, order — each handed over with the get's size, or the same
+/// error with nothing handed over; and the same moved marks, read as
+/// what a follow-up train does on each.
+fn check_export_perflow<M: Middlebox>(name: &str, mk: impl Fn() -> M) {
+    let flows = flow_pool();
+    let now = SimTime(1_000_000);
+    let any = HeaderFieldList::any();
+    let subnet = HeaderFieldList::from_src_subnet(IpPrefix::new(Ipv4Addr::new(10, 0, 0, 2), 32));
+    for class in [ChunkClass::Support, ChunkClass::Report] {
+        for pattern in [any, subnet, HeaderFieldList::exact(flows[0])] {
+            let ctx = format!("{name} {class:?} {pattern:?}");
+            let (mut gets, mut streams) = (mk(), mk());
+            let (mut rng, mut next_id) = (Rng::new(20), 1);
+            let train = gen_train(&mut rng, &flows, 128, &mut next_id);
+            let mut fx = Effects::normal();
+            gets.process_batch(now, &train, &mut fx);
+            streams.process_batch(now, &train, &mut fx);
+            fx.reset();
+
+            let op = OpId(7);
+            let want = match class {
+                ChunkClass::Support => gets.get_support_perflow(op, &pattern),
+                _ => gets.get_report_perflow(op, &pattern),
+            };
+            let mut got = Vec::new();
+            let streamed =
+                streams.export_perflow(class, op, &pattern, &mut |n, c| got.push((n, c)));
+            match want {
+                Ok(chunks) => {
+                    streamed.expect(&ctx);
+                    assert!(got.iter().all(|(n, _)| *n == chunks.len()), "{ctx}: get size");
+                    let got: Vec<StateChunk> = got.into_iter().map(|(_, c)| c).collect();
+                    assert_eq!(got, chunks, "{ctx}: records");
+                }
+                Err(e) => {
+                    assert_eq!(streamed, Err(e), "{ctx}: error");
+                    assert!(got.is_empty(), "{ctx}: records handed over before the error");
+                }
+            }
+
+            let after = gen_train(&mut rng, &flows, 64, &mut next_id);
+            let (mut a, mut b) = (Effects::normal(), Effects::normal());
+            gets.process_batch(now, &after, &mut a);
+            streams.process_batch(now, &after, &mut b);
+            assert_eq!(snap(&mut a), snap(&mut b), "{ctx}: moved marks");
+            assert_eq!(gets.stats(&any), streams.stats(&any), "{ctx}: stats");
+        }
+    }
+}
+
+#[test]
+fn export_perflow_matches_the_vec_gets() {
+    let ext = Ipv4Addr::new(198, 51, 100, 1);
+    check_export_perflow("dummy", DummyMb::new);
+    check_export_perflow("dummy, compressed", || {
+        let mut d = DummyMb::new();
+        d.compress_exports = true;
+        d
+    });
+    check_export_perflow("firewall", Firewall::new);
+    check_export_perflow("ips", Ips::new);
+    check_export_perflow("lb", || LoadBalancer::new(vip(), &backends()));
+    check_export_perflow("monitor", Monitor::new);
+    check_export_perflow("nat", || Nat::new(ext));
+    check_export_perflow("proxy", || Proxy::new(64));
+    check_export_perflow("re-encoder", || ReEncoder::new(1 << 16));
+    check_export_perflow("re-decoder", || ReDecoder::new(1 << 16));
 }
 
 /// Everything a state operation can return, appended to a transcript:

@@ -102,9 +102,12 @@ const SEND_STALL: Duration = Duration::from_millis(20);
 
 /// Right after a frame, how long the next `recv_timeout` polls the
 /// socket (non-blocking reads, yielding the CPU between them) before it
-/// blocks. A request/reply exchange in lock step — a windowed state
-/// transfer is ~250 of them — has its next frame on the way within the
-/// peer's service time (~100 µs for a 64-chunk window), while blocking
+/// blocks. The frames of a state transfer follow each other closely —
+/// a 4 000-flow move over loopback is about 60 frames on its two links:
+/// the source's run frames as it seals them, the references the
+/// controller puts for each and the destination's acks — so the next
+/// one is on the way within the peer's service time (~100 µs for a
+/// frame of a few dozen runs), while blocking
 /// costs a cross-CPU wake-up per frame whose price on a virtual machine
 /// is 5-100 µs *depending on where the scheduler put the two threads*:
 /// measured run to run, that made one binary's move take anything from

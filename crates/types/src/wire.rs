@@ -1140,32 +1140,63 @@ pub fn run_len(records: usize) -> usize {
     records.div_ceil(GET_RUNS).clamp(1, RUN_FLOWS)
 }
 
+/// Cuts the records of one get, in export order, into runs under its
+/// op as they arrive: a run closes after [`run_len`]`(get_len)`
+/// records. The one place the run boundary rule lives: every
+/// embedding's get reply goes through here, whole ([`push_runs`]) or a
+/// record at a time (the southbound dispatcher, which hands each run
+/// on while the middlebox is still sealing the next).
+pub struct RunCutter {
+    op: OpId,
+    max: usize,
+    open: Option<(StateChunk, Vec<StateChunk>)>,
+}
+
+impl RunCutter {
+    /// A cutter for get `op` of `get_len` records in all.
+    pub fn new(op: OpId, get_len: usize) -> Self {
+        RunCutter { op, max: run_len(get_len), open: None }
+    }
+
+    /// Add the next record: the run it completes, if it completes one.
+    pub fn push(&mut self, record: StateChunk) -> Option<Message> {
+        let len = match &mut self.open {
+            Some((_, rest)) => {
+                rest.push(record);
+                1 + rest.len()
+            }
+            None => {
+                self.open = Some((record, Vec::new()));
+                1
+            }
+        };
+        if len == self.max {
+            self.finish()
+        } else {
+            None
+        }
+    }
+
+    /// The open run, cut short: the last run of the get (or of a DES
+    /// service quantum's slice).
+    pub fn finish(&mut self) -> Option<Message> {
+        let (chunk, rest) = self.open.take()?;
+        Some(Message::run(self.op, chunk, rest))
+    }
+}
+
 /// Cut `records` — consecutive records, in export order, of a get of
 /// `get_len` records in all — into runs under `op` and push one message
-/// per run to `out` ([`Message::run`]). A run closes after
-/// [`run_len`]`(get_len)` records. The one place the run boundary rule
-/// lives: every embedding's get reply goes through here.
+/// per run to `out` ([`Message::run`]), through one [`RunCutter`].
 pub fn push_runs(
     out: &mut Vec<Message>,
     op: OpId,
     get_len: usize,
     records: impl IntoIterator<Item = StateChunk>,
 ) {
-    let max = run_len(get_len);
-    let mut open: Option<(StateChunk, Vec<StateChunk>)> = None;
-    for record in records {
-        match &mut open {
-            Some((_, rest)) if rest.len() + 1 < max => rest.push(record),
-            _ => {
-                if let Some((chunk, rest)) = open.replace((record, Vec::new())) {
-                    out.push(Message::run(op, chunk, rest));
-                }
-            }
-        }
-    }
-    if let Some((chunk, rest)) = open {
-        out.push(Message::run(op, chunk, rest));
-    }
+    let mut cut = RunCutter::new(op, get_len);
+    out.extend(records.into_iter().filter_map(|r| cut.push(r)));
+    out.extend(cut.finish());
 }
 
 /// What a run's content hash covers and a destination's content store
@@ -1465,6 +1496,34 @@ mod tests {
         assert_eq!(lens(10_000, 40), [16, 16, 8]);
         // Only the slice handed over is cut: a DES service quantum.
         assert_eq!(lens(10_000, 5), [5]);
+    }
+
+    /// A cutter fed a record at a time hands over each run the moment
+    /// its last record arrives, and the same runs `push_runs` cuts.
+    #[test]
+    fn run_cutter_closes_a_run_on_its_last_record() {
+        let key = VendorKey::derive("t");
+        let rec = |i: u64| {
+            StateChunk::new(
+                HeaderFieldList::from_dst_port(i as u16),
+                EncryptedChunk::seal(&key, i, &[0; 8]),
+            )
+        };
+        for get_len in [0, 1, 31, 32, 33, 511, 512, 513, 4_000] {
+            let mut cut = RunCutter::new(OpId(3), get_len);
+            let mut runs = Vec::new();
+            for i in 0..get_len as u64 {
+                if let Some(run) = cut.push(rec(i)) {
+                    assert_eq!(run.run_keys().last(), Some(&rec(i).key), "get of {get_len}");
+                    runs.push(run);
+                }
+            }
+            runs.extend(cut.finish());
+            assert!(cut.finish().is_none());
+            let mut whole = Vec::new();
+            push_runs(&mut whole, OpId(3), get_len, (0..get_len as u64).map(rec));
+            assert_eq!(runs, whole, "get of {get_len}");
+        }
     }
 
     /// `run_content` and `split_run_content` are inverses, and a store
