@@ -24,7 +24,7 @@
 
 use openmb_core::app::{Api, ControlApp};
 use openmb_core::chain::{ChainHop, ChainSpec};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_core::placement::{select_destination, PlacementCandidate};
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::{Error, HeaderFieldList, MbId, NodeId, OpId};
@@ -151,7 +151,7 @@ impl ControlApp for ChainRelocateApp {
             .map(|(s, c)| ChainHop { src: s.current.mb, dst: c.mb })
             .collect();
         self.placed = placed;
-        self.chain = Some(api.chain_move(ChainSpec::new(self.pattern, hops)));
+        self.chain = Some(api.submit(Request::ChainMove(ChainSpec::new(self.pattern, hops))));
     }
 
     fn on_completion(&mut self, api: &mut Api<'_>, c: &Completion) {

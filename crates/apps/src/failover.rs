@@ -16,11 +16,11 @@
 use std::collections::HashMap;
 
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_middleboxes::nat::{EVENT_MAPPING_CREATED, EVENT_MAPPING_EXPIRED};
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::wire::EventFilter;
-use openmb_types::{ConfigValue, FlowKey, MbId, OpId};
+use openmb_types::{ConfigValue, FlowKey, HierarchicalKey, MbId, OpId};
 
 use crate::migration::RouteSpec;
 
@@ -80,13 +80,13 @@ impl ControlApp for NatFailoverApp {
     fn on_start(&mut self, api: &mut Api<'_>) {
         // Subscribe only to the mapping lifecycle codes (the §4.2.2
         // code-based filter keeps controller load bounded).
-        api.enable_events(
-            self.primary,
-            EventFilter {
+        api.submit(Request::EnableEvents {
+            mb: self.primary,
+            filter: EventFilter {
                 codes: Some(vec![EVENT_MAPPING_CREATED, EVENT_MAPPING_EXPIRED]),
                 key: None,
             },
-        );
+        });
         api.set_timer(self.fail_at, T_FAIL);
     }
 
@@ -158,11 +158,11 @@ impl ControlApp for NatFailoverApp {
 
 impl NatFailoverApp {
     fn write_mapping(&mut self, api: &mut Api<'_>, internal: FlowKey, ext_port: u16, attempt: u32) {
-        let op = api.write_config(
-            self.standby,
-            &format!("static_mappings/{ext_port}"),
-            vec![ConfigValue::Str(openmb_middleboxes::Nat::mapping_spec(&internal))],
-        );
+        let op = api.submit(Request::WriteConfig {
+            mb: self.standby,
+            key: HierarchicalKey::parse(&format!("static_mappings/{ext_port}")),
+            values: vec![ConfigValue::Str(openmb_middleboxes::Nat::mapping_spec(&internal))],
+        });
         self.pending.insert(op, (internal, ext_port, attempt));
     }
 

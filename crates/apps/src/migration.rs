@@ -12,11 +12,30 @@
 //!   the two data centers.
 
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::{ConfigValue, HeaderFieldList, MbId, NodeId, OpId};
+use openmb_types::{ConfigValue, HeaderFieldList, HierarchicalKey, MbId, NodeId, OpId};
 
 const T_TRIGGER: u64 = 1;
+
+/// Write a whole configuration previously read from the root key
+/// (`*`) onto `dst` — the §6 clone idiom: one independent
+/// `writeConfig` per pair, in order. Returns the op of the last write,
+/// or `None` when there is nothing to write (an instance with an empty
+/// configuration tree), in which case no `Ack` will come and the caller
+/// goes straight on.
+pub fn write_config_all(
+    api: &mut Api<'_>,
+    dst: MbId,
+    pairs: &[(HierarchicalKey, Vec<ConfigValue>)],
+) -> Option<OpId> {
+    let mut last = None;
+    for (key, values) in pairs {
+        let write = Request::WriteConfig { mb: dst, key: key.clone(), values: values.clone() };
+        last = Some(api.submit(write));
+    }
+    last
+}
 
 /// The route the app installs once state movement completes.
 #[derive(Debug, Clone)]
@@ -73,7 +92,8 @@ impl ControlApp for FlowMoveApp {
     fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
         if token == T_TRIGGER {
             self.started_at = Some(api.now());
-            self.move_op = Some(api.move_internal(self.src_mb, self.dst_mb, self.pattern));
+            let (src, dst, key) = (self.src_mb, self.dst_mb, self.pattern);
+            self.move_op = Some(api.submit(Request::Move { src, dst, key }));
         }
     }
 
@@ -156,6 +176,14 @@ impl ReMigrationApp {
     pub fn is_done(&self) -> bool {
         self.phase == RePhase::Done
     }
+
+    /// Step 2: clone the original decoder's cache.
+    fn clone_cache(&mut self, api: &mut Api<'_>) {
+        self.phase = RePhase::CloneCache;
+        let op = api.submit(Request::Clone { src: self.orig_dec, dst: self.new_dec });
+        self.clone_op = Some(op);
+        self.pending = Some(op);
+    }
 }
 
 impl ControlApp for ReMigrationApp {
@@ -167,7 +195,8 @@ impl ControlApp for ReMigrationApp {
         if token == T_TRIGGER && self.phase == RePhase::Idle {
             // Step 1a: read the original decoder's whole configuration.
             self.phase = RePhase::ReadConfig;
-            self.pending = Some(api.read_config(self.orig_dec, "*"));
+            let read = Request::ReadConfig { mb: self.orig_dec, key: HierarchicalKey::root() };
+            self.pending = Some(api.submit(read));
         }
     }
 
@@ -179,21 +208,21 @@ impl ControlApp for ReMigrationApp {
             (RePhase::ReadConfig, Completion::Config { pairs, .. }) => {
                 // Step 1b: duplicate configuration onto the new decoder.
                 self.phase = RePhase::WriteConfig;
-                self.pending = api.write_config_all(self.new_dec, pairs);
+                self.pending = write_config_all(api, self.new_dec, pairs);
+                if self.pending.is_none() {
+                    self.clone_cache(api);
+                }
             }
-            (RePhase::WriteConfig, Completion::Ack { .. }) => {
-                // Step 2: clone the original decoder's cache.
-                self.phase = RePhase::CloneCache;
-                let op = api.clone_support(self.orig_dec, self.new_dec);
-                self.clone_op = Some(op);
-                self.pending = Some(op);
-            }
+            (RePhase::WriteConfig, Completion::Ack { .. }) => self.clone_cache(api),
             (RePhase::CloneCache, Completion::CloneComplete { .. }) => {
                 // Step 3: second cache at the encoder (internally cloned
                 // from the original, fingerprints included).
                 self.phase = RePhase::AddEncoderCache;
-                self.pending =
-                    Some(api.write_config(self.encoder, "NumCaches", vec![ConfigValue::Int(2)]));
+                self.pending = Some(api.submit(Request::WriteConfig {
+                    mb: self.encoder,
+                    key: HierarchicalKey::parse("NumCaches"),
+                    values: vec![ConfigValue::Int(2)],
+                }));
             }
             (RePhase::AddEncoderCache, Completion::Ack { .. }) => {
                 // Step 4: routing — traffic for DC B now goes via the
@@ -203,14 +232,14 @@ impl ControlApp for ReMigrationApp {
                 assert!(ok, "RE migration route must exist");
                 // Step 5: tell the encoder which cache serves which DC.
                 self.phase = RePhase::RouteUpdated;
-                self.pending = Some(api.write_config(
-                    self.encoder,
-                    "CacheFlows",
-                    vec![
+                self.pending = Some(api.submit(Request::WriteConfig {
+                    mb: self.encoder,
+                    key: HierarchicalKey::parse("CacheFlows"),
+                    values: vec![
                         ConfigValue::Str(self.dc_a_prefix.clone()),
                         ConfigValue::Str(self.dc_b_prefix.clone()),
                     ],
-                ));
+                }));
             }
             (RePhase::RouteUpdated, Completion::Ack { .. }) => {
                 // The encoder has switched caches: the original decoder's

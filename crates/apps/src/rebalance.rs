@@ -10,7 +10,7 @@
 //! a Stratos-style scaling manager (the paper's reference 20) would drive.
 
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::{HeaderFieldList, MbId, OpId};
 
@@ -80,7 +80,7 @@ impl RebalanceApp {
 
     fn request_next_stats(&mut self, api: &mut Api<'_>) {
         let key = self.candidates[self.next_candidate];
-        self.pending = Some(api.stats(self.loaded, key));
+        self.pending = Some(api.submit(Request::Stats { mb: self.loaded, key }));
     }
 }
 
@@ -92,7 +92,8 @@ impl ControlApp for RebalanceApp {
     fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
         if token == T_TRIGGER && self.phase == Phase::Idle {
             self.phase = Phase::TotalStats;
-            self.pending = Some(api.stats(self.loaded, HeaderFieldList::any()));
+            self.pending =
+                Some(api.submit(Request::Stats { mb: self.loaded, key: HeaderFieldList::any() }));
         }
     }
 
@@ -124,7 +125,11 @@ impl ControlApp for RebalanceApp {
                 let subset = self.candidates[best];
                 self.chosen = Some(subset);
                 self.phase = Phase::Move;
-                self.pending = Some(api.move_internal(self.loaded, self.peer, subset));
+                self.pending = Some(api.submit(Request::Move {
+                    src: self.loaded,
+                    dst: self.peer,
+                    key: subset,
+                }));
             }
             (Phase::Move, Completion::MoveComplete { chunks_moved, .. }) => {
                 self.chunks_moved = Some(*chunks_moved);

@@ -9,11 +9,11 @@
 //! all flows to the survivor, and only then deprecate the instance.
 
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::{HeaderFieldList, MbId, OpId, StateStats};
+use openmb_types::{HeaderFieldList, HierarchicalKey, MbId, OpId, StateStats};
 
-use crate::migration::RouteSpec;
+use crate::migration::{write_config_all, RouteSpec};
 
 const T_TRIGGER: u64 = 1;
 
@@ -68,6 +68,12 @@ impl ScaleUpApp {
     pub fn is_done(&self) -> bool {
         self.phase == UpPhase::Done
     }
+
+    /// Step 2: how much per-flow state exists for the subset?
+    fn query_stats(&mut self, api: &mut Api<'_>) {
+        self.phase = UpPhase::Stats;
+        self.pending = Some(api.submit(Request::Stats { mb: self.existing, key: self.subset }));
+    }
 }
 
 impl ControlApp for ScaleUpApp {
@@ -79,7 +85,8 @@ impl ControlApp for ScaleUpApp {
         if token == T_TRIGGER && self.phase == UpPhase::Idle {
             // Step 1a: duplicate configuration from the existing instance.
             self.phase = UpPhase::CopyConfig;
-            self.pending = Some(api.read_config(self.existing, "*"));
+            let read = Request::ReadConfig { mb: self.existing, key: HierarchicalKey::root() };
+            self.pending = Some(api.submit(read));
         }
     }
 
@@ -90,19 +97,18 @@ impl ControlApp for ScaleUpApp {
         match (self.phase, c) {
             (UpPhase::CopyConfig, Completion::Config { pairs, .. }) => {
                 self.phase = UpPhase::WriteConfig;
-                self.pending = api.write_config_all(self.new_instance, pairs);
+                self.pending = write_config_all(api, self.new_instance, pairs);
+                if self.pending.is_none() {
+                    self.query_stats(api);
+                }
             }
-            (UpPhase::WriteConfig, Completion::Ack { .. }) => {
-                // Step 2: how much per-flow state exists for the subset?
-                self.phase = UpPhase::Stats;
-                self.pending = Some(api.stats(self.existing, self.subset));
-            }
+            (UpPhase::WriteConfig, Completion::Ack { .. }) => self.query_stats(api),
             (UpPhase::Stats, Completion::Stats { stats, .. }) => {
                 self.observed_stats = Some(*stats);
                 // Step 3: move the subset.
                 self.phase = UpPhase::Move;
-                self.pending =
-                    Some(api.move_internal(self.existing, self.new_instance, self.subset));
+                let (src, dst, key) = (self.existing, self.new_instance, self.subset);
+                self.pending = Some(api.submit(Request::Move { src, dst, key }));
             }
             (UpPhase::Move, Completion::MoveComplete { chunks_moved, .. }) => {
                 self.chunks_moved = Some(*chunks_moved);
@@ -187,14 +193,15 @@ impl ControlApp for ScaleDownApp {
             T_TRIGGER if self.phase == DownPhase::Idle => {
                 // Step 1: transfer all per-flow reporting state.
                 self.phase = DownPhase::MoveAll;
-                self.pending =
-                    Some(api.move_internal(self.deprecated, self.survivor, HeaderFieldList::any()));
+                let (src, dst, key) = (self.deprecated, self.survivor, HeaderFieldList::any());
+                self.pending = Some(api.submit(Request::Move { src, dst, key }));
             }
             T_DRAIN if self.phase == DownPhase::Draining => {
                 // Step 3: the deprecated instance is quiet — merge its
                 // shared reporting state into the survivor.
                 self.phase = DownPhase::Merge;
-                self.pending = Some(api.merge_internal(self.deprecated, self.survivor));
+                self.pending =
+                    Some(api.submit(Request::Merge { src: self.deprecated, dst: self.survivor }));
             }
             _ => {}
         }

@@ -404,7 +404,7 @@ fn nat_failover_preserves_mappings_and_ports() {
 fn introspection_code_filter_limits_events() {
     use openmb_apps::scenarios::layout::*;
     use openmb_core::app::{Api, ControlApp};
-    use openmb_core::Completion;
+    use openmb_core::{Completion, Request};
     use openmb_middleboxes::lb::EVENT_FLOW_ASSIGNED;
     use openmb_middleboxes::LoadBalancer;
 
@@ -413,10 +413,10 @@ fn introspection_code_filter_limits_events() {
         fn on_start(&mut self, api: &mut Api<'_>) {
             // Subscribe only to a code the LB never raises: nothing
             // should reach the app even though assignments happen.
-            api.enable_events(
-                MB_A_ID,
-                openmb_types::wire::EventFilter { codes: Some(vec![9999]), key: None },
-            );
+            api.submit(Request::EnableEvents {
+                mb: MB_A_ID,
+                filter: openmb_types::wire::EventFilter { codes: Some(vec![9999]), key: None },
+            });
         }
     }
     let backends = [ip(10, 0, 0, 1), ip(10, 0, 0, 2)];
@@ -445,4 +445,57 @@ fn introspection_code_filter_limits_events() {
         ctrl.completions.iter().filter(|(_, c)| matches!(c, Completion::MbEvent { .. })).count();
     assert_eq!(delivered, 0, "code filter must suppress non-matching events");
     let _ = EVENT_FLOW_ASSIGNED;
+}
+
+/// §6.2 scale-up from an instance whose configuration tree is empty:
+/// `readConfig(*)` returns no pairs, so there is nothing to write and
+/// no `Ack` to wait for; the app must go straight on to `stats`, the
+/// move and the reroute, and finish.
+#[test]
+fn scale_up_from_a_config_less_instance_reaches_done() {
+    use std::sync::{Arc, Mutex};
+
+    use openmb_apps::scenarios::layout::*;
+    use openmb_core::app::{Api, ControlApp};
+    use openmb_core::Completion;
+    use openmb_middleboxes::DummyMb;
+
+    /// Hosts the app while the test keeps a handle to read it back.
+    struct Shared(Arc<Mutex<ScaleUpApp>>);
+    impl ControlApp for Shared {
+        fn on_start(&mut self, api: &mut Api<'_>) {
+            self.0.lock().unwrap().on_start(api);
+        }
+        fn on_completion(&mut self, api: &mut Api<'_>, c: &Completion) {
+            self.0.lock().unwrap().on_completion(api, c);
+        }
+        fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
+            self.0.lock().unwrap().on_timer(api, token);
+        }
+    }
+
+    let any = HeaderFieldList::any();
+    let app = Arc::new(Mutex::new(ScaleUpApp::new(
+        MB_A_ID,
+        MB_B_ID,
+        any,
+        SimDuration::from_millis(100),
+        RouteSpec { pattern: any, priority: 10, src: SRC, waypoints: vec![MB_B], dst: DST },
+    )));
+    let mut setup = two_mb_scenario(
+        DummyMb::preloaded(8),
+        DummyMb::new(),
+        Box::new(Shared(Arc::clone(&app))),
+        ScenarioParams::default(),
+    );
+    setup.sim.run(1_000_000_000);
+    let app = app.lock().unwrap();
+    assert!(app.is_done(), "a config-less source left scale-up stuck before stats");
+    assert_eq!(app.chunks_moved, Some(8));
+    let ctrl: &openmb_core::nodes::ControllerNode = setup.sim.node_as(setup.controller);
+    let config = ctrl.completions.iter().find_map(|(_, c)| match c {
+        Completion::Config { pairs, .. } => Some(pairs.len()),
+        _ => None,
+    });
+    assert_eq!(config, Some(0), "the source's configuration tree is empty");
 }

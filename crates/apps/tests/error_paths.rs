@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 
 use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_core::nodes::{ControllerNode, MbNode};
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::{LoadBalancer, Monitor};
@@ -32,7 +32,7 @@ impl ControlApp for MoveOnce {
 
     fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
         if token == T_MOVE {
-            let _ = api.move_internal(self.src, self.dst, self.pattern);
+            let _ = api.submit(Request::Move { src: self.src, dst: self.dst, key: self.pattern });
         }
     }
 }

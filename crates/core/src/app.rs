@@ -7,14 +7,20 @@
 //! both sides plus timers, so an application can express sequences like
 //! "move state, and only once the move completes, update routing"
 //! (requirement R4).
+//!
+//! The MB side is the one northbound vocabulary every embedding
+//! shares: [`Api::submit`] takes a [`Request`] and returns its op,
+//! whose [`Completion`] arrives in [`ControlApp::on_completion`];
+//! [`Api::end_op`] closes a transfer early. Compositions of requests
+//! (the §6 "copy the whole configuration" idiom, say) belong to the
+//! application, not to this API.
 
 use openmb_openflow::Topology;
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::sdn::SdnMessage;
-use openmb_types::wire::EventFilter;
-use openmb_types::{ConfigValue, HeaderFieldList, HierarchicalKey, MbId, NodeId, OpId};
+use openmb_types::{HeaderFieldList, MbId, NodeId, OpId};
 
-use crate::controller::{Action, Completion, ControllerCore};
+use crate::controller::{Action, Completion, ControllerCore, Request};
 
 /// A scenario-specific control application hosted on the controller.
 pub trait ControlApp {
@@ -82,80 +88,16 @@ impl<'a> Api<'a> {
 
     // ---- northbound API (§5) ----
 
-    /// `readConfig(SrcMB, key)`; completes with [`Completion::Config`].
-    pub fn read_config(&mut self, src: MbId, key: &str) -> OpId {
-        self.ctx.core.read_config(src, HierarchicalKey::parse(key), self.ctx.now, self.ctx.actions)
+    /// Open the op `req` asks for ([`ControllerCore::submit`]); its
+    /// [`Completion`] reaches [`ControlApp::on_completion`].
+    pub fn submit(&mut self, req: Request) -> OpId {
+        self.ctx.core.submit(req, self.ctx.now, self.ctx.actions)
     }
 
-    /// `writeConfig(DstMB, key, values)`; completes with
-    /// [`Completion::Ack`].
-    pub fn write_config(&mut self, dst: MbId, key: &str, values: Vec<ConfigValue>) -> OpId {
-        self.ctx.core.write_config(
-            dst,
-            HierarchicalKey::parse(key),
-            values,
-            self.ctx.now,
-            self.ctx.actions,
-        )
-    }
-
-    /// Write a whole configuration previously read with
-    /// `read_config(_, "*")` — the §6 clone idiom. Returns the op of the
-    /// last write (all writes are independent).
-    pub fn write_config_all(
-        &mut self,
-        dst: MbId,
-        pairs: &[(HierarchicalKey, Vec<ConfigValue>)],
-    ) -> Option<OpId> {
-        let mut last = None;
-        for (k, v) in pairs {
-            last = Some(self.ctx.core.write_config(
-                dst,
-                k.clone(),
-                v.clone(),
-                self.ctx.now,
-                self.ctx.actions,
-            ));
-        }
-        last
-    }
-
-    /// `stats(SrcMB, key)`; completes with [`Completion::Stats`].
-    pub fn stats(&mut self, src: MbId, key: HeaderFieldList) -> OpId {
-        self.ctx.core.stats(src, key, self.ctx.now, self.ctx.actions)
-    }
-
-    /// `moveInternal(SrcMB, DstMB, key)`; completes with
-    /// [`Completion::MoveComplete`].
+    /// `moveInternal`: [`Api::submit`] of a [`Request::Move`], kept for
+    /// the benchmark's existing call site.
     pub fn move_internal(&mut self, src: MbId, dst: MbId, key: HeaderFieldList) -> OpId {
-        self.ctx.core.move_internal(src, dst, key, self.ctx.now, self.ctx.actions)
-    }
-
-    /// `cloneSupport(SrcMB, DstMB)`; completes with
-    /// [`Completion::CloneComplete`].
-    pub fn clone_support(&mut self, src: MbId, dst: MbId) -> OpId {
-        self.ctx.core.clone_support(src, dst, self.ctx.now, self.ctx.actions)
-    }
-
-    /// `mergeInternal(SrcMB, DstMB)`; completes with
-    /// [`Completion::MergeComplete`].
-    pub fn merge_internal(&mut self, src: MbId, dst: MbId) -> OpId {
-        self.ctx.core.merge_internal(src, dst, self.ctx.now, self.ctx.actions)
-    }
-
-    /// Chain-wide atomic move (see
-    /// [`crate::controller::ControllerCore::chain_move`]); commits with
-    /// [`Completion::ChainComplete`] once every hop's move finishes, or
-    /// fails with [`Completion::Failed`] after rolling completed hops
-    /// back. Applications repoint routing only on the chain completion,
-    /// never on the per-hop `MoveComplete`s.
-    pub fn chain_move(&mut self, spec: crate::chain::ChainSpec) -> OpId {
-        self.ctx.core.chain_move(spec, self.ctx.now, self.ctx.actions)
-    }
-
-    /// Subscribe to introspection events from `mb` (§4.2.2).
-    pub fn enable_events(&mut self, mb: MbId, filter: EventFilter) -> OpId {
-        self.ctx.core.enable_events(mb, filter, self.ctx.now, self.ctx.actions)
+        self.submit(Request::Move { src, dst, key })
     }
 
     /// Explicitly close a move/clone/merge transaction (see

@@ -10,7 +10,7 @@
 //! flow group split across generations, which no routing update can
 //! express.
 //!
-//! [`crate::controller::ControllerCore::chain_move`] runs a
+//! [`crate::controller::Request::ChainMove`] runs a
 //! [`ChainSpec`] as one transaction:
 //!
 //! * **Admission is whole-chain.** Every hop's `(flowspace, src, dst)`

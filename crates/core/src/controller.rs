@@ -108,7 +108,7 @@ pub enum Completion {
     CloneComplete { op: OpId },
     /// `mergeInternal` finished.
     MergeComplete { op: OpId },
-    /// A chain move ([`crate::controller::ControllerCore::chain_move`])
+    /// A chain move ([`Request::ChainMove`])
     /// committed: every hop's per-flow move completed. Until this fires
     /// the chain can still abort and roll every hop back, so
     /// applications must not repoint routing on the individual hops'
@@ -147,6 +147,65 @@ impl Completion {
             | Completion::Failed { op, .. } => Some(*op),
             Completion::MbEvent { .. } => None,
         }
+    }
+}
+
+/// One northbound request (§5): the whole vocabulary a control program
+/// speaks, whatever hosts the controller. [`ControllerCore::submit`]
+/// routes it; the DES [`crate::app::Api::submit`] and the blocking
+/// [`crate::tcp::TcpController::call`] hand it over unchanged.
+///
+/// Every variant opens an op and ends in one [`Completion`].
+/// [`ControllerCore::end_op`] is not a request: it closes an op rather
+/// than opening one, and nothing completes it, so a blocking call would
+/// have nothing to wait for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// `readConfig(SrcMB, key)`; completes with [`Completion::Config`].
+    ReadConfig { mb: MbId, key: HierarchicalKey },
+    /// `writeConfig(DstMB, key, values)`; completes with
+    /// [`Completion::Ack`].
+    WriteConfig { mb: MbId, key: HierarchicalKey, values: Vec<ConfigValue> },
+    /// `delConfig(DstMB, key)`; completes with [`Completion::Ack`].
+    DelConfig { mb: MbId, key: HierarchicalKey },
+    /// `stats(SrcMB, key)`; completes with [`Completion::Stats`].
+    Stats { mb: MbId, key: HeaderFieldList },
+    /// Subscribe to `mb`'s introspection events (§4.2.2); completes
+    /// with [`Completion::Ack`], then events arrive as
+    /// [`Completion::MbEvent`].
+    EnableEvents { mb: MbId, filter: EventFilter },
+    /// `moveInternal(SrcMB, DstMB, key)`; completes with
+    /// [`Completion::MoveComplete`].
+    Move { src: MbId, dst: MbId, key: HeaderFieldList },
+    /// `cloneSupport(SrcMB, DstMB)`; completes with
+    /// [`Completion::CloneComplete`].
+    Clone { src: MbId, dst: MbId },
+    /// `mergeInternal(SrcMB, DstMB)`; completes with
+    /// [`Completion::MergeComplete`].
+    Merge { src: MbId, dst: MbId },
+    /// A chain-wide atomic move ([`crate::chain`]): commits with
+    /// [`Completion::ChainComplete`] once every hop's move finishes, or
+    /// fails with [`Completion::Failed`] after rolling completed hops
+    /// back. Repoint routing on the chain's completion, never on the
+    /// per-hop `MoveComplete`s.
+    ChainMove(ChainSpec),
+}
+
+impl Request {
+    /// The shard op this request opens; `None` for a chain move, which
+    /// is a transaction over several moves.
+    pub fn kind(&self) -> Option<OpKind> {
+        Some(match self {
+            Request::ReadConfig { .. } => OpKind::ReadConfig,
+            Request::WriteConfig { .. } => OpKind::WriteConfig,
+            Request::DelConfig { .. } => OpKind::DelConfig,
+            Request::Stats { .. } => OpKind::Stats,
+            Request::EnableEvents { .. } => OpKind::EnableEvents,
+            Request::Move { .. } => OpKind::Move,
+            Request::Clone { .. } => OpKind::Clone,
+            Request::Merge { .. } => OpKind::Merge,
+            Request::ChainMove(_) => return None,
+        })
     }
 }
 
@@ -242,7 +301,7 @@ impl Default for ControllerConfig {
 pub struct ControllerCore {
     shards: Vec<Mutex<ControllerShard>>,
     router: Mutex<ShardRouter>,
-    /// Live chain transactions ([`ControllerCore::chain_move`]);
+    /// Live chain transactions ([`Request::ChainMove`]);
     /// terminal chains are removed as their completion is emitted.
     chains: Mutex<Vec<ChainRun>>,
     /// `chains.len()`, readable without the lock: the southbound path's
@@ -440,99 +499,35 @@ impl ControllerCore {
     // Northbound operations
     // ------------------------------------------------------------------
 
-    /// Simple (flowspace-free) ops route by MB hash: no conflict entry
-    /// and — placement being pure arithmetic — no router lock.
-    fn simple(&self, mb: MbId, issue: impl FnOnce(&mut ControllerShard) -> OpId) -> OpId {
-        issue(&mut lock(&self.shards[ShardRouter::place_simple(self.shards.len(), mb)]))
-    }
-
-    /// `readConfig`.
-    pub fn read_config(
-        &self,
-        src: MbId,
-        key: HierarchicalKey,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.simple(src, |sh| sh.read_config(src, key, now, out))
-    }
-
-    /// `writeConfig`.
-    pub fn write_config(
-        &self,
-        dst: MbId,
-        key: HierarchicalKey,
-        values: Vec<ConfigValue>,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.simple(dst, |sh| sh.write_config(dst, key, values, now, out))
-    }
-
-    /// `delConfig`.
-    pub fn del_config(
-        &self,
-        dst: MbId,
-        key: HierarchicalKey,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.simple(dst, |sh| sh.del_config(dst, key, now, out))
-    }
-
-    /// `stats`.
-    pub fn stats(
-        &self,
-        src: MbId,
-        key: HeaderFieldList,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.simple(src, |sh| sh.stats(src, key, now, out))
-    }
-
-    /// `enableEvents` — the owning shard is recorded so op-less
-    /// introspection events from this MB route to the shard holding the
-    /// subscription.
-    pub fn enable_events(
-        &self,
-        mb: MbId,
-        filter: EventFilter,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        let s = ShardRouter::place_simple(self.shards.len(), mb);
-        lock(&self.router).note_subscription(mb, s);
-        lock(&self.shards[s]).enable_events(mb, filter, now, out)
-    }
-
-    /// `moveInternal` — admitted through the conflict detector.
-    pub fn move_internal(
-        &self,
-        src: MbId,
-        dst: MbId,
-        key: HeaderFieldList,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.admit_transfer(OpKind::Move, key, src, dst, now, out)
-    }
-
-    /// `cloneSupport` — transfers *all* support state, so its conflict
-    /// flowspace is the wildcard pattern.
-    pub fn clone_support(&self, src: MbId, dst: MbId, now: SimTime, out: &mut Vec<Action>) -> OpId {
-        self.admit_transfer(OpKind::Clone, HeaderFieldList::any(), src, dst, now, out)
-    }
-
-    /// `mergeInternal` — wildcard flowspace, like clone.
-    pub fn merge_internal(
-        &self,
-        src: MbId,
-        dst: MbId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.admit_transfer(OpKind::Merge, HeaderFieldList::any(), src, dst, now, out)
+    /// Open the op `req` asks for; the one place a northbound request
+    /// is routed. Simple requests route by MB hash: no conflict entry
+    /// and — placement being pure arithmetic — no router lock, except
+    /// that `EnableEvents` records its shard so op-less introspection
+    /// events from the MB route to the shard holding the subscription.
+    /// Transfers are admitted through the conflict detector
+    /// (`cloneSupport` and `mergeInternal` move *all* shared state, so
+    /// their conflict flowspace is the wildcard pattern); chain moves
+    /// through the chain table.
+    pub fn submit(&self, req: Request, now: SimTime, out: &mut Vec<Action>) -> OpId {
+        let any = HeaderFieldList::any();
+        let (kind, pattern, src, dst) = match req {
+            Request::ChainMove(spec) => return self.admit_chain(spec, now, out),
+            Request::Move { src, dst, key } => (OpKind::Move, key, src, dst),
+            Request::Clone { src, dst } => (OpKind::Clone, any, src, dst),
+            Request::Merge { src, dst } => (OpKind::Merge, any, src, dst),
+            Request::ReadConfig { mb, .. }
+            | Request::WriteConfig { mb, .. }
+            | Request::DelConfig { mb, .. }
+            | Request::Stats { mb, .. }
+            | Request::EnableEvents { mb, .. } => {
+                let s = ShardRouter::place_simple(self.shards.len(), mb);
+                if let Request::EnableEvents { .. } = req {
+                    lock(&self.router).note_subscription(mb, s);
+                }
+                return lock(&self.shards[s]).issue(req, now, out);
+            }
+        };
+        self.admit_transfer(kind, pattern, src, dst, now, out)
     }
 
     /// Has shard op `op` fully closed? Consulted with `try_lock` (the
@@ -629,7 +624,7 @@ impl ControllerCore {
     /// admissions — single transfers or other chains, whatever their
     /// hop order — serialize behind the entire chain rather than
     /// interleaving with it hop by hop.
-    pub fn chain_move(&self, spec: ChainSpec, now: SimTime, out: &mut Vec<Action>) -> OpId {
+    fn admit_chain(&self, spec: ChainSpec, now: SimTime, out: &mut Vec<Action>) -> OpId {
         let start = out.len();
         let id = OpId(CHAIN_OP_BASE + self.next_chain.fetch_add(1, Ordering::Relaxed));
         // Hops must be pairwise MB-disjoint: a chain is one position per
@@ -1219,7 +1214,8 @@ mod tests {
     fn single_shard_alloc_matches_legacy_sequence() {
         let (core, a, b, _, _) = sharded(1);
         let mut out = Vec::new();
-        let op1 = core.move_internal(a, b, subnet(0), SimTime(0), &mut out);
+        let op1 =
+            core.submit(Request::Move { src: a, dst: b, key: subnet(0) }, SimTime(0), &mut out);
         assert_eq!(core.shard_of_op(op1), 0);
         // Shard 0 of 1 allocates 1, 2, 3, … — op 1 plus its sub-ops,
         // exactly the pre-sharding id stream.
@@ -1238,10 +1234,8 @@ mod tests {
         // multi-op bench's speedup rests on).
         let shards: std::collections::HashSet<usize> = (0..4usize)
             .map(|i| {
-                let op = core.move_internal(
-                    mbs[2 * i],
-                    mbs[2 * i + 1],
-                    subnet(i as u8),
+                let op = core.submit(
+                    Request::Move { src: mbs[2 * i], dst: mbs[2 * i + 1], key: subnet(i as u8) },
                     SimTime(0),
                     &mut out,
                 );
@@ -1256,10 +1250,12 @@ mod tests {
     fn overlapping_move_is_pinned_to_the_live_ops_shard() {
         let (core, a, b, c, _) = sharded(4);
         let mut out = Vec::new();
-        let op1 = core.move_internal(a, b, subnet(0), SimTime(0), &mut out);
+        let op1 =
+            core.submit(Request::Move { src: a, dst: b, key: subnet(0) }, SimTime(0), &mut out);
         // Same flowspace on a pair sharing MB `b`: must serialize on
         // op1's shard regardless of its own hash.
-        let op2 = core.move_internal(b, c, subnet(0), SimTime(0), &mut out);
+        let op2 =
+            core.submit(Request::Move { src: b, dst: c, key: subnet(0) }, SimTime(0), &mut out);
         assert_eq!(core.shard_of_op(op1), core.shard_of_op(op2));
         assert_eq!(core.active_transfers(), 2);
     }
@@ -1278,11 +1274,17 @@ mod tests {
             .find(|&(a, b)| a != b && place(a) != place(b))
             .expect("bench subnets spread over more than one shard");
         let mut out = Vec::new();
-        let op_a =
-            core.move_internal(mbs[2 * i], mbs[2 * i + 1], subnet(i as u8), SimTime(0), &mut out);
+        let op_a = core.submit(
+            Request::Move { src: mbs[2 * i], dst: mbs[2 * i + 1], key: subnet(i as u8) },
+            SimTime(0),
+            &mut out,
+        );
         out.clear();
-        let op_b =
-            core.move_internal(mbs[2 * j], mbs[2 * j + 1], subnet(j as u8), SimTime(0), &mut out);
+        let op_b = core.submit(
+            Request::Move { src: mbs[2 * j], dst: mbs[2 * j + 1], key: subnet(j as u8) },
+            SimTime(0),
+            &mut out,
+        );
         assert_ne!(core.shard_of_op(op_a), core.shard_of_op(op_b));
         let subs_b: Vec<OpId> = out
             .iter()
@@ -1297,7 +1299,11 @@ mod tests {
         // A wildcard clone bridging one endpoint of each live move
         // conflicts on two shards at once: it must reserve without any
         // southbound traffic, on the earliest conflicting op's shard.
-        let op_c = core.clone_support(mbs[2 * i + 1], mbs[2 * j], SimTime(0), &mut out);
+        let op_c = core.submit(
+            Request::Clone { src: mbs[2 * i + 1], dst: mbs[2 * j] },
+            SimTime(0),
+            &mut out,
+        );
         assert!(
             out.iter().all(|a| !matches!(a, Action::ToMb(..))),
             "a deferred transfer must emit no southbound traffic: {out:?}"
@@ -1379,11 +1385,11 @@ mod tests {
         use crate::chain::{ChainHop, ChainSpec, ChainStatus};
         let (core, a, b, c, d) = sharded(4);
         let mut out = Vec::new();
-        let chain = core.chain_move(
-            ChainSpec::new(
+        let chain = core.submit(
+            Request::ChainMove(ChainSpec::new(
                 subnet(0),
                 vec![ChainHop { src: a, dst: b }, ChainHop { src: c, dst: d }],
-            ),
+            )),
             SimTime(0),
             &mut out,
         );
@@ -1427,11 +1433,11 @@ mod tests {
         use crate::chain::{ChainHop, ChainSpec, ChainStatus};
         let (core, a, b, c, d) = sharded(4);
         let mut out = Vec::new();
-        let chain = core.chain_move(
-            ChainSpec::new(
+        let chain = core.submit(
+            Request::ChainMove(ChainSpec::new(
                 subnet(0),
                 vec![ChainHop { src: a, dst: b }, ChainHop { src: c, dst: d }],
-            ),
+            )),
             SimTime(0),
             &mut out,
         );
@@ -1488,11 +1494,11 @@ mod tests {
         let mut out = Vec::new();
         core.mark_unreachable(a, SimTime(0), &mut out);
         out.clear();
-        let chain = core.chain_move(
-            ChainSpec::new(
+        let chain = core.submit(
+            Request::ChainMove(ChainSpec::new(
                 subnet(0),
                 vec![ChainHop { src: a, dst: b }, ChainHop { src: c, dst: d }],
-            ),
+            )),
             SimTime(0),
             &mut out,
         );
@@ -1511,11 +1517,11 @@ mod tests {
         use crate::chain::{ChainHop, ChainSpec};
         let (core, a, b, c, _) = sharded(2);
         let mut out = Vec::new();
-        let chain = core.chain_move(
-            ChainSpec::new(
+        let chain = core.submit(
+            Request::ChainMove(ChainSpec::new(
                 subnet(0),
                 vec![ChainHop { src: a, dst: b }, ChainHop { src: b, dst: c }],
-            ),
+            )),
             SimTime(0),
             &mut out,
         );
@@ -1531,18 +1537,19 @@ mod tests {
         use crate::chain::{ChainHop, ChainSpec};
         let (core, a, b, c, d) = sharded(4);
         let mut out = Vec::new();
-        let chain = core.chain_move(
-            ChainSpec::new(
+        let chain = core.submit(
+            Request::ChainMove(ChainSpec::new(
                 subnet(0),
                 vec![ChainHop { src: a, dst: b }, ChainHop { src: c, dst: d }],
-            ),
+            )),
             SimTime(0),
             &mut out,
         );
         // A single-pair move overlapping the LAST hop's MB pair pins to
         // the chain's shard even while the chain is still on hop 0.
         let mut out2 = Vec::new();
-        let op = core.move_internal(d, a, subnet(0), SimTime(0), &mut out2);
+        let op =
+            core.submit(Request::Move { src: d, dst: a, key: subnet(0) }, SimTime(0), &mut out2);
         let hops = core.chain_hop_ops(chain);
         assert_eq!(core.shard_of_op(op), core.shard_of_op(hops[0]));
     }
@@ -1559,16 +1566,23 @@ mod tests {
             .find(|&(a, b)| a != b && place(a) != place(b))
             .expect("bench subnets spread over more than one shard");
         let mut out = Vec::new();
-        let op_a =
-            core.move_internal(mbs[2 * i], mbs[2 * i + 1], subnet(i as u8), SimTime(0), &mut out);
-        let op_b =
-            core.move_internal(mbs[2 * j], mbs[2 * j + 1], subnet(j as u8), SimTime(0), &mut out);
+        let op_a = core.submit(
+            Request::Move { src: mbs[2 * i], dst: mbs[2 * i + 1], key: subnet(i as u8) },
+            SimTime(0),
+            &mut out,
+        );
+        let op_b = core.submit(
+            Request::Move { src: mbs[2 * j], dst: mbs[2 * j + 1], key: subnet(j as u8) },
+            SimTime(0),
+            &mut out,
+        );
         assert_ne!(core.shard_of_op(op_a), core.shard_of_op(op_b));
         out.clear();
         // Bridging clone admitted 5s in: defers behind the cross-shard
         // blocker, with its own deadline running from t=5s.
         let t5 = SimTime(5_000_000_000);
-        let op_c = core.clone_support(mbs[2 * i + 1], mbs[2 * j], t5, &mut out);
+        let op_c =
+            core.submit(Request::Clone { src: mbs[2 * i + 1], dst: mbs[2 * j] }, t5, &mut out);
         assert_eq!(core.deferred_transfers(), 1);
         assert_eq!(core.op_phase(op_c), Some(Phase::Deferred));
         out.clear();
@@ -1618,7 +1632,11 @@ mod tests {
         });
         assert!(core.shards[0].is_poisoned() && core.router.is_poisoned());
         let mut out = Vec::new();
-        let op = core.move_internal(a, b, HeaderFieldList::any(), SimTime(0), &mut out);
+        let op = core.submit(
+            Request::Move { src: a, dst: b, key: HeaderFieldList::any() },
+            SimTime(0),
+            &mut out,
+        );
         assert_eq!(core.op_phase(op), Some(Phase::Running));
         assert_eq!(core.open_ops(), 1);
     }
@@ -1648,11 +1666,15 @@ mod tests {
             .find(|&j| place(subnet(j), c, d) != place(subnet(0), a, b))
             .expect("some subnet lands on the other shard");
         let mut out = Vec::new();
-        core.enable_events(a, EventFilter::all(), SimTime(0), &mut out);
+        core.submit(
+            Request::EnableEvents { mb: a, filter: EventFilter::all() },
+            SimTime(0),
+            &mut out,
+        );
         let mut gets = Vec::new();
         for (src, dst, net) in [(a, b, 0), (c, d, j)] {
             let mut out = Vec::new();
-            core.move_internal(src, dst, subnet(net), SimTime(0), &mut out);
+            core.submit(Request::Move { src, dst, key: subnet(net) }, SimTime(0), &mut out);
             gets.push((net, move_gets(&out)));
         }
         assert_ne!(core.shard_of_op(gets[0].1[0].0), core.shard_of_op(gets[1].1[0].0));
@@ -1713,7 +1735,11 @@ mod tests {
                 // must never invert.
                 for k in 0..1_000u32 {
                     let mut out = Vec::new();
-                    core.move_internal(e, f, subnet((k % 200) as u8 + 50), SimTime(0), &mut out);
+                    core.submit(
+                        Request::Move { src: e, dst: f, key: subnet((k % 200) as u8 + 50) },
+                        SimTime(0),
+                        &mut out,
+                    );
                 }
                 done.send(()).expect("test is waiting");
             })
@@ -1753,16 +1779,22 @@ mod tests {
             .find(|&(a, b)| a != b && place(a) != place(b))
             .expect("bench subnets spread over more than one shard");
         let mut out = Vec::new();
-        core.move_internal(mbs[2 * i], mbs[2 * i + 1], subnet(i as u8), SimTime(0), &mut out);
+        core.submit(
+            Request::Move { src: mbs[2 * i], dst: mbs[2 * i + 1], key: subnet(i as u8) },
+            SimTime(0),
+            &mut out,
+        );
         out.clear();
-        core.move_internal(mbs[2 * j], mbs[2 * j + 1], subnet(j as u8), SimTime(0), &mut out);
+        core.submit(
+            Request::Move { src: mbs[2 * j], dst: mbs[2 * j + 1], key: subnet(j as u8) },
+            SimTime(0),
+            &mut out,
+        );
         let blocker = move_gets(&out);
         out.clear();
         // A wildcard move bridging both live moves defers.
-        let op = core.move_internal(
-            mbs[2 * i + 1],
-            mbs[2 * j],
-            HeaderFieldList::any(),
+        let op = core.submit(
+            Request::Move { src: mbs[2 * i + 1], dst: mbs[2 * j], key: HeaderFieldList::any() },
             SimTime(0),
             &mut out,
         );

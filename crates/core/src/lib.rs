@@ -3,10 +3,13 @@
 //! The OpenMB MB controller (§5 of the paper) and its embeddings.
 //!
 //! * [`controller::ControllerCore`] — the controller engine, and the
-//!   only one: northbound operations (`readConfig`, `writeConfig`,
-//!   `stats`, `moveInternal`, `cloneSupport`, `mergeInternal`, chain
-//!   moves) admitted onto flowspace shards by the
-//!   [`router::ShardRouter`] conflict detector. Shards, router and
+//!   only one. Every northbound operation is one [`controller::Request`]
+//!   (`readConfig`, `writeConfig`, `delConfig`, `stats`,
+//!   `enableEvents`, `moveInternal`, `cloneSupport`, `mergeInternal`,
+//!   chain moves) handed to [`controller::ControllerCore::submit`],
+//!   which admits transfers onto flowspace shards through the
+//!   [`router::ShardRouter`] conflict detector; `end_op` closes an op
+//!   and is not a request. Shards, router and
 //!   chain table sit behind their own locks and every method is
 //!   `&self`, so the simulator's single event loop and real OS threads
 //!   drive the same code.
@@ -21,8 +24,9 @@
 //!   (a middlebox with its processing-cost queue), [`nodes::ControllerNode`]
 //!   (controller + SDN routing + control app), [`nodes::Host`].
 //! * [`tcp`] — the same engine served over real loopback TCP with the
-//!   binary wire protocol and blocking northbound calls, proving the
-//!   protocol is transport-independent.
+//!   binary wire protocol and one blocking northbound entry point
+//!   ([`tcp::TcpController::call`]), proving the protocol is
+//!   transport-independent.
 
 pub mod app;
 pub mod chain;
@@ -38,7 +42,7 @@ mod transfer;
 
 pub use app::{Api, ApiCtx, ControlApp, NullApp};
 pub use chain::{ChainHop, ChainSpec, ChainStatus, CHAIN_OP_BASE};
-pub use controller::{Action, Completion, ControllerConfig, ControllerCore};
+pub use controller::{Action, Completion, ControllerConfig, ControllerCore, Request};
 pub use nodes::{ControllerCosts, ControllerNode, Host, MbNode};
 pub use parallel::ShardedController;
 pub use placement::{select_destination, PlacementCandidate};

@@ -7,7 +7,7 @@
 //! for callers that would rather receive a fresh `Vec<Action>` per
 //! call than thread an output buffer through: the three
 //! action-producing entry points benchmark drivers use allocate the
-//! `Vec` and forward; everything else — `register_mb`, `chain_move`,
+//! `Vec` and forward; everything else — `register_mb`, `submit`,
 //! `open_ops`, `transfer_ledger_stats`, … — *is* the engine's method,
 //! reached through `Deref`. This file's tests are the engine's
 //! real-thread tests.
@@ -16,7 +16,7 @@ use openmb_simnet::SimTime;
 use openmb_types::wire::Message;
 use openmb_types::{HeaderFieldList, MbId, OpId};
 
-use crate::controller::{Action, ControllerConfig, ControllerCore};
+use crate::controller::{Action, ControllerConfig, ControllerCore, Request};
 
 /// [`ControllerCore`] for thread drivers: safe to drive from many
 /// threads at once, with disjoint shards never contending.
@@ -36,7 +36,8 @@ impl ShardedController {
         ShardedController(ControllerCore::new(config))
     }
 
-    /// `moveInternal` — admitted through the conflict detector.
+    /// `moveInternal`: the engine's [`ControllerCore::submit`] of a
+    /// [`Request::Move`], kept for the benchmark's existing call site.
     pub fn move_internal(
         &self,
         src: MbId,
@@ -45,7 +46,7 @@ impl ShardedController {
         now: SimTime,
     ) -> (OpId, Vec<Action>) {
         let mut out = Vec::new();
-        (self.0.move_internal(src, dst, key, now, &mut out), out)
+        (self.0.submit(Request::Move { src, dst, key }, now, &mut out), out)
     }
 
     /// Process one southbound frame, locking only the owning shard(s).
@@ -162,7 +163,8 @@ mod tests {
         // with live transfers on two shards: no placement serializes
         // it, so it must reserve (no southbound traffic) and queue.
         let mut out = Vec::new();
-        let op_c = ctrl.clone_support(mbs[2 * i + 1], mbs[2 * j], T0, &mut out);
+        let op_c =
+            ctrl.submit(Request::Clone { src: mbs[2 * i + 1], dst: mbs[2 * j] }, T0, &mut out);
         assert!(!has_to_mb(&out), "a deferred transfer must emit no southbound traffic: {out:?}");
         assert_eq!(ctrl.deferred_transfers(), 1);
         // Reserved on the earliest-admitted conflicting move's shard.
@@ -193,7 +195,7 @@ mod tests {
                 ChainHop { src: mbs[10], dst: mbs[11] },
             ];
             let mut out = Vec::new();
-            (ctrl.chain_move(ChainSpec::new(subnet(9), hops), T0, &mut out), out)
+            (ctrl.submit(Request::ChainMove(ChainSpec::new(subnet(9), hops)), T0, &mut out), out)
         });
         let chain_shard = ctrl.shard_of_op(ctrl.chain_hop_ops(chain)[0]);
         let i = (0..4)

@@ -44,11 +44,9 @@ use std::collections::VecDeque;
 use openmb_obs::{NodeTag, ParkReason, Recorder, SpanEvent};
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::wire::{Event, EventFilter, Message};
-use openmb_types::{
-    ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId, Packet, StateChunk,
-};
+use openmb_types::{Error, FlowKey, HeaderFieldList, MbId, OpId, Packet, StateChunk};
 
-pub use crate::controller::{Action, Completion, ControllerConfig};
+pub use crate::controller::{Action, Completion, ControllerConfig, Request};
 use crate::id_hash::{IdMap, IdSet};
 use crate::transfer::{Class, Put, Transfer};
 
@@ -571,63 +569,30 @@ impl ControllerShard {
         op
     }
 
-    /// `readConfig(SrcMB, HierarchicalKey)`.
-    pub fn read_config(
-        &mut self,
-        src: MbId,
-        key: HierarchicalKey,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.start_simple(OpKind::ReadConfig, src, |op| Message::GetConfig { op, key }, now, out)
-    }
-
-    /// `writeConfig(DstMB, HierarchicalKey, values)`.
-    pub fn write_config(
-        &mut self,
-        dst: MbId,
-        key: HierarchicalKey,
-        values: Vec<ConfigValue>,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        let request = |op| Message::SetConfig { op, key, values };
-        self.start_simple(OpKind::WriteConfig, dst, request, now, out)
-    }
-
-    /// `delConfig` — a composition convenience over the southbound API.
-    pub fn del_config(
-        &mut self,
-        dst: MbId,
-        key: HierarchicalKey,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.start_simple(OpKind::DelConfig, dst, |op| Message::DelConfig { op, key }, now, out)
-    }
-
-    /// `stats(SrcMB, HeaderFieldList)`.
-    pub fn stats(
-        &mut self,
-        src: MbId,
-        key: HeaderFieldList,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        self.start_simple(OpKind::Stats, src, |op| Message::GetStats { op, key }, now, out)
-    }
-
-    /// Subscribe the application to introspection events from `mb`.
-    pub fn enable_events(
-        &mut self,
-        mb: MbId,
-        filter: EventFilter,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) -> OpId {
-        let request = |op| Message::EnableEvents { op, filter: filter.clone() };
-        let op = self.start_simple(OpKind::EnableEvents, mb, request, now, out);
-        if self.phase(op) == Some(Phase::Running) {
+    /// Open the simple op `req` asks for: one request to one MB, through
+    /// `start_simple`. An `EnableEvents` that passed validation also
+    /// records its subscription. Transfers and chain moves are the
+    /// engine's to admit ([`ControllerShard::start_transfer`]).
+    pub fn issue(&mut self, req: Request, now: SimTime, out: &mut Vec<Action>) -> OpId {
+        let (mb, subscription) = match &req {
+            Request::EnableEvents { mb, filter } => (*mb, Some(filter.clone())),
+            Request::ReadConfig { mb, .. }
+            | Request::WriteConfig { mb, .. }
+            | Request::DelConfig { mb, .. }
+            | Request::Stats { mb, .. } => (*mb, None),
+            _ => unreachable!("{req:?} is admitted by the engine, not issued on a shard"),
+        };
+        let kind = req.kind().expect("a simple request has an op kind");
+        let request = |op| match req {
+            Request::ReadConfig { key, .. } => Message::GetConfig { op, key },
+            Request::WriteConfig { key, values, .. } => Message::SetConfig { op, key, values },
+            Request::DelConfig { key, .. } => Message::DelConfig { op, key },
+            Request::Stats { key, .. } => Message::GetStats { op, key },
+            Request::EnableEvents { filter, .. } => Message::EnableEvents { op, filter },
+            _ => unreachable!("checked above"),
+        };
+        let op = self.start_simple(kind, mb, request, now, out);
+        if let Some(filter) = subscription.filter(|_| self.phase(op) == Some(Phase::Running)) {
             self.subscriptions.insert(mb, filter);
         }
         op

@@ -19,12 +19,14 @@
 //!   Fig 5: the controller puts each chunk as it arrives).
 //! * [`TcpController`] — hosts the one controller engine
 //!   ([`ControllerCore`]), runs one receive thread per MB connection
-//!   that feeds the engine directly, and exposes *blocking* northbound
-//!   calls ([`TcpController::move_internal`],
-//!   [`TcpController::chain_move`], ...) that wait for the matching
+//!   that feeds the engine directly, and exposes the northbound API as
+//!   one *blocking* entry point, [`TcpController::call`]: any
+//!   [`Request`], submitted to the engine, waited on until its
 //!   completion. Callers on different threads each get their own
 //!   completion: every blocking call parks on a per-op slot, not on a
-//!   shared queue.
+//!   shared queue. [`TcpController::end_op`], which opens no op and
+//!   has no completion, is the one northbound method beside it and
+//!   does not block.
 //!
 //! Nothing here re-implements controller logic: admission, deferral
 //! release, chain transactions and batch unpacking are the engine's;
@@ -91,11 +93,12 @@ use openmb_mb::{handle_southbound_into, Middlebox, SharedPutLog};
 use openmb_obs::{NodeTag, Recorder, SpanEvent};
 use openmb_simnet::SimTime;
 use openmb_types::transport::Transport;
-use openmb_types::wire::{self, EventFilter, Message};
-use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, OpId, Result};
+use openmb_types::wire::{self, Message};
+use openmb_types::{Error, HeaderFieldList, MbId, OpId, Result};
 
-use crate::chain::ChainSpec;
-use crate::controller::{coalesce, lock, Action, Completion, ControllerConfig, ControllerCore};
+use crate::controller::{
+    coalesce, lock, Action, Completion, ControllerConfig, ControllerCore, Request,
+};
 
 /// How long the MB serve loop's blocked receive waits before looking at
 /// `stop`. A frame or a disconnect ends the wait immediately, so this
@@ -438,20 +441,16 @@ impl TcpController {
         self.timer = Some(std::thread::spawn(move || inner.timer_loop()));
     }
 
-    /// Issue one northbound operation and block until its completion
-    /// (or `timeout`).
-    fn call(
-        &self,
-        timeout: Duration,
-        issue: impl FnOnce(&ControllerCore, SimTime, &mut Vec<Action>) -> OpId,
-    ) -> Result<Completion> {
+    /// Open the op `req` asks for ([`ControllerCore::submit`]) and block
+    /// until its completion (or `timeout`).
+    pub fn call(&self, req: Request, timeout: Duration) -> Result<Completion> {
         let inner = &*self.inner;
         // Completions are delivered under the order lock, so holding it
         // from before the op id exists until its slot does means no
         // completion — not even a racing transport reset's abort — can
         // arrive unobserved.
         let op = inner.drive(&lock(&inner.links), |core, now, out| {
-            let op = issue(core, now, out);
+            let op = core.submit(req, now, out);
             inner.waiters().insert(op, None);
             op
         });
@@ -464,7 +463,16 @@ impl TcpController {
         done.ok_or_else(|| Error::OpFailed(format!("timeout waiting for {op}")))
     }
 
-    /// Blocking `moveInternal`: returns once every put is ACKed.
+    /// Close a move/clone/merge transaction now ([`ControllerCore::end_op`]):
+    /// the source's quiescence deletes go out without waiting for
+    /// `quiesce_after`. Does not block; nothing completes it.
+    pub fn end_op(&self, op: OpId) {
+        let inner = &*self.inner;
+        inner.drive(&lock(&inner.links), |core, now, out| core.end_op(op, now, out));
+    }
+
+    /// `moveInternal`: [`TcpController::call`] of a [`Request::Move`],
+    /// kept for the benchmark's existing call site.
     pub fn move_internal(
         &self,
         src: MbId,
@@ -472,64 +480,13 @@ impl TcpController {
         key: HeaderFieldList,
         timeout: Duration,
     ) -> Result<Completion> {
-        self.call(timeout, |core, now, out| core.move_internal(src, dst, key, now, out))
+        self.call(Request::Move { src, dst, key }, timeout)
     }
 
-    /// Blocking `cloneSupport`.
-    pub fn clone_support(&self, src: MbId, dst: MbId, timeout: Duration) -> Result<Completion> {
-        self.call(timeout, |core, now, out| core.clone_support(src, dst, now, out))
-    }
-
-    /// Blocking `mergeInternal`.
-    pub fn merge_internal(&self, src: MbId, dst: MbId, timeout: Duration) -> Result<Completion> {
-        self.call(timeout, |core, now, out| core.merge_internal(src, dst, now, out))
-    }
-
-    /// Blocking chain-wide atomic move: returns
-    /// [`Completion::ChainComplete`] once every hop committed, or
-    /// [`Completion::Failed`] once every completed hop is rolled back.
-    pub fn chain_move(&self, spec: ChainSpec, timeout: Duration) -> Result<Completion> {
-        self.call(timeout, |core, now, out| core.chain_move(spec, now, out))
-    }
-
-    /// Blocking `readConfig`.
-    pub fn read_config(&self, src: MbId, key: &str, timeout: Duration) -> Result<Completion> {
-        let key = HierarchicalKey::parse(key);
-        self.call(timeout, |core, now, out| core.read_config(src, key, now, out))
-    }
-
-    /// Blocking `writeConfig`.
-    pub fn write_config(
-        &self,
-        dst: MbId,
-        key: &str,
-        values: Vec<ConfigValue>,
-        timeout: Duration,
-    ) -> Result<Completion> {
-        let key = HierarchicalKey::parse(key);
-        self.call(timeout, |core, now, out| core.write_config(dst, key, values, now, out))
-    }
-
-    /// Blocking `delConfig`.
-    pub fn del_config(&self, dst: MbId, key: &str, timeout: Duration) -> Result<Completion> {
-        let key = HierarchicalKey::parse(key);
-        self.call(timeout, |core, now, out| core.del_config(dst, key, now, out))
-    }
-
-    /// Blocking `stats`.
-    pub fn stats(&self, src: MbId, key: HeaderFieldList, timeout: Duration) -> Result<Completion> {
-        self.call(timeout, |core, now, out| core.stats(src, key, now, out))
-    }
-
-    /// Blocking `enableEvents`: returns once the MB acknowledged the
-    /// subscription.
-    pub fn enable_events(
-        &self,
-        mb: MbId,
-        filter: EventFilter,
-        timeout: Duration,
-    ) -> Result<Completion> {
-        self.call(timeout, |core, now, out| core.enable_events(mb, filter, now, out))
+    /// `stats`: [`TcpController::call`] of a [`Request::Stats`], kept for
+    /// the benchmark's existing call site.
+    pub fn stats(&self, mb: MbId, key: HeaderFieldList, timeout: Duration) -> Result<Completion> {
+        self.call(Request::Stats { mb, key }, timeout)
     }
 
     /// Stop serving and join every thread this controller spawned;

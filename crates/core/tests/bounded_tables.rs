@@ -28,6 +28,7 @@ use openmb_core::controller::{
 };
 use openmb_core::nodes::{ControllerCosts, ControllerNode, MbNode, APP_TIMER_BASE};
 use openmb_core::tcp::{serve_middlebox_recorded, TcpController};
+use openmb_core::Request;
 use openmb_core::ShardedController;
 use openmb_mb::{handle_southbound_logged, CostModel, Effects, Middlebox, SharedPutLog};
 use openmb_middleboxes::DummyMb;
@@ -231,7 +232,8 @@ struct PingPong {
 
 impl ControlApp for PingPong {
     fn on_timer(&mut self, api: &mut Api<'_>, _token: u64) {
-        api.move_internal(MbId(self.holder), MbId(1 - self.holder), HeaderFieldList::any());
+        let (src, dst) = (MbId(self.holder), MbId(1 - self.holder));
+        api.submit(Request::Move { src, dst, key: HeaderFieldList::any() });
     }
 
     fn on_completion(&mut self, _api: &mut Api<'_>, c: &Completion) {
@@ -314,8 +316,9 @@ impl Pair {
     /// `end_op` the way an application that repointed its route does;
     /// returns the op once its deletes are acked. Swaps the roles.
     fn move_once(&mut self, ctrl: &ShardedController) -> OpId {
-        let (op, out) =
-            ctrl.move_internal(self.ids[0], self.ids[1], HeaderFieldList::any(), SimTime(0));
+        let (src, dst, key) = (self.ids[0], self.ids[1], HeaderFieldList::any());
+        let mut out = Vec::new();
+        let op = ctrl.submit(Request::Move { src, dst, key }, SimTime(0), &mut out);
         let [c] = &self.drive(ctrl, out)[..] else { panic!("one completion") };
         assert_eq!(completed_op(c), op);
         let mut out = Vec::new();
@@ -402,8 +405,10 @@ fn soak_tcp(workloads: usize) {
     let mut soak = Soak::new("tcp", 1, 1);
     for n in 1..=workloads * WORKLOAD {
         let (from, to) = if n % 2 == 1 { (ids[0], ids[1]) } else { (ids[1], ids[0]) };
-        let done =
-            controller.move_internal(from, to, HeaderFieldList::any(), Duration::from_secs(10));
+        let done = controller.call(
+            Request::Move { src: from, dst: to, key: HeaderFieldList::any() },
+            Duration::from_secs(10),
+        );
         let op = completed_op(&done.unwrap());
         // The maintenance tick quiesces the move; its source deletes
         // must be acked (the op retired) before the state moves back.

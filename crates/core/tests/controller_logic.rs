@@ -5,6 +5,7 @@
 use openmb_core::controller::{
     Action, Completion, ControllerConfig, ControllerCore, TableSizes, RETIRED_RING,
 };
+use openmb_core::Request;
 use openmb_core::{ChainHop, ChainSpec, Phase, ShardRouter};
 use openmb_mb::{handle_southbound, handle_southbound_logged};
 use openmb_mb::{Effects, Middlebox, SharedPutLog};
@@ -78,6 +79,11 @@ impl<A: Middlebox, B: Middlebox> World<A, B> {
         });
     }
 
+    /// `moveInternal(a, b, *)`.
+    fn move_all(&self) -> Request {
+        Request::Move { src: self.a_id, dst: self.b_id, key: HeaderFieldList::any() }
+    }
+
     fn quiesce(&mut self) {
         self.now = self.now.after(SimDuration::from_secs(1));
         let mut out = Vec::new();
@@ -111,7 +117,7 @@ fn move_then_quiesce_deletes_source() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 20);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     w.pump(out);
     assert!(w
         .completions
@@ -130,7 +136,7 @@ fn clone_with_no_shared_state_completes_cleanly() {
     // and the clone completes with nothing to put.
     let mut w = World::new(Monitor::new(), Monitor::new());
     let mut out = Vec::new();
-    let op = w.core.clone_support(w.a_id, w.b_id, w.now, &mut out);
+    let op = w.core.submit(Request::Clone { src: w.a_id, dst: w.b_id }, w.now, &mut out);
     w.pump(out);
     assert!(w
         .completions
@@ -153,7 +159,7 @@ fn merge_transfers_both_shared_classes() {
     b.process_packet(SimTime(2), &req(3, "/y"), &mut fx);
     let mut w = World::new(a, b);
     let mut out = Vec::new();
-    let op = w.core.merge_internal(w.a_id, w.b_id, w.now, &mut out);
+    let op = w.core.submit(Request::Merge { src: w.a_id, dst: w.b_id }, w.now, &mut out);
     w.pump(out);
     assert!(w
         .completions
@@ -172,7 +178,7 @@ fn vendor_mismatch_surfaces_as_failed_completion() {
     let mut w = World::new(Monitor::new(), Ips::new());
     seed_monitor(&mut w.a, 3);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     w.pump(out);
     let failed =
         w.completions.iter().any(|c| matches!(c, Completion::Failed { op: o, .. } if *o == op));
@@ -184,7 +190,7 @@ fn events_after_completion_are_still_forwarded() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 5);
     let mut out = Vec::new();
-    let _op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let _op = w.core.submit(w.move_all(), w.now, &mut out);
     w.pump(out);
     // Post-completion, a packet hits the source (routing not yet
     // effective): the reprocess event must reach the destination.
@@ -206,7 +212,11 @@ fn events_after_completion_are_still_forwarded() {
 fn read_write_config_roundtrip_through_controller() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     let mut out = Vec::new();
-    let op = w.core.read_config(w.a_id, openmb_types::HierarchicalKey::parse("*"), w.now, &mut out);
+    let op = w.core.submit(
+        Request::ReadConfig { mb: w.a_id, key: openmb_types::HierarchicalKey::parse("*") },
+        w.now,
+        &mut out,
+    );
     w.pump(out);
     let pairs = w
         .completions
@@ -219,7 +229,7 @@ fn read_write_config_roundtrip_through_controller() {
     assert!(!pairs.is_empty());
     for (k, v) in pairs {
         let mut out = Vec::new();
-        w.core.write_config(w.b_id, k, v, w.now, &mut out);
+        w.core.submit(Request::WriteConfig { mb: w.b_id, key: k, values: v }, w.now, &mut out);
         w.pump(out);
     }
     assert_eq!(
@@ -233,8 +243,13 @@ fn stats_and_enable_events_complete() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 7);
     let mut out = Vec::new();
-    let sop = w.core.stats(w.a_id, HeaderFieldList::any(), w.now, &mut out);
-    let eop = w.core.enable_events(w.a_id, openmb_types::wire::EventFilter::all(), w.now, &mut out);
+    let sop =
+        w.core.submit(Request::Stats { mb: w.a_id, key: HeaderFieldList::any() }, w.now, &mut out);
+    let eop = w.core.submit(
+        Request::EnableEvents { mb: w.a_id, filter: openmb_types::wire::EventFilter::all() },
+        w.now,
+        &mut out,
+    );
     w.pump(out);
     assert!(w.completions.iter().any(
         |c| matches!(c, Completion::Stats { op, stats } if *op == sop && stats.perflow_report_chunks == 7)
@@ -265,7 +280,7 @@ fn duplicate_put_ack_after_completion_is_ignored() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 8);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     // Keep a copy of every PutAck the destination sends, so one can be
     // replayed after the op completes.
     let mut acks: Vec<Message> = Vec::new();
@@ -322,7 +337,7 @@ fn late_messages_for_a_retired_op_get_the_closed_ops_reaction() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 6);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     let gets: Vec<OpId> = out
         .iter()
         .filter_map(|a| match a {
@@ -389,12 +404,12 @@ fn late_messages_for_a_retired_op_get_the_closed_ops_reaction() {
     // tombstone): the move's is evicted, its phase still reads Closed,
     // and its events are dropped.
     let mut out = Vec::new();
-    w.core.stats(w.a_id, HeaderFieldList::any(), w.now, &mut out);
+    w.core.submit(Request::Stats { mb: w.a_id, key: HeaderFieldList::any() }, w.now, &mut out);
     w.pump(out);
     assert_eq!(w.core.table_sizes().tombstones, 1);
     for _ in 0..RETIRED_RING {
         let mut out = Vec::new();
-        w.core.clone_support(w.a_id, w.b_id, w.now, &mut out);
+        w.core.submit(Request::Clone { src: w.a_id, dst: w.b_id }, w.now, &mut out);
         w.pump(out);
         w.quiesce();
     }
@@ -416,7 +431,7 @@ fn rejection_of_an_acked_put_leaves_the_live_move_running() {
     w.core.update_config(|c| c.content_cache = false);
     seed_monitor(&mut w.a, 5);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     // Serve the source; hold the puts addressed to the destination.
     let mut held = Vec::new();
     while let Some(act) = out.pop() {
@@ -461,8 +476,13 @@ fn duplicated_config_or_stats_reply_completes_the_op_once() {
     let rec = Recorder::enabled(256);
     w.core.set_recorder(rec.clone());
     let mut out = Vec::new();
-    let cfg = w.core.read_config(w.a_id, HierarchicalKey::parse("*"), w.now, &mut out);
-    let stats = w.core.stats(w.a_id, HeaderFieldList::any(), w.now, &mut out);
+    let cfg = w.core.submit(
+        Request::ReadConfig { mb: w.a_id, key: HierarchicalKey::parse("*") },
+        w.now,
+        &mut out,
+    );
+    let stats =
+        w.core.submit(Request::Stats { mb: w.a_id, key: HeaderFieldList::any() }, w.now, &mut out);
     assert_eq!(w.core.op_phase(cfg), Some(Phase::Running));
     let mut notified = Vec::new();
     for act in out {
@@ -497,7 +517,7 @@ fn transfer_ledger_stays_bounded_by_window() {
     w.core.update_config(|c| c.transfer_window = W);
     seed_monitor(&mut w.a, 120);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     let mut actions: VecDeque<Action> = out.into();
     while let Some(act) = actions.pop_front() {
         match act {
@@ -561,7 +581,7 @@ fn ack_set_size_counts_the_acks_that_overtook_the_lowest_unacked_put() {
     w.core.update_config(|c| c.transfer_window = W);
     seed_monitor(&mut w.a, 120);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     let mut actions: VecDeque<Action> = out.into();
     // Put sub-ops in admission order, so a sub-op's index is its seq.
     let mut seqs: Vec<OpId> = Vec::new();
@@ -632,7 +652,7 @@ fn an_ack_for_a_put_still_queued_behind_the_window_is_ignored() {
     w.core.update_config(|c| c.transfer_window = 1);
     seed_monitor(&mut w.a, 40);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     let mut actions: VecDeque<Action> = out.into();
     let mut forged = false;
     while let Some(act) = actions.pop_front() {
@@ -692,7 +712,7 @@ fn warm_move_puts_under_a_tenth_of_the_cold_bytes_on_the_destination_wire() {
         let mut w = World::new(src, DummyMb::new());
         let mut dst_log = SharedPutLog::with_store(Arc::clone(&store));
         let mut out = Vec::new();
-        let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+        let op = w.core.submit(w.move_all(), w.now, &mut out);
         let mut bytes_to_dst = 0;
         drive(&w.core, out, w.now, &mut w.completions, |mb, msg| {
             if mb == w.a_id {
@@ -764,7 +784,11 @@ fn four_disjoint_moves_spread_their_messages_over_four_shards() {
         let mut mbs: Vec<Monitor> = subnets.iter().flat_map(|&b| monitor_pair(b)).collect();
         let mut out = Vec::new();
         for (pair, &b) in ids.chunks(2).zip(&subnets) {
-            core.move_internal(pair[0], pair[1], subnet(b), SimTime(0), &mut out);
+            core.submit(
+                Request::Move { src: pair[0], dst: pair[1], key: subnet(b) },
+                SimTime(0),
+                &mut out,
+            );
         }
         let mut per_shard = vec![0u64; shards as usize];
         let mut completions = Vec::new();
@@ -806,7 +830,7 @@ fn four_hop_chain_brokers_four_single_hops_of_messages() {
             ids.chunks(2).map(|p| ChainHop { src: p[0], dst: p[1] }).collect(),
         );
         let mut out = Vec::new();
-        let chain = core.chain_move(spec, SimTime(0), &mut out);
+        let chain = core.submit(Request::ChainMove(spec), SimTime(0), &mut out);
         let mut completions = Vec::new();
         drive(&core, out, SimTime(0), &mut completions, |mb, msg| {
             let at = ids.iter().position(|&id| id == mb).expect("a registered MB");
@@ -835,7 +859,7 @@ fn end_op_skips_quiescence_wait() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 4);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     w.pump(out);
     assert_eq!(w.a.perflow_entries(), 4);
     let mut out = Vec::new();
@@ -889,7 +913,7 @@ fn move_walks_running_completed_closed() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 6);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     assert_eq!(w.core.op_phase(op), Some(Phase::Running));
     w.pump(out);
     assert!(w.completions.iter().any(|c| matches!(c, Completion::MoveComplete { .. })));
@@ -911,13 +935,21 @@ fn move_walks_running_completed_closed() {
 fn simple_op_walks_running_closed_and_fails_fast_closed() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     let mut out = Vec::new();
-    let op = w.core.read_config(w.a_id, HierarchicalKey::parse("*"), w.now, &mut out);
+    let op = w.core.submit(
+        Request::ReadConfig { mb: w.a_id, key: HierarchicalKey::parse("*") },
+        w.now,
+        &mut out,
+    );
     assert_eq!(w.core.op_phase(op), Some(Phase::Running));
     w.pump(out);
     assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
     // Validation failure: born closed, one typed failure.
     let mut out = Vec::new();
-    let bad = w.core.stats(MbId(99), HeaderFieldList::any(), w.now, &mut out);
+    let bad = w.core.submit(
+        Request::Stats { mb: MbId(99), key: HeaderFieldList::any() },
+        w.now,
+        &mut out,
+    );
     w.pump(out);
     assert_eq!(w.core.op_phase(bad), Some(Phase::Closed));
     assert_eq!(failures(&w, bad), [&Error::UnknownMb(MbId(99))]);
@@ -928,7 +960,7 @@ fn running_transfer_without_resume_budget_aborts_closed_once() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 4);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     let mut out = Vec::new();
     w.core.mark_unreachable(w.b_id, w.now, &mut out);
     // Reported again (the embedding may) and ticked past the deadline:
@@ -946,7 +978,7 @@ fn unreachable_transfer_suspends_resumes_and_the_deadline_closes_it() {
     w.core.update_config(|c| c.max_transfer_resumes = 2);
     seed_monitor(&mut w.a, 4);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     out.clear(); // the gets are lost with the link
     w.core.mark_unreachable(w.b_id, w.now, &mut out);
     assert_eq!(w.core.op_phase(op), Some(Phase::Suspended));
@@ -973,7 +1005,7 @@ fn transfer_parked_on_its_source_completes_when_the_destination_acks() {
     w.core.update_config(|c| c.max_transfer_resumes = 1);
     seed_monitor(&mut w.a, 5);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     // Serve the source; hold everything addressed to the destination.
     let mut held = Vec::new();
     while let Some(act) = out.pop() {
@@ -1015,11 +1047,19 @@ fn deferred_transfer_runs_on_release_or_closes_on_its_deadline() {
             .expect("subnets spread over more than one shard");
         let mut out = Vec::new();
         for k in [i, j] {
-            core.move_internal(mbs[2 * k], mbs[2 * k + 1], subnet(k as u8), SimTime(0), &mut out);
+            core.submit(
+                Request::Move { src: mbs[2 * k], dst: mbs[2 * k + 1], key: subnet(k as u8) },
+                SimTime(0),
+                &mut out,
+            );
         }
         core.update_config(|c| c.op_deadline = clone_deadline);
         out.clear();
-        let clone = core.clone_support(mbs[2 * i + 1], mbs[2 * j], SimTime(0), &mut out);
+        let clone = core.submit(
+            Request::Clone { src: mbs[2 * i + 1], dst: mbs[2 * j] },
+            SimTime(0),
+            &mut out,
+        );
         assert_eq!(core.op_phase(clone), Some(Phase::Deferred));
         assert!(out.is_empty(), "a deferred op sends nothing: {out:?}");
         (core, clone)
@@ -1060,7 +1100,7 @@ fn end_op_before_completion_closes_the_op_silently() {
     let mut w = World::new(Monitor::new(), Monitor::new());
     seed_monitor(&mut w.a, 4);
     let mut out = Vec::new();
-    let op = w.core.move_internal(w.a_id, w.b_id, HeaderFieldList::any(), w.now, &mut out);
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
     let mut ended = Vec::new();
     w.core.end_op(op, w.now, &mut ended);
     assert_eq!(w.core.op_phase(op), Some(Phase::Closed));
@@ -1109,7 +1149,8 @@ fn single_chunk_drive_sees_the_pinned_exchange() {
         })
         .collect();
 
-    let (op, out) = ctrl.move_internal(src, dst, HeaderFieldList::any(), NOW);
+    let mut out = Vec::new();
+    let op = ctrl.submit(Request::Move { src, dst, key: HeaderFieldList::any() }, NOW, &mut out);
     let get = |want: fn(&Message) -> bool| {
         out.iter()
             .find_map(|a| match a {
@@ -1216,7 +1257,8 @@ fn events_wait_for_their_runs_ack_for_exact_and_wildcard_keys() {
         let (src, dst) = (core.register_mb(), core.register_mb());
         let now = SimTime(0);
         let mut out = Vec::new();
-        let op = core.move_internal(src, dst, HeaderFieldList::any(), now, &mut out);
+        let op =
+            core.submit(Request::Move { src, dst, key: HeaderFieldList::any() }, now, &mut out);
         let gets: Vec<OpId> = out
             .iter()
             .filter_map(|a| match a {

@@ -9,6 +9,7 @@ use openmb_core::app::{Api, ControlApp};
 use openmb_core::controller::{Completion, ControllerConfig};
 use openmb_core::nodes::{ControllerCosts, ControllerNode, Host, MbNode};
 use openmb_core::ControllerCore;
+use openmb_core::Request;
 use openmb_mb::Middlebox;
 use openmb_middleboxes::Monitor;
 use openmb_openflow::{ElementKind, Switch, Topology};
@@ -39,8 +40,11 @@ impl ControlApp for ScaleUpApp {
 
     fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
         if token == T_START {
-            self.move_op =
-                Some(api.move_internal(self.mb0, self.mb1, HeaderFieldList::from_dst_port(80)));
+            self.move_op = Some(api.submit(Request::Move {
+                src: self.mb0,
+                dst: self.mb1,
+                key: HeaderFieldList::from_dst_port(80),
+            }));
         }
     }
 

@@ -22,6 +22,7 @@ use openmb_core::app::{Api, ControlApp};
 use openmb_core::controller::{Completion, ControllerConfig, ControllerCore, TransferLedgerStats};
 use openmb_core::nodes::{ControllerCosts, ControllerNode, MbNode, APP_TIMER_BASE};
 use openmb_core::tcp::{serve_middlebox, TcpController};
+use openmb_core::Request;
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::{DummyMb, Ips, Monitor};
 use openmb_simnet::{Sim, SimDuration, SimTime};
@@ -105,7 +106,8 @@ struct Flap {
 
 impl ControlApp for Flap {
     fn on_timer(&mut self, api: &mut Api<'_>, _token: u64) {
-        api.move_internal(MbId(self.holder), MbId(1 - self.holder), HeaderFieldList::any());
+        let (src, dst) = (MbId(self.holder), MbId(1 - self.holder));
+        api.submit(Request::Move { src, dst, key: HeaderFieldList::any() });
     }
 
     fn on_completion(&mut self, _api: &mut Api<'_>, _c: &Completion) {
@@ -270,8 +272,10 @@ fn tcp_flap<M: Middlebox + Send + 'static>(name: &str, a: M, b: M) {
     for n in 0..LEGS {
         let before = counters(core);
         let (from, to) = (ids[n % 2], ids[(n + 1) % 2]);
-        let done =
-            controller.move_internal(from, to, HeaderFieldList::any(), Duration::from_secs(10));
+        let done = controller.call(
+            Request::Move { src: from, dst: to, key: HeaderFieldList::any() },
+            Duration::from_secs(10),
+        );
         assert!(
             matches!(done, Ok(Completion::MoveComplete { chunks_moved, .. }) if chunks_moved == chunks),
             "{name} leg {n}: {done:?}"

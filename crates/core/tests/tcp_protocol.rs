@@ -10,11 +10,12 @@ use std::time::Duration;
 
 use openmb_core::controller::{Completion, ControllerConfig};
 use openmb_core::tcp::{serve_middlebox, TcpController};
+use openmb_core::Request;
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::Monitor;
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_types::transport::TcpTransport;
-use openmb_types::{FlowKey, HeaderFieldList, Packet};
+use openmb_types::{FlowKey, HeaderFieldList, HierarchicalKey, Packet};
 
 fn http_pkt(id: u64, src_last: u8) -> Packet {
     let key = FlowKey::tcp(
@@ -70,26 +71,35 @@ fn move_and_merge_over_loopback_tcp() {
     controller.start();
 
     // stats: the source reports 30 per-flow reporting chunks.
-    let c = controller.stats(src, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    let c = controller
+        .call(Request::Stats { mb: src, key: HeaderFieldList::any() }, Duration::from_secs(5))
+        .unwrap();
     match c {
         Completion::Stats { stats, .. } => assert_eq!(stats.perflow_report_chunks, 30),
         other => panic!("unexpected {other:?}"),
     }
 
     // readConfig("*") / writeConfig clone.
-    let c = controller.read_config(src, "*", Duration::from_secs(5)).unwrap();
+    let c = controller
+        .call(Request::ReadConfig { mb: src, key: HierarchicalKey::root() }, Duration::from_secs(5))
+        .unwrap();
     let pairs = match c {
         Completion::Config { pairs, .. } => pairs,
         other => panic!("unexpected {other:?}"),
     };
     assert!(!pairs.is_empty());
     for (k, v) in &pairs {
-        controller.write_config(dst, &k.to_string(), v.clone(), Duration::from_secs(5)).unwrap();
+        controller
+            .call(
+                Request::WriteConfig { mb: dst, key: k.clone(), values: v.clone() },
+                Duration::from_secs(5),
+            )
+            .unwrap();
     }
 
     // moveInternal: all 30 chunks should land at the destination.
     let c = controller
-        .move_internal(src, dst, HeaderFieldList::any(), Duration::from_secs(10))
+        .call(Request::Move { src, dst, key: HeaderFieldList::any() }, Duration::from_secs(10))
         .unwrap();
     match c {
         Completion::MoveComplete { chunks_moved, .. } => assert_eq!(chunks_moved, 30),
@@ -97,19 +107,23 @@ fn move_and_merge_over_loopback_tcp() {
     }
 
     // mergeInternal: shared counters (30 packets) merge into dst.
-    let c = controller.merge_internal(src, dst, Duration::from_secs(10)).unwrap();
+    let c = controller.call(Request::Merge { src, dst }, Duration::from_secs(10)).unwrap();
     assert!(matches!(c, Completion::MergeComplete { .. }));
 
     // Allow the quiescence tick to fire the deletes at the source.
     std::thread::sleep(Duration::from_millis(300));
-    let c = controller.stats(src, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    let c = controller
+        .call(Request::Stats { mb: src, key: HeaderFieldList::any() }, Duration::from_secs(5))
+        .unwrap();
     match c {
         Completion::Stats { stats, .. } => {
             assert_eq!(stats.perflow_report_chunks, 0, "source deleted after quiescence")
         }
         other => panic!("unexpected {other:?}"),
     }
-    let c = controller.stats(dst, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    let c = controller
+        .call(Request::Stats { mb: dst, key: HeaderFieldList::any() }, Duration::from_secs(5))
+        .unwrap();
     match c {
         Completion::Stats { stats, .. } => assert_eq!(stats.perflow_report_chunks, 30),
         other => panic!("unexpected {other:?}"),
@@ -177,7 +191,10 @@ fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
     let ctrl = &controller;
     let dst = std::thread::scope(|s| {
         let mover = s.spawn(|| {
-            ctrl.move_internal(src_id, dst_id, HeaderFieldList::any(), Duration::from_secs(20))
+            ctrl.call(
+                Request::Move { src: src_id, dst: dst_id, key: HeaderFieldList::any() },
+                Duration::from_secs(20),
+            )
         });
 
         // Destination, phase 1: apply the first PUTS_BEFORE_CRASH puts by
@@ -226,7 +243,12 @@ fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
         }
 
         // The destination holds exactly what an unfaulted move delivers.
-        let c = ctrl.stats(dst_id, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+        let c = ctrl
+            .call(
+                Request::Stats { mb: dst_id, key: HeaderFieldList::any() },
+                Duration::from_secs(5),
+            )
+            .unwrap();
         match c {
             Completion::Stats { stats, .. } => {
                 assert_eq!(stats.perflow_report_chunks, usize::from(FLOWS))
@@ -299,7 +321,7 @@ fn span_ids_propagate_across_the_wire() {
     controller.start();
 
     let c = controller
-        .move_internal(src, dst, HeaderFieldList::any(), Duration::from_secs(10))
+        .call(Request::Move { src, dst, key: HeaderFieldList::any() }, Duration::from_secs(10))
         .unwrap();
     let op = match c {
         Completion::MoveComplete { op, chunks_moved, .. } => {
@@ -376,15 +398,21 @@ fn dropped_connection_aborts_with_mb_unreachable() {
     // northbound call aborts with a typed error instead of timing out.
     drop(mb_end);
 
-    let c = controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    let c = controller
+        .call(Request::Stats { mb, key: HeaderFieldList::any() }, Duration::from_secs(5))
+        .unwrap();
     match c {
         Completion::Failed { error: Error::MbUnreachable(id), .. } => assert_eq!(id, mb),
         other => panic!("expected MbUnreachable abort, got {other:?}"),
     }
 
     // Every subsequent call naming the dead MB fails fast the same way.
-    let c =
-        controller.move_internal(mb, mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    let c = controller
+        .call(
+            Request::Move { src: mb, dst: mb, key: HeaderFieldList::any() },
+            Duration::from_secs(5),
+        )
+        .unwrap();
     assert!(matches!(c, Completion::Failed { error: Error::MbUnreachable(_), .. }));
 
     controller.shutdown();
@@ -461,7 +489,10 @@ fn concurrent_blocking_callers_each_get_their_own_completion() {
         for pair in mbs.chunks(2) {
             s.spawn(move || {
                 let c = ctrl
-                    .move_internal(pair[0], pair[1], HeaderFieldList::any(), Duration::from_secs(3))
+                    .call(
+                        Request::Move { src: pair[0], dst: pair[1], key: HeaderFieldList::any() },
+                        Duration::from_secs(3),
+                    )
                     .unwrap();
                 assert!(matches!(c, Completion::MoveComplete { chunks_moved: 30, .. }), "{c:?}");
                 // Keep both threads blocking concurrently for a while.
@@ -491,7 +522,7 @@ fn chain_move_commits_over_loopback_tcp() {
         HeaderFieldList::any(),
         vec![ChainHop { src: mbs[0], dst: mbs[1] }, ChainHop { src: mbs[2], dst: mbs[3] }],
     );
-    let c = controller.chain_move(spec, Duration::from_secs(10)).unwrap();
+    let c = controller.call(Request::ChainMove(spec), Duration::from_secs(10)).unwrap();
     assert!(matches!(c, Completion::ChainComplete { hops: 2, chunks_moved: 50, .. }), "{c:?}");
     // Allow the quiescence tick to fire the source-side deletes.
     std::thread::sleep(Duration::from_millis(300));
@@ -546,7 +577,7 @@ fn chain_move_rolls_back_over_loopback_tcp_when_a_hop_destination_drops() {
         HeaderFieldList::any(),
         vec![ChainHop { src: a, dst: b }, ChainHop { src: c, dst: d }],
     );
-    match controller.chain_move(spec, Duration::from_secs(10)).unwrap() {
+    match controller.call(Request::ChainMove(spec), Duration::from_secs(10)).unwrap() {
         Completion::Failed { error: Error::MbUnreachable(mb), .. } => assert_eq!(mb, d),
         other => panic!("expected the chain to fail on hop 1's destination, got {other:?}"),
     }
@@ -597,7 +628,10 @@ fn served_over_channel(
 }
 
 fn stats_of(controller: &TcpController, mb: openmb_types::MbId) -> openmb_types::StateStats {
-    match controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap() {
+    match controller
+        .call(Request::Stats { mb, key: HeaderFieldList::any() }, Duration::from_secs(5))
+        .unwrap()
+    {
         Completion::Stats { stats, .. } => stats,
         other => panic!("unexpected {other:?}"),
     }
@@ -705,6 +739,44 @@ fn an_mb_registered_after_start_is_served() {
     servers.shutdown();
 }
 
+/// `TcpController::end_op` closes a completed move at once: the
+/// source's moved flows are deleted (and the deletes acked) while the
+/// quiescence window is still an hour away.
+#[test]
+fn end_op_deletes_the_moved_flows_long_before_quiescence() {
+    use openmb_core::Phase;
+
+    let mut servers = Servers::new();
+    let mut controller = TcpController::new(ControllerConfig {
+        quiesce_after: SimDuration::from_secs(3600),
+        ..ControllerConfig::default()
+    });
+    let src = connect(&controller, served_monitor(20, &mut servers));
+    let dst = connect(&controller, served_monitor(0, &mut servers));
+    controller.start();
+    let started = std::time::Instant::now();
+    let moved = Request::Move { src, dst, key: HeaderFieldList::any() };
+    let op = match controller.call(moved, Duration::from_secs(10)).unwrap() {
+        Completion::MoveComplete { op, chunks_moved } => {
+            assert_eq!(chunks_moved, 20);
+            op
+        }
+        other => panic!("unexpected {other:?}"),
+    };
+    assert_eq!(report_chunks(&controller, src), 20, "no delete before end_op");
+    assert_eq!(controller.engine().op_phase(op), Some(Phase::Completed));
+
+    controller.end_op(op);
+    wait_until("the source's deletes are acked", || {
+        controller.engine().op_phase(op) == Some(Phase::Closed)
+    });
+    assert_eq!(report_chunks(&controller, src), 0, "end_op deleted the moved flows");
+    assert_eq!(report_chunks(&controller, dst), 20);
+    assert!(started.elapsed() < Duration::from_secs(60), "closed by end_op, not quiescence");
+    controller.shutdown();
+    servers.shutdown();
+}
+
 /// A disconnect is handled on the MB's own receive thread after that
 /// MB's last frame: N acks queued right before the hang-up are all
 /// applied before the reset is.
@@ -734,7 +806,11 @@ fn frames_queued_before_a_disconnect_are_handled_before_the_reset() {
     let ctrl = &controller;
     let done = std::thread::scope(|s| {
         let mover = s.spawn(|| {
-            ctrl.move_internal(src, dst, HeaderFieldList::any(), Duration::from_secs(10)).unwrap()
+            ctrl.call(
+                Request::Move { src, dst, key: HeaderFieldList::any() },
+                Duration::from_secs(10),
+            )
+            .unwrap()
         });
         // The destination by hand: answer everything but hold the acks
         // back until the last put is applied ...
@@ -849,7 +925,8 @@ fn soak_under_the_monitor_over_tcp_and_a_reattach() {
     let ctrl = &controller;
     let expect = stats_of(ctrl, src);
     std::thread::scope(|s| {
-        let mover = s.spawn(|| ctrl.move_internal(src, dst, all(), Duration::from_secs(20)));
+        let mover =
+            s.spawn(|| ctrl.call(Request::Move { src, dst, key: all() }, Duration::from_secs(20)));
         let mut monitor = Monitor::new();
         let mut log = SharedPutLog::new();
         let mut puts = 0;
@@ -884,7 +961,10 @@ fn soak_under_the_monitor_over_tcp_and_a_reattach() {
     for _ in 0..MOVES {
         let (from, to) = (tcp[holder], tcp[1 - holder]);
         let expect = stats_of(ctrl, from);
-        moved_all(ctrl.move_internal(from, to, all(), Duration::from_secs(10)).unwrap());
+        moved_all(
+            ctrl.call(Request::Move { src: from, dst: to, key: all() }, Duration::from_secs(10))
+                .unwrap(),
+        );
         // The quiescence deletes run on the maintenance tick.
         wait_until("the source is emptied", || report_chunks(ctrl, from) == 0);
         assert_eq!(stats_of(ctrl, to), expect);

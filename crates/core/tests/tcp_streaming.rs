@@ -11,6 +11,7 @@ use std::time::Duration;
 
 use openmb_core::controller::{Completion, ControllerConfig};
 use openmb_core::tcp::{serve_middlebox, TcpController};
+use openmb_core::Request;
 use openmb_mb::{Effects, Middlebox};
 use openmb_middleboxes::{DummyMb, LoadBalancer, Monitor};
 use openmb_simnet::{SimDuration, SimTime};
@@ -153,7 +154,8 @@ fn a_get_larger_than_max_message_moves() {
     let src = ctrl.register_mb(Arc::new(TcpTransport::connect(a).unwrap()));
     let dst = ctrl.register_mb(Arc::new(TcpTransport::connect(b).unwrap()));
     ctrl.start();
-    let done = ctrl.move_internal(src, dst, HeaderFieldList::any(), Duration::from_secs(600));
+    let done = ctrl
+        .call(Request::Move { src, dst, key: HeaderFieldList::any() }, Duration::from_secs(600));
     assert!(matches!(done, Ok(Completion::MoveComplete { chunks_moved: N, .. })), "{done:?}");
     ctrl.shutdown();
     stop.store(true, Ordering::Relaxed);

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use openmb_core::controller::{Action, Completion, ControllerConfig, ControllerCore};
+use openmb_core::Request;
 use openmb_mb::{handle_southbound, state, CostModel, Effects, Middlebox, Record};
 use openmb_mb::{Sealer, SyncTracker};
 use openmb_simnet::SimTime;
@@ -198,7 +199,11 @@ fn an_event_waits_for_both_classes_puts() {
     w.a.process_packet(now, &packet(1), &mut Effects::normal());
 
     let mut actions = Vec::new();
-    let op = w.core.move_internal(a_id, b_id, HeaderFieldList::any(), now, &mut actions);
+    let op = w.core.submit(
+        Request::Move { src: a_id, dst: b_id, key: HeaderFieldList::any() },
+        now,
+        &mut actions,
+    );
     w.run(actions);
     assert_eq!(w.held.len(), 1, "the report put is held: {:?}", w.log);
     assert_eq!(w.sent(b_id, "putAck").len(), 1, "the support put is acked: {:?}", w.log);

@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use openmb_apps::scenarios::multi_layout::{dst_mb, dst_node, src_mb, src_node, CONTROLLER};
 use openmb_core::app::{Api, ControlApp};
 use openmb_core::chain::{ChainHop, ChainSpec};
-use openmb_core::controller::{Completion, ControllerConfig};
+use openmb_core::controller::{Completion, ControllerConfig, Request as Northbound};
 use openmb_core::nodes::{ControllerNode, MbNode};
 use openmb_mb::{Effects, Middlebox, SharedSnapshot};
 use openmb_simnet::obs::{Monitor, MonitorConfig, Recorder};
@@ -370,18 +370,20 @@ impl ControlApp for IssueOps {
         api.set_timer(SimDuration::from_millis(OP_AT_MS), 1);
     }
     fn on_timer(&mut self, api: &mut Api<'_>, _token: u64) {
-        let any = HeaderFieldList::any;
+        let any = HeaderFieldList::any();
         let mut ids = self.issued.lock().unwrap();
         if !ids.is_empty() {
             return;
         }
         for r in &self.requests {
-            ids.push(match r {
-                Request::Op(ConfOp::Move, src, dst) => api.move_internal(*src, *dst, any()),
-                Request::Op(ConfOp::Clone, src, dst) => api.clone_support(*src, *dst),
-                Request::Op(ConfOp::Merge, src, dst) => api.merge_internal(*src, *dst),
-                Request::Chain(hops) => api.chain_move(ChainSpec::new(any(), hops.clone())),
-            });
+            ids.push(api.submit(match *r {
+                Request::Op(ConfOp::Move, src, dst) => Northbound::Move { src, dst, key: any },
+                Request::Op(ConfOp::Clone, src, dst) => Northbound::Clone { src, dst },
+                Request::Op(ConfOp::Merge, src, dst) => Northbound::Merge { src, dst },
+                Request::Chain(ref hops) => {
+                    Northbound::ChainMove(ChainSpec::new(any, hops.clone()))
+                }
+            }));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Chain-move conformance (DESIGN.md §15): one chain of 2–4 hops over
 //! disjoint MB pairs, driven as a single atomic transaction
-//! ([`openmb_core::controller::ControllerCore::chain_move`]) under
+//! ([`openmb_core::Request::ChainMove`]) under
 //! randomized per-hop fault schedules, with three invariant families:
 //!
 //! * **all-or-nothing** — a committed chain leaves every hop's

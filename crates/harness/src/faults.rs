@@ -17,7 +17,7 @@
 use openmb_apps::migration::RouteSpec;
 use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_core::nodes::{ControllerNode, Host, MbNode};
 use openmb_mb::Middlebox;
 use openmb_middleboxes::Monitor;
@@ -62,8 +62,8 @@ impl ControlApp for MoveWithFallback {
 
     fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
         if token == T_MOVE {
-            self.move_op =
-                Some(api.move_internal(self.src_mb, self.dst_mb, HeaderFieldList::any()));
+            let (src, dst, key) = (self.src_mb, self.dst_mb, HeaderFieldList::any());
+            self.move_op = Some(api.submit(Request::Move { src, dst, key }));
         }
     }
 

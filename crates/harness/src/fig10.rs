@@ -10,7 +10,7 @@
 use openmb_apps::migration::{FlowMoveApp, RouteSpec};
 use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::{Completion, ControllerConfig};
+use openmb_core::controller::{Completion, ControllerConfig, Request};
 use openmb_core::nodes::{ControllerCosts, ControllerNode, MbNode};
 use openmb_middleboxes::DummyMb;
 use openmb_openflow::ElementKind;
@@ -84,7 +84,7 @@ impl ControlApp for MultiMoveApp {
     fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
         if token == 1 {
             for &(src, dst) in &self.pairs.clone() {
-                self.ops.push(api.move_internal(src, dst, HeaderFieldList::any()));
+                self.ops.push(api.submit(Request::Move { src, dst, key: HeaderFieldList::any() }));
             }
         }
     }

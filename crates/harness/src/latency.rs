@@ -9,7 +9,7 @@
 use openmb_apps::migration::{FlowMoveApp, RouteSpec};
 use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_middleboxes::ReDecoder;
 use openmb_simnet::obs::{RecorderDump, SpanEvent};
 use openmb_simnet::{Frame, SimDuration, SimTime};
@@ -115,7 +115,7 @@ impl ControlApp for CloneOnce {
     }
     fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
         if token == 1 {
-            api.clone_support(self.src, self.dst);
+            api.submit(Request::Clone { src: self.src, dst: self.dst });
         }
     }
     fn on_completion(&mut self, api: &mut Api<'_>, c: &Completion) {

@@ -14,12 +14,12 @@ use std::net::Ipv4Addr;
 use openmb_apps::migration::{ReMigrationApp, RouteSpec};
 use openmb_apps::scenarios::{re_layout, re_scenario, ScenarioParams};
 use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::Completion;
+use openmb_core::controller::{Completion, Request};
 use openmb_core::nodes::MbNode;
 use openmb_middleboxes::{ReDecoder, ReEncoder};
 use openmb_simnet::{SimDuration, SimTime};
 use openmb_traffic::{RedundantPayloads, Trace};
-use openmb_types::{ConfigValue, HeaderFieldList, IpPrefix, MbId, OpId};
+use openmb_types::{ConfigValue, HeaderFieldList, HierarchicalKey, IpPrefix, MbId, OpId};
 
 use crate::report::{f, Table};
 
@@ -66,15 +66,19 @@ impl ControlApp for ConfigRoutingReApp {
             1 => {
                 // Empty second cache + immediate CacheFlows switch: the
                 // best this baseline can do without state control.
-                api.write_config(self.encoder, "NumCachesEmpty", vec![ConfigValue::Int(2)]);
-                self.pending = Some(api.write_config(
-                    self.encoder,
-                    "CacheFlows",
-                    vec![
+                api.submit(Request::WriteConfig {
+                    mb: self.encoder,
+                    key: HierarchicalKey::parse("NumCachesEmpty"),
+                    values: vec![ConfigValue::Int(2)],
+                });
+                self.pending = Some(api.submit(Request::WriteConfig {
+                    mb: self.encoder,
+                    key: HierarchicalKey::parse("CacheFlows"),
+                    values: vec![
                         ConfigValue::Str(self.dc_a_prefix.clone()),
                         ConfigValue::Str(self.dc_b_prefix.clone()),
                     ],
-                ));
+                }));
                 self.state = 1;
             }
             2 => {

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use openmb_core::controller::{Completion, ControllerConfig};
 use openmb_core::tcp::{serve_middlebox_recorded, TcpController};
+use openmb_core::Request;
 use openmb_harness::common::{get_window, preloaded_monitor};
 use openmb_mb::{Middlebox, SharedPutLog};
 use openmb_middleboxes::Monitor;
@@ -41,7 +42,8 @@ fn a_streamed_get_reads_as_one_window_of_several_frames() {
     }
     ctrl.start();
     let (src, dst) = (openmb_types::MbId(0), openmb_types::MbId(1));
-    let done = ctrl.move_internal(src, dst, HeaderFieldList::any(), Duration::from_secs(60));
+    let done =
+        ctrl.call(Request::Move { src, dst, key: HeaderFieldList::any() }, Duration::from_secs(60));
     assert!(matches!(done, Ok(Completion::MoveComplete { chunks_moved: FLOWS, .. })), "{done:?}");
     ctrl.shutdown();
     stop.store(true, Ordering::Relaxed);

@@ -9,13 +9,13 @@
 //!
 //! Run with: `cargo run --example tcp_protocol`
 
-use openmb::core::controller::{Completion, ControllerConfig};
+use openmb::core::controller::{Completion, ControllerConfig, Request};
 use openmb::core::tcp::{serve_middlebox, TcpController};
 use openmb::mb::{Effects, Middlebox};
 use openmb::middleboxes::Monitor;
 use openmb::simnet::{SimDuration, SimTime};
 use openmb::types::transport::TcpTransport;
-use openmb::types::{FlowKey, HeaderFieldList, Packet};
+use openmb::types::{FlowKey, HeaderFieldList, HierarchicalKey, Packet};
 use std::net::{Ipv4Addr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -67,7 +67,8 @@ fn main() {
     controller.start();
     let t = Duration::from_secs(5);
 
-    match controller.stats(src, HeaderFieldList::any(), t).unwrap() {
+    let any = HeaderFieldList::any();
+    match controller.call(Request::Stats { mb: src, key: any }, t).unwrap() {
         Completion::Stats { stats, .. } => {
             println!(
                 "[ctl] stats(src): {} per-flow chunks, {} bytes",
@@ -78,27 +79,28 @@ fn main() {
     }
 
     // Clone configuration (readConfig "*" → writeConfig each pair).
-    if let Completion::Config { pairs, .. } = controller.read_config(src, "*", t).unwrap() {
+    let read = Request::ReadConfig { mb: src, key: HierarchicalKey::root() };
+    if let Completion::Config { pairs, .. } = controller.call(read, t).unwrap() {
         println!("[ctl] readConfig(src, \"*\"): {} keys", pairs.len());
-        for (k, v) in pairs {
-            controller.write_config(dst, &k.to_string(), v, t).unwrap();
+        for (key, values) in pairs {
+            controller.call(Request::WriteConfig { mb: dst, key, values }, t).unwrap();
         }
         println!("[ctl] configuration cloned to dst");
     }
 
-    match controller.move_internal(src, dst, HeaderFieldList::any(), t).unwrap() {
+    match controller.call(Request::Move { src, dst, key: any }, t).unwrap() {
         Completion::MoveComplete { chunks_moved, .. } => {
             println!("[ctl] moveInternal: {chunks_moved} chunks moved");
         }
         other => panic!("unexpected {other:?}"),
     }
 
-    controller.merge_internal(src, dst, t).unwrap();
+    controller.call(Request::Merge { src, dst }, t).unwrap();
     println!("[ctl] mergeInternal: shared counters consolidated");
 
     std::thread::sleep(Duration::from_millis(200)); // quiescence deletes
     if let Completion::Stats { stats, .. } =
-        controller.stats(dst, HeaderFieldList::any(), t).unwrap()
+        controller.call(Request::Stats { mb: dst, key: any }, t).unwrap()
     {
         println!("[ctl] stats(dst): {} per-flow chunks", stats.perflow_report_chunks);
         assert_eq!(stats.perflow_report_chunks, 50);

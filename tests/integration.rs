@@ -148,15 +148,15 @@ fn lb_migration_preserves_affinity_through_sim() {
 /// Granularity errors propagate through the controller as failures.
 #[test]
 fn lb_rejects_fine_grained_get_through_controller() {
-    use openmb::core::controller::{Action, ControllerConfig, ControllerCore};
+    use openmb::core::controller::{Action, ControllerConfig, ControllerCore, Request};
     use openmb::mb::handle_southbound;
     let core = ControllerCore::new(ControllerConfig::default());
     let mb = core.register_mb();
     let mut lb = LoadBalancer::new(Ipv4Addr::new(1, 2, 3, 4), &[Ipv4Addr::new(10, 0, 0, 1)]);
     let mut actions = Vec::new();
     // Request at finer-than-native granularity (a port-qualified key).
-    let op =
-        core.move_internal(mb, mb, HeaderFieldList::from_dst_port(80), SimTime(0), &mut actions);
+    let fine = Request::Move { src: mb, dst: mb, key: HeaderFieldList::from_dst_port(80) };
+    let op = core.submit(fine, SimTime(0), &mut actions);
     // Deliver the southbound messages to the MB and feed replies back.
     let mut failed = false;
     for a in actions {

@@ -259,7 +259,7 @@ mod router_chain_properties {
     const CHAIN_A: OpId = OpId(CHAIN_OP_BASE + 1);
 
     /// Hop `i` of every generated chain moves `MbId(2i) → MbId(2i+1)` —
-    /// pairwise-disjoint MB pairs, the shape `chain_move` validates.
+    /// pairwise-disjoint MB pairs, the shape a chain move's admission validates.
     fn hop_pairs(n: usize) -> Vec<(MbId, MbId)> {
         (0..n as u32).map(|i| (MbId(2 * i), MbId(2 * i + 1))).collect()
     }
@@ -372,7 +372,7 @@ mod router_chain_properties {
 
 mod controller_robustness {
     use super::*;
-    use openmb::core::controller::{ControllerConfig, ControllerCore};
+    use openmb::core::controller::{ControllerConfig, ControllerCore, Request};
     use openmb::simnet::SimTime;
     use openmb::types::MbId;
 
@@ -427,11 +427,12 @@ mod controller_robustness {
             let b = core.register_mb();
             let mut out = Vec::new();
             for (i, mv) in issue_ops.iter().enumerate() {
-                if *mv {
-                    core.move_internal(a, b, HeaderFieldList::any(), SimTime(i as u64), &mut out);
+                let req = if *mv {
+                    Request::Move { src: a, dst: b, key: HeaderFieldList::any() }
                 } else {
-                    core.clone_support(a, b, SimTime(i as u64), &mut out);
-                }
+                    Request::Clone { src: a, dst: b }
+                };
+                core.submit(req, SimTime(i as u64), &mut out);
             }
             for (i, m) in msgs.into_iter().enumerate() {
                 core.handle_mb_message(
