@@ -825,10 +825,14 @@ impl ControllerShard {
                 st.last_activity = now;
                 // Every key of the run is acked at once; one pass over
                 // `buffered` releases, in arrival order, the events any
-                // of them unblocks, and the rest stay where they are.
+                // of them unblocks — unless another open put, the flow's
+                // other class, still carries the key — and the rest stay
+                // where they are.
                 let dst = st.dst;
-                let unblocked =
-                    |ev: &mut BufferedEvent| put.msg.run_keys().any(|k| k.matches_bidi(&ev.key));
+                let unblocked = |ev: &mut BufferedEvent| {
+                    put.msg.run_keys().any(|k| k.matches_bidi(&ev.key))
+                        && !st.transfer.pending(&ev.key)
+                };
                 for ev in st.buffered.extract_if(.., unblocked) {
                     st.events_forwarded += 1;
                     out.push(Action::ToMb(
@@ -906,7 +910,8 @@ impl ControllerShard {
                     st.last_activity = now;
                     let dst = st.dst;
                     // Buffer until the destination has ACKed the put for
-                    // the state this event applies to (Fig 5).
+                    // the state this event applies to (Fig 5). The first
+                    // event judged builds the transfer's pending index.
                     if self.config.buffer_events && st.transfer.holds(&key) {
                         st.buffered.push(BufferedEvent { key, packet });
                         self.events_buffered_peak =

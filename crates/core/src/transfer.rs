@@ -1,6 +1,7 @@
 //! One state transfer's progress (§5, Figure 5): the get streams a
 //! move, clone or merge opens at its source, the records they streamed,
-//! and the put ledger — a window of puts in flight, a queue behind it.
+//! and the put ledger — one ring of puts: a window in flight, a queue
+//! behind it.
 //!
 //! [`Transfer`] does no I/O and keeps no clock or recorder: it returns
 //! the seqs and messages to send, and the shard allocates sub-op ids,
@@ -8,7 +9,7 @@
 //! in `shard.rs`.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use openmb_types::wire::{self, Message};
 use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, OpId, StateChunk};
@@ -112,9 +113,13 @@ impl Put {
     }
 }
 
-/// A transfer's gets, streamed records and put ledger. Seqs are admitted
-/// in order, so every seq below the first queued one was admitted, and
-/// an admitted seq is acked exactly when it has left `in_flight`.
+/// A transfer's gets, streamed records and put ledger.
+///
+/// The ledger is one ring indexed by `seq - base`. Seqs are taken in
+/// order and each is queued as it is taken, so slot `i` holds put
+/// `base + i`: in flight below the admit cursor, queued at and above it,
+/// or `None` once acked. Acked slots leave from the front, so the front
+/// slot is always an open put and `base` is the lowest unacked seq.
 #[derive(Clone, Default)]
 pub(crate) struct Transfer {
     gets: Vec<Get>,
@@ -123,16 +128,23 @@ pub(crate) struct Transfer {
     streamed: [HashSet<HeaderFieldList>; 2],
     /// Keys of the puts in flight or queued, each with the number of
     /// those puts that carry it (a flow whose support and report records
-    /// travel in two puts has two): their events wait.
-    pending: HashMap<HeaderFieldList, u32>,
-    /// Some pending key is not one exact flow, so the event predicate
+    /// travel in two puts has two): their events wait. Built from the
+    /// ring when an event is first judged or the op closes, and kept
+    /// from then on; a transfer no event asks about never hashes a key.
+    pending: Option<HashMap<HeaderFieldList, u32>>,
+    /// Some put's key is not one exact flow, so the event predicate
     /// walks the sets instead of probing them.
     wild_keys: bool,
     /// Flow records transferred (not runs).
     chunks: usize,
     next_seq: u64,
-    in_flight: BTreeMap<u64, Put>,
-    queued: VecDeque<(u64, Put)>,
+    ring: VecDeque<Option<Put>>,
+    /// The seq of the ring's front slot.
+    base: u64,
+    /// The next seq to admit into the window.
+    admit: u64,
+    /// Admitted puts not yet acked.
+    in_flight: usize,
     resumes_left: u32,
 }
 
@@ -213,7 +225,9 @@ impl Transfer {
         self.chunks += 1 + rest.len();
         for key in std::iter::once(&chunk.key).chain(rest.iter().map(|c| &c.key)) {
             self.wild_keys |= key.as_exact().is_none();
-            *self.pending.entry(*key).or_default() += 1;
+            if let Some(pending) = &mut self.pending {
+                *pending.entry(*key).or_default() += 1;
+            }
         }
         Some((self.take_seq(), chunk, rest))
     }
@@ -223,25 +237,39 @@ impl Transfer {
         self.next_seq - 1
     }
 
-    /// Queue put `seq` behind the window.
+    /// Queue put `seq`, the last seq taken, behind the window.
     pub(crate) fn enqueue(&mut self, seq: u64, put: Put) {
-        self.queued.push_back((seq, put));
+        debug_assert_eq!(seq, self.base + self.ring.len() as u64, "puts queue in seq order");
+        self.ring.push_back(Some(put));
     }
 
     /// Admit the next queued put if the window (0: unbounded) has a free
     /// slot: its seq and the message to send.
     pub(crate) fn admit_next(&mut self, window: usize) -> Option<(u64, Message)> {
-        if window != 0 && self.in_flight.len() >= window {
+        if window != 0 && self.in_flight >= window {
             return None;
         }
-        let (seq, put) = self.queued.pop_front()?;
+        let seq = self.admit;
+        let put = self.ring.get((seq - self.base) as usize)?.as_ref()?;
         let msg = put.msg.clone();
-        self.in_flight.insert(seq, put);
+        self.admit += 1;
+        self.in_flight += 1;
         Some((seq, msg))
     }
 
     pub(crate) fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.in_flight
+    }
+
+    /// The ring slot of put `seq` if it has been admitted.
+    fn admitted(&self, seq: u64) -> Option<usize> {
+        (self.base..self.admit).contains(&seq).then(|| (seq - self.base) as usize)
+    }
+
+    /// The ring's admitted slots, in seq order: the puts in flight and
+    /// the holes of the acked ones above the lowest.
+    fn admitted_slots(&self) -> impl Iterator<Item = &Option<Put>> {
+        self.ring.range(..(self.admit - self.base) as usize)
     }
 
     /// Accept the ack of put `seq`: `None` unless it is in flight, so a
@@ -249,12 +277,20 @@ impl Transfer {
     /// changes nothing. Its keys stop being pending unless another open
     /// put carries them.
     pub(crate) fn ack(&mut self, seq: u64) -> Option<Put> {
-        let put = self.in_flight.remove(&seq)?;
-        for k in put.msg.run_keys() {
-            if let Entry::Occupied(mut open) = self.pending.entry(*k) {
-                *open.get_mut() -= 1;
-                if *open.get() == 0 {
-                    open.remove();
+        let slot = self.admitted(seq)?;
+        let put = self.ring[slot].take()?;
+        self.in_flight -= 1;
+        while let Some(None) = self.ring.front() {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+        if let Some(pending) = &mut self.pending {
+            for k in put.msg.run_keys() {
+                if let Entry::Occupied(mut open) = pending.entry(*k) {
+                    *open.get_mut() -= 1;
+                    if *open.get() == 0 {
+                        open.remove();
+                    }
                 }
             }
         }
@@ -270,7 +306,8 @@ impl Transfer {
         class: Class,
         hash: [u8; 32],
     ) -> Option<(Message, bool)> {
-        let body = self.in_flight.get_mut(&seq)?.body.as_mut().filter(|b| b.hash == hash)?;
+        let slot = self.admitted(seq)?;
+        let body = self.ring[slot].as_mut()?.body.as_mut().filter(|b| b.hash == hash)?;
         let first = !std::mem::replace(&mut body.needed, true);
         let msg = Message::ChunkBody {
             op: sub,
@@ -285,7 +322,7 @@ impl Transfer {
 
     /// A get is open or a put is unacked.
     pub(crate) fn outstanding(&self) -> bool {
-        self.gets_open() || !self.in_flight.is_empty() || !self.queued.is_empty()
+        self.gets_open() || !self.ring.is_empty()
     }
 
     pub(crate) fn chunks(&self) -> usize {
@@ -296,12 +333,12 @@ impl Transfer {
         self.resumes_left > 0
     }
 
-    /// Spend one resume: the window base, or `None` with no budget left.
-    /// The caller re-sends [`Transfer::open_gets`] and
+    /// Spend one resume: the lowest unacked seq, or `None` with no
+    /// budget left. The caller re-sends [`Transfer::open_gets`] and
     /// [`Transfer::unacked`].
     pub(crate) fn resume(&mut self) -> Option<u64> {
         self.resumes_left = self.resumes_left.checked_sub(1)?;
-        Some(self.in_flight.keys().next().copied().unwrap_or_else(|| self.admitted_end()))
+        Some(self.base)
     }
 
     /// The requests of the gets whose streams are open.
@@ -311,72 +348,106 @@ impl Transfer {
 
     /// The in-flight puts, in seq order.
     pub(crate) fn unacked(&self) -> impl Iterator<Item = &Message> {
-        self.in_flight.values().map(|p| &p.msg)
+        self.admitted_slots().flatten().map(|p| &p.msg)
     }
 
-    fn admitted_end(&self) -> u64 {
-        self.queued.front().map_or(self.next_seq, |(seq, _)| *seq)
+    /// Each key of the open puts with the number of them carrying it.
+    fn count_open(&self) -> HashMap<HeaderFieldList, u32> {
+        let mut counts = HashMap::new();
+        for key in self.ring.iter().flatten().flat_map(|put| put.msg.run_keys()) {
+            *counts.entry(*key).or_default() += 1;
+        }
+        counts
+    }
+
+    /// Build the pending index from the ring unless it is built.
+    fn build_index(&mut self) {
+        if self.pending.is_none() {
+            self.pending = Some(self.count_open());
+        }
+    }
+
+    /// Is a key matching `flow` carried by a put in flight or queued?
+    /// Read off the pending index; before it is built, off the ring.
+    pub(crate) fn pending(&self, flow: &FlowKey) -> bool {
+        let Some(pending) = &self.pending else {
+            let mut keys = self.ring.iter().flatten().flat_map(|put| put.msg.run_keys());
+            return keys.any(|k| k.matches_bidi(flow));
+        };
+        match self.wild_keys {
+            // With every key exact, only these two can match `flow`.
+            false => [HeaderFieldList::exact(*flow), HeaderFieldList::exact(flow.reversed())]
+                .iter()
+                .any(|k| pending.contains_key(k)),
+            true => pending.keys().any(|k| k.matches_bidi(flow)),
+        }
     }
 
     /// Must an event for `flow` wait? While a matching key's put is
     /// unacked, or a get is open and has not streamed one: the put would
     /// overwrite it (§4.2.1). A streamed key not pending has been acked.
-    pub(crate) fn holds(&self, flow: &FlowKey) -> bool {
-        // With every key exact, only these two can match `flow`.
+    /// The first call builds the pending index.
+    pub(crate) fn holds(&mut self, flow: &FlowKey) -> bool {
+        self.build_index();
         let both = [HeaderFieldList::exact(*flow), HeaderFieldList::exact(flow.reversed())];
-        let pending = match self.wild_keys {
-            false => both.iter().any(|k| self.pending.contains_key(k)),
-            true => self.pending.keys().any(|k| k.matches_bidi(flow)),
-        };
         let streamed = |keys: &HashSet<HeaderFieldList>| match self.wild_keys {
             false => both.iter().any(|k| keys.contains(k)),
             true => keys.iter().any(|k| k.matches_bidi(flow)),
         };
         let [support, report] = &self.streamed;
-        pending || (self.gets_open() && !streamed(support) && !streamed(report))
+        self.pending(flow) || (self.gets_open() && !streamed(support) && !streamed(report))
     }
 
-    /// Recompute each pending key's count from the ledger — the puts in
-    /// flight and queued — and assert it is the one kept. Holds at every
-    /// step except between [`Transfer::abort`] and [`Transfer::close`].
+    /// Assert the ring's invariants and, once the pending index is
+    /// built, recompute each key's count from the ring and assert it is
+    /// the one kept. Holds at every step before [`Transfer::abort`] or
+    /// [`Transfer::close`].
     #[cfg(test)]
     pub(crate) fn check(&self) {
-        let mut counts: HashMap<HeaderFieldList, u32> = HashMap::new();
-        let puts = self.in_flight.values().chain(self.queued.iter().map(|(_, put)| put));
-        for key in puts.flat_map(|put| put.msg.run_keys()) {
-            *counts.entry(*key).or_default() += 1;
+        let end = self.base + self.ring.len() as u64;
+        assert!(self.base <= self.admit && self.admit <= end, "admit cursor outside the ring");
+        assert_eq!(end, self.next_seq, "a taken seq is not queued");
+        assert!(!matches!(self.ring.front(), Some(None)), "an acked slot at the front");
+        let open = self.admitted_slots().flatten().count();
+        assert_eq!(open, self.in_flight, "in-flight count is not the ring's");
+        if let Some(pending) = &self.pending {
+            assert_eq!(pending, &self.count_open(), "pending counts are not the ledger's");
         }
-        assert_eq!(counts, self.pending, "pending counts are not the ledger's");
     }
 
     /// Add this transfer's ledger to `agg`. The acked seqs above the
-    /// lowest unacked one are the admitted seqs there not in flight.
+    /// lowest unacked one are the holes among the admitted slots.
     pub(crate) fn add_ledger(&self, agg: &mut TransferLedgerStats) {
-        agg.puts_in_flight += self.in_flight.len();
-        agg.puts_queued += self.queued.len();
-        if let Some(&base) = self.in_flight.keys().next() {
-            agg.ack_set_size += (self.admitted_end() - base) as usize - self.in_flight.len();
-        }
-        agg.bodies_in_flight +=
-            self.in_flight.values().filter(|p| p.body.as_ref().is_some_and(|b| b.needed)).count();
+        let admitted = (self.admit - self.base) as usize;
+        agg.puts_in_flight += self.in_flight;
+        agg.puts_queued += self.ring.len() - admitted;
+        agg.ack_set_size += admitted - self.in_flight;
+        agg.bodies_in_flight += self
+            .admitted_slots()
+            .flatten()
+            .filter(|p| p.body.as_ref().is_some_and(|b| b.needed))
+            .count();
     }
 
     /// The op aborted: no get or put is outstanding any more and no event
     /// waits on a key. Followed by [`Transfer::close`].
     pub(crate) fn abort(&mut self) {
         self.gets.iter_mut().for_each(|g| g.done = true);
-        self.pending.clear();
+        self.pending = Some(HashMap::new());
     }
 
-    /// The op closed: free the ledger. The key sets stay while a get is
-    /// open (`end_op` before completion): the event predicate reads them.
+    /// The op closed: free the ledger, building the pending index from
+    /// it first, so a retired op holds the events its open puts did. The
+    /// key sets stay while a get is open (`end_op` before completion):
+    /// the event predicate reads them.
     pub(crate) fn close(&mut self) {
-        self.in_flight = BTreeMap::new();
-        self.queued = VecDeque::new();
+        self.build_index();
+        self.ring = VecDeque::new();
+        (self.base, self.admit, self.in_flight) = (self.next_seq, self.next_seq, 0);
         if !self.gets_open() {
             self.streamed = Default::default();
-            if self.pending.is_empty() {
-                self.pending = HashMap::new();
+            if self.pending.as_ref().is_some_and(HashMap::is_empty) {
+                self.pending = Some(HashMap::new());
             }
         }
     }
@@ -476,9 +547,19 @@ mod tests {
         }
     }
 
+    /// How a walk ends early: `end_op` before completion closes the
+    /// transfer with its puts still open; an abort is followed by the
+    /// close.
+    #[derive(Clone, Copy, Debug)]
+    enum End {
+        Close,
+        Abort,
+    }
+
     #[test]
     fn a_seeded_walk_keeps_the_ledger_invariants() {
         const W: usize = 3;
+        const STEPS: u64 = 200;
         let gets = [(OpId(2), Class::Support), (OpId(3), Class::Report)];
         let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = move |n: u64| {
@@ -501,24 +582,56 @@ mod tests {
             let (mut acked, mut acked_keys) = (BTreeSet::new(), HashSet::new());
             let mut open: BTreeSet<OpId> = gets.iter().map(|(sub, _)| *sub).collect();
             let mut expected: BTreeMap<OpId, usize> = BTreeMap::new();
-            for _ in 0..200 {
+            let mut streamed: [HashSet<HeaderFieldList>; 2] = Default::default();
+            // The step whose event is the first judged, building the
+            // pending index, and the step the walk ends at; either may
+            // never come.
+            let judge_at = next(STEPS + STEPS / 4);
+            let end = match next(3) {
+                0 => Some((next(STEPS), End::Close)),
+                1 => Some((next(STEPS), End::Abort)),
+                _ => None,
+            };
+            for step in 0..STEPS {
+                if let Some((_, how)) = end.filter(|&(at, _)| at == step) {
+                    match how {
+                        End::Close => t.close(),
+                        End::Abort => {
+                            t.abort();
+                            t.close();
+                            open.clear();
+                            in_flight.clear();
+                            queued.clear();
+                        }
+                    }
+                    assert!(t.pending.is_some(), "closing builds the pending index");
+                    let pending = open_counts(&in_flight, &queued);
+                    assert_events_judged(&mut t, true, &pending, !open.is_empty(), &streamed);
+                    assert!((0..t.next_seq + 2).all(|seq| t.ack(seq).is_none()), "{how:?}");
+                    assert_eq!(t.outstanding(), !open.is_empty(), "{how:?}");
+                    break;
+                }
                 match next(16) {
                     0..=7 => {
                         // A run of up to 4 records; the classes' key pools
                         // overlap in 20..40, so a flow can be pending in
                         // both; duplicates within one run are likely.
                         let (sub, class) = gets[next(2) as usize];
-                        if !open.contains(&sub) {
-                            continue;
-                        }
                         let base = 20 * class as u16;
                         let keys: Vec<u16> =
                             (0..1 + next(4)).map(|_| base + next(40) as u16).collect();
-                        let before = t.streamed[class as usize].clone();
-                        if let Some(seq) = stream(&mut t, class, &keys, next(2) == 0) {
-                            let new =
-                                keys.iter().map(|&k| record(k).key).filter(|k| !before.contains(k));
-                            queued.insert(seq, new.collect::<HashSet<_>>().into_iter().collect());
+                        // A closed get streams nothing more.
+                        if open.contains(&sub) {
+                            let new: Vec<_> = keys
+                                .iter()
+                                .map(|&k| record(k).key)
+                                .filter(|k| streamed[class as usize].insert(*k))
+                                .collect();
+                            let seq = stream(&mut t, class, &keys, next(2) == 0);
+                            assert_eq!(seq.is_some(), !new.is_empty());
+                            if let Some(seq) = seq {
+                                queued.insert(seq, new);
+                            }
                         }
                     }
                     8..=12 => {
@@ -536,7 +649,7 @@ mod tests {
                         // A GetAck announcing up to two records more than
                         // have streamed: the get closes once they have.
                         let (sub, class) = gets[next(2) as usize];
-                        let count = t.streamed[class as usize].len() as u32 + next(3) as u32;
+                        let count = streamed[class as usize].len() as u32 + next(3) as u32;
                         assert_eq!(t.expect(sub, class, count), open.contains(&sub));
                         if open.contains(&sub) {
                             expected.insert(sub, count as usize);
@@ -556,7 +669,7 @@ mod tests {
                     }
                 }
                 for (sub, class) in gets {
-                    if expected.get(&sub).is_some_and(|&n| t.streamed[class as usize].len() >= n) {
+                    if expected.get(&sub).is_some_and(|&n| streamed[class as usize].len() >= n) {
                         open.remove(&sub);
                     }
                 }
@@ -568,21 +681,63 @@ mod tests {
                     in_flight.insert(seq, keys);
                 }
                 assert!(t.in_flight() <= W, "window exceeded: {}", t.in_flight());
+                assert_eq!(t.streamed, streamed);
+                if step == judge_at {
+                    t.holds(&record(next(64) as u16).key.as_exact().expect("an exact key"));
+                }
+                assert_eq!(t.pending.is_some(), step >= judge_at, "built by the first event");
                 t.check();
                 // A key is pending once per open put carrying it, and a
                 // streamed key no open put carries has been acked.
-                let mut pending: HashMap<HeaderFieldList, u32> = HashMap::new();
-                for key in in_flight.values().chain(queued.values()).flatten() {
-                    *pending.entry(*key).or_default() += 1;
+                let pending = open_counts(&in_flight, &queued);
+                if let Some(index) = &t.pending {
+                    assert_eq!(index, &pending);
                 }
-                assert_eq!(t.pending, pending);
                 for key in t.streamed.iter().flatten() {
                     assert!(pending.contains_key(key) || acked_keys.contains(key), "{key:?}");
                 }
+                // Judging an event builds the index, so only once it is.
+                let judge = t.pending.is_some();
+                assert_events_judged(&mut t, judge, &pending, !open.is_empty(), &streamed);
                 let base = (0..).find(|s| !acked.contains(s)).expect("unacked seq");
                 let above = acked.range(base..).count();
                 assert_eq!(ack_set_size(&t), if in_flight.is_empty() { 0 } else { above });
             }
         }
+    }
+
+    /// Every flow's event as the model judges it, over both classes' key
+    /// pools and a few flows never streamed: pending while a put carrying
+    /// it is open; held, when `judge`, also while a get is open and has
+    /// not streamed it.
+    fn assert_events_judged(
+        t: &mut Transfer,
+        judge: bool,
+        pending: &HashMap<HeaderFieldList, u32>,
+        gets_open: bool,
+        streamed: &[HashSet<HeaderFieldList>; 2],
+    ) {
+        for i in 0..64 {
+            let key = record(i).key;
+            let flow = key.as_exact().expect("an exact key");
+            assert_eq!(t.pending(&flow), pending.contains_key(&key), "flow {i}");
+            let holds = pending.contains_key(&key)
+                || gets_open && streamed.iter().all(|s| !s.contains(&key));
+            if judge {
+                assert_eq!(t.holds(&flow), holds, "flow {i}");
+            }
+        }
+    }
+
+    /// Each key of the model's open puts with the number carrying it.
+    fn open_counts(
+        in_flight: &BTreeMap<u64, Vec<HeaderFieldList>>,
+        queued: &BTreeMap<u64, Vec<HeaderFieldList>>,
+    ) -> HashMap<HeaderFieldList, u32> {
+        let mut counts = HashMap::new();
+        for key in in_flight.values().chain(queued.values()).flatten() {
+            *counts.entry(*key).or_default() += 1;
+        }
+        counts
     }
 }

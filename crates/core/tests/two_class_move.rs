@@ -2,8 +2,9 @@
 //! one per class. An event for it must wait until *both* are acked: if
 //! the support put's ack released it, the replayed packet would land
 //! at the destination before the report put, and the report put would
-//! overwrite what the replay did (§4.2.1). No in-tree middlebox keeps
-//! both classes per flow, so this file brings its own.
+//! overwrite what the replay did (§4.2.1). That holds whether the event
+//! is raised before the first ack or after it. No in-tree middlebox
+//! keeps both classes per flow, so this file brings its own.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -131,10 +132,13 @@ struct World {
     /// What each middlebox was sent, and the puts it acked, in order.
     log: Vec<(MbId, &'static str)>,
     completions: Vec<Completion>,
-    /// Report puts to B, held back while `hold` is set.
+    /// Puts to B of the kinds in `hold`, held back.
     held: Vec<Message>,
-    hold: bool,
+    hold: Vec<&'static str>,
 }
+
+const SUPPORT: &str = "putSupportPerflow";
+const REPORT: &str = "putReportPerflow";
 
 impl World {
     /// Deliver `actions` and everything they lead to.
@@ -149,7 +153,7 @@ impl World {
                 Action::ToMb(to, msg) => (to, msg),
                 other => panic!("unexpected action {other:?}"),
             };
-            if self.hold && to == MbId(1) && matches!(msg, Message::PutReportPerflow { .. }) {
+            if to == MbId(1) && self.hold.contains(&msg.kind_name()) {
                 self.held.push(msg);
                 continue;
             }
@@ -167,16 +171,24 @@ impl World {
         }
     }
 
+    /// Stop holding and deliver the held puts of `kind`.
+    fn release(&mut self, kind: &str) {
+        self.hold.retain(|&k| k != kind);
+        let (go, held): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.held).into_iter().partition(|m| m.kind_name() == kind);
+        self.held = held;
+        self.run(go.into_iter().map(|m| Action::ToMb(MbId(1), m)).collect());
+    }
+
     fn sent(&self, to: MbId, kind: &str) -> Vec<usize> {
         (0..self.log.len()).filter(|&i| self.log[i] == (to, kind)).collect()
     }
 }
 
-/// Move one flow A → B. The support put is delivered and acked while
-/// the report put is held; then a packet of the flow reaches A. Its
-/// event must wait for the report put's ack, so B ends with A's counts.
-#[test]
-fn an_event_waits_for_both_classes_puts() {
+/// Move one flow A → B with B's puts of the kinds in `hold` held back,
+/// then let a packet of the flow reach A. Its event must wait: a put
+/// carrying the flow is open.
+fn move_and_raise_an_event(hold: &[&'static str]) -> (World, OpId, FlowKey) {
     let core = ControllerCore::new(ControllerConfig {
         buffer_events: true,
         content_cache: false,
@@ -191,7 +203,7 @@ fn an_event_waits_for_both_classes_puts() {
         log: Vec::new(),
         completions: Vec::new(),
         held: Vec::new(),
-        hold: true,
+        hold: hold.to_vec(),
     };
     let flow = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 4000, Ipv4Addr::new(10, 0, 0, 2), 80);
     let packet = |id| Packet::new(id, flow, vec![0u8; 8]);
@@ -205,8 +217,8 @@ fn an_event_waits_for_both_classes_puts() {
         &mut actions,
     );
     w.run(actions);
-    assert_eq!(w.held.len(), 1, "the report put is held: {:?}", w.log);
-    assert_eq!(w.sent(b_id, "putAck").len(), 1, "the support put is acked: {:?}", w.log);
+    assert_eq!(w.held.len(), hold.len(), "held {hold:?}: {:?}", w.log);
+    assert_eq!(w.sent(b_id, "putAck").len(), 2 - hold.len(), "{:?}", w.log);
 
     // A live packet of the moved flow at the source raises its event.
     let mut fx = Effects::normal();
@@ -218,17 +230,41 @@ fn an_event_waits_for_both_classes_puts() {
         w.core.handle_mb_message(a_id, Message::EventMsg { event }, now, &mut actions);
     }
     let replayed = |a: &Action| matches!(a, Action::ToMb(_, Message::ReprocessPacket { .. }));
-    assert!(!actions.iter().any(replayed), "the event waits for the report put");
+    assert!(!actions.iter().any(replayed), "the event waits for the open puts");
     w.run(actions);
+    (w, op, flow)
+}
 
-    w.hold = false;
-    let held = std::mem::take(&mut w.held);
-    w.run(held.into_iter().map(|m| Action::ToMb(b_id, m)).collect());
+/// The replay reached B once, after both puts' acks, the move completed,
+/// and B ends with A's counts.
+fn assert_replayed_after_both_puts(w: &World, op: OpId, flow: &FlowKey) {
+    let b_id = MbId(1);
     let (replays, acks) = (w.sent(b_id, "reprocessPacket"), w.sent(b_id, "putAck"));
     assert_eq!((replays.len(), acks.len()), (1, 2), "{:?}", w.log);
     assert!(replays[0] > acks[1], "replayed after both puts were acked: {:?}", w.log);
     let done = |c: &Completion| matches!(c, Completion::MoveComplete { op: o, .. } if *o == op);
     assert!(w.completions.iter().any(done));
-    assert_eq!(w.b.counts(&flow), (Some(2), Some(2)), "the destination has the source's counts");
-    assert_eq!(w.a.counts(&flow), (Some(2), Some(2)));
+    assert_eq!(w.b.counts(flow), (Some(2), Some(2)), "the destination has the source's counts");
+    assert_eq!(w.a.counts(flow), (Some(2), Some(2)));
+}
+
+/// The support put is delivered and acked while the report put is held;
+/// the event is raised after that ack, and waits for the report put's.
+#[test]
+fn an_event_waits_for_both_classes_puts() {
+    let (mut w, op, flow) = move_and_raise_an_event(&[REPORT]);
+    w.release(REPORT);
+    assert_replayed_after_both_puts(&w, op, &flow);
+}
+
+/// Both puts are held when the event is raised. The support put's ack
+/// matches the event's key, but must not release it while the report
+/// put still carries the key.
+#[test]
+fn the_first_classes_ack_does_not_release_an_event_the_other_still_holds() {
+    let (mut w, op, flow) = move_and_raise_an_event(&[SUPPORT, REPORT]);
+    w.release(SUPPORT);
+    assert!(w.sent(MbId(1), "reprocessPacket").is_empty(), "{:?}", w.log);
+    w.release(REPORT);
+    assert_replayed_after_both_puts(&w, op, &flow);
 }
