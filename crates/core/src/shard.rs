@@ -228,6 +228,9 @@ struct OpState {
     /// Shared-state put sub-ops issued to the destination, in order —
     /// the rollback list an abort sends in `DeleteState`.
     shared_puts: Vec<OpId>,
+    /// The sub-op ids that leave the sub-op table with the op: every
+    /// one but a put's, and from close on the puts still open.
+    subs: Vec<OpId>,
     transfer: Transfer,
 }
 
@@ -345,7 +348,7 @@ pub struct ControllerShard {
     /// closed" — what [`ControllerShard::op_closed`] answers.
     ops: IdMap<OpId, OpState>,
     /// Routable sub-op ids. A put's entry leaves when its ack is
-    /// accepted; the rest leave with their op.
+    /// accepted; the rest leave with their op, which lists them.
     sub_ops: IdMap<OpId, (OpId, SubRole)>,
     /// The last [`RETIRED_RING`] retired transfers, oldest first, their
     /// per-chunk collections freed at close.
@@ -473,9 +476,15 @@ impl ControllerShard {
         id
     }
 
+    /// A sub-op of `parent`, which is in the op table. A put's id is
+    /// found through the transfer's ring; any other goes on the op's
+    /// list of ids to drop when it retires.
     fn alloc_sub(&mut self, parent: OpId, role: SubRole) -> OpId {
         let id = self.alloc_op();
         self.sub_ops.insert(id, (parent, role));
+        if !matches!(role, SubRole::Put { .. } | SubRole::PutShared { .. }) {
+            self.ops.get_mut(&parent).expect("a sub-op's op is in the table").subs.push(id);
+        }
         id
     }
 
@@ -550,21 +559,20 @@ impl ControllerShard {
             self.fail_fast(op, kind, mb, mb, e, now, out);
             return op;
         }
-        let mut st = OpState::new(kind, mb, mb, Phase::Running, now, &self.config);
+        self.ops.insert(op, OpState::new(kind, mb, mb, Phase::Running, now, &self.config));
         self.span(now, op, None, SpanEvent::Issued { kind: kind.api_name() });
         let sub = self.alloc_sub(op, SubRole::Simple);
         let msg = request(sub);
         self.span(now, op, Some(sub), SpanEvent::Issued { kind: msg.kind_name() });
         if matches!(kind, OpKind::ReadConfig | OpKind::Stats) {
             let backoff = self.config.retry_backoff;
-            st.retry = Some(RetryState {
+            self.ops.get_mut(&op).expect("inserted above").retry = Some(RetryState {
                 request: msg.clone(),
                 next_at: now.after(backoff),
                 backoff,
                 left: self.config.max_retries,
             });
         }
-        self.ops.insert(op, st);
         out.push(Action::ToMb(mb, msg));
         op
     }
@@ -722,8 +730,10 @@ impl ControllerShard {
         if !closed || self.pending_deletes.iter().any(|d| d.op == op) {
             return;
         }
-        let st = self.ops.remove(&op).expect("checked above");
-        self.sub_ops.retain(|_, (parent, _)| *parent != op);
+        let mut st = self.ops.remove(&op).expect("checked above");
+        for sub in std::mem::take(&mut st.subs) {
+            self.sub_ops.remove(&sub);
+        }
         if st.transfer.get_subs().next().is_none() {
             return;
         }
@@ -1520,6 +1530,7 @@ impl OpState {
             retry: None,
             events_forwarded: 0,
             shared_puts: Vec::new(),
+            subs: Vec::new(),
             transfer: Transfer::new(config.max_transfer_resumes),
         }
     }
@@ -1535,10 +1546,11 @@ impl OpState {
 
     /// Enter [`Phase::Closed`] and free what no handler reads past it:
     /// every chunk, ack, need and get handler returns on a closed op, so
-    /// the retry schedule and the transfer's ledger are dead.
+    /// the retry schedule and the transfer's ledger are dead. The open
+    /// puts' sub-ops join the ids the op drops when it retires.
     fn close(&mut self) {
         self.set_phase(Phase::Closed);
         self.retry = None;
-        self.transfer.close();
+        self.subs.extend(self.transfer.close());
     }
 }

@@ -113,6 +113,55 @@ impl Put {
     }
 }
 
+/// The record keys one class's gets have streamed: a re-streamed record
+/// is dropped, and the count is what a `GetAck` is held to.
+///
+/// Every kit middlebox exports in key order, so the keys are kept as a
+/// strictly ascending run: a key above the last is pushed, with one
+/// comparison and no hashing, and a re-stream after a resume is found by
+/// binary search. A key that arrives below the last and is not in the
+/// run goes to `overflow`, a keyed set (the keys are the source's), so an
+/// unsorted stream costs a search more than a set alone.
+#[derive(Clone, Default)]
+pub(crate) struct Streamed {
+    run: Vec<HeaderFieldList>,
+    /// Keys below the run's last, none of them in the run.
+    overflow: HashSet<HeaderFieldList>,
+}
+
+impl Streamed {
+    /// Record `key`; false if it has streamed before.
+    fn insert(&mut self, key: HeaderFieldList) -> bool {
+        if self.run.last().is_none_or(|last| *last < key) {
+            self.run.push(key);
+            return true;
+        }
+        self.run.binary_search(&key).is_err() && self.overflow.insert(key)
+    }
+
+    fn contains(&self, key: &HeaderFieldList) -> bool {
+        self.run.binary_search(key).is_ok() || self.overflow.contains(key)
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() + self.overflow.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &HeaderFieldList> {
+        self.run.iter().chain(&self.overflow)
+    }
+
+    #[cfg(test)]
+    fn check(&self) {
+        assert!(self.run.is_sorted_by(|a, b| a < b), "the run is not strictly ascending");
+        let last = self.run.last();
+        for key in &self.overflow {
+            assert!(self.run.binary_search(key).is_err(), "{key:?} in the run and the overflow");
+            assert!(last.is_some_and(|last| key < last), "{key:?} not below the run's last");
+        }
+    }
+}
+
 /// A transfer's gets, streamed records and put ledger.
 ///
 /// The ledger is one ring indexed by `seq - base`. Seqs are taken in
@@ -123,9 +172,8 @@ impl Put {
 #[derive(Clone, Default)]
 pub(crate) struct Transfer {
     gets: Vec<Get>,
-    /// Record keys streamed per [`Class`]: a re-streamed record is
-    /// dropped, and a class's count is what its `GetAck` is held to.
-    streamed: [HashSet<HeaderFieldList>; 2],
+    /// Record keys streamed per [`Class`].
+    streamed: [Streamed; 2],
     /// Keys of the puts in flight or queued, each with the number of
     /// those puts that carry it (a flow whose support and report records
     /// travel in two puts has two): their events wait. Built from the
@@ -390,7 +438,7 @@ impl Transfer {
     pub(crate) fn holds(&mut self, flow: &FlowKey) -> bool {
         self.build_index();
         let both = [HeaderFieldList::exact(*flow), HeaderFieldList::exact(flow.reversed())];
-        let streamed = |keys: &HashSet<HeaderFieldList>| match self.wild_keys {
+        let streamed = |keys: &Streamed| match self.wild_keys {
             false => both.iter().any(|k| keys.contains(k)),
             true => keys.iter().any(|k| k.matches_bidi(flow)),
         };
@@ -398,10 +446,10 @@ impl Transfer {
         self.pending(flow) || (self.gets_open() && !streamed(support) && !streamed(report))
     }
 
-    /// Assert the ring's invariants and, once the pending index is
-    /// built, recompute each key's count from the ring and assert it is
-    /// the one kept. Holds at every step before [`Transfer::abort`] or
-    /// [`Transfer::close`].
+    /// Assert the ring's and the streamed keys' invariants and, once the
+    /// pending index is built, recompute each key's count from the ring
+    /// and assert it is the one kept. Holds at every step before
+    /// [`Transfer::abort`] or [`Transfer::close`].
     #[cfg(test)]
     pub(crate) fn check(&self) {
         let end = self.base + self.ring.len() as u64;
@@ -410,6 +458,7 @@ impl Transfer {
         assert!(!matches!(self.ring.front(), Some(None)), "an acked slot at the front");
         let open = self.admitted_slots().flatten().count();
         assert_eq!(open, self.in_flight, "in-flight count is not the ring's");
+        self.streamed.iter().for_each(Streamed::check);
         if let Some(pending) = &self.pending {
             assert_eq!(pending, &self.count_open(), "pending counts are not the ledger's");
         }
@@ -437,12 +486,14 @@ impl Transfer {
     }
 
     /// The op closed: free the ledger, building the pending index from
-    /// it first, so a retired op holds the events its open puts did. The
-    /// key sets stay while a get is open (`end_op` before completion):
-    /// the event predicate reads them.
-    pub(crate) fn close(&mut self) {
+    /// it first, so a retired op holds the events its open puts did, and
+    /// return the open puts' sub-ops. The streamed keys stay while a get
+    /// is open (`end_op` before completion): the event predicate reads
+    /// them.
+    pub(crate) fn close(&mut self) -> Vec<OpId> {
         self.build_index();
-        self.ring = VecDeque::new();
+        let open = std::mem::take(&mut self.ring).into_iter().flatten();
+        let subs = open.filter_map(|put| put.msg.op_id()).collect();
         (self.base, self.admit, self.in_flight) = (self.next_seq, self.next_seq, 0);
         if !self.gets_open() {
             self.streamed = Default::default();
@@ -450,6 +501,7 @@ impl Transfer {
                 self.pending = Some(HashMap::new());
             }
         }
+        subs
     }
 }
 
@@ -458,11 +510,45 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
     use std::net::Ipv4Addr;
 
+    use openmb_mb::{Effects, Middlebox};
+    use openmb_middleboxes::{Ips, LoadBalancer, Monitor};
+    use openmb_simnet::SimTime;
+    use openmb_types::Packet;
+    use proptest::prelude::*;
+
     use super::*;
 
     fn record(i: u16) -> StateChunk {
         let flow = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), i, Ipv4Addr::new(10, 0, 0, 2), 80);
         StateChunk::new(HeaderFieldList::exact(flow), EncryptedChunk::from_wire(vec![i as u8; 8]))
+    }
+
+    /// The exact key of flow `i`: flows 65 536 apart differ in source
+    /// address, flows closer than that in source port.
+    fn key(i: u32) -> HeaderFieldList {
+        let src = Ipv4Addr::from(0x0a00_0000 | (i >> 16));
+        HeaderFieldList::exact(FlowKey::tcp(src, i as u16, Ipv4Addr::new(10, 0, 0, 2), 80))
+    }
+
+    /// A transfer with `class`'s get (sub-op 2 or 3) open.
+    fn one_get(class: Class) -> Transfer {
+        let mut t = Transfer::new(0);
+        let sub = OpId(2 + class as u64);
+        t.open_get(sub, Message::GetSupportPerflow { op: sub, key: HeaderFieldList::any() });
+        t
+    }
+
+    /// Admit `records` as the source cuts them, in runs of up to
+    /// `RUN_FLOWS`, queueing a put for each run with something new.
+    fn admit_records(t: &mut Transfer, class: Class, records: &[StateChunk]) {
+        for run in records.chunks(wire::RUN_FLOWS) {
+            let (first, rest) = run.split_first().expect("a run has a record");
+            let sub = OpId(2 + class as u64);
+            if let Some((seq, chunk, rest)) = t.admit_run(sub, class, first.clone(), rest.to_vec())
+            {
+                t.enqueue(seq, Put::full(class.put_perflow(OpId(1000 + seq), chunk, rest)));
+            }
+        }
     }
 
     /// Admit a run of `keys` from `class`'s get (sub-op 2 or 3) and, if
@@ -547,6 +633,116 @@ mod tests {
         }
     }
 
+    /// The order a key sequence arrives in.
+    #[derive(Clone, Copy, Debug)]
+    enum Order {
+        Ascending,
+        Descending,
+        Shuffled,
+        /// Ascending, cut after some keys and re-streamed from its start.
+        Resumed,
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_keys_answer_as_a_set_does(
+            ids in proptest::collection::vec((0u32..4, 0u32..128), 0..300),
+            order in prop_oneof![
+                Just(Order::Ascending),
+                Just(Order::Descending),
+                Just(Order::Shuffled),
+                Just(Order::Resumed),
+            ],
+            cut in any::<u16>(),
+        ) {
+            let mut keys: Vec<_> = ids.iter().map(|&(hi, lo)| key(hi << 16 | lo)).collect();
+            match order {
+                Order::Ascending => keys.sort(),
+                Order::Descending => keys.sort_by(|a, b| b.cmp(a)),
+                Order::Shuffled => {}
+                Order::Resumed => {
+                    keys.sort();
+                    keys.dedup();
+                    let first = keys[..usize::from(cut) % (keys.len() + 1)].to_vec();
+                    keys.splice(..0, first);
+                }
+            }
+            let (mut kept, mut model) = (Streamed::default(), HashSet::new());
+            for k in &keys {
+                prop_assert_eq!(kept.insert(*k), model.insert(*k), "{:?} {:?}", order, k);
+                prop_assert_eq!(kept.len(), model.len());
+                kept.check();
+            }
+            for hi in 0..5 {
+                for lo in 0..130 {
+                    let k = key(hi << 16 | lo);
+                    prop_assert_eq!(kept.contains(&k), model.contains(&k), "{:?} {:?}", order, k);
+                }
+            }
+        }
+    }
+
+    /// A descending stream goes to the overflow set key by key; the run
+    /// keeps its first key, so nothing is inserted into its middle.
+    #[test]
+    fn a_descending_stream_leaves_the_run_at_its_first_key() {
+        const N: u32 = 100_000;
+        let mut t = one_get(Class::Support);
+        let records: Vec<_> = (0..N)
+            .rev()
+            .map(|i| StateChunk::new(key(i), EncryptedChunk::from_wire(vec![0; 8])))
+            .collect();
+        admit_records(&mut t, Class::Support, &records);
+        assert!(t.expect(OpId(2), Class::Support, N));
+        assert!(!t.gets_open(), "every announced record streamed");
+        let streamed = &t.streamed[Class::Support as usize];
+        assert_eq!((streamed.len(), streamed.run.len()), (N as usize, 1));
+        t.check();
+    }
+
+    /// The per-flow exports of real middleboxes arrive in key order, so
+    /// every record of a get takes the run's push and no key reaches the
+    /// overflow set. The flows share address pairs and differ in ports.
+    #[test]
+    fn middlebox_exports_take_the_sorted_run() {
+        fn export<M: Middlebox>(name: &str, mut mb: M, pkts: &[Packet]) -> usize {
+            mb.process_batch(SimTime(1), pkts, &mut Effects::normal());
+            let mut exported = 0;
+            for class in [Class::Support, Class::Report] {
+                let mut records = Vec::new();
+                let any = HeaderFieldList::any();
+                let get = mb.export_perflow(class.wire(), OpId(2), &any, &mut |_, c| {
+                    records.push(c);
+                });
+                if get.is_err() {
+                    continue;
+                }
+                let mut t = one_get(class);
+                admit_records(&mut t, class, &records);
+                let streamed = &t.streamed[class as usize];
+                assert_eq!(streamed.len(), records.len(), "{name} {class:?}");
+                assert!(streamed.overflow.is_empty(), "{name} {class:?}: out of key order");
+                t.check();
+                exported += records.len();
+            }
+            exported
+        }
+        let vip = Ipv4Addr::new(10, 0, 0, 100);
+        let pkts: Vec<_> = (1..=40u8)
+            .flat_map(|h| (0..30).map(move |p| (h, p)))
+            .enumerate()
+            .map(|(i, (h, p))| {
+                let flow = FlowKey::tcp(Ipv4Addr::new(10, 2, 0, h), 2000 + p, vip, 80);
+                Packet::new(i as u64, flow, vec![0u8; 16])
+            })
+            .collect();
+        let backends = [Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 1, 0, 2)];
+        assert!(export("monitor", Monitor::new(), &pkts) >= 1_000);
+        assert!(export("ips", Ips::new(), &pkts) >= 1_000);
+        // The balancer keeps one record per source host.
+        assert_eq!(export("lb", LoadBalancer::new(vip, &backends), &pkts), 40);
+    }
+
     /// How a walk ends early: `end_op` before completion closes the
     /// transfer with its puts still open; an abort is followed by the
     /// close.
@@ -594,16 +790,20 @@ mod tests {
             };
             for step in 0..STEPS {
                 if let Some((_, how)) = end.filter(|&(at, _)| at == step) {
-                    match how {
+                    // Closing hands over the sub-ops of the puts still open.
+                    let seqs = in_flight.keys().chain(queued.keys());
+                    let subs: Vec<_> = seqs.map(|seq| OpId(1000 + seq)).collect();
+                    let closed = match how {
                         End::Close => t.close(),
                         End::Abort => {
                             t.abort();
-                            t.close();
                             open.clear();
                             in_flight.clear();
                             queued.clear();
+                            t.close()
                         }
-                    }
+                    };
+                    assert_eq!(closed, subs, "{how:?}");
                     assert!(t.pending.is_some(), "closing builds the pending index");
                     let pending = open_counts(&in_flight, &queued);
                     assert_events_judged(&mut t, true, &pending, !open.is_empty(), &streamed);
@@ -681,7 +881,10 @@ mod tests {
                     in_flight.insert(seq, keys);
                 }
                 assert!(t.in_flight() <= W, "window exceeded: {}", t.in_flight());
-                assert_eq!(t.streamed, streamed);
+                for (kept, model) in t.streamed.iter().zip(&streamed) {
+                    assert_eq!(&kept.iter().copied().collect::<HashSet<_>>(), model);
+                    assert_eq!(kept.len(), model.len());
+                }
                 if step == judge_at {
                     t.holds(&record(next(64) as u16).key.as_exact().expect("an exact key"));
                 }
@@ -693,7 +896,7 @@ mod tests {
                 if let Some(index) = &t.pending {
                     assert_eq!(index, &pending);
                 }
-                for key in t.streamed.iter().flatten() {
+                for key in t.streamed.iter().flat_map(Streamed::iter) {
                     assert!(pending.contains_key(key) || acked_keys.contains(key), "{key:?}");
                 }
                 // Judging an event builds the index, so only once it is.

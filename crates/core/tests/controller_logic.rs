@@ -466,6 +466,37 @@ fn rejection_of_an_acked_put_leaves_the_live_move_running() {
         .any(|c| matches!(c, Completion::MoveComplete { op: o, chunks_moved: 5 } if *o == op)));
 }
 
+/// A move aborted with its puts in flight retires every sub-op: the
+/// open puts' ids leave with the op, as its gets and deletes do.
+#[test]
+fn a_move_aborted_with_puts_in_flight_leaves_no_sub_op_routable() {
+    let mut w = World::new(Monitor::new(), Monitor::new());
+    seed_monitor(&mut w.a, 5);
+    let mut out = Vec::new();
+    let op = w.core.submit(w.move_all(), w.now, &mut out);
+    // Serve the source; hold the puts addressed to the destination.
+    let mut held = Vec::new();
+    while let Some(act) = out.pop() {
+        match act {
+            Action::ToMb(mb, msg) if mb == w.a_id => {
+                for r in handle_southbound(&mut w.a, msg, w.now) {
+                    w.core.handle_mb_message(mb, r, w.now, &mut out);
+                }
+            }
+            other => held.push(other),
+        }
+    }
+    let Some(Action::ToMb(_, put)) = held.first() else { panic!("a put: {held:?}") };
+    let sub = put.op_id().expect("a put names its sub-op");
+    let rejected = Message::ErrorMsg { op: sub, error: Error::OpFailed("full".into()) };
+    let mut out = Vec::new();
+    w.core.handle_mb_message(w.b_id, rejected, w.now, &mut out);
+    w.pump(out);
+    assert_eq!(failures(&w, op).len(), 1, "{:?}", w.completions);
+    let tables = w.core.table_sizes();
+    assert_eq!((tables.ops, tables.sub_ops, tables.tombstones), (0, 0, 1));
+}
+
 #[test]
 fn duplicated_config_or_stats_reply_completes_the_op_once() {
     // A `ConfigValues` / `Stats` reply delivered twice — a retry racing
@@ -502,6 +533,43 @@ fn duplicated_config_or_stats_reply_completes_the_op_once() {
         assert_eq!(completed.count(), 1, "one Completed span for {op:?}");
         assert_eq!(w.core.op_phase(op), Some(Phase::Closed), "simple op: Running → Closed");
     }
+}
+
+/// Retiring an op drops its own sub-ops, not a scan of every live op's:
+/// on a one-shard core, 2 000 `Stats` ops that complete and retire beside
+/// N open ones leave exactly those N sub-ops routable, and cost little
+/// more at N = 50 000 than at N = 0 (min of 3 rounds, at most 10x).
+#[test]
+fn retiring_an_op_does_not_scan_the_other_ops_sub_ops() {
+    const RETIRED: usize = 2_000;
+    let round = |open: usize| {
+        let core = ControllerCore::new(ControllerConfig::default());
+        let (mb, mut dummy) = (core.register_mb(), DummyMb::new());
+        let stats = Request::Stats { mb, key: HeaderFieldList::any() };
+        let now = SimTime(0);
+        for _ in 0..open {
+            // Never answered: these ops stay open.
+            core.submit(stats.clone(), now, &mut Vec::new());
+        }
+        let mut fastest = std::time::Duration::MAX;
+        for _ in 0..3 {
+            let started = std::time::Instant::now();
+            let mut done = Vec::new();
+            for _ in 0..RETIRED {
+                let mut out = Vec::new();
+                core.submit(stats.clone(), now, &mut out);
+                drive(&core, out, now, &mut done, |_, m| handle_southbound(&mut dummy, m, now));
+            }
+            fastest = fastest.min(started.elapsed());
+            assert_eq!(done.len(), RETIRED, "every answered op completes");
+        }
+        let tables = core.table_sizes();
+        assert_eq!((tables.ops, tables.sub_ops), (open, open), "N = {open}");
+        fastest
+    };
+    let (alone, beside) = (round(0), round(50_000));
+    println!("{RETIRED} retirements: {alone:?} at N = 0, {beside:?} at N = 50 000");
+    assert!(beside <= alone * 10, "{beside:?} beside 50 000 open ops vs {alone:?} alone");
 }
 
 #[test]

@@ -131,7 +131,7 @@ impl std::fmt::Display for FlowKey {
 
 /// An IPv4 prefix (`addr/len`), used for wildcard matching on source or
 /// destination addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IpPrefix {
     addr: Ipv4Addr,
     len: u8,
@@ -228,8 +228,10 @@ pub enum Granularity {
 /// southbound API. `None` fields and `/0` prefixes match anything.
 ///
 /// `Hash` writes `HeaderFieldList::packed`: two words instead of the
-/// derived impl's dozen small writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// derived impl's dozen small writes. The derived `Ord` compares the
+/// fields in [`FlowKey`]'s order, so exact patterns sort as their flows
+/// do: `exact(a) < exact(b)` exactly when `a < b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct HeaderFieldList {
     pub nw_src: IpPrefix,
     pub nw_dst: IpPrefix,
@@ -731,6 +733,16 @@ mod tests {
                 pats.extend(edge_patterns());
                 pats.extend(pats.clone().iter().map(HeaderFieldList::reversed));
                 injective(&pats, HeaderFieldList::packed);
+            }
+
+            #[test]
+            fn exact_patterns_order_as_their_flow_keys(a in flow_key(), b in flow_key()) {
+                // A shared address pair makes the ports and protocol decide.
+                let near = FlowKey { src_ip: a.src_ip, dst_ip: a.dst_ip, ..b };
+                for b in [b, near, a.reversed()] {
+                    let exact = HeaderFieldList::exact;
+                    prop_assert_eq!(exact(a).cmp(&exact(b)), a.cmp(&b), "{:?} vs {:?}", a, b);
+                }
             }
         }
     }
