@@ -856,7 +856,7 @@ impl ControllerShard {
                 self.sub_ops.remove(&sub);
                 self.span(now, parent, Some(sub), SpanEvent::ChunkAcked { seq });
                 // A reference-only delivery saved the put it did not send.
-                if let Some(saved) = put.saved(sub) {
+                if let Some(saved) = put.saved() {
                     self.cache_hits += 1;
                     self.bytes_saved += saved;
                 }

@@ -105,11 +105,12 @@ impl Put {
     }
 
     /// On the ack: the bytes a reference-only delivery saved (the put not
-    /// sent, minus the reference), `None` if the records travelled.
-    pub(crate) fn saved(self, sub: OpId) -> Option<u64> {
-        let Body { chunk, rest, needed: false, .. } = self.body? else { return None };
-        let put = Class::Support.put_perflow(sub, chunk, rest);
-        Some(wire::encoded_len(&put).saturating_sub(wire::encoded_len(&self.msg)) as u64)
+    /// sent, minus the reference), `None` if the records travelled. The
+    /// put is measured, not built ([`wire::put_perflow_len`]).
+    pub(crate) fn saved(&self) -> Option<u64> {
+        let Body { chunk, rest, needed: false, .. } = self.body.as_ref()? else { return None };
+        let put = wire::put_perflow_len(chunk, rest);
+        Some(put.saturating_sub(wire::encoded_len(&self.msg)) as u64)
     }
 }
 
@@ -577,6 +578,39 @@ mod tests {
         let mut agg = TransferLedgerStats::default();
         t.add_ledger(&mut agg);
         agg.ack_set_size
+    }
+
+    /// `saved` measures the put a reference stood in for without
+    /// building it, and gets what building and encoding it gave; a
+    /// needed reference saved nothing.
+    #[test]
+    fn saved_is_the_built_puts_length_minus_the_reference() {
+        for class in [Class::Support, Class::Report] {
+            for n in [1u16, 2, 16] {
+                // Records of unequal sizes, as sealed records are.
+                let recs: Vec<StateChunk> = (0..n)
+                    .map(|i| {
+                        let sealed = vec![i as u8; 20 + 7 * usize::from(i)];
+                        StateChunk::new(record(i).key, EncryptedChunk::from_wire(sealed))
+                    })
+                    .collect();
+                let (chunk, rest) = (recs[0].clone(), recs[1..].to_vec());
+                let sub = OpId(1000 + u64::from(n));
+                let put = Put::reference(sub, class, chunk.clone(), rest.clone());
+                let built = wire::encoded_len(&class.put_perflow(sub, chunk, rest));
+                let old = built.saturating_sub(wire::encoded_len(&put.msg)) as u64;
+                assert_eq!(put.saved(), Some(old), "{class:?}, a run of {n}");
+                let mut t = Transfer::new(0);
+                let hash = match &put.msg {
+                    Message::ChunkRef { hash, .. } => *hash,
+                    other => panic!("{other:?}"),
+                };
+                t.enqueue(0, put);
+                admit_all(&mut t, 1);
+                assert!(t.need(0, sub, class, hash).is_some());
+                assert_eq!(t.ack(0).expect("admitted").saved(), None);
+            }
+        }
     }
 
     #[test]

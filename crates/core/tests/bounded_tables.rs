@@ -135,7 +135,7 @@ fn fill(store: &dyn ContentStore) {
     for i in 0..MEMORY_STORE_BUDGET / (body + ENTRY_OVERHEAD) {
         let mut hash = [0xEE; 32];
         hash[..8].copy_from_slice(&(i as u64).to_le_bytes());
-        store.insert_unchecked(hash, vec![0; body]);
+        store.insert_unchecked(hash, vec![0; body].into());
     }
 }
 

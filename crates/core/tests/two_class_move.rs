@@ -14,7 +14,7 @@ use openmb_core::Request;
 use openmb_mb::{handle_southbound, state, CostModel, Effects, Middlebox, Record};
 use openmb_mb::{Sealer, SyncTracker};
 use openmb_simnet::SimTime;
-use openmb_types::wire::{Message, Reader};
+use openmb_types::wire::{Message, Reader, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId, Packet,
     Result, StateChunk, StateStats,
@@ -24,8 +24,8 @@ use openmb_types::{
 struct Seen(u64);
 
 impl Record for Seen {
-    fn encode(&self, _: &FlowKey) -> Vec<u8> {
-        self.0.to_le_bytes().to_vec()
+    fn encode(&self, _: &FlowKey, w: &mut Writer) {
+        w.u64(self.0);
     }
 }
 
@@ -54,9 +54,9 @@ impl TwoClass {
         (self.support.get(flow).map(|s| s.0), self.report.get(flow).map(|s| s.0))
     }
 
-    fn open(&self, chunk: &StateChunk) -> Result<(FlowKey, Seen)> {
+    fn open(&mut self, chunk: &StateChunk) -> Result<(FlowKey, Seen)> {
         let flow = chunk.key.as_exact().ok_or_else(|| Error::MalformedChunk("inexact".into()))?;
-        Ok((flow, Seen(Reader::new(&self.sealer.open(&chunk.data)?).u64()?)))
+        Ok((flow, Seen(self.sealer.open_with(&chunk.data, |plain| Reader::new(plain).u64())?)))
     }
 }
 

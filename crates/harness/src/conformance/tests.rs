@@ -129,10 +129,8 @@ fn monitor_transfer_hashes() -> Vec<(openmb_store::ContentHash, Vec<u8>)> {
     wire::push_runs(&mut runs, OpId(1), chunks.len(), chunks);
     runs.into_iter()
         .map(|m| match m {
-            Message::Chunk { chunk, .. } => wire::run_content(&chunk.data, &[]).into_owned(),
-            Message::ChunkRun { chunk, rest, .. } => {
-                wire::run_content(&chunk.data, &rest).into_owned()
-            }
+            Message::Chunk { chunk, .. } => wire::run_content(&chunk.data, &[]).to_vec(),
+            Message::ChunkRun { chunk, rest, .. } => wire::run_content(&chunk.data, &rest).to_vec(),
             other => panic!("push_runs cut a non-run message: {other:?}"),
         })
         .map(|bytes| (openmb_store::content_hash(&bytes), bytes))
@@ -161,7 +159,7 @@ fn poisoned_destination_cache_falls_back_to_streaming() {
     let hashes = monitor_transfer_hashes();
     let (run, sc) = tampered_monitor_move(|dst| {
         for (h, _) in &hashes {
-            dst.shared_log().store().insert_unchecked(*h, vec![0xAB; 7]);
+            dst.shared_log().store().insert_unchecked(*h, vec![0xAB; 7].into());
         }
     });
     assert_eq!(

@@ -134,7 +134,8 @@ pub fn handle_southbound_into<M: Middlebox>(
             // a miss. The stored bytes are re-hashed before use, and
             // must split into as many records as the reference names,
             // so a poisoned or corrupted entry degrades to a miss
-            // instead of importing wrong state.
+            // instead of importing wrong state. The records are views
+            // of the stored bytes: a hit copies nothing.
             let hit = log
                 .store()
                 .get(&hash)
@@ -150,7 +151,9 @@ pub fn handle_southbound_into<M: Middlebox>(
             // before caching or applying: a mismatch means corruption
             // (or a confused source) and must surface as an error, not
             // poison the store. The content is walked once: it is cached
-            // under the hash just verified, not re-hashed by `put`.
+            // under the hash just verified, not re-hashed by `put`, and
+            // it is the buffer `run_content` built (or a lone record's
+            // own), not a copy of it.
             let content = wire::run_content(&data, &rest);
             if openmb_store::content_hash(&content) != hash {
                 out(Message::ErrorMsg {
@@ -160,7 +163,7 @@ pub fn handle_southbound_into<M: Middlebox>(
                     ),
                 });
             } else {
-                log.store().insert_unchecked(hash, content.into_owned());
+                log.store().insert_unchecked(hash, content.into());
                 out(apply_run(mb, op, class, StateChunk::new(key, data), rest));
             }
         }

@@ -47,17 +47,21 @@ pub const SEAL_OVERHEAD: usize = 16;
 #[derive(Debug, Clone)]
 pub struct Sealer {
     vendor: VendorKey,
+    /// The plaintext buffer [`open_with`](Sealer::open_with) decrypts
+    /// into, kept from put to put.
+    plain: Vec<u8>,
 }
 
 impl Sealer {
     /// A sealer under the key derived from `vendor` (instances of one
     /// type share it).
     pub fn new(vendor: &str) -> Self {
-        Sealer { vendor: VendorKey::derive(vendor) }
+        Sealer { vendor: VendorKey::derive(vendor), plain: Vec::new() }
     }
 
     /// Seal one serialized piece of state
-    /// ([`EncryptedChunk::seal_convergent`]).
+    /// ([`EncryptedChunk::seal_convergent`]): straight into the chunk's
+    /// own buffer, one allocation.
     pub fn seal(&self, plain: &[u8]) -> EncryptedChunk {
         EncryptedChunk::seal_convergent(&self.vendor, plain)
     }
@@ -65,6 +69,18 @@ impl Sealer {
     /// Open a chunk sealed by an instance of the same type.
     pub fn open(&self, chunk: &EncryptedChunk) -> Result<Vec<u8>> {
         chunk.open(&self.vendor)
+    }
+
+    /// `put*Perflow`'s open-then-decode: decrypt into the buffer this
+    /// sealer keeps, check the checksum, then `decode` the record from
+    /// it. A put allocates only what the decoded record holds.
+    pub fn open_with<T>(
+        &mut self,
+        chunk: &EncryptedChunk,
+        decode: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<T> {
+        chunk.open_into(&self.vendor, &mut self.plain)?;
+        decode(&self.plain)
     }
 
     /// [`open`](Sealer::open) for one half of a [`SharedSnapshot`].
@@ -86,8 +102,9 @@ impl Sealer {
 /// What is specific to one per-flow table: its records' byte layout and
 /// which patterns select them.
 pub trait Record {
-    /// Serialize the record stored under `key`.
-    fn encode(&self, key: &FlowKey) -> Vec<u8>;
+    /// Serialize the record stored under `key` onto `w`. An export
+    /// clears and reuses one writer for all its records.
+    fn encode(&self, key: &FlowKey, w: &mut Writer);
 
     /// Does `pattern` select the record stored under `key`? Tables keyed
     /// by [`FlowKey::canonical`] match either direction (the default); a
@@ -99,8 +116,8 @@ pub trait Record {
 
 /// State that is already bytes (the trace-replay dummy's).
 impl Record for Vec<u8> {
-    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
-        self.clone()
+    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
+        w.raw(self);
     }
 }
 
@@ -124,7 +141,7 @@ pub fn export_with<R: Record>(
     sync: &mut SyncTracker,
     op: OpId,
     pattern: &HeaderFieldList,
-    encode: impl Fn(&R, &FlowKey) -> Vec<u8>,
+    encode: impl Fn(&R, &FlowKey, &mut Writer),
 ) -> Vec<StateChunk> {
     let mut chunks = Vec::new();
     export_into(table, sealer, sync, op, pattern, encode, &mut |n, chunk| {
@@ -139,22 +156,32 @@ pub fn export_with<R: Record>(
 /// holds, before the next is sealed
 /// ([`Middlebox::export_perflow`](crate::Middlebox::export_perflow)).
 /// The pattern is marked in flight once every record has gone.
+///
+/// A record costs one allocation, its sealed chunk: every record is
+/// encoded into one writer, and sealed from it into the chunk's buffer.
+/// The moved marks grow once, for all `n` records.
 pub fn export_into<R: Record>(
     table: &HashMap<FlowKey, R>,
     sealer: &Sealer,
     sync: &mut SyncTracker,
     op: OpId,
     pattern: &HeaderFieldList,
-    encode: impl Fn(&R, &FlowKey) -> Vec<u8>,
+    encode: impl Fn(&R, &FlowKey, &mut Writer),
     out: &mut dyn FnMut(usize, StateChunk),
 ) {
-    let mut hits: Vec<(&FlowKey, &R)> =
-        table.iter().filter(|(k, _)| R::selected(pattern, k)).collect();
+    // Sized for the whole table up front: a filtered collect would grow
+    // the list once per doubling.
+    let mut hits: Vec<(&FlowKey, &R)> = Vec::with_capacity(table.len());
+    hits.extend(table.iter().filter(|(k, _)| R::selected(pattern, k)));
     hits.sort_unstable_by_key(|(k, _)| **k);
     let n = hits.len();
+    sync.reserve_moved(n);
+    let mut w = Writer::new();
     for (k, rec) in hits {
         sync.mark_moved(*k, op);
-        out(n, StateChunk::new(HeaderFieldList::exact(*k), sealer.seal(&encode(rec, k))));
+        w.clear();
+        encode(rec, k, &mut w);
+        out(n, StateChunk::new(HeaderFieldList::exact(*k), sealer.seal(w.as_slice())));
     }
     sync.mark_move_pattern(op, *pattern);
 }
@@ -184,12 +211,15 @@ pub fn delete<R: Record>(
         .collect()
 }
 
-/// `stats`: `(chunks, bytes)` an [`export`] of `pattern` would produce.
+/// `stats`: `(chunks, bytes)` an [`export`] of `pattern` would produce,
+/// each record encoded into one reused writer.
 pub fn count<R: Record>(table: &HashMap<FlowKey, R>, pattern: &HeaderFieldList) -> (usize, usize) {
-    table
-        .iter()
-        .filter(|(k, _)| R::selected(pattern, k))
-        .fold((0, 0), |(n, bytes), (k, rec)| (n + 1, bytes + rec.encode(k).len() + SEAL_OVERHEAD))
+    let mut w = Writer::new();
+    table.iter().filter(|(k, _)| R::selected(pattern, k)).fold((0, 0), |(n, bytes), (k, rec)| {
+        w.clear();
+        rec.encode(k, &mut w);
+        (n + 1, bytes + w.as_slice().len() + SEAL_OVERHEAD)
+    })
 }
 
 /// Serialize a block of additive counters. All three counter functions
@@ -311,9 +341,27 @@ mod tests {
             &mut sync,
             OpId(1),
             &HeaderFieldList::any(),
-            |rec, _| rec.iter().rev().chain(&[0xff]).copied().collect(),
+            |rec, _, w| {
+                rec.iter().rev().for_each(|&b| w.u8(b));
+                w.u8(0xff);
+            },
         );
         assert_eq!(sealer.open(&chunks[1].data).unwrap(), vec![2, 2, 0xff]);
+    }
+
+    #[test]
+    fn open_with_decodes_from_one_reused_buffer() {
+        let (mut sealer, _) = kit();
+        let (big, small) = (sealer.seal(&[5; 300]), sealer.seal(&[6; 3]));
+        assert_eq!(sealer.open_with(&big, |p| Ok(p.len())).unwrap(), 300);
+        let kept = sealer.plain.capacity();
+        assert_eq!(sealer.open_with(&small, |p| Ok(p.to_vec())).unwrap(), vec![6; 3]);
+        assert_eq!(sealer.plain.capacity(), kept, "the buffer is kept, not reallocated");
+        // Another type's chunk fails its checksum before `decode` runs.
+        let theirs = Sealer::new("other-type").seal(&[6; 3]);
+        let put =
+            sealer.open_with(&theirs, |_| -> Result<()> { panic!("decoded unchecked bytes") });
+        assert!(matches!(put, Err(openmb_types::Error::MalformedChunk(_))));
     }
 
     #[test]

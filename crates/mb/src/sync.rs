@@ -45,6 +45,12 @@ impl SyncTracker {
         self.moved.insert(key, op);
     }
 
+    /// Make room for `n` more moved marks at once: an export of `n`
+    /// flows grows the table once, not at every doubling.
+    pub fn reserve_moved(&mut self, n: usize) {
+        self.moved.reserve(n);
+    }
+
     /// Record that a per-flow move matching `pattern` is in flight:
     /// flows created from now until `end_sync(op)` that match it are
     /// marked moved on first update.
@@ -125,7 +131,11 @@ impl SyncTracker {
     /// Clear the moved mark for one flow (its state was deleted or the
     /// flow's record was re-imported).
     pub fn clear_flow(&mut self, key: &FlowKey) {
-        self.moved.remove(key);
+        // A destination has usually exported nothing: its marks are
+        // empty, and a remove would still hash the key.
+        if !self.moved.is_empty() {
+            self.moved.remove(key);
+        }
     }
 
     /// End the sync window for `op`: drop all moved marks and shared

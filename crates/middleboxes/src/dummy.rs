@@ -18,7 +18,7 @@ use std::net::Ipv4Addr;
 
 use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SyncTracker};
 use openmb_simnet::SimTime;
-use openmb_types::wire::ChunkClass;
+use openmb_types::wire::{ChunkClass, Writer};
 use openmb_types::{
     ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, OpId, Packet,
     Result, StateChunk, StateStats,
@@ -108,10 +108,10 @@ impl DummyMb {
 
 /// How a record leaves on export: as it is, or compressed before it is
 /// sealed.
-fn export_encoding(compress: bool) -> impl Fn(&Vec<u8>, &FlowKey) -> Vec<u8> {
-    move |bytes, _| match compress {
-        true => openmb_types::compress::compress(bytes),
-        false => bytes.clone(),
+fn export_encoding(compress: bool) -> impl Fn(&Vec<u8>, &FlowKey, &mut Writer) {
+    move |bytes, _, w| match compress {
+        true => w.raw(&openmb_types::compress::compress(bytes)),
+        false => w.raw(bytes),
     }
 }
 

@@ -69,12 +69,10 @@ pub struct ConnTrack {
 }
 
 impl Record for ConnTrack {
-    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
         w.flow_key(&self.key);
         w.u64(self.packets);
         w.u64(self.last_ns);
-        w.into_bytes()
     }
 }
 
@@ -229,7 +227,7 @@ impl Middlebox for Firewall {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let c = ConnTrack::deserialize(&self.sealer.open(&chunk.data)?)?;
+        let c = self.sealer.open_with(&chunk.data, ConnTrack::deserialize)?;
         state::import(&mut self.conntrack, &mut self.sync, c.key.canonical(), c);
         Ok(())
     }

@@ -177,9 +177,82 @@ impl ConnRecord {
     }
 
     /// Serialize the whole record tree (connection core, HTTP analyzer,
-    /// signature engine state).
+    /// signature engine state) into a buffer of its own; an export
+    /// writes it with [`Record::encode`] instead.
     pub fn serialize(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode(&self.key, &mut w);
+        w.into_bytes()
+    }
+
+    /// Reverse of [`serialize`](ConnRecord::serialize). Only the
+    /// encoding `serialize` would give is accepted: a presence flag
+    /// other than 0 or 1, a `fired` list that is not strictly ascending
+    /// or bytes after the record are [`Error::MalformedChunk`].
+    pub fn deserialize(buf: &[u8]) -> Result<Self> {
+        let malformed = |why: &str| Err(Error::MalformedChunk(why.into()));
+        let mut r = Reader::new(buf);
+        let key = r.flow_key()?;
+        let start_ns = r.u64()?;
+        let last_ns = r.u64()?;
+        let state = ConnState::from_code(r.u8()?)?;
+        let history = r.str()?;
+        let orig_pkts = r.u64()?;
+        let resp_pkts = r.u64()?;
+        let orig_bytes = r.u64()?;
+        let resp_bytes = r.u64()?;
+        let http = match r.u8()? {
+            0 => None,
+            1 => {
+                let n = r.u32()? as usize;
+                if n > 1_000_000 {
+                    return malformed("absurd request count");
+                }
+                let mut requests = Vec::with_capacity(n.min(4096));
+                for _ in 0..n {
+                    requests.push(r.str()?);
+                }
+                let partial = r.bytes()?;
+                let responses = r.u64()?;
+                Some(HttpAnalyzer { requests, partial, responses })
+            }
+            _ => return malformed("bad http presence flag"),
+        };
+        let sig_tail = r.bytes()?;
+        let nf = r.u32()? as usize;
+        if nf > 1_000_000 {
+            return malformed("absurd fired count");
+        }
+        let mut fired = BTreeSet::new();
+        for _ in 0..nf {
+            let f = r.u32()?;
+            if fired.last().is_some_and(|&last| last >= f) {
+                return malformed("fired signatures out of order");
+            }
+            fired.insert(f);
+        }
+        if !r.is_exhausted() {
+            return malformed("trailing bytes after a connection record");
+        }
+        Ok(ConnRecord {
+            key,
+            start_ns,
+            last_ns,
+            state,
+            history,
+            orig_pkts,
+            resp_pkts,
+            orig_bytes,
+            resp_bytes,
+            http,
+            sig_tail,
+            fired,
+        })
+    }
+}
+
+impl Record for ConnRecord {
+    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
         w.flow_key(&self.key);
         w.u64(self.start_ns);
         w.u64(self.last_ns);
@@ -206,59 +279,6 @@ impl ConnRecord {
         for f in &self.fired {
             w.u32(*f);
         }
-        w.into_bytes()
-    }
-
-    /// Reverse of [`serialize`](ConnRecord::serialize).
-    pub fn deserialize(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let key = r.flow_key()?;
-        let start_ns = r.u64()?;
-        let last_ns = r.u64()?;
-        let state = ConnState::from_code(r.u8()?)?;
-        let history = r.str()?;
-        let orig_pkts = r.u64()?;
-        let resp_pkts = r.u64()?;
-        let orig_bytes = r.u64()?;
-        let resp_bytes = r.u64()?;
-        let http = if r.u8()? == 1 {
-            let n = r.u32()? as usize;
-            if n > 1_000_000 {
-                return Err(Error::MalformedChunk("absurd request count".into()));
-            }
-            let mut requests = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                requests.push(r.str()?);
-            }
-            let partial = r.bytes()?;
-            let responses = r.u64()?;
-            Some(HttpAnalyzer { requests, partial, responses })
-        } else {
-            None
-        };
-        let sig_tail = r.bytes()?;
-        let nf = r.u32()? as usize;
-        if nf > 1_000_000 {
-            return Err(Error::MalformedChunk("absurd fired count".into()));
-        }
-        let mut fired = BTreeSet::new();
-        for _ in 0..nf {
-            fired.insert(r.u32()?);
-        }
-        Ok(ConnRecord {
-            key,
-            start_ns,
-            last_ns,
-            state,
-            history,
-            orig_pkts,
-            resp_pkts,
-            orig_bytes,
-            resp_bytes,
-            http,
-            sig_tail,
-            fired,
-        })
     }
 }
 
@@ -285,12 +305,6 @@ impl IpsStat {
     /// The counters in wire order.
     fn counters(&mut self) -> [&mut u64; 3] {
         [&mut self.alerts, &mut self.conns_logged, &mut self.http_requests_logged]
-    }
-}
-
-impl Record for ConnRecord {
-    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
-        self.serialize()
     }
 }
 
@@ -628,7 +642,7 @@ impl Middlebox for Ips {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let rec = ConnRecord::deserialize(&self.sealer.open(&chunk.data)?)?;
+        let rec = self.sealer.open_with(&chunk.data, ConnRecord::deserialize)?;
         state::import(&mut self.conns, &mut self.sync, rec.key.canonical(), rec);
         Ok(())
     }
@@ -1051,6 +1065,58 @@ mod tests {
         let rec = ips.conns_sorted().pop().unwrap();
         let rt = ConnRecord::deserialize(&rec.serialize()).unwrap();
         assert_eq!(rec, rt);
+    }
+
+    /// An honest record's bytes, edited, sealed under the IPS's own key
+    /// and put into a fresh IPS: the put's result.
+    fn put_edited(rec: &ConnRecord, edit: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        let mut plain = rec.serialize();
+        edit(&mut plain);
+        let chunk =
+            StateChunk::new(HeaderFieldList::exact(rec.key), Sealer::new("bro").seal(&plain));
+        Ips::new().put_support_perflow(chunk)
+    }
+
+    /// A record with no HTTP analyzer, no signature tail and signatures
+    /// 3 and 5 fired: its last 17 bytes are the analyzer flag, the empty
+    /// tail, and the fired count and list.
+    fn fired_record() -> ConnRecord {
+        let mut rec = ConnRecord::new(conn_key(4100), SimTime(7), ConnState::S1);
+        rec.fired = BTreeSet::from([3, 5]);
+        assert!(put_edited(&rec, |_| ()).is_ok(), "the honest record is accepted");
+        rec
+    }
+
+    fn malformed(put: &Result<()>) -> bool {
+        matches!(put, Err(Error::MalformedChunk(_)))
+    }
+
+    #[test]
+    fn a_conn_record_with_an_http_flag_other_than_0_or_1_is_refused() {
+        let put = put_edited(&fired_record(), |b| {
+            let flag = b.len() - 17;
+            assert_eq!(b[flag], 0);
+            b[flag] = 2;
+        });
+        assert!(malformed(&put), "{put:?}");
+    }
+
+    #[test]
+    fn a_conn_record_whose_fired_list_is_not_strictly_ascending_is_refused() {
+        for list in [[5u32, 3], [3, 3]] {
+            let put = put_edited(&fired_record(), |b| {
+                let at = b.len() - 8;
+                b.truncate(at);
+                list.iter().for_each(|f| b.extend_from_slice(&f.to_le_bytes()));
+            });
+            assert!(malformed(&put), "{list:?}: {put:?}");
+        }
+    }
+
+    #[test]
+    fn a_conn_record_with_trailing_bytes_is_refused() {
+        let put = put_edited(&fired_record(), |b| b.push(0));
+        assert!(malformed(&put), "{put:?}");
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl Middlebox for LoadBalancer {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let a = Assignment::deserialize(&self.sealer.open(&chunk.data)?)?;
+        let a = self.sealer.open_with(&chunk.data, Assignment::deserialize)?;
         self.assignments.insert(a.source, a);
         Ok(())
     }

@@ -49,8 +49,7 @@ pub struct AssetRecord {
 }
 
 impl Record for AssetRecord {
-    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
         w.flow_key(&self.key);
         w.u64(self.first_seen_ns);
         w.u64(self.last_seen_ns);
@@ -59,14 +58,15 @@ impl Record for AssetRecord {
         w.str(&self.service);
         w.str(&self.os_guess);
         w.u64(self.http_requests);
-        w.into_bytes()
     }
 }
 
 impl AssetRecord {
+    /// Reverse of [`encode`](Record::encode): one record and nothing
+    /// after it.
     fn deserialize(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf);
-        Ok(AssetRecord {
+        let rec = AssetRecord {
             key: r.flow_key()?,
             first_seen_ns: r.u64()?,
             last_seen_ns: r.u64()?,
@@ -75,7 +75,11 @@ impl AssetRecord {
             service: r.str()?,
             os_guess: r.str()?,
             http_requests: r.u64()?,
-        })
+        };
+        if !r.is_exhausted() {
+            return Err(Error::MalformedChunk("trailing bytes after an asset record".into()));
+        }
+        Ok(rec)
     }
 }
 
@@ -285,7 +289,7 @@ impl Middlebox for Monitor {
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let rec = AssetRecord::deserialize(&self.sealer.open(&chunk.data)?)?;
+        let rec = self.sealer.open_with(&chunk.data, AssetRecord::deserialize)?;
         state::import(&mut self.assets, &mut self.sync, rec.key.canonical(), rec);
         Ok(())
     }
@@ -452,6 +456,71 @@ mod tests {
         assert_eq!(m.stat().http_requests, 3);
         let recs = m.assets_sorted();
         assert_eq!(recs[0].service, "http");
+    }
+
+    #[test]
+    fn an_asset_record_with_trailing_bytes_is_refused() {
+        let mut src = Monitor::new();
+        src.process_packet(SimTime(0), &http_pkt(1, 1), &mut Effects::normal());
+        let rec = src.assets_sorted().pop().unwrap();
+        let mut w = Writer::new();
+        rec.encode(&rec.key, &mut w);
+        let honest = w.into_bytes();
+        let put = |plain: &[u8]| {
+            let chunk = Sealer::new("prads").seal(plain);
+            Monitor::new()
+                .put_report_perflow(StateChunk::new(HeaderFieldList::exact(rec.key), chunk))
+        };
+        assert!(put(&honest).is_ok());
+        let trailing = [&honest[..], &[0]].concat();
+        assert!(matches!(put(&trailing), Err(Error::MalformedChunk(_))));
+    }
+
+    /// A repeat move's reference against either store: a stored run is
+    /// applied from the bytes `get` returns; the same hash filed over
+    /// other bytes fails the re-hash and is asked for (`ChunkNeed`).
+    #[test]
+    fn chunk_refs_apply_stored_runs_and_need_poisoned_ones() {
+        use openmb_mb::{handle_southbound_logged, SharedPutLog};
+        use openmb_store::{ContentStore, FileContentStore, MemoryContentStore};
+        use openmb_types::wire::Message;
+        use std::sync::Arc;
+
+        let mut src = Monitor::new();
+        for i in 1..=3 {
+            src.process_packet(SimTime(0), &http_pkt(u64::from(i), i), &mut Effects::normal());
+        }
+        let chunks = src.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
+        let (first, rest) = chunks.split_first().unwrap();
+        let content = openmb_types::wire::run_content(&first.data, rest);
+        let hash = openmb_store::content_hash(&content);
+        let reference = Message::ChunkRef {
+            op: OpId(2),
+            class: ChunkClass::Report,
+            key: first.key,
+            hash,
+            rest: rest.iter().map(|c| c.key).collect(),
+        };
+        let dir = std::env::temp_dir().join(format!("openmb-monitor-ref-{}", std::process::id()));
+        let stores: [Arc<dyn ContentStore>; 2] =
+            [Arc::new(MemoryContentStore::new()), Arc::new(FileContentStore::open(&dir).unwrap())];
+        for store in stores {
+            let mut log = SharedPutLog::with_store(Arc::clone(&store));
+            let mut put = |store_as: Arc<[u8]>| {
+                store.insert_unchecked(hash, store_as);
+                let mut dst = Monitor::new();
+                let reply =
+                    handle_southbound_logged(&mut dst, &mut log, reference.clone(), SimTime(5));
+                (reply, dst.assets_sorted())
+            };
+            let (reply, landed) = put(content.clone().into());
+            assert_eq!(reply, [Message::PutAck { op: OpId(2), key: Some(first.key) }], "{store:?}");
+            assert_eq!(landed, src.assets_sorted());
+            let (reply, landed) = put(b"poison"[..].into());
+            assert_eq!(reply, [Message::ChunkNeed { op: OpId(2), hash }], "{store:?}");
+            assert!(landed.is_empty());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

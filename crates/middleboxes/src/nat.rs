@@ -47,13 +47,11 @@ pub struct NatMapping {
 }
 
 impl Record for NatMapping {
-    fn encode(&self, _key: &FlowKey) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
         w.flow_key(&self.internal);
         w.u16(self.external_port);
         w.u64(self.last_used_ns);
         w.u64(self.packets);
-        w.into_bytes()
     }
 
     /// Mappings are keyed by the internal flow as it was first seen, so
@@ -358,7 +356,7 @@ impl Middlebox for Nat {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let m = NatMapping::deserialize(&self.sealer.open(&chunk.data)?)?;
+        let m = self.sealer.open_with(&chunk.data, NatMapping::deserialize)?;
         self.index_mapping(&m);
         state::import(&mut self.mappings, &mut self.sync, m.internal, m);
         Ok(())

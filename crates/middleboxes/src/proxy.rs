@@ -45,12 +45,10 @@ pub struct ConnState {
 }
 
 impl Record for ConnState {
-    fn encode(&self, key: &FlowKey) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn encode(&self, key: &FlowKey, w: &mut Writer) {
         w.flow_key(key);
         w.bytes(&self.partial);
         w.u64(self.requests);
-        w.into_bytes()
     }
 }
 
@@ -234,7 +232,7 @@ impl Middlebox for Proxy {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let (key, c) = ConnState::deserialize(&self.sealer.open(&chunk.data)?)?;
+        let (key, c) = self.sealer.open_with(&chunk.data, ConnState::deserialize)?;
         state::import(&mut self.conns, &mut self.sync, key.canonical(), c);
         Ok(())
     }

@@ -23,19 +23,26 @@
 //! `Ips::put_support_perflow` of that chunk allocates no second buffer
 //! of the body's size.
 //!
+//! The export side is audited too: a Monitor `export_perflow` of N
+//! records allocates N buffers (each record's sealed chunk) plus a
+//! constant, and a `ChunkRef` that hits the destination's content store
+//! applies a 16-record run without allocating a buffer the size of its
+//! content.
+//!
 //! One `#[test]` only: the counter is process-global, and a single test
 //! keeps other harness threads from muddying the deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use openmb_mb::{Effects, Middlebox};
+use openmb_mb::{handle_southbound_logged, Effects, Middlebox, SharedPutLog};
 use openmb_middleboxes::ips::{ConnRecord, ConnState, HttpAnalyzer};
 use openmb_middleboxes::{Firewall, Ips, Monitor, Nat};
 use openmb_simnet::SimTime;
 use openmb_types::crypto::VendorKey;
-use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, Packet, StateChunk};
+use openmb_types::wire::{self, ChunkClass, Message};
+use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, OpId, Packet, StateChunk};
 
 struct CountingAlloc;
 
@@ -48,10 +55,17 @@ static BODY_SIZED: AtomicU64 = AtomicU64::new(0);
 /// take 16).
 const BODY: usize = 1504;
 
+/// Allocations of at least [`LARGE`] bytes, a size a check sets.
+static LARGE_SIZED: AtomicU64 = AtomicU64::new(0);
+static LARGE: AtomicUsize = AtomicUsize::new(usize::MAX);
+
 fn count(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     if size >= BODY {
         BODY_SIZED.fetch_add(1, Ordering::Relaxed);
+    }
+    if size >= LARGE.load(Ordering::Relaxed) {
+        LARGE_SIZED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -160,6 +174,8 @@ fn steady_state_batch_path_allocates_nothing_per_packet() {
     assert_eq!(ips_32, 0, "ips data-packet path should be allocation-free");
 
     chunk_import_copies_the_body_once();
+    export_allocates_one_buffer_per_record();
+    chunk_ref_hit_copies_no_run_content();
 }
 
 /// The control path's import side, on a record shaped like the ones
@@ -210,4 +226,78 @@ fn chunk_import_copies_the_body_once() {
     put.unwrap().unwrap();
     assert_eq!(ips.conns_sorted(), vec![rec]);
     assert_eq!(body_sized, 1, "put_support_perflow holds the body in one buffer: open's plaintext");
+}
+
+/// A Monitor holding `n` flows, one packet each, and its pattern.
+fn monitor_with(n: u32) -> Monitor {
+    let mut mon = Monitor::new();
+    let pkts: Vec<Packet> = (0..n)
+        .map(|i| {
+            let src = Ipv4Addr::from(0x0a00_0000 | (i >> 8));
+            let key =
+                FlowKey::tcp(src, 1024 + (i & 0xff) as u16, Ipv4Addr::new(93, 184, 216, 7), 80);
+            Packet::new(u64::from(i) + 1, key, vec![0u8; 32])
+        })
+        .collect();
+    mon.process_batch(openmb_simnet::SimTime(1_000), &pkts, &mut Effects::normal());
+    assert_eq!(mon.perflow_entries(), n as usize);
+    mon
+}
+
+/// Allocations beyond one per record of a Monitor export of `n` flows.
+fn export_overhead(n: u32) -> u64 {
+    let mut mon = monitor_with(n);
+    let mut records = 0;
+    let allocs = allocs_during(|| {
+        mon.export_perflow(ChunkClass::Report, OpId(1), &HeaderFieldList::any(), &mut |_, c| {
+            records += 1;
+            drop(c);
+        })
+        .unwrap();
+    });
+    assert_eq!(records, n);
+    allocs.checked_sub(u64::from(n)).unwrap_or_else(|| panic!("{allocs} for {n} records"))
+}
+
+/// The source side: one writer for the whole export, each record sealed
+/// straight into its chunk, the moved marks grown once.
+fn export_allocates_one_buffer_per_record() {
+    let (c_1000, c_4000) = (export_overhead(1_000), export_overhead(4_000));
+    assert!(c_1000 <= 16, "a 1 000-record export allocates 1 000 + {c_1000}");
+    assert!(c_4000 <= c_1000, "the constant grows with N: {c_1000} at 1 000, {c_4000} at 4 000");
+}
+
+/// The destination side of a repeat move: a `ChunkRef` whose run the
+/// store holds is applied from the stored bytes themselves.
+fn chunk_ref_hit_copies_no_run_content() {
+    let mut src = monitor_with(16);
+    let chunks = src.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
+    let (first, rest) = chunks.split_first().unwrap();
+    assert_eq!(rest.len(), 15);
+    let content = wire::run_content(&first.data, rest);
+    let hash = openmb_store::content_hash(&content);
+    let mut log = SharedPutLog::new();
+    log.store().insert_unchecked(hash, content.clone().into());
+    let reference = Message::ChunkRef {
+        op: OpId(2),
+        class: ChunkClass::Report,
+        key: first.key,
+        hash,
+        rest: rest.iter().map(|c| c.key).collect(),
+    };
+    let mut dst = Monitor::new();
+    let now = openmb_simnet::SimTime(2_000);
+    // The first hit creates the destination's records; the second finds
+    // them in place, so nothing but the hit itself is measured.
+    let ack = handle_southbound_logged(&mut dst, &mut log, reference.clone(), now);
+    assert!(matches!(ack[..], [Message::PutAck { .. }]), "{ack:?}");
+    LARGE.store(content.len(), Ordering::Relaxed);
+    let mut ack = Vec::new();
+    let large = counted_during(&LARGE_SIZED, || {
+        ack = handle_southbound_logged(&mut dst, &mut log, reference, now);
+    });
+    LARGE.store(usize::MAX, Ordering::Relaxed);
+    assert!(matches!(ack[..], [Message::PutAck { .. }]), "{ack:?}");
+    assert_eq!(dst.perflow_entries(), 16);
+    assert_eq!(large, 0, "a hit allocated a buffer of the run's {} content bytes", content.len());
 }

@@ -22,7 +22,7 @@ use std::fmt::Debug;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Number of bytes in a content hash.
 pub const HASH_LEN: usize = 32;
@@ -138,13 +138,14 @@ pub fn hash_hex(hash: &ContentHash) -> String {
 /// embedding serves frames from per-connection handler threads while the
 /// MB applies state, and the store is the rendezvous point.
 pub trait ContentStore: Send + Sync + Debug {
-    /// Fetch the body stored under `hash`, if present.
-    fn get(&self, hash: &ContentHash) -> Option<Vec<u8>>;
+    /// Fetch the body stored under `hash`, if present. The bytes are
+    /// shared with the store: a hit costs a refcount, not a copy.
+    fn get(&self, hash: &ContentHash) -> Option<Arc<[u8]>>;
 
     /// Store `data` under its own content hash; returns that hash.
     fn put(&self, data: &[u8]) -> ContentHash {
         let hash = content_hash(data);
-        self.insert_unchecked(hash, data.to_vec());
+        self.insert_unchecked(hash, data.into());
         hash
     }
 
@@ -163,7 +164,8 @@ pub trait ContentStore: Send + Sync + Debug {
     /// [`content_hash`] before trusting an entry either way, which is
     /// what makes poisoning degrade to a cache miss rather than corrupt
     /// state.
-    fn insert_unchecked(&self, hash: ContentHash, data: Vec<u8>);
+    /// The store keeps `data` itself, shared, not a copy of it.
+    fn insert_unchecked(&self, hash: ContentHash, data: Arc<[u8]>);
 
     /// Number of entries currently stored.
     fn len(&self) -> usize;
@@ -212,7 +214,7 @@ pub struct MemoryContentStore {
 /// could outnumber the live ones, so `order` stays O(entries).
 #[derive(Debug)]
 struct Lru {
-    entries: HashMap<ContentHash, (Vec<u8>, u64)>,
+    entries: HashMap<ContentHash, (Arc<[u8]>, u64)>,
     order: VecDeque<(u64, ContentHash)>,
     next_stamp: u64,
     /// Σ (body length + [`ENTRY_OVERHEAD`]) over `entries`.
@@ -271,7 +273,7 @@ impl MemoryContentStore {
 }
 
 impl ContentStore for MemoryContentStore {
-    fn get(&self, hash: &ContentHash) -> Option<Vec<u8>> {
+    fn get(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
         let lru = &mut *self.lru();
         if !lru.entries.contains_key(hash) {
             return None;
@@ -279,7 +281,7 @@ impl ContentStore for MemoryContentStore {
         let stamp = lru.touch(*hash);
         let (body, at) = lru.entries.get_mut(hash).expect("checked above");
         *at = stamp;
-        Some(body.clone())
+        Some(Arc::clone(body))
     }
 
     fn contains(&self, hash: &ContentHash) -> bool {
@@ -290,7 +292,7 @@ impl ContentStore for MemoryContentStore {
         self.lru().remove(hash)
     }
 
-    fn insert_unchecked(&self, hash: ContentHash, data: Vec<u8>) {
+    fn insert_unchecked(&self, hash: ContentHash, data: Arc<[u8]>) {
         let lru = &mut *self.lru();
         let charge = data.len() + ENTRY_OVERHEAD;
         if charge > lru.budget {
@@ -345,8 +347,8 @@ impl FileContentStore {
 }
 
 impl ContentStore for FileContentStore {
-    fn get(&self, hash: &ContentHash) -> Option<Vec<u8>> {
-        fs::read(self.path_for(hash)).ok()
+    fn get(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
+        fs::read(self.path_for(hash)).ok().map(Arc::from)
     }
 
     fn contains(&self, hash: &ContentHash) -> bool {
@@ -357,7 +359,7 @@ impl ContentStore for FileContentStore {
         fs::remove_file(self.path_for(hash)).is_ok()
     }
 
-    fn insert_unchecked(&self, hash: ContentHash, data: Vec<u8>) {
+    fn insert_unchecked(&self, hash: ContentHash, data: Arc<[u8]>) {
         let path = self.path_for(&hash);
         let tmp = path.with_extension("tmp");
         // Best-effort: a failed disk write degrades to a cache miss on
@@ -561,7 +563,7 @@ mod tests {
         let h = s.put(b"hello");
         assert_eq!(h, content_hash(b"hello"));
         assert!(s.contains(&h));
-        assert_eq!(s.get(&h).unwrap(), b"hello");
+        assert_eq!(s.get(&h).unwrap()[..], *b"hello");
         assert_eq!(s.len(), 1);
         assert!(s.evict(&h));
         assert!(!s.contains(&h));
@@ -572,7 +574,7 @@ mod tests {
     fn memory_store_poison_detectable_by_reverify() {
         let s = MemoryContentStore::with_budget(4 * (64 + ENTRY_OVERHEAD));
         let h = content_hash(b"real body");
-        s.insert_unchecked(h, b"garbage".to_vec());
+        s.insert_unchecked(h, b"garbage"[..].into());
         // Churn that refreshes the poisoned entry keeps it resident —
         // and still wrong.
         for i in 0..8u8 {
@@ -638,7 +640,7 @@ mod tests {
         s.put(&[8; 50]);
         assert_eq!((s.bytes(), charged(&s)), (350, 350 + 2 * ENTRY_OVERHEAD));
         // Re-filing under the same hash replaces, it does not add.
-        s.insert_unchecked(h, vec![0; 10]);
+        s.insert_unchecked(h, vec![0; 10].into());
         assert_eq!((s.len(), s.bytes()), (2, 60));
         assert!(s.evict(&h));
         assert!(!s.evict(&h));
@@ -654,7 +656,7 @@ mod tests {
         // Too big to ever fit: not stored, nothing else evicted for it,
         // and the entry it would have replaced is gone — a later lookup
         // misses and the body is streamed.
-        s.insert_unchecked(h, vec![3; 201 + ENTRY_OVERHEAD]);
+        s.insert_unchecked(h, vec![3; 201 + ENTRY_OVERHEAD].into());
         assert!(!s.contains(&h) && s.contains(&small));
         assert_eq!((s.len(), s.bytes()), (1, 20));
     }
@@ -670,7 +672,7 @@ mod tests {
         let hashes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(s.len(), 4);
         for (i, h) in hashes.iter().enumerate() {
-            assert_eq!(s.get(h).unwrap(), vec![i as u8; 64]);
+            assert_eq!(s.get(h).unwrap()[..], [i as u8; 64]);
         }
     }
 
@@ -681,7 +683,7 @@ mod tests {
         assert!(s.is_empty());
         let h = s.put(b"persisted body");
         assert!(s.contains(&h));
-        assert_eq!(s.get(&h).unwrap(), b"persisted body");
+        assert_eq!(s.get(&h).unwrap()[..], *b"persisted body");
         assert_eq!((s.len(), s.bytes()), (1, 14));
         assert!(s.evict(&h));
         assert!(s.is_empty());
@@ -698,7 +700,27 @@ mod tests {
         };
         // A fresh handle over the same directory — models an MB restart.
         let s2 = FileContentStore::open(&dir).unwrap();
-        assert_eq!(s2.get(&h).unwrap(), b"survives restart");
+        assert_eq!(s2.get(&h).unwrap()[..], *b"survives restart");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn get_returns_the_stored_bytes_in_both_stores() {
+        let body: Arc<[u8]> = pattern(1520).into();
+        let hash = content_hash(&body);
+        let dir = temp_dir("shared");
+        let stores: [Box<dyn ContentStore>; 2] =
+            [Box::new(MemoryContentStore::new()), Box::new(FileContentStore::open(&dir).unwrap())];
+        for s in &stores {
+            s.insert_unchecked(hash, Arc::clone(&body));
+            let got = s.get(&hash).unwrap();
+            assert_eq!(got, body, "{s:?}");
+            assert_eq!(content_hash(&got), hash);
+            assert!(s.get(&content_hash(b"absent")).is_none());
+        }
+        // The memory store keeps the buffer it was given and hands it
+        // out again: a hit costs a refcount, not a copy.
+        assert!(Arc::ptr_eq(&stores[0].get(&hash).unwrap(), &body));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,6 +19,8 @@
 //! plaintexts — which is then all it reveals — or on a 64-bit checksum
 //! collision. [`seal`] takes an explicit nonce.
 
+use std::sync::Arc;
+
 /// A symmetric "vendor key" shared by all instances of one middlebox type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VendorKey(pub [u8; 32]);
@@ -92,6 +94,24 @@ impl Keystream {
             }
         }
     }
+
+    /// `dst = src ^ keystream`: [`xor_in_place`](Keystream::xor_in_place)
+    /// on a copy of `src`, the copy made by the xor itself.
+    fn xor_into(&mut self, src: &[u8], dst: &mut [u8]) {
+        debug_assert_eq!(src.len(), dst.len());
+        let (mut from, mut to) = (src.chunks_exact(8), dst.chunks_exact_mut(8));
+        for (s, d) in (&mut from).zip(&mut to) {
+            let w = u64::from_le_bytes(s.try_into().expect("8 bytes")) ^ self.next_u64();
+            d.copy_from_slice(&w.to_le_bytes());
+        }
+        let (from, to) = (from.remainder(), to.into_remainder());
+        if !from.is_empty() {
+            let ks = self.next_u64().to_le_bytes();
+            for ((d, s), k) in to.iter_mut().zip(from).zip(ks) {
+                *d = s ^ k;
+            }
+        }
+    }
 }
 
 /// Checksum used to detect wrong-key decryption and corruption: the
@@ -123,6 +143,23 @@ pub fn seal_convergent(key: &VendorKey, plaintext: &[u8]) -> Vec<u8> {
     seal_summed(key, convergent_nonce(key, sum, plaintext.len()), sum, plaintext)
 }
 
+/// [`seal_convergent`] straight into the buffer a chunk keeps: one
+/// shared allocation of the sealed size, and the plaintext is copied by
+/// the keystream xor that encrypts it. Byte for byte
+/// [`seal_convergent`]'s output.
+pub fn seal_convergent_shared(key: &VendorKey, plaintext: &[u8]) -> Arc<[u8]> {
+    let sum = checksum(plaintext);
+    let nonce = convergent_nonce(key, sum, plaintext.len());
+    // An exact-size iterator collects into one allocation of its size.
+    let mut out: Arc<[u8]> = std::iter::repeat_n(0, 16 + plaintext.len()).collect();
+    let buf = Arc::get_mut(&mut out).expect("a new Arc has one owner");
+    buf[..8].copy_from_slice(&nonce.to_le_bytes());
+    let mut ks = Keystream::new(key, nonce);
+    buf[8..16].copy_from_slice(&(sum ^ ks.next_u64()).to_le_bytes());
+    ks.xor_into(plaintext, &mut buf[16..]);
+    out
+}
+
 /// The nonce of [`seal_convergent`]: one multiply-xorshift round (the
 /// first stage of splitmix's finalizer) over the checksum and length,
 /// whitened by key words on both sides, so without the key it gives
@@ -149,21 +186,25 @@ fn seal_summed(key: &VendorKey, nonce: u64, sum: u64, plaintext: &[u8]) -> Vec<u
 /// Decrypt a ciphertext produced by [`seal`]. Returns `None` on truncation
 /// or checksum mismatch (wrong key or corruption).
 pub fn open(key: &VendorKey, ciphertext: &[u8]) -> Option<Vec<u8>> {
+    let mut body = Vec::new();
+    open_into(key, ciphertext, &mut body).then_some(body)
+}
+
+/// [`open`] into a buffer the caller keeps and reuses: on success `out`
+/// holds the plaintext; on failure (false) its contents are garbage.
+pub fn open_into(key: &VendorKey, ciphertext: &[u8], out: &mut Vec<u8>) -> bool {
+    out.clear();
     if ciphertext.len() < 16 {
-        return None;
+        return false;
     }
     let nonce = u64::from_le_bytes(ciphertext[0..8].try_into().unwrap());
     // The checksum is one keystream word (the first), so it is
-    // decrypted on its own and the body in the buffer that is returned.
+    // decrypted on its own and the body into `out`.
     let mut ks = Keystream::new(key, nonce);
-    let mut want: [u8; 8] = ciphertext[8..16].try_into().unwrap();
-    ks.xor_in_place(&mut want);
-    let mut body = ciphertext[16..].to_vec();
-    ks.xor_in_place(&mut body);
-    if checksum(&body) != u64::from_le_bytes(want) {
-        return None;
-    }
-    Some(body)
+    let want = u64::from_le_bytes(ciphertext[8..16].try_into().unwrap()) ^ ks.next_u64();
+    out.resize(ciphertext.len() - 16, 0);
+    ks.xor_into(&ciphertext[16..], out);
+    checksum(out) == want
 }
 
 #[cfg(test)]
@@ -240,6 +281,9 @@ mod tests {
             0xf1, 0x98, 0xfc, 0x69, 0x0d, 0x85, 0x2b, 0xa4, 0x53, 0xbf, 0xb8, 0x74, 0xc9,
         ];
         assert_eq!(ct, want);
+        let shared =
+            seal_convergent_shared(&VendorKey::derive("bro"), b"per-flow supporting state");
+        assert_eq!(shared[..], want);
     }
 
     #[test]
@@ -253,6 +297,51 @@ mod tests {
         assert!(open(&prads, &ct).is_none());
         // The nonce is keyed: it is not the plaintext's checksum.
         assert_ne!(ct[..8], checksum(b"state").to_le_bytes());
+    }
+
+    proptest::proptest! {
+        /// The in-place seal is the reference layout, byte for byte, at
+        /// every length a record has, under several keys.
+        #[test]
+        fn shared_seal_is_seal_convergent(
+            len in 0usize..2048,
+            fill in proptest::prelude::any::<u8>(),
+            vendor in 0usize..4,
+        ) {
+            let key = VendorKey::derive(["bro", "prads", "re", ""][vendor]);
+            let plain: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ fill).collect();
+            let shared = seal_convergent_shared(&key, &plain);
+            proptest::prop_assert_eq!(&shared[..], &seal_convergent(&key, &plain)[..]);
+        }
+    }
+
+    #[test]
+    fn open_into_agrees_with_open() {
+        let (bro, prads) = (VendorKey::derive("bro"), VendorKey::derive("prads"));
+        // One buffer across every case, holding the last case's bytes.
+        let mut buf = vec![0xee; 3000];
+        let mut check = |key: &VendorKey, ct: &[u8]| {
+            let ok = open_into(key, ct, &mut buf);
+            let want = open(key, ct);
+            assert_eq!(ok, want.is_some(), "{} bytes", ct.len());
+            if let Some(plain) = want {
+                assert_eq!(buf, plain);
+            }
+        };
+        for len in [0, 1, 7, 8, 9, 86, 1504, 2047] {
+            let plain: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let ct = seal_convergent(&bro, &plain);
+            check(&bro, &ct);
+            check(&prads, &ct);
+            for at in [0, 8, 15, ct.len() - 1] {
+                let mut flipped = ct.clone();
+                flipped[at] ^= 0x10;
+                check(&bro, &flipped);
+            }
+            for short in 0..16.min(ct.len()) {
+                check(&bro, &ct[..short]);
+            }
+        }
     }
 
     #[test]

@@ -60,16 +60,27 @@ impl EncryptedChunk {
 
     /// [`seal`](EncryptedChunk::seal) under a nonce derived from the key
     /// and the plaintext ([`crypto::seal_convergent`]): equal state
-    /// seals to an equal chunk on every instance of a type.
+    /// seals to an equal chunk on every instance of a type. Sealed in
+    /// place into the chunk's own buffer
+    /// ([`crypto::seal_convergent_shared`]): one allocation.
     pub fn seal_convergent(key: &VendorKey, plaintext: &[u8]) -> Self {
-        EncryptedChunk { bytes: crypto::seal_convergent(key, plaintext).into() }
+        EncryptedChunk { bytes: crypto::seal_convergent_shared(key, plaintext).into() }
     }
 
     /// Decrypt. Fails with [`Error::MalformedChunk`] when the chunk was
     /// sealed by a different MB type or corrupted in transit.
     pub fn open(&self, key: &VendorKey) -> Result<Vec<u8>> {
-        crypto::open(key, &self.bytes)
-            .ok_or_else(|| Error::MalformedChunk("decryption checksum mismatch".into()))
+        let mut plain = Vec::new();
+        self.open_into(key, &mut plain).map(|()| plain)
+    }
+
+    /// [`open`](EncryptedChunk::open) into a buffer the caller reuses
+    /// ([`crypto::open_into`]).
+    pub fn open_into(&self, key: &VendorKey, out: &mut Vec<u8>) -> Result<()> {
+        match crypto::open_into(key, &self.bytes, out) {
+            true => Ok(()),
+            false => Err(Error::MalformedChunk("decryption checksum mismatch".into())),
+        }
     }
 
     /// Construct directly from wire bytes (codec use only). Accepts
@@ -82,6 +93,12 @@ impl EncryptedChunk {
     /// Raw wire bytes (codec use only).
     pub fn as_wire(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The wire bytes as the buffer they live in: a refcount, no copy
+    /// (codec use only).
+    pub fn wire_bytes(&self) -> Bytes {
+        self.bytes.clone()
     }
 
     /// Size in bytes as transferred; feeds the cost model and the §8.3

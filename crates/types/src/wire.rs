@@ -19,8 +19,8 @@
 //! from those rows, and every field type's format — with the bounds the
 //! decoder enforces on it — lives in its one `Field` impl.
 
-use std::borrow::Cow;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -872,6 +872,22 @@ impl Writer {
         self.buf
     }
 
+    /// The bytes written since the last [`clear`](Writer::clear).
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget what was written and keep the buffer, so one writer
+    /// serves record after record.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Append `v` as it is, with no length prefix.
+    pub fn raw(&mut self, v: &[u8]) {
+        self.put_raw(v);
+    }
+
     pub fn u8(&mut self, v: u8) {
         v.put(self);
     }
@@ -1081,6 +1097,19 @@ pub fn encoded_len(msg: &Message) -> usize {
     n.0
 }
 
+/// [`encoded_len`] of a per-flow put of either class carrying `chunk`
+/// then `rest`, summed through [`Len`] without building the message.
+pub fn put_perflow_len(chunk: &StateChunk, rest: &[StateChunk]) -> usize {
+    let mut n = Len(0);
+    tags::PutSupportPerflow.put(&mut n);
+    OpId(0).put(&mut n);
+    chunk.put(&mut n);
+    if !rest.is_empty() {
+        put_list(rest, &mut n);
+    }
+    n.0
+}
+
 /// One length-prefixed frame — prefix and body in one buffer, encoded
 /// in place (no second copy).
 pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
@@ -1166,7 +1195,8 @@ impl RunCutter {
                 1 + rest.len()
             }
             None => {
-                self.open = Some((record, Vec::new()));
+                // The run's further records, in one allocation.
+                self.open = Some((record, Vec::with_capacity(self.max - 1)));
                 1
             }
         };
@@ -1201,34 +1231,39 @@ pub fn push_runs(
 
 /// What a run's content hash covers and a destination's content store
 /// keeps under it: a lone record's sealed bytes as they are — a run of
-/// one hashes and is stored exactly as a lone chunk always was — and
-/// for several records each one's sealed bytes as a length-prefixed
-/// blob, in run order.
-pub fn run_content<'a>(data: &'a EncryptedChunk, rest: &[StateChunk]) -> Cow<'a, [u8]> {
+/// one hashes and is stored exactly as a lone chunk always was, and
+/// shares the chunk's buffer — and for several records each one's
+/// sealed bytes as a length-prefixed blob, in run order, written once
+/// into one buffer of the content's size.
+pub fn run_content(data: &EncryptedChunk, rest: &[StateChunk]) -> Bytes {
     if rest.is_empty() {
-        return Cow::Borrowed(data.as_wire());
+        return data.wire_bytes();
     }
-    let len = 4 + data.len() + rest.iter().map(|c| 4 + c.data.len()).sum::<usize>();
-    let mut w = Writer { buf: Vec::with_capacity(len) };
-    w.bytes(data.as_wire());
-    for c in rest {
-        w.bytes(c.data.as_wire());
+    let records = || std::iter::once(data).chain(rest.iter().map(|c| &c.data));
+    let len = records().map(|c| 4 + c.len()).sum();
+    let mut content: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let mut free = &mut Arc::get_mut(&mut content).expect("a new Arc has one owner")[..];
+    for c in records() {
+        let (blob, tail) = std::mem::take(&mut free).split_at_mut(4 + c.len());
+        blob[..4].copy_from_slice(&(c.len() as u32).to_le_bytes());
+        blob[4..].copy_from_slice(c.as_wire());
+        free = tail;
     }
-    Cow::Owned(w.buf)
+    Bytes::from(content)
 }
 
 /// Reverse of [`run_content`] for a run whose keys are `key` and then
-/// `rest`: its records, or `None` when `content` does not hold exactly
-/// that many.
+/// `rest`: its records, views of `content` with nothing copied, or
+/// `None` when `content` does not hold exactly that many.
 pub fn split_run_content(
-    content: Vec<u8>,
+    content: Arc<[u8]>,
     key: HeaderFieldList,
     rest: &[HeaderFieldList],
 ) -> Option<(StateChunk, Vec<StateChunk>)> {
+    let content = Bytes::from(content);
     if rest.is_empty() {
         return Some((StateChunk::new(key, EncryptedChunk::from_wire(content)), Vec::new()));
     }
-    let content = Bytes::from(content);
     let mut r = Reader::new_shared(&content);
     let mut record =
         |key| Some(StateChunk::new(key, EncryptedChunk::from_wire(r.bytes_shared().ok()?)));
@@ -1448,7 +1483,7 @@ mod tests {
             rest: Vec::new(),
         };
         assert_eq!(encoded_len(&r), 1 + 8 + 1 + 17 + 32);
-        assert_eq!(run_content(&c.data, &[]), Cow::Borrowed(c.data.as_wire()));
+        assert_eq!(run_content(&c.data, &[]), c.data.as_wire());
 
         let run = Message::run(OpId(4), rec(0), (1..RUN_FLOWS as u64).map(rec).collect());
         assert!(matches!(run, Message::ChunkRun { ref rest, .. } if rest.len() == RUN_FLOWS - 1));
@@ -1542,17 +1577,42 @@ mod tests {
             })
             .collect();
         let (first, rest) = (&recs[0], &recs[1..]);
-        let content = run_content(&first.data, rest).into_owned();
+        let content: Arc<[u8]> = run_content(&first.data, rest).into();
         let keys: Vec<HeaderFieldList> = rest.iter().map(|c| c.key).collect();
         let (a, b) = split_run_content(content.clone(), first.key, &keys).unwrap();
         assert_eq!((&a, &b[..]), (first, rest));
         assert_eq!(split_run_content(content.clone(), first.key, &keys[1..]), None);
-        assert_eq!(
-            split_run_content(content[..content.len() - 1].to_vec(), first.key, &keys),
-            None
-        );
-        let lone = split_run_content(first.data.as_wire().to_vec(), first.key, &[]).unwrap();
+        assert_eq!(split_run_content(content[..content.len() - 1].into(), first.key, &keys), None);
+        let lone = split_run_content(first.data.as_wire().into(), first.key, &[]).unwrap();
         assert_eq!(lone, (first.clone(), Vec::new()));
+        // The blobs' layout, spelled out: a length, then the bytes.
+        let mut w = Writer::new();
+        recs.iter().for_each(|c| w.bytes(c.data.as_wire()));
+        assert_eq!(content[..], w.into_bytes()[..]);
+        // A lone record's content is its chunk's buffer, and so is a
+        // record split from stored content: no copy either way.
+        assert_eq!(run_content(&first.data, &[]), first.data.wire_bytes());
+        let (split, _) = split_run_content(content.clone(), first.key, &keys).unwrap();
+        let at = split.data.as_wire().as_ptr() as usize - content.as_ptr() as usize;
+        assert_eq!(at, 4, "the first record is a view just past its length");
+    }
+
+    #[test]
+    fn put_perflow_len_is_the_puts_encoded_len() {
+        let key = VendorKey::derive("t");
+        let recs: Vec<StateChunk> = (0..16u16)
+            .map(|i| {
+                let k = HeaderFieldList::exact(FlowKey { src_port: i, ..fk() });
+                StateChunk::new(k, EncryptedChunk::seal(&key, 3, &vec![7; usize::from(i) * 5]))
+            })
+            .collect();
+        for n in [1, 2, 16] {
+            let (chunk, rest) = (recs[0].clone(), recs[1..n].to_vec());
+            let len = put_perflow_len(&chunk, &rest);
+            let (op, c, r) = (OpId(u64::MAX), chunk.clone(), rest.clone());
+            assert_eq!(len, encoded_len(&Message::PutSupportPerflow { op, chunk: c, rest: r }));
+            assert_eq!(len, encoded_len(&Message::PutReportPerflow { op, chunk, rest }));
+        }
     }
 
     #[test]

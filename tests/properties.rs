@@ -513,7 +513,7 @@ mod chunk_integrity {
             .remove(0);
         let current = content_hash(chunk.data.as_wire());
         let stale = [0x5a; 32];
-        store.insert_unchecked(stale, chunk.data.as_wire().to_vec());
+        store.insert_unchecked(stale, chunk.data.as_wire().into());
 
         let mut dst = DummyMb::new();
         let mut log = SharedPutLog::with_store(Arc::clone(&store));
