@@ -83,7 +83,7 @@ impl Middlebox for TwoClass {
         Ok(())
     }
     fn del_support_perflow(&mut self, k: &HeaderFieldList) -> Result<usize> {
-        Ok(state::delete(&mut self.support, &mut self.sync, k).len())
+        Ok(state::delete(&mut self.support, &mut self.sync, k, drop))
     }
     fn get_report_perflow(&mut self, op: OpId, k: &HeaderFieldList) -> Result<Vec<StateChunk>> {
         Ok(state::export(&self.report, &self.sealer, &mut self.sync, op, k))
@@ -94,7 +94,7 @@ impl Middlebox for TwoClass {
         Ok(())
     }
     fn del_report_perflow(&mut self, k: &HeaderFieldList) -> Result<usize> {
-        Ok(state::delete(&mut self.report, &mut self.sync, k).len())
+        Ok(state::delete(&mut self.report, &mut self.sync, k, drop))
     }
     fn stats(&self, k: &HeaderFieldList) -> StateStats {
         let (perflow_support_chunks, perflow_support_bytes) = state::count(&self.support, k);

@@ -195,20 +195,22 @@ pub fn import<R>(table: &mut HashMap<FlowKey, R>, sync: &mut SyncTracker, key: F
 }
 
 /// `del*Perflow`: remove every record `pattern` selects and clear its
-/// moved mark. Returns the removed records (their number is the reply;
-/// an MB with a secondary index unhooks them).
+/// moved mark. Each removed record goes to `removed` (an MB with a
+/// secondary index unhooks it there; the others pass `drop`); returns
+/// how many went, the reply.
 pub fn delete<R: Record>(
     table: &mut HashMap<FlowKey, R>,
     sync: &mut SyncTracker,
     pattern: &HeaderFieldList,
-) -> Vec<R> {
-    let removed = table.extract_if(|k, _| R::selected(pattern, k));
-    removed
-        .map(|(k, rec)| {
-            sync.clear_flow(&k);
-            rec
-        })
-        .collect()
+    mut removed: impl FnMut(R),
+) -> usize {
+    let mut n = 0;
+    for (k, rec) in table.extract_if(|k, _| R::selected(pattern, k)) {
+        sync.clear_flow(&k);
+        removed(rec);
+        n += 1;
+    }
+    n
 }
 
 /// `stats`: `(chunks, bytes)` an [`export`] of `pattern` would produce,
@@ -382,10 +384,12 @@ mod tests {
         export(&t, &sealer, &mut sync, OpId(1), &HeaderFieldList::any());
         // Either direction selects a canonically-keyed record.
         let reply_side = HeaderFieldList::exact(flow(2).reversed());
-        assert_eq!(delete(&mut t, &mut sync, &reply_side), vec![vec![2, 2]]);
+        let mut removed = Vec::new();
+        assert_eq!(delete(&mut t, &mut sync, &reply_side, |r| removed.push(r)), 1);
+        assert_eq!(removed, vec![vec![2, 2]]);
         assert_eq!(t.len(), 2);
         assert_eq!(sync.moved_count(), 2);
-        assert_eq!(delete(&mut t, &mut sync, &HeaderFieldList::any()).len(), 2);
+        assert_eq!(delete(&mut t, &mut sync, &HeaderFieldList::any(), drop), 2);
         assert_eq!((t.len(), sync.moved_count()), (0, 0));
     }
 

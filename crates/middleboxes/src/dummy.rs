@@ -172,7 +172,7 @@ impl Middlebox for DummyMb {
     }
 
     fn del_report_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        Ok(state::delete(&mut self.state, &mut self.sync, key).len())
+        Ok(state::delete(&mut self.state, &mut self.sync, key, drop))
     }
 
     fn stats(&self, key: &HeaderFieldList) -> StateStats {

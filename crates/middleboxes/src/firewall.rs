@@ -233,7 +233,7 @@ impl Middlebox for Firewall {
     }
 
     fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        Ok(state::delete(&mut self.conntrack, &mut self.sync, key).len())
+        Ok(state::delete(&mut self.conntrack, &mut self.sync, key, drop))
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {

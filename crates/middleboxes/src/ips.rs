@@ -651,7 +651,7 @@ impl Middlebox for Ips {
         // The paper added a `moved` flag so Bro does not log errors when
         // state for a moved flow is deleted: our del simply removes the
         // records without conn.log output.
-        Ok(state::delete(&mut self.conns, &mut self.sync, key).len())
+        Ok(state::delete(&mut self.conns, &mut self.sync, key, drop))
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {

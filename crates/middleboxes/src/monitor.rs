@@ -295,7 +295,7 @@ impl Middlebox for Monitor {
     }
 
     fn del_report_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        Ok(state::delete(&mut self.assets, &mut self.sync, key).len())
+        Ok(state::delete(&mut self.assets, &mut self.sync, key, drop))
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
@@ -425,7 +425,11 @@ impl Middlebox for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openmb_mb::{handle_southbound_logged, SharedPutLog};
+    use openmb_store::{ContentStore, FileContentStore, MemoryContentStore};
+    use openmb_types::wire::Message;
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
         Ipv4Addr::new(a, b, c, d)
@@ -476,23 +480,17 @@ mod tests {
         assert!(matches!(put(&trailing), Err(Error::MalformedChunk(_))));
     }
 
-    /// A repeat move's reference against either store: a stored run is
-    /// applied from the bytes `get` returns; the same hash filed over
-    /// other bytes fails the re-hash and is asked for (`ChunkNeed`).
-    #[test]
-    fn chunk_refs_apply_stored_runs_and_need_poisoned_ones() {
-        use openmb_mb::{handle_southbound_logged, SharedPutLog};
-        use openmb_store::{ContentStore, FileContentStore, MemoryContentStore};
-        use openmb_types::wire::Message;
-        use std::sync::Arc;
-
+    /// A source holding three flows, the content of its one run, and a
+    /// repeat move's reference to that run.
+    fn three_flows_and_their_reference(
+    ) -> (Monitor, Arc<[u8]>, openmb_store::ContentHash, HeaderFieldList, Message) {
         let mut src = Monitor::new();
         for i in 1..=3 {
             src.process_packet(SimTime(0), &http_pkt(u64::from(i), i), &mut Effects::normal());
         }
         let chunks = src.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
         let (first, rest) = chunks.split_first().unwrap();
-        let content = openmb_types::wire::run_content(&first.data, rest);
+        let content: Arc<[u8]> = openmb_types::wire::run_content(&first.data, rest).into();
         let hash = openmb_store::content_hash(&content);
         let reference = Message::ChunkRef {
             op: OpId(2),
@@ -501,6 +499,15 @@ mod tests {
             hash,
             rest: rest.iter().map(|c| c.key).collect(),
         };
+        (src, content, hash, first.key, reference)
+    }
+
+    /// A repeat move's reference against either store: a stored run is
+    /// applied from the bytes `get` returns; the same hash filed over
+    /// other bytes fails the re-hash and is asked for (`ChunkNeed`).
+    #[test]
+    fn chunk_refs_apply_stored_runs_and_need_poisoned_ones() {
+        let (src, content, hash, first_key, reference) = three_flows_and_their_reference();
         let dir = std::env::temp_dir().join(format!("openmb-monitor-ref-{}", std::process::id()));
         let stores: [Arc<dyn ContentStore>; 2] =
             [Arc::new(MemoryContentStore::new()), Arc::new(FileContentStore::open(&dir).unwrap())];
@@ -513,13 +520,37 @@ mod tests {
                     handle_southbound_logged(&mut dst, &mut log, reference.clone(), SimTime(5));
                 (reply, dst.assets_sorted())
             };
-            let (reply, landed) = put(content.clone().into());
-            assert_eq!(reply, [Message::PutAck { op: OpId(2), key: Some(first.key) }], "{store:?}");
+            let (reply, landed) = put(content.clone());
+            assert_eq!(reply, [Message::PutAck { op: OpId(2), key: Some(first_key) }], "{store:?}");
             assert_eq!(landed, src.assets_sorted());
             let (reply, landed) = put(b"poison"[..].into());
             assert_eq!(reply, [Message::ChunkNeed { op: OpId(2), hash }], "{store:?}");
             assert!(landed.is_empty());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file entry cut short on disk reads back as what is there, so
+    /// the re-hash fails and the reference is asked for (`ChunkNeed`):
+    /// nothing of the partial run is applied.
+    #[test]
+    fn a_truncated_file_entry_degrades_to_a_chunk_need() {
+        let (_, content, hash, _, reference) = three_flows_and_their_reference();
+        let dir = std::env::temp_dir().join(format!("openmb-monitor-cut-{}", std::process::id()));
+        let store = Arc::new(FileContentStore::open(&dir).unwrap());
+        store.insert_unchecked(hash, content.clone());
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        let [entry] = &entries[..] else { panic!("{entries:?}") };
+        let file = std::fs::OpenOptions::new().write(true).open(entry).unwrap();
+        file.set_len(content.len() as u64 - 1).unwrap();
+        drop(file);
+        assert_eq!(store.get(&hash).as_deref(), Some(&content[..content.len() - 1]));
+
+        let mut log = SharedPutLog::with_store(store);
+        let mut dst = Monitor::new();
+        let reply = handle_southbound_logged(&mut dst, &mut log, reference, SimTime(5));
+        assert_eq!(reply, [Message::ChunkNeed { op: OpId(2), hash }]);
+        assert!(dst.assets_sorted().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -363,11 +363,9 @@ impl Middlebox for Nat {
     }
 
     fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        let removed = state::delete(&mut self.mappings, &mut self.sync, key);
-        for m in &removed {
+        Ok(state::delete(&mut self.mappings, &mut self.sync, key, |m| {
             self.by_port.remove(&m.external_port);
-        }
-        Ok(removed.len())
+        }))
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {

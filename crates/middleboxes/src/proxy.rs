@@ -238,7 +238,7 @@ impl Middlebox for Proxy {
     }
 
     fn del_support_perflow(&mut self, key: &HeaderFieldList) -> Result<usize> {
-        Ok(state::delete(&mut self.conns, &mut self.sync, key).len())
+        Ok(state::delete(&mut self.conns, &mut self.sync, key, drop))
     }
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {

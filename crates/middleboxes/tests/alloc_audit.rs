@@ -27,7 +27,10 @@
 //! records allocates N buffers (each record's sealed chunk) plus a
 //! constant, and a `ChunkRef` that hits the destination's content store
 //! applies a 16-record run without allocating a buffer the size of its
-//! content.
+//! content. A `FileContentStore` hit reads its entry into the one
+//! buffer it returns, and the source's quiescence delete (a Monitor
+//! `del_report_perflow` of N records) makes no allocation that grows
+//! with N.
 //!
 //! One `#[test]` only: the counter is process-global, and a single test
 //! keeps other harness threads from muddying the deltas.
@@ -176,6 +179,8 @@ fn steady_state_batch_path_allocates_nothing_per_packet() {
     chunk_import_copies_the_body_once();
     export_allocates_one_buffer_per_record();
     chunk_ref_hit_copies_no_run_content();
+    file_store_hit_reads_into_one_buffer();
+    delete_allocates_nothing_per_record();
 }
 
 /// The control path's import side, on a record shaped like the ones
@@ -300,4 +305,39 @@ fn chunk_ref_hit_copies_no_run_content() {
     assert!(matches!(ack[..], [Message::PutAck { .. }]), "{ack:?}");
     assert_eq!(dst.perflow_entries(), 16);
     assert_eq!(large, 0, "a hit allocated a buffer of the run's {} content bytes", content.len());
+}
+
+/// A `FileContentStore` hit of a 1 520-byte entry: the file is read
+/// straight into the `Arc<[u8]>` returned, not into a `Vec` first.
+fn file_store_hit_reads_into_one_buffer() {
+    use openmb_store::{ContentStore, FileContentStore};
+    let dir = std::env::temp_dir().join(format!("openmb-alloc-audit-{}", std::process::id()));
+    let store = FileContentStore::open(&dir).unwrap();
+    let body: Vec<u8> = (0..1520u32).map(|i| (i * 131 + 89) as u8).collect();
+    let hash = openmb_store::content_hash(&body);
+    store.insert_unchecked(hash, body.clone().into());
+    let mut got = None;
+    let body_sized = counted_during(&BODY_SIZED, || got = store.get(&hash));
+    assert_eq!(got.as_deref(), Some(&body[..]));
+    assert_eq!(body_sized, 1, "a file store hit holds the entry in one buffer");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Allocations of a Monitor `del_report_perflow` of all its `n` flows.
+fn delete_allocs(n: u32) -> u64 {
+    let mut mon = monitor_with(n);
+    let mut deleted = 0;
+    let allocs = allocs_during(|| {
+        deleted = mon.del_report_perflow(&HeaderFieldList::any()).unwrap();
+    });
+    assert_eq!((deleted, mon.perflow_entries()), (n as usize, 0));
+    allocs
+}
+
+/// The source's quiescence delete counts what it removes and frees it;
+/// it collects nothing.
+fn delete_allocates_nothing_per_record() {
+    let (d_1000, d_4000) = (delete_allocs(1_000), delete_allocs(4_000));
+    assert!(d_4000 <= d_1000, "a delete allocates with N: {d_1000} at 1 000, {d_4000} at 4 000");
+    assert_eq!(d_4000, 0, "a 4 000-record delete allocates {d_4000} times");
 }

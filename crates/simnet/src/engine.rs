@@ -14,7 +14,7 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use openmb_obs::{NodeTag, Recorder, SpanEvent};
 use openmb_types::{wire, NodeId, Packet};
@@ -86,6 +86,8 @@ pub trait Node {
 /// One direction of a link.
 #[derive(Debug)]
 struct Link {
+    /// The receiving end.
+    to: NodeId,
     latency: SimDuration,
     /// Bits per second; 0 = infinite (no transmission delay).
     bandwidth_bps: u64,
@@ -281,7 +283,7 @@ impl Ctx<'_> {
 
     /// Does a link from this node to `to` exist?
     pub fn has_link(&self, to: NodeId) -> bool {
-        self.world.links.contains_key(&(self.self_id, to))
+        self.world.link(self.self_id, to).is_some()
     }
 
     /// Record a span event attributed to this node at the current
@@ -322,7 +324,10 @@ struct World {
     /// Each node's own lane in `queue`, indexed by `NodeId`.
     node_lanes: Vec<u32>,
     seq: u64,
-    links: HashMap<(NodeId, NodeId), Link>,
+    /// Each sender's outgoing links, indexed by `NodeId` and sorted by
+    /// receiver: a send finds its link by a short binary search, with
+    /// no hashing.
+    links: Vec<Vec<Link>>,
     fault: Option<FaultState>,
     /// Shared flight recorder; fault injection attributes its span
     /// events to the synthetic "net" node.
@@ -331,6 +336,21 @@ struct World {
 }
 
 impl World {
+    /// The directed link `from -> to`, if one was added.
+    fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
+        let out = self.links.get(from.0 as usize)?;
+        out.binary_search_by_key(&to, |l| l.to).ok().map(|i| &out[i])
+    }
+
+    /// The directed link `from -> to`; panics if there is none.
+    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut Link {
+        let out = self.links.get_mut(from.0 as usize).map_or(&mut [][..], |v| &mut v[..]);
+        match out.binary_search_by_key(&to, |l| l.to) {
+            Ok(i) => &mut out[i],
+            Err(_) => panic!("no link {from} -> {to}"),
+        }
+    }
+
     /// Queue an event on `target`'s own lane.
     fn schedule(&mut self, time: SimTime, target: NodeId, payload: Payload) {
         let lane = self.node_lanes[target.0 as usize];
@@ -393,7 +413,7 @@ impl World {
     /// frames each rule sees). Returns frames released (resume) or
     /// currently held (suspend). Panics if the link does not exist.
     fn set_suspended(&mut self, now: SimTime, a: NodeId, b: NodeId, suspended: bool) -> usize {
-        let link = self.links.get_mut(&(a, b)).unwrap_or_else(|| panic!("no link {a} -> {b}"));
+        let link = self.link_mut(a, b);
         link.suspended = suspended;
         if suspended {
             link.held.len()
@@ -441,8 +461,7 @@ impl World {
         if matches!(verdict, Verdict::Drop) {
             return;
         }
-        let link =
-            self.links.get_mut(&(from, to)).unwrap_or_else(|| panic!("no link {from} -> {to}"));
+        let link = self.link_mut(from, to);
         if link.suspended {
             link.held.push_back(frame);
             return;
@@ -502,7 +521,7 @@ impl Sim {
                 queue: EventQueue::new(),
                 node_lanes: Vec::new(),
                 seq: 0,
-                links: HashMap::new(),
+                links: Vec::new(),
                 fault: None,
                 recorder: Recorder::disabled(),
                 net_tag: NodeTag::NONE,
@@ -556,18 +575,26 @@ impl Sim {
     pub fn add_link(&mut self, a: NodeId, b: NodeId, latency: SimDuration, bandwidth_bps: u64) {
         for (x, y) in [(a, b), (b, a)] {
             let lane = self.world.queue.add_lane();
-            self.world.links.insert(
-                (x, y),
-                Link {
-                    latency,
-                    bandwidth_bps,
-                    busy_until: SimTime::ZERO,
-                    suspended: false,
-                    held: VecDeque::new(),
-                    bytes_carried: 0,
-                    lane,
-                },
-            );
+            let link = Link {
+                to: y,
+                latency,
+                bandwidth_bps,
+                busy_until: SimTime::ZERO,
+                suspended: false,
+                held: VecDeque::new(),
+                bytes_carried: 0,
+                lane,
+            };
+            let links = &mut self.world.links;
+            if links.len() <= x.0 as usize {
+                links.resize_with(x.0 as usize + 1, Vec::new);
+            }
+            // Adding a link again replaces it.
+            let out = &mut links[x.0 as usize];
+            match out.binary_search_by_key(&y, |l| l.to) {
+                Ok(i) => out[i] = link,
+                Err(i) => out.insert(i, link),
+            }
         }
     }
 
@@ -581,12 +608,12 @@ impl Sim {
 
     /// Number of frames currently held on the suspended link `a -> b`.
     pub fn link_held(&self, a: NodeId, b: NodeId) -> usize {
-        self.world.links.get(&(a, b)).map(|l| l.held.len()).unwrap_or(0)
+        self.world.link(a, b).map(|l| l.held.len()).unwrap_or(0)
     }
 
     /// Total bytes delivered over the directed link `a -> b` so far.
     pub fn link_bytes(&self, a: NodeId, b: NodeId) -> u64 {
-        self.world.links.get(&(a, b)).map(|l| l.bytes_carried).unwrap_or(0)
+        self.world.link(a, b).map(|l| l.bytes_carried).unwrap_or(0)
     }
 
     /// Install a [`FaultPlan`]: its message rules take effect for every
@@ -923,6 +950,58 @@ mod tests {
         let sink: &Sink = sim.node_as(s);
         assert_eq!(sink.got.len(), 1);
         assert_eq!(sink.got[0].0, SimTime(3_000_000));
+    }
+
+    /// Sends a data packet back to its sender with its id one lower,
+    /// until the id reaches zero.
+    struct Bounce;
+
+    impl Node for Bounce {
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn on_frame(&mut self, ctx: &mut Ctx<'_>, from: NodeId, frame: Frame) {
+            if let Frame::Data(mut p) = frame {
+                if p.id > 0 {
+                    p.id -= 1;
+                    ctx.send(from, Frame::Data(p));
+                }
+            }
+        }
+    }
+
+    /// A hub with 64 neighbours, the links added in a scrambled order:
+    /// each directed link carries, and counts, only its own frames.
+    #[test]
+    fn a_star_counts_each_directed_link_apart() {
+        const LEAVES: u32 = 64;
+        let mut sim = Sim::new();
+        let hub = sim.add_node(Box::new(Bounce));
+        let leaves: Vec<NodeId> = (0..LEAVES).map(|_| sim.add_node(Box::new(Bounce))).collect();
+        for i in 0..LEAVES {
+            let leaf = leaves[(i * 37 % LEAVES) as usize];
+            sim.add_link(hub, leaf, SimDuration::from_micros(1), 1_000_000_000);
+        }
+        // Leaf i's packets: i % 3 + 1 of them, `i` payload bytes each;
+        // each goes hub -> leaf, then leaf -> hub.
+        let frame = |i: u32| Frame::Data(pkt(2, i as usize));
+        for (i, &leaf) in leaves.iter().enumerate() {
+            for _ in 0..=i % 3 {
+                sim.inject_frame(SimTime::ZERO, leaf, hub, frame(i as u32));
+            }
+        }
+        sim.run(10_000);
+        for (i, &leaf) in leaves.iter().enumerate() {
+            let want = (i % 3 + 1) as u64 * frame(i as u32).wire_len() as u64;
+            assert_eq!(sim.link_bytes(hub, leaf), want, "hub -> leaf {i}");
+            assert_eq!(sim.link_bytes(leaf, hub), want, "leaf {i} -> hub");
+            assert!(sim.world.link(hub, leaf).is_some() && sim.world.link(leaf, hub).is_some());
+            assert_eq!(sim.link_bytes(leaf, leaves[(i + 1) % leaves.len()]), 0, "no such link");
+        }
+        assert_eq!(sim.link_bytes(hub, hub), 0);
     }
 
     #[test]

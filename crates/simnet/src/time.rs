@@ -71,13 +71,17 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The time needed to push `bytes` through a link of `bits_per_sec`.
+    /// The time needed to push `bytes` through a link of `bits_per_sec`:
+    /// `bytes·8·10⁹ / bits_per_sec`, in `u64` whenever the product fits
+    /// (every frame up to 2 GiB) and in `u128` otherwise.
     pub fn transmission(bytes: usize, bits_per_sec: u64) -> Self {
         if bits_per_sec == 0 {
             return SimDuration::ZERO;
         }
-        let bits = bytes as u128 * 8;
-        SimDuration(((bits * 1_000_000_000) / bits_per_sec as u128) as u64)
+        match (bytes as u64).checked_mul(8_000_000_000) {
+            Some(bit_ns) => SimDuration(bit_ns / bits_per_sec),
+            None => SimDuration(((bytes as u128 * 8_000_000_000) / bits_per_sec as u128) as u64),
+        }
     }
 
     /// Scale by an integer factor.
@@ -130,6 +134,34 @@ mod tests {
         let d = SimDuration::transmission(1500, 1_000_000_000);
         assert_eq!(d, SimDuration::from_micros(12));
         assert_eq!(SimDuration::transmission(100, 0), SimDuration::ZERO);
+    }
+
+    /// The largest byte count whose `bytes·8·10⁹` fits in a `u64`.
+    const U64_EDGE: u64 = u64::MAX / 8_000_000_000;
+
+    proptest::proptest! {
+        /// The `u64` path is the `u128` formula: byte counts from a
+        /// frame's to well past the overflow edge, bandwidths from
+        /// 1 bit/s to `u64::MAX` at every magnitude.
+        #[test]
+        fn transmission_in_u64_is_the_u128_formula(
+            small in 0u64..(64 << 20),
+            near_edge in (U64_EDGE - 4096)..=(U64_EDGE + 4096),
+            huge in proptest::prelude::any::<u64>(),
+            bps in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let bps = (bps >> shift).max(1);
+            for bytes in [small, near_edge, huge >> (shift % 32), U64_EDGE, U64_EDGE + 1] {
+                let bytes = bytes as usize;
+                let want = (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
+                proptest::prop_assert_eq!(
+                    SimDuration::transmission(bytes, bps),
+                    SimDuration(want),
+                    "{} bytes at {} bit/s", bytes, bps
+                );
+            }
+        }
     }
 
     #[test]

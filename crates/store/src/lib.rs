@@ -20,7 +20,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Debug;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -347,8 +347,15 @@ impl FileContentStore {
 }
 
 impl ContentStore for FileContentStore {
+    /// Reads the entry straight into the buffer it returns, sized from
+    /// the file's metadata. A short read, or a file longer than its
+    /// metadata said, is a miss.
     fn get(&self, hash: &ContentHash) -> Option<Arc<[u8]>> {
-        fs::read(self.path_for(hash)).ok().map(Arc::from)
+        let mut file = fs::File::open(self.path_for(hash)).ok()?;
+        let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        file.read_exact(Arc::get_mut(&mut data)?).ok()?;
+        matches!(file.read(&mut [0]), Ok(0)).then_some(data)
     }
 
     fn contains(&self, hash: &ContentHash) -> bool {
