@@ -14,20 +14,18 @@ use openmb_core::Request;
 use openmb_mb::{handle_southbound, state, CostModel, Effects, Middlebox, Record};
 use openmb_mb::{Sealer, SyncTracker};
 use openmb_simnet::SimTime;
-use openmb_types::wire::{Message, Reader, Writer};
+use openmb_types::wire::Message;
 use openmb_types::{
-    ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId, Packet,
-    Result, StateChunk, StateStats,
+    record, ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, MbId, OpId,
+    Packet, Result, StateChunk, StateStats,
 };
 
 /// A packet count.
 struct Seen(u64);
 
-impl Record for Seen {
-    fn encode(&self, _: &FlowKey, w: &mut Writer) {
-        w.u64(self.0);
-    }
-}
+record! { Seen { 0 } }
+
+impl Record for Seen {}
 
 /// Counts each flow's packets twice: once as supporting state, once as
 /// reporting state.
@@ -56,7 +54,7 @@ impl TwoClass {
 
     fn open(&mut self, chunk: &StateChunk) -> Result<(FlowKey, Seen)> {
         let flow = chunk.key.as_exact().ok_or_else(|| Error::MalformedChunk("inexact".into()))?;
-        Ok((flow, Seen(self.sealer.open_with(&chunk.data, |plain| Reader::new(plain).u64())?)))
+        Ok((flow, self.sealer.open_row(&chunk.data)?))
     }
 }
 

@@ -105,13 +105,13 @@ pub fn run() -> SnapshotOutcome {
         .conns_sorted()
         .iter()
         .filter(|c| !is_http_key(&c.key))
-        .map(|c| c.serialize().len())
+        .map(openmb_types::codec::encoded_len)
         .sum();
     let unneeded_at_old: usize = old_mb
         .conns_sorted()
         .iter()
         .filter(|c| is_http_key(&c.key))
-        .map(|c| c.serialize().len())
+        .map(openmb_types::codec::encoded_len)
         .sum();
     // Routing: HTTP → new MB, other → old MB.
     let mut new_logs = Vec::new();

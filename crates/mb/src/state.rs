@@ -18,7 +18,9 @@
 //! * **marks** — every exported flow is marked moved and the pattern
 //!   recorded once ([`export`]); an import or a delete clears the
 //!   flow's mark ([`import`], [`delete`]); a snapshot marks nothing;
-//! * **accounting** — a chunk weighs its serialized length plus
+//! * **decoding** — one canonical decode of every chunk ([`decode`]):
+//!   the row, and nothing after it;
+//! * **accounting** — a chunk weighs its row's length plus
 //!   [`SEAL_OVERHEAD`] ([`count`]);
 //! * **counters** — additive `u64` blocks are encoded, merged (`+=`) and
 //!   restored (replace, or reset to zero) by one codec.
@@ -30,9 +32,9 @@
 
 use std::collections::HashMap;
 
+use openmb_types::codec::{self, Field, Len, Reader, Sink, Writer};
 use openmb_types::crypto::VendorKey;
-use openmb_types::wire::{Reader, Writer};
-use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, OpId, Result, StateChunk};
+use openmb_types::{EncryptedChunk, Error, FlowKey, HeaderFieldList, OpId, Result, StateChunk};
 
 use crate::{SharedSnapshot, SyncTracker};
 
@@ -83,6 +85,12 @@ impl Sealer {
         decode(&self.plain)
     }
 
+    /// [`open_with`](Sealer::open_with) the kit's one decode: a `T`
+    /// row, canonical and whole ([`decode`]).
+    pub fn open_row<T: Field>(&mut self, chunk: &EncryptedChunk) -> Result<T> {
+        self.open_with(chunk, decode)
+    }
+
     /// [`open`](Sealer::open) for one half of a [`SharedSnapshot`].
     pub fn open_opt(&self, chunk: Option<EncryptedChunk>) -> Result<Option<Vec<u8>>> {
         chunk.map(|c| self.open(&c)).transpose()
@@ -99,12 +107,24 @@ impl Sealer {
     }
 }
 
-/// What is specific to one per-flow table: its records' byte layout and
-/// which patterns select them.
-pub trait Record {
-    /// Serialize the record stored under `key` onto `w`. An export
-    /// clears and reuses one writer for all its records.
-    fn encode(&self, key: &FlowKey, w: &mut Writer);
+/// What is specific to one per-flow table: its records' row and which
+/// patterns select them.
+pub trait Record: Field {
+    /// Serialize the record stored under `key` onto `s`: its row. A
+    /// record that does not hold its key travels as the pair of both,
+    /// and overrides this. An export clears and reuses one writer for
+    /// all its records.
+    fn encode<S: Sink>(&self, _key: &FlowKey, s: &mut S) {
+        self.put(s);
+    }
+
+    /// Exact length of [`encode`](Record::encode)'s bytes, summed
+    /// through [`Len`] with nothing written.
+    fn encoded_len(&self, key: &FlowKey) -> usize {
+        let mut n = Len(0);
+        self.encode(key, &mut n);
+        n.0
+    }
 
     /// Does `pattern` select the record stored under `key`? Tables keyed
     /// by [`FlowKey::canonical`] match either direction (the default); a
@@ -114,10 +134,11 @@ pub trait Record {
     }
 }
 
-/// State that is already bytes (the trace-replay dummy's).
+/// State that is already bytes (the trace-replay dummy's), exported as
+/// they are.
 impl Record for Vec<u8> {
-    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
-        w.raw(self);
+    fn encode<S: Sink>(&self, _key: &FlowKey, s: &mut S) {
+        s.put_raw(self);
     }
 }
 
@@ -214,33 +235,50 @@ pub fn delete<R: Record>(
 }
 
 /// `stats`: `(chunks, bytes)` an [`export`] of `pattern` would produce,
-/// each record encoded into one reused writer.
+/// each record's length summed from its row with nothing encoded.
 pub fn count<R: Record>(table: &HashMap<FlowKey, R>, pattern: &HeaderFieldList) -> (usize, usize) {
-    let mut w = Writer::new();
-    table.iter().filter(|(k, _)| R::selected(pattern, k)).fold((0, 0), |(n, bytes), (k, rec)| {
-        w.clear();
-        rec.encode(k, &mut w);
-        (n + 1, bytes + w.as_slice().len() + SEAL_OVERHEAD)
-    })
+    table
+        .iter()
+        .filter(|(k, _)| R::selected(pattern, k))
+        .fold((0, 0), |(n, bytes), (k, rec)| (n + 1, bytes + rec.encoded_len(k) + SEAL_OVERHEAD))
+}
+
+/// The one decode of a state chunk's plaintext: a `T` row and nothing
+/// after it. Only the bytes `T`'s row encodes to are accepted: a flag
+/// other than 0 or 1, set or map keys out of order, a count past the
+/// row's bound or bytes after the row are [`Error::MalformedChunk`]; a
+/// plaintext too short for the row is a codec error, as on the wire.
+pub fn decode<T: Field>(plain: &[u8]) -> Result<T> {
+    codec::decode(plain, Error::MalformedChunk)
+}
+
+/// A block of additive counters: each `u64` in order, with no count.
+struct Counters<const N: usize>([u64; N]);
+
+impl<const N: usize> Field for Counters<N> {
+    const WHAT: &'static str = "a counter block";
+
+    fn put<S: Sink>(&self, s: &mut S) {
+        self.0.iter().for_each(|c| c.put(s));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let mut vals = [0; N];
+        for v in &mut vals {
+            *v = u64::get(r)?;
+        }
+        Ok(Counters(vals))
+    }
 }
 
 /// Serialize a block of additive counters. All three counter functions
 /// take the same `[&mut u64; N]` view, so an MB lists its counters once.
 pub fn encode_counters<const N: usize>(counters: [&mut u64; N]) -> Vec<u8> {
-    let mut w = Writer::new();
-    for c in counters {
-        w.u64(*c);
-    }
-    w.into_bytes()
+    codec::encode(&Counters(counters.map(|c| *c)))
 }
 
 fn decode_counters<const N: usize>(plain: &[u8]) -> Result<[u64; N]> {
-    let mut r = Reader::new(plain);
-    let mut vals = [0; N];
-    for v in &mut vals {
-        *v = r.u64()?;
-    }
-    Ok(vals)
+    decode::<Counters<N>>(plain).map(|c| c.0)
 }
 
 /// `putReportShared` for additive counters: add the block in `plain`.
@@ -344,8 +382,8 @@ mod tests {
             OpId(1),
             &HeaderFieldList::any(),
             |rec, _, w| {
-                rec.iter().rev().for_each(|&b| w.u8(b));
-                w.u8(0xff);
+                rec.iter().rev().for_each(|&b| w.put_raw(&[b]));
+                w.put_raw(&[0xff]);
             },
         );
         assert_eq!(sealer.open(&chunks[1].data).unwrap(), vec![2, 2, 0xff]);
@@ -422,6 +460,30 @@ mod tests {
         assert!(merge_counters([&mut a, &mut b], &plain[..12]).is_err());
         assert!(replace_counters([&mut a, &mut b], Some(&plain[..12])).is_err());
         assert_eq!((a, b), (1, 2));
+    }
+
+    /// The kit's one decode takes a row and nothing after it: what the
+    /// row would never write is a malformed chunk, a plaintext too
+    /// short for it a codec error, as on the wire.
+    #[test]
+    fn decode_takes_the_whole_row_and_nothing_else() {
+        let (mut a, mut b) = (3u64, 5u64);
+        let plain = encode_counters([&mut a, &mut b]);
+        let longer = [&plain[..], &[0]].concat();
+        let why = |r: Result<()>| match r {
+            Err(Error::MalformedChunk(why)) => why,
+            r => panic!("{r:?}"),
+        };
+        assert_eq!(
+            why(merge_counters([&mut a, &mut b], &longer)),
+            "trailing bytes after a counter block"
+        );
+        assert!(matches!(decode::<Counters<2>>(&plain[..15]), Err(Error::Codec(_))));
+        assert_eq!(why(decode::<Option<u64>>(&[2]).map(drop)), "bad flag byte 2");
+        let unsorted = [&2u32.to_le_bytes()[..], &[7, 0, 5, 0]].concat();
+        let set = decode::<std::collections::BTreeSet<u16>>(&unsorted);
+        assert_eq!(why(set.map(drop)), "keys out of order");
+        assert_eq!((a, b), (3, 5), "a refused block adds nothing");
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::net::Ipv4Addr;
 
 use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SyncTracker};
 use openmb_simnet::SimTime;
-use openmb_types::wire::{ChunkClass, Writer};
+use openmb_types::codec::{Sink, Writer};
+use openmb_types::wire::ChunkClass;
 use openmb_types::{
     ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, OpId, Packet,
     Result, StateChunk, StateStats,
@@ -110,8 +111,8 @@ impl DummyMb {
 /// sealed.
 fn export_encoding(compress: bool) -> impl Fn(&Vec<u8>, &FlowKey, &mut Writer) {
     move |bytes, _, w| match compress {
-        true => w.raw(&openmb_types::compress::compress(bytes)),
-        false => w.raw(bytes),
+        true => w.put_raw(&openmb_types::compress::compress(bytes)),
+        false => w.put_raw(bytes),
     }
 }
 

@@ -15,10 +15,10 @@ use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::wire::{ChunkClass, Reader, Writer};
+use openmb_types::wire::ChunkClass;
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    OpId, Packet, Proto, Result, StateChunk, StateStats,
+    record, ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList,
+    HierarchicalKey, OpId, Packet, Proto, Result, StateChunk, StateStats,
 };
 
 /// A parsed firewall rule.
@@ -68,20 +68,9 @@ pub struct ConnTrack {
     pub last_ns: u64,
 }
 
-impl Record for ConnTrack {
-    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
-        w.flow_key(&self.key);
-        w.u64(self.packets);
-        w.u64(self.last_ns);
-    }
-}
+record! { ConnTrack { key, packets, last_ns } }
 
-impl ConnTrack {
-    fn deserialize(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Ok(ConnTrack { key: r.flow_key()?, packets: r.u64()?, last_ns: r.u64()? })
-    }
-}
+impl Record for ConnTrack {}
 
 /// What packets need from the config tree, parsed when it is written.
 #[derive(Clone)]
@@ -227,7 +216,7 @@ impl Middlebox for Firewall {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let c = self.sealer.open_with(&chunk.data, ConnTrack::deserialize)?;
+        let c: ConnTrack = self.sealer.open_row(&chunk.data)?;
         state::import(&mut self.conntrack, &mut self.sync, c.key.canonical(), c);
         Ok(())
     }
@@ -445,5 +434,16 @@ mod tests {
         let mut fx2 = Effects::normal();
         b.process_packet(SimTime(1), &reply, &mut fx2);
         assert!(fx2.take_output().is_some());
+    }
+
+    #[test]
+    fn a_conntrack_entry_with_trailing_bytes_is_refused() {
+        let mut a = Firewall::new();
+        a.process_packet(SimTime(0), &pkt(1, 80, Proto::Tcp), &mut Effects::normal());
+        let c = a.get_support_perflow(OpId(1), &HeaderFieldList::any()).unwrap().remove(0);
+        let longer = StateChunk::new(c.key, crate::rows::with_trailing_byte("firewall", &c.data));
+        let put = Firewall::new().put_support_perflow(longer);
+        assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+        assert!(Firewall::new().put_support_perflow(c).is_ok());
     }
 }

@@ -51,18 +51,19 @@
 //! keeping the last seven so a terminator split across packets is still
 //! seen.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::SimTime;
+use openmb_types::codec::{self, Field, Reader, Sink};
 use openmb_types::packet::tcp_flags;
-use openmb_types::wire::{ChunkClass, Reader, Writer};
+use openmb_types::wire::ChunkClass;
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    OpId, Packet, Proto, Result, StateChunk, StateStats,
+    record, ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList,
+    HierarchicalKey, OpId, Packet, Proto, Result, StateChunk, StateStats,
 };
 
 /// Bro-style connection states used in `conn.log`.
@@ -92,9 +93,16 @@ impl ConnState {
             ConnState::Oth => "OTH",
         }
     }
+}
 
-    fn from_code(b: u8) -> Result<Self> {
-        Ok(match b {
+/// One byte, the state's place in the declaration.
+impl Field for ConnState {
+    fn put<S: Sink>(&self, s: &mut S) {
+        (*self as u8).put(s);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(match u8::get(r)? {
             0 => ConnState::S0,
             1 => ConnState::S1,
             2 => ConnState::Sf,
@@ -102,16 +110,6 @@ impl ConnState {
             4 => ConnState::Oth,
             _ => return Err(Error::MalformedChunk("bad conn state".into())),
         })
-    }
-
-    fn to_byte(self) -> u8 {
-        match self {
-            ConnState::S0 => 0,
-            ConnState::S1 => 1,
-            ConnState::Sf => 2,
-            ConnState::Rst => 3,
-            ConnState::Oth => 4,
-        }
     }
 }
 
@@ -175,112 +173,30 @@ impl ConnRecord {
             fired: BTreeSet::new(),
         }
     }
+}
 
-    /// Serialize the whole record tree (connection core, HTTP analyzer,
-    /// signature engine state) into a buffer of its own; an export
-    /// writes it with [`Record::encode`] instead.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode(&self.key, &mut w);
-        w.into_bytes()
-    }
-
-    /// Reverse of [`serialize`](ConnRecord::serialize). Only the
-    /// encoding `serialize` would give is accepted: a presence flag
-    /// other than 0 or 1, a `fired` list that is not strictly ascending
-    /// or bytes after the record are [`Error::MalformedChunk`].
-    pub fn deserialize(buf: &[u8]) -> Result<Self> {
-        let malformed = |why: &str| Err(Error::MalformedChunk(why.into()));
-        let mut r = Reader::new(buf);
-        let key = r.flow_key()?;
-        let start_ns = r.u64()?;
-        let last_ns = r.u64()?;
-        let state = ConnState::from_code(r.u8()?)?;
-        let history = r.str()?;
-        let orig_pkts = r.u64()?;
-        let resp_pkts = r.u64()?;
-        let orig_bytes = r.u64()?;
-        let resp_bytes = r.u64()?;
-        let http = match r.u8()? {
-            0 => None,
-            1 => {
-                let n = r.u32()? as usize;
-                if n > 1_000_000 {
-                    return malformed("absurd request count");
-                }
-                let mut requests = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    requests.push(r.str()?);
-                }
-                let partial = r.bytes()?;
-                let responses = r.u64()?;
-                Some(HttpAnalyzer { requests, partial, responses })
-            }
-            _ => return malformed("bad http presence flag"),
-        };
-        let sig_tail = r.bytes()?;
-        let nf = r.u32()? as usize;
-        if nf > 1_000_000 {
-            return malformed("absurd fired count");
-        }
-        let mut fired = BTreeSet::new();
-        for _ in 0..nf {
-            let f = r.u32()?;
-            if fired.last().is_some_and(|&last| last >= f) {
-                return malformed("fired signatures out of order");
-            }
-            fired.insert(f);
-        }
-        if !r.is_exhausted() {
-            return malformed("trailing bytes after a connection record");
-        }
-        Ok(ConnRecord {
-            key,
-            start_ns,
-            last_ns,
-            state,
-            history,
-            orig_pkts,
-            resp_pkts,
-            orig_bytes,
-            resp_bytes,
-            http,
-            sig_tail,
-            fired,
-        })
+// The whole record tree — connection core, HTTP analyzer, signature
+// engine state — is 12 fields, one of them the optional 3-field
+// analyzer: 14 in all.
+record! {
+    HttpAnalyzer { requests [1_000_000, "absurd request count"], partial, responses }
+    ConnRecord as "a connection record" {
+        key,
+        start_ns,
+        last_ns,
+        state,
+        history,
+        orig_pkts,
+        resp_pkts,
+        orig_bytes,
+        resp_bytes,
+        http,
+        sig_tail,
+        fired [1_000_000, "absurd fired count"]
     }
 }
 
-impl Record for ConnRecord {
-    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
-        w.flow_key(&self.key);
-        w.u64(self.start_ns);
-        w.u64(self.last_ns);
-        w.u8(self.state.to_byte());
-        w.str(&self.history);
-        w.u64(self.orig_pkts);
-        w.u64(self.resp_pkts);
-        w.u64(self.orig_bytes);
-        w.u64(self.resp_bytes);
-        match &self.http {
-            None => w.u8(0),
-            Some(h) => {
-                w.u8(1);
-                w.u32(h.requests.len() as u32);
-                for r in &h.requests {
-                    w.str(r);
-                }
-                w.bytes(&h.partial);
-                w.u64(h.responses);
-            }
-        }
-        w.bytes(&self.sig_tail);
-        w.u32(self.fired.len() as u32);
-        for f in &self.fired {
-            w.u32(*f);
-        }
-    }
-}
+impl Record for ConnRecord {}
 
 /// One source's entry in the shared scan-detector table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -291,6 +207,16 @@ pub struct ScanEntry {
     pub attempts: u64,
     /// Whether the scan alert already fired for this source.
     pub alerted: bool,
+}
+
+/// The shared scan-detector table, source → entry: it travels as its
+/// entries in address order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ScanTable(pub(crate) BTreeMap<Ipv4Addr, ScanEntry>);
+
+record! {
+    ScanEntry { ports, attempts, alerted }
+    ScanTable { 0 [10_000_000, "absurd scan table"] }
 }
 
 /// Shared reporting counters.
@@ -440,7 +366,7 @@ pub struct Ips {
     scan_threshold: u64,
     conns: HashMap<FlowKey, ConnRecord>,
     /// Shared supporting state: per-source scan tracking.
-    scan_table: HashMap<Ipv4Addr, ScanEntry>,
+    scan_table: ScanTable,
     stat: IpsStat,
     sync: SyncTracker,
     sealer: Sealer,
@@ -469,7 +395,7 @@ impl Ips {
             matcher,
             scan_threshold,
             conns: HashMap::new(),
-            scan_table: HashMap::new(),
+            scan_table: ScanTable::default(),
             stat: IpsStat::default(),
             sync: SyncTracker::new(),
             sealer: Sealer::new("bro"),
@@ -511,45 +437,15 @@ impl Ips {
         );
     }
 
-    fn serialize_scan_table(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        let mut keys: Vec<&Ipv4Addr> = self.scan_table.keys().collect();
-        keys.sort();
-        w.u32(keys.len() as u32);
-        for ip in keys {
-            let e = &self.scan_table[ip];
-            w.ip(*ip);
-            w.u32(e.ports.len() as u32);
-            for p in &e.ports {
-                w.u16(*p);
-            }
-            w.u64(e.attempts);
-            w.bool(e.alerted);
+    /// Merge another instance's scan table into this one: union the
+    /// ports, sum the attempts.
+    fn merge_scan_table(&mut self, other: ScanTable) {
+        for (ip, theirs) in other.0 {
+            let e = self.scan_table.0.entry(ip).or_default();
+            e.ports.extend(theirs.ports);
+            e.attempts += theirs.attempts;
+            e.alerted |= theirs.alerted;
         }
-        w.into_bytes()
-    }
-
-    fn merge_scan_table(&mut self, buf: &[u8]) -> Result<()> {
-        let mut r = Reader::new(buf);
-        let n = r.u32()? as usize;
-        if n > 10_000_000 {
-            return Err(Error::MalformedChunk("absurd scan table".into()));
-        }
-        for _ in 0..n {
-            let ip = r.ip()?;
-            let np = r.u32()? as usize;
-            let mut ports = BTreeSet::new();
-            for _ in 0..np {
-                ports.insert(r.u16()?);
-            }
-            let attempts = r.u64()?;
-            let alerted = r.bool()?;
-            let e = self.scan_table.entry(ip).or_default();
-            e.ports.extend(ports);
-            e.attempts += attempts;
-            e.alerted |= alerted;
-        }
-        Ok(())
     }
 
     /// Shared reporting counters (experiments).
@@ -572,7 +468,7 @@ impl Ips {
     /// Total serialized bytes of all per-flow state — what a VM snapshot
     /// would carry (§8.1.2's BASE/FULL comparison).
     pub fn resident_state_bytes(&self) -> usize {
-        self.conns.values().map(|c| c.serialize().len()).sum()
+        self.conns.values().map(codec::encoded_len).sum()
     }
 }
 
@@ -642,7 +538,7 @@ impl Middlebox for Ips {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let rec = self.sealer.open_with(&chunk.data, ConnRecord::deserialize)?;
+        let rec: ConnRecord = self.sealer.open_row(&chunk.data)?;
         state::import(&mut self.conns, &mut self.sync, rec.key.canonical(), rec);
         Ok(())
     }
@@ -656,12 +552,14 @@ impl Middlebox for Ips {
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
         self.sync.mark_shared(op);
-        Ok(Some(self.sealer.seal(&self.serialize_scan_table())))
+        Ok(Some(self.sealer.seal(&codec::encode(&self.scan_table))))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
         // Merge logic is MB-side (§4.1.2): union ports, sum attempts.
-        self.merge_scan_table(&self.sealer.open(&chunk)?)
+        let other = self.sealer.open_row(&chunk)?;
+        self.merge_scan_table(other);
+        Ok(())
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
@@ -674,14 +572,15 @@ impl Middlebox for Ips {
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
         let counters = state::encode_counters(self.stat.counters());
-        Ok(self.sealer.snapshot(Some(self.serialize_scan_table()), Some(counters)))
+        Ok(self.sealer.snapshot(Some(codec::encode(&self.scan_table)), Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.scan_table.clear();
-        if let Some(plain) = self.sealer.open_opt(snap.support)? {
+        self.scan_table.0.clear();
+        if let Some(c) = snap.support {
             // Merging into an empty table reproduces it exactly.
-            self.merge_scan_table(&plain)?;
+            let table = self.sealer.open_row(&c)?;
+            self.merge_scan_table(table);
         }
         let plain = self.sealer.open_opt(snap.report)?;
         state::replace_counters(self.stat.counters(), plain.as_deref())
@@ -692,7 +591,7 @@ impl Middlebox for Ips {
         StateStats {
             perflow_support_chunks: chunks,
             perflow_support_bytes: bytes,
-            shared_support_bytes: self.serialize_scan_table().len() + state::SEAL_OVERHEAD,
+            shared_support_bytes: codec::encoded_len(&self.scan_table) + state::SEAL_OVERHEAD,
             shared_report_bytes: 3 * 8 + state::SEAL_OVERHEAD,
             ..StateStats::default()
         }
@@ -705,7 +604,7 @@ impl Middlebox for Ips {
 
         // ---- shared supporting state: scan detector ----
         if pkt.key.proto == Proto::Tcp && is_syn {
-            let entry = self.scan_table.entry(pkt.key.src_ip).or_default();
+            let entry = self.scan_table.0.entry(pkt.key.src_ip).or_default();
             entry.ports.insert(pkt.key.dst_port);
             entry.attempts += 1;
             if !entry.alerted && entry.ports.len() as u64 >= self.scan_threshold {
@@ -1063,14 +962,14 @@ mod tests {
             &mut fx,
         );
         let rec = ips.conns_sorted().pop().unwrap();
-        let rt = ConnRecord::deserialize(&rec.serialize()).unwrap();
+        let rt: ConnRecord = state::decode(&codec::encode(&rec)).unwrap();
         assert_eq!(rec, rt);
     }
 
     /// An honest record's bytes, edited, sealed under the IPS's own key
     /// and put into a fresh IPS: the put's result.
     fn put_edited(rec: &ConnRecord, edit: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
-        let mut plain = rec.serialize();
+        let mut plain = codec::encode(rec);
         edit(&mut plain);
         let chunk =
             StateChunk::new(HeaderFieldList::exact(rec.key), Sealer::new("bro").seal(&plain));
@@ -1181,8 +1080,30 @@ mod tests {
         let chunk = a.get_support_shared(OpId(1)).unwrap().unwrap();
         b.put_support_shared(chunk).unwrap();
         // b's merged table: ports {1,2,3} ∪ {3,4,5} = 5 distinct ports.
-        assert_eq!(b.scan_table[&ip(6, 6, 6, 6)].ports.len(), 5);
-        assert_eq!(b.scan_table[&ip(6, 6, 6, 6)].attempts, 6);
+        assert_eq!(b.scan_table.0[&ip(6, 6, 6, 6)].ports.len(), 5);
+        assert_eq!(b.scan_table.0[&ip(6, 6, 6, 6)].attempts, 6);
+    }
+
+    /// The scan table travels in address order whatever order it was
+    /// filled in: equal tables seal to equal bytes, so a content store
+    /// can answer a repeat transfer.
+    #[test]
+    fn scan_tables_filled_in_opposite_orders_seal_to_the_same_bytes() {
+        let syns: Vec<Packet> = (0..40u16)
+            .map(|i| {
+                let src = ip(6, 6, (i % 7) as u8, (i * 37 % 251) as u8);
+                let key = FlowKey::tcp(src, 5555, ip(192, 168, 0, 1), 1 + i % 5);
+                Packet::tcp(u64::from(i), key, tcp_flags::SYN, Bytes::new())
+            })
+            .collect();
+        let filled = |syns: &mut dyn Iterator<Item = &Packet>| {
+            let mut ips = Ips::new();
+            for p in syns {
+                ips.process_packet(SimTime(0), p, &mut Effects::normal());
+            }
+            ips.get_support_shared(OpId(1)).unwrap().unwrap()
+        };
+        assert_eq!(filled(&mut syns.iter()), filled(&mut syns.iter().rev()));
     }
 
     #[test]
@@ -1472,7 +1393,11 @@ mod tests {
                     fx.take_logs().into_iter().map(|l| (l.log, l.line)).collect();
                 assert_eq!(got_logs, want_logs, "case {case} cut {cut}");
                 let got_rec = ips.conns_sorted().pop().unwrap();
-                assert_eq!(got_rec.serialize(), want_rec.serialize(), "case {case} cut {cut}");
+                assert_eq!(
+                    codec::encode(&got_rec),
+                    codec::encode(&want_rec),
+                    "case {case} cut {cut}"
+                );
                 assert_eq!(ips.stat().alerts as usize, got_rec.fired.len());
             }
         }

@@ -18,10 +18,11 @@ use std::net::Ipv4Addr;
 
 use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SyncTracker};
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::wire::{Event, Reader, Writer};
+use openmb_types::codec;
+use openmb_types::wire::Event;
 use openmb_types::{
-    ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix, OpId,
-    Packet, Result, StateChunk, StateStats,
+    record, ConfigTree, ConfigValue, Error, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix,
+    OpId, Packet, Result, StateChunk, StateStats,
 };
 
 /// Introspection event: a source was assigned to a backend.
@@ -36,26 +37,9 @@ pub struct Assignment {
     pub last_used_ns: u64,
 }
 
+record! { Assignment { source, backend, connections, last_used_ns } }
+
 impl Assignment {
-    fn serialize(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.ip(self.source);
-        w.ip(self.backend);
-        w.u64(self.connections);
-        w.u64(self.last_used_ns);
-        w.into_bytes()
-    }
-
-    fn deserialize(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Ok(Assignment {
-            source: r.ip()?,
-            backend: r.ip()?,
-            connections: r.u64()?,
-            last_used_ns: r.u64()?,
-        })
-    }
-
     /// The native-granularity key of this record: everything from the
     /// source, regardless of ports or destination.
     fn native_key(&self) -> HeaderFieldList {
@@ -186,14 +170,14 @@ impl Middlebox for LoadBalancer {
         for a in matching {
             let native = a.native_key();
             self.sync.mark_move_pattern(op, native);
-            out.push(StateChunk::new(native, self.sealer.seal(&a.serialize())));
+            out.push(StateChunk::new(native, self.sealer.seal(&codec::encode(a))));
         }
         self.sync.mark_move_pattern(op, *key);
         Ok(out)
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let a = self.sealer.open_with(&chunk.data, Assignment::deserialize)?;
+        let a: Assignment = self.sealer.open_row(&chunk.data)?;
         self.assignments.insert(a.source, a);
         Ok(())
     }
@@ -209,7 +193,7 @@ impl Middlebox for LoadBalancer {
         let mut s = StateStats::default();
         for a in self.assignments.values().filter(|a| key.nw_src.contains(a.source)) {
             s.perflow_support_chunks += 1;
-            s.perflow_support_bytes += a.serialize().len() + state::SEAL_OVERHEAD;
+            s.perflow_support_bytes += codec::encoded_len(a) + state::SEAL_OVERHEAD;
         }
         s
     }
@@ -355,6 +339,17 @@ mod tests {
         let mut fx2 = Effects::normal();
         b.process_packet(SimTime(1), &pkt(2, 1, 3000), &mut fx2);
         assert_eq!(fx2.take_output().unwrap().key.dst_ip, backend);
+    }
+
+    #[test]
+    fn an_assignment_with_trailing_bytes_is_refused() {
+        let mut a = lb();
+        a.process_packet(SimTime(0), &pkt(1, 1, 1000), &mut Effects::normal());
+        let c = a.get_support_perflow(OpId(1), &HeaderFieldList::any()).unwrap().remove(0);
+        let longer = StateChunk::new(c.key, crate::rows::with_trailing_byte("balance", &c.data));
+        let put = lb().put_support_perflow(longer);
+        assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+        assert!(lb().put_support_perflow(c).is_ok());
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!   scalability experiments.
 //!
 //! Each file holds what is specific to its middlebox: the packet logic,
-//! a record codec per per-flow table ([`openmb_mb::Record`]), a codec
-//! and merge rule per shared structure, configuration validation. The
-//! uniform half of the state operations — export order, sealing and
-//! nonces, moved marks, `stats` accounting, additive counter blocks,
-//! the answers for state classes a type does not keep — is
+//! one [`record!`](openmb_types::record) row per state structure (per-flow
+//! tables implement [`openmb_mb::Record`] on theirs), a merge rule per
+//! shared structure, configuration validation. The uniform half of the
+//! state operations — encoding and the one canonical decode, export
+//! order, sealing and nonces, moved marks, `stats` accounting, additive
+//! counter blocks, the answers for state classes a type does not keep — is
 //! [`openmb_mb::state`] and the provided methods of
 //! [`openmb_mb::Middlebox`]; only the load balancer, whose table is not
 //! keyed by flow, keeps its own export loop.
@@ -50,3 +51,6 @@ pub use monitor::Monitor;
 pub use nat::Nat;
 pub use proxy::Proxy;
 pub use re::{ReDecoder, ReEncoder};
+
+#[cfg(test)]
+mod rows;

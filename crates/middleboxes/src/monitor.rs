@@ -21,10 +21,10 @@ use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::SimTime;
-use openmb_types::wire::{ChunkClass, Event, Reader, Writer};
+use openmb_types::wire::{ChunkClass, Event};
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    OpId, Packet, Proto, Result, StateChunk, StateStats,
+    record, ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList,
+    HierarchicalKey, OpId, Packet, Proto, Result, StateChunk, StateStats,
 };
 
 /// Introspection event code: a new asset (flow endpoint + service) was
@@ -48,40 +48,20 @@ pub struct AssetRecord {
     pub http_requests: u64,
 }
 
-impl Record for AssetRecord {
-    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
-        w.flow_key(&self.key);
-        w.u64(self.first_seen_ns);
-        w.u64(self.last_seen_ns);
-        w.u64(self.packets);
-        w.u64(self.bytes);
-        w.str(&self.service);
-        w.str(&self.os_guess);
-        w.u64(self.http_requests);
+record! {
+    AssetRecord as "an asset record" {
+        key,
+        first_seen_ns,
+        last_seen_ns,
+        packets,
+        bytes,
+        service,
+        os_guess,
+        http_requests
     }
 }
 
-impl AssetRecord {
-    /// Reverse of [`encode`](Record::encode): one record and nothing
-    /// after it.
-    fn deserialize(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let rec = AssetRecord {
-            key: r.flow_key()?,
-            first_seen_ns: r.u64()?,
-            last_seen_ns: r.u64()?,
-            packets: r.u64()?,
-            bytes: r.u64()?,
-            service: r.str()?,
-            os_guess: r.str()?,
-            http_requests: r.u64()?,
-        };
-        if !r.is_exhausted() {
-            return Err(Error::MalformedChunk("trailing bytes after an asset record".into()));
-        }
-        Ok(rec)
-    }
-}
+impl Record for AssetRecord {}
 
 /// Shared reporting state (the `prads_stat` struct).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -289,7 +269,7 @@ impl Middlebox for Monitor {
     }
 
     fn put_report_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let rec = self.sealer.open_with(&chunk.data, AssetRecord::deserialize)?;
+        let rec: AssetRecord = self.sealer.open_row(&chunk.data)?;
         state::import(&mut self.assets, &mut self.sync, rec.key.canonical(), rec);
         Ok(())
     }
@@ -467,9 +447,7 @@ mod tests {
         let mut src = Monitor::new();
         src.process_packet(SimTime(0), &http_pkt(1, 1), &mut Effects::normal());
         let rec = src.assets_sorted().pop().unwrap();
-        let mut w = Writer::new();
-        rec.encode(&rec.key, &mut w);
-        let honest = w.into_bytes();
+        let honest = openmb_types::codec::encode(&rec);
         let put = |plain: &[u8]| {
             let chunk = Sealer::new("prads").seal(plain);
             Monitor::new()

@@ -21,10 +21,11 @@ use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::wire::{ChunkClass, Event, Reader, Writer};
+use openmb_types::codec;
+use openmb_types::wire::{ChunkClass, Event};
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    OpId, Packet, Result, StateChunk, StateStats,
+    record, ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList,
+    HierarchicalKey, OpId, Packet, Result, StateChunk, StateStats,
 };
 
 /// Introspection event: a new mapping was created. Values carry the
@@ -46,30 +47,13 @@ pub struct NatMapping {
     pub packets: u64,
 }
 
-impl Record for NatMapping {
-    fn encode(&self, _key: &FlowKey, w: &mut Writer) {
-        w.flow_key(&self.internal);
-        w.u16(self.external_port);
-        w.u64(self.last_used_ns);
-        w.u64(self.packets);
-    }
+record! { NatMapping { internal, external_port, last_used_ns, packets } }
 
+impl Record for NatMapping {
     /// Mappings are keyed by the internal flow as it was first seen, so
     /// patterns select them directionally.
     fn selected(pattern: &HeaderFieldList, key: &FlowKey) -> bool {
         pattern.matches(key)
-    }
-}
-
-impl NatMapping {
-    fn deserialize(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Ok(NatMapping {
-            internal: r.flow_key()?,
-            external_port: r.u16()?,
-            last_used_ns: r.u64()?,
-            packets: r.u64()?,
-        })
     }
 }
 
@@ -196,13 +180,6 @@ impl Nat {
         self.index_mapping(&m);
         self.mappings.insert(key, m);
         external_port
-    }
-
-    /// The shared supporting state on the wire: the allocator cursor.
-    fn serialize_cursor(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u16(self.next_port);
-        w.into_bytes()
     }
 
     /// Expire idle mappings (called per same-flow run, like a real NAT's
@@ -356,7 +333,7 @@ impl Middlebox for Nat {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let m = self.sealer.open_with(&chunk.data, NatMapping::deserialize)?;
+        let m: NatMapping = self.sealer.open_row(&chunk.data)?;
         self.index_mapping(&m);
         state::import(&mut self.mappings, &mut self.sync, m.internal, m);
         Ok(())
@@ -370,11 +347,11 @@ impl Middlebox for Nat {
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
         self.sync.mark_shared(op);
-        Ok(Some(self.sealer.seal(&self.serialize_cursor())))
+        Ok(Some(self.sealer.seal(&codec::encode(&self.next_port))))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let other = Reader::new(&self.sealer.open(&chunk)?).u16()?;
+        let other: u16 = self.sealer.open_row(&chunk)?;
         // Merge: take the further-advanced allocator cursor to avoid
         // collisions after consolidation.
         self.next_port = self.next_port.max(other);
@@ -382,12 +359,12 @@ impl Middlebox for Nat {
     }
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
-        Ok(self.sealer.snapshot(Some(self.serialize_cursor()), None))
+        Ok(self.sealer.snapshot(Some(codec::encode(&self.next_port)), None))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.next_port = match self.sealer.open_opt(snap.support)? {
-            Some(plain) => Reader::new(&plain).u16()?,
+        self.next_port = match snap.support {
+            Some(c) => self.sealer.open_row(&c)?,
             None => self.compiled.ports.0,
         };
         Ok(())
@@ -593,6 +570,21 @@ mod tests {
         let mut fx3 = Effects::normal();
         b.process_packet(SimTime(3), &outbound(4, 3000), &mut fx3);
         assert_eq!(fx3.take_output().unwrap().key.src_port, 20002);
+    }
+
+    #[test]
+    fn a_mapping_or_cursor_with_trailing_bytes_is_refused() {
+        let mut a = Nat::new(ip(5, 5, 5, 5));
+        a.process_packet(SimTime(0), &outbound(1, 1000), &mut Effects::normal());
+        let c = a.get_support_perflow(OpId(1), &HeaderFieldList::any()).unwrap().remove(0);
+        let cursor = a.get_support_shared(OpId(2)).unwrap().unwrap();
+        let mut b = Nat::new(ip(5, 5, 5, 5));
+        let longer = StateChunk::new(c.key, crate::rows::with_trailing_byte("nat", &c.data));
+        let put = b.put_support_perflow(longer);
+        assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+        let put = b.put_support_shared(crate::rows::with_trailing_byte("nat", &cursor));
+        assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+        assert!(b.put_support_perflow(c).is_ok() && b.put_support_shared(cursor).is_ok());
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //!   cloned on subset-moves, hit-count-merged on consolidation;
 //! * **shared reporting**: request/hit/miss counters, additive merge.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::{SimDuration, SimTime};
-use openmb_types::wire::{ChunkClass, Reader, Writer};
+use openmb_types::codec::{self, Field, Sink};
+use openmb_types::wire::ChunkClass;
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey,
-    OpId, Packet, Result, StateChunk, StateStats,
+    record, ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList,
+    HierarchicalKey, OpId, Packet, Result, StateChunk, StateStats,
 };
 
 /// One cached object.
@@ -36,6 +37,18 @@ pub struct CacheObject {
     pub hits: u64,
 }
 
+/// A cached object's size and hits; its URL is its key in the [`Cache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cached {
+    pub(crate) size: u32,
+    pub(crate) hits: u64,
+}
+
+/// The object cache (shared supporting state), URL → object: it travels
+/// as its objects in URL order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Cache(pub(crate) BTreeMap<String, Cached>);
+
 /// Per-connection request-parsing state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ConnState {
@@ -44,18 +57,18 @@ pub struct ConnState {
     pub requests: u64,
 }
 
-impl Record for ConnState {
-    fn encode(&self, key: &FlowKey, w: &mut Writer) {
-        w.flow_key(key);
-        w.bytes(&self.partial);
-        w.u64(self.requests);
-    }
+record! {
+    ConnState { partial, requests }
+    Cached { size, hits }
+    Cache { 0 [10_000_000, "absurd cache size"] }
 }
 
-impl ConnState {
-    fn deserialize(buf: &[u8]) -> Result<(FlowKey, Self)> {
-        let mut r = Reader::new(buf);
-        Ok((r.flow_key()?, ConnState { partial: r.bytes()?, requests: r.u64()? }))
+/// A connection's state does not hold its key: it travels as the pair
+/// `(key, state)`.
+impl Record for ConnState {
+    fn encode<S: Sink>(&self, key: &FlowKey, s: &mut S) {
+        key.put(s);
+        self.put(s);
     }
 }
 
@@ -64,7 +77,7 @@ impl ConnState {
 pub struct Proxy {
     config: ConfigTree,
     conns: HashMap<FlowKey, ConnState>,
-    cache: HashMap<String, CacheObject>,
+    cache: Cache,
     sync: SyncTracker,
     sealer: Sealer,
     /// Shared reporting counters.
@@ -90,7 +103,7 @@ impl Proxy {
         Proxy {
             config,
             conns: HashMap::new(),
-            cache: HashMap::new(),
+            cache: Cache::default(),
             sync: SyncTracker::new(),
             sealer: Sealer::new("squid"),
             requests: 0,
@@ -115,70 +128,45 @@ impl Proxy {
     /// Evict the coldest entries until the cache fits its capacity.
     fn enforce_capacity(&mut self) {
         let cap = self.capacity();
-        while self.cache.len() > cap {
+        while self.cache.0.len() > cap {
             let coldest = self
                 .cache
-                .values()
-                .min_by_key(|o| (o.hits, o.url.clone()))
-                .map(|o| o.url.clone())
+                .0
+                .iter()
+                .min_by_key(|(url, o)| (o.hits, *url))
+                .map(|(url, _)| url.clone())
                 .expect("cache non-empty");
-            self.cache.remove(&coldest);
+            self.cache.0.remove(&coldest);
         }
     }
 
-    fn serialize_cache(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        let mut urls: Vec<&String> = self.cache.keys().collect();
-        urls.sort();
-        w.u32(urls.len() as u32);
-        for u in urls {
-            let o = &self.cache[u];
-            w.str(&o.url);
-            w.u32(o.size);
-            w.u64(o.hits);
-        }
-        w.into_bytes()
-    }
-
-    fn merge_cache(&mut self, buf: &[u8]) -> Result<()> {
-        let mut r = Reader::new(buf);
-        let n = r.u32()? as usize;
-        if n > 10_000_000 {
-            return Err(Error::MalformedChunk("absurd cache size".into()));
-        }
-        for _ in 0..n {
-            let url = r.str()?;
-            let size = r.u32()?;
-            let hits = r.u64()?;
+    /// Merge another instance's cache into this one.
+    fn merge_cache(&mut self, other: Cache) {
+        for (url, theirs) in other.0 {
             // The §4.1.2 rule: on collision, keep the entry with more
             // hits (sum would double-count a shared history; these are
             // independent observations of the same object).
-            match self.cache.get_mut(&url) {
-                Some(existing) => {
-                    if hits > existing.hits {
-                        existing.hits = hits;
-                        existing.size = size;
-                    }
-                }
-                None => {
-                    self.cache.insert(url.clone(), CacheObject { url, size, hits });
-                }
+            let ours = self.cache.0.entry(url).or_insert(theirs);
+            if theirs.hits > ours.hits {
+                *ours = theirs;
             }
         }
         self.enforce_capacity();
-        Ok(())
     }
 
     /// Cached objects sorted by URL (tests/experiments).
     pub fn cache_sorted(&self) -> Vec<CacheObject> {
-        let mut v: Vec<CacheObject> = self.cache.values().cloned().collect();
-        v.sort_by(|a, b| a.url.cmp(&b.url));
-        v
+        let object = |(url, o): (&String, &Cached)| CacheObject {
+            url: url.clone(),
+            size: o.size,
+            hits: o.hits,
+        };
+        self.cache.0.iter().map(object).collect()
     }
 
     /// Number of cached objects.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.cache.0.len()
     }
 }
 
@@ -232,7 +220,7 @@ impl Middlebox for Proxy {
     }
 
     fn put_support_perflow(&mut self, chunk: StateChunk) -> Result<()> {
-        let (key, c) = self.sealer.open_with(&chunk.data, ConnState::deserialize)?;
+        let (key, c): (FlowKey, ConnState) = self.sealer.open_row(&chunk.data)?;
         state::import(&mut self.conns, &mut self.sync, key.canonical(), c);
         Ok(())
     }
@@ -243,11 +231,13 @@ impl Middlebox for Proxy {
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
         self.sync.mark_shared(op);
-        Ok(Some(self.sealer.seal(&self.serialize_cache())))
+        Ok(Some(self.sealer.seal(&codec::encode(&self.cache))))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        self.merge_cache(&self.sealer.open(&chunk)?)
+        let other = self.sealer.open_row(&chunk)?;
+        self.merge_cache(other);
+        Ok(())
     }
 
     fn get_report_shared(&mut self) -> Result<Option<EncryptedChunk>> {
@@ -262,14 +252,15 @@ impl Middlebox for Proxy {
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
         let counters = state::encode_counters(self.counters());
-        Ok(self.sealer.snapshot(Some(self.serialize_cache()), Some(counters)))
+        Ok(self.sealer.snapshot(Some(codec::encode(&self.cache)), Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.cache.clear();
-        if let Some(plain) = self.sealer.open_opt(snap.support)? {
+        self.cache.0.clear();
+        if let Some(c) = snap.support {
             // Merging into an empty cache reproduces it exactly.
-            self.merge_cache(&plain)?;
+            let cache = self.sealer.open_row(&c)?;
+            self.merge_cache(cache);
         }
         let plain = self.sealer.open_opt(snap.report)?;
         state::replace_counters(self.counters(), plain.as_deref())
@@ -280,7 +271,7 @@ impl Middlebox for Proxy {
         StateStats {
             perflow_support_chunks: chunks,
             perflow_support_bytes: bytes,
-            shared_support_bytes: self.serialize_cache().len() + state::SEAL_OVERHEAD,
+            shared_support_bytes: codec::encoded_len(&self.cache) + state::SEAL_OVERHEAD,
             shared_report_bytes: 3 * 8 + state::SEAL_OVERHEAD,
             ..StateStats::default()
         }
@@ -310,9 +301,8 @@ impl Middlebox for Proxy {
                 if !fx.is_replay() {
                     self.requests += 1;
                 }
-                let hit = self.cache.contains_key(&url);
-                if hit {
-                    self.cache.get_mut(&url).expect("present").hits += 1;
+                if let Some(o) = self.cache.0.get_mut(&url) {
+                    o.hits += 1;
                     if !fx.is_replay() {
                         self.hits += 1;
                     }
@@ -320,8 +310,7 @@ impl Middlebox for Proxy {
                     if !fx.is_replay() {
                         self.misses += 1;
                     }
-                    self.cache
-                        .insert(url.clone(), CacheObject { url: url.clone(), size: 1400, hits: 0 });
+                    self.cache.0.insert(url.clone(), Cached { size: 1400, hits: 0 });
                     self.enforce_capacity();
                     fx.log("proxy.log", format!("MISS {url}"));
                 }
@@ -453,6 +442,49 @@ mod tests {
         // The second half completes at b: the partial buffer moved.
         b.process_packet(SimTime(1), &Packet::new(2, key, b" HTTP/1.1\r\n".to_vec()), &mut fx);
         assert!(b.cache_sorted().iter().any(|o| o.url == "/moved"));
+    }
+
+    #[test]
+    fn a_connection_or_cache_with_trailing_bytes_is_refused() {
+        let mut a = Proxy::new(16);
+        let key =
+            FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 3000, Ipv4Addr::new(93, 184, 216, 34), 80);
+        a.process_packet(
+            SimTime(0),
+            &Packet::new(1, key, b"GET /a HTTP/1.1\r\nGET".to_vec()),
+            &mut Effects::normal(),
+        );
+        let c = a.get_support_perflow(OpId(1), &HeaderFieldList::any()).unwrap().remove(0);
+        let cache = a.get_support_shared(OpId(2)).unwrap().unwrap();
+        let mut b = Proxy::new(16);
+        let longer = StateChunk::new(c.key, crate::rows::with_trailing_byte("squid", &c.data));
+        let put = b.put_support_perflow(longer);
+        assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+        let put = b.put_support_shared(crate::rows::with_trailing_byte("squid", &cache));
+        assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+        assert_eq!(b.cache_len(), 0, "a refused cache merges nothing");
+        assert!(b.put_support_perflow(c).is_ok() && b.put_support_shared(cache).is_ok());
+        assert_eq!(b.cache_len(), 1);
+    }
+
+    /// The cache travels in URL order whatever order it was filled in:
+    /// equal caches seal to equal bytes, so a content store can answer
+    /// a repeat transfer.
+    #[test]
+    fn caches_filled_in_opposite_orders_seal_to_the_same_bytes() {
+        let urls: Vec<String> = (0..40).map(|i| format!("/object/{}", (i * 7919) % 1000)).collect();
+        let filled = |urls: &mut dyn Iterator<Item = &String>| {
+            let mut p = Proxy::new(256);
+            for (i, url) in urls.enumerate() {
+                p.process_packet(
+                    SimTime(0),
+                    &req(i as u64, 1000 + i as u16, url),
+                    &mut Effects::normal(),
+                );
+            }
+            p.get_support_shared(OpId(1)).unwrap().unwrap()
+        };
+        assert_eq!(filled(&mut urls.iter()), filled(&mut urls.iter().rev()));
     }
 
     #[test]

@@ -24,10 +24,10 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use openmb_mb::{state, CostModel, Effects, Middlebox, Sealer, SharedSnapshot, SyncTracker};
 use openmb_simnet::SimTime;
-use openmb_types::wire::{Reader, Writer};
+use openmb_types::codec;
 use openmb_types::{
-    ConfigTree, ConfigValue, EncryptedChunk, Error, HeaderFieldList, HierarchicalKey, IpPrefix,
-    OpId, Packet, Result, StateStats,
+    record, ConfigTree, ConfigValue, EncryptedChunk, Error, HeaderFieldList, HierarchicalKey,
+    IpPrefix, OpId, Packet, Result, StateStats,
 };
 
 /// Fingerprint window size (bytes).
@@ -119,25 +119,19 @@ impl PacketCache {
         self.data[(offset % self.data.len() as u64) as usize]
     }
 
-    /// Serialize ring contents + counters.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.total);
-        w.bytes(&self.data);
-        w.into_bytes()
-    }
-
-    /// Reverse of [`serialize`](PacketCache::serialize).
-    pub fn deserialize(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let total = r.u64()?;
-        let data = r.bytes()?;
-        if data.len() < FP_WINDOW {
+    /// A cache from a shared chunk: its row, holding at least one
+    /// window.
+    fn open(sealer: &mut Sealer, chunk: &EncryptedChunk) -> Result<Self> {
+        let cache: PacketCache = sealer.open_row(chunk)?;
+        if cache.data.len() < FP_WINDOW {
             return Err(Error::MalformedChunk("cache too small".into()));
         }
-        Ok(PacketCache { data, total })
+        Ok(cache)
     }
 }
+
+// Counters, then the ring contents.
+record! { PacketCache { total, data } }
 
 /// Karp–Rabin rolling hash over [`FP_WINDOW`]-byte windows.
 struct RollingHash {
@@ -506,11 +500,11 @@ impl Middlebox for ReEncoder {
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
         self.sync.mark_shared(op);
-        Ok(Some(self.sealer.seal(&self.caches[0].cache.serialize())))
+        Ok(Some(self.sealer.seal(&codec::encode(&self.caches[0].cache))))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let cache = PacketCache::deserialize(&self.sealer.open(&chunk)?)?;
+        let cache = PacketCache::open(&mut self.sealer, &chunk)?;
         if self.caches[0].cache.total() != 0 {
             return Err(Error::MergeNotPermitted(
                 "RE caches are position-sensitive and cannot be merged".into(),
@@ -532,13 +526,13 @@ impl Middlebox for ReEncoder {
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
         let counters = state::encode_counters(self.counters());
-        Ok(self.sealer.snapshot(Some(self.caches[0].cache.serialize()), Some(counters)))
+        Ok(self.sealer.snapshot(Some(codec::encode(&self.caches[0].cache)), Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.caches[0] = match self.sealer.open_opt(snap.support)? {
-            Some(plain) => EncoderCache {
-                cache: PacketCache::deserialize(&plain)?,
+        self.caches[0] = match snap.support {
+            Some(c) => EncoderCache {
+                cache: PacketCache::open(&mut self.sealer, &c)?,
                 fingerprints: HashMap::new(),
             },
             None => EncoderCache::new(self.cache_size),
@@ -551,7 +545,7 @@ impl Middlebox for ReEncoder {
     // numbers are printed by `repro` (DESIGN §18).
     fn stats(&self, _key: &HeaderFieldList) -> StateStats {
         StateStats {
-            shared_support_bytes: self.caches.iter().map(|c| c.cache.serialize().len()).sum(),
+            shared_support_bytes: self.caches.iter().map(|c| codec::encoded_len(&c.cache)).sum(),
             shared_report_bytes: 2 * 8,
             ..StateStats::default()
         }
@@ -672,11 +666,11 @@ impl Middlebox for ReDecoder {
 
     fn get_support_shared(&mut self, op: OpId) -> Result<Option<EncryptedChunk>> {
         self.sync.mark_shared(op);
-        Ok(Some(self.sealer.seal(&self.cache.serialize())))
+        Ok(Some(self.sealer.seal(&codec::encode(&self.cache))))
     }
 
     fn put_support_shared(&mut self, chunk: EncryptedChunk) -> Result<()> {
-        let cache = PacketCache::deserialize(&self.sealer.open(&chunk)?)?;
+        let cache = PacketCache::open(&mut self.sealer, &chunk)?;
         if self.cache.total() != 0 {
             // §4.1.2's shared-state constraint: we cannot overwrite live
             // shared state, and RE caches cannot be merged.
@@ -700,12 +694,12 @@ impl Middlebox for ReDecoder {
 
     fn snapshot_shared(&mut self) -> Result<SharedSnapshot> {
         let counters = state::encode_counters(self.counters());
-        Ok(self.sealer.snapshot(Some(self.cache.serialize()), Some(counters)))
+        Ok(self.sealer.snapshot(Some(codec::encode(&self.cache)), Some(counters)))
     }
 
     fn restore_shared(&mut self, snap: SharedSnapshot) -> Result<()> {
-        self.cache = match self.sealer.open_opt(snap.support)? {
-            Some(plain) => PacketCache::deserialize(&plain)?,
+        self.cache = match snap.support {
+            Some(c) => PacketCache::open(&mut self.sealer, &c)?,
             None => PacketCache::new(self.cache_size),
         };
         let plain = self.sealer.open_opt(snap.report)?;
@@ -715,7 +709,7 @@ impl Middlebox for ReDecoder {
     // Bare sizes, like the encoder's.
     fn stats(&self, _key: &HeaderFieldList) -> StateStats {
         StateStats {
-            shared_support_bytes: self.cache.serialize().len(),
+            shared_support_bytes: codec::encoded_len(&self.cache),
             shared_report_bytes: 3 * 8,
             ..StateStats::default()
         }
@@ -864,6 +858,22 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_with_trailing_bytes_is_refused() {
+        let mut enc = ReEncoder::new(1 << 10);
+        let mut dec = ReDecoder::new(1 << 10);
+        let _ = roundtrip_once(&mut enc, &mut dec, pkt(1, redundant_payload(3))).unwrap();
+        for chunk in [enc.get_support_shared(OpId(1)), dec.get_support_shared(OpId(2))] {
+            let chunk = chunk.unwrap().unwrap();
+            let longer = crate::rows::with_trailing_byte("re", &chunk);
+            let put = ReDecoder::new(1 << 10).put_support_shared(longer.clone());
+            assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+            let put = ReEncoder::new(1 << 10).put_support_shared(longer);
+            assert!(matches!(put, Err(Error::MalformedChunk(_))), "{put:?}");
+            assert!(ReDecoder::new(1 << 10).put_support_shared(chunk).is_ok());
+        }
+    }
+
+    #[test]
     fn put_onto_warm_decoder_is_rejected() {
         let mut enc = ReEncoder::new(1 << 16);
         let mut dec = ReDecoder::new(1 << 16);
@@ -917,7 +927,7 @@ mod tests {
     fn cache_serialization_roundtrip() {
         let mut c = PacketCache::new(128);
         c.append(b"the quick brown fox jumps over the lazy dog");
-        let rt = PacketCache::deserialize(&c.serialize()).unwrap();
+        let rt: PacketCache = state::decode(&codec::encode(&c)).unwrap();
         assert_eq!(c, rt);
     }
 

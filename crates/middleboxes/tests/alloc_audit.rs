@@ -43,6 +43,7 @@ use openmb_mb::{handle_southbound_logged, Effects, Middlebox, SharedPutLog};
 use openmb_middleboxes::ips::{ConnRecord, ConnState, HttpAnalyzer};
 use openmb_middleboxes::{Firewall, Ips, Monitor, Nat};
 use openmb_simnet::SimTime;
+use openmb_types::codec;
 use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{self, ChunkClass, Message};
 use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, OpId, Packet, StateChunk};
@@ -206,13 +207,13 @@ fn chunk_import_copies_the_body_once() {
     // on the exact size.
     let request = "GET /a/rather/long/path/to/some/object/0123456789abcdef".to_string();
     let mut requests = 0;
-    while rec.serialize().len() <= BODY {
+    while codec::encoded_len(&rec) <= BODY {
         requests += 1;
         rec.http.as_mut().unwrap().requests.resize(requests, request.clone());
     }
     rec.http.as_mut().unwrap().requests.pop();
-    rec.history = "d".repeat(BODY - rec.serialize().len());
-    let plain = rec.serialize();
+    rec.history = "d".repeat(BODY - codec::encoded_len(&rec));
+    let plain = codec::encode(&rec);
     assert_eq!(plain.len(), BODY);
 
     let vendor = VendorKey::derive("bro");

@@ -3,34 +3,42 @@
 //! into a table as small as the traffic's classes.
 
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 use openmb_types::sdn::{FlowRule, SdnAction};
-use openmb_types::{FlowKey, HeaderFieldList, IpPrefix, NodeId, Proto};
+use openmb_types::{FlowKey, HeaderFieldList, NodeId, Proto};
 
 /// Cache entries are bounded; on overflow the cache is cleared
 /// wholesale (the table rebuilds it on subsequent lookups).
 const CACHE_CAP: usize = 65_536;
 
-/// What the installed rules read of a flow key: the longest source and
-/// destination prefix any rule names, and whether any rule names a
-/// port or the protocol. Two flows that agree on these bits form one
-/// *class*, and every installed rule matches all of a class or none of
-/// it (the invariant the Open vSwitch megaflow cache rests on).
+/// What the installed rules read of a flow key: the netmasks of the
+/// longest source and destination prefix any rule names, and whether
+/// any rule names a port or the protocol. Two flows that agree on these
+/// bits form one *class*, and every installed rule matches all of a
+/// class or none of it (the invariant the Open vSwitch megaflow cache
+/// rests on).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Mask {
-    src_len: u8,
-    dst_len: u8,
+    src: u32,
+    dst: u32,
     tp_src: bool,
     tp_dst: bool,
     proto: bool,
+}
+
+/// The netmask of a prefix `len` bits long. A longer prefix's is the
+/// larger number.
+fn netmask(len: u8) -> u32 {
+    u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0)
 }
 
 impl Mask {
     /// The union of what `patterns` read.
     fn of<'a>(patterns: impl Iterator<Item = &'a HeaderFieldList>) -> Self {
         patterns.fold(Mask::default(), |m, p| Mask {
-            src_len: m.src_len.max(p.nw_src.len()),
-            dst_len: m.dst_len.max(p.nw_dst.len()),
+            src: m.src.max(netmask(p.nw_src.len())),
+            dst: m.dst.max(netmask(p.nw_dst.len())),
             tp_src: m.tp_src || p.tp_src.is_some(),
             tp_dst: m.tp_dst || p.tp_dst.is_some(),
             proto: m.proto || p.proto.is_some(),
@@ -41,8 +49,8 @@ impl Mask {
     /// reads are cleared (an unread protocol reads as TCP).
     fn class_of(self, key: &FlowKey) -> FlowKey {
         FlowKey {
-            src_ip: IpPrefix::new(key.src_ip, self.src_len).addr(),
-            dst_ip: IpPrefix::new(key.dst_ip, self.dst_len).addr(),
+            src_ip: Ipv4Addr::from(u32::from(key.src_ip) & self.src),
+            dst_ip: Ipv4Addr::from(u32::from(key.dst_ip) & self.dst),
             src_port: if self.tp_src { key.src_port } else { 0 },
             dst_port: if self.tp_dst { key.dst_port } else { 0 },
             proto: if self.proto { key.proto } else { Proto::Tcp },

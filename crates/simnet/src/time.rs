@@ -7,6 +7,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(pub u64);
 
+// Encoded as its nanoseconds (capture files).
+openmb_types::record! { SimTime { 0 } }
+
 /// A span of virtual time (nanoseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimDuration(pub u64);

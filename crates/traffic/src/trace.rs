@@ -1,14 +1,44 @@
 //! The in-memory trace representation all generators produce.
 
 use openmb_simnet::{Frame, Sim, SimTime};
-use openmb_types::wire::{Reader, Writer};
-use openmb_types::{Error, NodeId, Packet, PacketMeta, Proto, Result};
+use openmb_types::codec::{self, Field, List, Reader, Sink};
+use openmb_types::{record, Error, NodeId, Packet, Result};
 
 /// One timestamped packet.
 #[derive(Debug, Clone)]
 pub struct TimedPacket {
     pub time: SimTime,
     pub packet: Packet,
+}
+
+// A capture record: the time, then the packet's own row — id, 5-tuple,
+// meta, payload.
+record! { TimedPacket { time, packet } }
+
+/// A capture file's first bytes, "OMBT".
+const MAGIC: u32 = 0x4F4D_4254;
+const VERSION: u16 = 1;
+
+/// The capture file: magic, version, then the records in time order.
+impl Field for Trace {
+    const WHAT: &'static str = "trace";
+
+    fn put<S: Sink>(&self, s: &mut S) {
+        MAGIC.put(s);
+        VERSION.put(s);
+        self.events.put(s);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        if u32::get(r)? != MAGIC {
+            return Err(Error::Codec("not an OpenMB trace (bad magic)".into()));
+        }
+        let version = u16::get(r)?;
+        if version != VERSION {
+            return Err(Error::Codec(format!("unsupported trace version {version}")));
+        }
+        Ok(Trace::new(List::get_at_most(r, 100_000_000, Some("absurd trace length"))?))
+    }
 }
 
 /// A replayable packet trace, sorted by time.
@@ -100,68 +130,12 @@ impl Trace {
     /// `magic ‖ version ‖ count ‖ records`, each record
     /// `time ‖ id ‖ 5-tuple ‖ meta ‖ payload`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(0x4F4D_4254); // "OMBT"
-        w.u16(1);
-        w.u32(self.events.len() as u32);
-        for e in &self.events {
-            w.u64(e.time.0);
-            w.u64(e.packet.id);
-            w.ip(e.packet.key.src_ip);
-            w.ip(e.packet.key.dst_ip);
-            w.u16(e.packet.key.src_port);
-            w.u16(e.packet.key.dst_port);
-            w.u8(e.packet.key.proto.number());
-            w.u8(e.packet.meta.tcp_flags);
-            w.u32(e.packet.meta.seq);
-            w.bool(e.packet.meta.http_request);
-            w.bytes(&e.packet.payload);
-        }
-        w.into_bytes()
+        codec::encode(self)
     }
 
     /// Parse a capture produced by [`to_bytes`](Trace::to_bytes).
     pub fn from_bytes(buf: &[u8]) -> Result<Trace> {
-        let mut r = Reader::new(buf);
-        if r.u32()? != 0x4F4D_4254 {
-            return Err(Error::Codec("not an OpenMB trace (bad magic)".into()));
-        }
-        let version = r.u16()?;
-        if version != 1 {
-            return Err(Error::Codec(format!("unsupported trace version {version}")));
-        }
-        let n = r.u32()? as usize;
-        if n > 100_000_000 {
-            return Err(Error::Codec("absurd trace length".into()));
-        }
-        let mut events = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let time = SimTime(r.u64()?);
-            let id = r.u64()?;
-            let src_ip = r.ip()?;
-            let dst_ip = r.ip()?;
-            let src_port = r.u16()?;
-            let dst_port = r.u16()?;
-            let proto = Proto::from_number(r.u8()?)
-                .ok_or_else(|| Error::Codec("bad proto in trace".into()))?;
-            let tcp_flags = r.u8()?;
-            let seq = r.u32()?;
-            let http_request = r.bool()?;
-            let payload = r.bytes()?;
-            events.push(TimedPacket {
-                time,
-                packet: Packet {
-                    id,
-                    key: openmb_types::FlowKey { src_ip, dst_ip, src_port, dst_port, proto },
-                    meta: PacketMeta { tcp_flags, seq, http_request },
-                    payload: payload.into(),
-                },
-            });
-        }
-        if !r.is_exhausted() {
-            return Err(Error::Codec("trailing bytes after trace".into()));
-        }
-        Ok(Trace::new(events))
+        codec::decode(buf, Error::Codec)
     }
 
     /// Write the capture to a file.
@@ -179,7 +153,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openmb_types::FlowKey;
+    use openmb_types::{FlowKey, PacketMeta};
     use std::net::Ipv4Addr;
 
     fn ev(t: u64, id: u64) -> TimedPacket {
@@ -205,6 +179,34 @@ mod tests {
             assert_eq!(x.time, y.time);
             assert_eq!(x.packet, y.packet);
         }
+    }
+
+    /// The capture format, pinned before it was written on the codec:
+    /// a two-packet trace's bytes (a TCP request with every meta field
+    /// set, an empty UDP packet), hashed with FNV-1a.
+    #[test]
+    fn capture_bytes_are_pinned() {
+        let web =
+            FlowKey::tcp(Ipv4Addr::new(10, 1, 2, 3), 40_000, Ipv4Addr::new(93, 184, 216, 34), 80);
+        let dns = FlowKey::udp(Ipv4Addr::new(10, 1, 2, 4), 53_000, Ipv4Addr::new(8, 8, 8, 8), 53);
+        let mut get = Packet::new(7, web, b"GET / HTTP/1.1\r\n".to_vec());
+        get.meta = PacketMeta { tcp_flags: 0x18, seq: 0xdead_beef, http_request: true };
+        let trace = Trace::new(vec![
+            TimedPacket { time: SimTime(2_000), packet: Packet::new(9, dns, Vec::new()) },
+            TimedPacket { time: SimTime(1_500), packet: get },
+        ]);
+        let bytes = trace.to_bytes();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (104, 0x578234079B39D48D));
+        let back = Trace::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes);
+        // Bytes after the last record are refused.
+        let trailing = [&bytes[..], &[0]].concat();
+        assert!(
+            matches!(Trace::from_bytes(&trailing), Err(Error::Codec(m)) if m.contains("trailing"))
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 #[cfg(test)]
 extern crate self as openmb_types;
 
+pub mod codec;
 pub mod compress;
 pub mod config;
 pub mod crypto;

@@ -14,20 +14,22 @@
 //!
 //! Each variant's fields are described once: [`Message`] in the
 //! `messages!` table, [`Event`], the typed [`Error`] and [`ConfigValue`]
-//! in `tagged!` tables. The encoder, [`encoded_len`], the decoder,
-//! [`Message::kind_name`], [`Message::op_id`] and the tags are derived
-//! from those rows, and every field type's format — with the bounds the
-//! decoder enforces on it — lives in its one `Field` impl.
+//! in [`tagged!`](crate::tagged) tables. The encoder, [`encoded_len`],
+//! the decoder, [`Message::kind_name`], [`Message::op_id`] and the tags
+//! are derived from those rows, and every field type's format — with
+//! the bounds the decoder enforces on it — lives in its one
+//! [`Field`] impl.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
+use crate::codec::{self, codec, proto, record, tagged, Field, Len, Reader, Sink, Writer};
 use crate::config::{ConfigValue, HierarchicalKey};
 use crate::error::{Error, Result};
-use crate::flow::{FlowKey, HeaderFieldList, IpPrefix, Proto};
-use crate::packet::{Packet, PacketMeta};
+use crate::flow::{FlowKey, HeaderFieldList, IpPrefix};
+use crate::packet::Packet;
 use crate::state::{EncryptedChunk, StateChunk, StateStats};
 use crate::{MbId, OpId};
 
@@ -157,7 +159,7 @@ macro_rules! messages {
             #[allow(unreachable_patterns)]
             #[inline(always)]
             fn get(r: &mut Reader<'_>) -> Result<Self> {
-                let t = r.u8()?;
+                let t = u8::get(r)?;
                 let run = t & RUN != 0;
                 Ok(match t {
                     $(tags::$V $(| after_first!($rest run_tags::$V))? => Message::$V {
@@ -413,60 +415,6 @@ impl Message {
 // Field descriptions
 // ---------------------------------------------------------------------------
 
-/// Puts or gets the listed fields of a tuple or struct variant in order.
-macro_rules! fields {
-    (put $s:ident ($($f:ident),*)) => { $($f.put($s);)* };
-    (put $s:ident {$($f:ident),*}) => { $($f.put($s);)* };
-    (get $r:ident $E:ident $V:ident ($($f:ident),*)) => {
-        $E::$V($({
-            let $f = Field::get($r)?;
-            $f
-        }),*)
-    };
-    (get $r:ident $E:ident $V:ident {$($f:ident),*}) => { $E::$V { $($f: Field::get($r)?),* } };
-}
-
-/// The codec of an enum encoded as a `u8` tag and then the listed fields
-/// of the variant it names, one row per variant: `Variant(fields) = tag`
-/// or `Variant { fields } = tag`. `$unknown` words the error for a tag
-/// no row declares; `max` overrides the type's [`Field::MAX_COUNT`].
-macro_rules! tagged {
-    ($E:ident, $unknown:literal $(, max $max:expr;)? { $($V:ident $fields:tt = $tag:literal,)* }) => {
-        impl Field for $E {
-            $(const MAX_COUNT: usize = $max;)?
-
-            fn put<S: Sink>(&self, s: &mut S) {
-                match self {
-                    $($E::$V $fields => {
-                        let tag: u8 = $tag;
-                        tag.put(s);
-                        fields!(put s $fields);
-                    })*
-                }
-            }
-
-            fn get(r: &mut Reader<'_>) -> Result<Self> {
-                let t = r.u8()?;
-                Self::get_tagged(t, r)
-            }
-        }
-
-        impl $E {
-            /// The tags this type's table declares.
-            #[cfg(test)]
-            const TAGS: &[u8] = &[$($tag),*];
-
-            /// The rest of a value whose tag `t` was already read.
-            fn get_tagged(t: u8, r: &mut Reader<'_>) -> Result<Self> {
-                Ok(match t {
-                    $($tag => fields!(get r $E $V $fields),)*
-                    other => return Err(codec(format!(concat!($unknown, " {}"), other))),
-                })
-            }
-        }
-    };
-}
-
 tagged!(Event, "unknown message tag" {
     Reprocess { op, key, packet } = 25,
     Introspection { code, key, values } = 26,
@@ -495,26 +443,7 @@ tagged!(Error, "bad error kind" {
     OpFailed(why) = 12,
 });
 
-/// The codec of a struct encoded as its listed fields in order.
-macro_rules! record {
-    ($($T:ident { $($f:ident),* })*) => {$(
-        impl Field for $T {
-            fn put<S: Sink>(&self, s: &mut S) {
-                $(self.$f.put(s);)*
-            }
-
-            fn get(r: &mut Reader<'_>) -> Result<Self> {
-                Ok($T { $($f: Field::get(r)?),* })
-            }
-        }
-    )*};
-}
-
 record! {
-    // A 5-tuple, 13 bytes: the layout messages and middlebox records share.
-    FlowKey { src_ip, dst_ip, src_port, dst_port, proto }
-    Packet { id, key, meta, payload }
-    PacketMeta { tcp_flags, seq, http_request }
     StateChunk { key, data }
     StateStats {
         perflow_support_chunks,
@@ -525,190 +454,6 @@ record! {
         shared_report_bytes
     }
     EventFilter { codes, key }
-}
-
-/// One wire field type: how it is written to a [`Sink`] and read back
-/// from a [`Reader`]. A type's format and the bounds its decoder
-/// enforces live in its one impl, so encoding, [`encoded_len`] and
-/// decoding cannot drift apart.
-trait Field: Sized {
-    /// Most items a list of this type may announce; a larger count is
-    /// refused before anything is reserved for it.
-    const MAX_COUNT: usize = MAX_MESSAGE / 8;
-
-    fn put<S: Sink>(&self, s: &mut S);
-    fn get(r: &mut Reader<'_>) -> Result<Self>;
-}
-
-/// Where a field walk goes: a [`Writer`] appends the bytes, a [`Len`]
-/// only adds up how many there are.
-trait Sink: Sized {
-    fn put_raw(&mut self, b: &[u8]);
-
-    /// `body`'s encoding as a length-prefixed blob.
-    fn put_nested(&mut self, body: impl FnOnce(&mut Self));
-
-    fn put_blob(&mut self, b: &[u8]) {
-        (b.len() as u32).put(self);
-        self.put_raw(b);
-    }
-}
-
-impl Sink for Writer {
-    fn put_raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    fn put_nested(&mut self, body: impl FnOnce(&mut Self)) {
-        let at = self.buf.len();
-        self.put_raw(&[0; 4]); // the length, patched in once the body is written
-        body(self);
-        let len = (self.buf.len() - at - 4) as u32;
-        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    }
-}
-
-/// A [`Sink`] that counts: [`encoded_len`] is [`encode`]'s walk with
-/// nothing written, arithmetic and allocation-free.
-struct Len(usize);
-
-impl Sink for Len {
-    fn put_raw(&mut self, b: &[u8]) {
-        self.0 += b.len();
-    }
-
-    fn put_nested(&mut self, body: impl FnOnce(&mut Self)) {
-        self.0 += 4;
-        body(self);
-    }
-}
-
-/// Out of line, so the flag checks on the decode path stay small.
-#[cold]
-#[inline(never)]
-fn bad_flag(b: u8) -> Error {
-    codec(format!("bad flag byte {b}"))
-}
-
-fn codec(why: impl Into<String>) -> Error {
-    Error::Codec(why.into())
-}
-
-macro_rules! int_field {
-    ($($T:ident $(max $max:expr)?),*) => {$(
-        impl Field for $T {
-            $(const MAX_COUNT: usize = $max;)?
-
-            fn put<S: Sink>(&self, s: &mut S) {
-                s.put_raw(&self.to_le_bytes());
-            }
-
-            fn get(r: &mut Reader<'_>) -> Result<Self> {
-                r.take().map($T::from_le_bytes)
-            }
-        }
-    )*};
-}
-
-// Event codes are the one list of `u32`s.
-int_field!(u8, u16, u32 max 65_536, u64, i64);
-
-impl Field for usize {
-    fn put<S: Sink>(&self, s: &mut S) {
-        (*self as u64).put(s);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(r.u64()? as usize)
-    }
-}
-
-/// One byte, 0 or 1.
-impl Field for bool {
-    fn put<S: Sink>(&self, s: &mut S) {
-        u8::from(*self).put(s);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        r.bool()
-    }
-}
-
-/// A presence flag, 0 or 1, and the value when 1.
-impl<T: Field> Field for Option<T> {
-    fn put<S: Sink>(&self, s: &mut S) {
-        self.is_some().put(s);
-        if let Some(v) = self {
-            v.put(s);
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => T::get(r).map(Some),
-            b => Err(bad_flag(b)),
-        }
-    }
-}
-
-/// A `u32` count, then the items.
-impl<T: Field> Field for Vec<T> {
-    fn put<S: Sink>(&self, s: &mut S) {
-        put_list(self, s);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let n = r.u32()? as usize;
-        if n > T::MAX_COUNT {
-            return Err(codec(format!("list of {n} items exceeds {}", T::MAX_COUNT)));
-        }
-        r.items(n)
-    }
-}
-
-fn put_list<T: Field, S: Sink>(items: &[T], s: &mut S) {
-    (items.len() as u32).put(s);
-    for x in items {
-        x.put(s);
-    }
-}
-
-/// A list of pairs is bounded by its first element's type.
-impl<A: Field, B: Field> Field for (A, B) {
-    const MAX_COUNT: usize = A::MAX_COUNT;
-
-    fn put<S: Sink>(&self, s: &mut S) {
-        self.0.put(s);
-        self.1.put(s);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok((A::get(r)?, B::get(r)?))
-    }
-}
-
-/// A blob of UTF-8. Introspection values are the one list of strings.
-impl Field for String {
-    const MAX_COUNT: usize = 65_536;
-
-    fn put<S: Sink>(&self, s: &mut S) {
-        s.put_blob(self.as_bytes());
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        r.str()
-    }
-}
-
-impl Field for Bytes {
-    fn put<S: Sink>(&self, s: &mut S) {
-        s.put_blob(self);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        r.bytes_shared()
-    }
 }
 
 impl Field for EncryptedChunk {
@@ -739,16 +484,6 @@ impl Field for [u8; 32] {
     }
 }
 
-impl Field for Ipv4Addr {
-    fn put<S: Sink>(&self, s: &mut S) {
-        s.put_raw(&self.octets());
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        r.ip()
-    }
-}
-
 impl Field for OpId {
     fn put<S: Sink>(&self, s: &mut S) {
         self.0.put(s);
@@ -769,20 +504,6 @@ impl Field for MbId {
     }
 }
 
-fn proto(b: u8) -> Result<Proto> {
-    Proto::from_number(b).ok_or_else(|| codec(format!("bad proto {b}")))
-}
-
-impl Field for Proto {
-    fn put<S: Sink>(&self, s: &mut S) {
-        self.number().put(s);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        proto(r.u8()?)
-    }
-}
-
 impl Field for ChunkClass {
     fn put<S: Sink>(&self, s: &mut S) {
         let b: u8 = match self {
@@ -793,7 +514,7 @@ impl Field for ChunkClass {
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self> {
-        match r.u8()? {
+        match u8::get(r)? {
             0 => Ok(ChunkClass::Support),
             1 => Ok(ChunkClass::Report),
             b => Err(codec(format!("bad chunk class {b}"))),
@@ -813,11 +534,12 @@ impl Field for HeaderFieldList {
         }
         self.tp_src.put(s);
         self.tp_dst.put(s);
-        self.proto.map_or(0xff, Proto::number).put(s);
+        self.proto.map_or(0xff, |p| p.number()).put(s);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let (src, src_len, dst, dst_len) = (r.ip()?, r.u8()?, r.ip()?, r.u8()?);
+        let (src, src_len): (Ipv4Addr, u8) = (Field::get(r)?, Field::get(r)?);
+        let (dst, dst_len): (Ipv4Addr, u8) = (Field::get(r)?, Field::get(r)?);
         if src_len > 32 || dst_len > 32 {
             return Err(codec("prefix length > 32"));
         }
@@ -830,7 +552,7 @@ impl Field for HeaderFieldList {
             nw_dst,
             tp_src: Field::get(r)?,
             tp_dst: Field::get(r)?,
-            proto: match r.u8()? {
+            proto: match u8::get(r)? {
                 0xff => None,
                 b => Some(proto(b)?),
             },
@@ -841,11 +563,11 @@ impl Field for HeaderFieldList {
 /// A count of at most 1 024 segments, then each segment.
 impl Field for HierarchicalKey {
     fn put<S: Sink>(&self, s: &mut S) {
-        put_list(self.segments(), s);
+        String::put_list(self.segments(), s);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let n = r.u32()? as usize;
+        let n = u32::get(r)? as usize;
         if n > 1024 {
             return Err(codec("hierarchical key too deep"));
         }
@@ -853,196 +575,8 @@ impl Field for HierarchicalKey {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Writer and Reader
-// ---------------------------------------------------------------------------
-
-/// Growable encode buffer with the primitive writers of the codec.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// The bytes written since the last [`clear`](Writer::clear).
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Forget what was written and keep the buffer, so one writer
-    /// serves record after record.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Append `v` as it is, with no length prefix.
-    pub fn raw(&mut self, v: &[u8]) {
-        self.put_raw(v);
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        v.put(self);
-    }
-    pub fn u16(&mut self, v: u16) {
-        v.put(self);
-    }
-    pub fn u32(&mut self, v: u32) {
-        v.put(self);
-    }
-    pub fn u64(&mut self, v: u64) {
-        v.put(self);
-    }
-    pub fn i64(&mut self, v: i64) {
-        v.put(self);
-    }
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.put_blob(v);
-    }
-    pub fn str(&mut self, v: &str) {
-        self.put_blob(v.as_bytes());
-    }
-    pub fn bool(&mut self, v: bool) {
-        v.put(self);
-    }
-    pub fn ip(&mut self, v: Ipv4Addr) {
-        v.put(self);
-    }
-
-    /// A 5-tuple, 13 bytes: the layout messages and middlebox records
-    /// share.
-    pub fn flow_key(&mut self, k: &FlowKey) {
-        k.put(self);
-    }
-}
-
-/// Cursor-based decode buffer with the primitive readers of the codec.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// The refcounted owner of `buf`, when decoding from one. Lets
-    /// [`Reader::bytes_shared`] hand out zero-copy views instead of
-    /// copying every payload.
-    shared: Option<&'a Bytes>,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0, shared: None }
-    }
-
-    /// A reader over a refcounted buffer: blob fields decode as zero-copy
-    /// views sharing `buf`'s storage.
-    pub fn new_shared(buf: &'a Bytes) -> Self {
-        Reader { buf, pos: 0, shared: Some(buf) }
-    }
-
-    fn need(&self, n: usize) -> Result<()> {
-        if self.pos + n > self.buf.len() {
-            Err(codec(format!(
-                "truncated message: need {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// The next `N` bytes.
-    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
-        self.need(N)?;
-        let mut v = [0; N];
-        v.copy_from_slice(&self.buf[self.pos..self.pos + N]);
-        self.pos += N;
-        Ok(v)
-    }
-
-    pub fn u8(&mut self) -> Result<u8> {
-        u8::get(self)
-    }
-    pub fn u16(&mut self) -> Result<u16> {
-        u16::get(self)
-    }
-    pub fn u32(&mut self) -> Result<u32> {
-        u32::get(self)
-    }
-    pub fn u64(&mut self) -> Result<u64> {
-        u64::get(self)
-    }
-    pub fn i64(&mut self) -> Result<i64> {
-        i64::get(self)
-    }
-
-    /// A blob's length and then its bytes, within the buffer.
-    fn blob(&mut self) -> Result<std::ops::Range<usize>> {
-        let n = self.u32()? as usize;
-        if n > MAX_MESSAGE {
-            return Err(codec(format!("blob length {n} exceeds limit")));
-        }
-        self.need(n)?;
-        self.pos += n;
-        Ok(self.pos - n..self.pos)
-    }
-
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        let at = self.blob()?;
-        Ok(self.buf[at].to_vec())
-    }
-
-    /// Like [`Reader::bytes`], but returns a refcounted [`Bytes`]. When
-    /// the reader was built with [`Reader::new_shared`] this is a
-    /// zero-copy view into the receive buffer; otherwise it copies once.
-    pub fn bytes_shared(&mut self) -> Result<Bytes> {
-        let at = self.blob()?;
-        Ok(match self.shared {
-            Some(src) => src.slice(at),
-            None => Bytes::from(self.buf[at].to_vec()),
-        })
-    }
-    pub fn str(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|e| codec(format!("bad utf8: {e}")))
-    }
-
-    /// One byte, 0 or 1; any other value is refused, so every value
-    /// decodes from one encoding only.
-    pub fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            b @ (0 | 1) => Ok(b == 1),
-            b => Err(bad_flag(b)),
-        }
-    }
-    pub fn ip(&mut self) -> Result<Ipv4Addr> {
-        self.take().map(Ipv4Addr::from)
-    }
-
-    /// True when every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Reverse of [`Writer::flow_key`].
-    pub fn flow_key(&mut self) -> Result<FlowKey> {
-        FlowKey::get(self)
-    }
-
-    /// `n` items, reserving at most 1 024 ahead of the bytes that back
-    /// them.
-    fn items<T: Field>(&mut self, n: usize) -> Result<Vec<T>> {
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(T::get(self)?);
-        }
-        Ok(out)
-    }
-
+/// The wire's own list shapes.
+impl Reader<'_> {
     /// A run's records after its first, under a tag with [`RUN`] set
     /// (`run`): a count of at least one, then the items. Without it the
     /// message is a run of one.
@@ -1050,7 +584,7 @@ impl<'a> Reader<'a> {
         if !run {
             return Ok(Vec::new());
         }
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         if n == 0 || n > MAX_MESSAGE / 8 {
             return Err(codec(format!("bad run length {n}")));
         }
@@ -1061,7 +595,7 @@ impl<'a> Reader<'a> {
     /// as a blob. Decoding each through `Bytes` keeps chunk and packet
     /// payloads aliased to the receive buffer in the shared-mode path.
     fn batch(&mut self) -> Result<Vec<Message>> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         if n > MAX_MESSAGE / 8 {
             return Err(codec("too many batched messages"));
         }
@@ -1083,18 +617,14 @@ impl<'a> Reader<'a> {
 
 /// Encode a message body (no length prefix).
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut w = Writer::new();
-    msg.put(&mut w);
-    w.into_bytes()
+    codec::encode(msg)
 }
 
 /// Exact length of `encode(msg)` without serializing: the same field
 /// walk as [`encode`], run through a counter instead of a buffer — an
 /// O(fields) sum instead of an O(bytes) buffer build.
 pub fn encoded_len(msg: &Message) -> usize {
-    let mut n = Len(0);
-    msg.put(&mut n);
-    n.0
+    codec::encoded_len(msg)
 }
 
 /// [`encoded_len`] of a per-flow put of either class carrying `chunk`
@@ -1105,7 +635,7 @@ pub fn put_perflow_len(chunk: &StateChunk, rest: &[StateChunk]) -> usize {
     OpId(0).put(&mut n);
     chunk.put(&mut n);
     if !rest.is_empty() {
-        put_list(rest, &mut n);
+        StateChunk::put_list(rest, &mut n);
     }
     n.0
 }
@@ -1113,13 +643,13 @@ pub fn put_perflow_len(chunk: &StateChunk, rest: &[StateChunk]) -> usize {
 /// One length-prefixed frame — prefix and body in one buffer, encoded
 /// in place (no second copy).
 pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
-    let mut frame = Writer { buf: Vec::with_capacity(4 + encoded_len(msg)) };
+    let mut frame = Writer::with_capacity(4 + encoded_len(msg));
     frame.put_nested(|w| msg.put(w));
-    let len = frame.buf.len() - 4;
+    let len = frame.as_slice().len() - 4;
     if len > MAX_MESSAGE {
         return Err(codec(format!("message too large: {len} bytes")));
     }
-    Ok(frame.buf)
+    Ok(frame.into_bytes())
 }
 
 /// Decode a message body produced by [`encode`]. Rejects trailing bytes.
@@ -1145,9 +675,7 @@ fn decode_with(mut r: Reader<'_>) -> Result<Message> {
             return Err(codec("empty chunk body"));
         }
     }
-    if !r.is_exhausted() {
-        return Err(codec("trailing bytes after message"));
-    }
+    r.finish("message")?;
     Ok(msg)
 }
 
@@ -1587,7 +1115,7 @@ mod tests {
         assert_eq!(lone, (first.clone(), Vec::new()));
         // The blobs' layout, spelled out: a length, then the bytes.
         let mut w = Writer::new();
-        recs.iter().for_each(|c| w.bytes(c.data.as_wire()));
+        recs.iter().for_each(|c| w.put_blob(c.data.as_wire()));
         assert_eq!(content[..], w.into_bytes()[..]);
         // A lone record's content is its chunk's buffer, and so is a
         // record split from stored content: no copy either way.
@@ -1851,9 +1379,7 @@ mod tests {
     fn corpus_covers_every_declared_tag() {
         use std::collections::BTreeSet;
         fn first_byte<T: Field>(x: &T) -> u8 {
-            let mut w = Writer::new();
-            x.put(&mut w);
-            w.buf[0]
+            codec::encode(x)[0]
         }
         let mut rng = proptest::test_runner::TestRng::from_name("corpus_covers_every_declared_tag");
         let (mut msgs, mut errors, mut values) =

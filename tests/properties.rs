@@ -215,7 +215,8 @@ mod cache_properties {
             for a in &appends {
                 cache.append(a);
             }
-            let rt = PacketCache::deserialize(&cache.serialize()).unwrap();
+            let rt: PacketCache =
+                openmb::mb::state::decode(&openmb::types::codec::encode(&cache)).unwrap();
             prop_assert_eq!(cache, rt);
         }
     }
