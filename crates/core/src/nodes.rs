@@ -8,11 +8,11 @@
 //! service quanta that *interleave* with packet processing — which is
 //! why the paper sees only a ≤2 % packet-latency impact during a get
 //! (§8.2) instead of a stall, while the get itself scales linearly
-//! (Fig 9). Its records leave as the runs `wire::push_runs` cuts over
-//! the whole get, each when the quantum that serializes its last record
-//! ends.
+//! (Fig 9). Its runs leave each when the quantum that serializes its
+//! last record ends.
 //! Only that timing lives here (streamed gets, background shared
-//! exports, queued replays); what a request *does* to the middlebox is
+//! exports, queued replays); what every request *does* to the
+//! middlebox, a get's runs and replies included, is
 //! [`openmb_mb::southbound::handle_southbound_logged`], the dispatch
 //! the TCP embedding runs too.
 //!
@@ -27,7 +27,7 @@ use openmb_obs::{CounterSlot, GaugeSlot, SpanEvent};
 use openmb_openflow::Topology;
 use openmb_simnet::{Ctx, Frame, Node, Sim, SimDuration, SimTime};
 use openmb_types::sdn::SdnMessage;
-use openmb_types::wire::{self, Message};
+use openmb_types::wire::Message;
 use openmb_types::{MbId, NodeId, OpId, Packet, StateChunk};
 
 use crate::app::{Api, ApiCtx, ControlApp};
@@ -46,21 +46,22 @@ enum Work {
     Packet { pkt: Packet, arrived: SimTime },
     /// A reprocess event to replay (§4.2.1 step 3).
     Replay { pkt: Packet },
-    /// One service quantum of a streaming per-flow get: serialize
-    /// chunks `idx..idx+n`, then send every run completed in
-    /// `sent..idx+n` (all of them on the last quantum). The quantum at
-    /// `idx == 0` also pays the linear-scan cost.
+    /// One service quantum of a streaming per-flow get: serialize up
+    /// to `get_batch` more records, then send every run whose last
+    /// record is serialized (all of `runs` on the last quantum).
     GetBatch {
         sub: OpId,
-        chunks: Vec<StateChunk>,
-        idx: usize,
-        /// Chunks before this have left; always a multiple of the get's
-        /// run length, so the runs are the ones `wire::push_runs` cuts
-        /// over the whole get.
-        sent: usize,
-        report: bool,
-        /// Entries resident at scan time (for the scan cost).
+        /// The dispatch's reply not sent yet: runs, then the `GetAck`.
+        runs: VecDeque<Message>,
+        /// Records not serialized yet.
+        records: usize,
+        /// Records serialized but not sent: the head of `runs`.
+        done: usize,
+        /// Entries resident at scan time; the first quantum pays their
+        /// linear scan, later ones 0.
         scanned_entries: usize,
+        /// The request's name, for its `Served` span.
+        kind: &'static str,
     },
     /// Any other southbound message, processed atomically.
     Msg(Message),
@@ -89,9 +90,8 @@ pub struct MbNode<M: Middlebox> {
     /// Events replayed.
     pub events_replayed: u64,
     /// Background shared exports awaiting their serialization delay,
-    /// keyed by timer token.
-    pending_shared:
-        std::collections::HashMap<u64, (OpId, Option<openmb_types::EncryptedChunk>, bool)>,
+    /// keyed by timer token: the reply and the request's name.
+    pending_shared: std::collections::HashMap<u64, (Message, &'static str)>,
     next_shared_token: u64,
     /// Optional override of the logic's cost model (experiments use
     /// this to, e.g., measure event generation below saturation).
@@ -114,11 +114,11 @@ pub struct MbNode<M: Middlebox> {
     /// look one up.
     metric_names: MetricNames,
     /// Largest packet train handed to `process_batch` in one service
-    /// slot. 1 (the default) takes the exact serial path.
+    /// slot (1 by default).
     batch_max: usize,
     /// Packets claimed by the in-progress service slot: pump counts the
     /// run of consecutive `Work::Packet` items at the queue front and
-    /// on_timer pops exactly that many.
+    /// on_timer pops exactly that many (0 when it claimed other work).
     pending_batch: usize,
     /// Reused packet buffer for batched delivery (no per-batch Vec).
     batch_buf: Vec<Packet>,
@@ -204,12 +204,6 @@ impl<M: Middlebox + 'static> MbNode<M> {
         self
     }
 
-    /// Override the middlebox's cost model (experiments only).
-    pub fn with_costs(mut self, costs: openmb_mb::CostModel) -> Self {
-        self.cost_override = Some(costs);
-        self
-    }
-
     /// Override the cost model on an already-built node (experiments).
     pub fn set_cost_override(&mut self, costs: openmb_mb::CostModel) {
         self.cost_override = Some(costs);
@@ -228,14 +222,8 @@ impl<M: Middlebox + 'static> MbNode<M> {
         let c = self.costs();
         match w {
             Work::Packet { .. } | Work::Replay { .. } => c.per_packet,
-            Work::GetBatch { chunks, idx, scanned_entries, .. } => {
-                let n = (chunks.len() - idx).min(c.get_batch);
-                let batch = c.serialize_cost(n);
-                if *idx == 0 {
-                    batch + c.scan_cost(*scanned_entries)
-                } else {
-                    batch
-                }
+            Work::GetBatch { records, scanned_entries, .. } => {
+                c.serialize_cost((*records).min(c.get_batch)) + c.scan_cost(*scanned_entries)
             }
             Work::Msg(m) => match m {
                 // A run is priced per record.
@@ -271,11 +259,12 @@ impl<M: Middlebox + 'static> MbNode<M> {
         }
         if let Some(front) = self.queue.front() {
             let mut d = self.service_time(front);
-            let mut n = 1;
-            if self.batch_max > 1 && matches!(front, Work::Packet { .. }) {
+            let mut n = 0;
+            if matches!(front, Work::Packet { .. }) {
                 // Claim the whole run of consecutive packets at the
                 // front: one service slot, K × per_packet long, so
                 // the aggregate modeled cost matches serial delivery.
+                n = 1;
                 while n < self.batch_max && matches!(self.queue.get(n), Some(Work::Packet { .. })) {
                     n += 1;
                 }
@@ -308,52 +297,46 @@ impl<M: Middlebox + 'static> MbNode<M> {
     }
 
     fn execute(&mut self, ctx: &mut Ctx<'_>, w: Work) {
-        let now = ctx.now();
         match w {
-            Work::Packet { pkt, arrived } => {
-                let mut fx = Effects::normal();
-                self.logic.process_packet(now, &pkt, &mut fx);
-                self.packets_processed += 1;
-                self.packets_done(ctx, std::iter::once((pkt.id, now.since(arrived))));
-                ctx.metrics.incr_at(&mut self.metric_names.packets, 1);
-                self.emit_effects(ctx, &mut fx);
-            }
+            Work::Packet { .. } => unreachable!("pump claims packets as a batch"),
             Work::Replay { pkt } => {
                 let mut fx = Effects::replay();
-                self.logic.process_packet(now, &pkt, &mut fx);
+                self.logic.process_packet(ctx.now(), &pkt, &mut fx);
                 self.events_replayed += 1;
                 ctx.record(None, None, SpanEvent::EventReplayed);
                 ctx.metrics.incr_at(&mut self.metric_names.events_replayed, 1);
                 self.emit_effects(ctx, &mut fx);
             }
-            Work::GetBatch { sub, chunks, idx, sent, report, .. } => {
-                let c = self.costs();
-                let end = (idx + c.get_batch).min(chunks.len());
-                let controller = self.controller.expect("get requires a controller");
+            Work::GetBatch { sub, mut runs, records, done, kind, .. } => {
+                let n = records.min(self.costs().get_batch);
+                let (records, mut done) = (records - n, done + n);
                 // A run spans quanta: the runs this quantum completed
                 // leave in one coalesced frame (one length prefix, one
                 // scheduler event), and a record of an unfinished run
                 // waits for the quantum that serializes the run's last
                 // record. The closing GetAck rides with the final runs.
-                let last = end == chunks.len();
-                let run = wire::run_len(chunks.len());
-                let flush = if last { end } else { end - end % run };
+                let last = records == 0;
                 let mut msgs = Vec::new();
-                wire::push_runs(&mut msgs, sub, chunks.len(), chunks[sent..flush].iter().cloned());
+                while let Some(run) = runs.front() {
+                    let len = run.run_keys().count();
+                    if !last && len > done {
+                        break;
+                    }
+                    done -= len;
+                    msgs.extend(runs.pop_front());
+                }
                 if !last {
                     // Re-queue at the back so packets interleave.
                     self.queue.push_back(Work::GetBatch {
                         sub,
-                        chunks,
-                        idx: end,
-                        sent: flush,
-                        report,
+                        runs,
+                        records,
+                        done,
                         scanned_entries: 0,
+                        kind,
                     });
-                } else {
-                    let count = chunks.len() as u32;
-                    msgs.push(Message::GetAck { op: sub, count });
                 }
+                let controller = self.controller.expect("get requires a controller");
                 match msgs.len() {
                     0 => {}
                     1 => ctx.send(controller, Frame::control(msgs.pop().expect("len 1"))),
@@ -363,8 +346,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
                     }
                 }
                 if last {
-                    let msg = if report { "getReportPerflow" } else { "getSupportPerflow" };
-                    ctx.record(None, Some(sub.0), SpanEvent::Served { msg });
+                    ctx.record(None, Some(sub.0), SpanEvent::Served { msg: kind });
                 }
             }
             Work::Msg(msg) => self.execute_msg(ctx, msg),
@@ -431,17 +413,54 @@ impl<M: Middlebox + 'static> MbNode<M> {
         }
     }
 
-    /// Everything `on_frame` did not schedule itself goes through the
-    /// one MB-side dispatch every embedding shares.
-    fn execute_msg(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        let replies = openmb_mb::southbound::handle_southbound_logged(
+    /// The one MB-side dispatch every embedding shares.
+    fn dispatch(&mut self, ctx: &Ctx<'_>, msg: Message) -> Vec<Message> {
+        openmb_mb::southbound::handle_southbound_logged(
             &mut self.logic,
             &mut self.shared_log,
             msg,
             ctx.now(),
-        );
-        for r in replies {
+        )
+    }
+
+    fn execute_msg(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+        for r in self.dispatch(ctx, msg) {
             self.reply(ctx, r);
+        }
+    }
+
+    /// A state get is answered at arrival, so its moved marks and clone
+    /// flags are set at that instant; only when the answer leaves is
+    /// the DES's. A per-flow get's runs stream out in service quanta
+    /// that interleave with packets. A shared get's reply leaves after
+    /// the serialization delay without occupying the packet path: the
+    /// export runs on a background thread, as in Bro/SmartRE (the §8.2
+    /// RE result: exporting a 500 MB cache leaves per-packet latency
+    /// essentially unchanged). An error leaves at once.
+    fn serve_get(&mut self, ctx: &mut Ctx<'_>, get: Message) {
+        let kind = get.kind_name();
+        let scanned_entries = self.logic.perflow_entries();
+        let mut replies = self.dispatch(ctx, get);
+        match replies.last() {
+            Some(&Message::GetAck { op, .. }) => self.queue.push_back(Work::GetBatch {
+                sub: op,
+                records: replies.iter().map(|m| m.run_keys().count()).sum(),
+                runs: replies.into(),
+                done: 0,
+                scanned_entries,
+                kind,
+            }),
+            Some(shared @ (Message::SharedChunk { .. } | Message::OpAck { .. })) => {
+                let len = match shared {
+                    Message::SharedChunk { chunk, .. } => chunk.len(),
+                    _ => 0,
+                };
+                let token = self.next_shared_token;
+                self.next_shared_token += 1;
+                ctx.set_timer(self.costs().shared_cost(len), token);
+                self.pending_shared.insert(token, (replies.pop().expect("one reply"), kind));
+            }
+            _ => replies.into_iter().for_each(|r| self.reply(ctx, r)),
         }
     }
 
@@ -474,57 +493,11 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
                         msg.op_id().map(|o| o.0),
                         SpanEvent::Handled { msg: msg.kind_name() },
                     );
-                    // Each get comes in a support and a report flavour
-                    // that differ only in the trait method called.
-                    let report = matches!(
-                        msg,
-                        Message::GetReportPerflow { .. } | Message::GetReportShared { .. }
-                    );
                     match msg {
-                        Message::GetSupportPerflow { op, key }
-                        | Message::GetReportPerflow { op, key } => {
-                            let entries = self.logic.perflow_entries();
-                            let got = if report {
-                                self.logic.get_report_perflow(op, &key)
-                            } else {
-                                self.logic.get_support_perflow(op, &key)
-                            };
-                            match got {
-                                Ok(chunks) => self.queue.push_back(Work::GetBatch {
-                                    sub: op,
-                                    chunks,
-                                    idx: 0,
-                                    sent: 0,
-                                    report,
-                                    scanned_entries: entries,
-                                }),
-                                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                            }
-                        }
-                        Message::GetSupportShared { op } | Message::GetReportShared { op } => {
-                            // Shared exports serialize on a background thread:
-                            // the result is delivered after the serialization
-                            // delay without occupying the packet path (the §8.2
-                            // RE result: exporting a 500 MB cache leaves
-                            // per-packet latency essentially unchanged).
-                            let got = if report {
-                                self.logic.get_report_shared()
-                            } else {
-                                self.logic.get_support_shared(op)
-                            };
-                            match got {
-                                Ok(chunk) => {
-                                    let cost = self
-                                        .costs()
-                                        .shared_cost(chunk.as_ref().map(|c| c.len()).unwrap_or(0));
-                                    let token = self.next_shared_token;
-                                    self.next_shared_token += 1;
-                                    self.pending_shared.insert(token, (op, chunk, report));
-                                    ctx.set_timer(cost, token);
-                                }
-                                Err(e) => self.reply(ctx, Message::ErrorMsg { op, error: e }),
-                            }
-                        }
+                        get @ (Message::GetSupportPerflow { .. }
+                        | Message::GetReportPerflow { .. }
+                        | Message::GetSupportShared { .. }
+                        | Message::GetReportShared { .. }) => self.serve_get(ctx, get),
                         Message::ReprocessPacket { op: _, key: _, packet } => {
                             self.queue.push_back(Work::Replay { pkt: packet });
                         }
@@ -539,13 +512,10 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token >= TIMER_SHARED_BASE {
-            if let Some((op, chunk, report)) = self.pending_shared.remove(&token) {
-                match chunk {
-                    Some(chunk) => self.reply(ctx, Message::SharedChunk { op, chunk }),
-                    None => self.reply(ctx, Message::OpAck { op }),
-                }
-                let msg = if report { "getReportShared" } else { "getSupportShared" };
-                ctx.record(None, Some(op.0), SpanEvent::Served { msg });
+            if let Some((reply, msg)) = self.pending_shared.remove(&token) {
+                let op = reply.op_id().map(|o| o.0);
+                self.reply(ctx, reply);
+                ctx.record(None, op, SpanEvent::Served { msg });
             }
             return;
         }
@@ -554,19 +524,18 @@ impl<M: Middlebox + 'static> Node for MbNode<M> {
         }
         self.busy = false;
         let claimed = std::mem::replace(&mut self.pending_batch, 0);
-        if claimed > 1 {
+        if claimed > 0 {
             self.execute_packet_batch(ctx, claimed);
         } else if let Some(w) = self.queue.pop_front() {
-            match &w {
-                Work::Packet { .. } => self.busy_packet_ns += self.current_service.0,
-                Work::Msg(
-                    Message::PutSupportPerflow { .. }
-                    | Message::PutReportPerflow { .. }
-                    | Message::ChunkBody { .. }
-                    | Message::PutSupportShared { .. }
-                    | Message::PutReportShared { .. },
-                ) => self.busy_put_ns += self.current_service.0,
-                _ => {}
+            if let Work::Msg(
+                Message::PutSupportPerflow { .. }
+                | Message::PutReportPerflow { .. }
+                | Message::ChunkBody { .. }
+                | Message::PutSupportShared { .. }
+                | Message::PutReportShared { .. },
+            ) = &w
+            {
+                self.busy_put_ns += self.current_service.0;
             }
             self.execute(ctx, w);
         }
@@ -794,27 +763,7 @@ impl ControllerNode {
         });
         for c in pending_completions {
             self.completions.push((ctx.now(), c.clone()));
-            let mut actions = Vec::new();
-            let mut sdn = Vec::new();
-            let mut timers = Vec::new();
-            {
-                let mut api = Api::new(ApiCtx {
-                    core: &mut self.core,
-                    topo: &mut self.topo,
-                    now: ctx.now(),
-                    actions: &mut actions,
-                    sdn: &mut sdn,
-                    timers: &mut timers,
-                });
-                self.app.on_completion(&mut api, &c);
-            }
-            for (sw, msg) in sdn {
-                ctx.send(sw, Frame::Sdn(msg));
-            }
-            for (delay, token) in timers {
-                ctx.set_timer(delay, APP_TIMER_BASE + token);
-            }
-            self.dispatch_actions(ctx, actions);
+            self.with_api(ctx, |app, api| app.on_completion(api, &c));
         }
         self.arm_quiesce(ctx);
     }

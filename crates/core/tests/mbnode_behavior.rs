@@ -2,13 +2,20 @@
 //! service times, get/packet interleaving, replay side-effect
 //! suppression, and off-path shared exports.
 
-use openmb_core::nodes::{Host, MbNode};
+use openmb_core::app::{Api, ControlApp};
+use openmb_core::controller::{Completion, ControllerConfig};
+use openmb_core::nodes::{ControllerCosts, ControllerNode, Host, MbNode};
+use openmb_core::Request;
 use openmb_mb::{CostModel, Middlebox};
-use openmb_middleboxes::{Monitor, ReDecoder};
+use openmb_middleboxes::{DummyMb, Firewall, Ips, LoadBalancer, Monitor, Nat, Proxy, ReDecoder};
 use openmb_simnet::obs::{Recorder, SpanEvent};
 use openmb_simnet::{Ctx, Frame, Metrics, Node, Sim, SimDuration, SimTime};
-use openmb_types::wire::{self, Message};
-use openmb_types::{FlowKey, HeaderFieldList, NodeId, OpId, Packet};
+use openmb_types::crypto::VendorKey;
+use openmb_types::wire::{self, ChunkClass, Message};
+use openmb_types::{
+    ConfigValue, EncryptedChunk, FlowKey, HeaderFieldList, HierarchicalKey, MbId, NodeId, OpId,
+    Packet, StateChunk, StateStats,
+};
 use std::net::Ipv4Addr;
 
 /// Captures control messages the MB sends "to the controller".
@@ -205,7 +212,7 @@ fn monitor_with(n: u16) -> Monitor {
 }
 
 /// Whatever the service quantum, a DES get sends the runs
-/// `wire::push_runs` cuts over the whole get: a record waits for the
+/// `wire::RunCutter` cuts over the whole get: a record waits for the
 /// quantum that serializes its run's last record, and the `GetAck`
 /// rides in the frame with the final runs.
 #[test]
@@ -215,8 +222,9 @@ fn get_runs_span_service_quanta() {
     let run_len = wire::run_len(N);
     assert_eq!(run_len, 3);
     let chunks = monitor_with(N as u16).get_report_perflow(op, &HeaderFieldList::any()).unwrap();
-    let mut expected = Vec::new();
-    wire::push_runs(&mut expected, op, N, chunks);
+    let mut cut = wire::RunCutter::new(op, N);
+    let mut expected: Vec<Message> = chunks.into_iter().filter_map(|c| cut.push(c)).collect();
+    expected.extend(cut.finish());
     assert_eq!(expected.len(), N.div_ceil(run_len));
     expected.push(Message::GetAck { op, count: N as u32 });
     let link = SimDuration::from_micros(10);
@@ -421,4 +429,173 @@ fn errors_propagate_as_error_msgs() {
     sim.run(10_000);
     let probe: &CtrlProbe = sim.node_as(ctrl);
     assert!(probe.msgs.iter().any(|(_, m)| matches!(m, Message::ErrorMsg { op: OpId(3), .. })));
+}
+
+/// A middlebox that answers a per-flow get only through
+/// `export_perflow`, which the trait says is enough: its `Vec` gets are
+/// the trait's defaults, which find nothing. It exports `flows`
+/// supporting records and keeps the keys of the records put into it.
+struct ExportOnly {
+    flows: u16,
+    put: Vec<HeaderFieldList>,
+}
+
+impl ExportOnly {
+    fn new(flows: u16) -> Self {
+        ExportOnly { flows, put: Vec::new() }
+    }
+}
+
+impl Middlebox for ExportOnly {
+    fn mb_type(&self) -> &'static str {
+        "export-only"
+    }
+    fn get_config(
+        &self,
+        _key: &HierarchicalKey,
+    ) -> openmb_types::Result<Vec<(HierarchicalKey, Vec<ConfigValue>)>> {
+        Ok(Vec::new())
+    }
+    fn set_config(
+        &mut self,
+        _key: &HierarchicalKey,
+        _values: Vec<ConfigValue>,
+    ) -> openmb_types::Result<()> {
+        Ok(())
+    }
+    fn del_config(&mut self, _key: &HierarchicalKey) -> openmb_types::Result<()> {
+        Ok(())
+    }
+    fn export_perflow(
+        &mut self,
+        class: ChunkClass,
+        _op: OpId,
+        _key: &HeaderFieldList,
+        out: &mut dyn FnMut(usize, StateChunk),
+    ) -> openmb_types::Result<()> {
+        if class == ChunkClass::Support {
+            let vendor = VendorKey::derive("export-only");
+            for i in 0..self.flows {
+                let body = EncryptedChunk::seal(&vendor, u64::from(i), &i.to_le_bytes());
+                out(usize::from(self.flows), StateChunk::new(HeaderFieldList::exact(key(i)), body));
+            }
+        }
+        Ok(())
+    }
+    fn put_support_perflow(&mut self, chunk: StateChunk) -> openmb_types::Result<()> {
+        self.put.push(chunk.key);
+        Ok(())
+    }
+    fn stats(&self, _key: &HeaderFieldList) -> StateStats {
+        StateStats::default()
+    }
+    fn process_packet(&mut self, _now: SimTime, _pkt: &Packet, _fx: &mut openmb_mb::Effects) {}
+    fn end_sync(&mut self, _op: OpId) {}
+    fn costs(&self) -> CostModel {
+        CostModel::default()
+    }
+    fn perflow_entries(&self) -> usize {
+        usize::from(self.flows)
+    }
+}
+
+/// Moves everything from MB 0 to MB 1 as soon as it starts.
+struct MoveAll;
+
+impl ControlApp for MoveAll {
+    fn on_start(&mut self, api: &mut Api<'_>) {
+        api.submit(Request::Move { src: MbId(0), dst: MbId(1), key: HeaderFieldList::any() });
+    }
+}
+
+/// A DES move reaches the get a middlebox implements: one that
+/// overrides only `export_perflow` moves every record.
+#[test]
+fn an_export_only_middlebox_moves_over_the_des() {
+    const FLOWS: u16 = 40;
+    let mut sim = Sim::new();
+    let mut ctrl = ControllerNode::new(
+        ControllerConfig { quiesce_after: SimDuration::from_millis(5), ..Default::default() },
+        ControllerCosts::default(),
+        Box::new(MoveAll),
+    );
+    let (src, dst) = (NodeId(1), NodeId(2));
+    ctrl.register_mb(src);
+    ctrl.register_mb(dst);
+    let ctrl = sim.add_node(Box::new(ctrl));
+    for (node, logic) in [(src, ExportOnly::new(FLOWS)), (dst, ExportOnly::new(0))] {
+        assert_eq!(sim.add_node(Box::new(MbNode::new("mb", logic).with_controller(ctrl))), node);
+        sim.add_link(ctrl, node, SimDuration::from_micros(100), 1_000_000_000);
+    }
+    sim.run(u64::MAX);
+    let done = &sim.node_as::<ControllerNode>(ctrl).completions;
+    assert!(
+        matches!(done[..], [(_, Completion::MoveComplete { chunks_moved, .. })] if chunks_moved == FLOWS.into()),
+        "{done:?}"
+    );
+    let want: Vec<HeaderFieldList> = (0..FLOWS).map(|i| HeaderFieldList::exact(key(i))).collect();
+    assert_eq!(sim.node_as::<MbNode<ExportOnly>>(dst).logic.put, want);
+}
+
+/// Packets that leave per-flow state in every type below: web flows,
+/// some to the load balancer's VIP, HTTP request lines on some.
+fn with_flows<M: Middlebox>(mut mb: M) -> M {
+    let mut fx = openmb_mb::Effects::normal();
+    for i in 0..40u16 {
+        let dst = if i % 2 == 0 { lb_vip() } else { Ipv4Addr::new(93, 184, 216, 1) };
+        let flow = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1 + i as u8), 3000 + i, dst, 80);
+        let mut pkt = Packet::new(u64::from(i) + 1, flow, b"GET /index.html HTTP/1.1".to_vec());
+        pkt.meta.http_request = true;
+        mb.process_packet(SimTime(u64::from(i)), &pkt, &mut fx);
+        fx.reset();
+    }
+    mb
+}
+
+fn lb_vip() -> Ipv4Addr {
+    Ipv4Addr::new(10, 0, 0, 100)
+}
+
+/// For each class, each service quantum of 1 and 16 records: the
+/// messages a DES get sends, in order, are what the shared dispatch
+/// emits for the same get on an identical copy of the middlebox.
+fn check_des_get<M: Middlebox + 'static>(name: &str, mk: impl Fn() -> M) {
+    let mut records = 0;
+    for get in [
+        Message::GetSupportPerflow { op: OpId(5), key: HeaderFieldList::any() },
+        Message::GetReportPerflow { op: OpId(5), key: HeaderFieldList::any() },
+    ] {
+        let want = openmb_mb::southbound::handle_southbound(&mut mk(), get.clone(), SimTime::ZERO);
+        records += want.iter().map(|m| m.run_keys().count()).sum::<usize>();
+        for get_batch in [1, 16] {
+            let logic = mk();
+            let costs = CostModel { get_batch, ..logic.costs() };
+            let (mut sim, ctrl, mb, _sink) = world(logic);
+            sim.node_as_mut::<MbNode<M>>(mb).set_cost_override(costs);
+            sim.inject_frame(SimTime(0), ctrl, mb, Frame::control(get.clone()));
+            sim.run(1_000_000);
+            let sent: Vec<&Message> =
+                sim.node_as::<CtrlProbe>(ctrl).msgs.iter().map(|(_, m)| m).collect();
+            assert_eq!(
+                sent,
+                want.iter().collect::<Vec<_>>(),
+                "{name} {}, get_batch {get_batch}",
+                get.kind_name()
+            );
+        }
+    }
+    assert!(records > 0, "{name}: the gets carry records");
+}
+
+#[test]
+fn des_gets_send_what_the_dispatch_emits() {
+    let backends = [Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 1, 0, 2)];
+    check_des_get("monitor", || with_flows(Monitor::new()));
+    check_des_get("ips", || with_flows(Ips::new()));
+    check_des_get("firewall", || with_flows(Firewall::new()));
+    check_des_get("nat", || with_flows(Nat::new(Ipv4Addr::new(198, 51, 100, 1))));
+    check_des_get("proxy", || with_flows(Proxy::new(64)));
+    check_des_get("lb", || with_flows(LoadBalancer::new(lb_vip(), &backends)));
+    check_des_get("dummy", || with_flows(DummyMb::new()));
+    check_des_get("export-only", || ExportOnly::new(40));
 }

@@ -71,7 +71,7 @@ fn is_error(m: &Message) -> bool {
 }
 
 /// The streamed frames, read in order, are the reply of one coalesced
-/// frame: every run `push_runs` cuts from the `Vec` get, in order, then
+/// frame: every run `RunCutter` cuts from the `Vec` get, in order, then
 /// the `GetAck`. Sizes straddle `run_len`'s breakpoints.
 #[test]
 fn streamed_frames_concatenate_to_the_single_frame_reply() {
@@ -83,8 +83,9 @@ fn streamed_frames_concatenate_to_the_single_frame_reply() {
         let frames = frames_until(&ctrl, op, is_get_ack);
 
         let records = monitor(n).get_report_perflow(op, &HeaderFieldList::any()).unwrap();
-        let mut want = Vec::new();
-        wire::push_runs(&mut want, op, n, records);
+        let mut cut = wire::RunCutter::new(op, n);
+        let mut want: Vec<Message> = records.into_iter().filter_map(|r| cut.push(r)).collect();
+        want.extend(cut.finish());
         want.push(Message::GetAck { op, count: n as u32 });
         let got: Vec<Message> = frames.iter().cloned().flat_map(Message::into_unbatched).collect();
         assert_eq!(got.len(), want.len(), "get of {n}");

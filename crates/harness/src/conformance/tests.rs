@@ -118,20 +118,21 @@ fn duplicated_chunk_acks_are_deduplicated() {
 /// a probe instance with the identical preload seals byte-identical
 /// chunks (exports are key-sorted and sealing is convergent), and the
 /// probe cuts them into the runs the transfer sends
-/// ([`wire::push_runs`]) and hashes what the store keys a run by
+/// ([`wire::RunCutter`]) and hashes what the store keys a run by
 /// ([`wire::run_content`]), so the hashes match the real run's.
 fn monitor_transfer_hashes() -> Vec<(openmb_store::ContentHash, Vec<u8>)> {
     let mut probe = Monitor::new();
     preload(&mut probe, PRELOAD);
     let chunks = probe.get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
     assert!(!chunks.is_empty(), "probe must export the preloaded flows");
-    let mut runs = Vec::new();
-    wire::push_runs(&mut runs, OpId(1), chunks.len(), chunks);
+    let mut cut = wire::RunCutter::new(OpId(1), chunks.len());
+    let mut runs: Vec<Message> = chunks.into_iter().filter_map(|c| cut.push(c)).collect();
+    runs.extend(cut.finish());
     runs.into_iter()
         .map(|m| match m {
             Message::Chunk { chunk, .. } => wire::run_content(&chunk.data, &[]).to_vec(),
             Message::ChunkRun { chunk, rest, .. } => wire::run_content(&chunk.data, &rest).to_vec(),
-            other => panic!("push_runs cut a non-run message: {other:?}"),
+            other => panic!("RunCutter cut a non-run message: {other:?}"),
         })
         .map(|bytes| (openmb_store::content_hash(&bytes), bytes))
         .collect()

@@ -266,11 +266,13 @@ pub trait Middlebox {
     /// the first record or not at all, so a get is answered with its
     /// error or with its runs, never both.
     ///
-    /// The default hands over the records of the `get_*_perflow` call
-    /// once it has returned. A middlebox on the [`state`] kit overrides
-    /// it with [`state::export_into`] for the class it keeps, so an
-    /// embedding can send a get's first runs while the rest are still
-    /// being sealed (the TCP serve loop does).
+    /// Every embedding answers a per-flow get through this method, so
+    /// overriding it alone is enough for a get. The default hands over
+    /// the records of the `get_*_perflow` call once it has returned. A
+    /// middlebox on the [`state`] kit overrides it with
+    /// [`state::export_into`] for the class it keeps, so an embedding
+    /// can send a get's first runs while the rest are still being
+    /// sealed (the TCP serve loop does).
     fn export_perflow(
         &mut self,
         class: ChunkClass,

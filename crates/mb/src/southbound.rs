@@ -8,14 +8,11 @@
 //! so embeddings depend on the *behaviour* without pulling in the
 //! controller crate.
 //!
-//! `MbNode` schedules three kinds of request itself, because their
-//! timing is the simulator's cost model rather than protocol
-//! behaviour: per-flow gets stream out in service-time batches that
-//! interleave with packets, shared gets are delivered by a timer after
-//! the background serialization delay, and `ReprocessPacket` is queued
-//! as replay work behind the packets already waiting. Every other
-//! request — and every request under the other embeddings — takes the
-//! arms below.
+//! An embedding adds only timing. The simulator's `MbNode` sends a
+//! per-flow get's runs in service-time batches that interleave with
+//! packets and a shared get's reply after the background serialization
+//! delay, and queues `ReprocessPacket` as replay work behind the
+//! packets already waiting; every reply is the one made here.
 
 use openmb_simnet::SimTime;
 use openmb_types::wire::{self, ChunkClass, Message};

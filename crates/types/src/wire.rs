@@ -700,9 +700,9 @@ pub fn run_len(records: usize) -> usize {
 /// Cuts the records of one get, in export order, into runs under its
 /// op as they arrive: a run closes after [`run_len`]`(get_len)`
 /// records. The one place the run boundary rule lives: every
-/// embedding's get reply goes through here, whole ([`push_runs`]) or a
-/// record at a time (the southbound dispatcher, which hands each run
-/// on while the middlebox is still sealing the next).
+/// embedding's get reply goes through here a record at a time, in the
+/// southbound dispatcher, which hands each run on while the middlebox
+/// is still sealing the next.
 pub struct RunCutter {
     op: OpId,
     max: usize,
@@ -735,26 +735,11 @@ impl RunCutter {
         }
     }
 
-    /// The open run, cut short: the last run of the get (or of a DES
-    /// service quantum's slice).
+    /// The open run, cut short: the last run of the get.
     pub fn finish(&mut self) -> Option<Message> {
         let (chunk, rest) = self.open.take()?;
         Some(Message::run(self.op, chunk, rest))
     }
-}
-
-/// Cut `records` — consecutive records, in export order, of a get of
-/// `get_len` records in all — into runs under `op` and push one message
-/// per run to `out` ([`Message::run`]), through one [`RunCutter`].
-pub fn push_runs(
-    out: &mut Vec<Message>,
-    op: OpId,
-    get_len: usize,
-    records: impl IntoIterator<Item = StateChunk>,
-) {
-    let mut cut = RunCutter::new(op, get_len);
-    out.extend(records.into_iter().filter_map(|r| cut.push(r)));
-    out.extend(cut.finish());
 }
 
 /// What a run's content hash covers and a destination's content store
@@ -1047,8 +1032,9 @@ mod tests {
             )
         };
         let lens = |get_len: usize, records: u64| -> Vec<usize> {
-            let mut out = Vec::new();
-            push_runs(&mut out, OpId(1), get_len, (0..records).map(rec));
+            let mut cut = RunCutter::new(OpId(1), get_len);
+            let mut out: Vec<Message> = (0..records).filter_map(|i| cut.push(rec(i))).collect();
+            out.extend(cut.finish());
             out.iter().map(|m| m.run_keys().count()).collect()
         };
         assert_eq!((run_len(0), run_len(GET_RUNS), run_len(GET_RUNS + 1)), (1, 1, 2));
@@ -1057,12 +1043,13 @@ mod tests {
         assert_eq!(lens(20, 20), [1; 20]);
         assert_eq!(lens(200, 200).len(), 200usize.div_ceil(run_len(200)));
         assert_eq!(lens(10_000, 40), [16, 16, 8]);
-        // Only the slice handed over is cut: a DES service quantum.
+        // A get cut short closes its open run.
         assert_eq!(lens(10_000, 5), [5]);
     }
 
     /// A cutter fed a record at a time hands over each run the moment
-    /// its last record arrives, and the same runs `push_runs` cuts.
+    /// its last record arrives: consecutive runs of `run_len` records,
+    /// the last one short.
     #[test]
     fn run_cutter_closes_a_run_on_its_last_record() {
         let key = VendorKey::derive("t");
@@ -1083,8 +1070,11 @@ mod tests {
             }
             runs.extend(cut.finish());
             assert!(cut.finish().is_none());
-            let mut whole = Vec::new();
-            push_runs(&mut whole, OpId(3), get_len, (0..get_len as u64).map(rec));
+            let records: Vec<StateChunk> = (0..get_len as u64).map(rec).collect();
+            let whole: Vec<Message> = records
+                .chunks(run_len(get_len))
+                .map(|run| Message::run(OpId(3), run[0].clone(), run[1..].to_vec()))
+                .collect();
             assert_eq!(runs, whole, "get of {get_len}");
         }
     }
