@@ -300,8 +300,7 @@ impl<M: Middlebox + 'static> MbNode<M> {
         match w {
             Work::Packet { .. } => unreachable!("pump claims packets as a batch"),
             Work::Replay { pkt } => {
-                let mut fx = Effects::replay();
-                self.logic.process_packet(ctx.now(), &pkt, &mut fx);
+                let mut fx = openmb_mb::replay_packet(&mut self.logic, ctx.now(), &pkt);
                 self.events_replayed += 1;
                 ctx.record(None, None, SpanEvent::EventReplayed);
                 ctx.metrics.incr_at(&mut self.metric_names.events_replayed, 1);

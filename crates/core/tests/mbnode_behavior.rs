@@ -282,6 +282,36 @@ fn replay_suppresses_external_side_effects() {
     assert!(sim.recorder().dump().events.iter().any(|e| e.event == SpanEvent::EventReplayed));
 }
 
+/// A packet of a flow still marked moved replays alike on the DES and
+/// through the dispatch that serves `ReprocessPacket` over TCP: both
+/// run `replay_packet`, so they send the same events.
+#[test]
+fn a_replayed_packet_raises_the_same_events_in_both_embeddings() {
+    let marked = || {
+        let mut m = Monitor::new();
+        let first = Packet::new(1, key(1), vec![0u8; 10]);
+        m.process_packet(SimTime(0), &first, &mut openmb_mb::Effects::normal());
+        m.get_report_perflow(OpId(9), &HeaderFieldList::any()).unwrap();
+        m
+    };
+    let pkt = Packet::new(2, key(1), vec![0u8; 10]);
+    let replay = Message::ReprocessPacket { op: OpId(9), key: pkt.key, packet: pkt };
+    let want = openmb_mb::handle_southbound(&mut marked(), replay.clone(), SimTime::ZERO);
+    assert!(
+        matches!(
+            want[..],
+            [Message::EventMsg { event: wire::Event::Reprocess { op: OpId(9), .. } }]
+        ),
+        "{want:?}"
+    );
+    let (mut sim, ctrl, mb, sink) = world(marked());
+    sim.inject_frame(SimTime(0), ctrl, mb, Frame::control(replay));
+    sim.run(10_000);
+    let sent: Vec<&Message> = sim.node_as::<CtrlProbe>(ctrl).msgs.iter().map(|(_, m)| m).collect();
+    assert_eq!(sent, want.iter().collect::<Vec<_>>());
+    assert!(sim.node_as::<Host>(sink).received.is_empty());
+}
+
 #[test]
 fn shared_export_runs_off_the_packet_path() {
     // A decoder with a 4 MiB cache: exporting takes ~290 ms of modeled

@@ -34,7 +34,9 @@ pub mod sync;
 
 pub use cost::CostModel;
 pub use effects::{Effects, LogEntry};
-pub use southbound::{handle_southbound, handle_southbound_into, handle_southbound_logged};
+pub use southbound::{
+    handle_southbound, handle_southbound_into, handle_southbound_logged, replay_packet,
+};
 pub use state::{Record, Sealer};
 pub use sync::SyncTracker;
 

@@ -12,11 +12,12 @@
 //! per-flow get's runs in service-time batches that interleave with
 //! packets and a shared get's reply after the background serialization
 //! delay, and queues `ReprocessPacket` as replay work behind the
-//! packets already waiting; every reply is the one made here.
+//! packets already waiting, which it runs through [`replay_packet`];
+//! every reply is the one made here.
 
 use openmb_simnet::SimTime;
 use openmb_types::wire::{self, ChunkClass, Message};
-use openmb_types::{EncryptedChunk, HeaderFieldList, OpId, Result, StateChunk};
+use openmb_types::{EncryptedChunk, HeaderFieldList, OpId, Packet, Result, StateChunk};
 
 use crate::effects::Effects;
 use crate::{Middlebox, SharedPutLog};
@@ -116,8 +117,7 @@ pub fn handle_southbound_into<M: Middlebox>(
             out(Message::OpAck { op });
         }
         Message::ReprocessPacket { op: _, key: _, packet } => {
-            let mut fx = Effects::replay();
-            mb.process_packet(now, &packet, &mut fx);
+            let mut fx = replay_packet(mb, now, &packet);
             for event in fx.take_events() {
                 out(Message::EventMsg { event });
             }
@@ -172,6 +172,16 @@ pub fn handle_southbound_into<M: Middlebox>(
         // MB→controller messages are not requests.
         _ => {}
     }
+}
+
+/// A `ReprocessPacket`'s packet through `process_packet` under
+/// [`Effects::replay`] (§4.2.1: state updates, no external side
+/// effects), in every embedding: what it leaves in the collector —
+/// events, suppressed counts — is the replay's whole output.
+pub fn replay_packet<M: Middlebox>(mb: &mut M, now: SimTime, pkt: &Packet) -> Effects {
+    let mut fx = Effects::replay();
+    mb.process_packet(now, pkt, &mut fx);
+    fx
 }
 
 /// `OpAck` on success, the error otherwise: the reply to a request that

@@ -21,6 +21,7 @@ use openmb_mb::{
     state, CostModel, Effects, Middlebox, Record, Sealer, SharedSnapshot, SyncTracker,
 };
 use openmb_simnet::SimTime;
+use openmb_types::codec::Label;
 use openmb_types::wire::{ChunkClass, Event};
 use openmb_types::{
     record, ConfigTree, ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList,
@@ -41,9 +42,9 @@ pub struct AssetRecord {
     pub packets: u64,
     pub bytes: u64,
     /// Identified service ("http", "dns", "unknown", ...).
-    pub service: String,
+    pub service: Label,
     /// Crude OS guess derived from header heuristics.
-    pub os_guess: String,
+    pub os_guess: Label,
     /// HTTP request count (service-specific detail).
     pub http_requests: u64,
 }
@@ -95,14 +96,14 @@ impl MonitorStat {
 struct Compiled {
     /// `service_rules/<name>` → ports, in `subkeys` order: the first
     /// rule naming either port of a flow classifies it.
-    services: Vec<(String, Vec<i64>)>,
+    services: Vec<(Label, Vec<i64>)>,
     /// `params/os_fingerprinting`.
     os_fingerprinting: bool,
 }
 
 impl Compiled {
     /// The service a new flow is recorded under.
-    fn classify(&self, key: &FlowKey) -> String {
+    fn classify(&self, key: &FlowKey) -> Label {
         for (name, ports) in &self.services {
             for &port in ports {
                 if i64::from(key.dst_port) == port || i64::from(key.src_port) == port {
@@ -110,20 +111,20 @@ impl Compiled {
                 }
             }
         }
-        "unknown".to_owned()
+        Label::new("unknown")
     }
 
     /// Deterministic heuristic stand-in for p0f-style matching; empty
     /// while fingerprinting is off.
-    fn os_fingerprint(&self, pkt: &Packet) -> String {
+    fn os_fingerprint(&self, pkt: &Packet) -> Label {
         if !self.os_fingerprinting {
-            return String::new();
+            return Label::default();
         }
-        match pkt.key.src_ip.octets()[3] % 3 {
-            0 => "Linux".to_owned(),
-            1 => "Windows".to_owned(),
-            _ => "BSD".to_owned(),
-        }
+        Label::new(match pkt.key.src_ip.octets()[3] % 3 {
+            0 => "Linux",
+            1 => "Windows",
+            _ => "BSD",
+        })
     }
 }
 
@@ -186,7 +187,7 @@ impl Monitor {
                     .get_leaf(&rules.child(&name))
                     .map(|vals| vals.iter().filter_map(ConfigValue::as_int).collect())
                     .unwrap_or_default();
-                (name, ports)
+                (Label::new(&name), ports)
             })
             .collect();
         let os_fingerprinting = config
@@ -369,7 +370,7 @@ impl Middlebox for Monitor {
                     fx.raise(Event::Introspection {
                         code: EVENT_ASSET_DETECTED,
                         key,
-                        values: vec![("service".into(), service)],
+                        values: vec![("service".into(), service.into())],
                     });
                 }
             }
@@ -532,6 +533,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Labels take a `String`'s room: the record is no larger than with
+    /// `String` fields.
+    #[test]
+    fn an_asset_record_is_no_larger_than_with_strings() {
+        #[allow(dead_code)]
+        struct WithStrings {
+            key: FlowKey,
+            counters: [u64; 5],
+            service: String,
+            os_guess: String,
+        }
+        let size = std::mem::size_of::<AssetRecord>();
+        assert!(size <= std::mem::size_of::<WithStrings>(), "{size} bytes");
+    }
+
     #[test]
     fn bidirectional_packets_hit_same_record() {
         let mut m = Monitor::new();
@@ -627,7 +643,7 @@ mod tests {
         let logs = fx.take_logs();
         assert_eq!(logs.len(), 1, "one asset line per new flow");
         let service = logs[0].line.rsplit_once("service=").expect("asset line").1.to_owned();
-        (service, m.assets[&key.canonical()].os_guess.clone())
+        (service, m.assets[&key.canonical()].os_guess.to_string())
     }
 
     #[test]

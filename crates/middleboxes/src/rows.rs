@@ -7,7 +7,7 @@ use std::fmt::Debug;
 use std::net::Ipv4Addr;
 
 use openmb_mb::{state, Record, Sealer, SyncTracker};
-use openmb_types::codec::{self, Field};
+use openmb_types::codec::{self, Field, Label};
 use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, OpId, Proto};
 use proptest::test_runner::TestRng;
 
@@ -160,8 +160,8 @@ fn every_state_row_decodes_only_its_own_encoding() {
         last_seen_ns: g.u64(),
         packets: g.u64(),
         bytes: g.u64(),
-        service: g.string(),
-        os_guess: g.string(),
+        service: Label::new(&g.string()),
+        os_guess: Label::new(&g.string()),
         http_requests: g.u64(),
     });
     let mappings: Vec<NatMapping> = g.many(|g| NatMapping {
@@ -246,5 +246,60 @@ fn every_state_row_decodes_only_its_own_encoding() {
     // table that decoded none would not have checked re-encoding.
     for (row, n) in decoded {
         assert!(n > 0, "{row}: no damaged input decoded");
+    }
+}
+
+/// `n` bytes of UTF-8 with one-, two- and three-byte characters in it,
+/// padded with `a`.
+fn label_text(n: usize) -> String {
+    let mut s = String::new();
+    for c in "aé€".chars().cycle() {
+        if s.len() + c.len_utf8() > n {
+            break;
+        }
+        s.push(c);
+    }
+    let pad = n - s.len();
+    s + &"a".repeat(pad)
+}
+
+/// Monitor records with labels on both sides of [`Label::INLINE`]: the
+/// row round-trips and refuses every cut (`check`), and a label whose
+/// bytes are not UTF-8 is refused wherever it sits.
+#[test]
+fn asset_rows_hold_labels_inline_and_spilled() {
+    let mut rng = TestRng::from_name("asset_rows_hold_labels_inline_and_spilled");
+    let record = |service: &str, os_guess: &str| AssetRecord {
+        key: FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 4000, Ipv4Addr::new(192, 168, 1, 1), 80),
+        first_seen_ns: 1,
+        last_seen_ns: 2,
+        packets: 3,
+        bytes: 4,
+        service: Label::new(service),
+        os_guess: Label::new(os_guess),
+        http_requests: 5,
+    };
+    for n in [0, Label::INLINE, Label::INLINE + 1, 300] {
+        let text = label_text(n);
+        assert_eq!(text.len(), n);
+        let rows = [record(&text, ""), record("http", &text), record(&text, &text)];
+        check(&mut rng, &rows);
+        if n == 0 {
+            continue; // no byte to spoil
+        }
+        // The service blob follows the key and four counters, the OS
+        // guess the service.
+        let service_at = codec::encoded_len(&rows[0].key) + 4 * 8 + 4;
+        for (row, at) in [(&rows[0], service_at), (&rows[1], service_at + "http".len() + 4)] {
+            let mut bad = codec::encode(row);
+            assert_eq!(&bad[at..at + n], text.as_bytes(), "{row:?}");
+            bad[at + n - 1] = 0xff;
+            match state::decode::<AssetRecord>(&bad) {
+                Err(openmb_types::Error::Codec(why)) => {
+                    assert!(why.starts_with("bad utf8"), "{why}")
+                }
+                other => panic!("a {n}-byte label ending in 0xff: {other:?}"),
+            }
+        }
     }
 }

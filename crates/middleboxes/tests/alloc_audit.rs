@@ -27,7 +27,9 @@
 //! records allocates N buffers (each record's sealed chunk) plus a
 //! constant, and a `ChunkRef` that hits the destination's content store
 //! applies a 16-record run without allocating a buffer the size of its
-//! content. A `FileContentStore` hit reads its entry into the one
+//! content. On the destination, a Monitor put and a `ChunkRef` hit
+//! allocate nothing per record: a record's labels decode inline. A
+//! `FileContentStore` hit reads its entry into the one
 //! buffer it returns, and the source's quiescence delete (a Monitor
 //! `del_report_perflow` of N records) makes no allocation that grows
 //! with N.
@@ -180,6 +182,7 @@ fn steady_state_batch_path_allocates_nothing_per_packet() {
     chunk_import_copies_the_body_once();
     export_allocates_one_buffer_per_record();
     chunk_ref_hit_copies_no_run_content();
+    put_and_hit_allocate_nothing_per_record();
     file_store_hit_reads_into_one_buffer();
     delete_allocates_nothing_per_record();
 }
@@ -306,6 +309,51 @@ fn chunk_ref_hit_copies_no_run_content() {
     assert!(matches!(ack[..], [Message::PutAck { .. }]), "{ack:?}");
     assert_eq!(dst.perflow_entries(), 16);
     assert_eq!(large, 0, "a hit allocated a buffer of the run's {} content bytes", content.len());
+}
+
+/// Allocations of a Monitor destination applying a run of `n` records,
+/// sent as a put or as a `ChunkRef` whose run its store holds. The
+/// destination already holds the records, so its table neither grows
+/// nor shrinks and only the apply is measured.
+fn apply_allocs(n: u32, reference: bool) -> u64 {
+    let chunks = monitor_with(n).get_report_perflow(OpId(1), &HeaderFieldList::any()).unwrap();
+    let (first, rest) = chunks.split_first().unwrap();
+    let mut log = SharedPutLog::new();
+    let msg = if reference {
+        let content = wire::run_content(&first.data, rest);
+        let hash = openmb_store::content_hash(&content);
+        log.store().insert_unchecked(hash, content.into());
+        let keys = rest.iter().map(|c| c.key).collect();
+        Message::ChunkRef {
+            op: OpId(2),
+            class: ChunkClass::Report,
+            key: first.key,
+            hash,
+            rest: keys,
+        }
+    } else {
+        Message::PutReportPerflow { op: OpId(2), chunk: first.clone(), rest: rest.to_vec() }
+    };
+    let mut dst = Monitor::new();
+    let now = openmb_simnet::SimTime(2_000);
+    let ack = handle_southbound_logged(&mut dst, &mut log, msg.clone(), now);
+    assert!(matches!(ack[..], [Message::PutAck { .. }]), "{ack:?}");
+    let mut ack = Vec::new();
+    let allocs = allocs_during(|| ack = handle_southbound_logged(&mut dst, &mut log, msg, now));
+    assert!(matches!(ack[..], [Message::PutAck { .. }]), "{ack:?}");
+    assert_eq!(dst.perflow_entries(), n as usize);
+    allocs
+}
+
+/// The destination side of every move: opening, decoding and landing a
+/// Monitor record allocates nothing, so a run costs the same few
+/// allocations at 16 records as at 64.
+fn put_and_hit_allocate_nothing_per_record() {
+    for (reference, what) in [(false, "put"), (true, "ChunkRef hit")] {
+        let (a_16, a_64) = (apply_allocs(16, reference), apply_allocs(64, reference));
+        assert_eq!(a_16, a_64, "a {what} allocates per record: {a_16} at 16, {a_64} at 64");
+        assert!(a_64 <= 4, "a {what} of 64 records allocates {a_64} times");
+    }
 }
 
 /// A `FileContentStore` hit of a 1 520-byte entry: the file is read

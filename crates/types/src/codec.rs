@@ -262,6 +262,12 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// A blob of UTF-8, borrowed from the buffer.
+    fn utf8(&mut self) -> Result<&'a str> {
+        let at = self.blob()?;
+        std::str::from_utf8(&self.buf[at]).map_err(|e| codec(format!("bad utf8: {e}")))
+    }
+
     /// A list's `u32` count, refused past `max` ([`List`]).
     pub(crate) fn count(&mut self, max: usize, why: Option<&'static str>) -> Result<usize> {
         let n = u32::get(self)? as usize;
@@ -568,8 +574,141 @@ impl Field for String {
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let at = r.blob()?;
-        String::from_utf8(r.buf[at].to_vec()).map_err(|e| codec(format!("bad utf8: {e}")))
+        r.utf8().map(str::to_owned)
+    }
+}
+
+/// A short string: any `String` value, kept inline up to
+/// [`Label::INLINE`] bytes and in a `Box<str>` past that, in a `String`'s
+/// 24 bytes. A record field that names something from a small, short
+/// vocabulary (a service, an OS guess) is a `Label`, so creating,
+/// decoding, cloning and dropping the record touch no heap; a field
+/// that grows with the traffic (a URL, a request line) stays a `String`.
+///
+/// Everything observable is a `String`'s: the encoding (a blob of
+/// UTF-8), the decode refusals, `{:?}`, and `Eq`/`Ord`/`Hash`.
+#[derive(Clone)]
+pub struct Label(LabelRepr);
+
+#[derive(Clone)]
+enum LabelRepr {
+    /// The first `len` bytes of `buf`, UTF-8.
+    Inline {
+        len: u8,
+        buf: [u8; Label::INLINE],
+    },
+    Spilled(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Label>() == std::mem::size_of::<String>());
+
+impl Label {
+    /// Longest string kept inline, in bytes.
+    pub const INLINE: usize = 22;
+
+    #[inline]
+    pub fn new(s: &str) -> Self {
+        Label(match s.len() {
+            len @ 0..=Label::INLINE => {
+                let mut buf = [0; Label::INLINE];
+                buf[..len].copy_from_slice(s.as_bytes());
+                LabelRepr::Inline { len: len as u8, buf }
+            }
+            _ => LabelRepr::Spilled(s.into()),
+        })
+    }
+
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            LabelRepr::Inline { len, buf } => &buf[..usize::from(*len)],
+            LabelRepr::Spilled(s) => s.as_bytes(),
+        }
+    }
+
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            LabelRepr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("a label is built from a str")
+            }
+            LabelRepr::Spilled(s) => s,
+        }
+    }
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Label::new("")
+    }
+}
+
+impl From<Label> for String {
+    fn from(l: Label) -> Self {
+        match l.0 {
+            LabelRepr::Spilled(s) => s.into(),
+            LabelRepr::Inline { .. } => l.as_str().to_owned(),
+        }
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Label {}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+/// Byte order, which is `str`'s.
+impl Ord for Label {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::hash::Hash for Label {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl std::fmt::Debug for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// A `String`'s encoding and refusals; a decode allocates only past
+/// [`Label::INLINE`] bytes.
+impl Field for Label {
+    const MAX_COUNT: usize = String::MAX_COUNT;
+
+    #[inline]
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.put_blob(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.utf8().map(Label::new)
     }
 }
 
@@ -606,4 +745,80 @@ impl Field for Proto {
 
 pub(crate) fn proto(b: u8) -> Result<Proto> {
     Proto::from_number(b).ok_or_else(|| codec(format!("bad proto {b}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::BuildHasher;
+
+    /// Strings on both sides of [`Label::INLINE`], with multi-byte
+    /// characters across it.
+    fn texts() -> Vec<String> {
+        let mut v: Vec<String> = (0..=40).map(|n| "abcdefghij".repeat(5)[..n].to_owned()).collect();
+        v.extend(["é".repeat(11), "é".repeat(11) + "a", "a".to_owned() + &"é".repeat(11)]);
+        v.extend(["€".repeat(7) + "a", "€".repeat(8), "x".repeat(300), "Linux".into()]);
+        v
+    }
+
+    #[test]
+    fn a_label_is_a_string_on_the_wire_and_in_print() {
+        assert_eq!(std::mem::size_of::<Label>(), std::mem::size_of::<String>());
+        for s in texts() {
+            let l = Label::new(&s);
+            assert_eq!(encode(&l), encode(&s), "{s:?}");
+            assert_eq!(encoded_len(&l), encoded_len(&s), "{s:?}");
+            assert_eq!(decode::<Label>(&encode(&s), Error::Codec).unwrap(), l);
+            assert_eq!(format!("{l:?}"), format!("{s:?}"));
+            assert_eq!(format!("{l}"), s);
+            assert_eq!(l, s.as_str());
+            assert_eq!(String::from(l.clone()), s);
+            assert_eq!(Label::default(), "");
+        }
+    }
+
+    #[test]
+    fn a_label_orders_and_hashes_as_its_string() {
+        let texts = texts();
+        let hasher = std::collections::hash_map::RandomState::new();
+        for a in &texts {
+            let la = Label::new(a);
+            assert_eq!(hasher.hash_one(&la), hasher.hash_one(a), "{a:?}");
+            for b in &texts {
+                let lb = Label::new(b);
+                assert_eq!(la.cmp(&lb), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(la == lb, a == b);
+            }
+        }
+    }
+
+    /// Bad UTF-8, a cut blob and a list past the count bound are refused
+    /// with a `String`'s errors, word for word.
+    #[test]
+    fn a_label_refuses_what_a_string_refuses() {
+        let refusal = |bytes: &[u8]| -> (String, String) {
+            let label = decode::<Label>(bytes, Error::MalformedChunk).unwrap_err();
+            let string = decode::<String>(bytes, Error::MalformedChunk).unwrap_err();
+            (format!("{label:?}"), format!("{string:?}"))
+        };
+        for s in texts() {
+            let enc = encode(&s);
+            for cut in 0..enc.len() {
+                let (label, string) = refusal(&enc[..cut]);
+                assert_eq!(label, string, "a {cut}-byte cut of {s:?}");
+            }
+            for at in 4..enc.len() {
+                let mut bad = enc.clone();
+                bad[at] = 0xff;
+                let (label, string) = refusal(&bad);
+                assert!(label.contains("bad utf8"), "{label}");
+                assert_eq!(label, string);
+            }
+        }
+        let mut too_many = encode(&(String::MAX_COUNT as u32 + 1));
+        too_many.extend(encode(&String::new()));
+        let label = decode::<Vec<Label>>(&too_many, Error::Codec).unwrap_err();
+        let string = decode::<Vec<String>>(&too_many, Error::Codec).unwrap_err();
+        assert_eq!(format!("{label:?}"), format!("{string:?}"));
+    }
 }
