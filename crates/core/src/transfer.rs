@@ -97,7 +97,7 @@ impl Put {
         chunk: StateChunk,
         rest: Vec<StateChunk>,
     ) -> Self {
-        let hash = wire::run_content_hash(&chunk.data, &rest);
+        let hash = openmb_store::content_hash(&wire::run_content(&chunk.data, &rest));
         let keys = rest.iter().map(|c| c.key).collect();
         let msg =
             Message::ChunkRef { op: sub, class: class.wire(), key: chunk.key, hash, rest: keys };

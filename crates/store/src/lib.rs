@@ -52,11 +52,23 @@ pub type ContentHash = [u8; HASH_LEN];
 /// The values are a persistent format: [`FileContentStore`] names its
 /// files by them. Known-answer tests pin them.
 pub fn mix_words(data: &[u8]) -> [u64; 4] {
+    const BASES: [u64; 4] = [
+        0xcbf2_9ce4_8422_2325,
+        0x8422_2325_cbf2_9ce4,
+        0x6c62_272e_07bb_0142,
+        0x07bb_0142_6c62_272e,
+    ];
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    fn absorb(lanes: &mut [u64; 4], words: impl IntoIterator<Item = u64>) {
+        for (lane, w) in lanes.iter_mut().zip(words) {
+            *lane = (*lane ^ w).rotate_left(29).wrapping_mul(MUL);
+        }
+    }
     let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
     let mut lanes = BASES;
     let mut blocks = data.chunks_exact(32);
     for block in &mut blocks {
-        absorb(&mut lanes, block);
+        absorb(&mut lanes, block.chunks_exact(8).map(word));
     }
     let tail = blocks.remainder();
     if !tail.is_empty() {
@@ -81,151 +93,17 @@ pub fn mix_words(data: &[u8]) -> [u64; 4] {
                 u64::from_le_bytes(b)
             };
         }
-        absorb_words(&mut lanes, words);
+        absorb(&mut lanes, words);
     }
-    finalize(lanes, data.len())
-}
-
-const BASES: [u64; 4] =
-    [0xcbf2_9ce4_8422_2325, 0x8422_2325_cbf2_9ce4, 0x6c62_272e_07bb_0142, 0x07bb_0142_6c62_272e];
-
-/// One lane step per word: word `j` of a block goes to lane `j`.
-#[inline]
-fn absorb_words(lanes: &mut [u64; 4], words: [u64; 4]) {
-    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
-    for (lane, w) in lanes.iter_mut().zip(words) {
-        *lane = (*lane ^ w).rotate_left(29).wrapping_mul(MUL);
-    }
-}
-
-/// [`absorb_words`] of one whole 32-byte block, loaded little-endian.
-#[inline]
-fn absorb(lanes: &mut [u64; 4], block: &[u8]) {
-    let word = |j: usize| u64::from_le_bytes(block[8 * j..8 * j + 8].try_into().expect("a word"));
-    absorb_words(lanes, [word(0), word(1), word(2), word(3)]);
-}
-
-/// Each lane through splitmix64, with the input length and the lane
-/// index mixed in.
-fn finalize(mut lanes: [u64; 4], len: usize) -> [u64; 4] {
     for (i, lane) in lanes.iter_mut().enumerate() {
         let mut z = lane
-            .wrapping_add((len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_add((data.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_add((i as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9));
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         *lane = z ^ (z >> 31);
     }
     lanes
-}
-
-/// [`mix_words`] fed in pieces: the digest of the pieces' concatenation,
-/// with nothing concatenated. Whole blocks and words are loaded where
-/// they lie; a word that straddles two pieces is assembled in a
-/// register, and a block's words wait in `words` until it is whole.
-#[derive(Clone, Copy)]
-pub struct MixWords {
-    lanes: [u64; 4],
-    len: usize,
-    /// The block being filled: its first `len / 8 % 4` words.
-    words: [u64; 4],
-    /// The word being filled: its first `len % 8` bytes, the rest zero.
-    partial: u64,
-}
-
-impl Default for MixWords {
-    fn default() -> Self {
-        MixWords { lanes: BASES, len: 0, words: [0; 4], partial: 0 }
-    }
-}
-
-impl MixWords {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append `piece` to the input.
-    #[inline]
-    pub fn update(&mut self, piece: &[u8]) {
-        let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8-byte word"));
-        // Up to 7 bytes as the low bytes of a word.
-        let short = |b: &[u8]| b.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
-        // Word `len / 8 % 4` of the block, `len` already past it: the
-        // block is absorbed once it is whole.
-        #[inline(always)]
-        fn push(lanes: &mut [u64; 4], words: &mut [u64; 4], len: usize, w: u64) {
-            let i = (len / 8 + 3) % 4;
-            words[i] = w;
-            if i == 3 {
-                absorb_words(lanes, *words);
-            }
-        }
-        let MixWords { mut lanes, mut len, mut words, mut partial } = *self;
-        let mut rest = piece;
-        // Finish the word a previous piece began: its missing bytes are
-        // this piece's first ones, shifted into place.
-        let at = len % 8;
-        if at > 0 {
-            let take = (8 - at).min(rest.len());
-            let head = if rest.len() >= 8 { word(rest) } else { short(rest) };
-            partial |= head << (8 * at);
-            len += take;
-            if take < 8 - at {
-                *self = MixWords { lanes, len, words, partial };
-                return;
-            }
-            rest = &rest[take..];
-            push(&mut lanes, &mut words, len, partial);
-        }
-        // Words until the block is whole, whole blocks where they lie,
-        // then the words and bytes left.
-        while !len.is_multiple_of(32) && rest.len() >= 8 {
-            len += 8;
-            push(&mut lanes, &mut words, len, word(rest));
-            rest = &rest[8..];
-        }
-        if len.is_multiple_of(32) {
-            let mut blocks = rest.chunks_exact(32);
-            for block in &mut blocks {
-                absorb(&mut lanes, block);
-            }
-            len += rest.len() - blocks.remainder().len();
-            rest = blocks.remainder();
-        }
-        while rest.len() >= 8 {
-            len += 8;
-            push(&mut lanes, &mut words, len, word(rest));
-            rest = &rest[8..];
-        }
-        partial = match (rest.len(), piece.len() >= 8) {
-            (0, _) => 0,
-            (n, true) => word(&piece[piece.len() - 8..]) >> (8 * (8 - n)),
-            (_, false) => short(rest),
-        };
-        len += rest.len();
-        *self = MixWords { lanes, len, words, partial };
-    }
-
-    /// The digest of everything appended: [`mix_words`] of it.
-    pub fn finish(mut self) -> [u64; 4] {
-        if !self.len.is_multiple_of(32) {
-            // The zero-padded last block: the partial word, then zeros.
-            let whole = self.len / 8 % 4;
-            self.words[whole] = self.partial;
-            self.words[whole + 1..].fill(0);
-            absorb_words(&mut self.lanes, self.words);
-        }
-        finalize(self.lanes, self.len)
-    }
-
-    /// [`finish`](MixWords::finish) as a [`content_hash`].
-    pub fn content_hash(self) -> ContentHash {
-        let mut out = [0u8; HASH_LEN];
-        for (chunk, word) in out.chunks_exact_mut(8).zip(self.finish()) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        out
-    }
 }
 
 /// Digest chunk bytes into a 32-byte content address: the four words of
@@ -238,9 +116,11 @@ impl MixWords {
 /// a cached entry. Collision resistance against an adversary is out of
 /// scope, as with the stand-in cipher in `openmb-types::crypto`.
 pub fn content_hash(data: &[u8]) -> ContentHash {
-    let mut h = MixWords::new();
-    h.update(data);
-    h.content_hash()
+    let mut out = [0u8; HASH_LEN];
+    for (chunk, word) in out.chunks_exact_mut(8).zip(mix_words(data)) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    out
 }
 
 /// Render a hash as lowercase hex (file names, logs).
@@ -597,43 +477,6 @@ mod tests {
             zeros.iter_mut().rev().take(5).for_each(|b| *b = 0);
             assert_eq!(mix_words(&zeros), padded_reference(&zeros), "length {len}, zero tail");
         }
-    }
-
-    /// `body` fed to a [`MixWords`] as the pieces between `cuts`.
-    fn streamed(body: &[u8], cuts: &[usize]) -> [u64; 4] {
-        let mut h = MixWords::new();
-        let mut at = 0;
-        for &cut in cuts.iter().chain([&body.len()]) {
-            h.update(&body[at..cut]);
-            at = cut;
-        }
-        h.finish()
-    }
-
-    #[test]
-    fn a_streamed_digest_is_the_one_shot_digest() {
-        // Cuts on, one before and one after word and block boundaries,
-        // so pieces start and end inside words, on them, and span
-        // whole blocks.
-        let points: Vec<usize> =
-            [0, 8, 16, 24, 32, 40, 64, 96].iter().flat_map(|&p| [p.max(1) - 1, p, p + 1]).collect();
-        for len in [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 97, 100, 1520] {
-            let body = pattern(len);
-            let want = mix_words(&body);
-            assert_eq!(streamed(&body, &[]), want, "length {len}, one piece");
-            let bytes: Vec<usize> = (0..len).collect();
-            assert_eq!(streamed(&body, &bytes), want, "length {len}, byte by byte");
-            for &a in points.iter().filter(|&&a| a <= len) {
-                for &b in points.iter().filter(|&&b| a <= b && b <= len) {
-                    assert_eq!(streamed(&body, &[a, b]), want, "length {len}, cut at {a}, {b}");
-                }
-            }
-        }
-        let mut h = MixWords::new();
-        h.update(&pattern(1520));
-        let words: Vec<u8> =
-            mix_words(&pattern(1520)).iter().flat_map(|w| w.to_le_bytes()).collect();
-        assert_eq!(h.content_hash()[..], words, "the words, little-endian");
     }
 
     #[test]

@@ -752,36 +752,17 @@ pub fn run_content(data: &EncryptedChunk, rest: &[StateChunk]) -> Bytes {
     if rest.is_empty() {
         return data.wire_bytes();
     }
-    let len = std::iter::once(data).chain(rest.iter().map(|c| &c.data)).map(|c| 4 + c.len()).sum();
+    let records = || std::iter::once(data).chain(rest.iter().map(|c| &c.data));
+    let len = records().map(|c| 4 + c.len()).sum();
     let mut content: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
     let mut free = &mut Arc::get_mut(&mut content).expect("a new Arc has one owner")[..];
-    run_pieces(data, rest, |piece| {
-        let (to, tail) = std::mem::take(&mut free).split_at_mut(piece.len());
-        to.copy_from_slice(piece);
+    for c in records() {
+        let (blob, tail) = std::mem::take(&mut free).split_at_mut(4 + c.len());
+        blob[..4].copy_from_slice(&(c.len() as u32).to_le_bytes());
+        blob[4..].copy_from_slice(c.as_wire());
         free = tail;
-    });
+    }
     Bytes::from(content)
-}
-
-/// The content hash of [`run_content`], fed from the records where they
-/// lie: no buffer of the content's size is built.
-pub fn run_content_hash(data: &EncryptedChunk, rest: &[StateChunk]) -> openmb_store::ContentHash {
-    let mut h = openmb_store::MixWords::new();
-    run_pieces(data, rest, |piece| h.update(piece));
-    h.content_hash()
-}
-
-/// [`run_content`]'s bytes in order, as pieces of the records: a lone
-/// record's sealed bytes, or each record's length (`u32`) and then its
-/// sealed bytes.
-fn run_pieces(data: &EncryptedChunk, rest: &[StateChunk], mut piece: impl FnMut(&[u8])) {
-    if rest.is_empty() {
-        return piece(data.as_wire());
-    }
-    for c in std::iter::once(data).chain(rest.iter().map(|c| &c.data)) {
-        piece(&(c.len() as u32).to_le_bytes());
-        piece(c.as_wire());
-    }
 }
 
 /// Reverse of [`run_content`] for a run whose keys are `key` and then
@@ -1135,26 +1116,6 @@ mod tests {
         let (split, _) = split_run_content(content.clone(), first.key, &keys).unwrap();
         let at = split.data.as_wire().as_ptr() as usize - content.as_ptr() as usize;
         assert_eq!(at, 4, "the first record is a view just past its length");
-    }
-
-    /// The streamed hash of a run is the hash of its content, on runs
-    /// of 1, 2 and 16 records whose lengths put the pieces' edges
-    /// inside and across words and blocks.
-    #[test]
-    fn a_runs_streamed_hash_is_its_contents_hash() {
-        let key = VendorKey::derive("t");
-        let recs: Vec<StateChunk> = (0..16u8)
-            .map(|i| {
-                let k = HeaderFieldList::from_dst_port(u16::from(i));
-                let plain = vec![i; usize::from(i) * 5 + 3];
-                StateChunk::new(k, EncryptedChunk::seal(&key, u64::from(i), &plain))
-            })
-            .collect();
-        for n in [1, 2, 16] {
-            let (first, rest) = (&recs[0], &recs[1..n]);
-            let content = run_content(&first.data, rest);
-            assert_eq!(run_content_hash(&first.data, rest), openmb_store::content_hash(&content));
-        }
     }
 
     #[test]
