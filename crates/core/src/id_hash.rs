@@ -5,9 +5,9 @@
 //! by the shard, never by a peer, so the tables keyed by them need no
 //! keyed SipHash against collision flooding: one widening multiply is
 //! enough. Keys a middlebox supplies — `HeaderFieldList`, `FlowKey`,
-//! content hashes — keep `RandomState`; CI keeps them out of
-//! [`IdMap`]/[`IdSet`] (DESIGN §9, "Controller tables hash ids, not
-//! bytes").
+//! content hashes — keep `RandomState`; `design_rules::controller_hot_path`
+//! keeps them out of [`IdMap`]/[`IdSet`] (DESIGN §9, "Controller tables
+//! hash ids, not bytes").
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -13,8 +13,8 @@
 //! Only that timing lives here (streamed gets, background shared
 //! exports, queued replays); what every request *does* to the
 //! middlebox, a get's runs and replies included, is
-//! [`openmb_mb::southbound::handle_southbound_logged`], the dispatch
-//! the TCP embedding runs too.
+//! [`openmb_mb::southbound::handle_southbound_logged`], which collects
+//! the replies of [`openmb_mb::handle_southbound_into`], TCP's dispatch.
 //!
 //! [`ControllerNode`] embeds the [`ControllerCore`] plus the SDN
 //! topology/routing module and one control application, mirroring the

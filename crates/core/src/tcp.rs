@@ -76,10 +76,10 @@
 //! socket for up to 200 µs before it blocks, so the replies of a
 //! lock-step transfer find both ends awake.)
 //!
-//! The discrete-event simulator remains the measurement substrate; this
-//! embedding exists to demonstrate the protocol and controller logic are
-//! genuinely transport-independent (and is exercised by integration
-//! tests and the `tcp_protocol` example over loopback).
+//! The benchmark's `move_tcp_10k` times this embedding (`moveInternal`
+//! over loopback sockets); the discrete-event simulator stays the
+//! substrate for the paper's figures and the conformance suites. The
+//! integration tests and the `tcp_protocol` example drive it too.
 //!
 //! [`TcpTransport`]: openmb_types::transport::TcpTransport
 
