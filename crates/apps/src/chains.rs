@@ -239,71 +239,30 @@ pub fn two_rack_chain_scenario<M: openmb_mb::Middlebox + 'static>(
     app: Box<dyn ControlApp>,
     params: crate::scenarios::ScenarioParams,
 ) -> ChainSetup {
+    use crate::scenarios::Testbed;
     use chain_layout::*;
-    use openmb_core::controller::ControllerConfig;
-    use openmb_core::nodes::{ControllerNode, Host, MbNode};
-    use openmb_openflow::{ElementKind, Switch};
-    let mut sim = openmb_simnet::Sim::new();
-
-    let mut controller = ControllerNode::new(
-        ControllerConfig {
-            quiesce_after: params.quiesce_after,
-            buffer_events: params.buffer_events,
-            ..ControllerConfig::default()
-        },
-        params.controller_costs,
-        app,
-    );
-    let mbs = [M1, M2, S1, S2, R1, R2];
-    for n in mbs {
-        controller.register_mb(n);
+    use openmb_core::nodes::Host;
+    use openmb_openflow::Switch;
+    let mut tb = Testbed::new(params.controller_config(), &params, app);
+    assert_eq!(tb.switch(Switch::new("tor_a")), TOR_A);
+    assert_eq!(tb.switch(Switch::new("tor_b")), TOR_B);
+    tb.trunk(TOR_A, TOR_B, SPINE_COST);
+    let mbs = [
+        (M1, M1_ID, TOR_A),
+        (M2, M2_ID, TOR_A),
+        (S1, S1_ID, TOR_A),
+        (S2, S2_ID, TOR_A),
+        (R1, R1_ID, TOR_B),
+        (R2, R2_ID, TOR_B),
+    ];
+    for (i, (n, id, tor)) in mbs.into_iter().enumerate() {
+        assert_eq!(tb.middlebox(format!("mb{i}"), mk(i), Some(tor)), (n, id));
     }
-    {
-        let topo = &mut controller.topo;
-        topo.add_element(CONTROLLER, ElementKind::Host);
-        topo.add_element(TOR_A, ElementKind::Switch);
-        topo.add_element(TOR_B, ElementKind::Switch);
-        for n in mbs {
-            topo.add_element(n, ElementKind::Middlebox);
-        }
-        topo.add_element(SRC, ElementKind::Host);
-        topo.add_element(DST, ElementKind::Host);
-        topo.add_link_with_cost(TOR_A, TOR_B, SPINE_COST);
-        for n in [M1, M2, S1, S2, SRC] {
-            topo.add_link(TOR_A, n);
-        }
-        for n in [R1, R2, DST] {
-            topo.add_link(TOR_B, n);
-        }
-    }
-    assert_eq!(sim.add_node(Box::new(controller)), CONTROLLER);
-    assert_eq!(sim.add_node(Box::new(Switch::new("tor_a"))), TOR_A);
-    assert_eq!(sim.add_node(Box::new(Switch::new("tor_b"))), TOR_B);
-    for (i, (n, tor)) in
-        [(M1, TOR_A), (M2, TOR_A), (S1, TOR_A), (S2, TOR_A), (R1, TOR_B), (R2, TOR_B)]
-            .into_iter()
-            .enumerate()
-    {
-        let node =
-            MbNode::new(format!("mb{i}"), mk(i)).with_controller(CONTROLLER).with_egress(tor);
-        assert_eq!(sim.add_node(Box::new(node)), n);
-    }
-    assert_eq!(sim.add_node(Box::new(Host::new("src").with_forward(TOR_A))), SRC);
-    assert_eq!(sim.add_node(Box::new(Host::new("dst"))), DST);
-
-    sim.add_link(TOR_A, TOR_B, params.link_latency, params.bandwidth);
-    for n in [M1, M2, S1, S2, SRC] {
-        sim.add_link(TOR_A, n, params.link_latency, params.bandwidth);
-    }
-    for n in [R1, R2, DST] {
-        sim.add_link(TOR_B, n, params.link_latency, params.bandwidth);
-    }
-    for n in [TOR_A, TOR_B, M1, M2, S1, S2, R1, R2] {
-        sim.add_link(CONTROLLER, n, params.control_latency, 1_000_000_000);
-    }
+    assert_eq!(tb.host(Host::new("src").with_forward(TOR_A), TOR_A), SRC);
+    assert_eq!(tb.host(Host::new("dst"), TOR_B), DST);
 
     ChainSetup {
-        sim,
+        sim: tb.finish(),
         controller: CONTROLLER,
         tor_a: TOR_A,
         tor_b: TOR_B,
@@ -420,6 +379,15 @@ mod tests {
     fn processed(setup: &ChainSetup, node: NodeId) -> u64 {
         let mb: &MbNode<Monitor> = setup.sim.node_as(node);
         mb.packets_processed
+    }
+
+    #[test]
+    fn two_rack_topology_routes_over_sim_links() {
+        use crate::scenarios::tests::{delivered, RouteOnStart};
+        // Across the spine to a rack-B standby and back to dst.
+        let app = Box::new(RouteOnStart(SRC, R1, DST));
+        let setup = two_rack_chain_scenario(|_| Monitor::new(), app, Default::default());
+        assert_eq!(delivered(setup.sim, SRC, DST), 3, "src → r1 → dst over the sim's links");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 
 use std::net::Ipv4Addr;
 
-use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
-use openmb_core::app::{Api, ControlApp};
+use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams, SubmitAt};
 use openmb_core::controller::{Completion, Request};
 use openmb_core::nodes::{ControllerNode, MbNode};
 use openmb_mb::{Effects, Middlebox};
@@ -15,26 +14,10 @@ use openmb_middleboxes::{LoadBalancer, Monitor};
 use openmb_simnet::{FaultPlan, Frame, SimDuration, SimTime};
 use openmb_types::{Error, FlowKey, HeaderFieldList, MbId, Packet};
 
-const T_MOVE: u64 = 1;
-
 /// Issues one `moveInternal` at t=100 ms; outcomes are read back from
 /// the controller's completion log.
-struct MoveOnce {
-    src: MbId,
-    dst: MbId,
-    pattern: HeaderFieldList,
-}
-
-impl ControlApp for MoveOnce {
-    fn on_start(&mut self, api: &mut Api<'_>) {
-        api.set_timer(SimDuration::from_millis(100), T_MOVE);
-    }
-
-    fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
-        if token == T_MOVE {
-            let _ = api.submit(Request::Move { src: self.src, dst: self.dst, key: self.pattern });
-        }
-    }
+fn move_once(src: MbId, dst: MbId, key: HeaderFieldList) -> Box<SubmitAt> {
+    Box::new(SubmitAt::new(SimDuration::from_millis(100), vec![Request::Move { src, dst, key }]))
 }
 
 fn failed_error(ctrl: &ControllerNode) -> Option<Error> {
@@ -71,9 +54,8 @@ fn preloaded_monitor(n: usize) -> Monitor {
 #[test]
 fn move_to_unknown_mb_fails_fast() {
     use layout::*;
-    let app = MoveOnce { src: MbId(42), dst: MB_B_ID, pattern: HeaderFieldList::any() };
-    let mut setup =
-        two_mb_scenario(Monitor::new(), Monitor::new(), Box::new(app), ScenarioParams::default());
+    let app = move_once(MbId(42), MB_B_ID, HeaderFieldList::any());
+    let mut setup = two_mb_scenario(Monitor::new(), Monitor::new(), app, ScenarioParams::default());
     setup.sim.run(10_000_000);
     assert!(setup.sim.is_idle());
 
@@ -96,11 +78,11 @@ fn granularity_too_fine_aborts_through_southbound_error() {
     // get returns GranularityTooFine and the controller must abort.
     let vip = Ipv4Addr::new(10, 0, 0, 100);
     let backends = [Ipv4Addr::new(10, 9, 0, 1), Ipv4Addr::new(10, 9, 0, 2)];
-    let app = MoveOnce { src: MB_A_ID, dst: MB_B_ID, pattern: HeaderFieldList::from_dst_port(80) };
+    let app = move_once(MB_A_ID, MB_B_ID, HeaderFieldList::from_dst_port(80));
     let mut setup = two_mb_scenario(
         LoadBalancer::new(vip, &backends),
         LoadBalancer::new(vip, &backends),
-        Box::new(app),
+        app,
         ScenarioParams::default(),
     );
     // Give the source balancer live assignments before the move.
@@ -131,13 +113,9 @@ fn granularity_too_fine_aborts_through_southbound_error() {
 #[test]
 fn mid_move_crash_aborts_and_rolls_back_destination() {
     use layout::*;
-    let app = MoveOnce { src: MB_A_ID, dst: MB_B_ID, pattern: HeaderFieldList::any() };
-    let mut setup = two_mb_scenario(
-        preloaded_monitor(300),
-        Monitor::new(),
-        Box::new(app),
-        ScenarioParams::default(),
-    );
+    let app = move_once(MB_A_ID, MB_B_ID, HeaderFieldList::any());
+    let mut setup =
+        two_mb_scenario(preloaded_monitor(300), Monitor::new(), app, ScenarioParams::default());
     // Live traffic across the move start so reprocess events are raised
     // (and buffered) before the crash.
     for i in 0..40u64 {

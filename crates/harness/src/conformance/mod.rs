@@ -44,9 +44,9 @@
 use std::sync::{Arc, Mutex};
 
 use openmb_apps::scenarios::multi_layout::{dst_mb, dst_node, src_mb, src_node, CONTROLLER};
-use openmb_core::app::{Api, ControlApp};
-use openmb_core::chain::{ChainHop, ChainSpec};
-use openmb_core::controller::{Completion, ControllerConfig, Request as Northbound};
+use openmb_apps::scenarios::SubmitAt;
+use openmb_core::app::ControlApp;
+use openmb_core::controller::{Completion, ControllerConfig, Request};
 use openmb_core::nodes::{ControllerNode, MbNode};
 use openmb_mb::{Effects, Middlebox, SharedSnapshot};
 use openmb_simnet::obs::{Monitor, MonitorConfig, Recorder};
@@ -77,6 +77,18 @@ pub enum ConfOp {
 }
 
 pub const ALL_OPS: [ConfOp; 3] = [ConfOp::Move, ConfOp::Clone, ConfOp::Merge];
+
+impl ConfOp {
+    /// The northbound request for this op from `src` to `dst`, over the
+    /// whole flowspace.
+    pub(crate) fn request(self, src: MbId, dst: MbId) -> Request {
+        match self {
+            ConfOp::Move => Request::Move { src, dst, key: HeaderFieldList::any() },
+            ConfOp::Clone => Request::Clone { src, dst },
+            ConfOp::Merge => Request::Merge { src, dst },
+        }
+    }
+}
 
 /// Which middlebox type every endpoint of a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,44 +362,6 @@ impl ScheduleGen {
     }
 }
 
-/// One request the control app issues: a transfer op between two MBs,
-/// or a whole chain move.
-pub(crate) enum Request {
-    Op(ConfOp, MbId, MbId),
-    Chain(Vec<ChainHop>),
-}
-
-/// The one control app: issues every request in one timer callback —
-/// the same virtual instant, `OP_AT_MS` — and records the allocated op
-/// ids for the driver to read back.
-struct IssueOps {
-    requests: Vec<Request>,
-    issued: Arc<Mutex<Vec<OpId>>>,
-}
-
-impl ControlApp for IssueOps {
-    fn on_start(&mut self, api: &mut Api<'_>) {
-        api.set_timer(SimDuration::from_millis(OP_AT_MS), 1);
-    }
-    fn on_timer(&mut self, api: &mut Api<'_>, _token: u64) {
-        let any = HeaderFieldList::any();
-        let mut ids = self.issued.lock().unwrap();
-        if !ids.is_empty() {
-            return;
-        }
-        for r in &self.requests {
-            ids.push(api.submit(match *r {
-                Request::Op(ConfOp::Move, src, dst) => Northbound::Move { src, dst, key: any },
-                Request::Op(ConfOp::Clone, src, dst) => Northbound::Clone { src, dst },
-                Request::Op(ConfOp::Merge, src, dst) => Northbound::Merge { src, dst },
-                Request::Chain(ref hops) => {
-                    Northbound::ChainMove(ChainSpec::new(any, hops.clone()))
-                }
-            }));
-        }
-    }
-}
-
 /// A built-but-not-yet-run scenario: what a suite's builder hands to
 /// [`drive`], and what a test may tamper with in between (poison a
 /// store, warm a cache). The sim stays inspectable after the run.
@@ -402,15 +376,17 @@ pub(crate) struct Scenario {
 
 impl Scenario {
     /// Two-step construction, because the app must exist before the
-    /// sim that hosts it: `build` receives the boxed app issuing
-    /// `requests` and returns the sim and its endpoint pairs.
+    /// sim that hosts it: `build` receives the boxed app submitting
+    /// `requests` at `OP_AT_MS` and returns the sim and its endpoint
+    /// pairs.
     pub(crate) fn new(
         requests: Vec<Request>,
         ring: usize,
         build: impl FnOnce(Box<dyn ControlApp>) -> (Sim, Vec<(NodeId, NodeId)>),
     ) -> Self {
-        let issued = Arc::new(Mutex::new(Vec::new()));
-        let (sim, pairs) = build(Box::new(IssueOps { requests, issued: Arc::clone(&issued) }));
+        let app = SubmitAt::new(SimDuration::from_millis(OP_AT_MS), requests);
+        let issued = app.issued();
+        let (sim, pairs) = build(Box::new(app));
         Scenario { sim, pairs, ring, issued }
     }
 }

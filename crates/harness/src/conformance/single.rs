@@ -53,7 +53,7 @@ pub(crate) fn build<M: Middlebox + 'static>(
     op: ConfOp,
     content_cache: bool,
 ) -> Scenario {
-    Scenario::new(vec![Request::Op(op, MB_A_ID, MB_B_ID)], 1024, |app| {
+    Scenario::new(vec![op.request(MB_A_ID, MB_B_ID)], 1024, |app| {
         let (src, dst) = fresh_pair(mk);
         let mut sim = two_mb_scenario(src, dst, app, ScenarioParams::default()).sim;
         // Every seed runs in both transfer modes: content-addressed

@@ -27,12 +27,13 @@
 use std::borrow::Borrow;
 
 use openmb_apps::scenarios::multi_layout::{dst_mb, dst_node, src_mb, src_node};
-use openmb_core::chain::ChainHop;
-use openmb_core::controller::Completion;
+use openmb_core::chain::{ChainHop, ChainSpec};
+use openmb_core::controller::{Completion, Request};
+use openmb_types::HeaderFieldList;
 
 use crate::conformance::{
     assert_matches_reference, assert_pristine, ctl_links, initial_images, replay_command, with_mb,
-    ConfMb, Faults, PairMix, Request, Run, Schedule, ScheduleGen, CONC_MBS, OP_AT_MS,
+    ConfMb, Faults, PairMix, Run, Schedule, ScheduleGen, CONC_MBS, OP_AT_MS,
 };
 use crate::conformance_concurrent::run_pairs;
 
@@ -97,7 +98,7 @@ pub fn generate_chain(seed: u64) -> Schedule<usize> {
 /// The one request of a run: a `hops`-hop chain, hop `i` moving pair `i`.
 pub(crate) fn chain_request(hops: usize) -> Vec<Request> {
     let chain = (0..hops as u32).map(|i| ChainHop { src: src_mb(i), dst: dst_mb(i) }).collect();
-    vec![Request::Chain(chain)]
+    vec![Request::ChainMove(ChainSpec::new(HeaderFieldList::any(), chain))]
 }
 
 fn run_hops(mb: ConfMb, hops: usize, faults: Faults<'_>) -> Run {

@@ -26,13 +26,13 @@ use std::collections::BTreeSet;
 
 use openmb_apps::scenarios::multi_layout::{dst_mb, dst_node, src_mb, src_node};
 use openmb_apps::scenarios::{multi_pair_scenario, ScenarioParams};
-use openmb_core::controller::ControllerConfig;
+use openmb_core::controller::{ControllerConfig, Request};
 use openmb_mb::Middlebox;
 
 use crate::conformance::{
     assert_matches_reference, assert_pristine, ctl_links, drive, fresh_pair, initial_images,
-    replay_command, tune, with_mb, ConfMb, ConfOp, Endpoints, Faults, PairMix, Request, Run,
-    Scenario, Schedule, ScheduleGen, ALL_OPS, CONC_MBS,
+    replay_command, tune, with_mb, ConfMb, ConfOp, Endpoints, Faults, PairMix, Run, Scenario,
+    Schedule, ScheduleGen, ALL_OPS, CONC_MBS,
 };
 
 /// Shard count every multi-pair run uses.
@@ -103,8 +103,7 @@ pub(crate) fn run_pairs<M: Middlebox + 'static>(
 }
 
 fn run_ops(mb: ConfMb, ops: &[ConfOp], faults: Faults<'_>) -> Run {
-    let requests =
-        (0u32..).zip(ops).map(|(i, &op)| Request::Op(op, src_mb(i), dst_mb(i))).collect();
+    let requests = (0u32..).zip(ops).map(|(i, &op)| op.request(src_mb(i), dst_mb(i))).collect();
     with_mb!(mb, run_pairs, ops.len(), requests, faults)
 }
 
@@ -229,11 +228,11 @@ mod tests {
         // alone.
         let run = || {
             let requests = vec![
-                Request::Op(ConfOp::Move, src_mb(0), dst_mb(0)),
-                Request::Op(ConfOp::Move, src_mb(1), dst_mb(1)),
+                ConfOp::Move.request(src_mb(0), dst_mb(0)),
+                ConfOp::Move.request(src_mb(1), dst_mb(1)),
                 // The bridge: one endpoint inside each live move's pair,
                 // wildcard flowspace — conflicts with both.
-                Request::Op(ConfOp::Clone, dst_mb(0), src_mb(1)),
+                ConfOp::Clone.request(dst_mb(0), src_mb(1)),
             ];
             run_pairs(openmb_middleboxes::Monitor::new, 2, requests, None)
         };

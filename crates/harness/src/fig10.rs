@@ -8,14 +8,15 @@
 //!   1000/2000/3000 chunks; linear in both dimensions.
 
 use openmb_apps::migration::{FlowMoveApp, RouteSpec};
-use openmb_apps::scenarios::{layout, two_mb_scenario, ScenarioParams};
-use openmb_core::app::{Api, ControlApp};
-use openmb_core::controller::{Completion, ControllerConfig, Request};
-use openmb_core::nodes::{ControllerCosts, ControllerNode, MbNode};
+use openmb_apps::scenarios::multi_layout::{dst_mb, src_mb, CONTROLLER};
+use openmb_apps::scenarios::{
+    layout, multi_pair_scenario, two_mb_scenario, ScenarioParams, SubmitAt,
+};
+use openmb_core::controller::{Completion, Request};
+use openmb_core::nodes::ControllerNode;
 use openmb_middleboxes::DummyMb;
-use openmb_openflow::ElementKind;
-use openmb_simnet::{Frame, Sim, SimDuration, SimTime};
-use openmb_types::{HeaderFieldList, MbId, NodeId, OpId, Packet};
+use openmb_simnet::{Frame, SimDuration, SimTime};
+use openmb_types::{HeaderFieldList, Packet};
 
 use crate::report::{f, Table};
 
@@ -69,67 +70,28 @@ pub fn single_move_ms(chunks: usize, pkt_rate: u64) -> f64 {
     done.since(SimTime(trigger.as_nanos())).as_millis_f64()
 }
 
-/// The multi-pair move driver for Fig 10(b).
-struct MultiMoveApp {
-    pairs: Vec<(MbId, MbId)>,
-    trigger: SimDuration,
-    ops: Vec<OpId>,
-}
-
-impl ControlApp for MultiMoveApp {
-    fn on_start(&mut self, api: &mut Api<'_>) {
-        api.set_timer(self.trigger, 1);
-    }
-
-    fn on_timer(&mut self, api: &mut Api<'_>, token: u64) {
-        if token == 1 {
-            for &(src, dst) in &self.pairs.clone() {
-                self.ops.push(api.submit(Request::Move { src, dst, key: HeaderFieldList::any() }));
-            }
-        }
-    }
-}
-
 /// Run `n_moves` simultaneous moves of `chunks` chunks each; returns the
 /// average move duration in ms.
 pub fn concurrent_moves_avg_ms(n_moves: usize, chunks: usize) -> f64 {
     let trigger = SimDuration::from_millis(10);
-    let mut sim = Sim::new();
-    let controller_id = NodeId(0);
-
-    let pairs: Vec<(MbId, MbId)> =
-        (0..n_moves).map(|i| (MbId(2 * i as u32), MbId(2 * i as u32 + 1))).collect();
-    let mut controller = ControllerNode::new(
-        ControllerConfig {
-            quiesce_after: SimDuration::from_millis(100),
-            buffer_events: true,
-            ..ControllerConfig::default()
-        },
-        ControllerCosts::default(),
-        Box::new(MultiMoveApp { pairs, trigger, ops: Vec::new() }),
-    );
-    controller.topo.add_element(controller_id, ElementKind::Host);
-    for i in 0..2 * n_moves {
-        let node = NodeId(1 + i as u32);
-        controller.register_mb(node);
-        controller.topo.add_element(node, ElementKind::Middlebox);
-    }
-    let cid = sim.add_node(Box::new(controller));
-    assert_eq!(cid, controller_id);
-    for i in 0..n_moves {
-        let src = sim.add_node(Box::new(
-            MbNode::new(format!("src{i}"), DummyMb::preloaded(chunks))
-                .with_controller(controller_id),
-        ));
-        let dst = sim.add_node(Box::new(
-            MbNode::new(format!("dst{i}"), DummyMb::new()).with_controller(controller_id),
-        ));
-        sim.add_link(controller_id, src, SimDuration::from_micros(100), 1_000_000_000);
-        sim.add_link(controller_id, dst, SimDuration::from_micros(100), 1_000_000_000);
-    }
+    let moves = (0..n_moves as u32)
+        .map(|i| Request::Move { src: src_mb(i), dst: dst_mb(i), key: HeaderFieldList::any() })
+        .collect();
+    let params = ScenarioParams {
+        quiesce_after: SimDuration::from_millis(100),
+        ..ScenarioParams::default()
+    };
+    let mut sim = multi_pair_scenario(
+        |_| (DummyMb::preloaded(chunks), DummyMb::new()),
+        n_moves,
+        params.controller_config(),
+        Box::new(SubmitAt::new(trigger, moves)),
+        params,
+    )
+    .sim;
     sim.run(200_000_000);
     assert!(sim.is_idle());
-    let ctrl: &ControllerNode = sim.node_as(controller_id);
+    let ctrl: &ControllerNode = sim.node_as(CONTROLLER);
     let done: Vec<f64> = ctrl
         .completions
         .iter()

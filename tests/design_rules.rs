@@ -710,6 +710,48 @@ mod packet_logic {
     }
 }
 
+/// One DES testbed (DESIGN §10 "One engine, three scenario
+/// definitions"): every simulated network is declared over
+/// `scenarios::Testbed`, whose one call per node writes the node, its
+/// topology element, its MB registration and its links, so the
+/// controller's topology and the sim's links cannot disagree.
+/// Behaviour: `two_mb_topology_routes_over_sim_links`,
+/// `re_topology_routes_over_sim_links` and
+/// `two_rack_topology_routes_over_sim_links` (a route the controller
+/// computes from its own topology carries packets over the sim's
+/// links), `default_route_carries_traffic_through_mb_a`, the three
+/// `chains::tests` scenarios and `concurrent_moves_slow_down_linearly`.
+mod des_testbed {
+    use super::*;
+
+    const SCENARIOS: &str = "crates/apps/src/scenarios.rs";
+
+    /// `impl Testbed { … }` in the scenarios file.
+    fn testbed_impl(text: &str) -> std::ops::Range<usize> {
+        let start = text.find("\nimpl Testbed {\n").expect("`impl Testbed`");
+        start..start + text[start..].find("\n}\n").expect("its closing brace")
+    }
+
+    /// A controller and its topology are written only by `Testbed`: no
+    /// scenario or experiment wires a network by hand.
+    #[test]
+    fn only_testbed_wires_a_network() {
+        let forms = ["ControllerNode::new(", ".add_element(", "topo.add_link"];
+        let mut files = walk(&["crates/apps/src", "crates/harness/src"]);
+        let scenarios = files.iter_mut().find(|f| f.path == SCENARIOS).expect(SCENARIOS);
+        let range = testbed_impl(&scenarios.text);
+        let inside = scenarios.text[range.clone()].to_string();
+        assert!(
+            forms.iter().all(|p| inside.contains(p)),
+            "`impl Testbed` writes no longer {forms:?}"
+        );
+        // Blank `impl Testbed`, keeping its lines, so hits keep their numbers.
+        let blank = "\n".repeat(inside.matches('\n').count());
+        scenarios.text.replace_range(range, &blank);
+        forbid(&files, |l| any(l, &forms));
+    }
+}
+
 /// The prose around the code points at places that exist.
 mod docs {
     use super::*;
