@@ -32,10 +32,30 @@
 //! lanes after the first start `reach` bytes (the longest signature less
 //! one) early from the root, which is enough to see every occurrence
 //! that ends in their part, and the four independent chains keep the
-//! load ports busy. Short input takes the single walk. The automaton
-//! state is *not* per-flow state: a record carries the last `reach`
-//! payload bytes (`sig_tail`) instead, fed through the automaton ahead
-//! of the next payload, so the record format knows nothing of the
+//! load ports busy. Short input takes the single walk.
+//!
+//! Most payloads never reach the lanes: a pair filter (Wu and Manber's
+//! block idea, with the automaton as verifier) skips the bytes that
+//! cannot hold a signature. Compiling also records every adjacent byte
+//! pair of every signature in a 2^16-bit set, and the probe stride `d`,
+//! the shortest non-empty signature less one byte. An occurrence spans
+//! at least `d` pair positions, so it holds one of its own pairs at a
+//! multiple of `d`. [`SigMatcher::scan`] first walks the seam, the
+//! carried tail then the first `reach` payload bytes, from the root:
+//! every occurrence that starts in the tail ends there. It then probes
+//! the pairs at `0, d, 2d, …`. Where a pair is in the set, every
+//! occurrence holding it lies within `reach` bytes of it, and the
+//! automaton walks that window. A window that overlaps the walk so far
+//! continues it, so no byte is walked twice. Once windows hold one byte
+//! in eight of those probed, the rest of the payload goes to the lanes
+//! from the state reached. The probes are independent loads, with no
+//! chain between them. The filter engages when the shortest signature
+//! has three bytes or more; with a shorter one every byte goes to the
+//! lanes, and with none nothing is walked.
+//!
+//! The automaton state is *not* per-flow state: a record carries the
+//! last `reach` payload bytes (`sig_tail`) instead, walked ahead of
+//! the next payload, so the record format knows nothing of the
 //! matcher and an exported record means the same to an instance
 //! compiled from other rules.
 //!
@@ -51,6 +71,7 @@
 //! keeping the last seven so a terminator split across packets is still
 //! seen.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -256,6 +277,12 @@ struct SigMatcher {
     /// Longest signature less one byte: how far before its last byte an
     /// occurrence can start, so what lanes overlap by and records carry.
     reach: usize,
+    /// Every adjacent byte pair of every signature, one bit per pair
+    /// (`first << 8 | second`).
+    pairs: Box<[u64; 1024]>,
+    /// Shortest non-empty signature less one byte, or 0 when that is
+    /// under 2: an occurrence holds one of its pairs at a multiple of it.
+    probe: usize,
 }
 
 impl SigMatcher {
@@ -302,7 +329,20 @@ impl SigMatcher {
             *e = (*e << 8) | if ends_here { MATCH } else { 0 };
         }
         let reach = sigs.iter().map(String::len).max().unwrap_or(0).saturating_sub(1);
-        SigMatcher { sigs, table, outputs, reach }
+        let mut pairs = Box::new([0; 1024]);
+        for pair in sigs.iter().flat_map(|s| s.as_bytes().windows(2)) {
+            let bit = usize::from(pair[0]) << 8 | usize::from(pair[1]);
+            pairs[bit >> 6] |= 1 << (bit & 63);
+        }
+        let shortest = sigs.iter().map(String::len).filter(|&n| n > 0).min().unwrap_or(0);
+        let probe = if shortest >= 3 { shortest - 1 } else { 0 };
+        SigMatcher { sigs, table, outputs, reach, pairs, probe }
+    }
+
+    #[inline(always)]
+    fn pair_occurs(&self, first: u8, second: u8) -> bool {
+        let bit = usize::from(first) << 8 | usize::from(second);
+        self.pairs[bit >> 6] >> (bit & 63) & 1 != 0
     }
 
     #[inline(always)]
@@ -354,6 +394,57 @@ impl SigMatcher {
             }
         }
         self.walk(s[LANES - 1], &bytes[(LANES - 1) * stride + n..], hits)
+    }
+
+    /// Append to `hits` what `feed` over `tail` then `payload` would,
+    /// walking only the bytes near a probed signature pair. Returns where
+    /// in `payload` the lanes took over: 0 when the signatures are too
+    /// short to filter, `payload.len()` when they never did.
+    fn scan(&self, tail: &[u8], payload: &[u8], hits: &mut Vec<u32>) -> usize {
+        if self.outputs.len() == 1 {
+            return payload.len(); // No signature, so nothing to find.
+        }
+        if self.probe == 0 {
+            let after_tail = self.feed(ROOT, tail, hits);
+            self.feed(after_tail, payload, hits);
+            return 0;
+        }
+        let (len, reach) = (payload.len(), self.reach);
+        // The seam: an occurrence that starts in the tail ends within the
+        // first `reach` payload bytes. `state` is the walk's at `end`.
+        let mut end = reach.min(len);
+        let mut state = self.walk(self.walk(ROOT, tail, hits), &payload[..end], hits);
+        let (mut walked, mut p) = (0, 0);
+        while end < len {
+            while p + 1 < len && !self.pair_occurs(payload[p], payload[p + 1]) {
+                p += self.probe;
+            }
+            if p + 1 >= len {
+                break;
+            }
+            // Every occurrence holding this pair lies in the window
+            // [p + 1 - reach, p + reach + 1). One that starts past the walk
+            // so far starts a new walk; one that overlaps it continues it,
+            // as an earlier start only sees more.
+            let start = (p + 1).saturating_sub(reach);
+            if start > end {
+                (state, end) = (ROOT, start);
+            }
+            let stop = (p + reach + 1).min(len);
+            state = self.walk(state, &payload[end..stop], hits);
+            walked += stop - end;
+            end = stop;
+            // Windows this dense go to the lanes: a walked byte costs
+            // about three lane bytes, so near one window byte in four
+            // probed the filter gains nothing, and one in eight keeps it
+            // ahead.
+            if 8 * walked > p + 2 {
+                self.feed(state, &payload[end..], hits);
+                return end;
+            }
+            p += self.probe;
+        }
+        len
     }
 }
 
@@ -626,8 +717,10 @@ impl Middlebox for Ips {
             // Midstream: we never saw this connection start.
             ConnState::Oth
         };
-        let is_new = !self.conns.contains_key(&key);
-        let rec = self.conns.entry(key).or_insert_with(|| ConnRecord::new(key, now, initial_state));
+        let (is_new, rec) = match self.conns.entry(key) {
+            Entry::Occupied(e) => (false, e.into_mut()),
+            Entry::Vacant(e) => (true, e.insert(ConnRecord::new(key, now, initial_state))),
+        };
         rec.last_ns = now.0;
         if is_orig {
             rec.orig_pkts += 1;
@@ -718,8 +811,7 @@ impl Middlebox for Ips {
         // The carried tail, then the payload, as one stream.
         let matcher = &self.matcher;
         self.hits.clear();
-        let after_tail = matcher.feed(ROOT, &rec.sig_tail, &mut self.hits);
-        matcher.feed(after_tail, &pkt.payload, &mut self.hits);
+        matcher.scan(&rec.sig_tail, &pkt.payload, &mut self.hits);
         self.hits.sort_unstable();
         self.hits.dedup();
         for &idx in &self.hits {
@@ -1172,6 +1264,8 @@ mod tests {
         sigs
     }
 
+    /// The hit set of `feed` over `tail` then `payload`, which `scan`
+    /// must equal; the lanes' end state is checked against one walk's.
     fn matcher_hits(m: &SigMatcher, tail: &[u8], payload: &[u8]) -> Vec<u32> {
         let mut hits = Vec::new();
         let after_tail = m.feed(ROOT, tail, &mut hits);
@@ -1179,7 +1273,24 @@ mod tests {
         assert_eq!(end, m.walk(after_tail, payload, &mut Vec::new()), "state after the lanes");
         hits.sort_unstable();
         hits.dedup();
+        assert_eq!(scan_hits(m, tail, payload).0, hits, "scan against feed");
         hits
+    }
+
+    /// `scan`'s hit set, and where in `payload` the lanes took over.
+    fn scan_hits(m: &SigMatcher, tail: &[u8], payload: &[u8]) -> (Vec<u32>, usize) {
+        let mut hits = Vec::new();
+        let lanes_from = m.scan(tail, payload, &mut hits);
+        hits.sort_unstable();
+        hits.dedup();
+        (hits, lanes_from)
+    }
+
+    /// The signatures found in `stream` by the naive search.
+    fn naive_hits(sigs: &[String], stream: &[u8]) -> Vec<u32> {
+        (0..sigs.len() as u32)
+            .filter(|&i| find_subsequence(stream, sigs[i as usize].as_bytes()).is_some())
+            .collect()
     }
 
     #[test]
@@ -1223,12 +1334,9 @@ mod tests {
                 }
             }
             let (tail, payload) = stream.split_at(tail_len);
-            let want: Vec<u32> = (0..sigs.len() as u32)
-                .filter(|&i| find_subsequence(&stream, sigs[i as usize].as_bytes()).is_some())
-                .collect();
             assert_eq!(
                 matcher_hits(&m, tail, payload),
-                want,
+                naive_hits(&sigs, &stream),
                 "case {case}: sigs {sigs:?} tail {tail_len} payload {payload_len}"
             );
         }
@@ -1253,15 +1361,220 @@ mod tests {
                     for at in cut.saturating_sub(sig.len())..=cut.min(len - sig.len()) {
                         let mut payload = vec![b'#'; len];
                         payload[at..at + sig.len()].copy_from_slice(sig);
-                        let want: Vec<u32> = (0..sigs.len() as u32)
-                            .filter(|&i| {
-                                find_subsequence(&payload, sigs[i as usize].as_bytes()).is_some()
-                            })
-                            .collect();
+                        let want = naive_hits(&sigs, &payload);
                         assert_eq!(matcher_hits(&m, b"", &payload), want, "{sigs:?} at {at}");
                     }
                 }
             }
+        }
+    }
+
+    /// Signatures of at least three bytes, so `scan` probes pairs: a
+    /// random set with the short ones dropped, one signature alone, or
+    /// signatures of one length (where an occurrence holds exactly one
+    /// probed position).
+    fn probed_signatures(rng: &mut TestRng) -> Vec<String> {
+        let mut sigs = random_signatures(rng);
+        match below(rng, 3) {
+            0 => sigs.retain(|s| s.len() >= 3),
+            1 => {
+                let longest = sigs.iter().map(String::len).max().unwrap_or(0);
+                sigs.retain(|s| s.len() >= 3 && s.len() == longest);
+            }
+            _ => sigs.clear(),
+        }
+        if sigs.is_empty() {
+            let len = 3 + below(rng, 22);
+            sigs.push(String::from_utf8(random_bytes(rng, b"abcd. ", len)).unwrap());
+        }
+        let m = SigMatcher::compile(sigs.clone());
+        assert!(m.probe >= 2 && m.probe <= m.reach, "{sigs:?}");
+        sigs
+    }
+
+    /// One random case of `scan` against the naive search: a signature
+    /// set that `scan` filters (two cases in three), a sparse, dense or
+    /// mixed stream with signatures planted across the seam, at both
+    /// payload ends and at random. Returns where the lanes took over and
+    /// the payload length.
+    fn scan_case(rng: &mut TestRng, case: usize) -> (usize, usize) {
+        let sigs = if below(rng, 3) == 0 { random_signatures(rng) } else { probed_signatures(rng) };
+        let m = SigMatcher::compile(sigs.clone());
+        let tail_len = below(rng, m.reach + 1);
+        let payload_len = match below(rng, 4) {
+            0 => below(rng, 2 * m.reach + 4),
+            _ => below(rng, 2001),
+        };
+        let alphabet: &[u8] = match below(rng, 3) {
+            0 => b"#",
+            1 => b"#$%&*+-=@^|~",
+            _ => b"abcd. xyz012\r\n",
+        };
+        let mut stream = random_bytes(rng, alphabet, tail_len + payload_len);
+        let len = stream.len();
+        for _ in 0..below(rng, 4) {
+            let sig = sigs[below(rng, sigs.len())].as_bytes();
+            if sig.len() <= len {
+                let at = match below(rng, 4) {
+                    0 => (tail_len + below(rng, sig.len() + 1)).saturating_sub(sig.len()),
+                    1 => tail_len,
+                    2 => len - sig.len(),
+                    _ => below(rng, len - sig.len() + 1),
+                };
+                let at = at.min(len - sig.len());
+                stream[at..at + sig.len()].copy_from_slice(sig);
+            }
+        }
+        let (tail, payload) = stream.split_at(tail_len);
+        let (hits, lanes_from) = scan_hits(&m, tail, payload);
+        assert_eq!(
+            hits,
+            naive_hits(&sigs, &stream),
+            "case {case}: sigs {sigs:?} tail {tail:?} payload {payload:?}"
+        );
+        (lanes_from, payload.len())
+    }
+
+    fn check_scan_cases(name: &str, cases: usize) {
+        let mut rng = TestRng::from_name(name);
+        let (mut filtered, mut fell_back) = (0, 0);
+        for case in 0..cases {
+            let (lanes_from, len) = scan_case(&mut rng, case);
+            filtered += usize::from(lanes_from == len && len > 0);
+            fell_back += usize::from(lanes_from > 0 && lanes_from < len);
+        }
+        assert!(filtered > cases / 4, "only {filtered} of {cases} payloads stayed filtered");
+        assert!(fell_back > cases / 10, "only {fell_back} of {cases} fell back to the lanes");
+    }
+
+    #[test]
+    fn scan_hit_set_equals_naive_search() {
+        check_scan_cases("scan_hit_set_equals_naive_search", 400);
+    }
+
+    /// The nightly range of the same property.
+    #[test]
+    #[ignore]
+    fn long_range_scan_hit_set_equals_naive_search() {
+        check_scan_cases("long_range_scan_hit_set_equals_naive_search", 20_000);
+    }
+
+    /// A signature alone in a payload of bytes no signature contains, at
+    /// every offset modulo the probe stride around a probed position
+    /// (near the start, where a hit hands the rest to the lanes, and far
+    /// enough in that it does not), across the tail/payload seam, and at
+    /// both payload ends.
+    #[test]
+    fn scan_sees_a_sparse_signature_at_every_offset_around_a_probe() {
+        let mut rng = TestRng::from_name("scan_sees_a_sparse_signature_at_every_offset");
+        let mut filtered = 0;
+        for _ in 0..12 {
+            let sigs = probed_signatures(&mut rng);
+            let m = SigMatcher::compile(sigs.clone());
+            let len = 900 + below(&mut rng, 300);
+            let tail_len = below(&mut rng, m.reach + 1).max(1);
+            let far = (8 * (2 * m.reach + 1) / m.probe + 2) * m.probe;
+            let last_probe = (len - 2) / m.probe * m.probe;
+            for sig in &sigs {
+                let sig = sig.as_bytes();
+                // Stream offsets of the planted signature.
+                let mut starts: Vec<usize> = Vec::new();
+                for p in [0, m.probe, far, far + m.probe, last_probe] {
+                    let p = tail_len + p;
+                    starts.extend(p.saturating_sub(sig.len())..=p + m.probe);
+                }
+                starts.extend(0..tail_len + m.reach + 1);
+                starts.extend(tail_len + len - sig.len() - m.probe..=tail_len + len - sig.len());
+                for at in starts.into_iter().filter(|&at| at + sig.len() <= tail_len + len) {
+                    let mut stream = vec![b'#'; tail_len + len];
+                    stream[at..at + sig.len()].copy_from_slice(sig);
+                    let (tail, payload) = stream.split_at(tail_len);
+                    let (hits, lanes_from) = scan_hits(&m, tail, payload);
+                    assert_eq!(
+                        hits,
+                        naive_hits(&sigs, &stream),
+                        "{sigs:?} at {at} of {tail_len}+{len}"
+                    );
+                    filtered += usize::from(lanes_from == len);
+                }
+            }
+        }
+        assert!(filtered > 1000, "only {filtered} plants stayed filtered");
+    }
+
+    /// Text full of signature pairs, after a stretch of bytes no signature
+    /// holds, hands the rest of the payload to the lanes soon after it
+    /// starts; a signature planted across that hand-over is seen.
+    #[test]
+    fn scan_hands_dense_text_to_the_lanes() {
+        let mut rng = TestRng::from_name("scan_hands_dense_text_to_the_lanes");
+        let mut across = 0;
+        for case in 0..60 {
+            let sigs = probed_signatures(&mut rng);
+            let m = SigMatcher::compile(sigs.clone());
+            let tail_len = below(&mut rng, m.reach + 1);
+            let sparse = below(&mut rng, 600);
+            let mut stream = vec![b'#'; tail_len + sparse];
+            while stream.len() < tail_len + 1500 {
+                let sig = sigs[below(&mut rng, sigs.len())].as_bytes();
+                let cut = below(&mut rng, sig.len() + 1);
+                let piece = if below(&mut rng, 2) == 0 { &sig[..cut] } else { &sig[cut..] };
+                stream.extend_from_slice(piece);
+            }
+            let (tail, payload) = stream.split_at(tail_len);
+            let (hits, lanes_from) = scan_hits(&m, tail, payload);
+            assert_eq!(hits, naive_hits(&sigs, &stream), "case {case}: {sigs:?}");
+            assert!(lanes_from < sparse + 100, "case {case}: lanes from {lanes_from} of {sparse}");
+            let cut = tail_len + lanes_from;
+            for sig in sigs.iter().map(String::as_bytes) {
+                for at in cut + 1 - sig.len()..cut {
+                    let mut stream = stream.clone();
+                    stream[at..at + sig.len()].copy_from_slice(sig);
+                    let (tail, payload) = stream.split_at(tail_len);
+                    let (hits, lanes_from) = scan_hits(&m, tail, payload);
+                    assert_eq!(hits, naive_hits(&sigs, &stream), "case {case}: {sigs:?} at {at}");
+                    across += usize::from(at < tail_len + lanes_from);
+                }
+            }
+        }
+        assert!(across > 500, "only {across} plants lay across the hand-over");
+    }
+
+    /// A signature of one or two bytes leaves no pair to probe between
+    /// its occurrences: `scan` is the lanes over every byte.
+    #[test]
+    fn scan_walks_every_byte_when_a_signature_is_under_three_bytes() {
+        let mut rng = TestRng::from_name("scan_walks_every_byte_when_a_signature_is_under_three");
+        for case in 0..100 {
+            let mut sigs = probed_signatures(&mut rng);
+            let short_len = 1 + below(&mut rng, 2);
+            let short = String::from_utf8(random_bytes(&mut rng, b"abcd", short_len));
+            sigs.insert(below(&mut rng, sigs.len() + 1), short.unwrap());
+            let m = SigMatcher::compile(sigs.clone());
+            assert_eq!(m.probe, 0, "{sigs:?}");
+            let payload_len = m.reach + below(&mut rng, 1500);
+            let mut stream = random_bytes(&mut rng, b"#", m.reach + payload_len);
+            // One signature across the seam, one anywhere.
+            for cut in [m.reach, below(&mut rng, stream.len())] {
+                let sig = sigs[below(&mut rng, sigs.len())].as_bytes();
+                let at = (cut + below(&mut rng, sig.len())).saturating_sub(sig.len());
+                let at = at.min(stream.len() - sig.len());
+                stream[at..at + sig.len()].copy_from_slice(sig);
+            }
+            let (tail, payload) = stream.split_at(m.reach);
+            let (hits, lanes_from) = scan_hits(&m, tail, payload);
+            assert_eq!(hits, naive_hits(&sigs, &stream), "case {case}: {sigs:?}");
+            assert_eq!(lanes_from, 0);
+        }
+    }
+
+    /// With no signature, or only empty ones, nothing is walked.
+    #[test]
+    fn scan_walks_nothing_without_a_signature() {
+        for sigs in [vec![], vec![String::new()], vec![String::new(), String::new()]] {
+            let m = SigMatcher::compile(sigs);
+            assert_eq!(scan_hits(&m, b"ab", b"abcdef"), (vec![], 6));
+            assert_eq!(scan_hits(&m, b"", b""), (vec![], 0));
         }
     }
 

@@ -460,7 +460,10 @@ mod controller_hot_path {
 /// `a_clone_has_its_own_identity`,
 /// `first_write_order_reaches_neither_equality_nor_exports`,
 /// `a_batch_observe_matches_per_value_observes_bit_for_bit`,
-/// `node_metrics_follow_a_replaced_registry` and `alloc_audit`.
+/// `node_metrics_follow_a_replaced_registry` and `alloc_audit`; for the
+/// IPS's pair filter, `scan_hit_set_equals_naive_search`,
+/// `scan_sees_a_sparse_signature_at_every_offset_around_a_probe` and
+/// `scan_hands_dense_text_to_the_lanes`.
 mod packet_path_fixed_cost {
     use super::*;
 
@@ -477,6 +480,24 @@ mod packet_path_fixed_cost {
     fn firewall_parses_no_config_per_packet() {
         forbid(&[read("crates/middleboxes/src/firewall.rs")], |l| {
             any(l, &["fn rules(", "fn default_allow("])
+        });
+    }
+
+    /// The IPS scans a payload through the pair filter, which hands
+    /// dense text to the lanes itself: the packet path never feeds the
+    /// automaton directly.
+    #[test]
+    fn ips_packets_scan_through_the_pair_filter() {
+        let ips = read_shipped("crates/middleboxes/src/ips.rs").text;
+        let at = ips.find("fn process_packet(").expect("Ips::process_packet");
+        let body = &ips[at..];
+        let body = &body[..body.find("\n    fn ").unwrap_or(body.len())];
+        assert!(
+            body.contains("matcher.scan("),
+            "Ips::process_packet no longer calls matcher.scan("
+        );
+        forbid(&[Source { path: "Ips::process_packet".into(), text: body.into() }], |l| {
+            l.contains(".feed(")
         });
     }
 
