@@ -44,8 +44,8 @@
 //!   fault schedules and at every controller crash point).
 //!   A reverse move can itself fail (its target may be the endpoint
 //!   that just crashed); it is retried, paced by the maintenance tick
-//!   and reachability events, up to
-//!   [`crate::shard::ControllerConfig::chain_rollback_retries`] times.
+//!   and reachability events, up to a fixed budget of 16 times
+//!   (`CHAIN_ROLLBACK_RETRIES`).
 //!
 //! Chain ids live in their own [`CHAIN_OP_BASE`] namespace, far above
 //! any shard's residue-class allocation: they never appear in

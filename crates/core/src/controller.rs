@@ -229,9 +229,6 @@ pub struct ControllerConfig {
     /// the application with [`Error::Timeout`] (or
     /// [`Error::MbUnreachable`] when the embedding reported a crash).
     pub op_deadline: SimDuration,
-    /// Initial backoff before the first retry of an idempotent simple
-    /// request (config reads, stats). Doubles per attempt.
-    pub retry_backoff: SimDuration,
     /// Maximum retries for idempotent simple requests. Non-idempotent
     /// requests (writes, transfers) are never retried — they fail at
     /// the deadline instead.
@@ -263,13 +260,6 @@ pub struct ControllerConfig {
     /// `Put*Perflow` streaming; final state is identical either way,
     /// which the conformance suite asserts across both modes.
     pub content_cache: bool,
-    /// How many times a chain rollback re-attempts one failed
-    /// compensating reverse move before the chain is abandoned with
-    /// [`openmb_types::Error`] `OpFailed("chain rollback incomplete")`.
-    /// Reverse moves target an endpoint that just failed, so retries are
-    /// paced by the maintenance tick / reachability events rather than
-    /// fired back-to-back.
-    pub chain_rollback_retries: u32,
     /// Number of controller shards. Read once when a
     /// [`crate::controller::ControllerCore`] is constructed (mutating it
     /// afterwards has no effect — shard count is structural). 1 (the
@@ -285,13 +275,11 @@ impl Default for ControllerConfig {
             quiesce_after: SimDuration::from_millis(500),
             buffer_events: true,
             op_deadline: SimDuration::from_secs(10),
-            retry_backoff: SimDuration::from_millis(100),
             max_retries: 3,
             max_transfer_resumes: 0,
             resume_after: SimDuration::from_millis(400),
             transfer_window: 64,
             content_cache: true,
-            chain_rollback_retries: 16,
             shards: 1,
         }
     }
@@ -726,11 +714,18 @@ impl ControllerCore {
     }
 
     /// Rollback retries left for `c`: carried in its phase once it is
-    /// rolling back, the configured budget before that.
+    /// rolling back, the whole budget before that.
     fn retries_left(&self, c: &ChainRun) -> u32 {
+        /// How many times a chain rollback re-attempts one failed
+        /// compensating reverse move before the chain is abandoned with
+        /// `OpFailed("chain rollback incomplete")`. Reverse moves target
+        /// an endpoint that just failed, so retries are paced by the
+        /// maintenance tick / reachability events rather than fired
+        /// back-to-back.
+        const CHAIN_ROLLBACK_RETRIES: u32 = 16;
         match c.phase {
             ChainPhase::Rollback { retries_left, .. } => retries_left,
-            _ => self.config.chain_rollback_retries,
+            _ => CHAIN_ROLLBACK_RETRIES,
         }
     }
 

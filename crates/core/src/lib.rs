@@ -15,7 +15,8 @@
 //!   drive the same code.
 //! * [`shard::ControllerShard`] — one shard's pure state machine:
 //!   Figure 5 choreography, per-key reprocess-event buffering,
-//!   quiescence-driven deletes, per-shard transfer/delete ledgers.
+//!   quiescence-driven deletes, per-shard transfer/delete ledgers. Only
+//!   the engine builds shards, each with its op-id residue class.
 //! * [`parallel::ShardedController`] — a newtype over the engine for
 //!   thread drivers that want each call's actions returned as a `Vec`.
 //! * [`app`] — the control-application trait and the [`app::Api`] that

@@ -212,11 +212,6 @@ impl ShardRouter {
         Self::hash_placement(shards, &HeaderFieldList::any(), mb, mb)
     }
 
-    /// [`ShardRouter::place_simple`] over this router's shard count.
-    pub fn route_simple(&self, mb: MbId) -> usize {
-        Self::place_simple(self.shards, mb)
-    }
-
     /// Admit a transfer. With no conflicting live transfer the hash
     /// decides and disjoint ops spread across shards. When every
     /// conflicting transfer (shares a middlebox *and* overlaps the

@@ -305,6 +305,11 @@ pub struct TableSizes {
 /// ops leave no tombstone: nothing tags an event with them.
 pub const RETIRED_RING: usize = 16;
 
+/// Backoff before the first retry of an idempotent simple request
+/// (config reads, stats), doubling per attempt; also the constant
+/// interval between re-sends of an owed state delete.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(100);
+
 /// One owed state delete (see `ControllerShard::pending_deletes`).
 #[derive(Debug, Clone)]
 struct PendingDelete {
@@ -385,8 +390,8 @@ pub struct ControllerShard {
     cache_misses: u64,
     bodies_sent: u64,
     bytes_saved: u64,
-    /// Flight recorder for op spans (disabled unless the embedding
-    /// installs one via [`ControllerShard::set_recorder`]). Cloning the
+    /// Flight recorder for op spans (disabled unless the engine installs
+    /// one via [`ControllerShard::set_recorder_with_tag`]). Cloning the
     /// core (journaling) shares the recorder, so a restored snapshot
     /// keeps appending to the same timeline.
     obs: Recorder,
@@ -394,12 +399,6 @@ pub struct ControllerShard {
 }
 
 impl ControllerShard {
-    /// A standalone single-shard controller: op ids `1, 2, 3, …` —
-    /// exactly the pre-sharding allocation order.
-    pub fn new(config: ControllerConfig) -> Self {
-        Self::with_op_space(config, 1, 1)
-    }
-
     /// A shard allocating op ids from its own residue class: `first`,
     /// `first + stride`, `first + 2·stride`, … The engine constructs
     /// shard `s` of `N` with `(s + 1, N)`.
@@ -433,34 +432,15 @@ impl ControllerShard {
         }
     }
 
-    /// Install a flight recorder: every operation's lifecycle events
-    /// (`Issued`, `ChunkAcked`, `Parked`, `Resumed`, `DeleteRetried`,
-    /// `Aborted`, `Completed`) are recorded into it under the node name
-    /// "controller".
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs_tag = rec.register("controller");
-        self.obs = rec;
-    }
-
-    /// Install a recorder under an already-registered node tag. The
-    /// engine registers "controller" once and shares the tag across all
-    /// shards, so a sharded controller's events merge into one timeline
-    /// column instead of N duplicate nodes.
+    /// Install a flight recorder under an already-registered node tag:
+    /// every operation's lifecycle events (`Issued`, `ChunkAcked`,
+    /// `Parked`, `Resumed`, `DeleteRetried`, `Aborted`, `Completed`) are
+    /// recorded into it. The engine registers "controller" once and
+    /// shares the tag across all shards, so a sharded controller's
+    /// events merge into one timeline column instead of N duplicate nodes.
     pub fn set_recorder_with_tag(&mut self, rec: Recorder, tag: NodeTag) {
         self.obs_tag = tag;
         self.obs = rec;
-    }
-
-    /// The installed flight recorder handle (disabled by default).
-    pub fn recorder(&self) -> &Recorder {
-        &self.obs
-    }
-
-    /// The node tag this core records under ([`NodeTag::NONE`] while no
-    /// recorder is installed). Embeddings use it to attribute their own
-    /// transport-level events to the controller's timeline.
-    pub fn recorder_tag(&self) -> NodeTag {
-        self.obs_tag
     }
 
     /// Register a middlebox; returns its handle.
@@ -565,11 +545,10 @@ impl ControllerShard {
         let msg = request(sub);
         self.span(now, op, Some(sub), SpanEvent::Issued { kind: msg.kind_name() });
         if matches!(kind, OpKind::ReadConfig | OpKind::Stats) {
-            let backoff = self.config.retry_backoff;
             self.ops.get_mut(&op).expect("inserted above").retry = Some(RetryState {
                 request: msg.clone(),
-                next_at: now.after(backoff),
-                backoff,
+                next_at: now.after(RETRY_BACKOFF),
+                backoff: RETRY_BACKOFF,
                 left: self.config.max_retries,
             });
         }
@@ -1018,9 +997,8 @@ impl ControllerShard {
     /// resume transfers parked on its account.
     pub fn mark_reachable(&mut self, mb: MbId, now: SimTime, out: &mut Vec<Action>) {
         self.unreachable.remove(&mb);
-        let backoff = self.config.retry_backoff;
         for r in self.pending_deletes.iter_mut().filter(|r| r.mb == mb) {
-            r.due = Some(now.after(backoff));
+            r.due = Some(now.after(RETRY_BACKOFF));
             out.push(Action::ToMb(r.mb, r.msg.clone()));
         }
         for op in self.ops_where(|st| st.phase == Phase::Suspended) {
@@ -1384,7 +1362,6 @@ impl ControllerShard {
         // MB); entries park while their MB is unreachable and are
         // dropped once the budget is spent, so a destination that never
         // acks cannot keep the maintenance timer alive forever.
-        let backoff = self.config.retry_backoff;
         let mut resend: Vec<(MbId, OpId, OpId, Message)> = Vec::new();
         let mut given_up = Vec::new();
         self.pending_deletes.retain_mut(|r| {
@@ -1397,7 +1374,7 @@ impl ControllerShard {
                 return false;
             }
             r.left -= 1;
-            r.due = Some(now.after(backoff));
+            r.due = Some(now.after(RETRY_BACKOFF));
             resend.push((r.mb, r.op, r.sub, r.msg.clone()));
             true
         });

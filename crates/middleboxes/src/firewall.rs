@@ -151,13 +151,6 @@ impl Firewall {
     fn counters(&mut self) -> [&mut u64; 2] {
         [&mut self.allowed, &mut self.denied]
     }
-
-    /// Conntrack entries sorted by key (tests/experiments).
-    pub fn conntrack_sorted(&self) -> Vec<ConnTrack> {
-        let mut v: Vec<ConnTrack> = self.conntrack.values().cloned().collect();
-        v.sort_by_key(|c| c.key);
-        v
-    }
 }
 
 impl Middlebox for Firewall {

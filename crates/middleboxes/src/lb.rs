@@ -108,15 +108,6 @@ impl LoadBalancer {
         v.sort_by_key(|a| a.source);
         v
     }
-
-    /// Per-backend connection counts (load-balance quality metrics).
-    pub fn load_by_backend(&self) -> HashMap<Ipv4Addr, u64> {
-        let mut out = HashMap::new();
-        for a in self.assignments.values() {
-            *out.entry(a.backend).or_insert(0) += a.connections;
-        }
-        out
-    }
 }
 
 impl Middlebox for LoadBalancer {

@@ -83,11 +83,6 @@ impl PacketCache {
         self.total
     }
 
-    /// `max_reached`: has the ring wrapped at least once?
-    pub fn is_full(&self) -> bool {
-        self.total >= self.data.len() as u64
-    }
-
     /// Append `bytes`, returning the stream offset of their first byte.
     pub fn append(&mut self, bytes: &[u8]) -> u64 {
         let start = self.total;
@@ -391,15 +386,6 @@ impl ReEncoder {
     /// Direct cache access (tests / experiments).
     pub fn cache(&self, i: usize) -> &PacketCache {
         &self.caches[i].cache
-    }
-
-    /// Replace all caches with empty ones (the "start afresh" baseline
-    /// of §8.1.2: "The caches need to be forcefully evicted in full and
-    /// started afresh").
-    pub fn evict_all(&mut self) {
-        for c in &mut self.caches {
-            *c = EncoderCache::new(self.cache_size);
-        }
     }
 }
 

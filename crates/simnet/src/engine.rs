@@ -281,11 +281,6 @@ impl Ctx<'_> {
         self.world.schedule(t, self.self_id, Payload::Timer { token });
     }
 
-    /// Does a link from this node to `to` exist?
-    pub fn has_link(&self, to: NodeId) -> bool {
-        self.world.link(self.self_id, to).is_some()
-    }
-
     /// Record a span event attributed to this node at the current
     /// time. A no-op (one branch) unless a recorder is installed.
     #[inline]
@@ -651,11 +646,6 @@ impl Sim {
     /// plan is installed.
     pub fn fault_log(&self) -> &[FaultRecord] {
         self.world.fault.as_ref().map(|f| f.log.as_slice()).unwrap_or(&[])
-    }
-
-    /// Is `node` currently down due to an injected crash?
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.world.fault.as_ref().is_some_and(|f| f.crashed.contains(&node))
     }
 
     /// Inject a frame arrival at `target` (appearing to come from

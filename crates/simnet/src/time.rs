@@ -64,9 +64,6 @@ impl SimDuration {
     pub fn as_nanos(self) -> u64 {
         self.0
     }
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }

@@ -696,6 +696,16 @@ mod northbound {
         assert_eq!(forwards, 4, "per-verb forwards in {FACADES:?}");
     }
 
+    /// Only the engine builds a shard (`with_op_space`) and installs its
+    /// recorder (`set_recorder_with_tag`): no standalone single-shard
+    /// controller beside `ControllerCore`.
+    #[test]
+    fn no_standalone_shard() {
+        forbid(&[read("crates/core/src/shard.rs")], |l| {
+            any(l, &["pub fn new(", "pub fn set_recorder("])
+        });
+    }
+
     /// Keys are never strings parsed in a facade.
     #[test]
     fn facades_parse_no_string_keys() {
@@ -830,18 +840,19 @@ mod docs {
     }
 
     /// Every citation of a DESIGN section (number, optional quoted title)
-    /// or an EXPERIMENTS section (quoted title) in the sources, ROADMAP,
-    /// CI and the verify notes names a place that exists: DESIGN.md has
-    /// the numbered section with the title as a heading or a bold lead in
-    /// it, and EXPERIMENTS.md a heading that starts with the title. Each
-    /// `design_rules::` path named there and in DESIGN.md is a module or
-    /// a test in this file.
+    /// or an EXPERIMENTS section (quoted title) in the sources, the
+    /// benchmark, ROADMAP, CI and the verify notes names a place that
+    /// exists: DESIGN.md has the numbered section with the title as a
+    /// heading or a bold lead in it, and EXPERIMENTS.md a heading that
+    /// starts with the title. Each `design_rules::` path named there and
+    /// in DESIGN.md is a module or a test in this file.
     #[test]
     fn citations_resolve() {
         let design = read("DESIGN.md").text;
         let experiments = read("EXPERIMENTS.md").text;
         let rules = read(SELF).text;
         let mut files = walk(SOURCES);
+        files.extend(walk(&["perfbench"]));
         files.extend(read_all(&[SELF, "ROADMAP.md", CI, ".claude/skills/verify/SKILL.md"]));
         let (mut broken, mut titled) = (Vec::new(), 0);
         for f in &files {
@@ -880,6 +891,43 @@ mod docs {
             }
         }
         assert!(broken.is_empty(), "citations that resolve to nothing:\n{}", broken.join("\n"));
+    }
+
+    /// DESIGN.md and EXPERIMENTS.md state the current system once: each
+    /// stays within 1 500 lines, and EXPERIMENTS.md's trajectory table
+    /// (the first table under `## Trajectory`) is one schema. Every row
+    /// has its nine cells (PR, commit, workload, metric, change ÷
+    /// parent, pairs won, resolved, seeds, source), a numeric ratio and
+    /// a source of `house pairs` or `driver`. A change adds its rows
+    /// there, not a table of its own.
+    #[test]
+    fn docs_stay_legible() {
+        let long: Vec<String> = ["DESIGN.md", "EXPERIMENTS.md"]
+            .iter()
+            .map(|doc| (doc, read(doc).text.lines().count()))
+            .filter(|&(_, n)| n > 1_500)
+            .map(|(doc, n)| format!("{doc} is {n} lines"))
+            .collect();
+        assert!(long.is_empty(), "over 1 500 lines: {}", long.join(", "));
+        let experiments = read("EXPERIMENTS.md").text;
+        let table: Vec<&str> = experiments
+            .lines()
+            .skip_while(|l| !l.starts_with("## Trajectory"))
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2)
+            .collect();
+        assert!(!table.is_empty(), "EXPERIMENTS.md has no trajectory table");
+        let bad: Vec<&str> = table
+            .into_iter()
+            .filter(|row| {
+                let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+                cells.len() != 9
+                    || cells[4].trim_matches('*').parse::<f64>().is_err()
+                    || !matches!(cells[8], "house pairs" | "driver")
+            })
+            .collect();
+        assert!(bad.is_empty(), "trajectory rows off the schema:\n{}", bad.join("\n"));
     }
 
     /// A `cargo test` line of the CI workflow.
